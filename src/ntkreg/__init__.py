@@ -55,6 +55,7 @@ from .kernel import (
 from .krr import (
     KRRPredictor,
     PSDSolver,
+    ShiftedSolvers,
     export_predictions,
     krr_fit,
     krr_fit_multi,

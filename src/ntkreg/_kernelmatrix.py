@@ -15,34 +15,14 @@ SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-8
 
 
-def _power_iteration(values: np.ndarray, tol: float = 1e-13, max_iter: int = 2000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix, deterministic start vector."""
-    n = values.shape[0]
-    # Non-uniform start avoids pathological orthogonality to the top eigenvector.
-    v = 1.0 + 0.01 * np.cos(np.arange(n, dtype=np.float64))
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(max_iter):
-        w = values @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        new_estimate = float(v @ w)
-        v = w / norm_w
-        if abs(new_estimate - estimate) <= tol * max(abs(new_estimate), 1.0):
-            estimate = new_estimate
-            break
-        estimate = new_estimate
-    return abs(estimate)
-
-
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """An n-by-n Gram matrix together with its trace and spectral norm.
 
     Instances are built through :meth:`from_values`, which verifies symmetry
     (max |K_ij - K_ji| <= 1e-10 * max|K|) and positive semidefiniteness up to
-    tolerance (lambda_min >= -1e-8 * tr/n).
+    tolerance (lambda_min >= -1e-8 * tr/n). ``min_eig`` and ``op_norm`` both
+    come from the one ``eigvalsh`` spectrum that the PSD check computes.
     """
 
     values: np.ndarray
@@ -66,12 +46,13 @@ class KernelMatrix:
                 f"kernel matrix is not symmetric: max|K - K^T| = {asym:.3e} "
                 f"exceeds {SYMMETRY_RTOL:.0e} * max|K| = {SYMMETRY_RTOL * scale:.3e}"
             )
-        min_eig = float(np.linalg.eigvalsh(values)[0])
+        eigs = np.linalg.eigvalsh(values)
+        min_eig = float(eigs[0])
         if min_eig < -PSD_RTOL * max(trace, 0.0) / n:
             raise ValidationError(
                 f"kernel matrix is not PSD within tolerance: lambda_min = {min_eig:.3e}"
             )
-        op_norm = _power_iteration(values)
+        op_norm = float(max(eigs[-1], -eigs[0]))
         return cls(values=values, trace=trace, op_norm=op_norm, min_eig=min_eig)
 
     @property

@@ -28,6 +28,10 @@ Two constant modes:
     (lam + 1)/2 sqrt(y^T K^-1 y / n) + sigma/lam + confidence terms.
 
 Logarithms that can go negative for very large lam are floored at zero.
+
+Every assembly factors K and K + lam^2 I at most once. Callers that fit and
+bound on one kernel pass ``bound_binary`` the fit's
+:class:`~ntkreg.krr.ShiftedSolvers`, so that the bound reuses its factors.
 """
 
 import json
@@ -39,7 +43,7 @@ import numpy as np
 from ._kernelmatrix import KernelMatrix
 from .data import TASK_BINARY, TASK_MULTICLASS, TASK_REGRESSION, DataSet
 from .errors import ValidationError
-from .krr import KRRPredictor, PSDSolver
+from .krr import KRRPredictor, ShiftedSolvers, solvers_for
 from .noise import rescale_binary, validate_transition
 
 MODE_EXPLICIT = "explicit-appendix"
@@ -130,21 +134,16 @@ class BoundReport:
             f.write("\n")
 
 
-def quad_form_inv(K: KernelMatrix, v) -> float:
+def quad_form_inv(K: KernelMatrix, v, solvers: ShiftedSolvers = None) -> float:
     """v^T K^-1 v via a factorized solve (never an explicit inverse)."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (K.n,):
         raise ValidationError(f"vector must have shape ({K.n},), got {v.shape}")
-    solved = PSDSolver(K.values, 0.0).solve_checked(v)
-    return max(float(v @ solved), 0.0)
+    return solvers_for(K, solvers).quad_form(v, 0.0)
 
 
-def _quad_form_shifted(K: KernelMatrix, v: np.ndarray, shift: float) -> float:
-    solved = PSDSolver(K.values, shift).solve_checked(v)
-    return max(float(v @ solved), 0.0)
-
-
-def lemma1_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float) -> float:
+def lemma1_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float,
+                 solvers: ShiftedSolvers = None) -> float:
     """High-probability bound on the training loss against *clean* labels.
 
     Value: (lam/2) sqrt(y^T K^-1 y) + (sigma/(2 lam)) sqrt(tr K)
@@ -154,7 +153,7 @@ def lemma1_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float) -> 
         raise ValidationError(f"lam must be > 0, got {lam}")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta must lie in (0, 1), got {delta}")
-    q = quad_form_inv(K, y)
+    q = quad_form_inv(K, y, solvers)
     return (
         0.5 * lam * math.sqrt(q)
         + (sigma / (2.0 * lam)) * math.sqrt(max(K.trace, 0.0))
@@ -162,7 +161,8 @@ def lemma1_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float) -> 
     )
 
 
-def lemma2_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float, n: int = None) -> float:
+def lemma2_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float, n: int = None,
+                 solvers: ShiftedSolvers = None) -> float:
     """High-probability bound B' on the predictor's RKHS norm.
 
     Value: sqrt(y^T (K + lam^2 I)^-1 y) + (sigma/lam)(sqrt(n) + sqrt(2 log(1/delta))).
@@ -176,7 +176,7 @@ def lemma2_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float, n: 
         n = y.size
     elif n != y.size:
         raise ValidationError(f"n = {n} does not match len(y) = {y.size}")
-    q_shift = _quad_form_shifted(K, y, lam * lam)
+    q_shift = solvers_for(K, solvers).quad_form(y, lam * lam)
     return math.sqrt(q_shift) + (sigma / lam) * (
         math.sqrt(n) + math.sqrt(2.0 * math.log(1.0 / delta))
     )
@@ -187,9 +187,9 @@ def _log_floor(value: float) -> float:
 
 
 def _additive_terms(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
-                    delta: float, n: int, mode: str) -> dict:
+                    delta: float, n: int, mode: str, solvers: ShiftedSolvers) -> dict:
     """The three disjoint addends of the additive-noise bound plus diagnostics."""
-    q = quad_form_inv(K, y)
+    q = quad_form_inv(K, y, solvers)
     sqrt_qn = math.sqrt(q / n)
     tr_n = max(K.trace, 0.0) / n
     if mode == MODE_EXPLICIT:
@@ -205,7 +205,7 @@ def _additive_terms(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
             + math.sqrt(_log_floor(n / (delta * lam)) / n)
         )
         lemma_delta = delta / 3.0
-        b_prime = lemma2_bound(K, y, sigma, lam, lemma_delta, n)
+        b_prime = lemma2_bound(K, y, sigma, lam, lemma_delta, n, solvers)
         rademacher = 2.0 * (b_prime + 1.0) * math.sqrt(max(K.trace, 0.0)) / n
     else:
         c_main = 1.0
@@ -217,7 +217,7 @@ def _additive_terms(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
             + (sigma / lam) * math.sqrt(log1 / n)
             + math.sqrt(_log_floor(n / (delta * lam)) / n)
         )
-        b_prime = lemma2_bound(K, y, sigma, lam, delta, n)
+        b_prime = lemma2_bound(K, y, sigma, lam, delta, n, solvers)
         rademacher = 2.0 * b_prime * math.sqrt(max(K.trace, 0.0)) / n
     return {
         "q": q,
@@ -225,8 +225,8 @@ def _additive_terms(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
         "sigma_term": sigma_term,
         "delta_term": delta_term,
         "c_main": c_main,
-        "lemma1": lemma1_bound(K, y, sigma, lam, delta),
-        "lemma2": lemma2_bound(K, y, sigma, lam, delta, n),
+        "lemma1": lemma1_bound(K, y, sigma, lam, delta, solvers),
+        "lemma2": lemma2_bound(K, y, sigma, lam, delta, n, solvers),
         "rademacher": rademacher,
     }
 
@@ -243,7 +243,8 @@ def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None) -> Bound
         n = y.size
     elif n != y.size:
         raise ValidationError(f"n = {n} does not match len(y) = {y.size}")
-    terms = _additive_terms(K, y, cfg.sigma, cfg.lam, cfg.delta, n, cfg.constant_mode)
+    terms = _additive_terms(K, y, cfg.sigma, cfg.lam, cfg.delta, n, cfg.constant_mode,
+                            ShiftedSolvers(K))
     return BoundReport(
         mode=cfg.constant_mode,
         total=terms["main"] + terms["sigma_term"] + terms["delta_term"],
@@ -259,7 +260,8 @@ def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None) -> Bound
 
 
 def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
-                 n: int = None, constant_mode: str = MODE_EXPLICIT) -> BoundReport:
+                 n: int = None, constant_mode: str = MODE_EXPLICIT,
+                 solvers: ShiftedSolvers = None) -> BoundReport:
     """Clean-distribution classification-error bound under flip probability p.
 
     The labels are rescaled to +-(1-2p) so the flip noise becomes zero-mean
@@ -284,8 +286,9 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
         raise ValidationError(f"n = {n} does not match len(y) = {y.size}")
     scaled_y, sigma_eff = rescale_binary(y, p)
     inv_margin = 1.0 / (1.0 - 2.0 * p)
+    solvers = solvers_for(K, solvers)
     if constant_mode == MODE_EXPLICIT:
-        terms = _additive_terms(K, scaled_y, sigma_eff, lam, delta, n, constant_mode)
+        terms = _additive_terms(K, scaled_y, sigma_eff, lam, delta, n, constant_mode, solvers)
         main = terms["main"] * inv_margin  # the (1-2p) inside sqrt(q) cancels here
         sigma_term = terms["sigma_term"] * inv_margin
         delta_term = terms["delta_term"] * inv_margin
@@ -297,7 +300,7 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
             "c_main": terms["c_main"],
         }
     else:
-        q_clean = quad_form_inv(K, y)
+        q_clean = quad_form_inv(K, y, solvers)
         main = 0.5 * (lam + 1.0) * math.sqrt(q_clean / n)
         sqrt_p = math.sqrt(p)
         sigma_term = inv_margin * sqrt_p / lam
@@ -306,8 +309,8 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
             + math.sqrt(_log_floor(n / (delta * lam)) / n)
         )
         report_extras = {
-            "lemma1": lemma1_bound(K, scaled_y, sigma_eff, lam, delta),
-            "lemma2": lemma2_bound(K, scaled_y, sigma_eff, lam, delta, n),
+            "lemma1": lemma1_bound(K, scaled_y, sigma_eff, lam, delta, solvers),
+            "lemma2": lemma2_bound(K, scaled_y, sigma_eff, lam, delta, n, solvers),
             "rademacher": None,
             "c_main": 1.0,
         }
@@ -366,9 +369,10 @@ def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
     main_sum = 0.0
     sigma_sum = 0.0
     delta_sum = 0.0
+    solvers = ShiftedSolvers(K)
     if constant_mode == MODE_EXPLICIT:
         for h in range(num_classes):
-            terms = _additive_terms(K, Q[h], 1.0, lam, delta_per_class, n, constant_mode)
+            terms = _additive_terms(K, Q[h], 1.0, lam, delta_per_class, n, constant_mode, solvers)
             q_forms.append(terms["q"])
             main_sum += terms["main"]
             sigma_sum += terms["sigma_term"]
@@ -376,7 +380,7 @@ def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
         c_main = 4.0 * math.sqrt(max(K.trace, 0.0) / n)
     else:
         for h in range(num_classes):
-            q = quad_form_inv(K, Q[h])
+            q = quad_form_inv(K, Q[h], solvers)
             q_forms.append(q)
             main_sum += 0.5 * (lam + 1.0) * math.sqrt(q / n)
         sigma_sum = num_classes / lam

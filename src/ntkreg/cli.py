@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
-from .krr import krr_fit, export_predictions
+from .krr import ShiftedSolvers, export_predictions, krr_fit
 from .linmodel import check_equivalence, linearize, run_gd_aux, run_gd_rdi
 from .net import NetConfig, TrainConfig, distance_to_init, forward, init_mlp, train_full
 
@@ -180,6 +180,8 @@ def build_noise_model(spec: dict, override_level=None):
             return None
         return noise_mod.BinaryFlip(float(override_level))
     if override_level is not None and kind == "additive":
+        if override_level == 0.0:
+            return None
         return noise_mod.AdditiveNoise(float(override_level), spec.get("shape", "gaussian"))
     if kind == "none":
         return None
@@ -241,8 +243,8 @@ def _write_csv(path, header, rows) -> None:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
@@ -416,11 +418,14 @@ def cmd_krr(config: dict) -> int:
     lam = float(config["lambda"])
     predictor = krr_fit(gram, data.noisy_labels.astype(np.float64), lam,
                         kernel_source=source, train_data=data)
-    train_err = _zero_one_error(predictor.predict(data.inputs), data, data.noisy_labels)
+    # In-sample predictions from the Gram matrix: evaluating k(X, X) again
+    # would repeat the kernel build and, at large n, set the command's peak memory.
+    train_err = _zero_one_error(gram.values @ predictor.alpha, data, data.noisy_labels)
     row = {"lambda": lam, "train_error_noisy": train_err, "test_error_clean": None}
     if test is not None:
-        row["test_error_clean"] = _zero_one_error(predictor.predict(test.inputs), test, test.clean_labels)
-        export_predictions(predictor, test.inputs, os.path.join(out, "predictions.csv"))
+        path = os.path.join(out, "predictions.csv")
+        test_predictions = export_predictions(predictor, test.inputs, path)
+        row["test_error_clean"] = _zero_one_error(test_predictions, test, test.clean_labels)
     _write_csv(
         os.path.join(out, "results.csv"),
         ["lambda", "train_error_noisy", "test_error_clean"],
@@ -489,49 +494,105 @@ def _sweep_cells(config: dict):
     return cells
 
 
-# Gram matrices depend on (dataset, model, seed) but not on the noise level
-# or lambda, so sweep cells within one seed can share them. Per-process memo;
-# bounded so big kernels do not accumulate.
-_GRAM_MEMO = {}
-_GRAM_MEMO_LIMIT = 8
+def _sweep_groups(config: dict, cells: list) -> list:
+    """The sweep's plan: cells grouped by the work they share.
+
+    krr cells share a kernel, keyed by (dataset, model) plus, for net models
+    only, the seed, because the empirical kernel depends on the init seed
+    and the analytic one does not. Every other method trains per cell, so
+    each of its cells is a group of its own.
+    """
+    if config["method"] != "krr":
+        return [[cell] for cell in cells]
+    by_seed = config["model"].get("kind") == "net"
+    groups = {}
+    for cell in cells:
+        groups.setdefault(cell["seed"] if by_seed else None, []).append(cell)
+    return list(groups.values())
 
 
-def _memoized_gram(config: dict, train, seed: int):
-    key = (
-        json.dumps(config["dataset"], sort_keys=True),
-        json.dumps(config["model"], sort_keys=True),
-        seed,
+_RESULT_HEADER = [
+    "noise", "lambda", "seed", "method", "train_error_noisy",
+    "test_error_clean", "distance_to_init", "bound_total", "status",
+]
+
+
+def _row(config, cell, status, **values) -> dict:
+    """One results.csv row; values not given stay empty."""
+    row = dict.fromkeys(_RESULT_HEADER)
+    row.update({"noise": cell["noise"], "lambda": cell["lambda"], "seed": cell["seed"],
+                "method": config["method"], "status": status}, **values)
+    return row
+
+
+def _error_row(config, cell, exc) -> dict:
+    return _row(config, cell, f"error:{type(exc).__name__}")
+
+
+def _cell_row(config, cell, train, test, train_predictions, test_predictions,
+              distance=None, bound_total=None) -> dict:
+    return _row(
+        config, cell, "ok",
+        train_error_noisy=_zero_one_error(train_predictions, train, train.noisy_labels),
+        test_error_clean=(
+            _zero_one_error(test_predictions, test, test.clean_labels) if test is not None else None
+        ),
+        distance_to_init=distance,
+        bound_total=bound_total,
     )
-    if key not in _GRAM_MEMO:
-        if len(_GRAM_MEMO) >= _GRAM_MEMO_LIMIT:
-            _GRAM_MEMO.clear()
-        source = build_kernel_source(config, train, seed)
-        _GRAM_MEMO[key] = (source, source.gram(train))
-    return _GRAM_MEMO[key]
 
 
-def _run_sweep_cell(config: dict, cell: dict) -> dict:
+def _noisy_train(config, cell, train) -> DataSet:
+    noise_model = build_noise_model(config["noise"], override_level=cell["noise"])
+    return apply_noise(train, noise_model, (cell["seed"], cell["noise_idx"]))
+
+
+def _krr_group_rows(config: dict, cells: list) -> dict:
+    """Rows of the krr cells that share one kernel, by cell index.
+
+    The split, the Gram matrix K and the test cross matrix C are built once.
+    Cells are visited ridge by ridge, so each shift lam^2 is factored once
+    and the shift-0 factor also serves the bounds' y^T K^-1 y. A cell then
+    costs O(n^2): a solve, K @ alpha, C @ alpha and the bound arithmetic.
+    """
+    train, test = build_train_test(config)
+    source = build_kernel_source(config, train, cells[0]["seed"])
+    gram = source.gram(train)
+    cross = source.cross(test.inputs, train) if test is not None else None
+    solvers = ShiftedSolvers(gram)
+    noisy = {}
+    rows = {}
+    for cell in sorted(cells, key=lambda c: c["lambda"]):
+        try:
+            key = (cell["noise_idx"], cell["seed"])
+            if key not in noisy:
+                noisy[key] = _noisy_train(config, cell, train)
+            noisy_data = noisy[key]
+            lam = cell["lambda"]
+            alpha = krr_fit(gram, noisy_data.noisy_labels.astype(np.float64), lam, solvers=solvers).alpha
+            bound_total = None
+            if train.task == TASK_BINARY and cell["noise"] > 0.0 and lam > 0.0:
+                bound_total = bounds_mod.bound_binary(
+                    gram, train.clean_labels, cell["noise"], lam, float(config["delta"]),
+                    train.n, constant_mode=config["constant_mode"], solvers=solvers,
+                ).total
+            rows[cell["index"]] = _cell_row(
+                config, cell, noisy_data, test, gram.values @ alpha,
+                cross @ alpha if cross is not None else None, bound_total=bound_total,
+            )
+        except ToolkitError as exc:
+            rows[cell["index"]] = _error_row(config, cell, exc)
+    return rows
+
+
+def _trained_cell_row(config: dict, cell: dict) -> dict:
+    """Row of one linear-* or net-* cell, which trains its own model."""
     method = config["method"]
     train, test = build_train_test(config)
-    noise_model = build_noise_model(config["noise"], override_level=cell["noise"])
-    train = apply_noise(train, noise_model, (cell["seed"], cell["noise_idx"]))
+    train = _noisy_train(config, cell, train)
     lam = cell["lambda"]
     seed = cell["seed"]
-    distance = None
-    bound_total = None
-
-    if method == "krr":
-        source, gram = _memoized_gram(config, train, seed)
-        predictor = krr_fit(gram, train.noisy_labels.astype(np.float64), lam,
-                            kernel_source=source, train_data=train)
-        train_predictions = predictor.predict(train.inputs)
-        test_predictions = predictor.predict(test.inputs) if test is not None else None
-        if train.task == TASK_BINARY and cell["noise"] > 0.0 and lam > 0.0:
-            bound_total = bounds_mod.bound_binary(
-                gram, train.clean_labels, cell["noise"], lam, float(config["delta"]),
-                train.n, constant_mode=config["constant_mode"],
-            ).total
-    elif method.startswith("linear-"):
+    if method.startswith("linear-"):
         model = config["model"]
         if model.get("kind") != "net":
             raise ValidationError("linear-* methods need a finite-width net model")
@@ -566,39 +627,18 @@ def _run_sweep_cell(config: dict, cell: dict) -> dict:
         distance = float(np.linalg.norm(distance_to_init(trained)))
     else:
         raise ValidationError(f"unknown method {method!r}")
-
-    row = {
-        "noise": cell["noise"],
-        "lambda": lam,
-        "seed": seed,
-        "method": method,
-        "train_error_noisy": _zero_one_error(train_predictions, train, train.noisy_labels),
-        "test_error_clean": (
-            _zero_one_error(test_predictions, test, test.clean_labels) if test is not None else None
-        ),
-        "distance_to_init": distance,
-        "bound_total": bound_total,
-        "status": "ok",
-    }
-    return row
+    return _cell_row(config, cell, train, test, train_predictions, test_predictions, distance=distance)
 
 
-def _cell_worker(payload):
-    config, cell = payload
+def _group_worker(payload) -> dict:
+    """Rows of one group by cell index; a failure shared by the group fails all its cells."""
+    config, cells = payload
     try:
-        return cell["index"], _run_sweep_cell(config, cell)
+        if config["method"] == "krr":
+            return _krr_group_rows(config, cells)
+        return {cell["index"]: _trained_cell_row(config, cell) for cell in cells}
     except ToolkitError as exc:
-        return cell["index"], {
-            "noise": cell["noise"],
-            "lambda": cell["lambda"],
-            "seed": cell["seed"],
-            "method": config["method"],
-            "train_error_noisy": None,
-            "test_error_clean": None,
-            "distance_to_init": None,
-            "bound_total": None,
-            "status": f"error:{type(exc).__name__}",
-        }
+        return {cell["index"]: _error_row(config, cell, exc) for cell in cells}
 
 
 def cmd_sweep(config: dict) -> int:
@@ -608,26 +648,23 @@ def cmd_sweep(config: dict) -> int:
     if not config["noise_grid"]:
         raise ValidationError("sweep needs a nonempty noise grid")
     cells = _sweep_cells(config)
-    _log(f"running {len(cells)} sweep cells with method {config['method']}")
-    workers = int(config["workers"])
+    groups = _sweep_groups(config, cells)
+    _log(f"running {len(cells)} sweep cells in {len(groups)} groups with method {config['method']}")
+    workers = min(int(config["workers"]), len(groups))
+    payloads = [(config, group) for group in groups]
     results = [None] * len(cells)
-    payloads = [(config, cell) for cell in cells]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, row in pool.map(_cell_worker, payloads):
-                results[index] = row
+            group_rows = list(pool.map(_group_worker, payloads))
     else:
-        for payload in payloads:
-            index, row = _cell_worker(payload)
+        group_rows = [_group_worker(payload) for payload in payloads]
+    for rows in group_rows:
+        for index, row in rows.items():
             results[index] = row
-    header = [
-        "noise", "lambda", "seed", "method", "train_error_noisy",
-        "test_error_clean", "distance_to_init", "bound_total", "status",
-    ]
     _write_csv(
         os.path.join(out, "results.csv"),
-        header,
-        [tuple(row[h] for h in header) for row in results],
+        _RESULT_HEADER,
+        [tuple(row[h] for h in _RESULT_HEADER) for row in results],
     )
 
     # Best-lambda-per-noise summary over seed-averaged clean test error.
@@ -706,7 +743,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, default=None, help="override: GD steps")
         p.add_argument("--constant-mode", type=str, default=None,
                        choices=["explicit-appendix", "unit-constants"])
-        p.add_argument("--workers", type=int, default=None, help="parallel sweep cells")
+        p.add_argument("--workers", type=int, default=None,
+                       help="sweep: processes over kernel groups (krr) or cells (other methods)")
     return parser
 
 

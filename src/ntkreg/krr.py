@@ -69,6 +69,45 @@ class PSDSolver:
         return x
 
 
+class ShiftedSolvers:
+    """The PSDSolvers of K + shift I for one kernel matrix, built on first use.
+
+    Fits at several ridges and the bounds' quadratic forms share
+    factorizations through one instance. It keeps the shift-0 solver, which
+    serves y^T K^-1 y, and the most recently used other shift, so callers
+    that visit the ridges one after another factor each shift once while at
+    most two factors are alive. An instance lives no longer than the work on
+    its kernel.
+    """
+
+    def __init__(self, K: KernelMatrix):
+        self.K = K
+        self._solvers = {}
+
+    def solver(self, shift: float) -> PSDSolver:
+        if shift not in self._solvers:
+            if shift != 0.0:
+                self._solvers = {s: f for s, f in self._solvers.items() if s == 0.0}
+            self._solvers[shift] = PSDSolver(self.K.values, shift)
+        return self._solvers[shift]
+
+    def solve(self, b: np.ndarray, shift: float) -> np.ndarray:
+        return self.solver(shift).solve_checked(b)
+
+    def quad_form(self, v: np.ndarray, shift: float) -> float:
+        """v^T (K + shift I)^-1 v, clamped at zero against fp noise."""
+        return max(float(v @ self.solve(v, shift)), 0.0)
+
+
+def solvers_for(K: KernelMatrix, solvers: ShiftedSolvers = None) -> ShiftedSolvers:
+    """``solvers`` when given (it must serve ``K``), else a fresh instance for ``K``."""
+    if solvers is None:
+        return ShiftedSolvers(K)
+    if solvers.K is not K:
+        raise ValidationError("the shared solvers belong to a different kernel matrix")
+    return solvers
+
+
 @dataclass
 class KRRPredictor:
     """Ridge coefficients bound to a kernel source and the training inputs.
@@ -102,22 +141,27 @@ class KRRPredictor:
 
         Argmax ties resolve to the lowest class index.
         """
-        values = self.predict(x)
-        if self.multi_output:
-            return np.argmax(np.atleast_2d(values), axis=1) + 1
-        values = np.atleast_1d(values)
-        return np.where(values >= 0.0, 1.0, -1.0)
+        return _class_labels(self.predict(x), self.multi_output)
 
 
-def krr_fit(K: KernelMatrix, y, lam: float, kernel_source=None, train_data=None) -> KRRPredictor:
-    """Solve (K + lam^2 I) alpha = y with the jittered Cholesky solver."""
+def _class_labels(values: np.ndarray, multi_output: bool) -> np.ndarray:
+    if multi_output:
+        return np.argmax(np.atleast_2d(values), axis=1) + 1
+    return np.where(np.atleast_1d(values) >= 0.0, 1.0, -1.0)
+
+
+def krr_fit(K: KernelMatrix, y, lam: float, kernel_source=None, train_data=None,
+            solvers: ShiftedSolvers = None) -> KRRPredictor:
+    """Solve (K + lam^2 I) alpha = y with the jittered Cholesky solver.
+
+    Fits that pass the same ``solvers`` share the factorization of each shift.
+    """
     if lam < 0.0:
         raise ValidationError(f"lam must be >= 0, got {lam}")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (K.n,):
         raise ValidationError(f"targets must have shape ({K.n},), got {y.shape}")
-    solver = PSDSolver(K.values, lam * lam)
-    alpha = solver.solve_checked(y)
+    alpha = solvers_for(K, solvers).solve(y, lam * lam)
     source = as_kernel_source(kernel_source) if kernel_source is not None else None
     return KRRPredictor(alpha=alpha, lam=lam, kernel_source=source, train_data=train_data)
 
@@ -157,14 +201,17 @@ def rkhs_norm(predictor: KRRPredictor, K: KernelMatrix):
     return np.sqrt(np.maximum(np.einsum("hi,ij,hj->h", alpha, K.values, alpha), 0.0))
 
 
-def export_predictions(predictor: KRRPredictor, queries, path) -> None:
-    """CSV of per-query outputs, plus the predicted class for classifiers."""
+def export_predictions(predictor: KRRPredictor, queries, path) -> np.ndarray:
+    """CSV of per-query outputs, plus the predicted class for classifiers.
+
+    Evaluates the cross kernel once and returns the outputs it wrote.
+    """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     values = np.atleast_1d(predictor.predict(queries))
     task = predictor.train_data.task if predictor.train_data is not None else None
     classes = None
     if task in (TASK_BINARY, TASK_MULTICLASS):
-        classes = predictor.classify(queries)
+        classes = _class_labels(values, predictor.multi_output)
     n_out = values.shape[1] if values.ndim == 2 else 1
     header = ["query_id"] + [f"output_{h + 1}" for h in range(n_out)]
     if classes is not None:
@@ -181,3 +228,4 @@ def export_predictions(predictor: KRRPredictor, queries, path) -> None:
                 value = classes[i]
                 row.append(str(int(value)) if task == TASK_MULTICLASS else repr(float(value)))
             f.write(",".join(row) + "\n")
+    return values

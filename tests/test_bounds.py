@@ -22,7 +22,8 @@ from ntkreg.bounds import (
 from ntkreg.data import synth_sphere
 from ntkreg.errors import ValidationError
 from ntkreg.kernel import AnalyticNTK, analytic_ntk
-from ntkreg.krr import KRRPredictor, krr_fit, rkhs_norm
+from ntkreg import krr as krr_module
+from ntkreg.krr import KRRPredictor, ShiftedSolvers, krr_fit, rkhs_norm
 from ntkreg.noise import AdditiveNoise, corrupt, onehot_matrix
 
 
@@ -184,6 +185,39 @@ class TestBinaryBound:
         r1 = bound_binary(self.K, self.y, 0.0, 2.0, 0.1)
         r2 = bound_binary(self.K, self.y, 0.3, 2.0, 0.1)
         assert abs(r1.main_term - r2.main_term) <= 1e-9 * r1.main_term
+
+    @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
+    def test_factors_each_shift_once(self, mode, monkeypatch):
+        # K and K + lam^2 I are factored once each, not once per quadratic form
+        calls = []
+        original = krr_module.cho_factor
+        monkeypatch.setattr(
+            krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
+    def test_shared_solvers_reuse_factors(self, mode, monkeypatch):
+        # a fit at the same ridge leaves the bound nothing new to factor, and
+        # the shared factors give the same report bit for bit
+        fresh = bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode)
+        solvers = ShiftedSolvers(self.K)
+        krr_fit(self.K, self.y, 2.0, solvers=solvers)
+        quad_form_inv(self.K, self.y, solvers)
+        calls = []
+        original = krr_module.cho_factor
+        monkeypatch.setattr(
+            krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        shared = bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode, solvers=solvers)
+        assert calls == []
+        assert shared.as_dict() == fresh.as_dict()
+
+    def test_solvers_of_another_kernel_rejected(self):
+        other = kernel_from(np.eye(self.K.n))
+        with pytest.raises(ValidationError):
+            bound_binary(self.K, self.y, 0.2, 2.0, 0.1, solvers=ShiftedSolvers(other))
 
 
 class TestMulticlassBound:

@@ -1,17 +1,26 @@
 """End-to-end command tests: outputs, caching, exit codes, reproducibility."""
 
+import csv
 import json
 import os
 
 import numpy as np
 
+from ntkreg import krr as krr_module
+from ntkreg.bounds import bound_binary
 from ntkreg.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    apply_noise,
+    build_noise_model,
+    build_train_test,
+    load_config,
     main,
 )
+from ntkreg.kernel import AnalyticNTK, EmpiricalNTK
+from ntkreg.krr import krr_fit
 
 
 def write_config(tmp_path, name, payload):
@@ -19,6 +28,24 @@ def write_config(tmp_path, name, payload):
     with open(path, "w") as f:
         json.dump(payload, f)
     return str(path)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that every call appends to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def read_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def small_synth(n=24, d=6, test_n=None, seed=3):
@@ -187,6 +214,27 @@ class TestKrrCommand:
         assert float(row[1]) == 0.0  # interpolation at lambda = 0, no noise
         assert os.path.exists(out / "predictions.csv")
 
+    def test_one_cross_kernel_evaluation(self, tmp_path, monkeypatch):
+        # train predictions come from the Gram matrix; the test cross kernel
+        # serves both the test error and predictions.csv
+        cross = count_calls(monkeypatch, AnalyticNTK, "cross")
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {
+                "dataset": small_synth(n=40, test_n=30),
+                "noise": {"kind": "binary-flip", "p": 0.2},
+                "model": {"kind": "analytic", "depth": 2},
+                "lambda": 0.5,
+                "out": str(tmp_path / "krr"),
+            },
+        )
+        assert main(["krr", "--config", cfg]) == EXIT_OK
+        assert len(cross) == 1
+        predictions = read_rows(tmp_path / "krr" / "predictions.csv")
+        assert len(predictions) == 30
+        for row in predictions:
+            assert float(row["predicted_class"]) == (1.0 if float(row["output_1"]) >= 0.0 else -1.0)
+
 
 class TestBoundsCommand:
     def test_binary_sweep_increasing(self, tmp_path):
@@ -330,6 +378,122 @@ class TestSweepCommand:
         a = open(tmp_path / "swseq" / "results.csv", "rb").read()
         b = open(tmp_path / "swpar" / "results.csv", "rb").read()
         assert a == b
+
+    def net_krr_config(self, tmp_path, out_name):
+        payload = {
+            "dataset": small_synth(n=30, d=6, test_n=20),
+            "noise": {"kind": "binary-flip", "p": 0.2},
+            "model": {"kind": "net", "widths": [32]},
+            "method": "krr",
+            "lambda_grid": [0.5, 1.0],
+            "noise_grid": [0.0, 0.3],
+            "seeds": [0, 1],
+            "out": str(tmp_path / out_name),
+        }
+        return write_config(tmp_path, f"{out_name}.json", payload)
+
+    def test_net_kernel_groups_parallel_match_sequential(self, tmp_path):
+        # a net-model krr sweep has one kernel group per seed, so two workers
+        # really split the work
+        cfg_seq = self.net_krr_config(tmp_path, "seq")
+        cfg_par = self.net_krr_config(tmp_path, "par")
+        assert main(["sweep", "--config", cfg_seq]) == EXIT_OK
+        assert main(["sweep", "--config", cfg_par, "--workers", "2"]) == EXIT_OK
+        a = open(tmp_path / "seq" / "results.csv", "rb").read()
+        b = open(tmp_path / "par" / "results.csv", "rb").read()
+        assert a == b
+
+    def test_bound_total_cells_are_plain_floats(self, tmp_path):
+        # regression guard: numpy scalars were written as np.float64(...)
+        cfg = self.sweep_config(tmp_path, "swb")
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        rows = read_rows(tmp_path / "swb" / "results.csv")
+        bounds = [row["bound_total"] for row in rows if row["bound_total"]]
+        assert len(bounds) == 2  # noise 0.3 x lambda 1.0 x two seeds
+        for text in bounds:
+            assert np.isfinite(float(text))
+
+    def test_additive_noise_level_zero_is_clean(self, tmp_path):
+        # regression guard: level 0 of an additive sweep failed its cells
+        # with "additive noise needs sigma > 0"
+        payload = {
+            "dataset": {"kind": "synth-sphere", "n": 40, "test_n": 20, "d": 6,
+                        "target": "smooth-poly", "seed": 5},
+            "noise": {"kind": "additive", "sigma": 0.1},
+            "model": {"kind": "analytic", "depth": 2},
+            "lambda_grid": [0.0, 1.0],
+            "noise_grid": [0.0, 0.2],
+            "seeds": [0],
+            "out": str(tmp_path / "swadd"),
+        }
+        cfg = write_config(tmp_path, "swadd.json", payload)
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        rows = read_rows(tmp_path / "swadd" / "results.csv")
+        assert [row["status"] for row in rows] == ["ok"] * 4
+        # clean labels at lambda 0: interpolation, so in-sample squared error ~0
+        assert float(rows[0]["train_error_noisy"]) <= 1e-12
+        assert float(rows[2]["train_error_noisy"]) > float(rows[0]["train_error_noisy"])
+
+    def test_plan_matches_independent_cells(self, tmp_path):
+        # Each row equals an independent fit on a freshly built Gram matrix,
+        # with in-sample predictions from k(X, X) as the per-cell code had
+        # them. The plan takes them as K @ alpha, which agrees to 1e-10
+        # relative; the rates, the test predictions and the bounds match exactly.
+        cfg = self.sweep_config(tmp_path, "swplan")
+        with open(cfg) as f:
+            payload = json.load(f)
+        payload.update(lambda_grid=[0.0, 0.5, 2.0], noise_grid=[0.0, 0.2, 0.4], seeds=[0, 1, 2])
+        with open(cfg, "w") as f:
+            json.dump(payload, f)
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        rows = read_rows(tmp_path / "swplan" / "results.csv")
+        config = load_config(cfg)
+        source = AnalyticNTK(2)
+        i = 0
+        for noise_idx, noise in enumerate(config["noise_grid"]):
+            for lam in config["lambda_grid"]:
+                for seed in config["seeds"]:
+                    train, test = build_train_test(config)
+                    model = build_noise_model(config["noise"], override_level=noise)
+                    train = apply_noise(train, model, (seed, noise_idx))
+                    gram = source.gram(train)
+                    predictor = krr_fit(gram, train.noisy_labels.astype(np.float64), lam,
+                                        kernel_source=source, train_data=train)
+                    in_sample = predictor.predict(train.inputs)
+                    from_gram = gram.values @ predictor.alpha
+                    assert np.max(np.abs(from_gram - in_sample)) <= 1e-10 * np.max(np.abs(in_sample))
+                    test_values = predictor.predict(test.inputs)
+                    row = rows[i]
+                    assert (float(row["noise"]), float(row["lambda"]), int(row["seed"])) == (noise, lam, seed)
+                    assert row["status"] == "ok"
+                    assert float(row["train_error_noisy"]) == np.mean(np.sign(in_sample) != train.noisy_labels)
+                    assert float(row["test_error_clean"]) == np.mean(np.sign(test_values) != test.clean_labels)
+                    if noise > 0.0 and lam > 0.0:
+                        expected = bound_binary(gram, train.clean_labels, noise, lam, 0.1, train.n).total
+                        assert float(row["bound_total"]) == expected
+                    else:
+                        assert row["bound_total"] == ""
+                    i += 1
+        assert i == len(rows) == 27
+
+    def test_analytic_sweep_builds_one_kernel(self, tmp_path, monkeypatch):
+        grams = count_calls(monkeypatch, AnalyticNTK, "gram")
+        crosses = count_calls(monkeypatch, AnalyticNTK, "cross")
+        factors = count_calls(monkeypatch, krr_module, "cho_factor")
+        cfg = self.sweep_config(tmp_path, "swcount")
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        assert (len(grams), len(crosses)) == (1, 1)
+        assert len(factors) == 2  # one per distinct lambda^2 in the grid [0, 1]
+
+    def test_net_sweep_builds_one_kernel_per_seed(self, tmp_path, monkeypatch):
+        # the empirical kernel depends on the init seed, so each seed is a group
+        grams = count_calls(monkeypatch, EmpiricalNTK, "gram")
+        crosses = count_calls(monkeypatch, EmpiricalNTK, "cross")
+        cfg = self.net_krr_config(tmp_path, "swnetk")
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        assert (len(grams), len(crosses)) == (2, 2)
+        rows = read_rows(tmp_path / "swnetk" / "results.csv")
+        assert all(row["status"] == "ok" for row in rows)
 
     def test_linear_method_distance_recorded(self, tmp_path):
         cfg = self.sweep_config(tmp_path, "swl", method="linear-rdi")

@@ -10,6 +10,7 @@ from ntkreg.kernel import AnalyticNTK, analytic_ntk
 from ntkreg.krr import (
     KRRPredictor,
     PSDSolver,
+    ShiftedSolvers,
     export_predictions,
     krr_fit,
     krr_fit_multi,
@@ -102,6 +103,42 @@ class TestSolverAgainstDenseInverse:
         solver = PSDSolver(values, 0.0)
         with pytest.raises(SingularityError):
             solver.solve_checked(np.array([1.0, 1.0, 1.0]))
+
+
+class TestShiftedSolvers:
+    def test_matches_fresh_solver_bitwise(self):
+        rng = np.random.default_rng(7)
+        K = random_psd_kernel(rng, 12)
+        y = rng.standard_normal(12)
+        solvers = ShiftedSolvers(K)
+        for shift in (0.0, 0.25, 4.0, 0.25):
+            assert np.array_equal(solvers.solve(y, shift), PSDSolver(K.values, shift).solve_checked(y))
+        assert solvers.quad_form(y, 1.0) == float(y @ PSDSolver(K.values, 1.0).solve_checked(y))
+
+    def test_keeps_shift_zero_and_latest_shift(self):
+        K = random_psd_kernel(np.random.default_rng(8), 6)
+        solvers = ShiftedSolvers(K)
+        zero = solvers.solver(0.0)
+        first = solvers.solver(1.0)
+        assert solvers.solver(1.0) is first
+        solvers.solver(4.0)
+        assert solvers.solver(0.0) is zero
+        assert solvers.solver(1.0) is not first  # evicted by shift 4, refactored
+
+    def test_fits_share_factorization(self):
+        K = random_psd_kernel(np.random.default_rng(9), 8)
+        solvers = ShiftedSolvers(K)
+        a = krr_fit(K, np.ones(8), 0.5, solvers=solvers)
+        solver = solvers.solver(0.25)
+        b = krr_fit(K, -np.ones(8), 0.5, solvers=solvers)
+        assert solvers.solver(0.25) is solver
+        assert np.array_equal(a.alpha, -b.alpha)
+
+    def test_failed_factorization_raises_every_time(self):
+        solvers = ShiftedSolvers(kernel_from(np.ones((3, 3))))
+        for _ in range(2):
+            with pytest.raises(SingularityError):
+                solvers.solve(np.array([1.0, 0.0, 0.0]), 0.0)
 
 
 class TestPrediction:
@@ -230,3 +267,12 @@ class TestExport:
         lines = open(path).read().strip().split("\n")
         assert lines[0] == "query_id,output_1,predicted_class"
         assert len(lines) == 4
+
+    def test_returns_the_written_outputs(self, tmp_path):
+        ds = synth_sphere(6, 4, "linear-sign", seed=1)
+        p = krr_fit(analytic_ntk(2, ds), ds.noisy_labels, 0.5, kernel_source=AnalyticNTK(2),
+                    train_data=ds)
+        values = export_predictions(p, ds.inputs, tmp_path / "preds.csv")
+        assert np.array_equal(values, p.predict(ds.inputs))
+        lines = open(tmp_path / "preds.csv").read().strip().split("\n")[1:]
+        assert [float(line.split(",")[1]) for line in lines] == list(values)
