@@ -29,8 +29,11 @@ from .data import (
     load_kernel,
     load_mnist_binary,
     make_kernel_cache,
+    predicted_classes,
+    prediction_error,
     save_kernel,
     split_dataset,
+    synth_multiclass,
     synth_sphere,
 )
 from .errors import (

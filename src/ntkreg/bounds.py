@@ -30,7 +30,7 @@ Two constant modes:
 Logarithms that can go negative for very large lam are floored at zero.
 
 Every assembly factors K and K + lam^2 I at most once. Callers that fit and
-bound on one kernel pass ``bound_binary`` the fit's
+bound on one kernel pass ``bound_binary`` or ``bound_multiclass`` the fit's
 :class:`~ntkreg.krr.ShiftedSolvers`, so that the bound reuses its factors.
 """
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernelmatrix import KernelMatrix
-from .data import TASK_BINARY, TASK_MULTICLASS, TASK_REGRESSION, DataSet
+from .data import TASK_BINARY, TASK_REGRESSION, DataSet, prediction_error
 from .errors import ValidationError
 from .krr import KRRPredictor, ShiftedSolvers, solvers_for
 from .noise import rescale_binary, validate_transition
@@ -149,10 +149,7 @@ def lemma1_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float,
     Value: (lam/2) sqrt(y^T K^-1 y) + (sigma/(2 lam)) sqrt(tr K)
     + sigma sqrt(2 log(1/delta)).
     """
-    if not lam > 0.0:
-        raise ValidationError(f"lam must be > 0, got {lam}")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+    BoundConfig(lam=lam, sigma=sigma, delta=delta)
     q = quad_form_inv(K, y, solvers)
     return (
         0.5 * lam * math.sqrt(q)
@@ -167,19 +164,20 @@ def lemma2_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float, n: 
 
     Value: sqrt(y^T (K + lam^2 I)^-1 y) + (sigma/lam)(sqrt(n) + sqrt(2 log(1/delta))).
     """
-    if not lam > 0.0:
-        raise ValidationError(f"lam must be > 0, got {lam}")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+    BoundConfig(lam=lam, sigma=sigma, delta=delta)
     y = np.asarray(y, dtype=np.float64)
-    if n is None:
-        n = y.size
-    elif n != y.size:
-        raise ValidationError(f"n = {n} does not match len(y) = {y.size}")
+    n = _sample_count(n, y.size)
     q_shift = solvers_for(K, solvers).quad_form(y, lam * lam)
     return math.sqrt(q_shift) + (sigma / lam) * (
         math.sqrt(n) + math.sqrt(2.0 * math.log(1.0 / delta))
     )
+
+
+def _sample_count(n, labelled: int) -> int:
+    """``n``, checked against the number of labelled examples, or that number when None."""
+    if n is not None and n != labelled:
+        raise ValidationError(f"n = {n} does not match the {labelled} labelled examples")
+    return labelled
 
 
 def _log_floor(value: float) -> float:
@@ -239,10 +237,7 @@ def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None) -> Bound
     clean labels y, not the noisy ones the predictor was fitted on.
     """
     y = np.asarray(y, dtype=np.float64)
-    if n is None:
-        n = y.size
-    elif n != y.size:
-        raise ValidationError(f"n = {n} does not match len(y) = {y.size}")
+    n = _sample_count(n, y.size)
     terms = _additive_terms(K, y, cfg.sigma, cfg.lam, cfg.delta, n, cfg.constant_mode,
                             ShiftedSolvers(K))
     return BoundReport(
@@ -274,16 +269,8 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
         raise ValidationError("binary bound expects labels in {+1, -1}")
     if not 0.0 <= p < 0.5:
         raise ValidationError(f"flip probability must satisfy 0 <= p < 1/2, got {p}")
-    if constant_mode not in _MODES:
-        raise ValidationError(f"unknown constant mode {constant_mode!r}")
-    if not lam > 0.0:
-        raise ValidationError(f"bounds need lam > 0, got {lam}")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
-    if n is None:
-        n = y.size
-    elif n != y.size:
-        raise ValidationError(f"n = {n} does not match len(y) = {y.size}")
+    BoundConfig(lam=lam, delta=delta, constant_mode=constant_mode)
+    n = _sample_count(n, y.size)
     scaled_y, sigma_eff = rescale_binary(y, p)
     inv_margin = 1.0 / (1.0 - 2.0 * p)
     solvers = solvers_for(K, solvers)
@@ -330,7 +317,8 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
 
 
 def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
-                     n: int = None, constant_mode: str = MODE_EXPLICIT) -> BoundReport:
+                     n: int = None, constant_mode: str = MODE_EXPLICIT,
+                     solvers: ShiftedSolvers = None) -> BoundReport:
     """Clean-distribution top-1 error bound under a class-transition channel.
 
     ``Y`` is the (num_classes, n) one-hot matrix of clean labels. The bound
@@ -351,16 +339,8 @@ def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
         )
     if not np.all(np.isin(Y, (0.0, 1.0))) or not np.all(Y.sum(axis=0) == 1.0):
         raise ValidationError("Y must contain one-hot columns")
-    if constant_mode not in _MODES:
-        raise ValidationError(f"unknown constant mode {constant_mode!r}")
-    if not lam > 0.0:
-        raise ValidationError(f"bounds need lam > 0, got {lam}")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
-    if n is None:
-        n = Y.shape[1]
-    elif n != Y.shape[1]:
-        raise ValidationError(f"n = {n} does not match Y columns = {Y.shape[1]}")
+    BoundConfig(lam=lam, delta=delta, constant_mode=constant_mode)
+    n = _sample_count(n, Y.shape[1])
     if K.n != n:
         raise ValidationError(f"kernel is {K.n}x{K.n} but n = {n}")
     delta_per_class = delta / num_classes
@@ -369,7 +349,7 @@ def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
     main_sum = 0.0
     sigma_sum = 0.0
     delta_sum = 0.0
-    solvers = ShiftedSolvers(K)
+    solvers = solvers_for(K, solvers)
     if constant_mode == MODE_EXPLICIT:
         for h in range(num_classes):
             terms = _additive_terms(K, Q[h], 1.0, lam, delta_per_class, n, constant_mode, solvers)
@@ -429,21 +409,15 @@ def ramp_loss(u, y, p: float):
 def empirical_clean_risk(predictor: KRRPredictor, test: DataSet, loss: str, p: float = None) -> float:
     """Mean loss of the predictor on a test set scored against clean labels.
 
-    zero-one: sign mismatch for binary (a raw output of exactly 0 counts as
-    an error for either label), argmax mismatch for multiclass (ties resolve
-    to the lowest class index). clipped-absolute: min(|f(x) - y|, 1) for
-    single-output tasks. ramp: the flip-aware surrogate, binary only.
+    zero-one: the task's classification error (``ntkreg.data.prediction_error``).
+    clipped-absolute: min(|f(x) - y|, 1) for single-output tasks. ramp: the
+    flip-aware surrogate, binary only.
     """
     y = test.clean_labels
     if loss == LOSS_ZERO_ONE:
-        if test.task == TASK_MULTICLASS:
-            predicted = predictor.classify(test.inputs)
-            return float(np.mean(predicted != y))
-        if test.task != TASK_BINARY:
+        if test.task == TASK_REGRESSION:
             raise ValidationError("zero-one loss needs a classification task")
-        values = np.atleast_1d(predictor.predict(test.inputs))
-        wrong = (values == 0.0) | (np.sign(values) != y)
-        return float(np.mean(wrong))
+        return prediction_error(predictor.predict(test.inputs), y, test.task)
     if loss == LOSS_CLIPPED_ABSOLUTE:
         if test.task not in (TASK_REGRESSION, TASK_BINARY):
             raise ValidationError("clipped-absolute loss needs a single-output task")

@@ -24,15 +24,15 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .data import (
-    TASK_BINARY,
-    TASK_MULTICLASS,
-    DataSet,
     Provenance,
     load_kernel,
     load_mnist_binary,
     make_kernel_cache,
+    onehot_matrix,
+    prediction_error,
     save_kernel,
     split_dataset,
+    synth_multiclass,
     synth_sphere,
 )
 from .errors import (
@@ -118,33 +118,23 @@ def _validate_config(config: dict) -> None:
         for key in ("images", "labels"):
             if not os.path.exists(dataset[key]):
                 raise ValidationError(f"referenced file does not exist: {dataset[key]}")
+    if config["method"].startswith("linear-") and dataset["kind"] == "synth-multiclass":
+        raise ValidationError("linear-* methods need binary or regression data")
     noise = config["noise"]
-    if noise.get("kind") == "class-transition" and not os.path.exists(noise["csv"]):
-        raise ValidationError(f"referenced file does not exist: {noise['csv']}")
+    if noise.get("kind") == "class-transition":
+        if not os.path.exists(noise["csv"]):
+            raise ValidationError(f"referenced file does not exist: {noise['csv']}")
+        if len({level for level in config["noise_grid"] if level > 0.0}) > 1:
+            raise ValidationError("a class-transition noise_grid has at most one positive "
+                                  "level; each applies the same transition matrix")
 
 
-def _synth_multiclass(n: int, d: int, classes: int, seed: int) -> DataSet:
-    """Sphere inputs with labels from quantile bins of a random margin.
-
-    Gives the multiclass commands a synthetic source; classes are balanced
-    by construction (rank of w.x cut into equal bins).
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, d))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    w = rng.standard_normal(d)
-    w /= np.linalg.norm(w)
-    rank = np.argsort(np.argsort(x @ w))
-    labels = 1 + (rank * classes) // n
-    return DataSet(x, labels, labels.copy(), TASK_MULTICLASS, num_classes=classes)
-
-
-def build_dataset(spec: dict) -> DataSet:
+def build_dataset(spec: dict):
     kind = spec.get("kind")
     if kind == "synth-sphere":
         return synth_sphere(int(spec["n"]), int(spec["d"]), spec["target"], int(spec["seed"]))
     if kind == "synth-multiclass":
-        return _synth_multiclass(
+        return synth_multiclass(
             int(spec["n"]), int(spec["d"]), int(spec.get("classes", 3)), int(spec["seed"])
         )
     if kind == "mnist-binary":
@@ -174,14 +164,16 @@ def build_train_test(config: dict):
 
 
 def build_noise_model(spec: dict, override_level=None):
+    """The noise model of ``spec``; a sweep's ``override_level`` of 0.0 means none.
+
+    A positive level is p for flips and sigma for additive noise; transitions ignore it.
+    """
     kind = spec.get("kind", "none")
+    if override_level == 0.0:
+        return None
     if override_level is not None and kind in ("none", "binary-flip"):
-        if override_level == 0.0:
-            return None
         return noise_mod.BinaryFlip(float(override_level))
     if override_level is not None and kind == "additive":
-        if override_level == 0.0:
-            return None
         return noise_mod.AdditiveNoise(float(override_level), spec.get("shape", "gaussian"))
     if kind == "none":
         return None
@@ -194,7 +186,7 @@ def build_noise_model(spec: dict, override_level=None):
     raise ValidationError(f"unknown noise kind {kind!r}")
 
 
-def apply_noise(data: DataSet, model, seed) -> DataSet:
+def apply_noise(data, model, seed):
     if model is None:
         return data
     return noise_mod.corrupt(data, model, seed)
@@ -211,14 +203,13 @@ def build_net_config(spec: dict, input_dim: int, outputs: int) -> NetConfig:
     )
 
 
-def build_kernel_source(config: dict, data: DataSet, seed=0):
+def build_kernel_source(config: dict, data, seed=0):
     model = config["model"]
     kind = model.get("kind")
     if kind == "analytic":
         return AnalyticNTK(int(model.get("depth", 2)))
     if kind == "net":
-        outputs = data.num_classes if data.task == TASK_MULTICLASS else 1
-        net_cfg = build_net_config(model, data.d, outputs)
+        net_cfg = build_net_config(model, data.d, data.num_outputs)
         mlp = init_mlp(net_cfg, (int(model.get("init_seed", 0)), int(seed)))
         return EmpiricalNTK(mlp)
     raise ValidationError(f"unknown model kind {kind!r}")
@@ -246,25 +237,6 @@ def _format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
-
-
-def _zero_one_error(predictions, data: DataSet, labels) -> float:
-    if data.task == TASK_MULTICLASS:
-        predicted = np.argmax(np.atleast_2d(predictions), axis=1) + 1
-        return float(np.mean(predicted != labels))
-    values = np.asarray(predictions, dtype=np.float64)
-    if values.ndim == 2 and values.shape[1] == 1:
-        values = values[:, 0]  # single-output nets predict (m, 1)
-    values = np.atleast_1d(values)
-    labels = np.asarray(labels, dtype=np.float64)
-    if values.shape != labels.shape:
-        raise ValidationError(
-            f"prediction shape {values.shape} does not match labels {labels.shape}"
-        )
-    if data.task == TASK_BINARY:
-        wrong = (values == 0.0) | (np.sign(values) != labels)
-        return float(np.mean(wrong))
-    return float(np.mean((values - labels) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +352,7 @@ def cmd_train(config: dict) -> int:
     data, test = build_train_test(config)
     noise_model = build_noise_model(config["noise"])
     data = apply_noise(data, noise_model, (seed, 0))
-    outputs = data.num_classes if data.task == TASK_MULTICLASS else 1
-    net_cfg = build_net_config(config["model"], data.d, outputs)
+    net_cfg = build_net_config(config["model"], data.d, data.num_outputs)
     mlp = init_mlp(net_cfg, (int(config["model"].get("init_seed", 0)), seed))
     lam = float(config["lambda"])
     eta = config["eta"]
@@ -397,8 +368,7 @@ def cmd_train(config: dict) -> int:
     _log(f"final objective {log.objective[-1]:.6g}, train error {log.train_error[-1]:.4f}")
     _log(f"distance to init per layer: {[round(float(v), 6) for v in dist]}")
     if test is not None:
-        predictions = forward(trained, test.inputs)
-        err = _zero_one_error(predictions, test, test.clean_labels)
+        err = prediction_error(forward(trained, test.inputs), test.clean_labels, test.task)
         _log(f"clean test error {err:.4f}")
     return EXIT_OK
 
@@ -416,16 +386,15 @@ def cmd_krr(config: dict) -> int:
     source = build_kernel_source(config, data, seed)
     gram = source.gram(data)
     lam = float(config["lambda"])
-    predictor = krr_fit(gram, data.noisy_labels.astype(np.float64), lam,
-                        kernel_source=source, train_data=data)
+    predictor = krr_fit(gram, data.fit_targets(), lam, kernel_source=source, train_data=data)
     # In-sample predictions from the Gram matrix: evaluating k(X, X) again
     # would repeat the kernel build and, at large n, set the command's peak memory.
-    train_err = _zero_one_error(gram.values @ predictor.alpha, data, data.noisy_labels)
+    train_err = prediction_error(gram.values @ predictor.alpha.T, data.noisy_labels, data.task)
     row = {"lambda": lam, "train_error_noisy": train_err, "test_error_clean": None}
     if test is not None:
         path = os.path.join(out, "predictions.csv")
         test_predictions = export_predictions(predictor, test.inputs, path)
-        row["test_error_clean"] = _zero_one_error(test_predictions, test, test.clean_labels)
+        row["test_error_clean"] = prediction_error(test_predictions, test.clean_labels, test.task)
     _write_csv(
         os.path.join(out, "results.csv"),
         ["lambda", "train_error_noisy", "test_error_clean"],
@@ -437,6 +406,18 @@ def cmd_krr(config: dict) -> int:
 
 # ---------------------------------------------------------------------------
 # bounds command
+
+
+def _noise_bound(config, data, gram, noise, lam, solvers=None):
+    """The bound report of flip or class-transition ``noise`` on ``data``; None for other noise."""
+    args = (lam, float(config["delta"]), data.n)
+    options = {"constant_mode": config["constant_mode"], "solvers": solvers}
+    if isinstance(noise, noise_mod.BinaryFlip):
+        return bounds_mod.bound_binary(gram, data.clean_labels, noise.p, *args, **options)
+    if isinstance(noise, noise_mod.ClassTransition):
+        Y = onehot_matrix(data.clean_labels, data.num_classes)
+        return bounds_mod.bound_multiclass(gram, Y, noise.matrix, *args, **options)
+    return None
 
 
 def cmd_bounds(config: dict) -> int:
@@ -451,17 +432,8 @@ def cmd_bounds(config: dict) -> int:
         raise ValidationError("bound reports need lambda > 0")
     delta = float(config["delta"])
     mode = config["constant_mode"]
-    kind = noise_spec.get("kind", "none")
-    if kind == "binary-flip":
-        report = bounds_mod.bound_binary(
-            gram, data.clean_labels, float(noise_spec["p"]), lam, delta, data.n, constant_mode=mode
-        )
-    elif kind == "class-transition":
-        transition = noise_mod.read_transition_csv(noise_spec["csv"])
-        Y = noise_mod.onehot_matrix(data.clean_labels, data.num_classes)
-        report = bounds_mod.bound_multiclass(
-            gram, Y, transition.matrix, lam, delta, data.n, constant_mode=mode
-        )
+    if noise_spec.get("kind", "none") in ("binary-flip", "class-transition"):
+        report = _noise_bound(config, data, gram, build_noise_model(noise_spec), lam)
     else:
         sigma = float(noise_spec.get("sigma", config["sigma"]))
         cfg = bounds_mod.BoundConfig(lam=lam, sigma=sigma, delta=delta, constant_mode=mode)
@@ -533,16 +505,17 @@ def _cell_row(config, cell, train, test, train_predictions, test_predictions,
               distance=None, bound_total=None) -> dict:
     return _row(
         config, cell, "ok",
-        train_error_noisy=_zero_one_error(train_predictions, train, train.noisy_labels),
+        train_error_noisy=prediction_error(train_predictions, train.noisy_labels, train.task),
         test_error_clean=(
-            _zero_one_error(test_predictions, test, test.clean_labels) if test is not None else None
+            None if test is None
+            else prediction_error(test_predictions, test.clean_labels, test.task)
         ),
         distance_to_init=distance,
         bound_total=bound_total,
     )
 
 
-def _noisy_train(config, cell, train) -> DataSet:
+def _noisy_train(config, cell, train):
     noise_model = build_noise_model(config["noise"], override_level=cell["noise"])
     return apply_noise(train, noise_model, (cell["seed"], cell["noise_idx"]))
 
@@ -553,7 +526,8 @@ def _krr_group_rows(config: dict, cells: list) -> dict:
     The split, the Gram matrix K and the test cross matrix C are built once.
     Cells are visited ridge by ridge, so each shift lam^2 is factored once
     and the shift-0 factor also serves the bounds' y^T K^-1 y. A cell then
-    costs O(n^2): a solve, K @ alpha, C @ alpha and the bound arithmetic.
+    costs O(n^2) per output: a solve, K @ alpha, C @ alpha and the bound
+    arithmetic. Cells fit ``DataSet.fit_targets``, one-hot for multiclass.
     """
     train, test = build_train_test(config)
     source = build_kernel_source(config, train, cells[0]["seed"])
@@ -569,16 +543,13 @@ def _krr_group_rows(config: dict, cells: list) -> dict:
                 noisy[key] = _noisy_train(config, cell, train)
             noisy_data = noisy[key]
             lam = cell["lambda"]
-            alpha = krr_fit(gram, noisy_data.noisy_labels.astype(np.float64), lam, solvers=solvers).alpha
-            bound_total = None
-            if train.task == TASK_BINARY and cell["noise"] > 0.0 and lam > 0.0:
-                bound_total = bounds_mod.bound_binary(
-                    gram, train.clean_labels, cell["noise"], lam, float(config["delta"]),
-                    train.n, constant_mode=config["constant_mode"], solvers=solvers,
-                ).total
+            alpha = krr_fit(gram, noisy_data.fit_targets(), lam, solvers=solvers).alpha
+            noise = build_noise_model(config["noise"], override_level=cell["noise"])
+            report = _noise_bound(config, train, gram, noise, lam, solvers) if lam > 0.0 else None
             rows[cell["index"]] = _cell_row(
-                config, cell, noisy_data, test, gram.values @ alpha,
-                cross @ alpha if cross is not None else None, bound_total=bound_total,
+                config, cell, noisy_data, test, gram.values @ alpha.T,
+                cross @ alpha.T if cross is not None else None,
+                bound_total=report.total if report is not None else None,
             )
         except ToolkitError as exc:
             rows[cell["index"]] = _error_row(config, cell, exc)
@@ -599,7 +570,7 @@ def _trained_cell_row(config: dict, cell: dict) -> dict:
         net_cfg = build_net_config(model, train.d, 1)
         mlp = init_mlp(net_cfg, (int(model.get("init_seed", 0)), seed))
         lm = linearize(mlp, train)
-        y = np.asarray(train.noisy_labels, dtype=np.float64)
+        y = train.fit_targets()
         eta = config["eta"] if config["eta"] else lm.default_eta(lam)
         if method == "linear-rdi":
             traj = run_gd_rdi(lm, y, lam, eta=eta, steps=int(config["steps"]))
@@ -612,8 +583,7 @@ def _trained_cell_row(config: dict, cell: dict) -> dict:
         test_predictions = lm.predict(coeffs, test.inputs) if test is not None else None
         distance = float(traj.dist_from_init[-1])
     elif method.startswith("net-"):
-        outputs = train.num_classes if train.task == TASK_MULTICLASS else 1
-        net_cfg = build_net_config(config["model"], train.d, outputs)
+        net_cfg = build_net_config(config["model"], train.d, train.num_outputs)
         mlp = init_mlp(net_cfg, (int(config["model"].get("init_seed", 0)), seed))
         eta = config["eta"]
         if not eta:

@@ -1,9 +1,13 @@
-"""Dataset construction, MNIST IDX ingestion, and kernel-matrix caching.
+"""Datasets, the task rule, MNIST IDX ingestion, and kernel-matrix caching.
 
 All stochastic constructors take an explicit 64-bit seed and use numpy's
 PCG64 generator, so every dataset is bit-reproducible. Input rows are
 l2-normalized by default, which keeps the Gram diagonal bounded and the
 kernel trace proportional to the sample count.
+
+The task rule: ``DataSet.num_outputs`` and ``DataSet.fit_targets`` say what
+a model of each task outputs and fits, ``prediction_error`` and
+``predicted_classes`` how its outputs are scored and read as classes.
 """
 
 import hashlib
@@ -99,9 +103,85 @@ class DataSet:
     def d(self) -> int:
         return self.inputs.shape[1]
 
+    @property
+    def num_outputs(self) -> int:
+        """Outputs a model of this task has: one per class for multiclass, else 1."""
+        return self.num_classes if self.task == TASK_MULTICLASS else 1
+
+    def fit_targets(self) -> np.ndarray:
+        """The noisy labels as fitting targets.
+
+        A float (n,) vector, or for multiclass the (num_classes, n) one-hot
+        matrix, whose row h is the target of output h.
+        """
+        if self.task == TASK_MULTICLASS:
+            return onehot_matrix(self.noisy_labels, self.num_classes)
+        return self.noisy_labels.astype(np.float64)
+
     def with_noisy_labels(self, noisy_labels) -> "DataSet":
         """New dataset sharing inputs and clean labels, with fresh noisy labels."""
         return replace(self, noisy_labels=np.array(noisy_labels))
+
+
+def onehot(c: int, num_classes: int) -> np.ndarray:
+    """Standard-basis vector for class id c in 1..num_classes."""
+    if not 1 <= c <= num_classes:
+        raise ValidationError(f"class id {c} out of range 1..{num_classes}")
+    e = np.zeros(num_classes, dtype=np.float64)
+    e[c - 1] = 1.0
+    return e
+
+
+def onehot_matrix(labels, num_classes: int) -> np.ndarray:
+    """(num_classes, n) matrix whose columns are the one-hot encodings of ``labels``."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.min() < 1 or labels.max() > num_classes:
+        raise ValidationError(f"class ids must lie in 1..{num_classes}")
+    out = np.zeros((num_classes, labels.size), dtype=np.float64)
+    out[labels - 1, np.arange(labels.size)] = 1.0
+    return out
+
+
+def _single_output(outputs) -> np.ndarray:
+    values = np.atleast_1d(np.asarray(outputs, dtype=np.float64))
+    values = values[:, 0] if values.ndim == 2 and values.shape[1] == 1 else values
+    if values.ndim != 1:
+        raise ValidationError(f"a single-output task needs (m,) or (m, 1) outputs, not {values.shape}")
+    return values
+
+
+def predicted_classes(outputs, task: str) -> np.ndarray:
+    """The class each output row predicts, as exported with predictions.
+
+    Multiclass: the argmax class id of (m, K) or (K,) outputs, ties to the
+    lowest class. Binary: +1.0 or -1.0 by sign, with an output of 0 mapped to +1.
+    """
+    if task == TASK_MULTICLASS:
+        return np.argmax(np.atleast_2d(outputs), axis=1) + 1
+    if task == TASK_BINARY:
+        return np.where(_single_output(outputs) >= 0.0, 1.0, -1.0)
+    raise ValidationError(f"a {task} task has no classes")
+
+
+def prediction_error(outputs, labels, task: str) -> float:
+    """Error of outputs against labels: the one rule for every task.
+
+    Multiclass: the share of argmax mismatches of (m, K) outputs. Binary: the
+    share of sign mismatches, where an output of exactly 0 is wrong for either
+    label. Regression: the mean squared error. Single outputs are (m,) or (m, 1).
+    """
+    labels = np.asarray(labels)
+    if task == TASK_MULTICLASS:
+        values = predicted_classes(outputs, task)
+    else:
+        values = _single_output(outputs)
+    if values.shape != labels.shape:
+        raise ValidationError(f"outputs {np.shape(outputs)} do not match labels {labels.shape}")
+    if task == TASK_MULTICLASS:
+        return float(np.mean(values != labels))
+    if task == TASK_BINARY:
+        return float(np.mean((values == 0.0) | (np.sign(values) != labels)))
+    return float(np.mean((values - labels) ** 2))
 
 
 def _l2_normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -195,6 +275,22 @@ def synth_sphere(n: int, d: int, target: str, seed: int) -> DataSet:
     else:
         raise ValidationError(f"unknown target family {target!r}")
     return DataSet(inputs=x, clean_labels=y, noisy_labels=y.copy(), task=task)
+
+
+def synth_multiclass(n: int, d: int, classes: int, seed: int) -> DataSet:
+    """Sphere inputs with labels from quantile bins of a random margin.
+
+    Inputs are drawn first, then the direction w, as in ``synth_sphere``.
+    Classes are balanced by construction: the rank of w.x is cut into
+    ``classes`` equal bins, labelled 1..classes.
+    """
+    rng = np.random.default_rng(seed)
+    x = _l2_normalize_rows(rng.standard_normal((n, d)))
+    w = rng.standard_normal(d)
+    w /= np.linalg.norm(w)
+    rank = np.argsort(np.argsort(x @ w))
+    labels = 1 + (rank * classes) // n
+    return DataSet(x, labels, labels.copy(), TASK_MULTICLASS, num_classes=classes)
 
 
 def split_dataset(data: DataSet, n_train: int):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ._kernelmatrix import KernelMatrix
-from .data import TASK_BINARY, TASK_MULTICLASS, DataSet
+from .data import TASK_BINARY, TASK_MULTICLASS, DataSet, predicted_classes
 from .errors import SingularityError, ValidationError
 from .kernel import as_kernel_source, kernel_cross
 
@@ -133,54 +133,43 @@ class KRRPredictor:
 
     def predict(self, x) -> np.ndarray:
         """k(x, X)^T alpha per output; scalar rows for single-output fits."""
-        cross = self._cross(x)
-        return cross @ self.alpha.T if self.multi_output else cross @ self.alpha
+        return self._cross(x) @ self.alpha.T
 
     def classify(self, x) -> np.ndarray:
         """Class labels: sign for binary (0 maps to +1), argmax for multi-output.
 
         Argmax ties resolve to the lowest class index.
         """
-        return _class_labels(self.predict(x), self.multi_output)
-
-
-def _class_labels(values: np.ndarray, multi_output: bool) -> np.ndarray:
-    if multi_output:
-        return np.argmax(np.atleast_2d(values), axis=1) + 1
-    return np.where(np.atleast_1d(values) >= 0.0, 1.0, -1.0)
+        task = TASK_MULTICLASS if self.multi_output else TASK_BINARY
+        return predicted_classes(self.predict(x), task)
 
 
 def krr_fit(K: KernelMatrix, y, lam: float, kernel_source=None, train_data=None,
             solvers: ShiftedSolvers = None) -> KRRPredictor:
     """Solve (K + lam^2 I) alpha = y with the jittered Cholesky solver.
 
-    Fits that pass the same ``solvers`` share the factorization of each shift.
+    ``y`` is an n-vector, or a (num_outputs, n) matrix whose row h gives the
+    coefficients of output h; each row is solved and residual-checked on its
+    own against one factorization. Fits that pass the same ``solvers`` share
+    the factorization of each shift.
     """
     if lam < 0.0:
         raise ValidationError(f"lam must be >= 0, got {lam}")
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (K.n,):
-        raise ValidationError(f"targets must have shape ({K.n},), got {y.shape}")
-    alpha = solvers_for(K, solvers).solve(y, lam * lam)
+    if y.ndim not in (1, 2) or y.shape[-1] != K.n:
+        raise ValidationError(f"targets must be ({K.n},) or (num_outputs, {K.n}), got {y.shape}")
+    solver = solvers_for(K, solvers).solver(lam * lam)
+    alpha = np.stack([solver.solve_checked(row) for row in np.atleast_2d(y)]).reshape(y.shape)
     source = as_kernel_source(kernel_source) if kernel_source is not None else None
     return KRRPredictor(alpha=alpha, lam=lam, kernel_source=source, train_data=train_data)
 
 
 def krr_fit_multi(K: KernelMatrix, targets, lam: float, kernel_source=None, train_data=None) -> KRRPredictor:
-    """Multi-output fit sharing one factorization across all target rows.
-
-    ``targets`` is (num_outputs, n); row h produces the coefficients of
-    output h. Each row solves exactly as an independent single-output fit.
-    """
-    if lam < 0.0:
-        raise ValidationError(f"lam must be >= 0, got {lam}")
+    """``krr_fit`` on (num_outputs, n) targets, one factorization for all rows."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 2 or targets.shape[1] != K.n:
         raise ValidationError(f"targets must have shape (num_outputs, {K.n}), got {targets.shape}")
-    solver = PSDSolver(K.values, lam * lam)
-    alpha = np.stack([solver.solve_checked(row) for row in targets])
-    source = as_kernel_source(kernel_source) if kernel_source is not None else None
-    return KRRPredictor(alpha=alpha, lam=lam, kernel_source=source, train_data=train_data)
+    return krr_fit(K, targets, lam, kernel_source, train_data)
 
 
 def krr_predict(predictor: KRRPredictor, x) -> np.ndarray:
@@ -209,23 +198,16 @@ def export_predictions(predictor: KRRPredictor, queries, path) -> np.ndarray:
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     values = np.atleast_1d(predictor.predict(queries))
     task = predictor.train_data.task if predictor.train_data is not None else None
-    classes = None
-    if task in (TASK_BINARY, TASK_MULTICLASS):
-        classes = _class_labels(values, predictor.multi_output)
-    n_out = values.shape[1] if values.ndim == 2 else 1
-    header = ["query_id"] + [f"output_{h + 1}" for h in range(n_out)]
+    classes = predicted_classes(values, task) if task in (TASK_BINARY, TASK_MULTICLASS) else None
+    columns = values.reshape(queries.shape[0], -1)
+    header = ["query_id"] + [f"output_{h + 1}" for h in range(columns.shape[1])]
     if classes is not None:
         header.append("predicted_class")
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
         for i in range(queries.shape[0]):
-            row = [str(i)]
-            if values.ndim == 2:
-                row += [repr(float(v)) for v in values[i]]
-            else:
-                row.append(repr(float(values[i])))
+            row = [str(i)] + [repr(float(v)) for v in columns[i]]
             if classes is not None:
-                value = classes[i]
-                row.append(str(int(value)) if task == TASK_MULTICLASS else repr(float(value)))
+                row.append(str(classes[i].item()))  # class id 2 for multiclass, sign 1.0 for binary
             f.write(",".join(row) + "\n")
     return values

@@ -26,7 +26,7 @@ from ._kernelmatrix import KernelMatrix
 from .data import DataSet
 from .errors import DivergenceError, TrickViolationError, ValidationError
 from .kernel import empirical_ntk, kernel_cross
-from .krr import PSDSolver
+from .krr import krr_fit
 from .net import MLP, forward, gradients_matrix
 
 INIT_OUTPUT_TOL = 1e-8
@@ -294,11 +294,9 @@ def closed_form_limit(lm: LinearizedModel, y, lam: float):
     invertible kernel matrix when lam = 0.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (lm.n,):
+    if y.shape != (lm.n,):  # the tangent model has one output
         raise ValidationError(f"targets must have shape ({lm.n},), got {y.shape}")
-    if lam < 0.0:
-        raise ValidationError(f"lam must be >= 0, got {lam}")
-    alpha = PSDSolver(lm.K.values, lam * lam).solve_checked(y)
+    alpha = krr_fit(lm.K, y, lam).alpha
     theta_star = lm.theta0 + lm.Z @ alpha
     return theta_star, alpha
 

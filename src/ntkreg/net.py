@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TASK_BINARY, TASK_MULTICLASS, DataSet
+from .data import DataSet, prediction_error
 from .errors import DivergenceError, ValidationError
-from .noise import onehot_matrix
 
 BRANCH_COEFF = math.sqrt(2.0) / 2.0
 DIVERGENCE_LIMIT = 1e12
@@ -343,26 +342,12 @@ class TrainLog:
 
 
 def _targets_for(data: DataSet, outputs: int) -> np.ndarray:
-    if data.task == TASK_MULTICLASS:
-        if outputs != data.num_classes:
-            raise ValidationError(
-                f"multiclass training needs outputs == num_classes ({data.num_classes}), got {outputs}"
-            )
-        return onehot_matrix(data.noisy_labels, data.num_classes).T  # (n, K)
-    if outputs != 1:
-        raise ValidationError(f"{data.task} training needs a single-output network, got {outputs}")
-    return np.asarray(data.noisy_labels, dtype=np.float64)[:, None]
-
-
-def _batch_error(data: DataSet, predictions: np.ndarray) -> float:
-    if data.task == TASK_MULTICLASS:
-        predicted = np.argmax(predictions, axis=1) + 1
-        return float(np.mean(predicted != data.noisy_labels))
-    values = predictions[:, 0]
-    if data.task == TASK_BINARY:
-        wrong = (values == 0.0) | (np.sign(values) != data.noisy_labels)
-        return float(np.mean(wrong))
-    return float(np.mean((values - data.noisy_labels) ** 2))
+    """The (n, outputs) regression targets of ``data`` for a net with ``outputs`` outputs."""
+    if outputs != data.num_outputs:
+        raise ValidationError(
+            f"{data.task} training needs a network with {data.num_outputs} outputs, got {outputs}"
+        )
+    return np.atleast_2d(data.fit_targets()).T
 
 
 def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
@@ -419,8 +404,8 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
             )
 
         log_obj[t] = objective
-        log_err[t] = _batch_error(data, f_out)
-        log_err_aux[t] = _batch_error(data, effective)
+        log_err[t] = prediction_error(f_out, data.noisy_labels, data.task)
+        log_err_aux[t] = prediction_error(effective, data.noisy_labels, data.task)
         log_dist[t] = distance_to_init(model)
         log_norm[t] = layer_norms(model)
 

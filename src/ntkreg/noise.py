@@ -1,5 +1,7 @@
 """Label-noise models: additive subgaussian noise, binary sign flips, and
-class-transition channels, plus the label encodings used downstream.
+class-transition channels, plus the (1-2p) rescaling of flipped labels.
+
+The one-hot encodings live in ``ntkreg.data`` and are re-exported here.
 
 Every corruption is i.i.d. per example and deterministic given its seed.
 Clean labels are never mutated.
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TASK_BINARY, TASK_MULTICLASS, TASK_REGRESSION, DataSet
+from .data import onehot, onehot_matrix  # noqa: F401  (public names of this module too)
 from .errors import ValidationError
 
 COLUMN_SUM_TOL = 1e-12
@@ -89,25 +92,6 @@ def validate_transition(P) -> float:
             f"diagonal dominance violated: some off-diagonal entry >= its column diagonal (gap {gap:.3e})"
         )
     return gap
-
-
-def onehot(c: int, num_classes: int) -> np.ndarray:
-    """Standard-basis vector for class id c in 1..num_classes."""
-    if not 1 <= c <= num_classes:
-        raise ValidationError(f"class id {c} out of range 1..{num_classes}")
-    e = np.zeros(num_classes, dtype=np.float64)
-    e[c - 1] = 1.0
-    return e
-
-
-def onehot_matrix(labels, num_classes: int) -> np.ndarray:
-    """(num_classes, n) matrix whose columns are the one-hot encodings of ``labels``."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 1 or labels.max() > num_classes:
-        raise ValidationError(f"class ids must lie in 1..{num_classes}")
-    out = np.zeros((num_classes, labels.size), dtype=np.float64)
-    out[labels - 1, np.arange(labels.size)] = 1.0
-    return out
 
 
 def rescale_binary(y, p: float):

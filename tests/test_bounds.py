@@ -353,3 +353,33 @@ class TestEmpiricalRisk:
         p = krr_fit(K, noisy.noisy_labels, 1.0, kernel_source=AnalyticNTK(2), train_data=noisy)
         risk = empirical_clean_risk(p, noisy, "clipped-absolute")
         assert 0.0 <= risk <= 1.0
+
+
+class TestMulticlassSharedSolvers:
+    def test_reuses_the_fit_factors(self, monkeypatch):
+        ds = synth_sphere(30, 5, "linear-sign", seed=4)
+        K = analytic_ntk(2, ds)
+        labels = np.arange(30) % 3 + 1
+        Y = onehot_matrix(labels, 3)
+        P = np.array([[0.7, 0.1, 0.2], [0.2, 0.8, 0.1], [0.1, 0.1, 0.7]])
+        for mode in ("explicit-appendix", "unit-constants"):
+            fresh = bound_multiclass(K, Y, P, 0.8, 0.1, constant_mode=mode)
+            solvers = ShiftedSolvers(K)
+            krr_fit(K, Y, 0.8, solvers=solvers)
+            solvers.solver(0.0)
+            factors = []
+            original = krr_module.cho_factor
+            monkeypatch.setattr(
+                krr_module, "cho_factor", lambda *a, **k: factors.append(1) or original(*a, **k)
+            )
+            shared = bound_multiclass(K, Y, P, 0.8, 0.1, constant_mode=mode, solvers=solvers)
+            monkeypatch.setattr(krr_module, "cho_factor", original)
+            assert factors == []
+            assert shared.as_dict() == fresh.as_dict()
+
+    def test_solvers_of_another_kernel_rejected(self):
+        K = kernel_from(2.0 * np.eye(4))
+        Y = onehot_matrix(np.array([1, 2, 1, 2]), 2)
+        other = ShiftedSolvers(kernel_from(2.0 * np.eye(4)))
+        with pytest.raises(ValidationError):
+            bound_multiclass(K, Y, np.array([[0.8, 0.3], [0.2, 0.7]]), 1.0, 0.1, solvers=other)

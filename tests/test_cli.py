@@ -5,22 +5,26 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from ntkreg import krr as krr_module
-from ntkreg.bounds import bound_binary
+from ntkreg.bounds import bound_binary, empirical_clean_risk
 from ntkreg.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
     apply_noise,
+    build_net_config,
     build_noise_model,
     build_train_test,
     load_config,
     main,
 )
-from ntkreg.kernel import AnalyticNTK, EmpiricalNTK
-from ntkreg.krr import krr_fit
+from ntkreg.data import onehot_matrix, prediction_error
+from ntkreg.kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
+from ntkreg.krr import krr_fit, krr_fit_multi
+from ntkreg.net import TrainConfig, forward, init_mlp, train_full
 
 
 def write_config(tmp_path, name, payload):
@@ -573,3 +577,150 @@ class TestErrorPaths:
             },
         )
         assert main(["equivalence", "--config", cfg]) == EXIT_CHECK_FAILED
+
+
+# A 3-class problem on which one-hot KRR at lambda 0.5 gives train error 0.0
+# and clean test error 0.215.
+MULTICLASS = {"kind": "synth-multiclass", "n": 200, "test_n": 200, "d": 10, "classes": 3, "seed": 1}
+SMALL_MULTICLASS = {"kind": "synth-multiclass", "n": 40, "test_n": 40, "d": 6, "classes": 3, "seed": 2}
+
+
+def transition_noise(tmp_path, diagonal=0.6):
+    """A class-transition noise spec: ``diagonal`` stays, the rest splits evenly."""
+    P = np.full((3, 3), (1.0 - diagonal) / 2.0)
+    np.fill_diagonal(P, diagonal)
+    path = tmp_path / "transition.csv"
+    np.savetxt(path, P, delimiter=",")
+    return {"kind": "class-transition", "csv": str(path)}
+
+
+class TestMulticlassCommands:
+    def test_krr_fits_onehot_targets(self, tmp_path):
+        out = tmp_path / "mckrr"
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": MULTICLASS, "lambda": 0.5, "out": str(out)})
+        assert main(["krr", "--config", cfg]) == EXIT_OK
+        row = read_rows(out / "results.csv")[0]
+        assert (float(row["train_error_noisy"]), float(row["test_error_clean"])) == (0.0, 0.215)
+        # the same numbers from krr_fit_multi and the argmax, computed directly
+        train, test = build_train_test(load_config(cfg))
+        source = AnalyticNTK(2)
+        gram = source.gram(train)
+        fit = krr_fit_multi(gram, onehot_matrix(train.noisy_labels, 3), 0.5, source, train)
+        train_classes = np.argmax(gram.values @ fit.alpha.T, axis=1) + 1
+        test_outputs = fit.predict(test.inputs)
+        test_classes = np.argmax(test_outputs, axis=1) + 1
+        assert np.mean(train_classes != train.noisy_labels) == 0.0
+        assert np.mean(test_classes != test.clean_labels) == 0.215
+        predictions = read_rows(out / "predictions.csv")
+        written = np.array([[float(r[f"output_{h}"]) for h in (1, 2, 3)] for r in predictions])
+        assert np.array_equal(written, test_outputs)
+        assert [int(r["predicted_class"]) for r in predictions] == list(test_classes)
+
+    def test_sweep_cells_match_krr_command(self, tmp_path):
+        out = tmp_path / "mcsweep"
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"dataset": MULTICLASS, "lambda_grid": [0.0, 0.5], "noise_grid": [0.0],
+             "seeds": [0, 1], "out": str(out)},
+        )
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        rows = read_rows(out / "results.csv")
+        assert [row["status"] for row in rows] == ["ok"] * 4
+        for row in rows[2:]:  # lambda 0.5
+            assert (float(row["train_error_noisy"]), float(row["test_error_clean"])) == (0.0, 0.215)
+        for row in rows[:2]:  # lambda 0 interpolates the one-hot targets
+            assert float(row["train_error_noisy"]) == 0.0
+
+    def test_transition_level_zero_is_clean(self, tmp_path):
+        noise = transition_noise(tmp_path)
+        train, _ = build_train_test(load_config(None, {"dataset": MULTICLASS, "noise": noise}))
+        assert build_noise_model(noise, override_level=0.0) is None
+        corrupted = apply_noise(train, build_noise_model(noise, override_level=0.4), (0, 0))
+        assert np.mean(corrupted.noisy_labels != train.clean_labels) > 0.2
+        # in a sweep, level 0 gives the clean fit of the krr command
+        out = tmp_path / "ctsweep"
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"dataset": MULTICLASS, "noise": noise, "lambda_grid": [0.5],
+             "noise_grid": [0.0, 0.4], "seeds": [0], "out": str(out)},
+        )
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        clean, noisy = read_rows(out / "results.csv")
+        assert (float(clean["train_error_noisy"]), float(clean["test_error_clean"])) == (0.0, 0.215)
+        assert float(noisy["train_error_noisy"]) > 0.0
+
+    def test_transition_grid_with_two_positive_levels_rejected(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"dataset": SMALL_MULTICLASS, "noise": transition_noise(tmp_path),
+             "noise_grid": [0.0, 0.2, 0.4], "out": str(tmp_path / "x")},
+        )
+        assert main(["sweep", "--config", cfg]) == EXIT_VALIDATION
+
+    def test_sweep_bound_matches_bounds_command(self, tmp_path):
+        noise = transition_noise(tmp_path)
+        out = tmp_path / "ctbound"
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"dataset": SMALL_MULTICLASS, "noise": noise, "lambda_grid": [0.0, 0.5, 2.0],
+             "noise_grid": [0.0, 1.0], "seeds": [0], "out": str(out)},
+        )
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        rows = read_rows(out / "results.csv")
+        assert [row["bound_total"] != "" for row in rows] == [False] * 3 + [False, True, True]
+        for row in rows[4:]:
+            lam = float(row["lambda"])
+            bounds_out = tmp_path / f"bounds{lam}"
+            bounds_cfg = write_config(
+                tmp_path, f"bounds{lam}.json",
+                {"dataset": SMALL_MULTICLASS, "noise": noise, "lambda": lam, "out": str(bounds_out)},
+            )
+            assert main(["bounds", "--config", bounds_cfg]) == EXIT_OK
+            report = json.loads(open(bounds_out / "bound_report.json").read())
+            assert float(row["bound_total"]) == report["total"]
+
+    @pytest.mark.parametrize("method", ["linear-rdi", "linear-aux"])
+    def test_linear_methods_reject_multiclass(self, tmp_path, method):
+        out = tmp_path / "mclin"
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"dataset": SMALL_MULTICLASS, "model": {"kind": "net", "widths": [32]},
+             "method": method, "lambda_grid": [0.5], "steps": 5, "out": str(out)},
+        )
+        assert main(["sweep", "--config", cfg]) == EXIT_VALIDATION
+        assert not os.path.exists(out / "results.csv")
+
+
+class TestOneErrorRule:
+    """A sweep row scores a model as its TrainLog and empirical_clean_risk do."""
+
+    def sweep_row(self, tmp_path, dataset, method, model):
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"dataset": dataset, "model": model, "method": method, "lambda_grid": [0.5],
+             "seeds": [0], "steps": 20, "out": str(tmp_path / "one")},
+        )
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        (row,) = read_rows(tmp_path / "one" / "results.csv")
+        assert row["status"] == "ok"
+        return row, load_config(cfg)
+
+    @pytest.mark.parametrize("dataset", [small_synth(n=40, d=6, test_n=40), SMALL_MULTICLASS])
+    def test_net_row_matches_train_log(self, tmp_path, dataset):
+        model = {"kind": "net", "widths": [32]}
+        row, config = self.sweep_row(tmp_path, dataset, "net-vanilla", model)
+        train, test = build_train_test(config)
+        mlp = init_mlp(build_net_config(model, train.d, train.num_outputs), (0, 0))
+        eta = 1.0 / (empirical_ntk(mlp, train).op_norm + 0.25)
+        trained, _, log = train_full(mlp, train, TrainConfig("vanilla", eta=eta, steps=20, lam=0.5))
+        assert float(row["train_error_noisy"]) == log.train_error[-1]
+        expected = prediction_error(forward(trained, test.inputs), test.clean_labels, test.task)
+        assert float(row["test_error_clean"]) == expected
+
+    @pytest.mark.parametrize("dataset", [small_synth(n=40, d=6, test_n=40), SMALL_MULTICLASS])
+    def test_krr_row_matches_clean_risk(self, tmp_path, dataset):
+        row, config = self.sweep_row(tmp_path, dataset, "krr", {"kind": "analytic", "depth": 2})
+        train, test = build_train_test(config)
+        source = AnalyticNTK(2)
+        predictor = krr_fit(source.gram(train), train.fit_targets(), 0.5, source, train)
+        assert float(row["test_error_clean"]) == empirical_clean_risk(predictor, test, "zero-one")

@@ -1,5 +1,6 @@
 """Dataset constructors, IDX ingestion, and kernel cache round trips."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -7,14 +8,20 @@ import pytest
 
 from ntkreg._kernelmatrix import KernelMatrix
 from ntkreg.data import (
+    TASK_BINARY,
+    TASK_MULTICLASS,
+    TASK_REGRESSION,
     DataSet,
     Provenance,
     dataset_digest,
     load_kernel,
     load_mnist_binary,
     make_kernel_cache,
+    predicted_classes,
+    prediction_error,
     save_kernel,
     split_dataset,
+    synth_multiclass,
     synth_sphere,
 )
 from ntkreg.errors import (
@@ -234,3 +241,94 @@ class TestKernelCache:
         other = synth_sphere(5, 3, "linear-sign", seed=2)
         assert dataset_digest(ds) == dataset_digest(same)
         assert dataset_digest(ds) != dataset_digest(other)
+
+
+class TestSynthMulticlass:
+    def test_draws_are_bit_stable(self):
+        # digests of the draw that the CLI's synth-multiclass datasets have
+        # always used: inputs first, then the direction w
+        ds = synth_multiclass(61, 7, 4, seed=11)
+        assert dataset_digest(ds).hex() == (
+            "7fec36010fd1c21222600a9f7515613051bd9acab580eb29ba36c5c36bf93ed6"
+        )
+        labels = hashlib.sha256(ds.clean_labels.astype("<i8").tobytes()).hexdigest()
+        assert labels == "c444b2f87cf6b2f0ee7fc10d9314e61ca40b3ac197b5c7238d18d70abc9854fa"
+
+    @pytest.mark.parametrize("n, classes", [(61, 4), (30, 3), (100, 7)])
+    def test_classes_are_balanced(self, n, classes):
+        ds = synth_multiclass(n, 5, classes, seed=2)
+        counts = np.bincount(ds.clean_labels, minlength=classes + 1)[1:]
+        assert counts.sum() == n
+        assert counts.max() - counts.min() <= 1
+        assert ds.task == TASK_MULTICLASS and ds.num_classes == classes
+
+    def test_exported_from_package(self):
+        import ntkreg
+
+        assert ntkreg.synth_multiclass is synth_multiclass
+
+
+TIE3 = [[0.2, 0.2, 0.1], [0.0, 0.3, 0.3], [0.1, 0.0, 0.9]]
+
+
+class TestTaskRule:
+    @pytest.mark.parametrize(
+        "outputs, labels, task, expected",
+        [
+            # an output of exactly 0 is wrong for either binary label
+            ([0.0, 0.0], [1.0, -1.0], TASK_BINARY, 1.0),
+            ([0.5, -0.5, 2.0, -1.0], [1.0, 1.0, 1.0, -1.0], TASK_BINARY, 0.25),
+            ([[0.5], [-0.5], [2.0], [-1.0]], [1.0, 1.0, 1.0, -1.0], TASK_BINARY, 0.25),
+            # argmax ties go to the lowest class: predictions 1, 2, 3
+            (TIE3, [1, 3, 3], TASK_MULTICLASS, 1.0 / 3.0),
+            (TIE3, [1, 2, 3], TASK_MULTICLASS, 0.0),
+            ([0.5, -1.0], [0.0, 1.0], TASK_REGRESSION, 2.125),
+            ([[0.5], [-1.0]], [0.0, 1.0], TASK_REGRESSION, 2.125),
+        ],
+    )
+    def test_prediction_error(self, outputs, labels, task, expected):
+        assert prediction_error(np.array(outputs), np.array(labels), task) == expected
+
+    @pytest.mark.parametrize(
+        "outputs, task, expected",
+        [
+            # the export rule: a binary output of 0 maps to +1
+            ([0.0, -0.0, 1e-300, -2.0], TASK_BINARY, [1.0, 1.0, 1.0, -1.0]),
+            ([[0.0], [-3.0]], TASK_BINARY, [1.0, -1.0]),
+            (TIE3, TASK_MULTICLASS, [1, 2, 3]),
+            ([0.1, 0.7, 0.7], TASK_MULTICLASS, [2]),  # one (K,) row is one query
+        ],
+    )
+    def test_predicted_classes(self, outputs, task, expected):
+        assert np.array_equal(predicted_classes(np.array(outputs), task), expected)
+
+    @pytest.mark.parametrize(
+        "outputs, labels, task",
+        [
+            # one scalar per example on a multiclass task: the shape that
+            # once scored every example as wrong
+            (np.ones(4), np.array([1, 2, 3, 1]), TASK_MULTICLASS),
+            (np.ones((4, 2)), np.ones(4), TASK_BINARY),
+            (np.ones(3), np.ones(4), TASK_REGRESSION),
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, outputs, labels, task):
+        with pytest.raises(ValidationError):
+            prediction_error(outputs, labels, task)
+
+    def test_regression_has_no_classes(self):
+        with pytest.raises(ValidationError):
+            predicted_classes(np.ones(3), TASK_REGRESSION)
+
+    def test_outputs_and_fit_targets(self):
+        multi = synth_multiclass(12, 4, 3, seed=0)
+        assert multi.num_outputs == 3
+        targets = multi.fit_targets()
+        assert targets.shape == (3, 12)
+        assert np.array_equal(targets.sum(axis=0), np.ones(12))
+        assert np.array_equal(predicted_classes(targets.T, TASK_MULTICLASS), multi.noisy_labels)
+        for target in ("linear-sign", "smooth-poly"):
+            single = synth_sphere(12, 4, target, seed=0)
+            assert single.num_outputs == 1
+            assert single.fit_targets().dtype == np.float64
+            assert np.array_equal(single.fit_targets(), single.noisy_labels)

@@ -276,3 +276,45 @@ class TestExport:
         assert np.array_equal(values, p.predict(ds.inputs))
         lines = open(tmp_path / "preds.csv").read().strip().split("\n")[1:]
         assert [float(line.split(",")[1]) for line in lines] == list(values)
+
+
+class TestTargetMatrix:
+    def test_rows_solved_against_one_factorization(self, monkeypatch):
+        from ntkreg import krr as krr_module
+
+        rng = np.random.default_rng(10)
+        K = random_psd_kernel(rng, 9)
+        targets = rng.standard_normal((3, 9))
+        factors = []
+        original = krr_module.cho_factor
+        monkeypatch.setattr(krr_module, "cho_factor", lambda *a, **k: factors.append(1) or original(*a, **k))
+        solvers = ShiftedSolvers(K)
+        fit = krr_fit(K, targets, 0.7, solvers=solvers)
+        assert len(factors) == 1
+        for h in range(3):
+            assert np.array_equal(fit.alpha[h], krr_fit(K, targets[h], 0.7, solvers=solvers).alpha)
+        assert len(factors) == 1
+        assert np.array_equal(fit.alpha, krr_fit_multi(K, targets, 0.7).alpha)
+
+    def test_one_row_matrix_keeps_its_shape(self):
+        K = kernel_from(np.eye(4))
+        fit = krr_fit(K, np.ones((1, 4)), 1.0)
+        assert fit.alpha.shape == (1, 4) and fit.multi_output
+
+    @pytest.mark.parametrize("shape", [(5, 1), (2, 2, 5), (3, 4)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ValidationError):
+            krr_fit(kernel_from(np.eye(5)), np.ones(shape), 1.0)
+
+    def test_predict_one_and_many_outputs(self):
+        ds = synth_sphere(8, 4, "linear-sign", seed=2)
+        K = analytic_ntk(2, ds)
+        single = krr_fit(K, ds.noisy_labels, 0.5, kernel_source=AnalyticNTK(2), train_data=ds)
+        multi = krr_fit(K, np.stack([ds.noisy_labels, -ds.noisy_labels]), 0.5,
+                        kernel_source=AnalyticNTK(2), train_data=ds)
+        values = multi.predict(ds.inputs)
+        expected = single.predict(ds.inputs)
+        assert values.shape == (8, 2)
+        # one matrix product against two vector products: equal up to rounding
+        scale = 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(values - np.stack([expected, -expected], axis=1))) <= scale

@@ -279,3 +279,11 @@ class TestClosedForm:
         lines = open(path).read().strip().split("\n")
         assert lines[0] == "t,objective,dist_from_init"
         assert len(lines) == 5
+
+
+class TestClosedFormTargets:
+    def test_target_matrix_rejected(self):
+        # krr_fit takes (h, n) targets; the single-output tangent model does not
+        lm, ds = make_lm(n=8, width=16)
+        with pytest.raises(ValidationError):
+            closed_form_limit(lm, np.stack([ds.noisy_labels, ds.noisy_labels]), lam=1.0)
