@@ -30,8 +30,8 @@ Two constant modes:
 Logarithms that can go negative for very large lam are floored at zero.
 
 Every assembly factors K and K + lam^2 I at most once. Callers that fit and
-bound on one kernel pass ``bound_binary`` or ``bound_multiclass`` the fit's
-:class:`~ntkreg.krr.ShiftedSolvers`, so that the bound reuses its factors.
+bound on one kernel pass the bound the fit's :class:`~ntkreg.krr.ShiftedSolvers`,
+so that the bound reuses its factors.
 """
 
 import json
@@ -229,7 +229,8 @@ def _additive_terms(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
     }
 
 
-def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None) -> BoundReport:
+def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None,
+                   solvers: ShiftedSolvers = None) -> BoundReport:
     """Population-loss bound for additive subgaussian label noise.
 
     Holds for any loss mapping to [0, 1] that is 1-Lipschitz in the
@@ -239,7 +240,7 @@ def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None) -> Bound
     y = np.asarray(y, dtype=np.float64)
     n = _sample_count(n, y.size)
     terms = _additive_terms(K, y, cfg.sigma, cfg.lam, cfg.delta, n, cfg.constant_mode,
-                            ShiftedSolvers(K))
+                            solvers_for(K, solvers))
     return BoundReport(
         mode=cfg.constant_mode,
         total=terms["main"] + terms["sigma_term"] + terms["delta_term"],

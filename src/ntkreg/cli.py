@@ -14,6 +14,7 @@ tolerance, 1 anything unexpected.
 import argparse
 import concurrent.futures
 import copy
+import itertools
 import json
 import os
 import sys
@@ -45,10 +46,10 @@ from .errors import (
     TrickViolationError,
     ValidationError,
 )
-from .kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
+from .kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk, kernel_cross
 from .krr import ShiftedSolvers, export_predictions, krr_fit
-from .linmodel import check_equivalence, linearize, run_gd_aux, run_gd_rdi
-from .net import NetConfig, TrainConfig, distance_to_init, forward, init_mlp, train_full
+from .linmodel import KIND_AUX, KIND_RDI, check_equivalence, linearize, run_gd_aux, run_gd_rdi
+from .net import MLP, NetConfig, TrainConfig, distance_to_init, forward, init_mlp, train_full
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -78,6 +79,7 @@ DEFAULT_CONFIG = {
 }
 
 _METHODS = ("krr", "linear-rdi", "linear-aux", "net-rdi", "net-aux", "net-vanilla")
+_SINGLE_OUTPUT = "linear-* methods and the equivalence check need binary or regression data"
 
 
 def _log(message: str) -> None:
@@ -119,10 +121,10 @@ def _validate_config(config: dict) -> None:
             if not os.path.exists(dataset[key]):
                 raise ValidationError(f"referenced file does not exist: {dataset[key]}")
     if config["method"].startswith("linear-") and dataset["kind"] == "synth-multiclass":
-        raise ValidationError("linear-* methods need binary or regression data")
+        raise ValidationError(_SINGLE_OUTPUT)
     noise = config["noise"]
     if noise.get("kind") == "class-transition":
-        if not os.path.exists(noise["csv"]):
+        if not os.path.exists(_noise_field(noise, "csv")):
             raise ValidationError(f"referenced file does not exist: {noise['csv']}")
         if len({level for level in config["noise_grid"] if level > 0.0}) > 1:
             raise ValidationError("a class-transition noise_grid has at most one positive "
@@ -163,6 +165,13 @@ def build_train_test(config: dict):
     return build_dataset(spec), None
 
 
+def _noise_field(spec: dict, key: str):
+    """``spec[key]``; a noise spec without the key fails validation."""
+    if key not in spec:
+        raise ValidationError(f"{spec.get('kind')} noise spec needs the key {key!r}")
+    return spec[key]
+
+
 def build_noise_model(spec: dict, override_level=None):
     """The noise model of ``spec``; a sweep's ``override_level`` of 0.0 means none.
 
@@ -173,16 +182,15 @@ def build_noise_model(spec: dict, override_level=None):
         return None
     if override_level is not None and kind in ("none", "binary-flip"):
         return noise_mod.BinaryFlip(float(override_level))
-    if override_level is not None and kind == "additive":
-        return noise_mod.AdditiveNoise(float(override_level), spec.get("shape", "gaussian"))
     if kind == "none":
         return None
     if kind == "binary-flip":
-        return noise_mod.BinaryFlip(float(spec["p"]))
+        return noise_mod.BinaryFlip(float(_noise_field(spec, "p")))
     if kind == "additive":
-        return noise_mod.AdditiveNoise(float(spec["sigma"]), spec.get("shape", "gaussian"))
+        sigma = _noise_field(spec, "sigma") if override_level is None else override_level
+        return noise_mod.AdditiveNoise(float(sigma), spec.get("shape", "gaussian"))
     if kind == "class-transition":
-        return noise_mod.read_transition_csv(spec["csv"])
+        return noise_mod.read_transition_csv(_noise_field(spec, "csv"))
     raise ValidationError(f"unknown noise kind {kind!r}")
 
 
@@ -209,10 +217,15 @@ def build_kernel_source(config: dict, data, seed=0):
     if kind == "analytic":
         return AnalyticNTK(int(model.get("depth", 2)))
     if kind == "net":
-        net_cfg = build_net_config(model, data.d, data.num_outputs)
-        mlp = init_mlp(net_cfg, (int(model.get("init_seed", 0)), int(seed)))
-        return EmpiricalNTK(mlp)
+        return EmpiricalNTK(_seeded_net(config, data, seed))
     raise ValidationError(f"unknown model kind {kind!r}")
+
+
+def _seeded_net(config: dict, data, seed) -> MLP:
+    """The net of ``config["model"]`` for ``data``, drawn at (init_seed, seed)."""
+    model = config["model"]
+    net_cfg = build_net_config(model, data.d, data.num_outputs)
+    return init_mlp(net_cfg, (int(model.get("init_seed", 0)), int(seed)))
 
 
 def _ensure_out(config: dict) -> str:
@@ -281,58 +294,175 @@ def cmd_kernel(config: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
+# one run path per method: a cell is a noise level (None keeps the spec's),
+# its noise-grid index, a lambda and a seed; a group holds the work that its
+# cells share, and both the single-run commands and the sweep run through it
+
+
+def _single_run(config: dict):
+    """The one cell of a single-run command, with its train and test sets."""
+    cell = {"index": 0, "noise_idx": 0, "noise": None,
+            "lambda": float(config["lambda"]), "seed": int(config["seeds"][0])}
+    train, test = build_train_test(config)
+    return cell, train, test
+
+
+def _run_noise(config: dict, cell: dict):
+    return build_noise_model(config["noise"], override_level=cell["noise"])
+
+
+def _noisy_train(config: dict, cell: dict, train):
+    """The noise model of ``cell`` and ``train`` with labels drawn at (seed, noise_idx)."""
+    noise = _run_noise(config, cell)
+    return noise, apply_noise(train, noise, (cell["seed"], cell["noise_idx"]))
+
+
+def _step_size(config: dict, lam: float, gram) -> float:
+    """The configured eta, else the largest certified step 1/(||K|| + lam^2), K = ``gram()``."""
+    return config["eta"] or 1.0 / (gram().op_norm + lam * lam)
+
+
+def _noise_bound(config, data, gram, noise, lam, solvers=None):
+    """The bound report of ``noise`` on ``data``.
+
+    Flips and class transitions have their own bounds. Additive noise gets
+    the additive bound, and so do clean labels (None), at the config's sigma.
+    """
+    delta, mode = float(config["delta"]), config["constant_mode"]
+    args = (lam, delta, data.n)
+    if isinstance(noise, noise_mod.BinaryFlip):
+        return bounds_mod.bound_binary(gram, data.clean_labels, noise.p, *args, mode, solvers)
+    if isinstance(noise, noise_mod.ClassTransition):
+        Y = onehot_matrix(data.clean_labels, data.num_classes)
+        return bounds_mod.bound_multiclass(gram, Y, noise.matrix, *args, mode, solvers)
+    sigma = float(config["sigma"]) if noise is None else noise.sigma
+    cfg = bounds_mod.BoundConfig(lam, sigma, delta, mode)
+    return bounds_mod.bound_additive(gram, data.clean_labels, cfg, data.n, solvers)
+
+
+class _KRRGroup:
+    """krr cells that share one kernel: K, its ShiftedSolvers and the test cross matrix C.
+
+    Visiting the cells ridge by ridge factors each shift lam^2 once, and the
+    shift-0 factor also serves the bounds' y^T K^-1 y. A cell then costs
+    O(n^2) per output: a solve, K @ alpha, C @ alpha and the bound
+    arithmetic. Cells fit ``DataSet.fit_targets``, one-hot for multiclass.
+    """
+
+    def __init__(self, config, train, test, seed):
+        self.config, self.train, self.test = config, train, test
+        self.source = build_kernel_source(config, train, seed)
+        self.gram = self.source.gram(train)
+        self.solvers = ShiftedSolvers(self.gram)
+        self.cross = None if test is None else self.source.cross(test.inputs, train)
+
+    def fit(self, noisy, lam: float):
+        return krr_fit(self.gram, noisy.fit_targets(), lam, self.source, noisy, solvers=self.solvers)
+
+    def train_outputs(self, fit):
+        # From the Gram matrix: evaluating k(X, X) again would repeat the
+        # kernel build and, at large n, set the command's peak memory.
+        return self.gram.values @ fit.alpha.T
+
+    def row(self, cell, noise, noisy) -> dict:
+        lam = cell["lambda"]
+        fit = self.fit(noisy, lam)
+        report = None
+        if noise is not None and lam > 0.0:
+            report = _noise_bound(self.config, self.train, self.gram, noise, lam, self.solvers)
+        return _cell_row(
+            self.config, cell, noisy, self.test, self.train_outputs(fit),
+            None if self.cross is None else self.cross @ fit.alpha.T,
+            bound_total=None if report is None else report.total,
+        )
+
+
+class _LinearGroup:
+    """linear-* cells of one init seed: one linearized model and its test cross matrix.
+
+    The tangent model depends on the init seed only, so it is built once and
+    visited lambda by lambda; each cell runs RDI or AUX gradient descent on
+    its own noisy labels. The tangent model has a single output.
+    """
+
+    def __init__(self, config, train, test, seed):
+        if config["model"].get("kind") != "net":
+            raise ValidationError("the tangent model needs a finite-width net model")
+        if train.num_outputs != 1:
+            raise ValidationError(_SINGLE_OUTPUT)
+        self.config, self.test = config, test
+        self.lm = linearize(_seeded_net(config, train, seed), train)
+        self.cross = None if test is None else kernel_cross(self.lm.mlp, test.inputs, train)
+
+    def trajectory(self, kind: str, y, lam: float):
+        run = run_gd_rdi if kind == KIND_RDI else run_gd_aux
+        eta = _step_size(self.config, lam, lambda: self.lm.K)
+        return run(self.lm, y, lam, eta=eta, steps=int(self.config["steps"]))
+
+    def row(self, cell, noise, noisy) -> dict:
+        kind = self.config["method"].removeprefix("linear-")
+        traj = self.trajectory(kind, noisy.fit_targets(), cell["lambda"])
+        coeffs = traj.final_coeffs()
+        return _cell_row(
+            self.config, cell, noisy, self.test, self.lm.K.values @ coeffs,
+            None if self.cross is None else self.cross @ coeffs,
+            distance=float(traj.dist_from_init[-1]),
+        )
+
+
+class _NetGroup:
+    """One net-* cell: the seeded net trained on its noisy labels."""
+
+    def __init__(self, config, train, test, seed):
+        self.config, self.test, self.seed = config, test, seed
+
+    def train(self, noisy, lam: float):
+        mlp = _seeded_net(self.config, noisy, self.seed)
+        eta = _step_size(self.config, lam, lambda: empirical_ntk(mlp, noisy))
+        objective = self.config["method"].removeprefix("net-")
+        return train_full(mlp, noisy, TrainConfig(objective, eta=float(eta),
+                                                  steps=int(self.config["steps"]), lam=lam))
+
+    def row(self, cell, noise, noisy) -> dict:
+        trained, _, _ = self.train(noisy, cell["lambda"])
+        return _cell_row(
+            self.config, cell, noisy, self.test, forward(trained, noisy.inputs),
+            None if self.test is None else forward(trained, self.test.inputs),
+            distance=float(np.linalg.norm(distance_to_init(trained))),
+        )
+
+
+_GROUPS = {"krr": _KRRGroup, "linear": _LinearGroup, "net": _NetGroup}
+
+
+# ---------------------------------------------------------------------------
 # equivalence command
 
 
 def cmd_equivalence(config: dict) -> int:
     out = _ensure_out(config)
-    model = config["model"]
-    if model.get("kind") != "net":
-        raise ValidationError("the equivalence check needs a finite-width net model")
-    seed = int(config["seeds"][0])
-    data, _ = build_train_test(config)
-    noise_model = build_noise_model(config["noise"])
-    data = apply_noise(data, noise_model, (seed, 0))
-    net_cfg = build_net_config(model, data.d, 1)
-    mlp = init_mlp(net_cfg, (int(model.get("init_seed", 0)), seed))
-    lm = linearize(mlp, data)
-    y = np.asarray(data.noisy_labels, dtype=np.float64)
+    cell, train, _ = _single_run(config)
+    _, noisy = _noisy_train(config, cell, train)
+    group = _LinearGroup(config, train, None, cell["seed"])
+    y = noisy.fit_targets()
     lambdas = [lam for lam in config["lambda_grid"] if lam > 0.0] or [config["lambda"]]
-    steps = int(config["steps"])
     tol = float(config["tolerance"])
     rows = []
     summary = {}
     all_pass = True
     for lam in lambdas:
-        eta = config["eta"] if config["eta"] else lm.default_eta(lam)
-        traj_rdi = run_gd_rdi(lm, y, lam, eta=eta, steps=steps)
-        traj_aux = run_gd_aux(lm, y, lam, eta=eta, steps=steps)
+        traj_rdi = group.trajectory(KIND_RDI, y, lam)
+        traj_aux = group.trajectory(KIND_AUX, y, lam)
         report = check_equivalence(traj_rdi, traj_aux, tol=tol)
-        summary[str(lam)] = {
-            "eta": eta,
-            "max_abs": report.max_abs,
-            "max_rel": report.max_rel,
-            "passed": report.passed,
-        }
+        summary[str(lam)] = {"eta": traj_rdi.eta, "max_abs": report.max_abs,
+                             "max_rel": report.max_rel, "passed": report.passed}
         all_pass = all_pass and report.passed
-        for t in range(steps + 1):
-            rows.append(
-                (
-                    lam,
-                    t,
-                    float(traj_rdi.objectives[t]),
-                    float(traj_aux.objectives[t]),
-                    float(traj_rdi.dist_from_init[t]),
-                    float(report.gaps[t]),
-                    float(report.rel_gaps[t]),
-                )
-            )
+        columns = (traj_rdi.objectives, traj_aux.objectives, traj_rdi.dist_from_init,
+                   report.gaps, report.rel_gaps)
+        rows += [(lam, t, *map(float, values)) for t, values in enumerate(zip(*columns))]
         _log(f"lambda={lam}: max relative gap {report.max_rel:.3e} ({'pass' if report.passed else 'FAIL'})")
-    _write_csv(
-        os.path.join(out, "trajectory.csv"),
-        ["lambda", "t", "objective_rdi", "objective_aux", "dist_from_init", "gap", "rel_gap"],
-        rows,
-    )
+    header = ["lambda", "t", "objective_rdi", "objective_aux", "dist_from_init", "gap", "rel_gap"]
+    _write_csv(os.path.join(out, "trajectory.csv"), header, rows)
     with open(os.path.join(out, "equivalence.json"), "w") as f:
         json.dump({"tolerance": tol, "runs": summary}, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -345,28 +475,14 @@ def cmd_equivalence(config: dict) -> int:
 
 def cmd_train(config: dict) -> int:
     out = _ensure_out(config)
-    method = config["method"]
-    if not method.startswith("net-"):
+    if not config["method"].startswith("net-"):
         raise ValidationError("the train command needs a net-* method")
-    seed = int(config["seeds"][0])
-    data, test = build_train_test(config)
-    noise_model = build_noise_model(config["noise"])
-    data = apply_noise(data, noise_model, (seed, 0))
-    net_cfg = build_net_config(config["model"], data.d, data.num_outputs)
-    mlp = init_mlp(net_cfg, (int(config["model"].get("init_seed", 0)), seed))
-    lam = float(config["lambda"])
-    eta = config["eta"]
-    if not eta:
-        eta = 1.0 / (empirical_ntk(mlp, data).op_norm + lam * lam)
-        _log(f"using default eta = {eta:.6g}")
-    objective = method.removeprefix("net-")
-    trained, aux, log = train_full(
-        mlp, data, TrainConfig(objective=objective, eta=float(eta), steps=int(config["steps"]), lam=lam)
-    )
+    cell, train, test = _single_run(config)
+    _, noisy = _noisy_train(config, cell, train)
+    trained, _, log = _NetGroup(config, train, test, cell["seed"]).train(noisy, cell["lambda"])
     log.to_csv(os.path.join(out, "trajectory.csv"))
-    dist = distance_to_init(trained)
     _log(f"final objective {log.objective[-1]:.6g}, train error {log.train_error[-1]:.4f}")
-    _log(f"distance to init per layer: {[round(float(v), 6) for v in dist]}")
+    _log(f"distance to init per layer: {[round(float(v), 6) for v in distance_to_init(trained)]}")
     if test is not None:
         err = prediction_error(forward(trained, test.inputs), test.clean_labels, test.task)
         _log(f"clean test error {err:.4f}")
@@ -379,28 +495,20 @@ def cmd_train(config: dict) -> int:
 
 def cmd_krr(config: dict) -> int:
     out = _ensure_out(config)
-    seed = int(config["seeds"][0])
-    data, test = build_train_test(config)
-    noise_model = build_noise_model(config["noise"])
-    data = apply_noise(data, noise_model, (seed, 0))
-    source = build_kernel_source(config, data, seed)
-    gram = source.gram(data)
-    lam = float(config["lambda"])
-    predictor = krr_fit(gram, data.fit_targets(), lam, kernel_source=source, train_data=data)
-    # In-sample predictions from the Gram matrix: evaluating k(X, X) again
-    # would repeat the kernel build and, at large n, set the command's peak memory.
-    train_err = prediction_error(gram.values @ predictor.alpha.T, data.noisy_labels, data.task)
-    row = {"lambda": lam, "train_error_noisy": train_err, "test_error_clean": None}
+    cell, train, test = _single_run(config)
+    _, noisy = _noisy_train(config, cell, train)
+    # without a test set, the group evaluates no cross kernel: predictions.csv
+    # and the test error share the one evaluation of export_predictions
+    group = _KRRGroup(config, train, None, cell["seed"])
+    fit = group.fit(noisy, cell["lambda"])
+    test_outputs = None
     if test is not None:
-        path = os.path.join(out, "predictions.csv")
-        test_predictions = export_predictions(predictor, test.inputs, path)
-        row["test_error_clean"] = prediction_error(test_predictions, test.clean_labels, test.task)
-    _write_csv(
-        os.path.join(out, "results.csv"),
-        ["lambda", "train_error_noisy", "test_error_clean"],
-        [(row["lambda"], row["train_error_noisy"], row["test_error_clean"])],
-    )
-    _log(f"lambda={lam}: train error (noisy) {train_err:.4f}, test error {row['test_error_clean']}")
+        test_outputs = export_predictions(fit, test.inputs, os.path.join(out, "predictions.csv"))
+    row = _cell_row(config, cell, noisy, test, group.train_outputs(fit), test_outputs)
+    header = ["lambda", "train_error_noisy", "test_error_clean"]
+    _write_csv(os.path.join(out, "results.csv"), header, [tuple(row[h] for h in header)])
+    _log(f"lambda={row['lambda']}: train error (noisy) {row['train_error_noisy']:.4f}, "
+         f"test error {row['test_error_clean']}")
     return EXIT_OK
 
 
@@ -408,38 +516,17 @@ def cmd_krr(config: dict) -> int:
 # bounds command
 
 
-def _noise_bound(config, data, gram, noise, lam, solvers=None):
-    """The bound report of flip or class-transition ``noise`` on ``data``; None for other noise."""
-    args = (lam, float(config["delta"]), data.n)
-    options = {"constant_mode": config["constant_mode"], "solvers": solvers}
-    if isinstance(noise, noise_mod.BinaryFlip):
-        return bounds_mod.bound_binary(gram, data.clean_labels, noise.p, *args, **options)
-    if isinstance(noise, noise_mod.ClassTransition):
-        Y = onehot_matrix(data.clean_labels, data.num_classes)
-        return bounds_mod.bound_multiclass(gram, Y, noise.matrix, *args, **options)
-    return None
-
-
 def cmd_bounds(config: dict) -> int:
     out = _ensure_out(config)
-    seed = int(config["seeds"][0])
-    data, _ = build_train_test(config)
-    noise_spec = config["noise"]
-    source = build_kernel_source(config, data, seed)
-    gram = source.gram(data)
-    lam = float(config["lambda"])
+    cell, train, _ = _single_run(config)
+    lam = cell["lambda"]
     if lam <= 0.0:
         raise ValidationError("bound reports need lambda > 0")
-    delta = float(config["delta"])
-    mode = config["constant_mode"]
-    if noise_spec.get("kind", "none") in ("binary-flip", "class-transition"):
-        report = _noise_bound(config, data, gram, build_noise_model(noise_spec), lam)
-    else:
-        sigma = float(noise_spec.get("sigma", config["sigma"]))
-        cfg = bounds_mod.BoundConfig(lam=lam, sigma=sigma, delta=delta, constant_mode=mode)
-        report = bounds_mod.bound_additive(gram, data.clean_labels, cfg, data.n)
+    noise = _run_noise(config, cell)
+    group = _KRRGroup(config, train, None, cell["seed"])
+    report = _noise_bound(config, train, group.gram, noise, lam, group.solvers)
     report.to_json(os.path.join(out, "bound_report.json"))
-    _log(f"bound total = {report.total:.6g} (mode {mode})")
+    _log(f"bound total = {report.total:.6g} (mode {config['constant_mode']})")
     return EXIT_OK
 
 
@@ -448,33 +535,36 @@ def cmd_bounds(config: dict) -> int:
 
 
 def _sweep_cells(config: dict):
-    cells = []
-    index = 0
-    for noise_idx, noise_level in enumerate(config["noise_grid"]):
-        for lam in config["lambda_grid"]:
-            for seed in config["seeds"]:
-                cells.append(
-                    {
-                        "index": index,
-                        "noise_idx": noise_idx,
-                        "noise": float(noise_level),
-                        "lambda": float(lam),
-                        "seed": int(seed),
-                    }
-                )
-                index += 1
-    return cells
+    grid = itertools.product(enumerate(config["noise_grid"]), config["lambda_grid"], config["seeds"])
+    return [
+        {"index": index, "noise_idx": noise_idx, "noise": float(level), "lambda": float(lam), "seed": int(seed)}
+        for index, ((noise_idx, level), lam, seed) in enumerate(grid)
+    ]
+
+
+def _seed_means(config: dict, results: list, column: str) -> list:
+    """(noise, lambda, seed mean of ``column``) over the ok rows at each grid point."""
+    means = []
+    for noise, lam in itertools.product(config["noise_grid"], config["lambda_grid"]):
+        values = [
+            row[column] for row in results
+            if (row["noise"], row["lambda"], row["status"]) == (float(noise), float(lam), "ok")
+            and row[column] is not None
+        ]
+        if values:
+            means.append((float(noise), float(lam), float(np.mean(values))))
+    return means
 
 
 def _sweep_groups(config: dict, cells: list) -> list:
     """The sweep's plan: cells grouped by the work they share.
 
-    krr cells share a kernel, keyed by (dataset, model) plus, for net models
-    only, the seed, because the empirical kernel depends on the init seed
-    and the analytic one does not. Every other method trains per cell, so
-    each of its cells is a group of its own.
+    krr cells share a kernel, and linear-* cells a linearized model. Both
+    are keyed by the seed when the model is a net, because the net's init
+    depends on it; an analytic kernel does not, so it serves every seed.
+    net-* cells train their own model, so each is a group of its own.
     """
-    if config["method"] != "krr":
+    if config["method"].startswith("net-"):
         return [[cell] for cell in cells]
     by_seed = config["model"].get("kind") == "net"
     groups = {}
@@ -515,25 +605,19 @@ def _cell_row(config, cell, train, test, train_predictions, test_predictions,
     )
 
 
-def _noisy_train(config, cell, train):
-    noise_model = build_noise_model(config["noise"], override_level=cell["noise"])
-    return apply_noise(train, noise_model, (cell["seed"], cell["noise_idx"]))
+def _group_worker(payload) -> dict:
+    """Rows of one group by cell index.
 
-
-def _krr_group_rows(config: dict, cells: list) -> dict:
-    """Rows of the krr cells that share one kernel, by cell index.
-
-    The split, the Gram matrix K and the test cross matrix C are built once.
-    Cells are visited ridge by ridge, so each shift lam^2 is factored once
-    and the shift-0 factor also serves the bounds' y^T K^-1 y. A cell then
-    costs O(n^2) per output: a solve, K @ alpha, C @ alpha and the bound
-    arithmetic. Cells fit ``DataSet.fit_targets``, one-hot for multiclass.
+    A failure in the group's shared work fails all its cells; a failure in
+    one cell fails that cell only. Cells run ridge by ridge, and each
+    (noise level, seed) draws its noisy labels once.
     """
-    train, test = build_train_test(config)
-    source = build_kernel_source(config, train, cells[0]["seed"])
-    gram = source.gram(train)
-    cross = source.cross(test.inputs, train) if test is not None else None
-    solvers = ShiftedSolvers(gram)
+    config, cells = payload
+    try:
+        train, test = build_train_test(config)
+        group = _GROUPS[config["method"].split("-")[0]](config, train, test, cells[0]["seed"])
+    except ToolkitError as exc:
+        return {cell["index"]: _error_row(config, cell, exc) for cell in cells}
     noisy = {}
     rows = {}
     for cell in sorted(cells, key=lambda c: c["lambda"]):
@@ -541,74 +625,10 @@ def _krr_group_rows(config: dict, cells: list) -> dict:
             key = (cell["noise_idx"], cell["seed"])
             if key not in noisy:
                 noisy[key] = _noisy_train(config, cell, train)
-            noisy_data = noisy[key]
-            lam = cell["lambda"]
-            alpha = krr_fit(gram, noisy_data.fit_targets(), lam, solvers=solvers).alpha
-            noise = build_noise_model(config["noise"], override_level=cell["noise"])
-            report = _noise_bound(config, train, gram, noise, lam, solvers) if lam > 0.0 else None
-            rows[cell["index"]] = _cell_row(
-                config, cell, noisy_data, test, gram.values @ alpha.T,
-                cross @ alpha.T if cross is not None else None,
-                bound_total=report.total if report is not None else None,
-            )
+            rows[cell["index"]] = group.row(cell, *noisy[key])
         except ToolkitError as exc:
             rows[cell["index"]] = _error_row(config, cell, exc)
     return rows
-
-
-def _trained_cell_row(config: dict, cell: dict) -> dict:
-    """Row of one linear-* or net-* cell, which trains its own model."""
-    method = config["method"]
-    train, test = build_train_test(config)
-    train = _noisy_train(config, cell, train)
-    lam = cell["lambda"]
-    seed = cell["seed"]
-    if method.startswith("linear-"):
-        model = config["model"]
-        if model.get("kind") != "net":
-            raise ValidationError("linear-* methods need a finite-width net model")
-        net_cfg = build_net_config(model, train.d, 1)
-        mlp = init_mlp(net_cfg, (int(model.get("init_seed", 0)), seed))
-        lm = linearize(mlp, train)
-        y = train.fit_targets()
-        eta = config["eta"] if config["eta"] else lm.default_eta(lam)
-        if method == "linear-rdi":
-            traj = run_gd_rdi(lm, y, lam, eta=eta, steps=int(config["steps"]))
-        else:
-            if lam <= 0.0:
-                raise ValidationError("linear-aux needs lambda > 0")
-            traj = run_gd_aux(lm, y, lam, eta=eta, steps=int(config["steps"]))
-        coeffs = traj.final_coeffs()
-        train_predictions = lm.K.values @ coeffs
-        test_predictions = lm.predict(coeffs, test.inputs) if test is not None else None
-        distance = float(traj.dist_from_init[-1])
-    elif method.startswith("net-"):
-        net_cfg = build_net_config(config["model"], train.d, train.num_outputs)
-        mlp = init_mlp(net_cfg, (int(config["model"].get("init_seed", 0)), seed))
-        eta = config["eta"]
-        if not eta:
-            eta = 1.0 / (empirical_ntk(mlp, train).op_norm + lam * lam)
-        trained, _, log = train_full(
-            mlp, train,
-            TrainConfig(method.removeprefix("net-"), eta=float(eta), steps=int(config["steps"]), lam=lam),
-        )
-        train_predictions = forward(trained, train.inputs)
-        test_predictions = forward(trained, test.inputs) if test is not None else None
-        distance = float(np.linalg.norm(distance_to_init(trained)))
-    else:
-        raise ValidationError(f"unknown method {method!r}")
-    return _cell_row(config, cell, train, test, train_predictions, test_predictions, distance=distance)
-
-
-def _group_worker(payload) -> dict:
-    """Rows of one group by cell index; a failure shared by the group fails all its cells."""
-    config, cells = payload
-    try:
-        if config["method"] == "krr":
-            return _krr_group_rows(config, cells)
-        return {cell["index"]: _trained_cell_row(config, cell) for cell in cells}
-    except ToolkitError as exc:
-        return {cell["index"]: _error_row(config, cell, exc) for cell in cells}
 
 
 def cmd_sweep(config: dict) -> int:
@@ -638,49 +658,20 @@ def cmd_sweep(config: dict) -> int:
     )
 
     # Best-lambda-per-noise summary over seed-averaged clean test error.
+    test_means = _seed_means(config, results, "test_error_clean")
     summary_rows = []
     for noise_level in config["noise_grid"]:
-        noise_level = float(noise_level)
-        by_lambda = {}
-        for row in results:
-            if row["noise"] != noise_level or row["status"] != "ok":
-                continue
-            if row["test_error_clean"] is None:
-                continue
-            by_lambda.setdefault(row["lambda"], []).append(row["test_error_clean"])
-        if not by_lambda:
-            continue
-        means = {lam: float(np.mean(v)) for lam, v in by_lambda.items()}
-        best_lambda = min(means, key=lambda lam: (means[lam], lam))
-        summary_rows.append(
-            (noise_level, best_lambda, means[best_lambda], means.get(0.0))
-        )
-    _write_csv(
-        os.path.join(out, "summary.csv"),
-        ["noise", "best_lambda", "best_test_error", "lambda0_test_error"],
-        summary_rows,
-    )
-
-    # Distance-vs-hyperparameter table (seed-averaged) for methods that track it.
-    distance_rows = []
-    for noise_level in config["noise_grid"]:
-        for lam in config["lambda_grid"]:
-            values = [
-                row["distance_to_init"]
-                for row in results
-                if row["noise"] == float(noise_level)
-                and row["lambda"] == float(lam)
-                and row["status"] == "ok"
-                and row["distance_to_init"] is not None
-            ]
-            if values:
-                distance_rows.append((float(noise_level), float(lam), float(np.mean(values))))
+        means = {lam: mean for noise, lam, mean in test_means if noise == float(noise_level)}
+        if means:
+            best_lambda = min(means, key=lambda lam: (means[lam], lam))
+            summary_rows.append((float(noise_level), best_lambda, means[best_lambda], means.get(0.0)))
+    _write_csv(os.path.join(out, "summary.csv"),
+               ["noise", "best_lambda", "best_test_error", "lambda0_test_error"], summary_rows)
+    # Distance-vs-hyperparameter table for methods that track it.
+    distance_rows = _seed_means(config, results, "distance_to_init")
     if distance_rows:
-        _write_csv(
-            os.path.join(out, "distance_summary.csv"),
-            ["noise", "lambda", "mean_distance_to_init"],
-            distance_rows,
-        )
+        _write_csv(os.path.join(out, "distance_summary.csv"),
+                   ["noise", "lambda", "mean_distance_to_init"], distance_rows)
     failures = sum(1 for row in results if row["status"] != "ok")
     _log(f"sweep finished: {len(cells) - failures} ok, {failures} failed cells")
     return EXIT_OK
@@ -714,7 +705,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--constant-mode", type=str, default=None,
                        choices=["explicit-appendix", "unit-constants"])
         p.add_argument("--workers", type=int, default=None,
-                       help="sweep: processes over kernel groups (krr) or cells (other methods)")
+                       help="sweep: processes over cell groups (one per kernel for krr, per "
+                            "init seed for linear-*, per cell for net-*)")
     return parser
 
 

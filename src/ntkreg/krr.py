@@ -136,11 +136,11 @@ class KRRPredictor:
         return self._cross(x) @ self.alpha.T
 
     def classify(self, x) -> np.ndarray:
-        """Class labels: sign for binary (0 maps to +1), argmax for multi-output.
+        """Class labels: argmax over more than one output row, else sign (0 maps to +1).
 
         Argmax ties resolve to the lowest class index.
         """
-        task = TASK_MULTICLASS if self.multi_output else TASK_BINARY
+        task = TASK_MULTICLASS if np.atleast_2d(self.alpha).shape[0] > 1 else TASK_BINARY
         return predicted_classes(self.predict(x), task)
 
 

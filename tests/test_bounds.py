@@ -111,6 +111,24 @@ class TestAdditiveBound:
         assert report.lemma1_value is not None
         assert report.rademacher_value is not None
 
+    @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
+    def test_shared_solvers_reuse_factors(self, mode, monkeypatch):
+        ds = synth_sphere(60, 8, "smooth-poly", seed=2)
+        K = analytic_ntk(2, ds)
+        cfg = BoundConfig(lam=1.5, sigma=0.1, delta=0.1, constant_mode=mode)
+        fresh = bound_additive(K, ds.clean_labels, cfg, ds.n)
+        solvers = ShiftedSolvers(K)
+        krr_fit(K, ds.clean_labels, 1.5, solvers=solvers)
+        quad_form_inv(K, ds.clean_labels, solvers)
+        calls = []
+        original = krr_module.cho_factor
+        monkeypatch.setattr(
+            krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        shared = bound_additive(K, ds.clean_labels, cfg, ds.n, solvers=solvers)
+        assert calls == []
+        assert shared.as_dict() == fresh.as_dict()
+
     def test_sigma_zero_leaves_main_term(self):
         report = self.make_report("explicit-appendix", sigma=0.0, n=400)
         assert report.sigma_over_lambda_term == 0.0

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from ntkreg import cli as cli_module
 from ntkreg import krr as krr_module
 from ntkreg.bounds import bound_binary, empirical_clean_risk
 from ntkreg.cli import (
@@ -24,6 +25,7 @@ from ntkreg.cli import (
 from ntkreg.data import onehot_matrix, prediction_error
 from ntkreg.kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
 from ntkreg.krr import krr_fit, krr_fit_multi
+from ntkreg.linmodel import linearize, run_gd_rdi
 from ntkreg.net import TrainConfig, forward, init_mlp, train_full
 
 
@@ -724,3 +726,117 @@ class TestOneErrorRule:
         source = AnalyticNTK(2)
         predictor = krr_fit(source.gram(train), train.fit_targets(), 0.5, source, train)
         assert float(row["test_error_clean"]) == empirical_clean_risk(predictor, test, "zero-one")
+
+
+class TestSharedRunPaths:
+    """The single-run commands and the sweep run one path per method."""
+
+    @pytest.mark.parametrize("command", ["equivalence", "train", "krr", "bounds"])
+    @pytest.mark.parametrize("noise, named", [
+        ({"kind": "binary-flip"}, "'p'"),
+        ({"kind": "additive"}, "'sigma'"),
+        ({"kind": "class-transition"}, "'csv'"),
+        ({"kind": "gaussian"}, "'gaussian'"),
+    ])
+    def test_malformed_noise_spec_fails_validation(self, tmp_path, capsys, command, noise, named):
+        # a missing key was a KeyError traceback; bounds reported an additive
+        # bound for an unknown kind and exited 0
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"dataset": small_synth(n=20), "noise": noise, "model": {"kind": "net", "widths": [16]},
+             "method": "net-rdi", "lambda": 0.5, "steps": 2, "out": str(tmp_path / "x")},
+        )
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+
+    def test_sweep_additive_bound_matches_bounds_command(self, tmp_path):
+        dataset = {"kind": "synth-sphere", "n": 40, "test_n": 20, "d": 6,
+                   "target": "smooth-poly", "seed": 5}
+        noise = {"kind": "additive", "sigma": 0.1}
+        cfg = write_config(
+            tmp_path, "sweep.json",
+            {"dataset": dataset, "noise": noise, "lambda_grid": [0.0, 1.0],
+             "noise_grid": [0.0, 0.1], "seeds": [0], "out": str(tmp_path / "sweep")},
+        )
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        rows = read_rows(tmp_path / "sweep" / "results.csv")
+        assert [row["bound_total"] != "" for row in rows] == [False, False, False, True]
+        bounds_cfg = write_config(
+            tmp_path, "bounds.json",
+            {"dataset": dataset, "noise": noise, "lambda": 1.0, "out": str(tmp_path / "bounds")},
+        )
+        assert main(["bounds", "--config", bounds_cfg]) == EXIT_OK
+        report = json.loads(open(tmp_path / "bounds" / "bound_report.json").read())
+        assert float(rows[3]["bound_total"]) == report["total"]
+
+    def test_equivalence_rejects_multiclass(self, tmp_path):
+        out = tmp_path / "mceq"
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"dataset": dict(SMALL_MULTICLASS, n=20), "model": {"kind": "net", "widths": [32]},
+             "lambda_grid": [0.5], "steps": 5, "out": str(out)},
+        )
+        assert main(["equivalence", "--config", cfg]) == EXIT_VALIDATION
+        assert not os.path.exists(out / "trajectory.csv")
+
+
+class TestLinearGroups:
+    """linear-* sweep cells share one linearized model per init seed."""
+
+    CONFIG = {
+        "dataset": small_synth(n=30, d=6, test_n=20),
+        "noise": {"kind": "binary-flip", "p": 0.2},
+        "model": {"kind": "net", "widths": [32]},
+        "method": "linear-rdi",
+        "lambda_grid": [0.5, 1.0],
+        "noise_grid": [0.0, 0.3],
+        "seeds": [0, 1],
+        "steps": 30,
+    }
+
+    def run_sweep(self, tmp_path, name, *flags, **changes):
+        cfg = write_config(tmp_path, f"{name}.json", dict(self.CONFIG, out=str(tmp_path / name), **changes))
+        assert main(["sweep", "--config", cfg, *flags]) == EXIT_OK
+        return read_rows(tmp_path / name / "results.csv"), load_config(cfg)
+
+    def test_linearize_once_per_seed(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, cli_module, "linearize")
+        rows, _ = self.run_sweep(tmp_path, "lin")
+        assert [row["status"] for row in rows] == ["ok"] * 8
+        assert len(calls) == 2
+
+    def test_rows_match_independent_cells(self, tmp_path):
+        rows, config = self.run_sweep(tmp_path, "lin")
+        i = 0
+        for noise_idx, noise in enumerate(config["noise_grid"]):
+            for lam in config["lambda_grid"]:
+                for seed in config["seeds"]:
+                    train, test = build_train_test(config)
+                    model = build_noise_model(config["noise"], override_level=noise)
+                    train = apply_noise(train, model, (seed, noise_idx))
+                    mlp = init_mlp(build_net_config(config["model"], train.d, 1), (0, seed))
+                    lm = linearize(mlp, train)
+                    traj = run_gd_rdi(lm, train.noisy_labels.astype(np.float64), lam, steps=30)
+                    coeffs = traj.final_coeffs()
+                    train_error = prediction_error(lm.K.values @ coeffs, train.noisy_labels, train.task)
+                    test_error = prediction_error(lm.predict(coeffs, test.inputs), test.clean_labels, test.task)
+                    row = rows[i]
+                    assert (float(row["noise"]), float(row["lambda"]), int(row["seed"])) == (noise, lam, seed)
+                    assert float(row["train_error_noisy"]) == train_error
+                    assert float(row["test_error_clean"]) == test_error
+                    assert float(row["distance_to_init"]) == float(traj.dist_from_init[-1])
+                    i += 1
+        assert i == len(rows) == 8
+
+    def test_parallel_workers_match_sequential(self, tmp_path):
+        self.run_sweep(tmp_path, "seq")
+        self.run_sweep(tmp_path, "par", "--workers", "2")
+        a = open(tmp_path / "seq" / "results.csv", "rb").read()
+        b = open(tmp_path / "par" / "results.csv", "rb").read()
+        assert a == b
+
+    def test_aux_lambda_zero_fails_only_its_cells(self, tmp_path):
+        rows, _ = self.run_sweep(tmp_path, "aux", method="linear-aux", lambda_grid=[0.0, 0.5])
+        expected = ["error:ValidationError" if float(row["lambda"]) == 0.0 else "ok" for row in rows]
+        assert [row["status"] for row in rows] == expected
+        assert expected.count("ok") == 4

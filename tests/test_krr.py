@@ -176,6 +176,19 @@ class TestPrediction:
         labels = p.classify(np.eye(4)[:1])
         assert labels[0] == 1.0
 
+    def test_classify_single_row_fit_by_sign(self):
+        # a binary fit on (1, n) targets has one output row, so it is read by
+        # sign, not by an argmax over that one column
+        ds = synth_sphere(30, 5, "linear-sign", seed=0)
+        source = AnalyticNTK(2)
+        row = krr_fit(source.gram(ds), ds.noisy_labels[None, :].astype(np.float64), 0.5,
+                      kernel_source=source, train_data=ds)
+        vector = krr_fit(source.gram(ds), ds.noisy_labels.astype(np.float64), 0.5,
+                         kernel_source=source, train_data=ds)
+        labels = row.classify(ds.inputs)
+        assert set(labels.tolist()) == {-1.0, 1.0}
+        assert np.array_equal(labels, vector.classify(ds.inputs))
+
 
 class TestMultiOutput:
     def test_rows_match_independent_fits_bitwise(self):
