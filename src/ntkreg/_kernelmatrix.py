@@ -60,6 +60,11 @@ class KernelMatrix:
         return self.values.shape[0]
 
 
+def k_norms(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sqrt(max(v^T K v, 0)) for every row v of ``rows``, from one product with K = ``values``."""
+    return np.sqrt(np.maximum(np.sum((rows @ values) * rows, axis=1), 0.0))
+
+
 def mirror_upper(values: np.ndarray) -> np.ndarray:
     """Copy the upper triangle onto the lower one, enforcing exact symmetry."""
     upper = np.triu(values)

@@ -34,14 +34,13 @@ bound on one kernel pass the bound the fit's :class:`~ntkreg.krr.ShiftedSolvers`
 so that the bound reuses its factors.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernelmatrix import KernelMatrix
-from .data import TASK_BINARY, TASK_REGRESSION, DataSet, prediction_error
+from .data import TASK_BINARY, TASK_REGRESSION, DataSet, _write_json, prediction_error
 from .errors import ValidationError
 from .krr import KRRPredictor, ShiftedSolvers, solvers_for
 from .noise import rescale_binary, validate_transition
@@ -129,9 +128,7 @@ class BoundReport:
         return out
 
     def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.as_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(path, self.as_dict())
 
 
 def quad_form_inv(K: KernelMatrix, v, solvers: ShiftedSolvers = None) -> float:

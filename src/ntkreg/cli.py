@@ -14,6 +14,7 @@ tolerance, 1 anything unexpected.
 import argparse
 import concurrent.futures
 import copy
+import dataclasses
 import itertools
 import json
 import os
@@ -26,6 +27,8 @@ from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .data import (
     Provenance,
+    _write_csv,
+    _write_json,
     load_kernel,
     load_mnist_binary,
     make_kernel_cache,
@@ -79,6 +82,7 @@ DEFAULT_CONFIG = {
 }
 
 _METHODS = ("krr", "linear-rdi", "linear-aux", "net-rdi", "net-aux", "net-vanilla")
+_NOISE_KINDS = ("none", "binary-flip", "additive", "class-transition")
 _SINGLE_OUTPUT = "linear-* methods and the equivalence check need binary or regression data"
 
 
@@ -123,6 +127,8 @@ def _validate_config(config: dict) -> None:
     if config["method"].startswith("linear-") and dataset["kind"] == "synth-multiclass":
         raise ValidationError(_SINGLE_OUTPUT)
     noise = config["noise"]
+    if noise.get("kind", "none") not in _NOISE_KINDS:
+        raise ValidationError(f"unknown noise kind {noise.get('kind')!r}; choose from {_NOISE_KINDS}")
     if noise.get("kind") == "class-transition":
         if not os.path.exists(_noise_field(noise, "csv")):
             raise ValidationError(f"referenced file does not exist: {noise['csv']}")
@@ -231,43 +237,42 @@ def _seeded_net(config: dict, data, seed) -> MLP:
 def _ensure_out(config: dict) -> str:
     out = config["out"]
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "resolved_config.json"), "w") as f:
-        json.dump(config, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out, "resolved_config.json"), config)
     return out
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
 # kernel command
 
 
+def _kernel_provenance(config: dict, source, seed: int) -> Provenance:
+    """What makes ``source`` one kernel: the depth of an analytic kernel, or
+    the architecture and the (init_seed, seed) draw of an empirical kernel's net."""
+    if source.kind == "analytic":
+        return Provenance(kind="analytic", depth=source.depth)
+    net = source.mlp.config
+    init_seed = int(config["model"].get("init_seed", 0))
+    model = json.dumps({"net": dataclasses.asdict(net), "seeds": [init_seed, seed]}, sort_keys=True)
+    return Provenance(kind="empirical", width=net.widths[0], depth=net.depth, seed=init_seed,
+                      model=model)
+
+
 def cmd_kernel(config: dict) -> int:
     out = _ensure_out(config)
     data, _ = build_train_test(config)
-    source = build_kernel_source(config, data)
+    seed = 0  # the kernel command draws a net model at run seed 0
+    source = build_kernel_source(config, data, seed)
+    provenance = _kernel_provenance(config, source, seed)
     cache_path = os.path.join(out, "kernel.ntkk")
     matrix = None
     if os.path.exists(cache_path):
         try:
             cache = load_kernel(cache_path, data)
-            if cache.provenance.kind == source.kind:
+            if cache.provenance == provenance:
                 matrix = cache.matrix
                 _log(f"cache hit: reusing {cache_path}")
+            else:
+                _log(f"cache at {cache_path} holds another model's kernel; rebuilding")
         except StaleCacheError:
             _log(f"stale cache at {cache_path}; rebuilding")
         except DataFormatError:
@@ -275,16 +280,6 @@ def cmd_kernel(config: dict) -> int:
     if matrix is None:
         _log(f"building {source.kind} kernel for n={data.n}")
         matrix = source.gram(data)
-        model = config["model"]
-        if source.kind == "analytic":
-            provenance = Provenance(kind="analytic", depth=int(model.get("depth", 2)))
-        else:
-            provenance = Provenance(
-                kind="empirical",
-                width=int(model.get("widths", [512])[0]),
-                depth=len(model.get("widths", [512])) + 1,
-                seed=int(model.get("init_seed", 0)),
-            )
         save_kernel(make_kernel_cache(matrix, provenance, data), cache_path)
         _log(f"wrote cache {cache_path}")
     print(f"trace = {matrix.trace!r}")
@@ -463,9 +458,7 @@ def cmd_equivalence(config: dict) -> int:
         _log(f"lambda={lam}: max relative gap {report.max_rel:.3e} ({'pass' if report.passed else 'FAIL'})")
     header = ["lambda", "t", "objective_rdi", "objective_aux", "dist_from_init", "gap", "rel_gap"]
     _write_csv(os.path.join(out, "trajectory.csv"), header, rows)
-    with open(os.path.join(out, "equivalence.json"), "w") as f:
-        json.dump({"tolerance": tol, "runs": summary}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out, "equivalence.json"), {"tolerance": tol, "runs": summary})
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 

@@ -8,11 +8,15 @@ kernel trace proportional to the sample count.
 The task rule: ``DataSet.num_outputs`` and ``DataSet.fit_targets`` say what
 a model of each task outputs and fits, ``prediction_error`` and
 ``predicted_classes`` how its outputs are scored and read as classes.
+
+Every CSV and JSON payload the package writes goes through ``_write_csv``
+and ``_write_json``, so one cell format and one JSON layout serve them all.
 """
 
 import hashlib
+import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -30,9 +34,8 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 CACHE_MAGIC = b"NTKK"
-CACHE_VERSION = 1
-_PROVENANCE_TAGS = {"empirical": 0, "analytic": 1}
-_TAG_TO_KIND = {tag: kind for kind, tag in _PROVENANCE_TAGS.items()}
+CACHE_VERSION = 2
+_PROVENANCE_KINDS = ("empirical", "analytic")
 
 
 @dataclass
@@ -184,6 +187,29 @@ def prediction_error(outputs, labels, task: str) -> float:
     return float(np.mean((values - labels) ** 2))
 
 
+def _format_cell(value) -> str:
+    """A CSV cell: floats by ``repr``, None empty, anything else by ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_format_cell(v) for v in row) + "\n")
+
+
+def _write_json(path, payload) -> None:
+    """Indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if np.any(norms == 0.0):
@@ -319,19 +345,22 @@ def split_dataset(data: DataSet, n_train: int):
 
 @dataclass(frozen=True)
 class Provenance:
-    """How a cached kernel was produced.
+    """How a cached kernel was produced; the whole record round-trips through the cache file.
 
-    Only ``kind`` survives a save/load round trip; the width/depth/seed
-    details are in-memory metadata (the cache file stores a one-byte tag).
+    ``width``, ``depth`` and ``seed`` summarize the model. ``model``
+    identifies it: two kernels of one ``kind`` are the same kernel only if
+    their ``depth`` and ``model`` agree (for an empirical kernel, canonical
+    JSON of the net's architecture and the seeds it was drawn at).
     """
 
     kind: str
     width: int | None = None
     depth: int | None = None
     seed: int | None = None
+    model: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _PROVENANCE_TAGS:
+        if self.kind not in _PROVENANCE_KINDS:
             raise ValidationError(f"unknown provenance kind {self.kind!r}")
 
 
@@ -355,17 +384,17 @@ def make_kernel_cache(matrix: KernelMatrix, provenance: Provenance, data: DataSe
 
 
 def save_kernel(cache: KernelCache, path) -> None:
-    """Write a cache file: magic, u16 version, u8 provenance tag, u64 n,
-    32-byte input digest, then n*n little-endian f64 values row-major.
-    Integer header fields are little-endian."""
+    """Write a cache file: magic, u16 version, u64 n, 32-byte input digest,
+    u32 length and the provenance as key-sorted UTF-8 JSON, then n*n
+    little-endian f64 values row-major. Integer header fields are
+    little-endian."""
     n = cache.matrix.n
-    header = CACHE_MAGIC + struct.pack(
-        "<HBQ", CACHE_VERSION, _PROVENANCE_TAGS[cache.provenance.kind], n
-    )
+    provenance = json.dumps(asdict(cache.provenance), sort_keys=True).encode()
     payload = np.ascontiguousarray(cache.matrix.values, dtype="<f8").tobytes()
     with open(path, "wb") as f:
-        f.write(header)
+        f.write(CACHE_MAGIC + struct.pack("<HQ", CACHE_VERSION, n))
         f.write(cache.input_digest)
+        f.write(struct.pack("<I", len(provenance)) + provenance)
         f.write(payload)
 
 
@@ -379,20 +408,24 @@ def load_kernel(path, data: DataSet) -> KernelCache:
     magic = _read_exact(buf, 0, 4, "cache magic")
     if magic != CACHE_MAGIC:
         raise DataFormatError(f"bad kernel cache magic {magic!r} in {path}")
-    version, tag, n = struct.unpack("<HBQ", _read_exact(buf, 4, 11, "cache header"))
+    version, n = struct.unpack("<HQ", _read_exact(buf, 4, 10, "cache header"))
     if version != CACHE_VERSION:
         raise DataFormatError(f"unsupported kernel cache version {version}")
-    if tag not in _TAG_TO_KIND:
-        raise DataFormatError(f"unknown provenance tag {tag}")
-    digest = _read_exact(buf, 15, 32, "input digest")
-    payload = _read_exact(buf, 47, n * n * 8, "kernel values")
-    if len(buf) != 47 + n * n * 8:
-        raise DataFormatError(f"kernel cache has {len(buf) - 47 - n * n * 8} trailing bytes")
-    expected = dataset_digest(data)
-    if digest != expected:
+    digest = _read_exact(buf, 14, 32, "input digest")
+    (length,) = struct.unpack("<I", _read_exact(buf, 46, 4, "provenance length"))
+    record = _read_exact(buf, 50, length, "provenance")
+    start = 50 + length
+    payload = _read_exact(buf, start, n * n * 8, "kernel values")
+    if len(buf) != start + n * n * 8:
+        raise DataFormatError(f"kernel cache has {len(buf) - start - n * n * 8} trailing bytes")
+    try:
+        provenance = Provenance(**json.loads(record))
+    except (ValueError, TypeError) as exc:  # bad UTF-8 or JSON, unknown keys or kind
+        raise DataFormatError(f"malformed kernel provenance in {path}: {exc}") from exc
+    if digest != dataset_digest(data):
         raise StaleCacheError(
             f"kernel cache {path} was built from different inputs (digest mismatch)"
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64)
     matrix = KernelMatrix.from_values(values)
-    return KernelCache(matrix=matrix, provenance=Provenance(kind=_TAG_TO_KIND[tag]), input_digest=digest)
+    return KernelCache(matrix=matrix, provenance=provenance, input_digest=digest)

@@ -2,8 +2,13 @@
 
 The CLI maps these onto distinct exit codes (see cli.py): validation
 failures, numerical failures, and I/O failures are kept separate so batch
-callers can react programmatically.
+callers can react programmatically. ``_check_divergence`` is the one
+divergence rule that nonlinear training and the linearized runs apply.
 """
+
+import math
+
+DIVERGENCE_LIMIT = 1e12
 
 
 class ToolkitError(Exception):
@@ -32,6 +37,14 @@ class SingularityError(ToolkitError):
 
 class DivergenceError(ToolkitError):
     """An iterative optimizer produced a non-finite or runaway objective."""
+
+
+def _check_divergence(objective: float, step: int) -> None:
+    """The one divergence rule: a non-finite objective or one above the limit fails at ``step``."""
+    if not math.isfinite(objective) or objective > DIVERGENCE_LIMIT:
+        raise DivergenceError(
+            f"objective became {objective:.3e} at step {step}; reduce the learning rate"
+        )
 
 
 class TrickViolationError(ToolkitError):

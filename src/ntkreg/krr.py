@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ._kernelmatrix import KernelMatrix
-from .data import TASK_BINARY, TASK_MULTICLASS, DataSet, predicted_classes
+from ._kernelmatrix import KernelMatrix, k_norms
+from .data import TASK_BINARY, TASK_MULTICLASS, DataSet, _write_csv, predicted_classes
 from .errors import SingularityError, ValidationError
 from .kernel import as_kernel_source, kernel_cross
 
@@ -183,11 +183,10 @@ def rkhs_norm(predictor: KRRPredictor, K: KernelMatrix):
     Multi-output predictors get one norm per output row.
     """
     alpha = predictor.alpha
-    if alpha.ndim == 1:
-        if alpha.shape != (K.n,):
-            raise ValidationError(f"alpha has shape {alpha.shape}, kernel is {K.n}x{K.n}")
-        return float(np.sqrt(max(float(alpha @ K.values @ alpha), 0.0)))
-    return np.sqrt(np.maximum(np.einsum("hi,ij,hj->h", alpha, K.values, alpha), 0.0))
+    if alpha.shape[-1] != K.n:
+        raise ValidationError(f"alpha has shape {alpha.shape}, kernel is {K.n}x{K.n}")
+    norms = k_norms(K.values, np.atleast_2d(alpha))
+    return float(norms[0]) if alpha.ndim == 1 else norms
 
 
 def export_predictions(predictor: KRRPredictor, queries, path) -> np.ndarray:
@@ -201,13 +200,9 @@ def export_predictions(predictor: KRRPredictor, queries, path) -> np.ndarray:
     classes = predicted_classes(values, task) if task in (TASK_BINARY, TASK_MULTICLASS) else None
     columns = values.reshape(queries.shape[0], -1)
     header = ["query_id"] + [f"output_{h + 1}" for h in range(columns.shape[1])]
+    rows = [[i, *outputs] for i, outputs in enumerate(columns)]
     if classes is not None:
         header.append("predicted_class")
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for i in range(queries.shape[0]):
-            row = [str(i)] + [repr(float(v)) for v in columns[i]]
-            if classes is not None:
-                row.append(str(classes[i].item()))  # class id 2 for multiclass, sign 1.0 for binary
-            f.write(",".join(row) + "\n")
+        rows = [row + [label.item()] for row, label in zip(rows, classes)]  # 2, or 1.0 by sign
+    _write_csv(path, header, rows)
     return values

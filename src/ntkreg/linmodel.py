@@ -13,24 +13,24 @@ eta <= 1/(||K|| + lam^2).
 
 Displacements always live in the span of the feature columns Z, so
 trajectories are stored as span coefficients a(t) with
-theta(t) = theta0 + Z a(t); all norms are evaluated through quadratic forms
-with K = Z^T Z, which keeps the iteration O(n^2) regardless of the
-parameter count.
+theta(t) = theta0 + Z a(t), which keeps the iteration O(n^2) regardless of
+the parameter count. The gradient-descent loops only step; every parameter
+norm ||Z v|| = sqrt(v^T K v) is taken after the loop, for all stored rows
+at once, through ``k_norms``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernelmatrix import KernelMatrix
-from .data import DataSet
-from .errors import DivergenceError, TrickViolationError, ValidationError
+from ._kernelmatrix import KernelMatrix, k_norms
+from .data import DataSet, _write_csv
+from .errors import TrickViolationError, ValidationError, _check_divergence
 from .kernel import empirical_ntk, kernel_cross
 from .krr import krr_fit
 from .net import MLP, forward, gradients_matrix
 
 INIT_OUTPUT_TOL = 1e-8
-DIVERGENCE_LIMIT = 1e12
 EQUIVALENCE_TOL = 1e-10
 
 KIND_RDI = "rdi"
@@ -133,23 +133,24 @@ class LinTrajectory:
         return self.coeffs[-1]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("t,objective,dist_from_init\n")
-            for t in range(self.coeffs.shape[0]):
-                f.write(
-                    f"{t},{float(self.objectives[t])!r},{float(self.dist_from_init[t])!r}\n"
-                )
+        _write_csv(path, ["t", "objective", "dist_from_init"],
+                   zip(range(self.steps + 1), self.objectives, self.dist_from_init))
 
 
-def _quad_norm(K: np.ndarray, v: np.ndarray) -> float:
-    return float(np.sqrt(max(float(v @ (K @ v)), 0.0)))
+def _targets_and_eta(lm: LinearizedModel, y, lam: float, eta=1.0):
+    """``y`` checked as the tangent model's (n,) targets, and the step size.
 
-
-def _check_finite(objective: float, step: int) -> None:
-    if not np.isfinite(objective) or objective > DIVERGENCE_LIMIT:
-        raise DivergenceError(
-            f"linearized objective became {objective:.3e} at step {step}; reduce eta"
-        )
+    ``eta`` None stands for the default step at ``lam``; the closed-form
+    limit takes no step and leaves ``eta`` at its placeholder.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (lm.n,):  # the tangent model has one output
+        raise ValidationError(f"targets must have shape ({lm.n},), got {y.shape}")
+    if eta is None:
+        eta = lm.default_eta(lam)
+    if not eta > 0.0:
+        raise ValidationError(f"eta must be positive, got {eta}")
+    return y, eta
 
 
 def run_gd_rdi(lm: LinearizedModel, y, lam: float, eta=None, steps: int = 1000) -> LinTrajectory:
@@ -158,35 +159,23 @@ def run_gd_rdi(lm: LinearizedModel, y, lam: float, eta=None, steps: int = 1000) 
     Update: a <- a - eta ((K a - y) + lam^2 a), i.e. the span coordinates of
     theta <- theta - eta (Z (Z^T (theta - theta0) - y) + lam^2 (theta - theta0)).
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (lm.n,):
-        raise ValidationError(f"targets must have shape ({lm.n},), got {y.shape}")
     if lam < 0.0:
         raise ValidationError(f"lam must be >= 0, got {lam}")
-    if eta is None:
-        eta = lm.default_eta(lam)
-    if not eta > 0.0:
-        raise ValidationError(f"eta must be positive, got {eta}")
+    y, eta = _targets_and_eta(lm, y, lam, eta)
     k = lm.K.values
     reg = lam * lam
-    a = np.zeros(lm.n)
     coeffs = np.zeros((steps + 1, lm.n))
     objectives = np.zeros(steps + 1)
-    dist = np.zeros(steps + 1)
-    for t in range(steps + 1):
+    for t, a in enumerate(coeffs):
         ka = k @ a
         residual = ka - y
-        objective = 0.5 * float(residual @ residual) + 0.5 * reg * float(a @ ka)
-        _check_finite(objective, t)
-        coeffs[t] = a
-        objectives[t] = objective
-        dist[t] = _quad_norm(k, a)
-        if t == steps:
-            break
-        a = a - eta * (residual + reg * a)
+        objectives[t] = 0.5 * float(residual @ residual) + 0.5 * reg * float(a @ ka)
+        _check_divergence(objectives[t], t)
+        if t < steps:
+            coeffs[t + 1] = a - eta * (residual + reg * a)
     return LinTrajectory(
         kind=KIND_RDI, lam=lam, eta=eta, coeffs=coeffs,
-        objectives=objectives, dist_from_init=dist, lm=lm,
+        objectives=objectives, dist_from_init=k_norms(k, coeffs), lm=lm,
     )
 
 
@@ -198,37 +187,23 @@ def run_gd_aux(lm: LinearizedModel, y, lam: float, eta=None, steps: int = 1000) 
     Z b(t)/lam at every step; the recorded ``identity_gap`` measures that
     relation in the parameter norm, relative to the displacement size.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (lm.n,):
-        raise ValidationError(f"targets must have shape ({lm.n},), got {y.shape}")
     if not lam > 0.0:
         raise ValidationError(f"the auxiliary objective needs lam > 0, got {lam}")
-    if eta is None:
-        eta = lm.default_eta(lam)
-    if not eta > 0.0:
-        raise ValidationError(f"eta must be positive, got {eta}")
+    y, eta = _targets_and_eta(lm, y, lam, eta)
     k = lm.K.values
-    a = np.zeros(lm.n)
-    b = np.zeros(lm.n)
     coeffs = np.zeros((steps + 1, lm.n))
     aux = np.zeros((steps + 1, lm.n))
     objectives = np.zeros(steps + 1)
-    dist = np.zeros(steps + 1)
-    identity_gap = np.zeros(steps + 1)
-    for t in range(steps + 1):
+    for t, (a, b) in enumerate(zip(coeffs, aux)):
         residual = k @ a + lam * b - y
-        objective = 0.5 * float(residual @ residual)
-        _check_finite(objective, t)
-        coeffs[t] = a
-        aux[t] = b
-        objectives[t] = objective
-        displacement = dist[t] = _quad_norm(k, a)
-        gap = _quad_norm(k, a - b / lam)
-        identity_gap[t] = gap / displacement if displacement > 0.0 else gap
-        if t == steps:
-            break
-        a = a - eta * residual
-        b = b - eta * lam * residual
+        objectives[t] = 0.5 * float(residual @ residual)
+        _check_divergence(objectives[t], t)
+        if t < steps:
+            coeffs[t + 1] = a - eta * residual
+            aux[t + 1] = b - eta * lam * residual
+    dist = k_norms(k, coeffs)
+    gaps = k_norms(k, coeffs - aux / lam)
+    identity_gap = np.divide(gaps, dist, out=gaps.copy(), where=dist > 0.0)
     return LinTrajectory(
         kind=KIND_AUX, lam=lam, eta=eta, coeffs=coeffs, aux=aux,
         objectives=objectives, dist_from_init=dist, identity_gap=identity_gap, lm=lm,
@@ -266,17 +241,10 @@ def check_equivalence(traj_rdi: LinTrajectory, traj_aux: LinTrajectory,
     if lm is None:
         raise ValidationError("trajectories carry no linearized model to measure norms with")
     k = lm.K.values
-    steps = traj_rdi.coeffs.shape[0]
-    gaps = np.zeros(steps)
-    rel_gaps = np.zeros(steps)
-    for t in range(steps):
-        gap = _quad_norm(k, traj_rdi.coeffs[t] - traj_aux.coeffs[t])
-        denom = _quad_norm(k, traj_rdi.coeffs[t])
-        gaps[t] = gap
-        if denom > 0.0:
-            rel_gaps[t] = gap / denom
-        else:
-            rel_gaps[t] = 0.0 if gap == 0.0 else np.inf
+    gaps = k_norms(k, traj_rdi.coeffs - traj_aux.coeffs)
+    displacement = k_norms(k, traj_rdi.coeffs)
+    rel_gaps = np.where(gaps == 0.0, 0.0, np.inf)
+    np.divide(gaps, displacement, out=rel_gaps, where=displacement > 0.0)
     return EquivalenceReport(
         max_abs=float(np.max(gaps)),
         max_rel=float(np.max(rel_gaps)),
@@ -293,9 +261,7 @@ def closed_form_limit(lm: LinearizedModel, y, lam: float):
     limiting predictor is x |-> k(x, X)^T alpha. Requires lam > 0, or an
     invertible kernel matrix when lam = 0.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (lm.n,):  # the tangent model has one output
-        raise ValidationError(f"targets must have shape ({lm.n},), got {y.shape}")
+    y, _ = _targets_and_eta(lm, y, lam)
     alpha = krr_fit(lm.K, y, lam).alpha
     theta_star = lm.theta0 + lm.Z @ alpha
     return theta_star, alpha

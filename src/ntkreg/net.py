@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataSet, prediction_error
-from .errors import DivergenceError, ValidationError
+from .data import DataSet, _write_csv, prediction_error
+from .errors import ValidationError, _check_divergence
 
 BRANCH_COEFF = math.sqrt(2.0) / 2.0
-DIVERGENCE_LIMIT = 1e12
 
 OBJECTIVE_VANILLA = "vanilla"
 OBJECTIVE_RDI = "rdi"
@@ -329,16 +328,9 @@ class TrainLog:
         header = ["step", "objective", "train_error", "train_error_with_aux"]
         header += [f"dist_l{l + 1}" for l in range(depth)]
         header += [f"norm_l{l + 1}" for l in range(depth)]
-        with open(path, "w", newline="") as f:
-            f.write(",".join(header) + "\n")
-            for i in range(self.steps.size):
-                row = [str(int(self.steps[i]))]
-                row.append(repr(float(self.objective[i])))
-                row.append(repr(float(self.train_error[i])))
-                row.append(repr(float(self.train_error_with_aux[i])))
-                row += [repr(float(v)) for v in self.dist_to_init[i]]
-                row += [repr(float(v)) for v in self.weight_norms[i]]
-                f.write(",".join(row) + "\n")
+        values = np.column_stack([self.objective, self.train_error, self.train_error_with_aux,
+                                  self.dist_to_init, self.weight_norms])
+        _write_csv(path, header, ([step, *row] for step, row in zip(self.steps, values)))
 
 
 def _targets_for(data: DataSet, outputs: int) -> np.ndarray:
@@ -398,10 +390,7 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
         if cfg.objective == OBJECTIVE_RDI and lam > 0.0:
             dist = distance_to_init(model)
             objective += 0.5 * reg_sq * float(np.sum(dist * dist))
-        if not np.isfinite(objective) or objective > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"objective became {objective:.3e} at step {t}; reduce the learning rate"
-            )
+        _check_divergence(objective, t)
 
         log_obj[t] = objective
         log_err[t] = prediction_error(f_out, data.noisy_labels, data.task)

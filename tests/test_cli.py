@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ntkreg.cli import (
     load_config,
     main,
 )
-from ntkreg.data import onehot_matrix, prediction_error
+from ntkreg.data import dataset_digest, onehot_matrix, prediction_error, synth_sphere
 from ntkreg.kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
 from ntkreg.krr import krr_fit, krr_fit_multi
 from ntkreg.linmodel import linearize, run_gd_rdi
@@ -840,3 +841,71 @@ class TestLinearGroups:
         expected = ["error:ValidationError" if float(row["lambda"]) == 0.0 else "ok" for row in rows]
         assert [row["status"] for row in rows] == expected
         assert expected.count("ok") == 4
+
+
+class TestKernelCacheIdentity:
+    """A cache hit needs the same kernel, not only the same kernel kind."""
+
+    def run_kernel(self, capsys, out, *flags):
+        assert main(["kernel", "--out", str(out), *flags]) == EXIT_OK
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("first, second", [
+        (["--depth", "2"], ["--depth", "3"]),
+        (["--width", "64"], ["--width", "128"]),
+    ])
+    def test_other_model_rebuilds(self, tmp_path, capsys, first, second):
+        self.run_kernel(capsys, tmp_path / "shared", *first)
+        reused = self.run_kernel(capsys, tmp_path / "shared", *second)
+        fresh = self.run_kernel(capsys, tmp_path / "fresh", *second)
+        assert "cache hit" not in reused
+        trace = [line for line in fresh.splitlines() if line.startswith("trace = ")]
+        assert trace and trace[0] in reused.splitlines()
+        assert "cache hit" in self.run_kernel(capsys, tmp_path / "shared", *second)
+
+    @pytest.mark.parametrize("change", [
+        {"widths": [16, 12]},
+        {"init_seed": 4},
+        {"freeze_first_last": False},
+        {"difference_trick": False},
+    ])
+    def test_net_identity_covers_every_setting(self, tmp_path, capsys, change):
+        base = {"kind": "net", "widths": [16, 16], "init_seed": 0}
+        out = str(tmp_path / "out")
+        for model in (base, dict(base, **change), dict(base, **change)):
+            cfg = write_config(tmp_path, "cfg.json",
+                               {"dataset": small_synth(n=12), "model": model, "out": out})
+            assert main(["kernel", "--config", cfg]) == EXIT_OK
+        logs = capsys.readouterr().out
+        assert logs.count("cache hit") == 1  # only the rerun of the changed model
+
+    def test_version_one_file_rebuilt(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        spec = small_synth(n=5)
+        data = synth_sphere(spec["n"], spec["d"], spec["target"], spec["seed"])
+        # the version-1 layout: magic, version, provenance tag, n, digest, values
+        with open(out / "kernel.ntkk", "wb") as f:
+            f.write(b"NTKK" + struct.pack("<HBQ", 1, 1, 5) + dataset_digest(data))
+            f.write(np.eye(5).astype("<f8").tobytes())
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": spec, "out": str(out)})
+        assert main(["kernel", "--config", cfg]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "malformed cache" in text and "trace = 10.0" in text
+
+
+class TestNoiseKindValidation:
+    @pytest.mark.parametrize("command", ["kernel", "equivalence", "train", "krr", "bounds", "sweep"])
+    def test_unknown_kind_rejected_before_output(self, tmp_path, capsys, command):
+        # a sweep used to write an ok row at level 0 and an error row at 0.2, and exit 0
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"dataset": small_synth(n=30), "noise": {"kind": "gaussian"}, "noise_grid": [0.0, 0.2],
+             "model": {"kind": "net", "widths": [16]}, "method": "net-rdi", "steps": 2,
+             "out": str(out)},
+        )
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "'gaussian'" in err and "class-transition" in err
+        assert not out.exists()

@@ -21,6 +21,8 @@ from ntkreg.data import (
     prediction_error,
     save_kernel,
     split_dataset,
+    _write_csv,
+    _write_json,
     synth_multiclass,
     synth_sphere,
 )
@@ -235,6 +237,24 @@ class TestKernelCache:
         with pytest.raises(DataFormatError):
             load_kernel(path, ds)
 
+    def test_provenance_round_trips(self, tmp_path):
+        ds, cache = self.make_cache()
+        provenance = Provenance(kind="empirical", width=16, depth=3, seed=2,
+                                model='{"net": {"widths": [16, 12]}, "seeds": [2, 0]}')
+        save_kernel(make_kernel_cache(cache.matrix, provenance, ds), tmp_path / "k.ntkk")
+        assert load_kernel(tmp_path / "k.ntkk", ds).provenance == provenance
+
+    def test_malformed_provenance(self, tmp_path):
+        ds, cache = self.make_cache()
+        path = tmp_path / "k.ntkk"
+        save_kernel(cache, path)
+        data = bytearray(open(path, "rb").read())
+        data[50] = ord("[")  # the provenance record is no longer a JSON object
+        with open(path, "wb") as f:
+            f.write(bytes(data))
+        with pytest.raises(DataFormatError):
+            load_kernel(path, ds)
+
     def test_digest_is_content_hash(self):
         ds = synth_sphere(5, 3, "linear-sign", seed=1)
         same = synth_sphere(5, 3, "linear-sign", seed=1)
@@ -332,3 +352,16 @@ class TestTaskRule:
             assert single.num_outputs == 1
             assert single.fit_targets().dtype == np.float64
             assert np.array_equal(single.fit_targets(), single.noisy_labels)
+
+
+class TestPayloadWriters:
+    def test_csv_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [(1, 0.1, None, np.float64(2.0)), (np.int64(3), -0.0, "x", 1e-300)]
+        _write_csv(path, ["a", "b", "c", "d"], rows)
+        assert open(path).read() == "a,b,c,d\n1,0.1,,2.0\n3,-0.0,x,1e-300\n"
+
+    def test_json_layout(self, tmp_path):
+        path = tmp_path / "t.json"
+        _write_json(path, {"b": 1, "a": [0.5]})
+        assert open(path).read() == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'

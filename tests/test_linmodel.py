@@ -13,7 +13,7 @@ from ntkreg.errors import (
     ValidationError,
 )
 from ntkreg.kernel import empirical_ntk
-from ntkreg.krr import krr_fit
+from ntkreg.krr import krr_fit, rkhs_norm
 from ntkreg.linmodel import (
     LinearizedModel,
     check_equivalence,
@@ -207,6 +207,16 @@ class TestEquivalence:
         aux = run_gd_aux(lm, y, lam=lam, eta=eta, steps=60)
         assert check_equivalence(rdi, aux).passed
 
+    def test_gap_at_zero_displacement_is_inf(self):
+        # RDI on zero targets never leaves theta0, AUX on nonzero targets does
+        lm = identity_lm()
+        rdi = run_gd_rdi(lm, np.zeros(lm.n), lam=1.0, eta=0.1, steps=3)
+        aux = run_gd_aux(lm, np.ones(lm.n), lam=1.0, eta=0.1, steps=3)
+        report = check_equivalence(rdi, aux)
+        assert report.rel_gaps[0] == 0.0
+        assert np.all(report.gaps[1:] > 0.0) and np.all(np.isinf(report.rel_gaps[1:]))
+        assert report.max_rel == np.inf and not report.passed
+
     def test_mismatched_lengths_rejected(self):
         lm, ds = make_lm()
         rdi = run_gd_rdi(lm, ds.noisy_labels, lam=1.0, steps=10)
@@ -287,3 +297,41 @@ class TestClosedFormTargets:
         lm, ds = make_lm(n=8, width=16)
         with pytest.raises(ValidationError):
             closed_form_limit(lm, np.stack([ds.noisy_labels, ds.noisy_labels]), lam=1.0)
+
+
+def per_vector_norm(K, v):
+    """The parameter norm ||Z v|| = sqrt(v^T K v), one vector at a time."""
+    return float(np.sqrt(max(float(v @ (K @ v)), 0.0)))
+
+
+class TestKNorms:
+    """Norms taken after the loop, all rows at once, match the per-vector formula."""
+
+    @staticmethod
+    def assert_close(values, reference):
+        reference = np.asarray(reference)
+        assert values.shape == reference.shape
+        assert np.all(np.abs(values - reference) <= 1e-12 * np.abs(reference))
+
+    def test_width64_runs(self):
+        lm, ds = make_lm(width=64)
+        k = lm.K.values
+        rdi = run_gd_rdi(lm, ds.noisy_labels, lam=0.5, steps=200)
+        aux = run_gd_aux(lm, ds.noisy_labels, lam=0.5, steps=200)
+        for traj in (rdi, aux):
+            self.assert_close(traj.dist_from_init, [per_vector_norm(k, a) for a in traj.coeffs])
+        # identity gap: relative to the displacement, the bare gap where there is none (t = 0)
+        gaps = np.array([per_vector_norm(k, a - b / 0.5) for a, b in zip(aux.coeffs, aux.aux)])
+        dist = np.array([per_vector_norm(k, a) for a in aux.coeffs])
+        assert dist[0] == 0.0 and np.all(dist[1:] > 0.0)
+        self.assert_close(aux.identity_gap, np.concatenate([gaps[:1], gaps[1:] / dist[1:]]))
+        pairs = zip(rdi.coeffs, aux.coeffs)
+        self.assert_close(check_equivalence(rdi, aux).gaps, [per_vector_norm(k, a - b) for a, b in pairs])
+
+    def test_rkhs_norm_rows(self):
+        lm, ds = make_lm(width=64)
+        fit = krr_fit(lm.K, np.stack([ds.noisy_labels, -2.0 * ds.noisy_labels]), 0.5)
+        norms = rkhs_norm(fit, lm.K)
+        self.assert_close(norms, [per_vector_norm(lm.K.values, a) for a in fit.alpha])
+        single = krr_fit(lm.K, ds.noisy_labels, 0.5)
+        assert rkhs_norm(single, lm.K) == pytest.approx(norms[0], rel=1e-12)

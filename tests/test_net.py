@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ntkreg.data import synth_sphere
-from ntkreg.errors import DivergenceError, ValidationError
+from ntkreg.errors import DIVERGENCE_LIMIT, DivergenceError, ValidationError, _check_divergence
 from ntkreg.kernel import empirical_ntk
 from ntkreg.net import (
     NetConfig,
@@ -301,3 +301,11 @@ class TestDistanceToInit:
     def test_layer_norms_positive(self):
         _, mlp = small_problem()
         assert np.all(layer_norms(mlp) > 0.0)
+
+
+@pytest.mark.parametrize("objective", [np.nextafter(DIVERGENCE_LIMIT, np.inf), np.inf, np.nan])
+def test_one_divergence_rule(objective):
+    # nonlinear training and the linearized runs both fail through this check
+    _check_divergence(DIVERGENCE_LIMIT, 7)
+    with pytest.raises(DivergenceError, match="at step 7"):
+        _check_divergence(objective, 7)
