@@ -82,8 +82,29 @@ DEFAULT_CONFIG = {
 }
 
 _METHODS = ("krr", "linear-rdi", "linear-aux", "net-rdi", "net-aux", "net-vanilla")
-_NOISE_KINDS = ("none", "binary-flip", "additive", "class-transition")
-_SINGLE_OUTPUT = "linear-* methods and the equivalence check need binary or regression data"
+
+# Each nested spec's fields by section and kind, mapped to a default, _REQUIRED or _LEVEL (required
+# but in a sweep, whose noise_grid gives the level). README's "Config specs" table mirrors it.
+_REQUIRED, _LEVEL = "required", "level"
+_SPECS = {
+    "dataset": {
+        "synth-sphere": {"n": _REQUIRED, "d": _REQUIRED, "target": _REQUIRED, "seed": _REQUIRED,
+                         "test_n": None},
+        "synth-multiclass": {"n": _REQUIRED, "d": _REQUIRED, "classes": 3, "seed": _REQUIRED, "test_n": None},
+        "mnist-binary": {"images": _REQUIRED, "labels": _REQUIRED, "class_a": _REQUIRED,
+                         "class_b": _REQUIRED, "limit": None},
+    },
+    "noise": {
+        "none": {},
+        "binary-flip": {"p": _LEVEL},
+        "additive": {"sigma": _LEVEL, "shape": "gaussian"},
+        "class-transition": {"csv": _REQUIRED},
+    },
+    "model": {
+        "analytic": {"depth": 2},
+        "net": {"widths": [512], "freeze_first_last": True, "difference_trick": True, "init_seed": 0},
+    },
+}
 
 
 def _log(message: str) -> None:
@@ -91,7 +112,23 @@ def _log(message: str) -> None:
     print(f"[ntkreg {stamp}] {message}")
 
 
-def load_config(path=None, overrides=None) -> dict:
+def _spec(section: str, spec: dict, grid: bool = False) -> dict:
+    """``spec`` with its kind's defaults; an unknown kind or key, or a missing required key, fails."""
+    kinds = _SPECS[section]
+    fields = kinds.get(spec.get("kind"))
+    if fields is None:
+        raise ValidationError(f"unknown {section} kind {spec.get('kind')!r}; choose from {tuple(kinds)}")
+    unknown = sorted(set(spec) - set(fields) - {"kind"})
+    if unknown:
+        raise ValidationError(f"unknown keys {unknown} in a {spec['kind']} {section} spec")
+    for key, default in fields.items():
+        if key not in spec and (default == _REQUIRED or (default == _LEVEL and not grid)):
+            raise ValidationError(f"{spec['kind']} {section} spec needs the key {key!r}")
+    return {**fields, **spec}
+
+
+def load_config(path=None, overrides=None, command=None) -> dict:
+    """The default config updated by the file at ``path`` and ``overrides``; checked for a ``command``."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -103,79 +140,74 @@ def load_config(path=None, overrides=None) -> dict:
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         config.update(user)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            config[key] = value
-    _validate_config(config)
+    config.update(overrides or {})
+    if command is not None:
+        _validate_config(config, command)
     return config
 
 
-def _validate_config(config: dict) -> None:
+def _validate_config(config: dict, command: str) -> None:
+    """Every check the config alone decides for ``command``, before any output."""
     if not config["seeds"]:
         raise ValidationError("config needs at least one seed")
-    if any(lam < 0.0 for lam in config["lambda_grid"]):
-        raise ValidationError("lambda grid values must be >= 0")
-    if config["lambda"] < 0.0:
-        raise ValidationError("lambda must be >= 0")
-    if config["method"] not in _METHODS:
-        raise ValidationError(f"unknown method {config['method']!r}; choose from {_METHODS}")
-    dataset = config["dataset"]
-    if dataset["kind"] == "mnist-binary":
-        for key in ("images", "labels"):
-            if not os.path.exists(dataset[key]):
-                raise ValidationError(f"referenced file does not exist: {dataset[key]}")
-    if config["method"].startswith("linear-") and dataset["kind"] == "synth-multiclass":
-        raise ValidationError(_SINGLE_OUTPUT)
-    noise = config["noise"]
-    if noise.get("kind", "none") not in _NOISE_KINDS:
-        raise ValidationError(f"unknown noise kind {noise.get('kind')!r}; choose from {_NOISE_KINDS}")
-    if noise.get("kind") == "class-transition":
-        if not os.path.exists(_noise_field(noise, "csv")):
-            raise ValidationError(f"referenced file does not exist: {noise['csv']}")
-        if len({level for level in config["noise_grid"] if level > 0.0}) > 1:
-            raise ValidationError("a class-transition noise_grid has at most one positive "
-                                  "level; each applies the same transition matrix")
+    if config["lambda"] < 0.0 or any(lam < 0.0 for lam in config["lambda_grid"]):
+        raise ValidationError("lambda and the lambda grid values must be >= 0")
+    if command == "bounds" and config["lambda"] <= 0.0:
+        raise ValidationError("bound reports need lambda > 0")
+    if command == "sweep" and not (config["lambda_grid"] and config["noise_grid"]):
+        raise ValidationError("a sweep needs a nonempty lambda_grid and noise_grid")
+    method = config["method"]
+    if method not in _METHODS:
+        raise ValidationError(f"unknown method {method!r}; choose from {_METHODS}")
+    if command == "train" and not method.startswith("net-"):
+        raise ValidationError(f"the train command needs a net-* method, not {method!r}")
+    dataset = _spec("dataset", config["dataset"])
+    if config["test_dataset"]:
+        _spec("dataset", config["test_dataset"])
+    noise = _spec("noise", config["noise"], grid=command == "sweep")
+    files = [spec[key] for spec in (dataset, noise) for key in ("images", "labels", "csv") if key in spec]
+    for path in files:
+        if not os.path.exists(path):
+            raise ValidationError(f"referenced file does not exist: {path}")
+    # value ranges, from the objects that own their checks: a two-point draw, the model, each noise level
+    probe = build_dataset(dict(dataset, limit=2) if dataset["kind"] == "mnist-binary" else dict(dataset, n=2))
+    build_kernel_source(config, probe)
+    for level in config["noise_grid"] if command == "sweep" else [None]:
+        apply_noise(probe, build_noise_model(config["noise"], override_level=level), 0)
+    tangent = method.startswith("linear-") or command == "equivalence"
+    if (tangent or method.startswith("net-")) and config["model"]["kind"] != "net":
+        raise ValidationError(f"{command} with {method} needs a net model, not {config['model']['kind']!r}")
+    if tangent and dataset["kind"] == "synth-multiclass":
+        raise ValidationError("linear-* methods and the equivalence check need binary or regression data")
+    if noise["kind"] == "class-transition" and len({lv for lv in config["noise_grid"] if lv > 0.0}) > 1:
+        raise ValidationError("a class-transition noise_grid has at most one positive "
+                              "level; each applies the same transition matrix")
 
 
 def build_dataset(spec: dict):
-    kind = spec.get("kind")
-    if kind == "synth-sphere":
+    spec = _spec("dataset", spec)
+    if spec["kind"] == "synth-sphere":
         return synth_sphere(int(spec["n"]), int(spec["d"]), spec["target"], int(spec["seed"]))
-    if kind == "synth-multiclass":
-        return synth_multiclass(
-            int(spec["n"]), int(spec["d"]), int(spec.get("classes", 3)), int(spec["seed"])
-        )
-    if kind == "mnist-binary":
-        return load_mnist_binary(
-            spec["images"], spec["labels"], int(spec["class_a"]), int(spec["class_b"]),
-            limit=spec.get("limit"),
-        )
-    raise ValidationError(f"unknown dataset kind {kind!r}")
+    if spec["kind"] == "synth-multiclass":
+        return synth_multiclass(int(spec["n"]), int(spec["d"]), int(spec["classes"]), int(spec["seed"]))
+    return load_mnist_binary(spec["images"], spec["labels"], int(spec["class_a"]),
+                             int(spec["class_b"]), limit=spec["limit"])
 
 
 def build_train_test(config: dict):
     """Training set plus matched test set (or None).
 
-    A ``test_n`` field on a synth-sphere dataset draws one larger sample and
+    A ``test_n`` field on a synthetic dataset draws one larger sample and
     splits it, so train and test share the target direction; an explicit
     ``test_dataset`` spec (for example the MNIST test files) takes priority.
     """
-    spec = config["dataset"]
+    spec = _spec("dataset", config["dataset"])
     if config["test_dataset"]:
         return build_dataset(spec), build_dataset(config["test_dataset"])
-    test_n = spec.get("test_n")
-    if test_n and spec.get("kind") in ("synth-sphere", "synth-multiclass"):
-        joint = dict(spec, n=int(spec["n"]) + int(test_n))
-        full = build_dataset(joint)
+    if spec.get("test_n"):
+        full = build_dataset(dict(spec, n=int(spec["n"]) + int(spec["test_n"])))
         return split_dataset(full, int(spec["n"]))
     return build_dataset(spec), None
-
-
-def _noise_field(spec: dict, key: str):
-    """``spec[key]``; a noise spec without the key fails validation."""
-    if key not in spec:
-        raise ValidationError(f"{spec.get('kind')} noise spec needs the key {key!r}")
-    return spec[key]
 
 
 def build_noise_model(spec: dict, override_level=None):
@@ -183,21 +215,19 @@ def build_noise_model(spec: dict, override_level=None):
 
     A positive level is p for flips and sigma for additive noise; transitions ignore it.
     """
-    kind = spec.get("kind", "none")
+    spec = _spec("noise", spec, grid=override_level is not None)
     if override_level == 0.0:
         return None
-    if override_level is not None and kind in ("none", "binary-flip"):
+    if override_level is not None and spec["kind"] in ("none", "binary-flip"):
         return noise_mod.BinaryFlip(float(override_level))
-    if kind == "none":
+    if spec["kind"] == "none":
         return None
-    if kind == "binary-flip":
-        return noise_mod.BinaryFlip(float(_noise_field(spec, "p")))
-    if kind == "additive":
-        sigma = _noise_field(spec, "sigma") if override_level is None else override_level
-        return noise_mod.AdditiveNoise(float(sigma), spec.get("shape", "gaussian"))
-    if kind == "class-transition":
-        return noise_mod.read_transition_csv(_noise_field(spec, "csv"))
-    raise ValidationError(f"unknown noise kind {kind!r}")
+    if spec["kind"] == "binary-flip":
+        return noise_mod.BinaryFlip(float(spec["p"]))
+    if spec["kind"] == "additive":
+        sigma = spec["sigma"] if override_level is None else override_level
+        return noise_mod.AdditiveNoise(float(sigma), spec["shape"])
+    return noise_mod.read_transition_csv(spec["csv"])
 
 
 def apply_noise(data, model, seed):
@@ -207,31 +237,28 @@ def apply_noise(data, model, seed):
 
 
 def build_net_config(spec: dict, input_dim: int, outputs: int) -> NetConfig:
-    widths = tuple(int(w) for w in spec.get("widths", [512]))
+    spec = _spec("model", spec)
     return NetConfig(
         input_dim=input_dim,
-        widths=widths,
+        widths=tuple(int(w) for w in spec["widths"]),
         outputs=outputs,
-        freeze_first_last=bool(spec.get("freeze_first_last", True)),
-        difference_trick=bool(spec.get("difference_trick", True)),
+        freeze_first_last=bool(spec["freeze_first_last"]),
+        difference_trick=bool(spec["difference_trick"]),
     )
 
 
 def build_kernel_source(config: dict, data, seed=0):
-    model = config["model"]
-    kind = model.get("kind")
-    if kind == "analytic":
-        return AnalyticNTK(int(model.get("depth", 2)))
-    if kind == "net":
-        return EmpiricalNTK(_seeded_net(config, data, seed))
-    raise ValidationError(f"unknown model kind {kind!r}")
+    model = _spec("model", config["model"])
+    if model["kind"] == "analytic":
+        return AnalyticNTK(int(model["depth"]))
+    return EmpiricalNTK(_seeded_net(config, data, seed))
 
 
 def _seeded_net(config: dict, data, seed) -> MLP:
     """The net of ``config["model"]`` for ``data``, drawn at (init_seed, seed)."""
-    model = config["model"]
+    model = _spec("model", config["model"])
     net_cfg = build_net_config(model, data.d, data.num_outputs)
-    return init_mlp(net_cfg, (int(model.get("init_seed", 0)), int(seed)))
+    return init_mlp(net_cfg, (int(model["init_seed"]), int(seed)))
 
 
 def _ensure_out(config: dict) -> str:
@@ -251,7 +278,7 @@ def _kernel_provenance(config: dict, source, seed: int) -> Provenance:
     if source.kind == "analytic":
         return Provenance(kind="analytic", depth=source.depth)
     net = source.mlp.config
-    init_seed = int(config["model"].get("init_seed", 0))
+    init_seed = int(_spec("model", config["model"])["init_seed"])
     model = json.dumps({"net": dataclasses.asdict(net), "seeds": [init_seed, seed]}, sort_keys=True)
     return Provenance(kind="empirical", width=net.widths[0], depth=net.depth, seed=init_seed,
                       model=model)
@@ -259,10 +286,9 @@ def _kernel_provenance(config: dict, source, seed: int) -> Provenance:
 
 def cmd_kernel(config: dict) -> int:
     out = _ensure_out(config)
-    data, _ = build_train_test(config)
-    seed = 0  # the kernel command draws a net model at run seed 0
-    source = build_kernel_source(config, data, seed)
-    provenance = _kernel_provenance(config, source, seed)
+    cell, data, _ = _single_run(config)
+    source = build_kernel_source(config, data, cell["seed"])
+    provenance = _kernel_provenance(config, source, cell["seed"])
     cache_path = os.path.join(out, "kernel.ntkk")
     matrix = None
     if os.path.exists(cache_path):
@@ -302,13 +328,9 @@ def _single_run(config: dict):
     return cell, train, test
 
 
-def _run_noise(config: dict, cell: dict):
-    return build_noise_model(config["noise"], override_level=cell["noise"])
-
-
 def _noisy_train(config: dict, cell: dict, train):
     """The noise model of ``cell`` and ``train`` with labels drawn at (seed, noise_idx)."""
-    noise = _run_noise(config, cell)
+    noise = build_noise_model(config["noise"], override_level=cell["noise"])
     return noise, apply_noise(train, noise, (cell["seed"], cell["noise_idx"]))
 
 
@@ -381,10 +403,6 @@ class _LinearGroup:
     """
 
     def __init__(self, config, train, test, seed):
-        if config["model"].get("kind") != "net":
-            raise ValidationError("the tangent model needs a finite-width net model")
-        if train.num_outputs != 1:
-            raise ValidationError(_SINGLE_OUTPUT)
         self.config, self.test = config, test
         self.lm = linearize(_seeded_net(config, train, seed), train)
         self.cross = None if test is None else kernel_cross(self.lm.mlp, test.inputs, train)
@@ -468,8 +486,6 @@ def cmd_equivalence(config: dict) -> int:
 
 def cmd_train(config: dict) -> int:
     out = _ensure_out(config)
-    if not config["method"].startswith("net-"):
-        raise ValidationError("the train command needs a net-* method")
     cell, train, test = _single_run(config)
     _, noisy = _noisy_train(config, cell, train)
     trained, _, log = _NetGroup(config, train, test, cell["seed"]).train(noisy, cell["lambda"])
@@ -512,12 +528,9 @@ def cmd_krr(config: dict) -> int:
 def cmd_bounds(config: dict) -> int:
     out = _ensure_out(config)
     cell, train, _ = _single_run(config)
-    lam = cell["lambda"]
-    if lam <= 0.0:
-        raise ValidationError("bound reports need lambda > 0")
-    noise = _run_noise(config, cell)
+    noise = build_noise_model(config["noise"], override_level=cell["noise"])
     group = _KRRGroup(config, train, None, cell["seed"])
-    report = _noise_bound(config, train, group.gram, noise, lam, group.solvers)
+    report = _noise_bound(config, train, group.gram, noise, cell["lambda"], group.solvers)
     report.to_json(os.path.join(out, "bound_report.json"))
     _log(f"bound total = {report.total:.6g} (mode {config['constant_mode']})")
     return EXIT_OK
@@ -559,7 +572,7 @@ def _sweep_groups(config: dict, cells: list) -> list:
     """
     if config["method"].startswith("net-"):
         return [[cell] for cell in cells]
-    by_seed = config["model"].get("kind") == "net"
+    by_seed = config["model"]["kind"] == "net"
     groups = {}
     for cell in cells:
         groups.setdefault(cell["seed"] if by_seed else None, []).append(cell)
@@ -581,6 +594,7 @@ def _row(config, cell, status, **values) -> dict:
 
 
 def _error_row(config, cell, exc) -> dict:
+    _log(f"cell noise={cell['noise']} lambda={cell['lambda']} seed={cell['seed']} failed: {exc}")
     return _row(config, cell, f"error:{type(exc).__name__}")
 
 
@@ -626,10 +640,6 @@ def _group_worker(payload) -> dict:
 
 def cmd_sweep(config: dict) -> int:
     out = _ensure_out(config)
-    if not config["lambda_grid"]:
-        raise ValidationError("sweep needs a nonempty lambda grid")
-    if not config["noise_grid"]:
-        raise ValidationError("sweep needs a nonempty noise grid")
     cells = _sweep_cells(config)
     groups = _sweep_groups(config, cells)
     _log(f"running {len(cells)} sweep cells in {len(groups)} groups with method {config['method']}")
@@ -689,7 +699,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override: single seed")
         p.add_argument("--out", type=str, default=None, help="override: output directory")
-        p.add_argument("--lambda", dest="lam", type=float, default=None, help="override: lambda")
+        p.add_argument("--lambda", dest="lambda", type=float, default=None, help="override: lambda")
         p.add_argument("--noise", type=float, default=None, help="override: flip probability")
         p.add_argument("--width", type=int, default=None, help="override: hidden width")
         p.add_argument("--depth", type=int, default=None, help="override: analytic kernel depth")
@@ -706,26 +716,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_flag_overrides(config: dict, args) -> dict:
     if args.seed is not None:
         config["seeds"] = [args.seed]
-    if args.out is not None:
-        config["out"] = args.out
-    if args.lam is not None:
-        config["lambda"] = args.lam
+    for key in ("out", "lambda", "eta", "steps", "constant_mode", "workers"):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     if args.noise is not None:
         config["noise"] = {"kind": "binary-flip", "p": args.noise} if args.noise > 0 else {"kind": "none"}
     if args.width is not None:
-        config.setdefault("model", {})
-        config["model"] = dict(config["model"], kind="net", widths=[args.width])
+        net = config["model"] if config["model"].get("kind") == "net" else {"kind": "net"}
+        config["model"] = dict(net, widths=[args.width])
     if args.depth is not None:
         config["model"] = dict(config["model"], depth=args.depth)
-    if args.eta is not None:
-        config["eta"] = args.eta
-    if args.steps is not None:
-        config["steps"] = args.steps
-    if args.constant_mode is not None:
-        config["constant_mode"] = args.constant_mode
-    if args.workers is not None:
-        config["workers"] = args.workers
-    _validate_config(config)
     return config
 
 
@@ -742,8 +742,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        config = _apply_flag_overrides(config, args)
+        config = _apply_flag_overrides(load_config(args.config), args)
+        _validate_config(config, args.command)
         return _COMMANDS[args.command](config)
     except (ValidationError, EmptyDatasetError, TrickViolationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

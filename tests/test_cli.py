@@ -909,3 +909,117 @@ class TestNoiseKindValidation:
         err = capsys.readouterr().err
         assert "'gaussian'" in err and "class-transition" in err
         assert not out.exists()
+
+
+REGRESSION = {"kind": "synth-sphere", "n": 20, "d": 6, "target": "smooth-poly", "seed": 5}
+TASK_DATA = {"binary": small_synth(n=20), "regression": REGRESSION, "multiclass": SMALL_MULTICLASS}
+TASK_NOISE = {"binary": {"kind": "binary-flip", "p": 0.2}, "regression": {"kind": "additive", "sigma": 0.1}}
+
+
+class TestOneConfigCheck:
+    """Every config check runs once, after the flags and before any output."""
+
+    @pytest.mark.parametrize("command, changes, named", [
+        pytest.param("sweep", {"method": "net-rdi", "model": {"kind": "analytic"}}, "'analytic'",
+                     id="net-method-analytic-sweep"),
+        pytest.param("train", {"method": "net-rdi", "model": {"kind": "analytic"}}, "'analytic'",
+                     id="net-method-analytic-train"),
+        pytest.param("sweep", {"method": "linear-rdi", "model": {"kind": "analytic"}}, "'analytic'",
+                     id="linear-method-analytic"),
+        pytest.param("sweep", {"method": "net-rdi", "model": {"kind": "net", "width": [16]}}, "'width'",
+                     id="width-typo"),
+        pytest.param("krr", {"model": {"kind": "foo"}}, "'foo'", id="model-kind"),
+        pytest.param("kernel", {"model": {"kind": "net", "widths": [0]}}, "width", id="widths-0"),
+        pytest.param("krr", {"dataset": {"kind": "synth-sphere", "d": 6, "target": "linear-sign", "seed": 3}},
+                     "'n'", id="dataset-without-n"),
+        pytest.param("sweep", {"dataset": dict(small_synth(n=20), kind="synth-cube")}, "'synth-cube'",
+                     id="dataset-kind"),
+        pytest.param("sweep", {"dataset": small_synth(n=20) | {"target": "linear-sgn"}}, "'linear-sgn'",
+                     id="target"),
+        pytest.param("sweep", {"noise": {"kind": "binary-flip", "p": 0.2}, "noise_grid": [0.0, 0.7]}, "0.7",
+                     id="flip-level"),
+        pytest.param("krr", {"dataset": REGRESSION, "noise": {"kind": "additive", "sigma": 0.1, "shape": "uniform"}},
+                     "'uniform'", id="additive-shape"),
+        pytest.param("train", {"method": "krr"}, "'krr'", id="train-krr"),
+        pytest.param("bounds", {"lambda": 0.0}, "lambda", id="bounds-lambda-0"),
+        pytest.param("sweep", {"lambda_grid": []}, "lambda_grid", id="empty-lambda-grid"),
+    ])
+    def test_rejected_before_output(self, tmp_path, capsys, command, changes, named):
+        out = tmp_path / "out"
+        payload = {"dataset": small_synth(n=20), "steps": 2, "out": str(out)}
+        cfg = write_config(tmp_path, "cfg.json", dict(payload, **changes))
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, model, task", [
+        *[("krr", model, task) for model in ("analytic", "net") for task in TASK_DATA],
+        *[(method, "net", task) for method in ("linear-rdi", "linear-aux") for task in ("binary", "regression")],
+        *[(method, "net", task) for method in ("net-rdi", "net-aux", "net-vanilla") for task in TASK_DATA],
+    ])
+    def test_advertised_combinations_validate(self, tmp_path, method, model, task):
+        noise = TASK_NOISE.get(task) or transition_noise(tmp_path)
+        models = {"analytic": {"kind": "analytic", "depth": 2}, "net": {"kind": "net", "widths": [16]}}
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": TASK_DATA[task], "noise": noise,
+                                                  "model": models[model], "method": method})
+        single = {"krr": ("krr", "bounds", "kernel"), "linear": ("equivalence",), "net": ("train",)}
+        for command in ("sweep", *single[method.split("-")[0]]):
+            assert load_config(cfg, None, command)["method"] == method
+
+    def test_readme_example_config_validates(self, tmp_path):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        example = readme.split("Example config:")[1].split("```json")[1].split("```")[0]
+        cfg = write_config(tmp_path, "example.json", json.loads(example))
+        assert load_config(cfg, None, command="sweep")["noise_grid"] == [0.0, 0.2, 0.4]
+
+    def test_flags_apply_before_validation(self, tmp_path):
+        # a config without seeds runs with --seed; the check used to run before the flags
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=10), "seeds": [],
+                                                  "out": str(tmp_path / "out")})
+        assert main(["kernel", "--config", cfg, "--seed", "3"]) == EXIT_OK
+        assert json.loads(open(tmp_path / "out" / "resolved_config.json").read())["seeds"] == [3]
+
+    @pytest.mark.parametrize("model, resolved", [
+        ({"kind": "analytic", "depth": 3}, {"kind": "net", "widths": [16]}),
+        ({"kind": "net", "widths": [8, 8], "init_seed": 2}, {"kind": "net", "widths": [16], "init_seed": 2}),
+    ])
+    def test_width_flag(self, tmp_path, model, resolved):
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=10), "model": model,
+                                                  "out": str(tmp_path / "out")})
+        assert main(["kernel", "--config", cfg, "--width", "16"]) == EXIT_OK
+        assert json.loads(open(tmp_path / "out" / "resolved_config.json").read())["model"] == resolved
+
+    def test_depth_flag_on_net_model_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=10), "model": {"kind": "net"},
+                                                  "out": str(tmp_path / "out")})
+        assert main(["kernel", "--config", cfg, "--depth", "3"]) == EXIT_VALIDATION
+        assert "'depth'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_validated_once_per_run(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, cli_module, "_validate_config")
+        assert main(["kernel", "--out", str(tmp_path / "out"), "--seed", "1"]) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_kernel_draws_net_at_run_seed(self, tmp_path, capsys):
+        # the kernel command drew a net model at run seed 0 whatever --seed said
+        assert main(["kernel", "--width", "16", "--seed", "3", "--out", str(tmp_path / "k")]) == EXIT_OK
+        config = json.loads(open(tmp_path / "k" / "resolved_config.json").read())
+        train, _ = build_train_test(config)
+        traces = [empirical_ntk(cli_module._seeded_net(config, train, seed), train).trace for seed in (0, 3)]
+        assert traces[0] != traces[1]
+        assert f"trace = {traces[1]!r}" in capsys.readouterr().out.splitlines()
+
+    def test_failed_cell_logs_its_message(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"dataset": small_synth(n=20), "model": {"kind": "net", "widths": [16]}, "method": "linear-aux",
+             "lambda_grid": [0.0, 0.5], "seeds": [4], "steps": 5, "out": str(tmp_path / "out")},
+        )
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        rows = read_rows(tmp_path / "out" / "results.csv")
+        assert [row["status"] for row in rows] == ["error:ValidationError", "ok"]
+        failed = [line for line in capsys.readouterr().out.splitlines() if "failed:" in line]
+        assert len(failed) == 1
+        assert "noise=0.0 lambda=0.0 seed=4" in failed[0]
+        assert "the auxiliary objective needs lam > 0, got 0.0" in failed[0]
