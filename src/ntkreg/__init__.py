@@ -58,7 +58,6 @@ from .kernel import (
 from .krr import (
     KRRPredictor,
     PSDSolver,
-    ShiftedSolvers,
     export_predictions,
     krr_fit,
     krr_fit_multi,

@@ -1,10 +1,13 @@
-"""Container for symmetric PSD Gram matrices with cached spectral statistics.
+"""Container for symmetric PSD Gram matrices with cached spectral statistics
+and the Cholesky factorizations of their shifts K + shift I.
 
 Lives in its own module (re-exported by ``kernel``) so that the kernel cache
-I/O in ``data`` can construct instances without a circular import.
+I/O in ``data`` can construct instances without a circular import. The
+solver class comes from ``krr``, which imports this module, so
+:meth:`KernelMatrix.solver` imports it on first use.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,12 +26,15 @@ class KernelMatrix:
     (max |K_ij - K_ji| <= 1e-10 * max|K|) and positive semidefiniteness up to
     tolerance (lambda_min >= -1e-8 * tr/n). ``min_eig`` and ``op_norm`` both
     come from the one ``eigvalsh`` spectrum that the PSD check computes.
+    Fits, bounds and the closed-form limit on one instance share the
+    factorizations that :meth:`solver` keeps.
     """
 
     values: np.ndarray
     trace: float
     op_norm: float
     min_eig: float
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_values(cls, values) -> "KernelMatrix":
@@ -58,6 +64,22 @@ class KernelMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    def solver(self, shift: float):
+        """The ``krr.PSDSolver`` of K + shift I, built on first use.
+
+        Keeps the shift-0 solver, which serves y^T K^-1 y, and the most
+        recently used other shift, so callers that visit the ridges one after
+        another factor each shift once while at most two factors are alive.
+        """
+        if shift not in self._factors:
+            from .krr import PSDSolver
+
+            if shift != 0.0:
+                for old in [s for s in self._factors if s != 0.0]:
+                    del self._factors[old]
+            self._factors[shift] = PSDSolver(self.values, shift)
+        return self._factors[shift]
 
 
 def k_norms(values: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -29,9 +29,9 @@ Two constant modes:
 
 Logarithms that can go negative for very large lam are floored at zero.
 
-Every assembly factors K and K + lam^2 I at most once. Callers that fit and
-bound on one kernel pass the bound the fit's :class:`~ntkreg.krr.ShiftedSolvers`,
-so that the bound reuses its factors.
+Every quadratic form takes its factor from ``K.solver``, so K and
+K + lam^2 I are factored at most once per kernel matrix, and a bound after
+a fit on the same K reuses the fit's factor.
 """
 
 import math
@@ -42,7 +42,7 @@ import numpy as np
 from ._kernelmatrix import KernelMatrix
 from .data import TASK_BINARY, TASK_REGRESSION, DataSet, _write_json, prediction_error
 from .errors import ValidationError
-from .krr import KRRPredictor, ShiftedSolvers, solvers_for
+from .krr import KRRPredictor
 from .noise import rescale_binary, validate_transition
 
 MODE_EXPLICIT = "explicit-appendix"
@@ -131,23 +131,27 @@ class BoundReport:
         _write_json(path, self.as_dict())
 
 
-def quad_form_inv(K: KernelMatrix, v, solvers: ShiftedSolvers = None) -> float:
+def _quad_form(K: KernelMatrix, v: np.ndarray, shift: float) -> float:
+    """v^T (K + shift I)^-1 v, clamped at zero against fp noise."""
+    return max(float(v @ K.solver(shift).solve_checked(v)), 0.0)
+
+
+def quad_form_inv(K: KernelMatrix, v) -> float:
     """v^T K^-1 v via a factorized solve (never an explicit inverse)."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (K.n,):
         raise ValidationError(f"vector must have shape ({K.n},), got {v.shape}")
-    return solvers_for(K, solvers).quad_form(v, 0.0)
+    return _quad_form(K, v, 0.0)
 
 
-def lemma1_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float,
-                 solvers: ShiftedSolvers = None) -> float:
+def lemma1_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float) -> float:
     """High-probability bound on the training loss against *clean* labels.
 
     Value: (lam/2) sqrt(y^T K^-1 y) + (sigma/(2 lam)) sqrt(tr K)
     + sigma sqrt(2 log(1/delta)).
     """
     BoundConfig(lam=lam, sigma=sigma, delta=delta)
-    q = quad_form_inv(K, y, solvers)
+    q = quad_form_inv(K, y)
     return (
         0.5 * lam * math.sqrt(q)
         + (sigma / (2.0 * lam)) * math.sqrt(max(K.trace, 0.0))
@@ -155,8 +159,7 @@ def lemma1_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float,
     )
 
 
-def lemma2_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float, n: int = None,
-                 solvers: ShiftedSolvers = None) -> float:
+def lemma2_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float, n: int = None) -> float:
     """High-probability bound B' on the predictor's RKHS norm.
 
     Value: sqrt(y^T (K + lam^2 I)^-1 y) + (sigma/lam)(sqrt(n) + sqrt(2 log(1/delta))).
@@ -164,7 +167,7 @@ def lemma2_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float, n: 
     BoundConfig(lam=lam, sigma=sigma, delta=delta)
     y = np.asarray(y, dtype=np.float64)
     n = _sample_count(n, y.size)
-    q_shift = solvers_for(K, solvers).quad_form(y, lam * lam)
+    q_shift = _quad_form(K, y, lam * lam)
     return math.sqrt(q_shift) + (sigma / lam) * (
         math.sqrt(n) + math.sqrt(2.0 * math.log(1.0 / delta))
     )
@@ -182,9 +185,9 @@ def _log_floor(value: float) -> float:
 
 
 def _additive_terms(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
-                    delta: float, n: int, mode: str, solvers: ShiftedSolvers) -> dict:
+                    delta: float, n: int, mode: str) -> dict:
     """The three disjoint addends of the additive-noise bound plus diagnostics."""
-    q = quad_form_inv(K, y, solvers)
+    q = quad_form_inv(K, y)
     sqrt_qn = math.sqrt(q / n)
     tr_n = max(K.trace, 0.0) / n
     if mode == MODE_EXPLICIT:
@@ -200,7 +203,7 @@ def _additive_terms(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
             + math.sqrt(_log_floor(n / (delta * lam)) / n)
         )
         lemma_delta = delta / 3.0
-        b_prime = lemma2_bound(K, y, sigma, lam, lemma_delta, n, solvers)
+        b_prime = lemma2_bound(K, y, sigma, lam, lemma_delta, n)
         rademacher = 2.0 * (b_prime + 1.0) * math.sqrt(max(K.trace, 0.0)) / n
     else:
         c_main = 1.0
@@ -212,7 +215,7 @@ def _additive_terms(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
             + (sigma / lam) * math.sqrt(log1 / n)
             + math.sqrt(_log_floor(n / (delta * lam)) / n)
         )
-        b_prime = lemma2_bound(K, y, sigma, lam, delta, n, solvers)
+        b_prime = lemma2_bound(K, y, sigma, lam, delta, n)
         rademacher = 2.0 * b_prime * math.sqrt(max(K.trace, 0.0)) / n
     return {
         "q": q,
@@ -220,14 +223,13 @@ def _additive_terms(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
         "sigma_term": sigma_term,
         "delta_term": delta_term,
         "c_main": c_main,
-        "lemma1": lemma1_bound(K, y, sigma, lam, delta, solvers),
-        "lemma2": lemma2_bound(K, y, sigma, lam, delta, n, solvers),
+        "lemma1": lemma1_bound(K, y, sigma, lam, delta),
+        "lemma2": lemma2_bound(K, y, sigma, lam, delta, n),
         "rademacher": rademacher,
     }
 
 
-def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None,
-                   solvers: ShiftedSolvers = None) -> BoundReport:
+def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None) -> BoundReport:
     """Population-loss bound for additive subgaussian label noise.
 
     Holds for any loss mapping to [0, 1] that is 1-Lipschitz in the
@@ -236,8 +238,7 @@ def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None,
     """
     y = np.asarray(y, dtype=np.float64)
     n = _sample_count(n, y.size)
-    terms = _additive_terms(K, y, cfg.sigma, cfg.lam, cfg.delta, n, cfg.constant_mode,
-                            solvers_for(K, solvers))
+    terms = _additive_terms(K, y, cfg.sigma, cfg.lam, cfg.delta, n, cfg.constant_mode)
     return BoundReport(
         mode=cfg.constant_mode,
         total=terms["main"] + terms["sigma_term"] + terms["delta_term"],
@@ -253,8 +254,7 @@ def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None,
 
 
 def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
-                 n: int = None, constant_mode: str = MODE_EXPLICIT,
-                 solvers: ShiftedSolvers = None) -> BoundReport:
+                 n: int = None, constant_mode: str = MODE_EXPLICIT) -> BoundReport:
     """Clean-distribution classification-error bound under flip probability p.
 
     The labels are rescaled to +-(1-2p) so the flip noise becomes zero-mean
@@ -271,9 +271,8 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
     n = _sample_count(n, y.size)
     scaled_y, sigma_eff = rescale_binary(y, p)
     inv_margin = 1.0 / (1.0 - 2.0 * p)
-    solvers = solvers_for(K, solvers)
     if constant_mode == MODE_EXPLICIT:
-        terms = _additive_terms(K, scaled_y, sigma_eff, lam, delta, n, constant_mode, solvers)
+        terms = _additive_terms(K, scaled_y, sigma_eff, lam, delta, n, constant_mode)
         main = terms["main"] * inv_margin  # the (1-2p) inside sqrt(q) cancels here
         sigma_term = terms["sigma_term"] * inv_margin
         delta_term = terms["delta_term"] * inv_margin
@@ -285,7 +284,7 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
             "c_main": terms["c_main"],
         }
     else:
-        q_clean = quad_form_inv(K, y, solvers)
+        q_clean = quad_form_inv(K, y)
         main = 0.5 * (lam + 1.0) * math.sqrt(q_clean / n)
         sqrt_p = math.sqrt(p)
         sigma_term = inv_margin * sqrt_p / lam
@@ -294,8 +293,8 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
             + math.sqrt(_log_floor(n / (delta * lam)) / n)
         )
         report_extras = {
-            "lemma1": lemma1_bound(K, scaled_y, sigma_eff, lam, delta, solvers),
-            "lemma2": lemma2_bound(K, scaled_y, sigma_eff, lam, delta, n, solvers),
+            "lemma1": lemma1_bound(K, scaled_y, sigma_eff, lam, delta),
+            "lemma2": lemma2_bound(K, scaled_y, sigma_eff, lam, delta, n),
             "rademacher": None,
             "c_main": 1.0,
         }
@@ -315,8 +314,7 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
 
 
 def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
-                     n: int = None, constant_mode: str = MODE_EXPLICIT,
-                     solvers: ShiftedSolvers = None) -> BoundReport:
+                     n: int = None, constant_mode: str = MODE_EXPLICIT) -> BoundReport:
     """Clean-distribution top-1 error bound under a class-transition channel.
 
     ``Y`` is the (num_classes, n) one-hot matrix of clean labels. The bound
@@ -347,10 +345,9 @@ def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
     main_sum = 0.0
     sigma_sum = 0.0
     delta_sum = 0.0
-    solvers = solvers_for(K, solvers)
     if constant_mode == MODE_EXPLICIT:
         for h in range(num_classes):
-            terms = _additive_terms(K, Q[h], 1.0, lam, delta_per_class, n, constant_mode, solvers)
+            terms = _additive_terms(K, Q[h], 1.0, lam, delta_per_class, n, constant_mode)
             q_forms.append(terms["q"])
             main_sum += terms["main"]
             sigma_sum += terms["sigma_term"]
@@ -358,7 +355,7 @@ def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
         c_main = 4.0 * math.sqrt(max(K.trace, 0.0) / n)
     else:
         for h in range(num_classes):
-            q = quad_form_inv(K, Q[h], solvers)
+            q = quad_form_inv(K, Q[h])
             q_forms.append(q)
             main_sum += 0.5 * (lam + 1.0) * math.sqrt(q / n)
         sigma_sum = num_classes / lam

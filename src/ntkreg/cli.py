@@ -50,7 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk, kernel_cross
-from .krr import ShiftedSolvers, export_predictions, krr_fit
+from .krr import export_predictions, krr_fit
 from .linmodel import KIND_AUX, KIND_RDI, check_equivalence, linearize, run_gd_aux, run_gd_rdi
 from .net import MLP, NetConfig, TrainConfig, distance_to_init, forward, init_mlp, train_full
 
@@ -154,6 +154,11 @@ def _validate_config(config: dict, command: str) -> None:
         raise ValidationError("lambda and the lambda grid values must be >= 0")
     if command == "bounds" and config["lambda"] <= 0.0:
         raise ValidationError("bound reports need lambda > 0")
+    eta, steps = config["eta"], config["steps"]
+    if eta is not None and not (isinstance(eta, (int, float)) and eta > 0.0):
+        raise ValidationError(f"eta must be null or > 0, got {eta!r}")
+    if not (isinstance(steps, int) and steps >= 0):
+        raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
     if command == "sweep" and not (config["lambda_grid"] and config["noise_grid"]):
         raise ValidationError("a sweep needs a nonempty lambda_grid and noise_grid")
     method = config["method"]
@@ -177,8 +182,12 @@ def _validate_config(config: dict, command: str) -> None:
     tangent = method.startswith("linear-") or command == "equivalence"
     if (tangent or method.startswith("net-")) and config["model"]["kind"] != "net":
         raise ValidationError(f"{command} with {method} needs a net model, not {config['model']['kind']!r}")
+    if tangent and not _spec("model", config["model"])["difference_trick"]:
+        raise ValidationError("linear-* methods and the equivalence check need difference_trick: true")
     if tangent and dataset["kind"] == "synth-multiclass":
         raise ValidationError("linear-* methods and the equivalence check need binary or regression data")
+    if command == "bounds" and dataset["kind"] == "synth-multiclass" and noise["kind"] != "class-transition":
+        raise ValidationError("bounds on multiclass data need class-transition noise")
     if noise["kind"] == "class-transition" and len({lv for lv in config["noise_grid"] if lv > 0.0}) > 1:
         raise ValidationError("a class-transition noise_grid has at most one positive "
                               "level; each applies the same transition matrix")
@@ -336,10 +345,10 @@ def _noisy_train(config: dict, cell: dict, train):
 
 def _step_size(config: dict, lam: float, gram) -> float:
     """The configured eta, else the largest certified step 1/(||K|| + lam^2), K = ``gram()``."""
-    return config["eta"] or 1.0 / (gram().op_norm + lam * lam)
+    return config["eta"] if config["eta"] is not None else 1.0 / (gram().op_norm + lam * lam)
 
 
-def _noise_bound(config, data, gram, noise, lam, solvers=None):
+def _noise_bound(config, data, gram, noise, lam):
     """The bound report of ``noise`` on ``data``.
 
     Flips and class transitions have their own bounds. Additive noise gets
@@ -348,33 +357,33 @@ def _noise_bound(config, data, gram, noise, lam, solvers=None):
     delta, mode = float(config["delta"]), config["constant_mode"]
     args = (lam, delta, data.n)
     if isinstance(noise, noise_mod.BinaryFlip):
-        return bounds_mod.bound_binary(gram, data.clean_labels, noise.p, *args, mode, solvers)
+        return bounds_mod.bound_binary(gram, data.clean_labels, noise.p, *args, mode)
     if isinstance(noise, noise_mod.ClassTransition):
         Y = onehot_matrix(data.clean_labels, data.num_classes)
-        return bounds_mod.bound_multiclass(gram, Y, noise.matrix, *args, mode, solvers)
+        return bounds_mod.bound_multiclass(gram, Y, noise.matrix, *args, mode)
     sigma = float(config["sigma"]) if noise is None else noise.sigma
     cfg = bounds_mod.BoundConfig(lam, sigma, delta, mode)
-    return bounds_mod.bound_additive(gram, data.clean_labels, cfg, data.n, solvers)
+    return bounds_mod.bound_additive(gram, data.clean_labels, cfg, data.n)
 
 
 class _KRRGroup:
-    """krr cells that share one kernel: K, its ShiftedSolvers and the test cross matrix C.
+    """krr cells that share one kernel K and the test cross matrix C.
 
-    Visiting the cells ridge by ridge factors each shift lam^2 once, and the
-    shift-0 factor also serves the bounds' y^T K^-1 y. A cell then costs
-    O(n^2) per output: a solve, K @ alpha, C @ alpha and the bound
-    arithmetic. Cells fit ``DataSet.fit_targets``, one-hot for multiclass.
+    K owns its factorizations (``KernelMatrix.solver``). Visiting the cells
+    ridge by ridge factors each shift lam^2 once, and the shift-0 factor
+    also serves the bounds' y^T K^-1 y. A cell then costs O(n^2) per
+    output: a solve, K @ alpha, C @ alpha and the bound arithmetic. Cells
+    fit ``DataSet.fit_targets``, one-hot for multiclass.
     """
 
     def __init__(self, config, train, test, seed):
         self.config, self.train, self.test = config, train, test
         self.source = build_kernel_source(config, train, seed)
         self.gram = self.source.gram(train)
-        self.solvers = ShiftedSolvers(self.gram)
         self.cross = None if test is None else self.source.cross(test.inputs, train)
 
     def fit(self, noisy, lam: float):
-        return krr_fit(self.gram, noisy.fit_targets(), lam, self.source, noisy, solvers=self.solvers)
+        return krr_fit(self.gram, noisy.fit_targets(), lam, self.source, noisy)
 
     def train_outputs(self, fit):
         # From the Gram matrix: evaluating k(X, X) again would repeat the
@@ -386,7 +395,7 @@ class _KRRGroup:
         fit = self.fit(noisy, lam)
         report = None
         if noise is not None and lam > 0.0:
-            report = _noise_bound(self.config, self.train, self.gram, noise, lam, self.solvers)
+            report = _noise_bound(self.config, self.train, self.gram, noise, lam)
         return _cell_row(
             self.config, cell, noisy, self.test, self.train_outputs(fit),
             None if self.cross is None else self.cross @ fit.alpha.T,
@@ -530,7 +539,7 @@ def cmd_bounds(config: dict) -> int:
     cell, train, _ = _single_run(config)
     noise = build_noise_model(config["noise"], override_level=cell["noise"])
     group = _KRRGroup(config, train, None, cell["seed"])
-    report = _noise_bound(config, train, group.gram, noise, cell["lambda"], group.solvers)
+    report = _noise_bound(config, train, group.gram, noise, cell["lambda"])
     report.to_json(os.path.join(out, "bound_report.json"))
     _log(f"bound total = {report.total:.6g} (mode {config['constant_mode']})")
     return EXIT_OK

@@ -4,7 +4,9 @@ The regularization strength lam enters the normal equations as lam^2, i.e.
 alpha = (K + lam^2 I)^-1 y, so callers never have to remember which power
 of lam the solver adds. Solves go through a Cholesky factorization with an
 escalating-jitter fallback; every fit is verified against its residual and
-fails loudly instead of returning a silently wrong coefficient vector.
+fails loudly instead of returning a silently wrong coefficient vector. The
+factorizations belong to the kernel matrix (``KernelMatrix.solver``), so
+fits at one ridge and the bounds on the same K factor each shift once.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,9 @@ class PSDSolver:
     On factorization failure, adds jitter 1e-10 tr(K)/n to the diagonal and
     escalates tenfold up to three times before raising SingularityError.
     Solutions are checked against the unjittered system, so a jitter that
-    large enough to distort the solve is also a loud failure.
+    large enough to distort the solve is also a loud failure. The solver
+    holds one n x n array, its factor; the residual check forms K x + shift x
+    from the caller's K.
     """
 
     def __init__(self, values: np.ndarray, shift: float):
@@ -36,14 +40,14 @@ class PSDSolver:
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {values.shape}")
         n = values.shape[0]
-        self.matrix = values + shift * np.eye(n)
+        self.values, self.shift = values, shift
         base_jitter = BASE_JITTER_FACTOR * max(float(np.trace(values)), 0.0) / n
         jitters = [0.0] + [base_jitter * 10.0**k for k in range(JITTER_ESCALATIONS)]
         self.factor = None
         self.jitter = 0.0
         for jitter in jitters:
             try:
-                self.factor = cho_factor(self.matrix + jitter * np.eye(n), lower=True)
+                self.factor = cho_factor((values + shift * np.eye(n)) + jitter * np.eye(n), lower=True)
                 self.jitter = jitter
                 break
             except np.linalg.LinAlgError:
@@ -59,7 +63,7 @@ class PSDSolver:
 
     def solve_checked(self, b: np.ndarray) -> np.ndarray:
         x = self.solve(b)
-        residual = float(np.linalg.norm(self.matrix @ x - b))
+        residual = float(np.linalg.norm(self.values @ x + self.shift * x - b))
         scale = max(float(np.linalg.norm(b)), np.finfo(np.float64).tiny)
         if residual > RESIDUAL_RTOL * scale:
             raise SingularityError(
@@ -67,45 +71,6 @@ class PSDSolver:
                 "the shifted kernel matrix is numerically singular"
             )
         return x
-
-
-class ShiftedSolvers:
-    """The PSDSolvers of K + shift I for one kernel matrix, built on first use.
-
-    Fits at several ridges and the bounds' quadratic forms share
-    factorizations through one instance. It keeps the shift-0 solver, which
-    serves y^T K^-1 y, and the most recently used other shift, so callers
-    that visit the ridges one after another factor each shift once while at
-    most two factors are alive. An instance lives no longer than the work on
-    its kernel.
-    """
-
-    def __init__(self, K: KernelMatrix):
-        self.K = K
-        self._solvers = {}
-
-    def solver(self, shift: float) -> PSDSolver:
-        if shift not in self._solvers:
-            if shift != 0.0:
-                self._solvers = {s: f for s, f in self._solvers.items() if s == 0.0}
-            self._solvers[shift] = PSDSolver(self.K.values, shift)
-        return self._solvers[shift]
-
-    def solve(self, b: np.ndarray, shift: float) -> np.ndarray:
-        return self.solver(shift).solve_checked(b)
-
-    def quad_form(self, v: np.ndarray, shift: float) -> float:
-        """v^T (K + shift I)^-1 v, clamped at zero against fp noise."""
-        return max(float(v @ self.solve(v, shift)), 0.0)
-
-
-def solvers_for(K: KernelMatrix, solvers: ShiftedSolvers = None) -> ShiftedSolvers:
-    """``solvers`` when given (it must serve ``K``), else a fresh instance for ``K``."""
-    if solvers is None:
-        return ShiftedSolvers(K)
-    if solvers.K is not K:
-        raise ValidationError("the shared solvers belong to a different kernel matrix")
-    return solvers
 
 
 @dataclass
@@ -144,21 +109,20 @@ class KRRPredictor:
         return predicted_classes(self.predict(x), task)
 
 
-def krr_fit(K: KernelMatrix, y, lam: float, kernel_source=None, train_data=None,
-            solvers: ShiftedSolvers = None) -> KRRPredictor:
+def krr_fit(K: KernelMatrix, y, lam: float, kernel_source=None, train_data=None) -> KRRPredictor:
     """Solve (K + lam^2 I) alpha = y with the jittered Cholesky solver.
 
     ``y`` is an n-vector, or a (num_outputs, n) matrix whose row h gives the
     coefficients of output h; each row is solved and residual-checked on its
-    own against one factorization. Fits that pass the same ``solvers`` share
-    the factorization of each shift.
+    own against one factorization. Fits on the same ``K`` share the
+    factorization of each shift through ``K.solver``.
     """
     if lam < 0.0:
         raise ValidationError(f"lam must be >= 0, got {lam}")
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.shape[-1] != K.n:
         raise ValidationError(f"targets must be ({K.n},) or (num_outputs, {K.n}), got {y.shape}")
-    solver = solvers_for(K, solvers).solver(lam * lam)
+    solver = K.solver(lam * lam)
     alpha = np.stack([solver.solve_checked(row) for row in np.atleast_2d(y)]).reshape(y.shape)
     source = as_kernel_source(kernel_source) if kernel_source is not None else None
     return KRRPredictor(alpha=alpha, lam=lam, kernel_source=source, train_data=train_data)

@@ -269,20 +269,14 @@ class TrainConfig:
     offset lam * b_i to the output inside the loss; b starts at zero and is
     discarded at prediction time).
 
-    Training is full-batch with a fixed learning rate by default. Setting
-    ``batch_size`` switches to mini-batch mode for large n: each step
-    consumes the next chunk of a seeded per-epoch shuffle, the regularizer
-    acts at full strength every step, and the logged objective is still the
-    full-batch value. Mini-batch runs trade the exact trajectory identities
-    for throughput, so equivalence checks always use full batches.
+    Training is full-batch with a fixed learning rate ``eta`` for ``steps``
+    steps, so the trajectory is deterministic given the initial net.
     """
 
     objective: str
     eta: float
     steps: int
     lam: float = 0.0
-    batch_size: int = 0  # 0 means full batch
-    batch_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "objective", str(self.objective).lower())
@@ -294,8 +288,6 @@ class TrainConfig:
             raise ValidationError(f"steps must be >= 0, got {self.steps}")
         if self.lam < 0.0:
             raise ValidationError(f"lam must be >= 0, got {self.lam}")
-        if self.batch_size < 0:
-            raise ValidationError(f"batch_size must be >= 0, got {self.batch_size}")
 
 
 @dataclass
@@ -366,12 +358,6 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
     log_dist = np.zeros((total + 1, depth))
     log_norm = np.zeros((total + 1, depth))
 
-    minibatch = 0 < cfg.batch_size < n
-    if minibatch:
-        batch_rng = np.random.default_rng(cfg.batch_seed)
-        order = batch_rng.permutation(n)
-        position = 0
-
     for t in range(total + 1):
         outs = []
         caches = []
@@ -401,25 +387,10 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
         if t == total:
             break
 
-        rows = None
-        if minibatch:
-            if position + cfg.batch_size > n:
-                order = batch_rng.permutation(n)
-                position = 0
-            rows = order[position : position + cfg.batch_size]
-            position += cfg.batch_size
-        step_residual = residual if rows is None else residual[rows]
         for coeff, weights, weights0, cache in zip(
             model.branch_coeffs, model.params, model.params0, caches
         ):
-            if rows is None:
-                step_cache = cache
-            else:
-                step_cache = [
-                    (inp[rows], None if mask is None else mask[rows])
-                    for inp, mask in cache
-                ]
-            factors = _branch_backward_factors(config, weights, step_cache, coeff * step_residual)
+            factors = _branch_backward_factors(config, weights, cache, coeff * residual)
             for l in config.trainable_layers:
                 delta, inp = factors[l]
                 grad = delta.T @ inp
@@ -427,10 +398,7 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
                     grad = grad + reg_sq * (weights[l] - weights0[l])
                 weights[l] -= cfg.eta * grad
         if cfg.objective == OBJECTIVE_AUX and lam > 0.0:
-            if rows is None:
-                aux -= cfg.eta * lam * residual
-            else:
-                aux[rows] -= cfg.eta * lam * step_residual
+            aux -= cfg.eta * lam * residual
 
     if n_out == 1:
         aux_state = AuxState(b=aux[:, 0].copy())

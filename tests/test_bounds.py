@@ -23,7 +23,7 @@ from ntkreg.data import synth_sphere
 from ntkreg.errors import ValidationError
 from ntkreg.kernel import AnalyticNTK, analytic_ntk
 from ntkreg import krr as krr_module
-from ntkreg.krr import KRRPredictor, ShiftedSolvers, krr_fit, rkhs_norm
+from ntkreg.krr import KRRPredictor, krr_fit, rkhs_norm
 from ntkreg.noise import AdditiveNoise, corrupt, onehot_matrix
 
 
@@ -116,16 +116,15 @@ class TestAdditiveBound:
         ds = synth_sphere(60, 8, "smooth-poly", seed=2)
         K = analytic_ntk(2, ds)
         cfg = BoundConfig(lam=1.5, sigma=0.1, delta=0.1, constant_mode=mode)
-        fresh = bound_additive(K, ds.clean_labels, cfg, ds.n)
-        solvers = ShiftedSolvers(K)
-        krr_fit(K, ds.clean_labels, 1.5, solvers=solvers)
-        quad_form_inv(K, ds.clean_labels, solvers)
+        fresh = bound_additive(kernel_from(K.values), ds.clean_labels, cfg, ds.n)
+        krr_fit(K, ds.clean_labels, 1.5)
+        quad_form_inv(K, ds.clean_labels)
         calls = []
         original = krr_module.cho_factor
         monkeypatch.setattr(
             krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k)
         )
-        shared = bound_additive(K, ds.clean_labels, cfg, ds.n, solvers=solvers)
+        shared = bound_additive(K, ds.clean_labels, cfg, ds.n)
         assert calls == []
         assert shared.as_dict() == fresh.as_dict()
 
@@ -219,23 +218,30 @@ class TestBinaryBound:
     def test_shared_solvers_reuse_factors(self, mode, monkeypatch):
         # a fit at the same ridge leaves the bound nothing new to factor, and
         # the shared factors give the same report bit for bit
-        fresh = bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode)
-        solvers = ShiftedSolvers(self.K)
-        krr_fit(self.K, self.y, 2.0, solvers=solvers)
-        quad_form_inv(self.K, self.y, solvers)
+        fresh = bound_binary(kernel_from(self.K.values), self.y, 0.2, 2.0, 0.1, constant_mode=mode)
+        krr_fit(self.K, self.y, 2.0)
+        quad_form_inv(self.K, self.y)
         calls = []
         original = krr_module.cho_factor
         monkeypatch.setattr(
             krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k)
         )
-        shared = bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode, solvers=solvers)
+        shared = bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode)
         assert calls == []
         assert shared.as_dict() == fresh.as_dict()
 
-    def test_solvers_of_another_kernel_rejected(self):
-        other = kernel_from(np.eye(self.K.n))
-        with pytest.raises(ValidationError):
-            bound_binary(self.K, self.y, 0.2, 2.0, 0.1, solvers=ShiftedSolvers(other))
+    @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
+    def test_bound_after_fit_factors_only_shift_zero(self, mode, monkeypatch):
+        # the fit's factor of K + lam^2 I belongs to K, so the bound adds K's own
+        calls = []
+        original = krr_module.cho_factor
+        krr_fit(self.K, self.y, 2.0)
+        monkeypatch.setattr(
+            krr_module, "cho_factor", lambda *a, **k: calls.append(a[0]) or original(*a, **k)
+        )
+        bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], self.K.values)  # shift 0, no jitter
 
 
 class TestMulticlassBound:
@@ -381,23 +387,15 @@ class TestMulticlassSharedSolvers:
         Y = onehot_matrix(labels, 3)
         P = np.array([[0.7, 0.1, 0.2], [0.2, 0.8, 0.1], [0.1, 0.1, 0.7]])
         for mode in ("explicit-appendix", "unit-constants"):
-            fresh = bound_multiclass(K, Y, P, 0.8, 0.1, constant_mode=mode)
-            solvers = ShiftedSolvers(K)
-            krr_fit(K, Y, 0.8, solvers=solvers)
-            solvers.solver(0.0)
+            fresh = bound_multiclass(kernel_from(K.values), Y, P, 0.8, 0.1, constant_mode=mode)
+            krr_fit(K, Y, 0.8)
+            K.solver(0.0)
             factors = []
             original = krr_module.cho_factor
             monkeypatch.setattr(
                 krr_module, "cho_factor", lambda *a, **k: factors.append(1) or original(*a, **k)
             )
-            shared = bound_multiclass(K, Y, P, 0.8, 0.1, constant_mode=mode, solvers=solvers)
+            shared = bound_multiclass(K, Y, P, 0.8, 0.1, constant_mode=mode)
             monkeypatch.setattr(krr_module, "cho_factor", original)
             assert factors == []
             assert shared.as_dict() == fresh.as_dict()
-
-    def test_solvers_of_another_kernel_rejected(self):
-        K = kernel_from(2.0 * np.eye(4))
-        Y = onehot_matrix(np.array([1, 2, 1, 2]), 2)
-        other = ShiftedSolvers(kernel_from(2.0 * np.eye(4)))
-        with pytest.raises(ValidationError):
-            bound_multiclass(K, Y, np.array([[0.8, 0.3], [0.2, 0.7]]), 1.0, 0.1, solvers=other)

@@ -1023,3 +1023,42 @@ class TestOneConfigCheck:
         assert len(failed) == 1
         assert "noise=0.0 lambda=0.0 seed=4" in failed[0]
         assert "the auxiliary objective needs lam > 0, got 0.0" in failed[0]
+
+    @pytest.mark.parametrize("command, method", [("sweep", "linear-rdi"), ("equivalence", "krr")])
+    def test_tangent_runs_need_difference_trick(self, tmp_path, capsys, command, method):
+        # the tangent model exists only for a difference-trick net
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {
+            "dataset": small_synth(n=20), "method": method, "steps": 2, "out": str(out),
+            "model": {"kind": "net", "widths": [16], "difference_trick": False},
+        })
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        assert "difference_trick" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, changes, flags, named", [
+        pytest.param("sweep", {"method": "net-rdi", "eta": -0.1}, [], "eta", id="negative-eta-sweep"),
+        pytest.param("train", {"method": "net-rdi"}, ["--eta", "0"], "eta", id="eta-flag-0"),
+        pytest.param("equivalence", {}, ["--steps", "-1"], "steps", id="negative-steps"),
+        pytest.param("train", {"method": "net-rdi", "steps": 2.5}, [], "steps", id="fractional-steps"),
+    ])
+    def test_eta_and_steps_checked_before_output(self, tmp_path, capsys, command, changes, flags, named):
+        out = tmp_path / "out"
+        payload = {"dataset": small_synth(n=20), "model": {"kind": "net", "widths": [16]}, "steps": 2,
+                   "out": str(out)}
+        cfg = write_config(tmp_path, "cfg.json", dict(payload, **changes))
+        assert main([command, "--config", cfg, *flags]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_multiclass_bounds_need_transition_noise(self, tmp_path, capsys):
+        # class ids are not regression targets; multiclass data has only the transition bound
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": dict(SMALL_MULTICLASS, n=20), "out": str(out)})
+        assert main(["bounds", "--config", cfg]) == EXIT_VALIDATION
+        assert "class-transition" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = write_config(tmp_path, "ok.json", {"dataset": dict(SMALL_MULTICLASS, n=20), "out": str(out),
+                                                 "noise": transition_noise(tmp_path)})
+        assert main(["bounds", "--config", cfg]) == EXIT_OK
+        assert json.loads(open(out / "bound_report.json").read())["gap"] is not None

@@ -1,16 +1,20 @@
 """Ridge solver against closed-form oracles, prediction, RKHS norms."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ntkreg
 from ntkreg._kernelmatrix import KernelMatrix
-from ntkreg.data import DataSet, synth_sphere
+from ntkreg.data import DataSet, Provenance, make_kernel_cache, save_kernel, synth_sphere
 from ntkreg.errors import SingularityError, ValidationError
 from ntkreg.kernel import AnalyticNTK, analytic_ntk
 from ntkreg.krr import (
     KRRPredictor,
     PSDSolver,
-    ShiftedSolvers,
     export_predictions,
     krr_fit,
     krr_fit_multi,
@@ -106,39 +110,56 @@ class TestSolverAgainstDenseInverse:
 
 
 class TestShiftedSolvers:
+    """The solvers of K + shift I that a KernelMatrix builds and keeps."""
+
     def test_matches_fresh_solver_bitwise(self):
         rng = np.random.default_rng(7)
         K = random_psd_kernel(rng, 12)
         y = rng.standard_normal(12)
-        solvers = ShiftedSolvers(K)
         for shift in (0.0, 0.25, 4.0, 0.25):
-            assert np.array_equal(solvers.solve(y, shift), PSDSolver(K.values, shift).solve_checked(y))
-        assert solvers.quad_form(y, 1.0) == float(y @ PSDSolver(K.values, 1.0).solve_checked(y))
+            assert np.array_equal(K.solver(shift).solve_checked(y), PSDSolver(K.values, shift).solve_checked(y))
+        assert float(y @ K.solver(1.0).solve_checked(y)) == float(y @ PSDSolver(K.values, 1.0).solve_checked(y))
 
     def test_keeps_shift_zero_and_latest_shift(self):
         K = random_psd_kernel(np.random.default_rng(8), 6)
-        solvers = ShiftedSolvers(K)
-        zero = solvers.solver(0.0)
-        first = solvers.solver(1.0)
-        assert solvers.solver(1.0) is first
-        solvers.solver(4.0)
-        assert solvers.solver(0.0) is zero
-        assert solvers.solver(1.0) is not first  # evicted by shift 4, refactored
+        zero = K.solver(0.0)
+        first = K.solver(1.0)
+        assert K.solver(1.0) is first
+        K.solver(4.0)
+        assert K.solver(0.0) is zero
+        assert K.solver(1.0) is not first  # evicted by shift 4, refactored
 
     def test_fits_share_factorization(self):
         K = random_psd_kernel(np.random.default_rng(9), 8)
-        solvers = ShiftedSolvers(K)
-        a = krr_fit(K, np.ones(8), 0.5, solvers=solvers)
-        solver = solvers.solver(0.25)
-        b = krr_fit(K, -np.ones(8), 0.5, solvers=solvers)
-        assert solvers.solver(0.25) is solver
+        a = krr_fit(K, np.ones(8), 0.5)
+        solver = K.solver(0.25)
+        b = krr_fit(K, -np.ones(8), 0.5)
+        assert K.solver(0.25) is solver
         assert np.array_equal(a.alpha, -b.alpha)
 
     def test_failed_factorization_raises_every_time(self):
-        solvers = ShiftedSolvers(kernel_from(np.ones((3, 3))))
+        K = kernel_from(np.ones((3, 3)))
         for _ in range(2):
             with pytest.raises(SingularityError):
-                solvers.solve(np.array([1.0, 0.0, 0.0]), 0.0)
+                K.solver(0.0).solve_checked(np.array([1.0, 0.0, 0.0]))
+
+    def test_solver_after_loading_a_cache_in_a_fresh_interpreter(self, tmp_path):
+        # the solver class is imported inside KernelMatrix.solver; a process
+        # that imports only the data module must still reach it
+        ds = synth_sphere(10, 4, "linear-sign", seed=3)
+        K = analytic_ntk(2, ds)
+        path = tmp_path / "k.ntkk"
+        save_kernel(make_kernel_cache(K, Provenance(kind="analytic", depth=2), ds), path)
+        script = (
+            "import sys\n"
+            "from ntkreg.data import load_kernel, synth_sphere\n"
+            "K = load_kernel(sys.argv[1], synth_sphere(10, 4, 'linear-sign', seed=3)).matrix\n"
+            "print(repr(float(K.solver(0.0).solve_checked(K.values[0]).sum())))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ntkreg.__file__)))
+        out = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) == float(K.solver(0.0).solve_checked(K.values[0]).sum())
 
 
 class TestPrediction:
@@ -301,11 +322,10 @@ class TestTargetMatrix:
         factors = []
         original = krr_module.cho_factor
         monkeypatch.setattr(krr_module, "cho_factor", lambda *a, **k: factors.append(1) or original(*a, **k))
-        solvers = ShiftedSolvers(K)
-        fit = krr_fit(K, targets, 0.7, solvers=solvers)
+        fit = krr_fit(K, targets, 0.7)
         assert len(factors) == 1
         for h in range(3):
-            assert np.array_equal(fit.alpha[h], krr_fit(K, targets[h], 0.7, solvers=solvers).alpha)
+            assert np.array_equal(fit.alpha[h], krr_fit(K, targets[h], 0.7).alpha)
         assert len(factors) == 1
         assert np.array_equal(fit.alpha, krr_fit_multi(K, targets, 0.7).alpha)
 

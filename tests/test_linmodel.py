@@ -257,6 +257,18 @@ class TestClosedForm:
         theirs = predictor.predict(queries)
         assert np.max(np.abs(mine - theirs)) <= 1e-10 * max(np.max(np.abs(theirs)), 1e-12)
 
+    def test_limit_after_fit_reuses_the_factor(self, monkeypatch):
+        from ntkreg import krr as krr_module
+
+        lm, ds = make_lm(n=12, width=32)
+        fit = krr_fit(lm.K, ds.noisy_labels, 0.5)
+        calls = []
+        original = krr_module.cho_factor
+        monkeypatch.setattr(krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k))
+        _, alpha = closed_form_limit(lm, ds.noisy_labels, 0.5)
+        assert calls == []
+        assert np.array_equal(alpha, fit.alpha)
+
     def test_lambda_zero_gives_interpolating_solution(self):
         # with an invertible Gram matrix the limit is plain kernel regression
         lm, ds = make_lm(n=12, width=64)

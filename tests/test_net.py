@@ -235,29 +235,6 @@ class TestTrainFull:
         assert aux.b.shape == (3, 30)
         assert log.objective[-1] < log.objective[0]
 
-    def test_minibatch_mode(self):
-        ds, mlp = small_problem(n=32)
-        cfg = TrainConfig("aux", eta=0.02, steps=60, lam=1.0, batch_size=8, batch_seed=3)
-        trained, aux, log = train_full(mlp, ds, cfg)
-        assert log.objective[-1] < log.objective[0]
-        # deterministic given the batch seed
-        _, aux2, log2 = train_full(mlp, ds, cfg)
-        assert np.array_equal(log.objective, log2.objective)
-        assert np.array_equal(aux.b, aux2.b)
-        # a different batch seed takes a different path
-        _, _, log3 = train_full(
-            mlp, ds, TrainConfig("aux", eta=0.02, steps=60, lam=1.0, batch_size=8, batch_seed=4)
-        )
-        assert not np.array_equal(log.objective, log3.objective)
-
-    def test_batch_size_at_least_n_is_full_batch(self):
-        ds, mlp = small_problem(n=16)
-        full = TrainConfig("vanilla", eta=0.02, steps=20)
-        capped = TrainConfig("vanilla", eta=0.02, steps=20, batch_size=16)
-        _, _, log_a = train_full(mlp, ds, full)
-        _, _, log_b = train_full(mlp, ds, capped)
-        assert np.array_equal(log_a.objective, log_b.objective)
-
     def test_trajectory_csv(self, tmp_path):
         ds, mlp = small_problem()
         _, _, log = train_full(mlp, ds, TrainConfig("rdi", eta=0.02, steps=5, lam=0.5))
