@@ -65,7 +65,7 @@ class BoundConfig:
 
     def __post_init__(self):
         if not self.lam > 0.0:
-            raise ValidationError(f"bounds need lam > 0, got {self.lam}")
+            raise ValidationError(f"bounds need lambda > 0, got {self.lam}")
         if self.sigma < 0.0:
             raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
         if not 0.0 < self.delta < 1.0:
@@ -277,12 +277,7 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
         sigma_term = terms["sigma_term"] * inv_margin
         delta_term = terms["delta_term"] * inv_margin
         q_clean = terms["q"] * inv_margin * inv_margin
-        report_extras = {
-            "lemma1": terms["lemma1"],
-            "lemma2": terms["lemma2"],
-            "rademacher": terms["rademacher"],
-            "c_main": terms["c_main"],
-        }
+        lemma1, lemma2, rademacher, c_main = (terms[k] for k in ("lemma1", "lemma2", "rademacher", "c_main"))
     else:
         q_clean = quad_form_inv(K, y)
         main = 0.5 * (lam + 1.0) * math.sqrt(q_clean / n)
@@ -292,23 +287,20 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
             math.sqrt(p * math.log(1.0 / delta) / n)
             + math.sqrt(_log_floor(n / (delta * lam)) / n)
         )
-        report_extras = {
-            "lemma1": lemma1_bound(K, scaled_y, sigma_eff, lam, delta),
-            "lemma2": lemma2_bound(K, scaled_y, sigma_eff, lam, delta, n),
-            "rademacher": None,
-            "c_main": 1.0,
-        }
+        lemma1 = lemma1_bound(K, scaled_y, sigma_eff, lam, delta)
+        lemma2 = lemma2_bound(K, scaled_y, sigma_eff, lam, delta, n)
+        rademacher, c_main = None, 1.0
     return BoundReport(
         mode=constant_mode,
         total=main + sigma_term + delta_term,
         main_term=main,
         sigma_over_lambda_term=sigma_term,
         delta_term=delta_term,
-        main_constant=report_extras["c_main"],
+        main_constant=c_main,
         y_kinv_y=q_clean,
-        lemma1_value=report_extras["lemma1"],
-        lemma2_value=report_extras["lemma2"],
-        rademacher_value=report_extras["rademacher"],
+        lemma1_value=lemma1,
+        lemma2_value=lemma2,
+        rademacher_value=rademacher,
         extras={"p": p, "sigma_eff": sigma_eff},
     )
 

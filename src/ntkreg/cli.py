@@ -152,8 +152,17 @@ def _validate_config(config: dict, command: str) -> None:
         raise ValidationError("config needs at least one seed")
     if config["lambda"] < 0.0 or any(lam < 0.0 for lam in config["lambda_grid"]):
         raise ValidationError("lambda and the lambda grid values must be >= 0")
-    if command == "bounds" and config["lambda"] <= 0.0:
-        raise ValidationError("bound reports need lambda > 0")
+    try:  # the bound knobs as the bounds read them, checked by their owner
+        sigma, delta = float(config["sigma"]), float(config["delta"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"sigma and delta must be numbers: {exc}") from exc
+    lam = config["lambda"] if command == "bounds" else 1.0  # only bounds reads the one lambda
+    bounds_mod.BoundConfig(lam, sigma, delta, config["constant_mode"])
+    if command == "equivalence" and not max(config["lambda"], *config["lambda_grid"]) > 0.0:
+        raise ValidationError("equivalence needs a lambda > 0 in lambda_grid or lambda")
+    tol = config["tolerance"]
+    if command == "equivalence" and not (isinstance(tol, (int, float)) and tol >= 0.0):
+        raise ValidationError(f"the equivalence tolerance must be >= 0, got {tol!r}")
     eta, steps = config["eta"], config["steps"]
     if eta is not None and not (isinstance(eta, (int, float)) and eta > 0.0):
         raise ValidationError(f"eta must be null or > 0, got {eta!r}")
@@ -343,11 +352,6 @@ def _noisy_train(config: dict, cell: dict, train):
     return noise, apply_noise(train, noise, (cell["seed"], cell["noise_idx"]))
 
 
-def _step_size(config: dict, lam: float, gram) -> float:
-    """The configured eta, else the largest certified step 1/(||K|| + lam^2), K = ``gram()``."""
-    return config["eta"] if config["eta"] is not None else 1.0 / (gram().op_norm + lam * lam)
-
-
 def _noise_bound(config, data, gram, noise, lam):
     """The bound report of ``noise`` on ``data``.
 
@@ -417,9 +421,8 @@ class _LinearGroup:
         self.cross = None if test is None else kernel_cross(self.lm.mlp, test.inputs, train)
 
     def trajectory(self, kind: str, y, lam: float):
-        run = run_gd_rdi if kind == KIND_RDI else run_gd_aux
-        eta = _step_size(self.config, lam, lambda: self.lm.K)
-        return run(self.lm, y, lam, eta=eta, steps=int(self.config["steps"]))
+        run = run_gd_rdi if kind == KIND_RDI else run_gd_aux  # eta None: the model's certified step
+        return run(self.lm, y, lam, eta=self.config["eta"], steps=int(self.config["steps"]))
 
     def row(self, cell, noise, noisy) -> dict:
         kind = self.config["method"].removeprefix("linear-")
@@ -440,7 +443,9 @@ class _NetGroup:
 
     def train(self, noisy, lam: float):
         mlp = _seeded_net(self.config, noisy, self.seed)
-        eta = _step_size(self.config, lam, lambda: empirical_ntk(mlp, noisy))
+        eta = self.config["eta"]
+        if eta is None:  # the largest certified step 1/(||K|| + lam^2)
+            eta = 1.0 / (empirical_ntk(mlp, noisy).op_norm + lam * lam)
         objective = self.config["method"].removeprefix("net-")
         return train_full(mlp, noisy, TrainConfig(objective, eta=float(eta),
                                                   steps=int(self.config["steps"]), lam=lam))
@@ -471,14 +476,12 @@ def cmd_equivalence(config: dict) -> int:
     tol = float(config["tolerance"])
     rows = []
     summary = {}
-    all_pass = True
     for lam in lambdas:
         traj_rdi = group.trajectory(KIND_RDI, y, lam)
         traj_aux = group.trajectory(KIND_AUX, y, lam)
         report = check_equivalence(traj_rdi, traj_aux, tol=tol)
         summary[str(lam)] = {"eta": traj_rdi.eta, "max_abs": report.max_abs,
                              "max_rel": report.max_rel, "passed": report.passed}
-        all_pass = all_pass and report.passed
         columns = (traj_rdi.objectives, traj_aux.objectives, traj_rdi.dist_from_init,
                    report.gaps, report.rel_gaps)
         rows += [(lam, t, *map(float, values)) for t, values in enumerate(zip(*columns))]
@@ -486,7 +489,7 @@ def cmd_equivalence(config: dict) -> int:
     header = ["lambda", "t", "objective_rdi", "objective_aux", "dist_from_init", "gap", "rel_gap"]
     _write_csv(os.path.join(out, "trajectory.csv"), header, rows)
     _write_json(os.path.join(out, "equivalence.json"), {"tolerance": tol, "runs": summary})
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return EXIT_OK if all(run["passed"] for run in summary.values()) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

@@ -114,20 +114,21 @@ def _factor_gram(factors_a, factors_b=None) -> np.ndarray:
     return total
 
 
+def kernel_from_factors(factors) -> KernelMatrix:
+    """The Gram matrix of gradient factors, upper triangle mirrored for exact symmetry."""
+    return KernelMatrix.from_values(mirror_upper(_factor_gram(factors)))
+
+
 def empirical_ntk(mlp: MLP, data: DataSet) -> KernelMatrix:
     """Gram matrix of parameter gradients at initialization (output 0).
 
     Multi-output networks share one tangent kernel across outputs, so only
-    the first output's gradients are used. Entries are assembled layer by
-    layer and the upper triangle is mirrored, enforcing exact symmetry.
+    the first output's gradients are used.
     """
-    factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
-    values = mirror_upper(_factor_gram(factors))
-    return KernelMatrix.from_values(values)
+    return kernel_from_factors(gradient_factors(mlp, data.inputs, output_index=0, at_init=True))
 
 
 def empirical_ntk_cross(mlp: MLP, queries: np.ndarray, data: DataSet) -> np.ndarray:
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     factors_q = gradient_factors(mlp, queries, output_index=0, at_init=True)
     factors_t = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
     return _factor_gram(factors_q, factors_t)

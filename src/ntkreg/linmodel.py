@@ -11,12 +11,12 @@ every step and learning rate, and both converge to the kernel ridge
 solution theta* = theta0 + Z (K + lam^2 I)^-1 y when
 eta <= 1/(||K|| + lam^2).
 
-Displacements always live in the span of the feature columns Z, so
-trajectories are stored as span coefficients a(t) with
-theta(t) = theta0 + Z a(t), which keeps the iteration O(n^2) regardless of
-the parameter count. The gradient-descent loops only step; every parameter
-norm ||Z v|| = sqrt(v^T K v) is taken after the loop, for all stored rows
-at once, through ``k_norms``.
+Z, the P x n matrix of feature columns, is notation and is never stored.
+Displacements always live in its span, so trajectories are stored as span
+coefficients a(t) with theta(t) = theta0 + Z a(t), which keeps the iteration
+O(n^2) regardless of the parameter count. The gradient-descent loops only
+step; every parameter norm ||Z v|| = sqrt(v^T K v) is taken after the loop,
+for all stored rows at once, through ``k_norms``.
 """
 
 from dataclasses import dataclass
@@ -26,9 +26,9 @@ import numpy as np
 from ._kernelmatrix import KernelMatrix, k_norms
 from .data import DataSet, _write_csv
 from .errors import TrickViolationError, ValidationError, _check_divergence
-from .kernel import empirical_ntk, kernel_cross
+from .kernel import kernel_cross, kernel_from_factors
 from .krr import krr_fit
-from .net import MLP, forward, gradients_matrix
+from .net import MLP, forward, gradient_factors, gradients_matrix
 
 INIT_OUTPUT_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-10
@@ -39,30 +39,39 @@ KIND_AUX = "aux"
 
 @dataclass(eq=False)
 class LinearizedModel:
-    """Tangent features of an MLP at initialization.
+    """The tangent model of an MLP at initialization, held as its kernel.
 
-    ``Z`` holds one feature column phi(x_i) per training example, ``theta0``
-    the flattened trainable initialization, and ``K`` the Gram matrix
-    Z^T Z (assembled by the same layerwise reduction as ``empirical_ntk``).
-    ``mlp``/``data`` stay attached for held-out prediction.
+    ``K`` is the Gram matrix Z^T Z (assembled by the same layerwise
+    reduction as ``empirical_ntk``), all that gradient descent and the ridge
+    limit read. ``mlp``/``data`` stay attached for ``theta0``, ``theta_at``
+    and held-out prediction.
     """
 
-    Z: np.ndarray
-    theta0: np.ndarray
     K: KernelMatrix
     mlp: MLP = None
     data: DataSet = None
 
     @property
     def n(self) -> int:
-        return self.Z.shape[1]
+        return self.K.n
+
+    @property
+    def theta0(self) -> np.ndarray:
+        """The flattened trainable initialization, in the order ``ntkreg.net`` documents."""
+        if self.mlp is None or self.data is None:
+            raise ValidationError("linearized model has no MLP attached; it has no parameters")
+        layers = self.mlp.config.trainable_layers
+        return np.concatenate([branch[l].ravel() for branch in self.mlp.params0 for l in layers])
 
     def default_eta(self, lam: float) -> float:
         """Largest certified step size, 1/(||K|| + lam^2)."""
         return 1.0 / (self.K.op_norm + lam * lam)
 
     def theta_at(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.theta0 + self.Z @ coeffs
+        """theta0 + Z a, formed layer by layer from one gradient pass: sum_i a_i delta_i input_i^T."""
+        theta0 = self.theta0  # first, so a model without a net fails with its message
+        factors = gradient_factors(self.mlp, self.data.inputs, output_index=0, at_init=True)
+        return theta0 + np.concatenate([((delta * coeffs[:, None]).T @ inp).ravel() for delta, inp in factors])
 
     def predict(self, coeffs: np.ndarray, queries) -> np.ndarray:
         """Tangent-model prediction phi(x)^T Z a = k(x, X)^T a."""
@@ -73,10 +82,10 @@ class LinearizedModel:
 
 
 def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
-    """Extract tangent features; requires an exactly-zero initial output.
+    """The tangent kernel, from one gradient pass; requires an exactly-zero initial output.
 
-    The Gram matrix is taken from ``empirical_ntk`` (identical reduction
-    order) and cross-checked against Z^T Z at 1e-10 relative tolerance.
+    K comes from ``kernel_from_factors`` (the reduction of ``empirical_ntk``)
+    and is checked on a seeded probe v: K v against Z^T (Z v) formed layer by layer.
     """
     if not mlp.config.difference_trick:
         raise ValidationError("linearize requires a difference-trick network")
@@ -86,23 +95,16 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
         raise TrickViolationError(
             f"initial output magnitude {worst:.3e} exceeds {INIT_OUTPUT_TOL:.0e}"
         )
-    z = gradients_matrix(mlp, data.inputs, output_index=0, at_init=True).T
-    k = empirical_ntk(mlp, data)
-    gram = z.T @ z
-    scale = max(float(np.max(np.abs(k.values))), np.finfo(np.float64).tiny)
-    mismatch = float(np.max(np.abs(gram - k.values)))
+    factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
+    k = kernel_from_factors(factors)
+    # per layer, Z v is the block (delta * v)^T input and Z^T maps a block B to rowsum((delta B) * input)
+    v = np.random.default_rng(0).standard_normal(k.n)
+    ztzv = sum(np.sum((delta @ ((delta * v[:, None]).T @ inp)) * inp, axis=1) for delta, inp in factors)
+    scale = max(float(np.max(np.abs(k.values))), np.finfo(np.float64).tiny) * float(np.sum(np.abs(v)))
+    mismatch = float(np.max(np.abs(k.values @ v - ztzv)))
     if mismatch > 1e-10 * scale:
-        raise ValidationError(
-            f"Z^T Z deviates from the kernel matrix by {mismatch:.3e} (> 1e-10 relative)"
-        )
-    theta0 = np.concatenate(
-        [
-            branch[l].ravel()
-            for branch in mlp.params0
-            for l in mlp.config.trainable_layers
-        ]
-    )
-    return LinearizedModel(Z=z, theta0=theta0, K=k, mlp=mlp, data=data)
+        raise ValidationError(f"probe: K v deviates from Z^T (Z v) by {mismatch:.3e} > 1e-10 max|K| ||v||_1")
+    return LinearizedModel(K=k, mlp=mlp, data=data)
 
 
 @dataclass(eq=False)
@@ -263,15 +265,15 @@ def closed_form_limit(lm: LinearizedModel, y, lam: float):
     """
     y, _ = _targets_and_eta(lm, y, lam)
     alpha = krr_fit(lm.K, y, lam).alpha
-    theta_star = lm.theta0 + lm.Z @ alpha
-    return theta_star, alpha
+    return lm.theta_at(alpha), alpha
 
 
 def span_residual(lm: LinearizedModel, theta: np.ndarray) -> float:
-    """Relative norm of the part of theta - theta0 outside span(Z)."""
+    """Relative norm of the part of theta - theta0 outside span(Z); forms the P x n matrix Z."""
     displacement = theta - lm.theta0
     norm = float(np.linalg.norm(displacement))
     if norm == 0.0:
         return 0.0
-    coeffs = np.linalg.lstsq(lm.Z, displacement, rcond=None)[0]
-    return float(np.linalg.norm(displacement - lm.Z @ coeffs)) / norm
+    z = gradients_matrix(lm.mlp, lm.data.inputs).T
+    coeffs = np.linalg.lstsq(z, displacement, rcond=None)[0]
+    return float(np.linalg.norm(displacement - z @ coeffs)) / norm

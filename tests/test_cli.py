@@ -151,6 +151,29 @@ class TestEquivalenceCommand:
         )
         assert main(["equivalence", "--config", cfg]) == EXIT_VALIDATION
 
+    def test_never_forms_tangent_features(self, tmp_path, monkeypatch):
+        # the check reads only the kernel; the n x P feature matrix is never built
+        from ntkreg import linmodel as linmodel_module
+        from ntkreg import net as net_module
+
+        calls = [count_calls(monkeypatch, owner, "gradients_matrix") for owner in (net_module, linmodel_module)]
+        cfg = write_config(tmp_path, "cfg.json", {
+            "dataset": small_synth(n=20), "noise": {"kind": "binary-flip", "p": 0.2},
+            "model": {"kind": "net", "widths": [24, 24]}, "lambda_grid": [0.5], "steps": 20,
+            "out": str(tmp_path / "eq"),
+        })
+        assert main(["equivalence", "--config", cfg]) == EXIT_OK
+        assert calls == [[], []]
+
+    def test_grid_without_positive_lambda_uses_lambda(self, tmp_path):
+        out = tmp_path / "eq"
+        cfg = write_config(tmp_path, "cfg.json", {
+            "dataset": small_synth(n=20), "model": {"kind": "net", "widths": [16]},
+            "lambda_grid": [0.0], "lambda": 0.5, "steps": 5, "out": str(out),
+        })
+        assert main(["equivalence", "--config", cfg]) == EXIT_OK
+        assert list(json.loads(open(out / "equivalence.json").read())["runs"]) == ["0.5"]
+
 
 class TestTrainCommand:
     def test_writes_trajectory(self, tmp_path):
@@ -1048,6 +1071,39 @@ class TestOneConfigCheck:
                    "out": str(out)}
         cfg = write_config(tmp_path, "cfg.json", dict(payload, **changes))
         assert main([command, "--config", cfg, *flags]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, changes, named", [
+        pytest.param("sweep", {"delta": 1.5}, "delta", id="sweep-delta"),
+        pytest.param("sweep", {"constant_mode": "bogus"}, "'bogus'", id="sweep-constant-mode"),
+        pytest.param("bounds", {"delta": 1.5}, "delta", id="bounds-delta"),
+        pytest.param("bounds", {"constant_mode": "bogus"}, "'bogus'", id="bounds-constant-mode"),
+        pytest.param("bounds", {"sigma": -1.0}, "sigma", id="bounds-sigma"),
+    ])
+    def test_bound_settings_checked_before_output(self, tmp_path, capsys, command, changes, named):
+        # a noisy krr sweep used to exit 0 with every noisy cell failed; bounds wrote its directory first
+        out = tmp_path / "out"
+        payload = {"dataset": small_synth(n=20), "noise": {"kind": "binary-flip", "p": 0.2},
+                   "noise_grid": [0.0, 0.2], "lambda_grid": [0.5], "out": str(out)}
+        cfg = write_config(tmp_path, "cfg.json", dict(payload, **changes))
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("changes, named", [
+        pytest.param({"lambda_grid": [0.0], "lambda": 0.0}, "lambda", id="no-positive-lambda"),
+        pytest.param({"tolerance": -1e-10}, "tolerance", id="negative-tolerance"),
+        pytest.param({"tolerance": None}, "tolerance", id="null-tolerance"),
+    ])
+    def test_equivalence_settings_checked_before_output(self, tmp_path, capsys, changes, named):
+        # no positive lambda used to exit 2 after writing resolved_config.json, and a negative
+        # tolerance ran every step to exit 5
+        out = tmp_path / "out"
+        payload = {"dataset": small_synth(n=20), "model": {"kind": "net", "widths": [16]}, "steps": 2,
+                   "out": str(out)}
+        cfg = write_config(tmp_path, "cfg.json", dict(payload, **changes))
+        assert main(["equivalence", "--config", cfg]) == EXIT_VALIDATION
         assert named in capsys.readouterr().err
         assert not out.exists()
 

@@ -23,7 +23,7 @@ from ntkreg.linmodel import (
     run_gd_rdi,
     span_residual,
 )
-from ntkreg.net import NetConfig, init_mlp
+from ntkreg.net import NetConfig, gradients_matrix, init_mlp
 from ntkreg.noise import BinaryFlip, corrupt
 
 
@@ -39,8 +39,7 @@ def make_lm(n=20, d=6, width=96, seed=0, noise=0.2, freeze=False):
 
 def identity_lm(n=4):
     """Synthetic model with orthonormal features: Z = I, K = I."""
-    return LinearizedModel(Z=np.eye(n), theta0=np.zeros(n),
-                           K=KernelMatrix.from_values(np.eye(n)))
+    return LinearizedModel(K=KernelMatrix.from_values(np.eye(n)))
 
 
 class TestLinearize:
@@ -66,8 +65,9 @@ class TestLinearize:
         assert np.array_equal(lm.K.values, K.values)
 
     def test_gram_matches_feature_product(self):
-        lm, _ = make_lm()
-        gram = lm.Z.T @ lm.Z
+        lm, ds = make_lm()
+        z = gradients_matrix(lm.mlp, ds.inputs).T
+        gram = z.T @ z
         scale = np.max(np.abs(lm.K.values))
         assert np.max(np.abs(gram - lm.K.values)) <= 1e-10 * scale
 
@@ -281,8 +281,7 @@ class TestClosedForm:
         assert np.max(np.abs(fitted - y)) <= 1e-7
 
     def test_singular_at_lambda_zero(self):
-        lm = LinearizedModel(Z=np.ones((3, 3)), theta0=np.zeros(3),
-                             K=KernelMatrix.from_values(np.ones((3, 3))))
+        lm = LinearizedModel(K=KernelMatrix.from_values(np.ones((3, 3))))
         with pytest.raises(SingularityError):
             closed_form_limit(lm, np.array([1.0, 0.0, 0.0]), lam=0.0)
 
@@ -347,3 +346,63 @@ class TestKNorms:
         self.assert_close(norms, [per_vector_norm(lm.K.values, a) for a in fit.alpha])
         single = krr_fit(lm.K, ds.noisy_labels, 0.5)
         assert rkhs_norm(single, lm.K) == pytest.approx(norms[0], rel=1e-12)
+
+
+class TestFactoredFeatures:
+    """The tangent model is its kernel: Z is never formed, parameters come from the layer factors."""
+
+    def test_linearize_never_forms_feature_matrix(self, monkeypatch):
+        from ntkreg import linmodel as linmodel_module
+        from ntkreg import net as net_module
+
+        calls = []
+        for owner in (net_module, linmodel_module):
+            original = owner.gradients_matrix
+            monkeypatch.setattr(owner, "gradients_matrix",
+                                lambda *a, _original=original, **k: calls.append(1) or _original(*a, **k))
+        lm, ds = make_lm(width=32)
+        rdi = run_gd_rdi(lm, ds.noisy_labels, lam=1.0, steps=5)
+        aux = run_gd_aux(lm, ds.noisy_labels, lam=1.0, steps=5)
+        assert check_equivalence(rdi, aux).passed
+        assert calls == []
+
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_theta_at_matches_feature_matrix(self, freeze):
+        ds = synth_sphere(15, 5, "linear-sign", seed=2)
+        cfg = NetConfig(input_dim=5, widths=(24, 16), freeze_first_last=freeze, difference_trick=True)
+        mlp = init_mlp(cfg, 4)
+        lm = linearize(mlp, ds)
+        a = np.random.default_rng(5).standard_normal(lm.n)
+        z = gradients_matrix(mlp, ds.inputs).T
+        reference = lm.theta0 + z @ a
+        theta = lm.theta_at(a)
+        assert theta.shape == reference.shape == (mlp.n_trainable_params,)
+        assert np.max(np.abs(theta - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert np.array_equal(lm.theta_at(np.zeros(lm.n)), lm.theta0)
+        # the limit's theta* is theta_at of the ridge coefficients
+        theta_star, alpha = closed_form_limit(lm, ds.noisy_labels, 0.5)
+        assert np.max(np.abs(theta_star - (lm.theta0 + z @ alpha))) <= 1e-12 * np.max(np.abs(theta_star))
+
+    def test_theta0_follows_the_flattening_order(self):
+        lm, _ = make_lm(width=16, freeze=True)
+        mlp = lm.mlp
+        assert mlp.config.trainable_layers == (0,)
+        expected = np.concatenate([mlp.params0[0][0].ravel(), mlp.params0[1][0].ravel()])
+        assert np.array_equal(lm.theta0, expected)
+
+    def test_model_without_net_has_no_parameters(self):
+        with pytest.raises(ValidationError, match="no MLP attached"):
+            identity_lm().theta_at(np.ones(4))
+
+    def test_probe_rejects_a_perturbed_kernel(self, monkeypatch):
+        from ntkreg import linmodel as linmodel_module
+
+        original = linmodel_module.kernel_from_factors
+
+        def perturbed(factors):
+            values = original(factors).values
+            return KernelMatrix.from_values(values + 1e-6 * np.max(np.abs(values)) * np.eye(len(values)))
+
+        monkeypatch.setattr(linmodel_module, "kernel_from_factors", perturbed)
+        with pytest.raises(ValidationError, match="probe"):
+            make_lm(width=32)
