@@ -7,9 +7,9 @@ Three bound assemblies are provided, one per noise channel:
 * independent sign flips on binary labels (rescaled to +-(1-2p)),
 * a column-stochastic class-transition channel for multiclass problems.
 
-Each returns a :class:`BoundReport` whose ``total`` is the exact sum of the
-itemized ``main_term``, ``sigma_over_lambda_term`` and ``delta_term``, so
-users can see which part dominates.
+Each returns a :class:`BoundReport` that derives its ``total`` as the exact
+sum of the itemized ``main_term``, ``sigma_over_lambda_term`` and
+``delta_term``, so users can see which part dominates.
 
 Two constant modes:
 
@@ -29,13 +29,15 @@ Two constant modes:
 
 Logarithms that can go negative for very large lam are floored at zero.
 
-Every quadratic form takes its factor from ``K.solver``, so K and
-K + lam^2 I are factored at most once per kernel matrix, and a bound after
-a fit on the same K reuses the fit's factor.
+A report solves each quadratic form once: y^T K^-1 y and
+y^T (K + lam^2 I)^-1 y give its main term, both lemma values and B' (per
+class for the multiclass bound). Every quadratic form takes its factor from
+``K.solver``, so K and K + lam^2 I are factored at most once per kernel
+matrix, and a bound after a fit on the same K reuses the fit's factor.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -78,17 +80,18 @@ class BoundConfig:
 class BoundReport:
     """Itemized right-hand side of one generalization bound.
 
-    ``total`` always equals main_term + sigma_over_lambda_term + delta_term.
-    ``lemma1_value`` (clean-label training-loss bound), ``lemma2_value``
-    (predictor-norm bound B') and ``rademacher_value`` (2 x the complexity
-    bound of the B'-ball) are diagnostics of the underlying chain; they are
-    None where not applicable. Multiclass reports carry the dominance gap
-    and the per-class quadratic forms, and their three terms already include
-    the 1/gap factor.
+    ``total`` is not an argument: it is set to main_term +
+    sigma_over_lambda_term + delta_term on construction, also by
+    ``dataclasses.replace``. ``lemma1_value`` (clean-label training-loss
+    bound), ``lemma2_value`` (predictor-norm bound B') and
+    ``rademacher_value`` (2 x the complexity bound of the B'-ball) are
+    diagnostics of the underlying chain; they are None where not applicable.
+    Multiclass reports carry the dominance gap and the per-class quadratic
+    forms, and their three terms already include the 1/gap factor.
     """
 
     mode: str
-    total: float
+    total: float = field(init=False)
     main_term: float
     sigma_over_lambda_term: float
     delta_term: float
@@ -102,28 +105,17 @@ class BoundReport:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.total = self.main_term + self.sigma_over_lambda_term + self.delta_term
         for name in ("total", "main_term", "sigma_over_lambda_term", "delta_term"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0.0:
                 raise ValidationError(f"bound component {name} = {value!r} is not finite and >= 0")
 
     def as_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "total": self.total,
-            "main_term": self.main_term,
-            "sigma_over_lambda_term": self.sigma_over_lambda_term,
-            "delta_term": self.delta_term,
-            "main_constant": self.main_constant,
-            "y_kinv_y": self.y_kinv_y,
-            "lemma1_value": self.lemma1_value,
-            "lemma2_value": self.lemma2_value,
-            "rademacher_value": self.rademacher_value,
-            "gap": self.gap,
-            "q_quadratic_forms": list(self.q_quadratic_forms)
-            if self.q_quadratic_forms is not None
-            else None,
-        }
+        """Every field but ``extras`` by name, the quadratic forms as a list, then the extras."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extras"}
+        if self.q_quadratic_forms is not None:
+            out["q_quadratic_forms"] = list(self.q_quadratic_forms)
         out.update(self.extras)
         return out
 
@@ -131,17 +123,33 @@ class BoundReport:
         _write_json(path, self.as_dict())
 
 
-def _quad_form(K: KernelMatrix, v: np.ndarray, shift: float) -> float:
-    """v^T (K + shift I)^-1 v, clamped at zero against fp noise."""
+def _quad_form(K: KernelMatrix, v, shift: float) -> float:
+    """v^T (K + shift I)^-1 v for a length-n vector v, clamped at zero against fp noise."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (K.n,):
+        raise ValidationError(f"vector must have shape ({K.n},), got {v.shape}")
     return max(float(v @ K.solver(shift).solve_checked(v)), 0.0)
 
 
 def quad_form_inv(K: KernelMatrix, v) -> float:
     """v^T K^-1 v via a factorized solve (never an explicit inverse)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (K.n,):
-        raise ValidationError(f"vector must have shape ({K.n},), got {v.shape}")
     return _quad_form(K, v, 0.0)
+
+
+def _lemma1(q: float, trace: float, sigma: float, lam: float, delta: float) -> float:
+    """Lemma 1's value from q = y^T K^-1 y."""
+    return (
+        0.5 * lam * math.sqrt(q)
+        + (sigma / (2.0 * lam)) * math.sqrt(max(trace, 0.0))
+        + sigma * math.sqrt(2.0 * math.log(1.0 / delta))
+    )
+
+
+def _lemma2(q_shift: float, sigma: float, lam: float, delta: float, n: int) -> float:
+    """Lemma 2's value B' from q_shift = y^T (K + lam^2 I)^-1 y."""
+    return math.sqrt(q_shift) + (sigma / lam) * (
+        math.sqrt(n) + math.sqrt(2.0 * math.log(1.0 / delta))
+    )
 
 
 def lemma1_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float) -> float:
@@ -151,12 +159,7 @@ def lemma1_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float) -> 
     + sigma sqrt(2 log(1/delta)).
     """
     BoundConfig(lam=lam, sigma=sigma, delta=delta)
-    q = quad_form_inv(K, y)
-    return (
-        0.5 * lam * math.sqrt(q)
-        + (sigma / (2.0 * lam)) * math.sqrt(max(K.trace, 0.0))
-        + sigma * math.sqrt(2.0 * math.log(1.0 / delta))
-    )
+    return _lemma1(quad_form_inv(K, y), K.trace, sigma, lam, delta)
 
 
 def lemma2_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float, n: int = None) -> float:
@@ -167,10 +170,7 @@ def lemma2_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float, n: 
     BoundConfig(lam=lam, sigma=sigma, delta=delta)
     y = np.asarray(y, dtype=np.float64)
     n = _sample_count(n, y.size)
-    q_shift = _quad_form(K, y, lam * lam)
-    return math.sqrt(q_shift) + (sigma / lam) * (
-        math.sqrt(n) + math.sqrt(2.0 * math.log(1.0 / delta))
-    )
+    return _lemma2(_quad_form(K, y, lam * lam), sigma, lam, delta, n)
 
 
 def _sample_count(n, labelled: int) -> int:
@@ -184,12 +184,14 @@ def _log_floor(value: float) -> float:
     return max(math.log(value), 0.0)
 
 
-def _additive_terms(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
-                    delta: float, n: int, mode: str) -> dict:
-    """The three disjoint addends of the additive-noise bound plus diagnostics."""
-    q = quad_form_inv(K, y)
+def _additive_report(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
+                     delta: float, n: int, mode: str) -> BoundReport:
+    """The additive-noise bound on targets y, solving y^T K^-1 y and y^T (K + lam^2 I)^-1 y once each."""
+    q = _quad_form(K, y, 0.0)
+    q_shift = _quad_form(K, y, lam * lam)
     sqrt_qn = math.sqrt(q / n)
     tr_n = max(K.trace, 0.0) / n
+    lemma2 = _lemma2(q_shift, sigma, lam, delta, n)
     if mode == MODE_EXPLICIT:
         c_main = 4.0 * math.sqrt(tr_n)
         main = 0.5 * (lam + c_main) * sqrt_qn
@@ -202,8 +204,7 @@ def _additive_terms(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
             + 3.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
             + math.sqrt(_log_floor(n / (delta * lam)) / n)
         )
-        lemma_delta = delta / 3.0
-        b_prime = lemma2_bound(K, y, sigma, lam, lemma_delta, n)
+        b_prime = _lemma2(q_shift, sigma, lam, delta / 3.0, n)  # the confidence budget split in thirds
         rademacher = 2.0 * (b_prime + 1.0) * math.sqrt(max(K.trace, 0.0)) / n
     else:
         c_main = 1.0
@@ -215,18 +216,18 @@ def _additive_terms(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
             + (sigma / lam) * math.sqrt(log1 / n)
             + math.sqrt(_log_floor(n / (delta * lam)) / n)
         )
-        b_prime = lemma2_bound(K, y, sigma, lam, delta, n)
-        rademacher = 2.0 * b_prime * math.sqrt(max(K.trace, 0.0)) / n
-    return {
-        "q": q,
-        "main": main,
-        "sigma_term": sigma_term,
-        "delta_term": delta_term,
-        "c_main": c_main,
-        "lemma1": lemma1_bound(K, y, sigma, lam, delta),
-        "lemma2": lemma2_bound(K, y, sigma, lam, delta, n),
-        "rademacher": rademacher,
-    }
+        rademacher = 2.0 * lemma2 * math.sqrt(max(K.trace, 0.0)) / n
+    return BoundReport(
+        mode=mode,
+        main_term=main,
+        sigma_over_lambda_term=sigma_term,
+        delta_term=delta_term,
+        main_constant=c_main,
+        y_kinv_y=q,
+        lemma1_value=_lemma1(q, K.trace, sigma, lam, delta),
+        lemma2_value=lemma2,
+        rademacher_value=rademacher,
+    )
 
 
 def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None) -> BoundReport:
@@ -238,19 +239,7 @@ def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None) -> Bound
     """
     y = np.asarray(y, dtype=np.float64)
     n = _sample_count(n, y.size)
-    terms = _additive_terms(K, y, cfg.sigma, cfg.lam, cfg.delta, n, cfg.constant_mode)
-    return BoundReport(
-        mode=cfg.constant_mode,
-        total=terms["main"] + terms["sigma_term"] + terms["delta_term"],
-        main_term=terms["main"],
-        sigma_over_lambda_term=terms["sigma_term"],
-        delta_term=terms["delta_term"],
-        main_constant=terms["c_main"],
-        y_kinv_y=terms["q"],
-        lemma1_value=terms["lemma1"],
-        lemma2_value=terms["lemma2"],
-        rademacher_value=terms["rademacher"],
-    )
+    return _additive_report(K, y, cfg.sigma, cfg.lam, cfg.delta, n, cfg.constant_mode)
 
 
 def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
@@ -271,37 +260,31 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
     n = _sample_count(n, y.size)
     scaled_y, sigma_eff = rescale_binary(y, p)
     inv_margin = 1.0 / (1.0 - 2.0 * p)
+    extras = {"p": p, "sigma_eff": sigma_eff}
     if constant_mode == MODE_EXPLICIT:
-        terms = _additive_terms(K, scaled_y, sigma_eff, lam, delta, n, constant_mode)
-        main = terms["main"] * inv_margin  # the (1-2p) inside sqrt(q) cancels here
-        sigma_term = terms["sigma_term"] * inv_margin
-        delta_term = terms["delta_term"] * inv_margin
-        q_clean = terms["q"] * inv_margin * inv_margin
-        lemma1, lemma2, rademacher, c_main = (terms[k] for k in ("lemma1", "lemma2", "rademacher", "c_main"))
-    else:
-        q_clean = quad_form_inv(K, y)
-        main = 0.5 * (lam + 1.0) * math.sqrt(q_clean / n)
-        sqrt_p = math.sqrt(p)
-        sigma_term = inv_margin * sqrt_p / lam
-        delta_term = inv_margin * (
-            math.sqrt(p * math.log(1.0 / delta) / n)
-            + math.sqrt(_log_floor(n / (delta * lam)) / n)
+        scaled = _additive_report(K, scaled_y, sigma_eff, lam, delta, n, constant_mode)
+        return replace(
+            scaled,
+            main_term=scaled.main_term * inv_margin,  # the (1-2p) inside sqrt(q) cancels here
+            sigma_over_lambda_term=scaled.sigma_over_lambda_term * inv_margin,
+            delta_term=scaled.delta_term * inv_margin,
+            y_kinv_y=scaled.y_kinv_y * inv_margin * inv_margin,
+            extras=extras,
         )
-        lemma1 = lemma1_bound(K, scaled_y, sigma_eff, lam, delta)
-        lemma2 = lemma2_bound(K, scaled_y, sigma_eff, lam, delta, n)
-        rademacher, c_main = None, 1.0
+    q_clean = quad_form_inv(K, y)
     return BoundReport(
         mode=constant_mode,
-        total=main + sigma_term + delta_term,
-        main_term=main,
-        sigma_over_lambda_term=sigma_term,
-        delta_term=delta_term,
-        main_constant=c_main,
+        main_term=0.5 * (lam + 1.0) * math.sqrt(q_clean / n),
+        sigma_over_lambda_term=inv_margin * math.sqrt(p) / lam,
+        delta_term=inv_margin * (
+            math.sqrt(p * math.log(1.0 / delta) / n)
+            + math.sqrt(_log_floor(n / (delta * lam)) / n)
+        ),
+        main_constant=1.0,
         y_kinv_y=q_clean,
-        lemma1_value=lemma1,
-        lemma2_value=lemma2,
-        rademacher_value=rademacher,
-        extras={"p": p, "sigma_eff": sigma_eff},
+        lemma1_value=lemma1_bound(K, scaled_y, sigma_eff, lam, delta),
+        lemma2_value=lemma2_bound(K, scaled_y, sigma_eff, lam, delta, n),
+        extras=extras,
     )
 
 
@@ -333,38 +316,28 @@ def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
         raise ValidationError(f"kernel is {K.n}x{K.n} but n = {n}")
     delta_per_class = delta / num_classes
     Q = P @ Y
-    q_forms = []
-    main_sum = 0.0
-    sigma_sum = 0.0
-    delta_sum = 0.0
     if constant_mode == MODE_EXPLICIT:
-        for h in range(num_classes):
-            terms = _additive_terms(K, Q[h], 1.0, lam, delta_per_class, n, constant_mode)
-            q_forms.append(terms["q"])
-            main_sum += terms["main"]
-            sigma_sum += terms["sigma_term"]
-            delta_sum += terms["delta_term"]
-        c_main = 4.0 * math.sqrt(max(K.trace, 0.0) / n)
+        per_class = [_additive_report(K, Q[h], 1.0, lam, delta_per_class, n, constant_mode)
+                     for h in range(num_classes)]
+        q_forms = [report.y_kinv_y for report in per_class]
+        main_sum = sum(report.main_term for report in per_class)
+        sigma_sum = sum(report.sigma_over_lambda_term for report in per_class)
+        delta_sum = sum(report.delta_term for report in per_class)
+        c_main = per_class[0].main_constant
     else:
-        for h in range(num_classes):
-            q = quad_form_inv(K, Q[h])
-            q_forms.append(q)
-            main_sum += 0.5 * (lam + 1.0) * math.sqrt(q / n)
+        q_forms = [quad_form_inv(K, Q[h]) for h in range(num_classes)]
+        main_sum = sum(0.5 * (lam + 1.0) * math.sqrt(q / n) for q in q_forms)
         sigma_sum = num_classes / lam
         delta_sum = num_classes * (
             math.sqrt(math.log(1.0 / delta_per_class) / n)
             + math.sqrt(_log_floor(n / (delta_per_class * lam)) / n)
         )
         c_main = 1.0
-    main = main_sum / gap
-    sigma_term = sigma_sum / gap
-    delta_term = delta_sum / gap
     return BoundReport(
         mode=constant_mode,
-        total=main + sigma_term + delta_term,
-        main_term=main,
-        sigma_over_lambda_term=sigma_term,
-        delta_term=delta_term,
+        main_term=main_sum / gap,
+        sigma_over_lambda_term=sigma_sum / gap,
+        delta_term=delta_sum / gap,
         main_constant=c_main,
         gap=gap,
         q_quadratic_forms=tuple(q_forms),

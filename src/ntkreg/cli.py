@@ -146,27 +146,44 @@ def load_config(path=None, overrides=None, command=None) -> dict:
     return config
 
 
+def _is_number(value) -> bool:
+    """An int or a float; JSON's true and false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_config(config: dict, command: str) -> None:
     """Every check the config alone decides for ``command``, before any output."""
+    for key in ("seeds", "lambda_grid", "noise_grid"):
+        if not isinstance(config[key], (list, tuple)):
+            raise ValidationError(f"{key} must be a list, got {config[key]!r}")
     if not config["seeds"]:
         raise ValidationError("config needs at least one seed")
+    if not all(_is_integer(seed) for seed in config["seeds"]):
+        raise ValidationError(f"seeds must be integers, got {config['seeds']!r}")
+    if not all(_is_number(v) for v in (config["lambda"], *config["lambda_grid"], *config["noise_grid"])):
+        raise ValidationError("lambda and the lambda_grid and noise_grid values must be numbers")
+    if not (_is_integer(config["workers"]) and config["workers"] >= 1):
+        raise ValidationError(f"workers must be an integer >= 1, got {config['workers']!r}")
     if config["lambda"] < 0.0 or any(lam < 0.0 for lam in config["lambda_grid"]):
         raise ValidationError("lambda and the lambda grid values must be >= 0")
-    try:  # the bound knobs as the bounds read them, checked by their owner
-        sigma, delta = float(config["sigma"]), float(config["delta"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"sigma and delta must be numbers: {exc}") from exc
+    sigma, delta = config["sigma"], config["delta"]
+    if not (_is_number(sigma) and _is_number(delta)):
+        raise ValidationError(f"sigma and delta must be numbers, got {sigma!r} and {delta!r}")
     lam = config["lambda"] if command == "bounds" else 1.0  # only bounds reads the one lambda
-    bounds_mod.BoundConfig(lam, sigma, delta, config["constant_mode"])
+    bounds_mod.BoundConfig(lam, sigma, delta, config["constant_mode"])  # their ranges, checked by their owner
     if command == "equivalence" and not max(config["lambda"], *config["lambda_grid"]) > 0.0:
         raise ValidationError("equivalence needs a lambda > 0 in lambda_grid or lambda")
     tol = config["tolerance"]
-    if command == "equivalence" and not (isinstance(tol, (int, float)) and tol >= 0.0):
+    if command == "equivalence" and not (_is_number(tol) and tol >= 0.0):
         raise ValidationError(f"the equivalence tolerance must be >= 0, got {tol!r}")
     eta, steps = config["eta"], config["steps"]
-    if eta is not None and not (isinstance(eta, (int, float)) and eta > 0.0):
+    if eta is not None and not (_is_number(eta) and eta > 0.0):
         raise ValidationError(f"eta must be null or > 0, got {eta!r}")
-    if not (isinstance(steps, int) and steps >= 0):
+    if not (_is_integer(steps) and steps >= 0):
         raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
     if command == "sweep" and not (config["lambda_grid"] and config["noise_grid"]):
         raise ValidationError("a sweep needs a nonempty lambda_grid and noise_grid")
@@ -655,7 +672,7 @@ def cmd_sweep(config: dict) -> int:
     cells = _sweep_cells(config)
     groups = _sweep_groups(config, cells)
     _log(f"running {len(cells)} sweep cells in {len(groups)} groups with method {config['method']}")
-    workers = min(int(config["workers"]), len(groups))
+    workers = min(config["workers"], len(groups))
     payloads = [(config, group) for group in groups]
     results = [None] * len(cells)
     if workers > 1:

@@ -1,5 +1,6 @@
 """Bound formulas against hand evaluations, monotonicity, and the ramp loss."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ntkreg._kernelmatrix import KernelMatrix
 from ntkreg.bounds import (
     BoundConfig,
+    BoundReport,
     bound_additive,
     bound_binary,
     bound_multiclass,
@@ -24,7 +26,7 @@ from ntkreg.errors import ValidationError
 from ntkreg.kernel import AnalyticNTK, analytic_ntk
 from ntkreg import krr as krr_module
 from ntkreg.krr import KRRPredictor, krr_fit, rkhs_norm
-from ntkreg.noise import AdditiveNoise, corrupt, onehot_matrix
+from ntkreg.noise import AdditiveNoise, corrupt, onehot_matrix, rescale_binary
 
 
 def kernel_from(values):
@@ -399,3 +401,96 @@ class TestMulticlassSharedSolvers:
             monkeypatch.setattr(krr_module, "cho_factor", original)
             assert factors == []
             assert shared.as_dict() == fresh.as_dict()
+
+
+# The keys of BoundReport.as_dict(), in order, before the per-channel extras.
+REPORT_KEYS = ["mode", "total", "main_term", "sigma_over_lambda_term", "delta_term", "main_constant",
+               "y_kinv_y", "lemma1_value", "lemma2_value", "rademacher_value", "gap", "q_quadratic_forms"]
+TRANSITION = np.array([[0.7, 0.1, 0.2], [0.2, 0.8, 0.1], [0.1, 0.1, 0.7]])
+
+
+class TestReportAssembly:
+    """Each report solves each (vector, shift) pair once and derives its total."""
+
+    def setup_method(self):
+        ds = synth_sphere(30, 5, "linear-sign", seed=4)
+        self.K = analytic_ntk(2, ds)
+        self.y = ds.clean_labels
+        self.Y = onehot_matrix(np.arange(30) % 3 + 1, 3)
+
+    def reports(self, mode):
+        return {
+            "additive": lambda: bound_additive(self.K, self.y, BoundConfig(1.5, 0.1, 0.1, mode)),
+            "binary": lambda: bound_binary(self.K, self.y, 0.2, 1.5, 0.1, constant_mode=mode),
+            "multiclass": lambda: bound_multiclass(self.K, self.Y, TRANSITION, 1.5, 0.1, constant_mode=mode),
+        }
+
+    @pytest.mark.parametrize("mode, channel, solves", [
+        ("explicit-appendix", "additive", 2),
+        ("unit-constants", "additive", 2),
+        ("explicit-appendix", "binary", 2),
+        ("unit-constants", "binary", 3),  # y^T K^-1 y on the clean labels, both forms on the scaled ones
+        ("explicit-appendix", "multiclass", 6),
+        ("unit-constants", "multiclass", 3),
+    ])
+    def test_solves_per_report(self, mode, channel, solves, monkeypatch):
+        pairs = []
+        original = krr_module.PSDSolver.solve_checked
+
+        def counted(solver, b):
+            pairs.append((solver.shift, np.asarray(b).tobytes()))
+            return original(solver, b)
+
+        monkeypatch.setattr(krr_module.PSDSolver, "solve_checked", counted)
+        self.reports(mode)[channel]()
+        assert len(pairs) == solves
+        assert len(set(pairs)) == solves
+
+    @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
+    @pytest.mark.parametrize("channel", ["additive", "binary", "multiclass"])
+    def test_total_is_derived(self, mode, channel):
+        report = self.reports(mode)[channel]()
+        assert report.total == report.main_term + report.sigma_over_lambda_term + report.delta_term
+        halved = dataclasses.replace(report, main_term=report.main_term / 2.0, delta_term=0.0)
+        assert halved.total == report.main_term / 2.0 + report.sigma_over_lambda_term + 0.0
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(report, total=0.0)
+
+    def test_total_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            BoundReport(mode="unit-constants", total=3.0, main_term=1.0, sigma_over_lambda_term=1.0,
+                        delta_term=1.0, main_constant=1.0)
+
+    @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
+    @pytest.mark.parametrize("channel, extras", [
+        ("additive", []), ("binary", ["p", "sigma_eff"]), ("multiclass", ["num_classes", "delta_per_class"]),
+    ])
+    def test_as_dict_keys(self, mode, channel, extras):
+        payload = self.reports(mode)[channel]().as_dict()
+        assert list(payload) == REPORT_KEYS + extras
+        forms = payload["q_quadratic_forms"]
+        if channel == "multiclass":
+            assert type(forms) is list and len(forms) == 3
+        else:
+            assert forms is None
+
+    @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
+    def test_additive_lemma_values_match_public_functions(self, mode):
+        report = self.reports(mode)["additive"]()
+        assert report.lemma1_value == lemma1_bound(self.K, self.y, 0.1, 1.5, 0.1)
+        assert report.lemma2_value == lemma2_bound(self.K, self.y, 0.1, 1.5, 0.1)
+
+    @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
+    def test_binary_lemma_values_match_public_functions(self, mode):
+        report = self.reports(mode)["binary"]()
+        scaled_y, sigma_eff = rescale_binary(self.y, 0.2)
+        assert report.lemma1_value == lemma1_bound(self.K, scaled_y, sigma_eff, 1.5, 0.1)
+        assert report.lemma2_value == lemma2_bound(self.K, scaled_y, sigma_eff, 1.5, 0.1)
+
+    @pytest.mark.parametrize("shift_form", [lemma1_bound, lemma2_bound, quad_form_inv])
+    def test_vector_shape_checked_for_both_shifts(self, shift_form):
+        # lemma2_bound's shifted solve used to raise scipy's bare ValueError
+        K = kernel_from(np.eye(3))
+        args = (K, np.ones(4)) if shift_form is quad_form_inv else (K, np.ones(4), 0.1, 1.0, 0.1)
+        with pytest.raises(ValidationError, match=r"shape \(3,\)"):
+            shift_form(*args)

@@ -1118,3 +1118,29 @@ class TestOneConfigCheck:
                                                  "noise": transition_noise(tmp_path)})
         assert main(["bounds", "--config", cfg]) == EXIT_OK
         assert json.loads(open(out / "bound_report.json").read())["gap"] is not None
+
+    @pytest.mark.parametrize("command, changes, named", [
+        pytest.param("krr", {"lambda": "1"}, "numbers", id="lambda-string"),
+        pytest.param("krr", {"lambda": True}, "numbers", id="lambda-bool"),
+        pytest.param("krr", {"lambda_grid": ["x"]}, "numbers", id="lambda-grid-string-krr"),
+        pytest.param("sweep", {"lambda_grid": ["x"]}, "numbers", id="lambda-grid-string-sweep"),
+        pytest.param("sweep", {"noise_grid": ["x"]}, "numbers", id="noise-grid-string"),
+        pytest.param("krr", {"seeds": ["a"]}, "seeds", id="seed-string-krr"),
+        pytest.param("sweep", {"seeds": ["a"]}, "seeds", id="seed-string-sweep"),
+        pytest.param("sweep", {"seeds": [1.5]}, "seeds", id="seed-fraction"),
+        pytest.param("krr", {"seeds": [True]}, "seeds", id="seed-bool"),
+        pytest.param("sweep", {"workers": "two"}, "workers", id="workers-string"),
+        pytest.param("sweep", {"workers": 0}, "workers", id="workers-0"),
+        pytest.param("sweep", {"workers": True}, "workers", id="workers-bool"),
+        pytest.param("bounds", {"sigma": "0.1"}, "sigma", id="sigma-string"),
+        pytest.param("sweep", {"delta": "0.1"}, "delta", id="delta-string"),
+    ])
+    def test_wrong_types_rejected_before_output(self, tmp_path, capsys, command, changes, named):
+        # a wrongly typed top-level value used to crash with a traceback, in some cases after
+        # writing the output directory, or to run with a truncated seed
+        out = tmp_path / "out"
+        payload = {"dataset": small_synth(n=30), "lambda_grid": [0.5], "out": str(out)}
+        cfg = write_config(tmp_path, "cfg.json", dict(payload, **changes))
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
