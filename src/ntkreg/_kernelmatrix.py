@@ -1,5 +1,6 @@
-"""Container for symmetric PSD Gram matrices with cached spectral statistics
-and the Cholesky factorizations of their shifts K + shift I.
+"""Container for symmetric PSD Gram matrices, certified by the Cholesky
+factorization of K that also serves its solves, with the factorizations of
+its shifts K + shift I and a spectrum computed only when read.
 
 Lives in its own module (re-exported by ``kernel``) so that the kernel cache
 I/O in ``data`` can construct instances without a circular import. The
@@ -8,32 +9,34 @@ solver class comes from ``krr``, which imports this module, so
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SingularityError, ValidationError
 
 # Tolerances for the structural checks every kernel matrix must pass.
+# PSD_RTOL is also the top rung of ``krr.PSDSolver``'s jitter ladder.
 SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """An n-by-n Gram matrix together with its trace and spectral norm.
+    """An n-by-n Gram matrix together with its trace and, on demand, its spectrum.
 
     Instances are built through :meth:`from_values`, which verifies symmetry
     (max |K_ij - K_ji| <= 1e-10 * max|K|) and positive semidefiniteness up to
-    tolerance (lambda_min >= -1e-8 * tr/n). ``min_eig`` and ``op_norm`` both
-    come from the one ``eigvalsh`` spectrum that the PSD check computes.
-    Fits, bounds and the closed-form limit on one instance share the
-    factorizations that :meth:`solver` keeps.
+    tolerance (lambda_min >= -1e-8 * tr/n). The PSD certificate is the
+    shift-0 factor of :meth:`solver`, whose jitter ladder tops out at that
+    tolerance; only when the ladder fails does an ``eigvalsh`` decide. Fits,
+    bounds and the closed-form limit on one instance share the factorizations
+    that :meth:`solver` keeps. ``min_eig`` and ``op_norm`` come from one
+    ``eigvalsh`` spectrum, computed on first read.
     """
 
     values: np.ndarray
     trace: float
-    op_norm: float
-    min_eig: float
     _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -52,14 +55,27 @@ class KernelMatrix:
                 f"kernel matrix is not symmetric: max|K - K^T| = {asym:.3e} "
                 f"exceeds {SYMMETRY_RTOL:.0e} * max|K| = {SYMMETRY_RTOL * scale:.3e}"
             )
-        eigs = np.linalg.eigvalsh(values)
-        min_eig = float(eigs[0])
-        if min_eig < -PSD_RTOL * max(trace, 0.0) / n:
-            raise ValidationError(
-                f"kernel matrix is not PSD within tolerance: lambda_min = {min_eig:.3e}"
-            )
-        op_norm = float(max(eigs[-1], -eigs[0]))
-        return cls(values=values, trace=trace, op_norm=op_norm, min_eig=min_eig)
+        matrix = cls(values=values, trace=trace)
+        try:
+            matrix.solver(0.0)
+        except SingularityError:  # no factor within the jitter ladder: the spectrum decides
+            if matrix.min_eig < -PSD_RTOL * max(trace, 0.0) / n:
+                raise ValidationError(
+                    f"kernel matrix is not PSD within tolerance: lambda_min = {matrix.min_eig:.3e}"
+                ) from None
+        return matrix
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.values)
+
+    @property
+    def min_eig(self) -> float:
+        return float(self._spectrum[0])
+
+    @property
+    def op_norm(self) -> float:
+        return float(max(self._spectrum[-1], -self._spectrum[0]))
 
     @property
     def n(self) -> int:

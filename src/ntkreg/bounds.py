@@ -29,11 +29,14 @@ Two constant modes:
 
 Logarithms that can go negative for very large lam are floored at zero.
 
-A report solves each quadratic form once: y^T K^-1 y and
-y^T (K + lam^2 I)^-1 y give its main term, both lemma values and B' (per
-class for the multiclass bound). Every quadratic form takes its factor from
-``K.solver``, so K and K + lam^2 I are factored at most once per kernel
-matrix, and a bound after a fit on the same K reuses the fit's factor.
+A report solves each quadratic form it reads once: y^T K^-1 y and
+y^T (K + lam^2 I)^-1 y give its main term, both lemma values and B'. The
+multiclass report reads only y^T K^-1 y per class, and the unit-constants
+binary report takes the rescaled labels' y^T K^-1 y as (1-2p)^2 times the
+clean one. Every quadratic form takes its factor from ``K.solver``; K's own
+factor is the one its PSD check built, K + lam^2 I is factored at most once
+per kernel matrix, and a bound after a fit on the same K reuses the fit's
+factor.
 """
 
 import math
@@ -184,31 +187,36 @@ def _log_floor(value: float) -> float:
     return max(math.log(value), 0.0)
 
 
+def _explicit_terms(q: float, trace: float, sigma: float, lam: float, delta: float, n: int):
+    """The explicit-appendix (main constant, main term, sigma/lam term, delta term) from q = y^T K^-1 y."""
+    tr_n = max(trace, 0.0) / n
+    c_main = 4.0 * math.sqrt(tr_n)
+    main = 0.5 * (lam + c_main) * math.sqrt(q / n)
+    sigma_term = 2.5 * (sigma / lam) * math.sqrt(tr_n)
+    log3 = math.log(3.0 / delta)
+    delta_term = (
+        sigma * math.sqrt(2.0 * log3 / n)
+        + 2.0 * math.sqrt(tr_n) * (sigma / lam) * math.sqrt(2.0 * log3) / math.sqrt(n)
+        + 2.0 * math.sqrt(tr_n) / math.sqrt(n)  # net radius eps = 1
+        + 3.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+        + math.sqrt(_log_floor(n / (delta * lam)) / n)
+    )
+    return c_main, main, sigma_term, delta_term
+
+
 def _additive_report(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
                      delta: float, n: int, mode: str) -> BoundReport:
     """The additive-noise bound on targets y, solving y^T K^-1 y and y^T (K + lam^2 I)^-1 y once each."""
     q = _quad_form(K, y, 0.0)
     q_shift = _quad_form(K, y, lam * lam)
-    sqrt_qn = math.sqrt(q / n)
-    tr_n = max(K.trace, 0.0) / n
     lemma2 = _lemma2(q_shift, sigma, lam, delta, n)
     if mode == MODE_EXPLICIT:
-        c_main = 4.0 * math.sqrt(tr_n)
-        main = 0.5 * (lam + c_main) * sqrt_qn
-        sigma_term = 2.5 * (sigma / lam) * math.sqrt(tr_n)
-        log3 = math.log(3.0 / delta)
-        delta_term = (
-            sigma * math.sqrt(2.0 * log3 / n)
-            + 2.0 * math.sqrt(tr_n) * (sigma / lam) * math.sqrt(2.0 * log3) / math.sqrt(n)
-            + 2.0 * math.sqrt(tr_n) / math.sqrt(n)  # net radius eps = 1
-            + 3.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
-            + math.sqrt(_log_floor(n / (delta * lam)) / n)
-        )
+        c_main, main, sigma_term, delta_term = _explicit_terms(q, K.trace, sigma, lam, delta, n)
         b_prime = _lemma2(q_shift, sigma, lam, delta / 3.0, n)  # the confidence budget split in thirds
         rademacher = 2.0 * (b_prime + 1.0) * math.sqrt(max(K.trace, 0.0)) / n
     else:
         c_main = 1.0
-        main = 0.5 * (lam + 1.0) * sqrt_qn
+        main = 0.5 * (lam + 1.0) * math.sqrt(q / n)
         sigma_term = sigma / lam
         log1 = math.log(1.0 / delta)
         delta_term = (
@@ -272,6 +280,8 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
             extras=extras,
         )
     q_clean = quad_form_inv(K, y)
+    margin = 1.0 - 2.0 * p
+    q_scaled = margin * margin * q_clean  # y^T K^-1 y of the scaled labels, without a solve
     return BoundReport(
         mode=constant_mode,
         main_term=0.5 * (lam + 1.0) * math.sqrt(q_clean / n),
@@ -282,8 +292,8 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
         ),
         main_constant=1.0,
         y_kinv_y=q_clean,
-        lemma1_value=lemma1_bound(K, scaled_y, sigma_eff, lam, delta),
-        lemma2_value=lemma2_bound(K, scaled_y, sigma_eff, lam, delta, n),
+        lemma1_value=_lemma1(q_scaled, K.trace, sigma_eff, lam, delta),
+        lemma2_value=_lemma2(_quad_form(K, scaled_y, lam * lam), sigma_eff, lam, delta, n),
         extras=extras,
     )
 
@@ -316,16 +326,14 @@ def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
         raise ValidationError(f"kernel is {K.n}x{K.n} but n = {n}")
     delta_per_class = delta / num_classes
     Q = P @ Y
+    q_forms = [quad_form_inv(K, Q[h]) for h in range(num_classes)]
     if constant_mode == MODE_EXPLICIT:
-        per_class = [_additive_report(K, Q[h], 1.0, lam, delta_per_class, n, constant_mode)
-                     for h in range(num_classes)]
-        q_forms = [report.y_kinv_y for report in per_class]
-        main_sum = sum(report.main_term for report in per_class)
-        sigma_sum = sum(report.sigma_over_lambda_term for report in per_class)
-        delta_sum = sum(report.delta_term for report in per_class)
-        c_main = per_class[0].main_constant
+        c_mains, mains, sigma_terms, delta_terms = zip(
+            *(_explicit_terms(q, K.trace, 1.0, lam, delta_per_class, n) for q in q_forms)
+        )
+        main_sum, sigma_sum, delta_sum = sum(mains), sum(sigma_terms), sum(delta_terms)
+        c_main = c_mains[0]
     else:
-        q_forms = [quad_form_inv(K, Q[h]) for h in range(num_classes)]
         main_sum = sum(0.5 * (lam + 1.0) * math.sqrt(q / n) for q in q_forms)
         sigma_sum = num_classes / lam
         delta_sum = num_classes * (

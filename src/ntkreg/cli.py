@@ -391,17 +391,19 @@ class _KRRGroup:
     """krr cells that share one kernel K and the test cross matrix C.
 
     K owns its factorizations (``KernelMatrix.solver``). Visiting the cells
-    ridge by ridge factors each shift lam^2 once, and the shift-0 factor
-    also serves the bounds' y^T K^-1 y. A cell then costs O(n^2) per
-    output: a solve, K @ alpha, C @ alpha and the bound arithmetic. Cells
-    fit ``DataSet.fit_targets``, one-hot for multiclass.
+    ridge by ridge factors each shift lam^2 once, and the shift-0 factor,
+    built by K's PSD check, also serves the bounds' y^T K^-1 y. A cell then
+    costs O(n^2) per output: a solve, K @ alpha, C @ alpha and the bound
+    arithmetic. Cells fit ``DataSet.fit_targets``, one-hot for multiclass.
     """
 
     def __init__(self, config, train, test, seed):
         self.config, self.train, self.test = config, train, test
         self.source = build_kernel_source(config, train, seed)
-        self.gram = self.source.gram(train)
+        # C before K, so K's shift-0 factor (its PSD certificate) is not
+        # alive while the cross kernel is built
         self.cross = None if test is None else self.source.cross(test.inputs, train)
+        self.gram = self.source.gram(train)
 
     def fit(self, noisy, lam: float):
         return krr_fit(self.gram, noisy.fit_targets(), lam, self.source, noisy)

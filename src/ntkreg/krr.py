@@ -6,7 +6,8 @@ of lam the solver adds. Solves go through a Cholesky factorization with an
 escalating-jitter fallback; every fit is verified against its residual and
 fails loudly instead of returning a silently wrong coefficient vector. The
 factorizations belong to the kernel matrix (``KernelMatrix.solver``), so
-fits at one ridge and the bounds on the same K factor each shift once.
+fits at one ridge and the bounds on the same K factor each shift once; the
+factor of K itself is the one the kernel matrix's PSD check built.
 """
 
 from dataclasses import dataclass
@@ -29,8 +30,10 @@ class PSDSolver:
 
     On factorization failure, adds jitter 1e-10 tr(K)/n to the diagonal and
     escalates tenfold up to three times before raising SingularityError.
-    Solutions are checked against the unjittered system, so a jitter that
-    large enough to distort the solve is also a loud failure. The solver
+    The top rung, 1e-8 tr(K)/n, is ``KernelMatrix``'s PSD tolerance, so a
+    factor at shift 0 certifies K as PSD. Solutions are checked against the
+    unjittered system, so a jitter large enough to distort the solve is
+    also a loud failure. The solver
     holds one n x n array, its factor; the residual check forms K x + shift x
     from the caller's K.
     """

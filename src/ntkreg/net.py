@@ -373,15 +373,15 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
         effective = f_out + lam * aux if cfg.objective == OBJECTIVE_AUX else f_out
         residual = effective - targets
         objective = 0.5 * float(np.sum(residual * residual))
+        dist = distance_to_init(model)
         if cfg.objective == OBJECTIVE_RDI and lam > 0.0:
-            dist = distance_to_init(model)
             objective += 0.5 * reg_sq * float(np.sum(dist * dist))
         _check_divergence(objective, t)
 
         log_obj[t] = objective
         log_err[t] = prediction_error(f_out, data.noisy_labels, data.task)
         log_err_aux[t] = prediction_error(effective, data.noisy_labels, data.task)
-        log_dist[t] = distance_to_init(model)
+        log_dist[t] = dist
         log_norm[t] = layer_norms(model)
 
         if t == total:

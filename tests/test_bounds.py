@@ -207,14 +207,15 @@ class TestBinaryBound:
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
     def test_factors_each_shift_once(self, mode, monkeypatch):
-        # K and K + lam^2 I are factored once each, not once per quadratic form
+        # K's factor comes with K (its PSD check), so only K + lam^2 I is
+        # factored, once, not once per quadratic form
         calls = []
         original = krr_module.cho_factor
         monkeypatch.setattr(
             krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k)
         )
         bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
     def test_shared_solvers_reuse_factors(self, mode, monkeypatch):
@@ -234,16 +235,21 @@ class TestBinaryBound:
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
     def test_bound_after_fit_factors_only_shift_zero(self, mode, monkeypatch):
-        # the fit's factor of K + lam^2 I belongs to K, so the bound adds K's own
+        # the fit's factor of K + lam^2 I belongs to K, and K's own factor is
+        # the one its PSD check built, so the bound factors nothing
         calls = []
         original = krr_module.cho_factor
-        krr_fit(self.K, self.y, 2.0)
         monkeypatch.setattr(
             krr_module, "cho_factor", lambda *a, **k: calls.append(a[0]) or original(*a, **k)
         )
+        certificate = self.K.solver(0.0)
+        assert calls == []  # built when setup_method constructed K
+        krr_fit(self.K, self.y, 2.0)
+        calls.clear()
         bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode)
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], self.K.values)  # shift 0, no jitter
+        assert len(calls) == 0
+        assert self.K.solver(0.0) is certificate
+        assert certificate.jitter == 0.0
 
 
 class TestMulticlassBound:
@@ -429,8 +435,8 @@ class TestReportAssembly:
         ("explicit-appendix", "additive", 2),
         ("unit-constants", "additive", 2),
         ("explicit-appendix", "binary", 2),
-        ("unit-constants", "binary", 3),  # y^T K^-1 y on the clean labels, both forms on the scaled ones
-        ("explicit-appendix", "multiclass", 6),
+        ("unit-constants", "binary", 2),  # y^T K^-1 y on the clean labels, the shifted form on the scaled ones
+        ("explicit-appendix", "multiclass", 3),
         ("unit-constants", "multiclass", 3),
     ])
     def test_solves_per_report(self, mode, channel, solves, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntkreg import krr as krr_module
 from ntkreg._kernelmatrix import KernelMatrix
 from ntkreg.data import DataSet, synth_sphere
 from ntkreg.errors import ValidationError
@@ -244,3 +245,58 @@ class TestKernelMatrixChecks:
         K = KernelMatrix.from_values(np.diag([1.0, 2.0, 3.0]))
         assert K.trace == 6.0
         assert K.n == 3
+
+
+def counting(monkeypatch, module, name):
+    """Record the first argument of every call to ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a[0]) or original(*a, **k))
+    return calls
+
+
+def with_min_eig(n, ratio):
+    """A symmetric n x n matrix whose lambda_min is ``ratio`` * 1e-8 * tr/n."""
+    rng = np.random.default_rng(7)
+    rest = np.linspace(1.0, 2.0, n - 1)
+    # lambda_min = ratio * 1e-8 * (sum(rest) + lambda_min) / n, solved for lambda_min
+    lowest = ratio * 1e-8 * rest.sum() / (n - ratio * 1e-8)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    values = (q * np.concatenate([[lowest], rest])) @ q.T
+    return np.triu(values) + np.triu(values, 1).T
+
+
+class TestCholeskyCertificate:
+    """PSD is certified by K's shift-0 factor; the spectrum is computed only when read."""
+
+    def test_psd_matrix_factors_once_without_spectrum(self, monkeypatch):
+        values = analytic_ntk(2, synth_sphere(30, 5, "linear-sign", seed=2)).values
+        factored = counting(monkeypatch, krr_module, "cho_factor")
+        spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        K = KernelMatrix.from_values(values)
+        assert len(factored) == 1 and np.array_equal(factored[0], values)  # K itself, no jitter
+        assert spectra == []
+        assert K.solver(0.0).jitter == 0.0
+        assert len(factored) == 1  # the solves at shift 0 reuse it
+
+    def test_spectrum_computed_once_on_read(self, monkeypatch):
+        K = KernelMatrix.from_values(np.diag([1.0, 2.0, 3.0]))
+        spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        readings = [(K.op_norm, K.min_eig) for _ in range(2)]
+        assert len(spectra) == 1
+        assert readings == [(3.0, 1.0), (3.0, 1.0)]
+
+    def test_zero_empirical_kernel_accepted(self):
+        # a width-1 net whose ReLU is off on both points: K is exactly 0, so
+        # every jitter rung is 0 and the spectrum decides
+        cfg = NetConfig(input_dim=5, widths=(1,), freeze_first_last=False)
+        K = empirical_ntk(init_mlp(cfg, (0, 1)), synth_sphere(2, 5, "linear-sign", seed=1))
+        assert np.all(K.values == 0.0)
+        assert K.min_eig == 0.0 and K.op_norm == 0.0
+
+    def test_tolerance_boundary(self):
+        accepted = KernelMatrix.from_values(with_min_eig(200, -0.9))
+        assert accepted.min_eig < 0.0
+        assert accepted.solver(0.0).jitter == pytest.approx(1e-8 * accepted.trace / accepted.n)
+        with pytest.raises(ValidationError, match="lambda_min"):
+            KernelMatrix.from_values(with_min_eig(200, -1.1))
