@@ -60,8 +60,6 @@ from .krr import (
     PSDSolver,
     export_predictions,
     krr_fit,
-    krr_fit_multi,
-    krr_predict,
     rkhs_norm,
 )
 from .linmodel import (

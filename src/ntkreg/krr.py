@@ -131,19 +131,6 @@ def krr_fit(K: KernelMatrix, y, lam: float, kernel_source=None, train_data=None)
     return KRRPredictor(alpha=alpha, lam=lam, kernel_source=source, train_data=train_data)
 
 
-def krr_fit_multi(K: KernelMatrix, targets, lam: float, kernel_source=None, train_data=None) -> KRRPredictor:
-    """``krr_fit`` on (num_outputs, n) targets, one factorization for all rows."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim != 2 or targets.shape[1] != K.n:
-        raise ValidationError(f"targets must have shape (num_outputs, {K.n}), got {targets.shape}")
-    return krr_fit(K, targets, lam, kernel_source, train_data)
-
-
-def krr_predict(predictor: KRRPredictor, x) -> np.ndarray:
-    """Evaluate the fitted predictor at one point or a batch of points."""
-    return predictor.predict(x)
-
-
 def rkhs_norm(predictor: KRRPredictor, K: KernelMatrix):
     """sqrt(alpha^T K alpha), clamped at zero against fp noise.
 

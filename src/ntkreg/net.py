@@ -7,7 +7,9 @@ The forward pass is
 with s_l = sqrt(scale_c / fan_in_l) applied from the second layer on (the
 first layer consumes unit-norm inputs directly, so its pre-activations
 already have unit variance under i.i.d. N(0, 1) weights). ReLU's derivative
-at 0 is taken to be 0.
+at 0 is taken to be 0: the backward mask is ``z > 0``. ReLU is
+``max(z, 0)``, which propagates a NaN pre-activation instead of masking it
+to 0, so a NaN weight or input makes the output NaN.
 
 With ``difference_trick`` enabled the model is the scaled difference of two
 identically initialized copies, f = sqrt(2)/2 (g(theta_1, x) - g(theta_2, x)),
@@ -130,18 +132,25 @@ def init_mlp(config: NetConfig, seed: int) -> MLP:
 
 
 def _branch_forward(config: NetConfig, weights, x, keep_cache=False):
-    """Forward one branch; optionally cache (scaled input, relu mask) per layer."""
+    """Forward one branch; with ``keep_cache``, also (scaled input, relu mask) per layer.
+
+    Each layer allocates one (m, width) array, its matmul result, and works
+    in place on it: ReLU overwrites it, and the next layer scales it. The
+    mask ``z > 0`` is built only when the cache is kept.
+    """
     caches = []
     h = x
     for l, w in enumerate(weights):
         scale = config.layer_scale(l)
-        inp = h if scale == 1.0 else h * scale
-        z = inp @ w.T
+        # h is the previous layer's own array from l = 1 on; layer 0 has
+        # scale 1.0, so the caller's x is never written.
+        if scale != 1.0:
+            h *= scale
+        z = h @ w.T
         last = l == config.depth - 1
-        mask = None if last else z > 0.0
         if keep_cache:
-            caches.append((inp, mask))
-        h = z if last else np.where(mask, z, 0.0)
+            caches.append((h, None if last else z > 0.0))
+        h = z if last else np.maximum(z, 0.0, out=z)
     return h, caches
 
 
@@ -171,9 +180,14 @@ def forward(mlp: MLP, x) -> np.ndarray:
 def _branch_backward_factors(config: NetConfig, weights, caches, out_sens):
     """Per-layer (delta, scaled input) pairs for per-example weight gradients.
 
-    The per-example gradient of the selected output w.r.t. W_l is the outer
-    product delta_l[i] x input_l[i]; returning the factors lets callers form
-    either summed gradients or Gram matrices without materializing them.
+    ``caches`` is the (scaled input, relu mask) list of ``_branch_forward``
+    with ``keep_cache``. The per-example gradient of the selected output
+    w.r.t. W_l is the outer product delta_l[i] x input_l[i]; returning the
+    factors lets callers form either summed gradients or Gram matrices
+    without materializing them. Each layer below the top allocates one
+    (m, width) array, the back-propagated delta, and scales and masks it in
+    place; masked entries are zeros whose sign follows the product they
+    replace.
     """
     factors = [None] * config.depth
     delta = out_sens
@@ -181,12 +195,14 @@ def _branch_backward_factors(config: NetConfig, weights, caches, out_sens):
         inp, _ = caches[l]
         factors[l] = (delta, inp)
         if l > 0:
-            back = delta @ weights[l]
+            # one column: delta_i * W_j, the values of the inner-dimension-1
+            # matmul at a fraction of its cost
+            back = delta * weights[l] if delta.shape[1] == 1 else delta @ weights[l]
             scale = config.layer_scale(l)
             if scale != 1.0:
-                back = back * scale
-            mask = caches[l - 1][1]
-            delta = np.where(mask, back, 0.0)
+                back *= scale
+            back *= caches[l - 1][1]
+            delta = back
     return factors
 
 
@@ -339,7 +355,8 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
 
     Returns (trained MLP, AuxState, TrainLog); the input model is untouched.
     Aborts with DivergenceError if the objective exceeds 1e12 or turns
-    non-finite, naming the offending step.
+    non-finite, naming the offending step. A NaN in the weights or inputs
+    reaches the output, so it fails at step 0.
     """
     config = mlp.config
     targets = _targets_for(data, config.outputs)

@@ -25,7 +25,7 @@ from ntkreg.cli import (
 )
 from ntkreg.data import dataset_digest, onehot_matrix, prediction_error, synth_sphere
 from ntkreg.kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
-from ntkreg.krr import krr_fit, krr_fit_multi
+from ntkreg.krr import krr_fit
 from ntkreg.linmodel import linearize, run_gd_rdi
 from ntkreg.net import TrainConfig, forward, init_mlp, train_full
 
@@ -627,11 +627,11 @@ class TestMulticlassCommands:
         assert main(["krr", "--config", cfg]) == EXIT_OK
         row = read_rows(out / "results.csv")[0]
         assert (float(row["train_error_noisy"]), float(row["test_error_clean"])) == (0.0, 0.215)
-        # the same numbers from krr_fit_multi and the argmax, computed directly
+        # the same numbers from krr_fit on the one-hot matrix and the argmax, computed directly
         train, test = build_train_test(load_config(cfg))
         source = AnalyticNTK(2)
         gram = source.gram(train)
-        fit = krr_fit_multi(gram, onehot_matrix(train.noisy_labels, 3), 0.5, source, train)
+        fit = krr_fit(gram, onehot_matrix(train.noisy_labels, 3), 0.5, source, train)
         train_classes = np.argmax(gram.values @ fit.alpha.T, axis=1) + 1
         test_outputs = fit.predict(test.inputs)
         test_classes = np.argmax(test_outputs, axis=1) + 1

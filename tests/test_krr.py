@@ -11,14 +11,12 @@ import ntkreg
 from ntkreg._kernelmatrix import KernelMatrix
 from ntkreg.data import DataSet, Provenance, make_kernel_cache, save_kernel, synth_sphere
 from ntkreg.errors import SingularityError, ValidationError
-from ntkreg.kernel import AnalyticNTK, analytic_ntk
+from ntkreg.kernel import AnalyticNTK, analytic_ntk, kernel_cross
 from ntkreg.krr import (
     KRRPredictor,
     PSDSolver,
     export_predictions,
     krr_fit,
-    krr_fit_multi,
-    krr_predict,
     rkhs_norm,
 )
 from ntkreg.noise import onehot_matrix
@@ -172,8 +170,8 @@ class TestPrediction:
         ds, p, _ = self.make_fitted(0.0)
         preds = p.predict(ds.inputs)
         assert np.max(np.abs(preds - ds.noisy_labels)) <= 1e-7
-        # function form agrees with the method form
-        assert np.array_equal(krr_predict(p, ds.inputs), preds)
+        # the prediction is k(x, X)^T alpha, from the cross kernel directly
+        assert np.array_equal(kernel_cross(AnalyticNTK(2), ds.inputs, ds) @ p.alpha, preds)
 
     def test_large_lambda_shrinks_to_zero(self):
         ds, p, _ = self.make_fitted(1e6)  # lam^2 = 1e12
@@ -216,14 +214,14 @@ class TestMultiOutput:
         rng = np.random.default_rng(3)
         K = random_psd_kernel(rng, 10)
         targets = rng.standard_normal((4, 10))
-        multi = krr_fit_multi(K, targets, 0.8)
+        multi = krr_fit(K, targets, 0.8)
         for h in range(4):
             single = krr_fit(K, targets[h], 0.8)
             assert np.array_equal(multi.alpha[h], single.alpha)
 
     def test_zero_targets(self):
         K = kernel_from(np.eye(5))
-        multi = krr_fit_multi(K, np.zeros((3, 5)), 1.0)
+        multi = krr_fit(K, np.zeros((3, 5)), 1.0)
         assert np.all(multi.alpha == 0.0)
 
     def test_residual_oracle_per_row(self):
@@ -231,7 +229,7 @@ class TestMultiOutput:
         K = random_psd_kernel(rng, 15)
         targets = rng.standard_normal((5, 15))
         lam = 0.6
-        multi = krr_fit_multi(K, targets, lam)
+        multi = krr_fit(K, targets, lam)
         shifted = K.values + lam * lam * np.eye(15)
         for h in range(5):
             residual = shifted @ multi.alpha[h] - targets[h]
@@ -243,7 +241,7 @@ class TestMultiOutput:
         x = np.eye(3)
         ds = DataSet(x, labels, labels.copy(), "multiclass", num_classes=2)
         K = kernel_from(np.eye(3))
-        p = krr_fit_multi(K, targets, 0.0)
+        p = krr_fit(K, targets, 0.0)
         # alpha = targets themselves; output h at x_i is 1[h == label_i]
         assert np.array_equal(p.alpha, targets)
         assert np.array_equal(
@@ -327,7 +325,8 @@ class TestTargetMatrix:
         for h in range(3):
             assert np.array_equal(fit.alpha[h], krr_fit(K, targets[h], 0.7).alpha)
         assert len(factors) == 1
-        assert np.array_equal(fit.alpha, krr_fit_multi(K, targets, 0.7).alpha)
+        assert np.array_equal(fit.alpha, krr_fit(K, targets, 0.7).alpha)
+        assert len(factors) == 1
 
     def test_one_row_matrix_keeps_its_shape(self):
         K = kernel_from(np.eye(4))

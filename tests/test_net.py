@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ntkreg.data import synth_sphere
+from ntkreg.data import prediction_error, synth_multiclass, synth_sphere
 from ntkreg.errors import DIVERGENCE_LIMIT, DivergenceError, ValidationError, _check_divergence
 from ntkreg.kernel import empirical_ntk
 from ntkreg.net import (
@@ -12,6 +12,7 @@ from ntkreg.net import (
     distance_to_init,
     forward,
     gradient,
+    gradient_factors,
     gradients_matrix,
     init_mlp,
     layer_norms,
@@ -278,6 +279,206 @@ class TestDistanceToInit:
     def test_layer_norms_positive(self):
         _, mlp = small_problem()
         assert np.all(layer_norms(mlp) > 0.0)
+
+
+# An independent reference step: np.where ReLU and masking, matmul
+# back-propagation and out-of-place arithmetic throughout. The library's
+# step must do the same floating-point operations in the same order.
+
+
+def reference_branch_forward(config, weights, x):
+    caches = []
+    h = x
+    for l, w in enumerate(weights):
+        scale = config.layer_scale(l)
+        inp = h if scale == 1.0 else h * scale
+        z = inp @ w.T
+        last = l == config.depth - 1
+        mask = None if last else z > 0.0
+        caches.append((inp, mask))
+        h = z if last else np.where(mask, z, 0.0)
+    return h, caches
+
+
+def reference_branch_factors(config, weights, caches, out_sens):
+    factors = [None] * config.depth
+    delta = out_sens
+    for l in range(config.depth - 1, -1, -1):
+        inp, _ = caches[l]
+        factors[l] = (delta, inp)
+        if l > 0:
+            back = delta @ weights[l]
+            scale = config.layer_scale(l)
+            if scale != 1.0:
+                back = back * scale
+            delta = np.where(caches[l - 1][1], back, 0.0)
+    return factors
+
+
+def reference_gradient_factors(mlp, x):
+    out = []
+    for coeff, weights in zip(mlp.branch_coeffs, mlp.params0):
+        _, caches = reference_branch_forward(mlp.config, weights, x)
+        sens = np.zeros((x.shape[0], mlp.config.outputs))
+        sens[:, 0] = coeff
+        factors = reference_branch_factors(mlp.config, weights, caches, sens)
+        out.extend(factors[l] for l in mlp.config.trainable_layers)
+    return out
+
+
+def reference_train(mlp, data, cfg):
+    """Full-batch gradient descent with summed per-layer gradients, logged per step."""
+    config = mlp.config
+    targets = np.atleast_2d(data.fit_targets()).T
+    model = mlp.copy()
+    aux = np.zeros(targets.shape)
+    rdi = cfg.objective == "rdi" and cfg.lam > 0.0
+    reg_sq = cfg.lam * cfg.lam
+    columns = {name: [] for name in ("objective", "train_error", "train_error_with_aux",
+                                     "dist_to_init", "weight_norms")}
+    for t in range(cfg.steps + 1):
+        runs = [reference_branch_forward(config, weights, data.inputs) for weights in model.params]
+        f_out = sum(coeff * out for coeff, (out, _) in zip(model.branch_coeffs, runs))
+        effective = f_out + cfg.lam * aux if cfg.objective == "aux" else f_out
+        residual = effective - targets
+        objective = 0.5 * float(np.sum(residual * residual))
+        dist = distance_to_init(model)
+        if rdi:
+            objective += 0.5 * reg_sq * float(np.sum(dist * dist))
+        columns["objective"].append(objective)
+        columns["train_error"].append(prediction_error(f_out, data.noisy_labels, data.task))
+        columns["train_error_with_aux"].append(prediction_error(effective, data.noisy_labels, data.task))
+        columns["dist_to_init"].append(dist)
+        columns["weight_norms"].append(layer_norms(model))
+        if t == cfg.steps:
+            break
+        for coeff, weights, weights0, (_, caches) in zip(
+            model.branch_coeffs, model.params, model.params0, runs
+        ):
+            factors = reference_branch_factors(config, weights, caches, coeff * residual)
+            for l in config.trainable_layers:
+                delta, inp = factors[l]
+                grad = delta.T @ inp
+                if rdi:
+                    grad = grad + reg_sq * (weights[l] - weights0[l])
+                weights[l] = weights[l] - cfg.eta * grad
+        if cfg.objective == "aux" and cfg.lam > 0.0:
+            aux = aux - cfg.eta * cfg.lam * residual
+    b = aux[:, 0] if targets.shape[1] == 1 else aux.T
+    return model, b, {name: np.array(values) for name, values in columns.items()}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+REFERENCE_OBJECTIVES = [("vanilla", 0.0), ("rdi", 1.0), ("aux", 1.0)]
+
+
+def reference_cases():
+    for widths in ((512,), (64, 32)):
+        for freeze in (True, False):
+            for objective, lam in REFERENCE_OBJECTIVES:
+                yield pytest.param(widths, 1, freeze, objective, lam,
+                                   id=f"{objective}-{'x'.join(map(str, widths))}-freeze{freeze}")
+    for objective, lam in REFERENCE_OBJECTIVES:
+        yield pytest.param((64,), 3, True, objective, lam, id=f"{objective}-multiclass")
+
+
+class TestReferenceStep:
+    @pytest.mark.parametrize("widths,outputs,freeze,objective,lam", list(reference_cases()))
+    def test_train_full_matches_reference_bitwise(self, widths, outputs, freeze, objective, lam):
+        if outputs == 1:
+            data = corrupt(synth_sphere(40, 6, "linear-sign", seed=3), BinaryFlip(0.2), seed=5)
+        else:
+            data = synth_multiclass(40, 6, outputs, seed=3)
+        mlp = init_mlp(NetConfig(input_dim=6, widths=widths, outputs=outputs,
+                                 freeze_first_last=freeze), 7)
+        cfg = TrainConfig(objective, eta=0.01, steps=50, lam=lam)
+        model, aux, log = train_full(mlp, data, cfg)
+        ref_model, ref_b, ref_log = reference_train(mlp, data, cfg)
+        assert ref_log["objective"][-1] < ref_log["objective"][0]
+        for branch, ref_branch in zip(model.params, ref_model.params):
+            for w, ref_w in zip(branch, ref_branch):
+                assert same_bits(w, ref_w)
+        assert same_bits(aux.b, ref_b)
+        for name, ref_column in ref_log.items():
+            assert same_bits(getattr(log, name), ref_column), name
+        # masked deltas are zeros whose sign may differ from np.where's +0.0,
+        # so the factors are compared as values, which equal zeros of either sign
+        factors = gradient_factors(mlp, data.inputs)
+        ref_factors = reference_gradient_factors(mlp, data.inputs)
+        assert len(factors) == len(ref_factors)
+        for (delta, inp), (ref_delta, ref_inp) in zip(factors, ref_factors):
+            assert same_bits(inp, ref_inp)
+            assert delta.shape == ref_delta.shape and np.array_equal(delta, ref_delta)
+
+
+def nan_weight_problem():
+    mlp = init_mlp(NetConfig(input_dim=5, widths=(16,)), 0)
+    for branch in mlp.params:
+        branch[0][3, 1] = np.nan
+    return mlp, synth_sphere(20, 5, "linear-sign", seed=0)
+
+
+def test_nan_weight_fails_loudly():
+    # ReLU propagates a NaN pre-activation instead of masking it to 0, so the
+    # output turns non-finite and training stops at the first objective
+    mlp, data = nan_weight_problem()
+    assert not np.all(np.isfinite(forward(mlp, data.inputs)))
+    with pytest.raises(DivergenceError, match="at step 0"):
+        train_full(mlp, data, TrainConfig("vanilla", eta=0.01, steps=5))
+
+
+class TestNoAliasing:
+    UNSCALED = NetConfig(input_dim=5, widths=(2, 2), scale_c=2.0, freeze_first_last=False)
+    NETS = [
+        NetConfig(input_dim=5, widths=(16,), freeze_first_last=False),
+        NetConfig(input_dim=5, widths=(8, 6), freeze_first_last=True, outputs=2),
+        UNSCALED,
+    ]
+
+    def test_unscaled_net_scales_nothing(self):
+        assert [self.UNSCALED.layer_scale(l) for l in range(3)] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("config", NETS, ids=["w16", "w8x6-2out", "w2x2-unscaled"])
+    def test_inputs_and_weights_untouched(self, config):
+        if config.outputs == 1:
+            data = synth_sphere(12, 5, "linear-sign", seed=1)
+        else:
+            data = synth_multiclass(12, 5, config.outputs, seed=1)
+        mlp = init_mlp(config, 2)
+        x = np.random.default_rng(0).standard_normal((9, 5))
+        arrays = [x, data.inputs] + [w for branch in mlp.params0 + mlp.params for w in branch]
+        before = [a.copy() for a in arrays]
+        forward(mlp, x)
+        gradient_factors(mlp, x, at_init=False)
+        gradient_factors(mlp, data.inputs)
+        train_full(mlp, data, TrainConfig("rdi", eta=0.01, steps=3, lam=1.0))
+        for old, new in zip(before, arrays):
+            assert same_bits(old, new)
+
+    @pytest.mark.parametrize("config", NETS, ids=["w16", "w8x6-2out", "w2x2-unscaled"])
+    def test_factors_own_their_memory(self, config):
+        mlp = init_mlp(config, 2)
+        x = np.random.default_rng(0).standard_normal((9, 5))
+        first = gradient_factors(mlp, x)
+        second = gradient_factors(mlp, x)
+        layers = config.trainable_layers
+        computed = []
+        for factors in (first, second):
+            for (delta, inp), l in zip(factors, layers * len(mlp.params)):
+                computed.append(delta)
+                if l == 0:
+                    # layer 0 is unscaled: its input factor is the input batch, read only
+                    assert same_bits(inp, x)
+                else:
+                    computed.append(inp)
+        for i, a in enumerate(computed):
+            assert not np.shares_memory(a, x)
+            for b in computed[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("objective", [np.nextafter(DIVERGENCE_LIMIT, np.inf), np.inf, np.nan])
