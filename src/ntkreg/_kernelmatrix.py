@@ -19,6 +19,8 @@ from .errors import SingularityError, ValidationError
 # PSD_RTOL is also the top rung of ``krr.PSDSolver``'s jitter ladder.
 SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-8
+# ``mirror_upper`` works on bands of this many rows.
+MIRROR_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +35,11 @@ class KernelMatrix:
     bounds and the closed-form limit on one instance share the factorizations
     that :meth:`solver` keeps. ``min_eig`` and ``op_norm`` come from one
     ``eigvalsh`` spectrum, computed on first read.
+
+    The checks make no n x n float temporary (max|K_ij - K_ji| is formed
+    only when K is not exactly symmetric), and the certificate factors one
+    Fortran-order copy of K: while it is built, K and that copy are the two
+    n x n arrays alive, and afterwards an instance holds K plus its factor.
     """
 
     values: np.ndarray
@@ -45,16 +52,20 @@ class KernelMatrix:
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError(f"kernel matrix must be square, got shape {values.shape}")
         n = values.shape[0]
-        if not np.all(np.isfinite(values)):
+        # max and min propagate NaN and +-inf, so together they check
+        # finiteness and give max|K| without an n x n temporary
+        top, bottom = float(values.max()), float(values.min())
+        if not (np.isfinite(top) and np.isfinite(bottom)):
             raise ValidationError("kernel matrix contains non-finite entries")
         trace = float(np.trace(values))
-        scale = max(float(np.max(np.abs(values))), np.finfo(np.float64).tiny)
-        asym = float(np.max(np.abs(values - values.T)))
-        if asym > SYMMETRY_RTOL * scale:
-            raise ValidationError(
-                f"kernel matrix is not symmetric: max|K - K^T| = {asym:.3e} "
-                f"exceeds {SYMMETRY_RTOL:.0e} * max|K| = {SYMMETRY_RTOL * scale:.3e}"
-            )
+        scale = max(top, -bottom, np.finfo(np.float64).tiny)
+        if not np.array_equal(values, values.T):
+            asym = float(np.max(np.abs(values - values.T)))
+            if asym > SYMMETRY_RTOL * scale:
+                raise ValidationError(
+                    f"kernel matrix is not symmetric: max|K - K^T| = {asym:.3e} "
+                    f"exceeds {SYMMETRY_RTOL:.0e} * max|K| = {SYMMETRY_RTOL * scale:.3e}"
+                )
         matrix = cls(values=values, trace=trace)
         try:
             matrix.solver(0.0)
@@ -104,6 +115,19 @@ def k_norms(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def mirror_upper(values: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one, enforcing exact symmetry."""
-    upper = np.triu(values)
-    return upper + np.triu(values, 1).T
+    """Copy the upper triangle onto the lower one in place, enforcing exact symmetry.
+
+    Works over bands of rows. Adding 0.0 to the upper triangle turns -0.0
+    into +0.0, so the result is bitwise ``triu(K) + triu(K, 1).T``.
+    Returns ``values``.
+    """
+    n = values.shape[0]
+    for start in range(0, n, MIRROR_BLOCK_ROWS):
+        stop = min(start + MIRROR_BLOCK_ROWS, n)
+        band = values[start:stop, start:]
+        band += 0.0
+        values[start:stop, :start] = values[:start, start:stop].T
+        square = values[start:stop, start:stop]
+        lower = np.tril_indices(stop - start, -1)
+        square[lower] = square.T[lower]
+    return values

@@ -485,6 +485,23 @@ _GROUPS = {"krr": _KRRGroup, "linear": _LinearGroup, "net": _NetGroup}
 # equivalence command
 
 
+def _equivalence_run(group, y, lam: float, tol: float):
+    """RDI and AUX at one lambda: its trajectory.csv rows and equivalence.json entry.
+
+    The two trajectories die when this returns, before the next lambda runs.
+    """
+    traj_rdi = group.trajectory(KIND_RDI, y, lam)
+    traj_aux = group.trajectory(KIND_AUX, y, lam)
+    report = check_equivalence(traj_rdi, traj_aux, tol=tol)
+    entry = {"eta": traj_rdi.eta, "max_abs": report.max_abs,
+             "max_rel": report.max_rel, "passed": report.passed}
+    columns = (traj_rdi.objectives, traj_aux.objectives, traj_rdi.dist_from_init,
+               report.gaps, report.rel_gaps)
+    rows = [(lam, t, *map(float, values)) for t, values in enumerate(zip(*columns))]
+    _log(f"lambda={lam}: max relative gap {report.max_rel:.3e} ({'pass' if report.passed else 'FAIL'})")
+    return rows, entry
+
+
 def cmd_equivalence(config: dict) -> int:
     out = _ensure_out(config)
     cell, train, _ = _single_run(config)
@@ -496,15 +513,8 @@ def cmd_equivalence(config: dict) -> int:
     rows = []
     summary = {}
     for lam in lambdas:
-        traj_rdi = group.trajectory(KIND_RDI, y, lam)
-        traj_aux = group.trajectory(KIND_AUX, y, lam)
-        report = check_equivalence(traj_rdi, traj_aux, tol=tol)
-        summary[str(lam)] = {"eta": traj_rdi.eta, "max_abs": report.max_abs,
-                             "max_rel": report.max_rel, "passed": report.passed}
-        columns = (traj_rdi.objectives, traj_aux.objectives, traj_rdi.dist_from_init,
-                   report.gaps, report.rel_gaps)
-        rows += [(lam, t, *map(float, values)) for t, values in enumerate(zip(*columns))]
-        _log(f"lambda={lam}: max relative gap {report.max_rel:.3e} ({'pass' if report.passed else 'FAIL'})")
+        lam_rows, summary[str(lam)] = _equivalence_run(group, y, lam, tol)
+        rows += lam_rows
     header = ["lambda", "t", "objective_rdi", "objective_aux", "dist_from_init", "gap", "rel_gap"]
     _write_csv(os.path.join(out, "trajectory.csv"), header, rows)
     _write_json(os.path.join(out, "equivalence.json"), {"tolerance": tol, "runs": summary})

@@ -42,9 +42,11 @@ class DivergenceError(ToolkitError):
 def _check_divergence(objective: float, step: int) -> None:
     """The one divergence rule: a non-finite objective or one above the limit fails at ``step``."""
     if not math.isfinite(objective) or objective > DIVERGENCE_LIMIT:
-        raise DivergenceError(
-            f"objective became {objective:.3e} at step {step}; reduce the learning rate"
-        )
+        if step == 0:  # no update yet, so the learning rate cannot be the cause
+            cause = "before any update; the weights or inputs are non-finite or too large"
+        else:
+            cause = "reduce the learning rate"
+        raise DivergenceError(f"objective became {objective:.3e} at step {step}; {cause}")
 
 
 class TrickViolationError(ToolkitError):

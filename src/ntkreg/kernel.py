@@ -21,6 +21,14 @@ Two routes to the same object:
 Cosines are clamped to [-1, 1] with a 1e-12 tolerance (values within 1e-12
 of +-1 are snapped, so duplicated rows and self-queries hit the endpoint
 identities exactly); anything further out is an error.
+
+The recursion runs fused and in place over blocks of rows of the cosine
+matrix: each level evaluates arccos once and reuses it for k0 and k1, with
+the floating-point operations of ``arccos_kernel0/1`` in their order, so
+the values are bitwise theirs. A Gram build therefore holds at most two
+n x n arrays at once, the cosines and K; the cosines are freed before K's
+PSD check copies K for its Cholesky factor, and afterwards K and that
+factor remain. A cross kernel likewise holds at most two m x n arrays.
 """
 
 import numpy as np
@@ -32,6 +40,9 @@ from .net import MLP, gradient_factors
 
 COS_CLAMP_TOL = 1e-12
 UNIT_NORM_TOL = 1e-8
+# The arc-cosine recursion runs on blocks of rows holding about this many
+# entries, small enough for a block and its two scratch buffers to stay in cache.
+RECURSION_BLOCK_ENTRIES = 65536
 
 
 def arccos_kernel0(u):
@@ -46,16 +57,16 @@ def arccos_kernel1(u):
     return (u * (np.pi - np.arccos(u)) + np.sqrt(np.maximum(1.0 - u * u, 0.0))) / np.pi
 
 
-def _clean_cosines(u: np.ndarray) -> np.ndarray:
-    worst = float(np.max(np.abs(u))) if u.size else 0.0
+def _clean_cosines(u: np.ndarray) -> None:
+    """Clamp the cosines in ``u`` to [-1, 1] in place, snapping the endpoints."""
+    worst = max(float(u.max()), -float(u.min())) if u.size else 0.0
     if worst > 1.0 + COS_CLAMP_TOL:
         raise ValidationError(
             f"cosine {worst!r} exceeds 1 + {COS_CLAMP_TOL:.0e}; inputs are not unit-norm"
         )
-    u = np.clip(u, -1.0, 1.0)
-    u = np.where(u > 1.0 - COS_CLAMP_TOL, 1.0, u)
-    u = np.where(u < -1.0 + COS_CLAMP_TOL, -1.0, u)
-    return u
+    np.clip(u, -1.0, 1.0, out=u)
+    np.copyto(u, 1.0, where=u > 1.0 - COS_CLAMP_TOL)
+    np.copyto(u, -1.0, where=u < -1.0 + COS_CLAMP_TOL)
 
 
 def _require_unit_rows(x: np.ndarray, what: str) -> None:
@@ -68,27 +79,63 @@ def _require_unit_rows(x: np.ndarray, what: str) -> None:
         )
 
 
-def _analytic_recursion(u: np.ndarray, depth: int) -> np.ndarray:
-    s = u
-    t = u.copy()
+def _recursion_block(s, t, a, r, depth: int) -> None:
+    """T_{depth-1} into ``t`` for one block, ``t`` holding S_0 = ``s`` on entry.
+
+    Overwrites the cosines ``s`` with S_h level by level; ``a`` and ``r`` are
+    scratch of the same shape. Each level evaluates arccos once, with the
+    floating-point operations of ``arccos_kernel0/1`` in their order, so the
+    result is bitwise theirs.
+    """
     for _ in range(depth - 1):
-        k0 = arccos_kernel0(s)
-        s = arccos_kernel1(s)
-        t = t * k0 + s
+        np.arccos(s, out=a)
+        np.subtract(np.pi, a, out=a)  # pi - arccos S_{h-1}
+        np.multiply(s, s, out=r)
+        np.subtract(1.0, r, out=r)
+        np.maximum(r, 0.0, out=r)
+        np.sqrt(r, out=r)
+        np.multiply(s, a, out=s)
+        np.add(s, r, out=s)
+        np.divide(s, np.pi, out=s)  # S_h = k1(S_{h-1})
+        np.divide(a, np.pi, out=a)  # k0(S_{h-1})
+        np.multiply(t, a, out=t)
+        np.add(t, s, out=t)
+
+
+def _analytic_recursion(u: np.ndarray, depth: int) -> np.ndarray:
+    """The depth-``depth`` kernel of the cosines ``u``, which it overwrites.
+
+    Runs over blocks of rows, so besides its result it allocates only two
+    blocks of scratch.
+    """
+    m, n = u.shape
+    rows = max(1, min(m, RECURSION_BLOCK_ENTRIES // max(n, 1)))
+    t = np.empty_like(u)
+    a = np.empty((rows, n))
+    r = np.empty_like(a)
+    for start in range(0, m, rows):
+        s, block = u[start:start + rows], t[start:start + rows]
+        block[...] = s
+        _recursion_block(s, block, a[: len(s)], r[: len(s)], depth)
     return t
+
+
+def _gram_cosines(x: np.ndarray) -> np.ndarray:
+    u = mirror_upper(x @ x.T)
+    _clean_cosines(u)
+    # Unit-norm rows make the true diagonal exactly 1; snap away the fp dot noise.
+    np.fill_diagonal(u, 1.0)
+    return u
 
 
 def analytic_ntk(depth: int, data: DataSet) -> KernelMatrix:
     """Infinite-width tangent kernel matrix for a depth-``depth`` ReLU network."""
     if depth < 2:
         raise ValidationError(f"depth must be >= 2, got {depth}")
-    x = data.inputs
-    _require_unit_rows(x, "inputs")
-    u = mirror_upper(x @ x.T)
-    u = _clean_cosines(u)
-    # Unit-norm rows make the true diagonal exactly 1; snap away the fp dot noise.
-    np.fill_diagonal(u, 1.0)
-    return KernelMatrix.from_values(_analytic_recursion(u, depth))
+    _require_unit_rows(data.inputs, "inputs")
+    # No name here holds the cosines: they are freed as the recursion returns,
+    # before the PSD check copies K for its factor.
+    return KernelMatrix.from_values(_analytic_recursion(_gram_cosines(data.inputs), depth))
 
 
 def analytic_ntk_cross(depth: int, queries: np.ndarray, data: DataSet) -> np.ndarray:
@@ -99,7 +146,8 @@ def analytic_ntk_cross(depth: int, queries: np.ndarray, data: DataSet) -> np.nda
         raise ValidationError(f"query dimension {queries.shape[1]} != data dimension {data.d}")
     _require_unit_rows(data.inputs, "inputs")
     _require_unit_rows(queries, "queries")
-    u = _clean_cosines(queries @ data.inputs.T)
+    u = queries @ data.inputs.T
+    _clean_cosines(u)
     return _analytic_recursion(u, depth)
 
 

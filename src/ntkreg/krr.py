@@ -33,9 +33,10 @@ class PSDSolver:
     The top rung, 1e-8 tr(K)/n, is ``KernelMatrix``'s PSD tolerance, so a
     factor at shift 0 certifies K as PSD. Solutions are checked against the
     unjittered system, so a jitter large enough to distort the solve is
-    also a loud failure. The solver
-    holds one n x n array, its factor; the residual check forms K x + shift x
-    from the caller's K.
+    also a loud failure. Each rung factors one fresh Fortran-order copy of
+    K in place, so the caller's K is never written. The solver holds one
+    n x n array, its factor; the residual check forms K x + shift x from the
+    caller's K.
     """
 
     def __init__(self, values: np.ndarray, shift: float):
@@ -48,9 +49,18 @@ class PSDSolver:
         jitters = [0.0] + [base_jitter * 10.0**k for k in range(JITTER_ESCALATIONS)]
         self.factor = None
         self.jitter = 0.0
+        diagonal = np.diag_indices(n)
         for jitter in jitters:
+            # A failed potrf clobbers its array, so every rung factors a fresh
+            # copy, in Fortran order so that LAPACK works on it where it lies.
+            # Adding 0.0 turns -0.0 into +0.0, so that the factored matrix is
+            # exactly (K + shift I) + jitter I, signed zeros included.
+            a = np.empty((n, n), order="F")
+            np.add(values, 0.0, out=a)
+            a[diagonal] += shift
+            a[diagonal] += jitter
             try:
-                self.factor = cho_factor((values + shift * np.eye(n)) + jitter * np.eye(n), lower=True)
+                self.factor = cho_factor(a, lower=True, overwrite_a=True)
                 self.jitter = jitter
                 break
             except np.linalg.LinAlgError:

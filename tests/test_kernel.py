@@ -1,15 +1,20 @@
 """Analytic recursion spot values, empirical Gram correctness, concentration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntkreg import kernel as kernel_module
 from ntkreg import krr as krr_module
-from ntkreg._kernelmatrix import KernelMatrix
+from ntkreg._kernelmatrix import MIRROR_BLOCK_ROWS, KernelMatrix, mirror_upper
 from ntkreg.data import DataSet, synth_sphere
 from ntkreg.errors import ValidationError
 from ntkreg.kernel import (
+    COS_CLAMP_TOL,
+    RECURSION_BLOCK_ENTRIES,
     AnalyticNTK,
     EmpiricalNTK,
     analytic_ntk,
@@ -92,6 +97,147 @@ class TestAnalyticKernel:
         ds = synth_sphere(15, 5, "linear-sign", seed=3)
         K = analytic_ntk(3, ds).values
         assert np.array_equal(K, K.T)
+
+
+def reference_cosines(u):
+    """The cosine clamp composed out of place: clip, then snap to +-1 within the tolerance."""
+    u = np.clip(u, -1.0, 1.0)
+    u = np.where(u > 1.0 - COS_CLAMP_TOL, 1.0, u)
+    return np.where(u < -1.0 + COS_CLAMP_TOL, -1.0, u)
+
+
+def reference_recursion(u, depth):
+    """T_{depth-1} composed from the public arc-cosine kernels, one level at a time."""
+    s, t = u, u.copy()
+    for _ in range(depth - 1):
+        k0 = arccos_kernel0(s)
+        s = arccos_kernel1(s)
+        t = t * k0 + s
+    return t
+
+
+def reference_gram(depth, x):
+    u = x @ x.T
+    u = reference_cosines(np.triu(u) + np.triu(u, 1).T)
+    np.fill_diagonal(u, 1.0)
+    return reference_recursion(u, depth)
+
+
+def reference_cross(depth, queries, x):
+    return reference_recursion(reference_cosines(queries @ x.T), depth)
+
+
+def near_endpoint_inputs(n, d, seed):
+    """Unit rows whose first three cosines with row 0 lie within 1e-13 of +-1."""
+    x = synth_sphere(n, d, "linear-sign", seed=seed).inputs.copy()
+    tilt = np.eye(d)[1] - x[0, 1] * x[0]
+    tilt /= np.linalg.norm(tilt)
+    for row, sign, angle in ((1, 1.0, 3e-7), (2, -1.0, 3e-7), (3, 1.0, 1e-7)):
+        x[row] = sign * (np.cos(angle) * x[0] + np.sin(angle) * tilt)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x
+
+
+class TestFusedRecursion:
+    """The row-blocked recursion is bitwise the composition of arccos_kernel0/1."""
+
+    # 700 rows are 7 full blocks of 93 and one of 49
+    N = 700
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_gram_matches_reference_bitwise(self, depth):
+        assert self.N % (RECURSION_BLOCK_ENTRIES // self.N) != 0
+        ds = synth_sphere(self.N, 10, "linear-sign", seed=11)
+        K = analytic_ntk(depth, ds).values
+        assert K.tobytes() == reference_gram(depth, ds.inputs).tobytes()
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("m", [250, 5])
+    def test_cross_matches_reference_bitwise(self, depth, m):
+        ds = synth_sphere(self.N, 10, "linear-sign", seed=12)
+        queries = synth_sphere(m, 10, "linear-sign", seed=13).inputs
+        cross = analytic_ntk_cross(depth, queries, ds)
+        assert cross.shape == (m, self.N)
+        assert cross.tobytes() == reference_cross(depth, queries, ds.inputs).tobytes()
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_small_blocks_match_reference_bitwise(self, depth, monkeypatch):
+        # blocks of 3 rows, the last one of 2, on both the Gram and a cross kernel
+        monkeypatch.setattr(kernel_module, "RECURSION_BLOCK_ENTRIES", 3 * 41)
+        ds = synth_sphere(41, 6, "linear-sign", seed=14)
+        queries = synth_sphere(17, 6, "linear-sign", seed=15).inputs
+        K = analytic_ntk(depth, ds).values
+        assert K.tobytes() == reference_gram(depth, ds.inputs).tobytes()
+        cross = analytic_ntk_cross(depth, queries, ds)
+        assert cross.tobytes() == reference_cross(depth, queries, ds.inputs).tobytes()
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_near_endpoint_cosines_snap(self, depth):
+        x = near_endpoint_inputs(40, 6, seed=16)
+        cosines = x[0] @ x[1:4].T
+        assert np.all(np.abs(np.abs(cosines) - 1.0) < 1e-13)
+        assert np.all(np.abs(cosines) != 1.0)  # so only the snap makes them endpoints
+        ds = DataSet(x, np.ones(40), np.ones(40), "binary")
+        K = analytic_ntk(depth, ds).values
+        assert K.tobytes() == reference_gram(depth, x).tobytes()
+        antipodal = reference_recursion(np.array([[-1.0]]), depth)[0, 0]
+        assert K[0, 1] == K[0, 3] == float(depth) and K[0, 2] == antipodal
+        cross = analytic_ntk_cross(depth, x[:4], ds)
+        assert cross.tobytes() == reference_cross(depth, x[:4], x).tobytes()
+        assert cross[0, 1] == cross[0, 3] == float(depth) and cross[0, 2] == antipodal
+
+
+def traced_peak(build):
+    """Peak bytes that numpy allocates while ``build()`` runs."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuildMemory:
+    """A Gram build holds at most two n x n arrays at once; a cross kernel two m x n.
+
+    Besides those, the recursion allocates two blocks of scratch and the
+    unit-norm checks O(n d).
+    """
+
+    def test_gram_peak_within_two_and_a_half_matrices(self):
+        n = 600
+        ds = synth_sphere(n, 10, "linear-sign", seed=17)
+        peak, K = traced_peak(lambda: analytic_ntk(3, ds))
+        assert K.solver(0.0).jitter == 0.0  # the certificate's factor is part of the peak
+        assert peak <= 2.5 * n * n * 8
+
+    def test_cross_peak_within_two_and_a_half_matrices(self):
+        m, n = 600, 800
+        ds = synth_sphere(n, 10, "linear-sign", seed=18)
+        queries = synth_sphere(m, 10, "linear-sign", seed=19).inputs
+        peak, _ = traced_peak(lambda: analytic_ntk_cross(3, queries, ds))
+        assert peak <= 2.5 * m * n * 8
+
+    @pytest.mark.parametrize("m", [5, 300])
+    def test_cross_peak_is_two_matrices_and_two_blocks(self, m):
+        n, d = 600, 10
+        ds = synth_sphere(n, d, "linear-sign", seed=18)
+        queries = synth_sphere(m, d, "linear-sign", seed=19).inputs
+        block_rows = min(m, RECURSION_BLOCK_ENTRIES // n)
+        peak, _ = traced_peak(lambda: analytic_ntk_cross(3, queries, ds))
+        assert peak <= (2 * m * n + 2 * block_rows * n + n * d) * 8
+
+
+class TestMirrorUpper:
+    def test_matches_triangle_sum_bitwise_in_place(self):
+        # n spans two full bands and a partial one; signed zeros on both sides
+        n = 2 * MIRROR_BLOCK_ROWS + 17
+        values = np.random.default_rng(20).standard_normal((n, n))
+        values[np.random.default_rng(21).random((n, n)) < 0.1] = -0.0
+        expected = np.triu(values) + np.triu(values, 1).T
+        assert np.any(np.signbit(values) & (values == 0.0))
+        assert mirror_upper(values) is values
+        assert values.tobytes() == expected.tobytes()
 
 
 class TestEmpiricalKernel:
@@ -225,7 +371,23 @@ class TestConstructionInvariants:
 class TestKernelMatrixChecks:
     def test_rejects_asymmetric(self):
         values = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(ValidationError):
+        message = (
+            r"kernel matrix is not symmetric: max\|K - K\^T\| = 3\.000e-01 "
+            r"exceeds 1e-10 \* max\|K\| = 1\.000e-10"
+        )
+        with pytest.raises(ValidationError, match=message):
+            KernelMatrix.from_values(values)
+
+    def test_accepts_asymmetry_within_tolerance(self):
+        values = np.array([[2.0, 0.5], [0.5 + 1e-12, 2.0]])
+        assert not np.array_equal(values, values.T)
+        assert KernelMatrix.from_values(values).trace == 4.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        values = np.eye(3)
+        values[0, 2] = values[2, 0] = bad
+        with pytest.raises(ValidationError, match="^kernel matrix contains non-finite entries$"):
             KernelMatrix.from_values(values)
 
     def test_rejects_negative_definite(self):
@@ -248,10 +410,16 @@ class TestKernelMatrixChecks:
 
 
 def counting(monkeypatch, module, name):
-    """Record the first argument of every call to ``module.name``."""
+    """Record a copy of the first argument of every call to ``module.name``.
+
+    A copy, because ``PSDSolver`` lets ``cho_factor`` overwrite its argument
+    with the factor.
+    """
     calls = []
     original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a[0]) or original(*a, **k))
+    monkeypatch.setattr(
+        module, name, lambda *a, **k: calls.append(np.array(a[0])) or original(*a, **k)
+    )
     return calls
 
 

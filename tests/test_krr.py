@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ntkreg
 from ntkreg._kernelmatrix import KernelMatrix
@@ -97,6 +98,43 @@ class TestSolverAgainstDenseInverse:
         assert solver.jitter > 0.0
         x = solver.solve_checked(np.array([1.0, 1.0, 0.0]))
         assert np.allclose(values @ x, [1.0, 1.0, 0.0], rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("diagonal", [[1.0, 1.0, 0.0], [4.0, 9.0, 0.0]])
+    def test_jitter_rung_factors_a_fresh_copy(self, diagonal):
+        # the failed shift-0 rung overwrites its array (for [4, 9, 0] the
+        # leading entries become 2 and 3); the next rung must factor K + jitter I
+        values = np.diag(diagonal)
+        solver = PSDSolver(values, 0.0)
+        assert solver.jitter == 1e-10 * sum(diagonal) / 3
+        expected = scipy.linalg.cholesky(values + solver.jitter * np.eye(3), lower=True)
+        assert np.tril(solver.factor[0]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("values", [np.diag([4.0, 9.0, 0.0]), -np.eye(3)],
+                             ids=["rescued", "every-rung-fails"])
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_leaves_callers_matrix_untouched(self, values, shift):
+        before = values.tobytes()
+        try:
+            PSDSolver(values, shift)
+        except SingularityError:
+            pass
+        assert values.tobytes() == before
+
+    def test_factor_matches_shifted_sum_bitwise(self):
+        # the factor of one Fortran-order copy equals the factor of
+        # (K + shift I) + jitter I, signed zeros off the diagonal included
+        a = np.random.default_rng(4).standard_normal((40, 40))
+        values = a @ a.T / 40
+        values = np.triu(values) + np.triu(values, 1).T
+        values[np.abs(values) < 0.1] = -0.0
+        values[np.diag_indices(40)] += 10.0
+        assert np.sum(np.signbit(values) & (values == 0.0)) > 100
+        for shift in (0.0, 0.3):
+            solver = PSDSolver(values, shift)
+            shifted = (values + shift * np.eye(40)) + solver.jitter * np.eye(40)
+            expected, _ = scipy.linalg.cho_factor(shifted, lower=True)
+            assert solver.factor[0].tobytes() == np.asfortranarray(expected).tobytes()
+            assert solver.factor[0].flags.f_contiguous
 
     def test_jitter_does_not_mask_inconsistent_system(self):
         # same matrix, right-hand side with a null-space component: the

@@ -427,8 +427,11 @@ def test_nan_weight_fails_loudly():
     # output turns non-finite and training stops at the first objective
     mlp, data = nan_weight_problem()
     assert not np.all(np.isfinite(forward(mlp, data.inputs)))
-    with pytest.raises(DivergenceError, match="at step 0"):
+    with pytest.raises(
+        DivergenceError, match="at step 0; before any update; the weights or inputs are non-finite"
+    ) as failure:
         train_full(mlp, data, TrainConfig("vanilla", eta=0.01, steps=5))
+    assert "learning rate" not in str(failure.value)
 
 
 class TestNoAliasing:
@@ -485,5 +488,5 @@ class TestNoAliasing:
 def test_one_divergence_rule(objective):
     # nonlinear training and the linearized runs both fail through this check
     _check_divergence(DIVERGENCE_LIMIT, 7)
-    with pytest.raises(DivergenceError, match="at step 7"):
+    with pytest.raises(DivergenceError, match="at step 7; reduce the learning rate"):
         _check_divergence(objective, 7)
