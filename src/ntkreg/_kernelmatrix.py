@@ -19,7 +19,7 @@ from .errors import SingularityError, ValidationError
 # PSD_RTOL is also the top rung of ``krr.PSDSolver``'s jitter ladder.
 SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-8
-# ``mirror_upper`` works on bands of this many rows.
+# ``mirror_upper`` and the symmetry check work on bands of this many rows.
 MIRROR_BLOCK_ROWS = 64
 
 
@@ -36,10 +36,11 @@ class KernelMatrix:
     that :meth:`solver` keeps. ``min_eig`` and ``op_norm`` come from one
     ``eigvalsh`` spectrum, computed on first read.
 
-    The checks make no n x n float temporary (max|K_ij - K_ji| is formed
-    only when K is not exactly symmetric), and the certificate factors one
-    Fortran-order copy of K: while it is built, K and that copy are the two
-    n x n arrays alive, and afterwards an instance holds K plus its factor.
+    The checks make no n x n temporary: exact symmetry is tested band by
+    band, reading each pair once, and max|K_ij - K_ji| is formed only when
+    K is not exactly symmetric. The certificate factors one Fortran-order
+    copy of K: while it is built, K and that copy are the two n x n arrays
+    alive, and afterwards an instance holds K plus its factor.
     """
 
     values: np.ndarray
@@ -59,7 +60,7 @@ class KernelMatrix:
             raise ValidationError("kernel matrix contains non-finite entries")
         trace = float(np.trace(values))
         scale = max(top, -bottom, np.finfo(np.float64).tiny)
-        if not np.array_equal(values, values.T):
+        if not _exactly_symmetric(values):
             asym = float(np.max(np.abs(values - values.T)))
             if asym > SYMMETRY_RTOL * scale:
                 raise ValidationError(
@@ -112,6 +113,16 @@ class KernelMatrix:
 def k_norms(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sqrt(max(v^T K v, 0)) for every row v of ``rows``, from one product with K = ``values``."""
     return np.sqrt(np.maximum(np.sum((rows @ values) * rows, axis=1), 0.0))
+
+
+def _exactly_symmetric(values: np.ndarray) -> bool:
+    """Whether K equals K^T, comparing each band's upper block with its lower mirror."""
+    n = values.shape[0]
+    for start in range(0, n, MIRROR_BLOCK_ROWS):
+        stop = min(start + MIRROR_BLOCK_ROWS, n)
+        if not np.array_equal(values[start:stop, start:], values[start:, start:stop].T):
+            return False
+    return True
 
 
 def mirror_upper(values: np.ndarray) -> np.ndarray:

@@ -400,8 +400,8 @@ class _KRRGroup:
     def __init__(self, config, train, test, seed):
         self.config, self.train, self.test = config, train, test
         self.source = build_kernel_source(config, train, seed)
-        # C before K, so K's shift-0 factor (its PSD certificate) is not
-        # alive while the cross kernel is built
+        # The cross kernel is built in place in C, so either order peaks at
+        # C, K and K's shift-0 factor (its PSD certificate).
         self.cross = None if test is None else self.source.cross(test.inputs, train)
         self.gram = self.source.gram(train)
 

@@ -22,13 +22,16 @@ Cosines are clamped to [-1, 1] with a 1e-12 tolerance (values within 1e-12
 of +-1 are snapped, so duplicated rows and self-queries hit the endpoint
 identities exactly); anything further out is an error.
 
-The recursion runs fused and in place over blocks of rows of the cosine
-matrix: each level evaluates arccos once and reuses it for k0 and k1, with
-the floating-point operations of ``arccos_kernel0/1`` in their order, so
-the values are bitwise theirs. A Gram build therefore holds at most two
-n x n arrays at once, the cosines and K; the cosines are freed before K's
-PSD check copies K for its Cholesky factor, and afterwards K and that
-factor remain. A cross kernel likewise holds at most two m x n arrays.
+The recursion runs fused and in place over bands of rows: each band of
+cosines is cleaned into a contiguous scratch block, each level evaluates
+arccos once and reuses it for k0 and k1, with the floating-point operations
+of ``arccos_kernel0/1`` in their order, so the values are bitwise theirs,
+and T is written back over the band. A Gram matrix runs the recursion on
+each band from its diagonal column on and ``mirror_upper`` copies K's upper
+triangle down once. Besides its result, a build allocates at most four
+blocks of scratch: a Gram build holds one n x n array until K's PSD check
+copies K for its Cholesky factor, and afterwards K and that factor remain;
+a cross kernel holds one m x n array.
 """
 
 import numpy as np
@@ -40,8 +43,8 @@ from .net import MLP, gradient_factors
 
 COS_CLAMP_TOL = 1e-12
 UNIT_NORM_TOL = 1e-8
-# The arc-cosine recursion runs on blocks of rows holding about this many
-# entries, small enough for a block and its two scratch buffers to stay in cache.
+# The arc-cosine recursion runs on bands of rows holding about this many
+# entries, small enough for a band and its scratch blocks to stay in cache.
 RECURSION_BLOCK_ENTRIES = 65536
 
 
@@ -57,16 +60,16 @@ def arccos_kernel1(u):
     return (u * (np.pi - np.arccos(u)) + np.sqrt(np.maximum(1.0 - u * u, 0.0))) / np.pi
 
 
-def _clean_cosines(u: np.ndarray) -> None:
-    """Clamp the cosines in ``u`` to [-1, 1] in place, snapping the endpoints."""
+def _clean_cosines(u: np.ndarray, out: np.ndarray) -> None:
+    """Clamp the cosines ``u`` to [-1, 1] into ``out``, snapping the endpoints."""
     worst = max(float(u.max()), -float(u.min())) if u.size else 0.0
     if worst > 1.0 + COS_CLAMP_TOL:
         raise ValidationError(
             f"cosine {worst!r} exceeds 1 + {COS_CLAMP_TOL:.0e}; inputs are not unit-norm"
         )
-    np.clip(u, -1.0, 1.0, out=u)
-    np.copyto(u, 1.0, where=u > 1.0 - COS_CLAMP_TOL)
-    np.copyto(u, -1.0, where=u < -1.0 + COS_CLAMP_TOL)
+    np.clip(u, -1.0, 1.0, out=out)
+    np.copyto(out, 1.0, where=out > 1.0 - COS_CLAMP_TOL)
+    np.copyto(out, -1.0, where=out < -1.0 + COS_CLAMP_TOL)
 
 
 def _require_unit_rows(x: np.ndarray, what: str) -> None:
@@ -102,29 +105,28 @@ def _recursion_block(s, t, a, r, depth: int) -> None:
         np.add(t, s, out=t)
 
 
-def _analytic_recursion(u: np.ndarray, depth: int) -> np.ndarray:
-    """The depth-``depth`` kernel of the cosines ``u``, which it overwrites.
+def _kernel_bands(u: np.ndarray, depth: int, gram: bool) -> np.ndarray:
+    """Overwrite the raw cosines ``u`` with their depth-``depth`` kernel, band by band.
 
-    Runs over blocks of rows, so besides its result it allocates only two
-    blocks of scratch.
+    Each band of rows is cleaned into a contiguous scratch block, run through
+    the recursion there, and its T written back over the band, so besides
+    ``u`` only three float blocks and the clamp's bool masks are allocated.
+    A Gram matrix (``gram``) visits each band from its diagonal column on,
+    snapping that diagonal to 1, and leaves the strict lower triangle for
+    ``mirror_upper``. Returns ``u``.
     """
     m, n = u.shape
     rows = max(1, min(m, RECURSION_BLOCK_ENTRIES // max(n, 1)))
-    t = np.empty_like(u)
-    a = np.empty((rows, n))
-    r = np.empty_like(a)
+    s, a, r = (np.empty(rows * n) for _ in range(3))
     for start in range(0, m, rows):
-        s, block = u[start:start + rows], t[start:start + rows]
-        block[...] = s
-        _recursion_block(s, block, a[: len(s)], r[: len(s)], depth)
-    return t
-
-
-def _gram_cosines(x: np.ndarray) -> np.ndarray:
-    u = mirror_upper(x @ x.T)
-    _clean_cosines(u)
-    # Unit-norm rows make the true diagonal exactly 1; snap away the fp dot noise.
-    np.fill_diagonal(u, 1.0)
+        t = u[start:start + rows, start if gram else 0:]
+        sb, ab, rb = (buf[: t.size].reshape(t.shape) for buf in (s, a, r))
+        _clean_cosines(t, sb)
+        if gram:
+            # Unit-norm rows make the true diagonal exactly 1; snap away the fp dot noise.
+            np.fill_diagonal(sb, 1.0)
+        t[...] = sb
+        _recursion_block(sb, t, ab, rb, depth)
     return u
 
 
@@ -133,9 +135,8 @@ def analytic_ntk(depth: int, data: DataSet) -> KernelMatrix:
     if depth < 2:
         raise ValidationError(f"depth must be >= 2, got {depth}")
     _require_unit_rows(data.inputs, "inputs")
-    # No name here holds the cosines: they are freed as the recursion returns,
-    # before the PSD check copies K for its factor.
-    return KernelMatrix.from_values(_analytic_recursion(_gram_cosines(data.inputs), depth))
+    x = data.inputs
+    return KernelMatrix.from_values(mirror_upper(_kernel_bands(x @ x.T, depth, gram=True)))
 
 
 def analytic_ntk_cross(depth: int, queries: np.ndarray, data: DataSet) -> np.ndarray:
@@ -146,9 +147,7 @@ def analytic_ntk_cross(depth: int, queries: np.ndarray, data: DataSet) -> np.nda
         raise ValidationError(f"query dimension {queries.shape[1]} != data dimension {data.d}")
     _require_unit_rows(data.inputs, "inputs")
     _require_unit_rows(queries, "queries")
-    u = queries @ data.inputs.T
-    _clean_cosines(u)
-    return _analytic_recursion(u, depth)
+    return _kernel_bands(queries @ data.inputs.T, depth, gram=False)
 
 
 def _factor_gram(factors_a, factors_b=None) -> np.ndarray:

@@ -34,9 +34,14 @@ class PSDSolver:
     factor at shift 0 certifies K as PSD. Solutions are checked against the
     unjittered system, so a jitter large enough to distort the solve is
     also a loud failure. Each rung factors one fresh Fortran-order copy of
-    K in place, so the caller's K is never written. The solver holds one
-    n x n array, its factor; the residual check forms K x + shift x from the
-    caller's K.
+    K in place, so the caller's K is never written. The copy is K^T, written
+    contiguously: for the symmetric K that ``KernelMatrix`` certifies this
+    is K itself, and for a K that is symmetric only within tolerance the
+    factor is that of the symmetric matrix on K's upper triangle. The solver
+    holds one n x n array, its factor; the residual check forms
+    K x + shift x from the caller's K. Neither the factorization nor the
+    solves re-scan for non-finite values: ``KernelMatrix`` has excluded them
+    from K, and a non-finite right-hand side fails the residual check.
     """
 
     def __init__(self, values: np.ndarray, shift: float):
@@ -52,15 +57,16 @@ class PSDSolver:
         diagonal = np.diag_indices(n)
         for jitter in jitters:
             # A failed potrf clobbers its array, so every rung factors a fresh
-            # copy, in Fortran order so that LAPACK works on it where it lies.
+            # copy, in Fortran order so that LAPACK works on it where it lies;
+            # filling it as a.T, a C-order view, keeps the copy contiguous.
             # Adding 0.0 turns -0.0 into +0.0, so that the factored matrix is
             # exactly (K + shift I) + jitter I, signed zeros included.
             a = np.empty((n, n), order="F")
-            np.add(values, 0.0, out=a)
+            np.add(values, 0.0, out=a.T)
             a[diagonal] += shift
             a[diagonal] += jitter
             try:
-                self.factor = cho_factor(a, lower=True, overwrite_a=True)
+                self.factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
                 self.jitter = jitter
                 break
             except np.linalg.LinAlgError:
@@ -72,13 +78,13 @@ class PSDSolver:
             )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return cho_solve(self.factor, b)
+        return cho_solve(self.factor, b, check_finite=False)
 
     def solve_checked(self, b: np.ndarray) -> np.ndarray:
         x = self.solve(b)
         residual = float(np.linalg.norm(self.values @ x + self.shift * x - b))
         scale = max(float(np.linalg.norm(b)), np.finfo(np.float64).tiny)
-        if residual > RESIDUAL_RTOL * scale:
+        if not residual <= RESIDUAL_RTOL * scale:  # a NaN residual fails too
             raise SingularityError(
                 f"solve residual {residual / scale:.3e} exceeds {RESIDUAL_RTOL:.0e}; "
                 "the shifted kernel matrix is numerically singular"
@@ -135,6 +141,8 @@ def krr_fit(K: KernelMatrix, y, lam: float, kernel_source=None, train_data=None)
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.shape[-1] != K.n:
         raise ValidationError(f"targets must be ({K.n},) or (num_outputs, {K.n}), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("targets contain non-finite values")
     solver = K.solver(lam * lam)
     alpha = np.stack([solver.solve_checked(row) for row in np.atleast_2d(y)]).reshape(y.shape)
     source = as_kernel_source(kernel_source) if kernel_source is not None else None

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntkreg import _kernelmatrix as kernelmatrix_module
 from ntkreg import kernel as kernel_module
 from ntkreg import krr as krr_module
 from ntkreg._kernelmatrix import MIRROR_BLOCK_ROWS, KernelMatrix, mirror_upper
@@ -198,10 +199,10 @@ def traced_peak(build):
 
 
 class TestBuildMemory:
-    """A Gram build holds at most two n x n arrays at once; a cross kernel two m x n.
+    """A Gram build holds at most two n x n arrays at once; a cross kernel one m x n.
 
-    Besides those, the recursion allocates two blocks of scratch and the
-    unit-norm checks O(n d).
+    Besides those, the recursion allocates at most four blocks of scratch
+    (three of floats and the clamp's bool masks) and the unit-norm checks O(n d).
     """
 
     def test_gram_peak_within_two_and_a_half_matrices(self):
@@ -211,21 +212,26 @@ class TestBuildMemory:
         assert K.solver(0.0).jitter == 0.0  # the certificate's factor is part of the peak
         assert peak <= 2.5 * n * n * 8
 
-    def test_cross_peak_within_two_and_a_half_matrices(self):
-        m, n = 600, 800
-        ds = synth_sphere(n, 10, "linear-sign", seed=18)
-        queries = synth_sphere(m, 10, "linear-sign", seed=19).inputs
-        peak, _ = traced_peak(lambda: analytic_ntk_cross(3, queries, ds))
-        assert peak <= 2.5 * m * n * 8
-
-    @pytest.mark.parametrize("m", [5, 300])
-    def test_cross_peak_is_two_matrices_and_two_blocks(self, m):
+    def test_gram_values_peak_is_one_matrix_and_four_blocks(self):
+        # the values before the certificate: the recursion overwrites the
+        # cosines in place and mirror_upper copies K's upper triangle in place
         n, d = 600, 10
+        x = synth_sphere(n, d, "linear-sign", seed=17).inputs
+        block = min(n, RECURSION_BLOCK_ENTRIES // n) * n
+        peak, values = traced_peak(
+            lambda: mirror_upper(kernel_module._kernel_bands(x @ x.T, 3, gram=True))
+        )
+        assert values.tobytes() == reference_gram(3, x).tobytes()
+        assert peak <= (n * n + 4 * block + n * d) * 8
+
+    @pytest.mark.parametrize("m, n", [(5, 600), (300, 600), (600, 800)])
+    def test_cross_peak_is_one_matrix_and_four_blocks(self, m, n):
+        d = 10
         ds = synth_sphere(n, d, "linear-sign", seed=18)
         queries = synth_sphere(m, d, "linear-sign", seed=19).inputs
-        block_rows = min(m, RECURSION_BLOCK_ENTRIES // n)
+        block = min(m, RECURSION_BLOCK_ENTRIES // n) * n
         peak, _ = traced_peak(lambda: analytic_ntk_cross(3, queries, ds))
-        assert peak <= (2 * m * n + 2 * block_rows * n + n * d) * 8
+        assert peak <= (m * n + 4 * block + n * d) * 8
 
 
 class TestMirrorUpper:
@@ -407,6 +413,45 @@ class TestKernelMatrixChecks:
         K = KernelMatrix.from_values(np.diag([1.0, 2.0, 3.0]))
         assert K.trace == 6.0
         assert K.n == 3
+
+
+class TestBandedSymmetryCheck:
+    """Exact symmetry is tested band by band; a mismatch anywhere is still caught."""
+
+    # bands of 4 rows: three full ones and a last one of 2
+    N = 14
+
+    @pytest.fixture(autouse=True)
+    def small_bands(self, monkeypatch):
+        monkeypatch.setattr(kernelmatrix_module, "MIRROR_BLOCK_ROWS", 4)
+
+    # first row; both sides of the boundary between the first two bands;
+    # the last, partial band's diagonal block; its row against the first band
+    POSITIONS = [(0, 13), (13, 0), (3, 4), (4, 3), (12, 13), (13, 12), (13, 2), (2, 13)]
+
+    @pytest.mark.parametrize("i, j", POSITIONS)
+    def test_asymmetry_caught_with_full_message(self, i, j):
+        values = np.eye(self.N)
+        values[i, j] = 0.25
+        message = (
+            r"^kernel matrix is not symmetric: max\|K - K\^T\| = 2\.500e-01 "
+            r"exceeds 1e-10 \* max\|K\| = 1\.000e-10$"
+        )
+        with pytest.raises(ValidationError, match=message):
+            KernelMatrix.from_values(values)
+
+    @pytest.mark.parametrize("i, j", POSITIONS)
+    def test_asymmetry_within_tolerance_accepted(self, i, j):
+        values = 2.0 * np.eye(self.N)
+        values[i, j] = values[j, i] = 0.5
+        values[i, j] += 1e-12
+        assert not np.array_equal(values, values.T)
+        assert KernelMatrix.from_values(values).trace == 2.0 * self.N
+
+    def test_symmetric_accepted(self):
+        x = synth_sphere(self.N, 5, "linear-sign", seed=22).inputs
+        values = reference_gram(3, x)
+        assert KernelMatrix.from_values(values).values is values
 
 
 def counting(monkeypatch, module, name):

@@ -136,6 +136,30 @@ class TestSolverAgainstDenseInverse:
             assert solver.factor[0].tobytes() == np.asfortranarray(expected).tobytes()
             assert solver.factor[0].flags.f_contiguous
 
+    def test_near_symmetric_matrix_factors_its_upper_triangle(self):
+        # K symmetric only within tolerance: the contiguous copy is K^T, so
+        # the lower-triangle factor is that of the symmetric matrix on K's
+        # upper triangle, and the residual is still checked against K itself
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((30, 30))
+        upper = a @ a.T / 30 + np.eye(30)
+        upper = np.triu(upper) + np.triu(upper, 1).T
+        values = upper.copy()
+        values[np.tril_indices(30, -1)] *= 1.0 + 1e-12
+        assert not np.array_equal(values, values.T)
+        K = KernelMatrix.from_values(values)  # within the symmetry tolerance
+        solver = K.solver(0.3)
+        expected, _ = scipy.linalg.cho_factor(upper + 0.3 * np.eye(30), lower=True)
+        assert np.tril(solver.factor[0]).tobytes() == np.tril(expected).tobytes()
+        b = rng.standard_normal(30)
+        x = solver.solve_checked(b)
+        assert np.linalg.norm(values @ x + 0.3 * x - b) <= 1e-8 * np.linalg.norm(b)
+        # an asymmetry the factored triangle cannot answer for fails the check
+        skewed = upper.copy()
+        skewed[np.tril_indices(30, -1)] *= 1.0 + 1e-4
+        with pytest.raises(SingularityError, match="solve residual"):
+            PSDSolver(skewed, 0.3).solve_checked(b)
+
     def test_jitter_does_not_mask_inconsistent_system(self):
         # same matrix, right-hand side with a null-space component: the
         # residual check must fail loudly instead of returning garbage
@@ -143,6 +167,23 @@ class TestSolverAgainstDenseInverse:
         solver = PSDSolver(values, 0.0)
         with pytest.raises(SingularityError):
             solver.solve_checked(np.array([1.0, 1.0, 1.0]))
+
+
+class TestNonFiniteTargets:
+    """NaN and inf right-hand sides fail as toolkit errors, never silently."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("multi", [False, True], ids=["vector", "matrix"])
+    def test_fit_rejects(self, bad, multi):
+        y = np.array([[1.0, 0.0, 1.0], [0.0, bad, 1.0]])
+        with pytest.raises(ValidationError, match="^targets contain non-finite values$"):
+            krr_fit(kernel_from(2.0 * np.eye(3)), y if multi else y[1], 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_checked_solve_fails(self, bad):
+        solver = PSDSolver(2.0 * np.eye(3), 0.5)
+        with pytest.raises(SingularityError, match="solve residual"):
+            solver.solve_checked(np.array([1.0, bad, 0.0]))
 
 
 class TestShiftedSolvers:
