@@ -193,15 +193,20 @@ def _validate_config(config: dict, command: str) -> None:
     if command == "train" and not method.startswith("net-"):
         raise ValidationError(f"the train command needs a net-* method, not {method!r}")
     dataset = _spec("dataset", config["dataset"])
-    if config["test_dataset"]:
-        _spec("dataset", config["test_dataset"])
+    test_dataset = _spec("dataset", config["test_dataset"]) if config["test_dataset"] else {}
     noise = _spec("noise", config["noise"], grid=command == "sweep")
-    files = [spec[key] for spec in (dataset, noise) for key in ("images", "labels", "csv") if key in spec]
+    files = [spec[key] for spec in (dataset, test_dataset, noise)
+             for key in ("images", "labels", "csv") if key in spec]
     for path in files:
         if not os.path.exists(path):
             raise ValidationError(f"referenced file does not exist: {path}")
     # value ranges, from the objects that own their checks: a two-point draw, the model, each noise level
-    probe = build_dataset(dict(dataset, limit=2) if dataset["kind"] == "mnist-binary" else dict(dataset, n=2))
+    probe = _probe(dataset)
+    if test_dataset:
+        shapes = [(data.d, data.task, data.num_classes) for data in (_probe(test_dataset), probe)]
+        if shapes[0] != shapes[1]:
+            raise ValidationError("test_dataset must match the training set's input dimension, task and "
+                                  "class count: (d, task, classes) = {} against {}".format(*shapes))
     build_kernel_source(config, probe)
     for level in config["noise_grid"] if command == "sweep" else [None]:
         apply_noise(probe, build_noise_model(config["noise"], override_level=level), 0)
@@ -217,6 +222,11 @@ def _validate_config(config: dict, command: str) -> None:
     if noise["kind"] == "class-transition" and len({lv for lv in config["noise_grid"] if lv > 0.0}) > 1:
         raise ValidationError("a class-transition noise_grid has at most one positive "
                               "level; each applies the same transition matrix")
+
+
+def _probe(spec: dict):
+    """A two-point draw of a dataset spec, for the checks that need data."""
+    return build_dataset(dict(spec, limit=2) if spec["kind"] == "mnist-binary" else dict(spec, n=2))
 
 
 def build_dataset(spec: dict):
@@ -455,19 +465,27 @@ class _LinearGroup:
 
 
 class _NetGroup:
-    """One net-* cell: the seeded net trained on its noisy labels."""
+    """net-* cells of one init seed: the seeded net and its tangent kernel's norm.
+
+    The net is drawn once. With ``eta`` null each cell steps at
+    1/(||K|| + lam^2), and ||K|| is read once from the net's empirical
+    kernel, which its PSD certificate checks when it is built; only the norm
+    is kept. ``train_full`` trains a copy of the net, so cells cannot
+    disturb each other.
+    """
 
     def __init__(self, config, train, test, seed):
-        self.config, self.test, self.seed = config, test, seed
+        self.config, self.test = config, test
+        self.mlp = _seeded_net(config, train, seed)
+        self.k_norm = empirical_ntk(self.mlp, train).op_norm if config["eta"] is None else None
 
     def train(self, noisy, lam: float):
-        mlp = _seeded_net(self.config, noisy, self.seed)
         eta = self.config["eta"]
-        if eta is None:  # the largest certified step 1/(||K|| + lam^2)
-            eta = 1.0 / (empirical_ntk(mlp, noisy).op_norm + lam * lam)
+        if eta is None:  # 1/(||K|| + lam^2), the largest certified step for one output
+            eta = 1.0 / (self.k_norm + lam * lam)
         objective = self.config["method"].removeprefix("net-")
-        return train_full(mlp, noisy, TrainConfig(objective, eta=float(eta),
-                                                  steps=int(self.config["steps"]), lam=lam))
+        return train_full(self.mlp, noisy, TrainConfig(objective, eta=float(eta),
+                                                       steps=int(self.config["steps"]), lam=lam))
 
     def row(self, cell, noise, noisy) -> dict:
         trained, _, _ = self.train(noisy, cell["lambda"])
@@ -606,13 +624,11 @@ def _seed_means(config: dict, results: list, column: str) -> list:
 def _sweep_groups(config: dict, cells: list) -> list:
     """The sweep's plan: cells grouped by the work they share.
 
-    krr cells share a kernel, and linear-* cells a linearized model. Both
-    are keyed by the seed when the model is a net, because the net's init
-    depends on it; an analytic kernel does not, so it serves every seed.
-    net-* cells train their own model, so each is a group of its own.
+    A net's draw depends on the seed, so a net model gives one group per
+    seed, whose cells share that net's work: its kernel, its linearized
+    model or its default step. An analytic kernel does not depend on the
+    seed, so it gives one group that serves every seed.
     """
-    if config["method"].startswith("net-"):
-        return [[cell] for cell in cells]
     by_seed = config["model"]["kind"] == "net"
     groups = {}
     for cell in cells:
@@ -749,8 +765,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--constant-mode", type=str, default=None,
                        choices=["explicit-appendix", "unit-constants"])
         p.add_argument("--workers", type=int, default=None,
-                       help="sweep: processes over cell groups (one per kernel for krr, per "
-                            "init seed for linear-*, per cell for net-*)")
+                       help="sweep: processes over cell groups (one group for an analytic model, "
+                            "one per seed for a net model)")
     return parser
 
 

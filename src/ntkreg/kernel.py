@@ -169,8 +169,11 @@ def kernel_from_factors(factors) -> KernelMatrix:
 def empirical_ntk(mlp: MLP, data: DataSet) -> KernelMatrix:
     """Gram matrix of parameter gradients at initialization (output 0).
 
-    Multi-output networks share one tangent kernel across outputs, so only
-    the first output's gradients are used.
+    Only the first output's gradients are used. The outputs of a
+    multi-output network share one tangent kernel only at infinite width;
+    at finite width the full kernel has cross-output blocks, and its norm
+    can exceed this one's, so a step size read from this kernel is
+    certified for single-output networks only.
     """
     return kernel_from_factors(gradient_factors(mlp, data.inputs, output_index=0, at_init=True))
 

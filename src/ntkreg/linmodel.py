@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernelmatrix import KernelMatrix, k_norms
-from .data import DataSet, _write_csv
+from .data import DataSet
 from .errors import TrickViolationError, ValidationError, _check_divergence
 from .kernel import kernel_cross, kernel_from_factors
 from .krr import krr_fit
@@ -134,10 +134,6 @@ class LinTrajectory:
     def final_coeffs(self) -> np.ndarray:
         return self.coeffs[-1]
 
-    def to_csv(self, path) -> None:
-        _write_csv(path, ["t", "objective", "dist_from_init"],
-                   zip(range(self.steps + 1), self.objectives, self.dist_from_init))
-
 
 def _targets_and_eta(lm: LinearizedModel, y, lam: float, eta=1.0):
     """``y`` checked as the tangent model's (n,) targets, and the step size.
@@ -242,9 +238,8 @@ def check_equivalence(traj_rdi: LinTrajectory, traj_aux: LinTrajectory,
     lm = traj_rdi.lm if traj_rdi.lm is not None else traj_aux.lm
     if lm is None:
         raise ValidationError("trajectories carry no linearized model to measure norms with")
-    k = lm.K.values
-    gaps = k_norms(k, traj_rdi.coeffs - traj_aux.coeffs)
-    displacement = k_norms(k, traj_rdi.coeffs)
+    gaps = k_norms(lm.K.values, traj_rdi.coeffs - traj_aux.coeffs)
+    displacement = traj_rdi.dist_from_init
     rel_gaps = np.where(gaps == 0.0, 0.0, np.inf)
     np.divide(gaps, displacement, out=rel_gaps, where=displacement > 0.0)
     return EquivalenceReport(

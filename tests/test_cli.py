@@ -866,6 +866,41 @@ class TestLinearGroups:
         assert expected.count("ok") == 4
 
 
+class TestNetGroups:
+    """net-* sweep cells share one split, one net and one default step per init seed."""
+
+    CONFIG = {
+        "dataset": small_synth(n=30, d=6, test_n=20),
+        "noise": {"kind": "binary-flip", "p": 0.2},
+        "model": {"kind": "net", "widths": [32]},
+        "method": "net-rdi",
+        "lambda_grid": [0.0, 0.5, 1.0],
+        "noise_grid": [0.0, 0.3],
+        "seeds": [0, 1],
+        "steps": 10,
+    }
+
+    def run_sweep(self, tmp_path, name, *flags, **changes):
+        cfg = write_config(tmp_path, f"{name}.json", dict(self.CONFIG, out=str(tmp_path / name), **changes))
+        assert main(["sweep", "--config", cfg, *flags]) == EXIT_OK
+        return read_rows(tmp_path / name / "results.csv")
+
+    @pytest.mark.parametrize("eta, kernels", [(None, 2), (0.05, 0)])
+    def test_one_split_and_kernel_per_seed(self, tmp_path, monkeypatch, eta, kernels):
+        # an explicit eta needs no kernel norm
+        built = count_calls(monkeypatch, cli_module, "empirical_ntk")
+        splits = count_calls(monkeypatch, cli_module, "build_train_test")
+        rows = self.run_sweep(tmp_path, "net", eta=eta)
+        assert [row["status"] for row in rows] == ["ok"] * 12
+        assert (len(built), len(splits)) == (kernels, 2)
+
+    def test_parallel_workers_match_sequential(self, tmp_path):
+        self.run_sweep(tmp_path, "seq")
+        self.run_sweep(tmp_path, "par", "--workers", "2")
+        for name in ("results.csv", "summary.csv", "distance_summary.csv"):
+            assert open(tmp_path / "seq" / name, "rb").read() == open(tmp_path / "par" / name, "rb").read()
+
+
 class TestKernelCacheIdentity:
     """A cache hit needs the same kernel, not only the same kernel kind."""
 
@@ -971,6 +1006,27 @@ class TestOneConfigCheck:
         out = tmp_path / "out"
         payload = {"dataset": small_synth(n=20), "steps": 2, "out": str(out)}
         cfg = write_config(tmp_path, "cfg.json", dict(payload, **changes))
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    BINARY = {"kind": "synth-sphere", "n": 40, "d": 10, "target": "linear-sign", "seed": 1}
+
+    @pytest.mark.parametrize("command", ["krr", "sweep"])
+    @pytest.mark.parametrize("dataset, test_dataset, named", [
+        pytest.param(BINARY, {"kind": "mnist-binary", "images": "no-such-dir/images.idx",
+                              "labels": "no-such-dir/labels.idx", "class_a": 1, "class_b": 7},
+                     "no-such-dir/images.idx", id="missing-files"),
+        pytest.param(BINARY, dict(BINARY, d=5), "(5, 'binary', 0) against (10, 'binary', 0)", id="dimension"),
+        pytest.param(BINARY, dict(BINARY, target="smooth-poly"), "'regression'", id="task"),
+        pytest.param(dict(SMALL_MULTICLASS, test_n=None), dict(SMALL_MULTICLASS, classes=4, test_n=None),
+                     "(6, 'multiclass', 4) against (6, 'multiclass', 3)", id="classes"),
+    ])
+    def test_test_dataset_checked_before_output(self, tmp_path, capsys, command, dataset, test_dataset, named):
+        # a test set the training set's model cannot score ran, and reported a wrong error or failed late
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": dataset, "test_dataset": test_dataset,
+                                                  "lambda_grid": [0.5], "out": str(out)})
         assert main([command, "--config", cfg]) == EXIT_VALIDATION
         assert named in capsys.readouterr().err
         assert not out.exists()

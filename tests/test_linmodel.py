@@ -292,15 +292,6 @@ class TestClosedForm:
             theta = lm.theta_at(traj.coeffs[t])
             assert span_residual(lm, theta) <= 1e-10
 
-    def test_trajectory_csv(self, tmp_path):
-        lm, ds = make_lm(n=8)
-        traj = run_gd_rdi(lm, ds.noisy_labels, lam=1.0, steps=3)
-        path = tmp_path / "lin.csv"
-        traj.to_csv(path)
-        lines = open(path).read().strip().split("\n")
-        assert lines[0] == "t,objective,dist_from_init"
-        assert len(lines) == 5
-
 
 class TestClosedFormTargets:
     def test_target_matrix_rejected(self):
