@@ -13,6 +13,7 @@ tolerance, 1 anything unexpected.
 
 import argparse
 import concurrent.futures
+import contextlib
 import copy
 import dataclasses
 import itertools
@@ -49,10 +50,19 @@ from .errors import (
     TrickViolationError,
     ValidationError,
 )
-from .kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk, kernel_cross
+from .kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk, empirical_ntk_cross
 from .krr import export_predictions, krr_fit
-from .linmodel import KIND_AUX, KIND_RDI, check_equivalence, linearize, run_gd_aux, run_gd_rdi
-from .net import MLP, NetConfig, TrainConfig, distance_to_init, forward, init_mlp, train_full
+from .linmodel import linearize, run_gd_aux, run_gd_equivalence, run_gd_rdi
+from .net import (
+    MLP,
+    NetConfig,
+    TrainConfig,
+    distance_to_init,
+    forward,
+    gradient_factors,
+    init_mlp,
+    train_full,
+)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -441,21 +451,23 @@ class _LinearGroup:
 
     The tangent model depends on the init seed only, so it is built once and
     visited lambda by lambda; each cell runs RDI or AUX gradient descent on
-    its own noisy labels. The tangent model has a single output.
+    its own noisy labels. The tangent model has a single output. One gradient
+    pass over the training inputs serves both K and the test cross kernel;
+    its factors live only while they are read.
     """
 
     def __init__(self, config, train, test, seed):
         self.config, self.test = config, test
-        self.lm = linearize(_seeded_net(config, train, seed), train)
-        self.cross = None if test is None else kernel_cross(self.lm.mlp, test.inputs, train)
-
-    def trajectory(self, kind: str, y, lam: float):
-        run = run_gd_rdi if kind == KIND_RDI else run_gd_aux  # eta None: the model's certified step
-        return run(self.lm, y, lam, eta=self.config["eta"], steps=int(self.config["steps"]))
+        mlp = _seeded_net(config, train, seed)
+        factors = gradient_factors(mlp, train.inputs, output_index=0, at_init=True)
+        self.lm = linearize(mlp, train, factors)
+        self.cross = None if test is None else empirical_ntk_cross(mlp, test.inputs, train, factors)
 
     def row(self, cell, noise, noisy) -> dict:
-        kind = self.config["method"].removeprefix("linear-")
-        traj = self.trajectory(kind, noisy.fit_targets(), cell["lambda"])
+        run = run_gd_rdi if self.config["method"] == "linear-rdi" else run_gd_aux
+        # eta None: the model's certified step
+        traj = run(self.lm, noisy.fit_targets(), cell["lambda"], eta=self.config["eta"],
+                   steps=int(self.config["steps"]))
         coeffs = traj.final_coeffs()
         return _cell_row(
             self.config, cell, noisy, self.test, self.lm.K.values @ coeffs,
@@ -503,36 +515,27 @@ _GROUPS = {"krr": _KRRGroup, "linear": _LinearGroup, "net": _NetGroup}
 # equivalence command
 
 
-def _equivalence_run(group, y, lam: float, tol: float):
-    """RDI and AUX at one lambda: its trajectory.csv rows and equivalence.json entry.
-
-    The two trajectories die when this returns, before the next lambda runs.
-    """
-    traj_rdi = group.trajectory(KIND_RDI, y, lam)
-    traj_aux = group.trajectory(KIND_AUX, y, lam)
-    report = check_equivalence(traj_rdi, traj_aux, tol=tol)
-    entry = {"eta": traj_rdi.eta, "max_abs": report.max_abs,
-             "max_rel": report.max_rel, "passed": report.passed}
-    columns = (traj_rdi.objectives, traj_aux.objectives, traj_rdi.dist_from_init,
-               report.gaps, report.rel_gaps)
-    rows = [(lam, t, *map(float, values)) for t, values in enumerate(zip(*columns))]
-    _log(f"lambda={lam}: max relative gap {report.max_rel:.3e} ({'pass' if report.passed else 'FAIL'})")
-    return rows, entry
-
-
 def cmd_equivalence(config: dict) -> int:
     out = _ensure_out(config)
     cell, train, _ = _single_run(config)
     _, noisy = _noisy_train(config, cell, train)
-    group = _LinearGroup(config, train, None, cell["seed"])
-    y = noisy.fit_targets()
+    lm = linearize(_seeded_net(config, train, cell["seed"]), train)
     lambdas = [lam for lam in config["lambda_grid"] if lam > 0.0] or [config["lambda"]]
     tol = float(config["tolerance"])
-    rows = []
+    scan = run_gd_equivalence(lm, noisy.fit_targets(), lambdas, eta=config["eta"],
+                              steps=int(config["steps"]), tol=tol)
     summary = {}
-    for lam in lambdas:
-        lam_rows, summary[str(lam)] = _equivalence_run(group, y, lam, tol)
-        rows += lam_rows
+    for j, lam in enumerate(lambdas):
+        report = scan.report(j)
+        summary[str(lam)] = {"eta": scan.etas[j], "max_abs": report.max_abs,
+                             "max_rel": report.max_rel, "passed": report.passed}
+        _log(f"lambda={lam}: max relative gap {report.max_rel:.3e} ({'pass' if report.passed else 'FAIL'})")
+    # rows are made lambda by lambda as they are written
+    columns = (scan.objectives_rdi, scan.objectives_aux, scan.dist_from_init, scan.gaps, scan.rel_gaps)
+    rows = itertools.chain.from_iterable(
+        zip(itertools.repeat(lam), range(scan.steps + 1), *(column[:, j].tolist() for column in columns))
+        for j, lam in enumerate(lambdas)
+    )
     header = ["lambda", "t", "objective_rdi", "objective_aux", "dist_from_init", "gap", "rel_gap"]
     _write_csv(os.path.join(out, "trajectory.csv"), header, rows)
     _write_json(os.path.join(out, "equivalence.json"), {"tolerance": tol, "runs": summary})
@@ -695,6 +698,30 @@ def _group_worker(payload) -> dict:
     return rows
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _worker_blas_threads(workers: int):
+    """Worker processes started inside get max(1, cores // workers) BLAS threads each.
+
+    The thread-count variables are set for the workers to read at start-up,
+    so the workers must be fresh processes (spawned; a forked child keeps
+    the parent's loaded thread pool). A user who set any of them keeps
+    their setting, and the parent's environment is restored afterwards.
+    """
+    added = []
+    if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        added = list(_BLAS_THREAD_VARIABLES)
+        os.environ.update(dict.fromkeys(added, str(max(1, cores // workers))))
+    try:
+        yield
+    finally:
+        for name in added:
+            os.environ.pop(name, None)
+
+
 def cmd_sweep(config: dict) -> int:
     out = _ensure_out(config)
     cells = _sweep_cells(config)
@@ -704,7 +731,11 @@ def cmd_sweep(config: dict) -> int:
     payloads = [(config, group) for group in groups]
     results = [None] * len(cells)
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        import multiprocessing  # here, not at the top: it adds about 10 ms to every command's start-up
+
+        spawn = multiprocessing.get_context("spawn")
+        with (_worker_blas_threads(workers),
+              concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool):
             group_rows = list(pool.map(_group_worker, payloads))
     else:
         group_rows = [_group_worker(payload) for payload in payloads]

@@ -197,10 +197,12 @@ def _format_cell(value) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
+    """Rows of cells as ``_format_cell`` writes them; a plain float or int is its ``repr`` at once."""
+    plain = (float, int)  # exact types: np.float64 subclasses float but reprs differently
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_format_cell(v) for v in row) + "\n")
+            f.write(",".join([repr(v) if type(v) in plain else _format_cell(v) for v in row]) + "\n")
 
 
 def _write_json(path, payload) -> None:

@@ -178,10 +178,13 @@ def empirical_ntk(mlp: MLP, data: DataSet) -> KernelMatrix:
     return kernel_from_factors(gradient_factors(mlp, data.inputs, output_index=0, at_init=True))
 
 
-def empirical_ntk_cross(mlp: MLP, queries: np.ndarray, data: DataSet) -> np.ndarray:
+def empirical_ntk_cross(mlp: MLP, queries: np.ndarray, data: DataSet, factors=None) -> np.ndarray:
+    """k(queries, X) of the output-0 tangent kernel; ``factors`` are the training inputs' gradient
+    factors at init, when the caller holds them already."""
     factors_q = gradient_factors(mlp, queries, output_index=0, at_init=True)
-    factors_t = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
-    return _factor_gram(factors_q, factors_t)
+    if factors is None:
+        factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
+    return _factor_gram(factors_q, factors)
 
 
 class AnalyticNTK:

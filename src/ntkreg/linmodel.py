@@ -12,11 +12,15 @@ solution theta* = theta0 + Z (K + lam^2 I)^-1 y when
 eta <= 1/(||K|| + lam^2).
 
 Z, the P x n matrix of feature columns, is notation and is never stored.
-Displacements always live in its span, so trajectories are stored as span
-coefficients a(t) with theta(t) = theta0 + Z a(t), which keeps the iteration
-O(n^2) regardless of the parameter count. The gradient-descent loops only
-step; every parameter norm ||Z v|| = sqrt(v^T K v) is taken after the loop,
-for all stored rows at once, through ``k_norms``.
+Displacements always live in its span, so iterates are span coefficients
+a(t) with theta(t) = theta0 + Z a(t), which keeps the iteration O(n^2)
+regardless of the parameter count. ``run_gd_rdi`` and ``run_gd_aux`` record
+every iterate; their loops only step, and every parameter norm
+||Z v|| = sqrt(v^T K v) is taken after the loop, for all stored rows at
+once, through ``k_norms``. ``run_gd_equivalence`` runs both objectives for
+a whole lambda grid as one (3L, n) block with one product with K per step,
+reads every norm from that product and keeps no iterates; its values match
+the recorded runs to floating-point level.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ import numpy as np
 
 from ._kernelmatrix import KernelMatrix, k_norms
 from .data import DataSet
-from .errors import TrickViolationError, ValidationError, _check_divergence
+from .errors import DivergenceError, TrickViolationError, ValidationError, _check_divergence
 from .kernel import kernel_cross, kernel_from_factors
 from .krr import krr_fit
 from .net import MLP, forward, gradient_factors, gradients_matrix
@@ -81,11 +85,13 @@ class LinearizedModel:
         return cross @ coeffs
 
 
-def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
+def linearize(mlp: MLP, data: DataSet, factors=None) -> LinearizedModel:
     """The tangent kernel, from one gradient pass; requires an exactly-zero initial output.
 
     K comes from ``kernel_from_factors`` (the reduction of ``empirical_ntk``)
     and is checked on a seeded probe v: K v against Z^T (Z v) formed layer by layer.
+    ``factors`` are ``gradient_factors`` of ``data``'s inputs at init, when the
+    caller has made that pass already.
     """
     if not mlp.config.difference_trick:
         raise ValidationError("linearize requires a difference-trick network")
@@ -95,7 +101,8 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
         raise TrickViolationError(
             f"initial output magnitude {worst:.3e} exceeds {INIT_OUTPUT_TOL:.0e}"
         )
-    factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
+    if factors is None:
+        factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
     k = kernel_from_factors(factors)
     # per layer, Z v is the block (delta * v)^T input and Z^T maps a block B to rowsum((delta B) * input)
     v = np.random.default_rng(0).standard_normal(k.n)
@@ -223,6 +230,13 @@ class EquivalenceReport:
         return bool(self.max_rel <= self.tol)
 
 
+def _relative_gaps(gaps: np.ndarray, displacement: np.ndarray) -> np.ndarray:
+    """gaps / displacement; a zero gap counts 0 and a nonzero gap at zero displacement inf."""
+    rel_gaps = np.where(gaps == 0.0, 0.0, np.inf)
+    np.divide(gaps, displacement, out=rel_gaps, where=displacement > 0.0)
+    return rel_gaps
+
+
 def check_equivalence(traj_rdi: LinTrajectory, traj_aux: LinTrajectory,
                       tol: float = EQUIVALENCE_TOL) -> EquivalenceReport:
     """Max over t of ||theta_rdi(t) - theta_aux(t)||, absolute and relative.
@@ -239,15 +253,120 @@ def check_equivalence(traj_rdi: LinTrajectory, traj_aux: LinTrajectory,
     if lm is None:
         raise ValidationError("trajectories carry no linearized model to measure norms with")
     gaps = k_norms(lm.K.values, traj_rdi.coeffs - traj_aux.coeffs)
-    displacement = traj_rdi.dist_from_init
-    rel_gaps = np.where(gaps == 0.0, 0.0, np.inf)
-    np.divide(gaps, displacement, out=rel_gaps, where=displacement > 0.0)
+    rel_gaps = _relative_gaps(gaps, traj_rdi.dist_from_init)
     return EquivalenceReport(
         max_abs=float(np.max(gaps)),
         max_rel=float(np.max(rel_gaps)),
         gaps=gaps,
         rel_gaps=rel_gaps,
         tol=tol,
+    )
+
+
+@dataclass(eq=False)
+class EquivalenceScan:
+    """RDI and AUX gradient descent at every lambda of a grid, recorded per step.
+
+    Column j of each (steps+1, L) array belongs to ``lambdas[j]``, which
+    stepped at ``etas[j]``. ``gaps`` are ||theta_rdi(t) - theta_aux(t)|| and
+    ``rel_gaps`` divide them by ``dist_from_init``, the RDI displacement,
+    under ``check_equivalence``'s rule.
+    """
+
+    lambdas: list
+    etas: list
+    objectives_rdi: np.ndarray
+    objectives_aux: np.ndarray
+    dist_from_init: np.ndarray
+    gaps: np.ndarray
+    rel_gaps: np.ndarray
+    tol: float
+
+    @property
+    def steps(self) -> int:
+        return self.gaps.shape[0] - 1
+
+    def report(self, j: int) -> EquivalenceReport:
+        """The equivalence report of ``lambdas[j]``."""
+        gaps, rel_gaps = self.gaps[:, j], self.rel_gaps[:, j]
+        return EquivalenceReport(max_abs=float(np.max(gaps)), max_rel=float(np.max(rel_gaps)),
+                                 gaps=gaps, rel_gaps=rel_gaps, tol=self.tol)
+
+
+def run_gd_equivalence(lm: LinearizedModel, y, lambdas, eta=None, steps: int = 1000,
+                       tol: float = EQUIVALENCE_TOL) -> EquivalenceScan:
+    """RDI and AUX gradient descent run together, for every lambda at once.
+
+    The state is one (3L, n) block: per lambda the RDI coefficients a, the
+    AUX coefficients a' and their difference d = a - a'; AUX's b is an
+    (L, n) block beside it. Each step makes one product of the block with K,
+    and every recorded value is read from it: both residuals and objectives,
+    the displacement sqrt(a^T K a) and the gap sqrt(d^T K d). Only those
+    per-step scalars are kept, never an iterate history, so memory is
+    O(L n + L steps). The updates are ``run_gd_rdi``'s and ``run_gd_aux``'s;
+    the block product rounds differently from one ``K @ a`` at a time, so the
+    results agree with theirs and ``check_equivalence``'s to floating-point
+    level. Each lambda steps at ``eta``, or at its ``default_eta`` when
+    ``eta`` is None. The divergence rule applies to each step's worst
+    objective, and its error names the lambda.
+    """
+    if not lambdas or not min(lambdas) > 0.0:
+        raise ValidationError(f"the auxiliary objective needs every lam > 0, got {list(lambdas)}")
+    etas = []
+    for lam in lambdas:
+        y, step_size = _targets_and_eta(lm, y, lam, eta)
+        etas.append(step_size)
+    count, n = len(lambdas), lm.n
+    k = lm.K.values
+    lam = np.array(lambdas, dtype=np.float64)[:, None]
+    reg = lam * lam
+    eta_col = np.array(etas, dtype=np.float64)[:, None]
+    eta_lam = eta_col * lam
+    # rows of the coefficient pair [a; a']: a steps on r + lam^2 a and a' on its residual alone
+    pair_reg = np.concatenate([reg, np.zeros_like(reg)])
+    pair_eta = np.concatenate([eta_col, eta_col])
+    half_reg = np.concatenate([0.5 * reg[:, 0], np.zeros(count)])
+    state = np.zeros((3 * count, n))
+    pair, a_rdi, a_aux, diff = state[:2 * count], state[:count], state[count:2 * count], state[2 * count:]
+    b = np.zeros((count, n))
+    product = np.empty_like(state)
+    residual = np.empty((2 * count, n))
+    r_rdi, r_aux = residual[:count], residual[count:]
+    update = np.empty((2 * count, n))
+    scratch = np.empty((count, n))
+    quad = np.empty((steps + 1, 3 * count))  # v^T K v for each row v of the block
+    objectives = np.empty((steps + 1, 2 * count))
+    penalty = np.empty(2 * count)
+    for t in range(steps + 1):
+        np.matmul(state, k, out=product)
+        np.einsum("ij,ij->i", state, product, out=quad[t])
+        np.subtract(product[:count], y, out=r_rdi)
+        np.multiply(lam, b, out=r_aux)
+        r_aux += product[count:2 * count]
+        r_aux -= y
+        objective = objectives[t]
+        np.einsum("ij,ij->i", residual, residual, out=objective)
+        objective *= 0.5
+        np.multiply(half_reg, quad[t, :2 * count], out=penalty)
+        objective += penalty
+        try:
+            _check_divergence(float(objective.max()), t)
+        except DivergenceError as exc:
+            raise DivergenceError(f"lambda={lambdas[int(np.argmax(objective)) % count]}: {exc}") from None
+        if t < steps:
+            np.multiply(pair_reg, pair, out=update)
+            update += residual
+            update *= pair_eta
+            pair -= update
+            np.multiply(eta_lam, r_aux, out=scratch)
+            b -= scratch
+            np.subtract(a_rdi, a_aux, out=diff)
+    np.maximum(quad, 0.0, out=quad)
+    np.sqrt(quad, out=quad)
+    dist, gaps = quad[:, :count], quad[:, 2 * count:]
+    return EquivalenceScan(
+        lambdas=list(lambdas), etas=etas, objectives_rdi=objectives[:, :count], objectives_aux=objectives[:, count:],
+        dist_from_init=dist, gaps=gaps, rel_gaps=_relative_gaps(gaps, dist), tol=tol,
     )
 
 

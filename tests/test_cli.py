@@ -165,6 +165,25 @@ class TestEquivalenceCommand:
         assert main(["equivalence", "--config", cfg]) == EXIT_OK
         assert calls == [[], []]
 
+    def test_traced_memory_holds_no_trajectories(self, tmp_path):
+        # n=300, 2000 steps, six lambdas: one (steps+1) x n history alone is 4.8 MB
+        import tracemalloc
+
+        out = tmp_path / "eq"
+        cfg = write_config(tmp_path, "cfg.json", {
+            "dataset": small_synth(n=300, d=10), "noise": {"kind": "binary-flip", "p": 0.2},
+            "model": {"kind": "net", "widths": [16]}, "lambda_grid": [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
+            "steps": 2000, "out": str(out),
+        })
+        tracemalloc.start()
+        try:
+            assert main(["equivalence", "--config", cfg]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert len(open(out / "trajectory.csv").read().splitlines()) == 1 + 6 * 2001
+
     def test_grid_without_positive_lambda_uses_lambda(self, tmp_path):
         out = tmp_path / "eq"
         cfg = write_config(tmp_path, "cfg.json", {
@@ -829,6 +848,27 @@ class TestLinearGroups:
         assert [row["status"] for row in rows] == ["ok"] * 8
         assert len(calls) == 2
 
+    def test_one_gradient_pass_per_seed(self, tmp_path, monkeypatch):
+        # the training factors serve K and the test cross kernel: one pass over
+        # the 30 training inputs per seed, one over the 20 test inputs
+        from ntkreg import kernel as kernel_module
+        from ntkreg import linmodel as linmodel_module
+        from ntkreg import net as net_module
+
+        original = net_module.gradient_factors
+        rows_seen = []
+
+        def counted(mlp, x, *args, **kwargs):
+            rows_seen.append(len(x))
+            return original(mlp, x, *args, **kwargs)
+
+        for owner in (net_module, kernel_module, linmodel_module, cli_module):
+            if hasattr(owner, "gradient_factors"):
+                monkeypatch.setattr(owner, "gradient_factors", counted)
+        rows, _ = self.run_sweep(tmp_path, "lin")
+        assert [row["status"] for row in rows] == ["ok"] * 8
+        assert sorted(rows_seen) == [20, 20, 30, 30]
+
     def test_rows_match_independent_cells(self, tmp_path):
         rows, config = self.run_sweep(tmp_path, "lin")
         i = 0
@@ -899,6 +939,58 @@ class TestNetGroups:
         self.run_sweep(tmp_path, "par", "--workers", "2")
         for name in ("results.csv", "summary.csv", "distance_summary.csv"):
             assert open(tmp_path / "seq" / name, "rb").read() == open(tmp_path / "par" / name, "rb").read()
+
+
+class TestWorkerThreads:
+    """Sweep workers start fresh with max(1, cores // workers) BLAS threads unless the user chose."""
+
+    NAMES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def test_sets_and_restores(self, monkeypatch):
+        for name in self.NAMES:
+            monkeypatch.delenv(name, raising=False)
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with cli_module._worker_blas_threads(2):
+            assert [os.environ[name] for name in self.NAMES] == [str(max(1, cores // 2))] * 3
+        with cli_module._worker_blas_threads(10 * cores):
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        assert not any(name in os.environ for name in self.NAMES)
+
+    def test_user_setting_kept(self, monkeypatch):
+        for name in self.NAMES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        with cli_module._worker_blas_threads(2):
+            assert [os.environ.get(name) for name in self.NAMES] == [None, "3", None]
+        assert [os.environ.get(name) for name in self.NAMES] == [None, "3", None]
+
+    def test_sweep_spawns_workers_inside(self, tmp_path, monkeypatch):
+        # the pool is built while the variables are set, with a spawn context; run it in-process here
+        for name in self.NAMES:
+            monkeypatch.delenv(name, raising=False)
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context):
+                seen.append((mp_context.get_start_method(), os.environ.get("OPENBLAS_NUM_THREADS")))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_module.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "dataset": small_synth(n=20), "model": {"kind": "net", "widths": [16]}, "method": "linear-rdi",
+            "lambda_grid": [0.5], "seeds": [0, 1], "steps": 5, "workers": 2, "out": str(tmp_path / "sw"),
+        })
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        assert len(seen) == 1 and seen[0][0] == "spawn" and seen[0][1] is not None
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 class TestKernelCacheIdentity:

@@ -357,9 +357,12 @@ class TestTaskRule:
 class TestPayloadWriters:
     def test_csv_cells(self, tmp_path):
         path = tmp_path / "t.csv"
-        rows = [(1, 0.1, None, np.float64(2.0)), (np.int64(3), -0.0, "x", 1e-300)]
+        rows = [(1, 0.1, None, np.float64(2.0)), (np.int64(3), -0.0, "x", 1e-300),
+                (float("nan"), np.float64("nan"), float("inf"), -np.float64("inf")),
+                (np.float64(0.1), np.float64(-0.0), True, 12345678901234567890)]
         _write_csv(path, ["a", "b", "c", "d"], rows)
-        assert open(path).read() == "a,b,c,d\n1,0.1,,2.0\n3,-0.0,x,1e-300\n"
+        assert open(path).read() == ("a,b,c,d\n1,0.1,,2.0\n3,-0.0,x,1e-300\nnan,nan,inf,-inf\n"
+                                     "0.1,-0.0,True,12345678901234567890\n")
 
     def test_json_layout(self, tmp_path):
         path = tmp_path / "t.json"

@@ -20,6 +20,7 @@ from ntkreg.linmodel import (
     closed_form_limit,
     linearize,
     run_gd_aux,
+    run_gd_equivalence,
     run_gd_rdi,
     span_residual,
 )
@@ -223,6 +224,88 @@ class TestEquivalence:
         aux = run_gd_aux(lm, ds.noisy_labels, lam=1.0, steps=11)
         with pytest.raises(ValidationError):
             check_equivalence(rdi, aux)
+
+
+class TestEquivalenceScan:
+    """Every lambda in one block matches the one-lambda runs and ``check_equivalence`` step by step."""
+
+    @staticmethod
+    def step_of(exc) -> int:
+        return int(str(exc).split("at step ")[1].split(";")[0])
+
+    @pytest.mark.parametrize("lambdas, eta_factor", [
+        pytest.param([0.25, 1.0, 4.0], None, id="default-eta"),
+        pytest.param([1.0, 0.5], 1.5, id="fixed-eta-1.5x-certified"),
+        pytest.param([0.7], None, id="single-lambda"),
+    ])
+    def test_matches_one_lambda_runs(self, lambdas, eta_factor):
+        lm, ds = make_lm(n=10) if eta_factor else make_lm()
+        y = ds.noisy_labels
+        eta = None if eta_factor is None else eta_factor * lm.default_eta(lambdas[0])
+        steps = 60 if eta_factor else 300
+        scan = run_gd_equivalence(lm, y, lambdas, eta=eta, steps=steps)
+        assert scan.steps == steps and scan.lambdas == lambdas
+        for j, lam in enumerate(lambdas):
+            rdi = run_gd_rdi(lm, y, lam, eta=eta, steps=steps)
+            aux = run_gd_aux(lm, y, lam, eta=eta, steps=steps)
+            reference = check_equivalence(rdi, aux)
+            assert scan.etas[j] == rdi.eta
+            assert np.all(np.abs(scan.objectives_rdi[:, j] - rdi.objectives) <= 1e-12 * rdi.objectives)
+            # AUX's objective decays towards 0, where both runs hold only rounding noise of the
+            # residual's terms, so it is compared at the scale of its start
+            aux_error = np.abs(scan.objectives_aux[:, j] - aux.objectives)
+            assert np.all(aux_error <= 1e-12 * aux.objectives[0])
+            dist = rdi.dist_from_init
+            assert dist[0] == scan.dist_from_init[0, j] == 0.0
+            assert np.all(np.abs(scan.dist_from_init[:, j] - dist) <= 1e-12 * dist)
+            # the gaps are rounding noise on both sides; each stays within 1e-12 of the displacement
+            assert np.all(np.abs(scan.gaps[:, j] - reference.gaps) <= 1e-12 * dist)
+            report = scan.report(j)
+            assert report.passed and reference.passed
+            assert report.max_rel <= 1e-12
+            assert report.max_abs == np.max(scan.gaps[:, j])
+
+    def test_zero_steps(self):
+        lm, ds = make_lm()
+        scan = run_gd_equivalence(lm, ds.noisy_labels, [0.5, 2.0], steps=0)
+        assert scan.gaps.shape == (1, 2)
+        assert np.all(scan.gaps == 0.0) and np.all(scan.rel_gaps == 0.0)
+        assert np.all(scan.objectives_rdi == 0.5 * ds.noisy_labels @ ds.noisy_labels)
+
+    def test_relative_gap_rule(self):
+        # the identity model at power-of-two lambdas: RDI and AUX round alike,
+        # so every gap is exactly zero, and zero gaps count as zero
+        lm = identity_lm()
+        scan = run_gd_equivalence(lm, np.array([1.0, -2.0, 0.5, 3.0]), [0.5, 2.0], eta=0.1, steps=5)
+        assert np.all(scan.gaps == 0.0) and np.all(scan.rel_gaps == 0.0)
+        assert np.all(scan.dist_from_init[1:] > 0.0)
+
+    def test_divergence_names_step_and_lambda(self):
+        # one shared step that is stable at lambda 0.25 and unstable at lambda 8
+        lm, ds = make_lm()
+        y = ds.noisy_labels
+        eta = 1.5 * lm.default_eta(0.25)
+        assert eta * (lm.K.op_norm + 64.0) > 2.0
+        steps = []
+        for run in (run_gd_rdi, run_gd_aux):
+            with pytest.raises(DivergenceError) as one:
+                run(lm, y, 8.0, eta=eta, steps=2000)
+            steps.append(self.step_of(one.value))
+        run_gd_rdi(lm, y, 0.25, eta=eta, steps=2000)  # stays finite
+        with pytest.raises(DivergenceError, match=r"^lambda=8\.0: objective became .* at step \d+;") as block:
+            run_gd_equivalence(lm, y, [0.25, 8.0], eta=eta, steps=2000)
+        assert self.step_of(block.value) == min(steps)
+
+    def test_huge_eta_diverges(self):
+        lm, ds = make_lm()
+        with pytest.raises(DivergenceError, match=r"lambda=0\.5: .*at step [1-9]"):
+            run_gd_equivalence(lm, ds.noisy_labels, [0.5], eta=1e6, steps=500)
+
+    @pytest.mark.parametrize("lambdas", [[], [0.5, 0.0], [-1.0]])
+    def test_needs_positive_lambdas(self, lambdas):
+        lm, ds = make_lm()
+        with pytest.raises(ValidationError):
+            run_gd_equivalence(lm, ds.noisy_labels, lambdas, steps=5)
 
 
 class TestClosedForm:
