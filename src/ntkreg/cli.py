@@ -52,7 +52,7 @@ from .errors import (
 )
 from .kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk, empirical_ntk_cross
 from .krr import export_predictions, krr_fit
-from .linmodel import linearize, run_gd_aux, run_gd_equivalence, run_gd_rdi
+from .linmodel import _descend, linearize, run_gd_equivalence
 from .net import (
     MLP,
     NetConfig,
@@ -417,9 +417,9 @@ class _KRRGroup:
     arithmetic. Cells fit ``DataSet.fit_targets``, one-hot for multiclass.
     """
 
-    def __init__(self, config, train, test, seed):
+    def __init__(self, config, train, test, cells):
         self.config, self.train, self.test = config, train, test
-        self.source = build_kernel_source(config, train, seed)
+        self.source = build_kernel_source(config, train, cells[0]["seed"])
         # The cross kernel is built in place in C, so either order peaks at
         # C, K and K's shift-0 factor (its PSD certificate).
         self.cross = None if test is None else self.source.cross(test.inputs, train)
@@ -447,33 +447,36 @@ class _KRRGroup:
 
 
 class _LinearGroup:
-    """linear-* cells of one init seed: one linearized model and its test cross matrix.
+    """linear-* cells of one init seed, stepped as one block of runs.
 
-    The tangent model depends on the init seed only, so it is built once and
-    visited lambda by lambda; each cell runs RDI or AUX gradient descent on
-    its own noisy labels. The tangent model has a single output. One gradient
-    pass over the training inputs serves both K and the test cross kernel;
-    its factors live only while they are read.
+    One gradient pass serves K and the test cross kernel, which live only in
+    the constructor: it draws each noise level's labels once and steps every
+    cell as an RDI or AUX run of one ``linmodel._descend`` block. A cell keeps
+    its outputs and displacement, or the error that froze its run.
     """
 
-    def __init__(self, config, train, test, seed):
+    def __init__(self, config, train, test, cells):
         self.config, self.test = config, test
-        mlp = _seeded_net(config, train, seed)
+        mlp = _seeded_net(config, train, cells[0]["seed"])
         factors = gradient_factors(mlp, train.inputs, output_index=0, at_init=True)
-        self.lm = linearize(mlp, train, factors)
-        self.cross = None if test is None else empirical_ntk_cross(mlp, test.inputs, train, factors)
+        lm = linearize(mlp, train, factors)
+        cross = None if test is None else empirical_ntk_cross(mlp, test.inputs, train, factors)
+        levels = {cell["noise_idx"]: cell for cell in cells}  # one cell per noise level draws its labels
+        targets = {i: _noisy_train(config, cell, train)[1].fit_targets() for i, cell in levels.items()}
+        kind = config["method"].removeprefix("linear-")  # KIND_RDI or KIND_AUX
+        # eta None: each run's certified step
+        runs = [(kind, targets[cell["noise_idx"]], cell["lambda"], config["eta"]) for cell in cells]
+        block, _ = _descend(lm, runs, int(config["steps"]))
+        tests = [None] * len(cells) if cross is None else block.coeffs @ cross.T
+        outcomes = zip(block.errors, block.product, tests, np.sqrt(np.maximum(block.quad, 0.0)))
+        self.outcomes = {cell["index"]: outcome for cell, outcome in zip(cells, outcomes)}
 
     def row(self, cell, noise, noisy) -> dict:
-        run = run_gd_rdi if self.config["method"] == "linear-rdi" else run_gd_aux
-        # eta None: the model's certified step
-        traj = run(self.lm, noisy.fit_targets(), cell["lambda"], eta=self.config["eta"],
-                   steps=int(self.config["steps"]))
-        coeffs = traj.final_coeffs()
-        return _cell_row(
-            self.config, cell, noisy, self.test, self.lm.K.values @ coeffs,
-            None if self.cross is None else self.cross @ coeffs,
-            distance=float(traj.dist_from_init[-1]),
-        )
+        error, train_outputs, test_outputs, distance = self.outcomes[cell["index"]]
+        if error is not None:
+            raise error
+        return _cell_row(self.config, cell, noisy, self.test, train_outputs, test_outputs,
+                         distance=float(distance))
 
 
 class _NetGroup:
@@ -486,9 +489,9 @@ class _NetGroup:
     disturb each other.
     """
 
-    def __init__(self, config, train, test, seed):
+    def __init__(self, config, train, test, cells):
         self.config, self.test = config, test
-        self.mlp = _seeded_net(config, train, seed)
+        self.mlp = _seeded_net(config, train, cells[0]["seed"])
         self.k_norm = empirical_ntk(self.mlp, train).op_norm if config["eta"] is None else None
 
     def train(self, noisy, lam: float):
@@ -550,7 +553,7 @@ def cmd_train(config: dict) -> int:
     out = _ensure_out(config)
     cell, train, test = _single_run(config)
     _, noisy = _noisy_train(config, cell, train)
-    trained, _, log = _NetGroup(config, train, test, cell["seed"]).train(noisy, cell["lambda"])
+    trained, _, log = _NetGroup(config, train, test, [cell]).train(noisy, cell["lambda"])
     log.to_csv(os.path.join(out, "trajectory.csv"))
     _log(f"final objective {log.objective[-1]:.6g}, train error {log.train_error[-1]:.4f}")
     _log(f"distance to init per layer: {[round(float(v), 6) for v in distance_to_init(trained)]}")
@@ -570,7 +573,7 @@ def cmd_krr(config: dict) -> int:
     _, noisy = _noisy_train(config, cell, train)
     # without a test set, the group evaluates no cross kernel: predictions.csv
     # and the test error share the one evaluation of export_predictions
-    group = _KRRGroup(config, train, None, cell["seed"])
+    group = _KRRGroup(config, train, None, [cell])
     fit = group.fit(noisy, cell["lambda"])
     test_outputs = None
     if test is not None:
@@ -591,7 +594,7 @@ def cmd_bounds(config: dict) -> int:
     out = _ensure_out(config)
     cell, train, _ = _single_run(config)
     noise = build_noise_model(config["noise"], override_level=cell["noise"])
-    group = _KRRGroup(config, train, None, cell["seed"])
+    group = _KRRGroup(config, train, None, [cell])
     report = _noise_bound(config, train, group.gram, noise, cell["lambda"])
     report.to_json(os.path.join(out, "bound_report.json"))
     _log(f"bound total = {report.total:.6g} (mode {config['constant_mode']})")
@@ -682,7 +685,7 @@ def _group_worker(payload) -> dict:
     config, cells = payload
     try:
         train, test = build_train_test(config)
-        group = _GROUPS[config["method"].split("-")[0]](config, train, test, cells[0]["seed"])
+        group = _GROUPS[config["method"].split("-")[0]](config, train, test, cells)
     except ToolkitError as exc:
         return {cell["index"]: _error_row(config, cell, exc) for cell in cells}
     noisy = {}

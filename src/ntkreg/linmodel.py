@@ -13,14 +13,12 @@ eta <= 1/(||K|| + lam^2).
 
 Z, the P x n matrix of feature columns, is notation and is never stored.
 Displacements always live in its span, so iterates are span coefficients
-a(t) with theta(t) = theta0 + Z a(t), which keeps the iteration O(n^2)
-regardless of the parameter count. ``run_gd_rdi`` and ``run_gd_aux`` record
-every iterate; their loops only step, and every parameter norm
-||Z v|| = sqrt(v^T K v) is taken after the loop, for all stored rows at
-once, through ``k_norms``. ``run_gd_equivalence`` runs both objectives for
-a whole lambda grid as one (3L, n) block with one product with K per step,
-reads every norm from that product and keeps no iterates; its values match
-the recorded runs to floating-point level.
+a(t) with theta(t) = theta0 + Z a(t), and a step is O(n^2) whatever the
+parameter count. One stepper, ``_descend``, holds the update rules, the
+objectives and the divergence check, and steps a block of runs with one
+product with K per step. ``run_gd_rdi`` and ``run_gd_aux`` are its one-run
+case with iterates kept, a ``linear-*`` sweep keeps the final state of all
+the cells of a seed, and ``run_gd_equivalence`` pairs RDI and AUX runs.
 """
 
 from dataclasses import dataclass
@@ -142,20 +140,106 @@ class LinTrajectory:
         return self.coeffs[-1]
 
 
-def _targets_and_eta(lm: LinearizedModel, y, lam: float, eta=1.0):
-    """``y`` checked as the tangent model's (n,) targets, and the step size.
-
-    ``eta`` None stands for the default step at ``lam``; the closed-form
-    limit takes no step and leaves ``eta`` at its placeholder.
-    """
+def _check_run(lm: LinearizedModel, kind: str, y, lam: float, eta):
+    """A run's targets, checked as the tangent model's (n,) vector, and its step (None: the default)."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (lm.n,):  # the tangent model has one output
         raise ValidationError(f"targets must have shape ({lm.n},), got {y.shape}")
-    if eta is None:
-        eta = lm.default_eta(lam)
-    if not eta > 0.0:
-        raise ValidationError(f"eta must be positive, got {eta}")
+    if not 0.0 <= lam < np.inf:  # NaN fails too
+        raise ValidationError(f"lam must be finite and >= 0, got {lam}")
+    if kind == KIND_AUX and not lam > 0.0:
+        raise ValidationError(f"the auxiliary objective needs lam > 0, got {lam}")
+    eta = lm.default_eta(lam) if eta is None else eta
+    if not 0.0 < eta < np.inf:
+        raise ValidationError(f"eta must be finite and positive, got {eta}")
     return y, eta
+
+
+def _root(squares: np.ndarray) -> np.ndarray:
+    """sqrt(max(v, 0)): norms from quadratic forms that rounding can push below zero."""
+    return np.sqrt(np.maximum(squares, 0.0))
+
+
+@dataclass(eq=False)
+class GDBlock:
+    """Runs stepped as one block, row i for run i: a (``coeffs``), b (``aux``), K a and a^T K a.
+
+    ``etas[i]`` is run i's step and ``errors[i]`` the error that froze it, or
+    None; a frozen run is reset to zero and moves no further.
+    """
+
+    coeffs: np.ndarray
+    aux: np.ndarray
+    product: np.ndarray
+    quad: np.ndarray
+    objectives: np.ndarray
+    etas: np.ndarray
+    errors: list
+
+
+def _descend(lm: LinearizedModel, runs, steps: int, read=None):
+    """Gradient descent on a block of (kind, y, lam, eta) runs; returns the final block and traces.
+
+    With r = K a + lam b - y (b stays 0 for RDI), RDI steps a <- a - eta (r + lam^2 a)
+    on 1/2 (|r|^2 + lam^2 a^T K a), and AUX steps a <- a - eta r, b <- b - eta lam r
+    on 1/2 |r|^2, all read from one product of the block with K per step. An
+    invalid run is frozen with its ValidationError, and a run that breaks the
+    divergence rule with a DivergenceError naming its lambda. Traces are
+    None, or, given ``read``, read(block) at every step t = 0..steps stacked
+    into (steps+1, ...) arrays, and then the first error of a run is raised.
+    """
+    if not steps >= 0:
+        raise ValidationError(f"steps must be >= 0, got {steps}")
+    count, k, shape = len(runs), lm.K.values, (len(runs), lm.n)
+    reg, coupling, eta = np.zeros((3, count, 1))  # per run: lam^2 (RDI), lam (AUX) and eta
+    block = GDBlock(np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(count), np.empty(count),
+                    etas=eta[:, 0], errors=[None] * count)
+    a, b, product, quad, objectives = block.coeffs, block.aux, block.product, block.quad, block.objectives
+    targets = np.zeros(shape)
+    for i, (kind, y, lam, run_eta) in enumerate(runs):
+        try:
+            targets[i], eta[i] = _check_run(lm, kind, y, lam, run_eta)
+        except ValidationError as exc:
+            block.errors[i] = exc
+            continue
+        reg[i], coupling[i] = (lam * lam, 0.0) if kind == KIND_RDI else (0.0, lam)
+    traces = None
+    for t in range(steps + 1):
+        np.matmul(a, k, out=product)  # K is exactly symmetric, so row i is K a_i
+        np.einsum("ij,ij->i", a, product, out=quad)
+        residual = coupling * b + product - targets
+        np.einsum("ij,ij->i", residual, residual, out=objectives)
+        objectives += reg[:, 0] * quad
+        objectives *= 0.5
+        for i, objective in enumerate(objectives.tolist()):
+            try:
+                _check_divergence(objective, t)
+            except DivergenceError as exc:  # freeze the run at zero
+                block.errors[i] = DivergenceError(f"lambda={runs[i][2]}: {exc}")
+                for rows in (a, b, residual, targets):
+                    rows[i] = 0.0
+        if read is not None:
+            for error in filter(None, block.errors):
+                raise error
+            values = read(block)
+            traces = traces or [np.empty((steps + 1,) + np.shape(value)) for value in values]
+            for trace, value in zip(traces, values):
+                trace[t] = value
+        if t < steps:
+            a -= eta * (reg * a + residual)
+            b -= eta * coupling * residual
+    return block, traces
+
+
+def _one_run(lm: LinearizedModel, kind: str, y, lam: float, eta, steps: int) -> LinTrajectory:
+    """``_descend`` on one run, with every a(t) kept, and b(t) too for AUX."""
+    def read(block):
+        kept = (block.coeffs[0], block.objectives[0], block.quad[0])
+        return kept + (block.aux[0],) if kind == KIND_AUX else kept
+
+    block, (coeffs, objectives, quad, *aux) = _descend(lm, [(kind, y, lam, eta)], steps, read)
+    return LinTrajectory(kind=kind, lam=lam, eta=float(block.etas[0]), coeffs=coeffs, objectives=objectives,
+                         dist_from_init=_root(quad), aux=aux[0] if aux else None, lm=lm)
 
 
 def run_gd_rdi(lm: LinearizedModel, y, lam: float, eta=None, steps: int = 1000) -> LinTrajectory:
@@ -164,24 +248,7 @@ def run_gd_rdi(lm: LinearizedModel, y, lam: float, eta=None, steps: int = 1000) 
     Update: a <- a - eta ((K a - y) + lam^2 a), i.e. the span coordinates of
     theta <- theta - eta (Z (Z^T (theta - theta0) - y) + lam^2 (theta - theta0)).
     """
-    if lam < 0.0:
-        raise ValidationError(f"lam must be >= 0, got {lam}")
-    y, eta = _targets_and_eta(lm, y, lam, eta)
-    k = lm.K.values
-    reg = lam * lam
-    coeffs = np.zeros((steps + 1, lm.n))
-    objectives = np.zeros(steps + 1)
-    for t, a in enumerate(coeffs):
-        ka = k @ a
-        residual = ka - y
-        objectives[t] = 0.5 * float(residual @ residual) + 0.5 * reg * float(a @ ka)
-        _check_divergence(objectives[t], t)
-        if t < steps:
-            coeffs[t + 1] = a - eta * (residual + reg * a)
-    return LinTrajectory(
-        kind=KIND_RDI, lam=lam, eta=eta, coeffs=coeffs,
-        objectives=objectives, dist_from_init=k_norms(k, coeffs), lm=lm,
-    )
+    return _one_run(lm, KIND_RDI, y, lam, eta, steps)
 
 
 def run_gd_aux(lm: LinearizedModel, y, lam: float, eta=None, steps: int = 1000) -> LinTrajectory:
@@ -192,38 +259,27 @@ def run_gd_aux(lm: LinearizedModel, y, lam: float, eta=None, steps: int = 1000) 
     Z b(t)/lam at every step; the recorded ``identity_gap`` measures that
     relation in the parameter norm, relative to the displacement size.
     """
-    if not lam > 0.0:
-        raise ValidationError(f"the auxiliary objective needs lam > 0, got {lam}")
-    y, eta = _targets_and_eta(lm, y, lam, eta)
-    k = lm.K.values
-    coeffs = np.zeros((steps + 1, lm.n))
-    aux = np.zeros((steps + 1, lm.n))
-    objectives = np.zeros(steps + 1)
-    for t, (a, b) in enumerate(zip(coeffs, aux)):
-        residual = k @ a + lam * b - y
-        objectives[t] = 0.5 * float(residual @ residual)
-        _check_divergence(objectives[t], t)
-        if t < steps:
-            coeffs[t + 1] = a - eta * residual
-            aux[t + 1] = b - eta * lam * residual
-    dist = k_norms(k, coeffs)
-    gaps = k_norms(k, coeffs - aux / lam)
-    identity_gap = np.divide(gaps, dist, out=gaps.copy(), where=dist > 0.0)
-    return LinTrajectory(
-        kind=KIND_AUX, lam=lam, eta=eta, coeffs=coeffs, aux=aux,
-        objectives=objectives, dist_from_init=dist, identity_gap=identity_gap, lm=lm,
-    )
+    traj = _one_run(lm, KIND_AUX, y, lam, eta, steps)
+    gaps, dist = k_norms(lm.K.values, traj.coeffs - traj.aux / lam), traj.dist_from_init
+    traj.identity_gap = np.divide(gaps, dist, out=gaps.copy(), where=dist > 0.0)
+    return traj
 
 
 @dataclass
 class EquivalenceReport:
-    """Step-by-step distance between two trajectories in parameter norm."""
+    """Step-by-step distance between two trajectories in parameter norm, and its maxima."""
 
-    max_abs: float
-    max_rel: float
     gaps: np.ndarray
     rel_gaps: np.ndarray
     tol: float
+
+    @property
+    def max_abs(self) -> float:
+        return float(np.max(self.gaps))
+
+    @property
+    def max_rel(self) -> float:
+        return float(np.max(self.rel_gaps))
 
     @property
     def passed(self) -> bool:
@@ -253,14 +309,7 @@ def check_equivalence(traj_rdi: LinTrajectory, traj_aux: LinTrajectory,
     if lm is None:
         raise ValidationError("trajectories carry no linearized model to measure norms with")
     gaps = k_norms(lm.K.values, traj_rdi.coeffs - traj_aux.coeffs)
-    rel_gaps = _relative_gaps(gaps, traj_rdi.dist_from_init)
-    return EquivalenceReport(
-        max_abs=float(np.max(gaps)),
-        max_rel=float(np.max(rel_gaps)),
-        gaps=gaps,
-        rel_gaps=rel_gaps,
-        tol=tol,
-    )
+    return EquivalenceReport(gaps, _relative_gaps(gaps, traj_rdi.dist_from_init), tol)
 
 
 @dataclass(eq=False)
@@ -288,86 +337,34 @@ class EquivalenceScan:
 
     def report(self, j: int) -> EquivalenceReport:
         """The equivalence report of ``lambdas[j]``."""
-        gaps, rel_gaps = self.gaps[:, j], self.rel_gaps[:, j]
-        return EquivalenceReport(max_abs=float(np.max(gaps)), max_rel=float(np.max(rel_gaps)),
-                                 gaps=gaps, rel_gaps=rel_gaps, tol=self.tol)
+        return EquivalenceReport(self.gaps[:, j], self.rel_gaps[:, j], self.tol)
 
 
 def run_gd_equivalence(lm: LinearizedModel, y, lambdas, eta=None, steps: int = 1000,
                        tol: float = EQUIVALENCE_TOL) -> EquivalenceScan:
     """RDI and AUX gradient descent run together, for every lambda at once.
 
-    The state is one (3L, n) block: per lambda the RDI coefficients a, the
-    AUX coefficients a' and their difference d = a - a'; AUX's b is an
-    (L, n) block beside it. Each step makes one product of the block with K,
-    and every recorded value is read from it: both residuals and objectives,
-    the displacement sqrt(a^T K a) and the gap sqrt(d^T K d). Only those
-    per-step scalars are kept, never an iterate history, so memory is
-    O(L n + L steps). The updates are ``run_gd_rdi``'s and ``run_gd_aux``'s;
-    the block product rounds differently from one ``K @ a`` at a time, so the
-    results agree with theirs and ``check_equivalence``'s to floating-point
-    level. Each lambda steps at ``eta``, or at its ``default_eta`` when
-    ``eta`` is None. The divergence rule applies to each step's worst
-    objective, and its error names the lambda.
+    One ``_descend`` block holds an RDI run a and an AUX run a' per lambda,
+    stepped at ``eta`` (None: each lambda's default). Each step keeps only
+    the objectives, sqrt(a^T K a) and the gap sqrt(d . (K a - K a')) with
+    d = a - a', all from the block's product with K, so memory is
+    O(L n + L steps). Block products round differently from ``K @ a``, so
+    results match the one-lambda runs and ``check_equivalence`` to
+    floating-point level. The first run to diverge fails the scan.
     """
-    if not lambdas or not min(lambdas) > 0.0:
-        raise ValidationError(f"the auxiliary objective needs every lam > 0, got {list(lambdas)}")
-    etas = []
-    for lam in lambdas:
-        y, step_size = _targets_and_eta(lm, y, lam, eta)
-        etas.append(step_size)
-    count, n = len(lambdas), lm.n
-    k = lm.K.values
-    lam = np.array(lambdas, dtype=np.float64)[:, None]
-    reg = lam * lam
-    eta_col = np.array(etas, dtype=np.float64)[:, None]
-    eta_lam = eta_col * lam
-    # rows of the coefficient pair [a; a']: a steps on r + lam^2 a and a' on its residual alone
-    pair_reg = np.concatenate([reg, np.zeros_like(reg)])
-    pair_eta = np.concatenate([eta_col, eta_col])
-    half_reg = np.concatenate([0.5 * reg[:, 0], np.zeros(count)])
-    state = np.zeros((3 * count, n))
-    pair, a_rdi, a_aux, diff = state[:2 * count], state[:count], state[count:2 * count], state[2 * count:]
-    b = np.zeros((count, n))
-    product = np.empty_like(state)
-    residual = np.empty((2 * count, n))
-    r_rdi, r_aux = residual[:count], residual[count:]
-    update = np.empty((2 * count, n))
-    scratch = np.empty((count, n))
-    quad = np.empty((steps + 1, 3 * count))  # v^T K v for each row v of the block
-    objectives = np.empty((steps + 1, 2 * count))
-    penalty = np.empty(2 * count)
-    for t in range(steps + 1):
-        np.matmul(state, k, out=product)
-        np.einsum("ij,ij->i", state, product, out=quad[t])
-        np.subtract(product[:count], y, out=r_rdi)
-        np.multiply(lam, b, out=r_aux)
-        r_aux += product[count:2 * count]
-        r_aux -= y
-        objective = objectives[t]
-        np.einsum("ij,ij->i", residual, residual, out=objective)
-        objective *= 0.5
-        np.multiply(half_reg, quad[t, :2 * count], out=penalty)
-        objective += penalty
-        try:
-            _check_divergence(float(objective.max()), t)
-        except DivergenceError as exc:
-            raise DivergenceError(f"lambda={lambdas[int(np.argmax(objective)) % count]}: {exc}") from None
-        if t < steps:
-            np.multiply(pair_reg, pair, out=update)
-            update += residual
-            update *= pair_eta
-            pair -= update
-            np.multiply(eta_lam, r_aux, out=scratch)
-            b -= scratch
-            np.subtract(a_rdi, a_aux, out=diff)
-    np.maximum(quad, 0.0, out=quad)
-    np.sqrt(quad, out=quad)
-    dist, gaps = quad[:, :count], quad[:, 2 * count:]
-    return EquivalenceScan(
-        lambdas=list(lambdas), etas=etas, objectives_rdi=objectives[:, :count], objectives_aux=objectives[:, count:],
-        dist_from_init=dist, gaps=gaps, rel_gaps=_relative_gaps(gaps, dist), tol=tol,
-    )
+    if not (count := len(lambdas)):
+        raise ValidationError("the equivalence scan needs at least one lambda")
+
+    def read(block):
+        a, ka = block.coeffs, block.product
+        return block.objectives, block.quad[:count], np.einsum("ij,ij->i", a[:count] - a[count:],
+                                                               ka[:count] - ka[count:])
+
+    runs = [(kind, y, lam, eta) for kind in (KIND_RDI, KIND_AUX) for lam in lambdas]
+    block, (objectives, quad, gaps) = _descend(lm, runs, steps, read)
+    dist, gaps = _root(quad), _root(gaps)
+    return EquivalenceScan(list(lambdas), block.etas[:count].tolist(), objectives[:, :count],
+                           objectives[:, count:], dist, gaps, _relative_gaps(gaps, dist), tol)
 
 
 def closed_form_limit(lm: LinearizedModel, y, lam: float):
@@ -377,7 +374,7 @@ def closed_form_limit(lm: LinearizedModel, y, lam: float):
     limiting predictor is x |-> k(x, X)^T alpha. Requires lam > 0, or an
     invertible kernel matrix when lam = 0.
     """
-    y, _ = _targets_and_eta(lm, y, lam)
+    y, _ = _check_run(lm, KIND_RDI, y, lam, 1.0)
     alpha = krr_fit(lm.K, y, lam).alpha
     return lm.theta_at(alpha), alpha
 

@@ -888,9 +888,31 @@ class TestLinearGroups:
                     assert (float(row["noise"]), float(row["lambda"]), int(row["seed"])) == (noise, lam, seed)
                     assert float(row["train_error_noisy"]) == train_error
                     assert float(row["test_error_clean"]) == test_error
-                    assert float(row["distance_to_init"]) == float(traj.dist_from_init[-1])
+                    # block products round differently from one K @ a at a time
+                    distance = float(traj.dist_from_init[-1])
+                    assert abs(float(row["distance_to_init"]) - distance) <= 1e-12 * distance
                     i += 1
         assert i == len(rows) == 8
+
+    def test_one_block_per_seed(self, tmp_path, monkeypatch):
+        # every cell of a seed steps in one block of runs
+        calls = count_calls(monkeypatch, cli_module, "_descend")
+        rows, _ = self.run_sweep(tmp_path, "lin")
+        assert [row["status"] for row in rows] == ["ok"] * 8
+        assert len(calls) == 2
+
+    def test_diverging_lambda_fails_only_its_cells(self, tmp_path, capsys):
+        # ||K|| is 6.0 and 8.6 on the two seeds' nets: eta 0.1 is below 2/(||K|| + lambda^2) at
+        # lambda 0.25 and far above it at lambda 8
+        rows, _ = self.run_sweep(tmp_path, "div", lambda_grid=[0.25, 8.0], eta=0.1)
+        log = capsys.readouterr().out
+        for row in rows:
+            if float(row["lambda"]) == 8.0:
+                assert row["status"] == "error:DivergenceError"
+                assert f"cell noise={float(row['noise'])} lambda=8.0 seed={row['seed']} failed: " in log
+            else:
+                assert row["status"] == "ok"
+        assert log.count("failed: ") == 4 and "sweep finished: 4 ok, 4 failed cells" in log
 
     def test_parallel_workers_match_sequential(self, tmp_path):
         self.run_sweep(tmp_path, "seq")

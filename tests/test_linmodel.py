@@ -15,7 +15,10 @@ from ntkreg.errors import (
 from ntkreg.kernel import empirical_ntk
 from ntkreg.krr import krr_fit, rkhs_norm
 from ntkreg.linmodel import (
+    KIND_AUX,
+    KIND_RDI,
     LinearizedModel,
+    _descend,
     check_equivalence,
     closed_form_limit,
     linearize,
@@ -306,6 +309,90 @@ class TestEquivalenceScan:
         lm, ds = make_lm()
         with pytest.raises(ValidationError):
             run_gd_equivalence(lm, ds.noisy_labels, lambdas, steps=5)
+
+
+class TestBlock:
+    """Runs stepped as one block match the one-run calls step by step, and a frozen run disturbs no other."""
+
+    STEPS = 120
+
+    @staticmethod
+    def runs(ds):
+        y = ds.noisy_labels
+        other = np.random.default_rng(7).standard_normal(len(y))
+        return [
+            (KIND_RDI, y, 0.5, None),
+            (KIND_AUX, y, 0.5, None),
+            (KIND_RDI, other, 2.0, 0.02),
+            (KIND_AUX, -y, 1.0, 0.02),
+            (KIND_RDI, y, 0.0, None),
+        ]
+
+    @staticmethod
+    def one_run(lm, kind, y, lam, eta, steps):
+        return (run_gd_rdi if kind == KIND_RDI else run_gd_aux)(lm, y, lam, eta=eta, steps=steps)
+
+    def test_rows_match_one_run_calls(self):
+        lm, ds = make_lm()
+        runs = self.runs(ds)
+        block, (coeffs, aux, objectives, quad) = _descend(
+            lm, runs, self.STEPS, lambda b: (b.coeffs, b.aux, b.objectives, b.quad))
+        dist = np.sqrt(np.maximum(quad, 0.0))
+        for i, (kind, y, lam, eta) in enumerate(runs):
+            traj = self.one_run(lm, kind, y, lam, eta, self.STEPS)
+            assert block.etas[i] == traj.eta and block.errors[i] is None
+            assert np.max(np.abs(coeffs[:, i] - traj.coeffs)) <= 1e-12 * np.max(np.abs(traj.coeffs))
+            # AUX's objective decays towards 0, where both hold only rounding noise, so it is
+            # compared at the scale of its start
+            scale = traj.objectives if kind == KIND_RDI else traj.objectives[0]
+            assert np.all(np.abs(objectives[:, i] - traj.objectives) <= 1e-12 * scale)
+            assert dist[0, i] == traj.dist_from_init[0] == 0.0
+            assert np.all(np.abs(dist[:, i] - traj.dist_from_init) <= 1e-12 * traj.dist_from_init)
+            if kind == KIND_AUX:
+                assert np.max(np.abs(aux[:, i] - traj.aux)) <= 1e-12 * np.max(np.abs(traj.aux))
+            else:
+                assert np.all(aux[:, i] == 0.0)
+
+    def test_frozen_runs_leave_the_others(self):
+        lm, ds = make_lm()
+        runs = self.runs(ds)
+        eta = 1.5 * lm.default_eta(0.25)  # stable at lambda 0.25, unstable at lambda 8
+        bad = [(KIND_AUX, ds.noisy_labels, 0.0, None), (KIND_RDI, ds.noisy_labels, 8.0, eta),
+               (KIND_RDI, ds.noisy_labels[:-1], 1.0, None), (KIND_RDI, ds.noisy_labels, 1.0, -0.1)]
+        block, _ = _descend(lm, bad[:2] + runs + bad[2:], self.STEPS)
+        assert [type(error) for error in block.errors[:2] + block.errors[-2:]] == [
+            ValidationError, DivergenceError, ValidationError, ValidationError]
+        assert str(block.errors[1]).startswith("lambda=8.0: objective became")
+        for frozen in (0, 1, -2, -1):
+            assert np.all(block.coeffs[frozen] == 0.0) and np.all(block.aux[frozen] == 0.0)
+        for i, (kind, y, lam, eta) in enumerate(runs, start=2):
+            traj = self.one_run(lm, kind, y, lam, eta, self.STEPS)
+            assert block.errors[i] is None
+            assert np.max(np.abs(block.coeffs[i] - traj.final_coeffs())) <= 1e-12 * np.max(np.abs(traj.coeffs))
+            assert abs(np.sqrt(block.quad[i]) - traj.dist_from_init[-1]) <= 1e-12 * traj.dist_from_init[-1]
+
+
+class TestRunValidation:
+    """Every linearized run checks its step count, lambda and eta before it steps."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda lm, y: run_gd_rdi(lm, y, 1.0, steps=-1), id="rdi-steps-minus-1"),
+        pytest.param(lambda lm, y: run_gd_rdi(lm, y, 1.0, steps=-2), id="rdi-steps-minus-2"),
+        pytest.param(lambda lm, y: run_gd_aux(lm, y, 1.0, steps=-1), id="aux-steps-minus-1"),
+        pytest.param(lambda lm, y: run_gd_equivalence(lm, y, [0.5], steps=-1), id="equivalence-steps-minus-1"),
+        pytest.param(lambda lm, y: _descend(lm, [(KIND_RDI, y, 1.0, None)], -1), id="block-steps-minus-1"),
+        pytest.param(lambda lm, y: run_gd_rdi(lm, y, float("nan"), eta=0.01), id="rdi-nan-lambda"),
+        pytest.param(lambda lm, y: run_gd_aux(lm, y, float("nan"), eta=0.01), id="aux-nan-lambda"),
+        pytest.param(lambda lm, y: run_gd_equivalence(lm, y, [0.5, float("nan")]), id="equivalence-nan-lambda"),
+        pytest.param(lambda lm, y: run_gd_rdi(lm, y, -0.5), id="rdi-negative-lambda"),
+        pytest.param(lambda lm, y: run_gd_rdi(lm, y, 1.0, eta=float("nan")), id="rdi-nan-eta"),
+        pytest.param(lambda lm, y: run_gd_rdi(lm, y, 1.0, eta=float("inf")), id="rdi-inf-eta"),
+        pytest.param(lambda lm, y: run_gd_aux(lm, y, float("inf"), eta=0.01), id="aux-inf-lambda"),
+    ])
+    def test_rejected(self, call):
+        lm, ds = make_lm()
+        with pytest.raises(ValidationError):
+            call(lm, ds.noisy_labels)
 
 
 class TestClosedForm:
