@@ -71,7 +71,7 @@ class BoundConfig:
     def __post_init__(self):
         if not self.lam > 0.0:
             raise ValidationError(f"bounds need lambda > 0, got {self.lam}")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:  # NaN fails too
             raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta must lie in (0, 1), got {self.delta}")

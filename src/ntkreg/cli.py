@@ -178,7 +178,7 @@ def _validate_config(config: dict, command: str) -> None:
         raise ValidationError("lambda and the lambda_grid and noise_grid values must be numbers")
     if not (_is_integer(config["workers"]) and config["workers"] >= 1):
         raise ValidationError(f"workers must be an integer >= 1, got {config['workers']!r}")
-    if config["lambda"] < 0.0 or any(lam < 0.0 for lam in config["lambda_grid"]):
+    if not all(lam >= 0.0 for lam in (config["lambda"], *config["lambda_grid"])):  # NaN fails too
         raise ValidationError("lambda and the lambda grid values must be >= 0")
     sigma, delta = config["sigma"], config["delta"]
     if not (_is_number(sigma) and _is_number(delta)):
@@ -191,8 +191,8 @@ def _validate_config(config: dict, command: str) -> None:
     if command == "equivalence" and not (_is_number(tol) and tol >= 0.0):
         raise ValidationError(f"the equivalence tolerance must be >= 0, got {tol!r}")
     eta, steps = config["eta"], config["steps"]
-    if eta is not None and not (_is_number(eta) and eta > 0.0):
-        raise ValidationError(f"eta must be null or > 0, got {eta!r}")
+    if eta is not None and not (_is_number(eta) and 0.0 < eta < np.inf):
+        raise ValidationError(f"eta must be null or finite and > 0, got {eta!r}")
     if not (_is_integer(steps) and steps >= 0):
         raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
     if command == "sweep" and not (config["lambda_grid"] and config["noise_grid"]):

@@ -136,7 +136,7 @@ def krr_fit(K: KernelMatrix, y, lam: float, kernel_source=None, train_data=None)
     own against one factorization. Fits on the same ``K`` share the
     factorization of each shift through ``K.solver``.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:  # NaN fails too
         raise ValidationError(f"lam must be >= 0, got {lam}")
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.shape[-1] != K.n:

@@ -6,10 +6,17 @@ The forward pass is
 
 with s_l = sqrt(scale_c / fan_in_l) applied from the second layer on (the
 first layer consumes unit-norm inputs directly, so its pre-activations
-already have unit variance under i.i.d. N(0, 1) weights). ReLU's derivative
-at 0 is taken to be 0: the backward mask is ``z > 0``. ReLU is
+already have unit variance under i.i.d. N(0, 1) weights). The forward pass
+applies s_l to the product h W_l^T, which at the output is one column per
+output, so the cached layer inputs are the unscaled activations. ReLU's
+derivative at 0 is taken to be 0: the backward mask is ``z > 0``. ReLU is
 ``max(z, 0)``, which propagates a NaN pre-activation instead of masking it
 to 0, so a NaN weight or input makes the output NaN.
+
+The backward pass walks a branch from its output down to its lowest
+trainable layer and no further. It applies s_l to the delta entering layer
+l, so the gradient w.r.t. W_l is the product of the scaled delta and the
+unscaled input, and a factor pair carries the scale on its delta.
 
 With ``difference_trick`` enabled the model is the scaled difference of two
 identically initialized copies, f = sqrt(2)/2 (g(theta_1, x) - g(theta_2, x)),
@@ -131,25 +138,36 @@ def init_mlp(config: NetConfig, seed: int) -> MLP:
     return MLP(config=config, params=params, params0=params0)
 
 
-def _branch_forward(config: NetConfig, weights, x, keep_cache=False):
-    """Forward one branch; with ``keep_cache``, also (scaled input, relu mask) per layer.
+def _branch_forward(config: NetConfig, weights, x, keep_cache=False, reuse=None):
+    """Forward one branch; with ``keep_cache``, also (input, relu mask) per layer.
 
     Each layer allocates one (m, width) array, its matmul result, and works
-    in place on it: ReLU overwrites it, and the next layer scales it. The
-    mask ``z > 0`` is built only when the cache is kept.
+    in place on it: the layer scale multiplies it, then ReLU overwrites it.
+    A layer's cached input is the previous layer's ReLU output, unscaled
+    (the caller's x for layer 0), and it is not written while the cache is
+    in use. The mask ``z > 0`` is built only when the cache is kept, and only
+    where the backward walk reads it: from the lowest trainable layer up.
+
+    ``reuse`` is the cache of an earlier pass on an input of x's shape, no
+    longer read: its activations and masks are overwritten instead of
+    allocated, so a training loop makes no (m, width) array after its first
+    step and does not hand that memory back to the system and fault it in
+    again every step.
     """
     caches = []
     h = x
+    lowest = config.trainable_layers[0]
     for l, w in enumerate(weights):
-        scale = config.layer_scale(l)
-        # h is the previous layer's own array from l = 1 on; layer 0 has
-        # scale 1.0, so the caller's x is never written.
-        if scale != 1.0:
-            h *= scale
-        z = h @ w.T
         last = l == config.depth - 1
+        z = np.matmul(h, w.T, out=None if reuse is None or last else reuse[l + 1][0])
+        scale = config.layer_scale(l)
+        if scale != 1.0:
+            z *= scale
         if keep_cache:
-            caches.append((h, None if last else z > 0.0))
+            mask = None
+            if not last and l >= lowest:
+                mask = np.greater(z, 0.0, out=None if reuse is None else reuse[l][1])
+            caches.append((h, mask))
         h = z if last else np.maximum(z, 0.0, out=z)
     return h, caches
 
@@ -177,33 +195,49 @@ def forward(mlp: MLP, x) -> np.ndarray:
     return out[0] if single else out
 
 
-def _branch_backward_factors(config: NetConfig, weights, caches, out_sens):
-    """Per-layer (delta, scaled input) pairs for per-example weight gradients.
+def _branch_backward(config: NetConfig, weights, caches, delta, summed=False):
+    """One walk from a branch's output down to its lowest trainable layer.
 
-    ``caches`` is the (scaled input, relu mask) list of ``_branch_forward``
-    with ``keep_cache``. The per-example gradient of the selected output
-    w.r.t. W_l is the outer product delta_l[i] x input_l[i]; returning the
-    factors lets callers form either summed gradients or Gram matrices
-    without materializing them. Each layer below the top allocates one
-    (m, width) array, the back-propagated delta, and scales and masks it in
-    place; masked entries are zeros whose sign follows the product they
-    replace.
+    ``caches`` is the (input, relu mask) list of ``_branch_forward`` with
+    ``keep_cache``; ``delta`` is the (m, outputs) sensitivity of the loss or
+    of the selected output to the branch output, and is scaled in place.
+    Entering layer l, the walk multiplies delta by s_l, so the per-example
+    gradient w.r.t. W_l is the outer product delta[i] x input[i]. Returns,
+    per trainable layer in order, that factor pair (delta, input), or with
+    ``summed`` the gradient summed over examples. No layer below the lowest
+    trainable one is visited.
+
+    Back-propagating into layer l - 1 allocates one (m, width) array, the
+    next delta, and masks and scales it in place; masked entries are zeros
+    whose sign follows the product they replace. A summed walk whose delta
+    has one column (one output) forms the gradient of layer l - 1, when that
+    is the lowest trainable layer, without that array or its outer product
+    and mask multiply: W_l^T * (mask^T (s_{l-1} delta * input_{l-1})), with
+    the mask converted to floats for the one matmul.
     """
-    factors = [None] * config.depth
-    delta = out_sens
-    for l in range(config.depth - 1, -1, -1):
+    trainable = config.trainable_layers
+    lowest = trainable[0]
+    out = {}
+    for l in range(config.depth - 1, lowest - 1, -1):
         inp, _ = caches[l]
-        factors[l] = (delta, inp)
-        if l > 0:
-            # one column: delta_i * W_j, the values of the inner-dimension-1
-            # matmul at a fraction of its cost
-            back = delta * weights[l] if delta.shape[1] == 1 else delta @ weights[l]
-            scale = config.layer_scale(l)
-            if scale != 1.0:
-                back *= scale
-            back *= caches[l - 1][1]
-            delta = back
-    return factors
+        scale = config.layer_scale(l)
+        if scale != 1.0:
+            delta *= scale
+        if l in trainable:
+            out[l] = (inp.T @ delta).T if summed else (delta, inp)
+        if l == lowest:
+            break
+        if summed and l - 1 == lowest and delta.shape[1] == 1:
+            low_inp, mask = caches[lowest]
+            scaled = delta * config.layer_scale(lowest)  # (m, 1)
+            out[lowest] = weights[l].T * ((scaled * low_inp).T @ mask.astype(np.float64)).T
+            break
+        # one column: delta_i * W_j, the values of the inner-dimension-1
+        # matmul at a fraction of its cost
+        back = delta * weights[l] if delta.shape[1] == 1 else delta @ weights[l]
+        back *= caches[l - 1][1]
+        delta = back
+    return [out[l] for l in trainable]
 
 
 def gradient_factors(mlp: MLP, x, output_index: int = 0, at_init: bool = True):
@@ -223,8 +257,7 @@ def gradient_factors(mlp: MLP, x, output_index: int = 0, at_init: bool = True):
         _, caches = _branch_forward(config, weights, batch, keep_cache=True)
         sens = np.zeros((batch.shape[0], config.outputs))
         sens[:, output_index] = coeff
-        factors = _branch_backward_factors(config, weights, caches, sens)
-        out.extend(factors[l] for l in config.trainable_layers)
+        out.extend(_branch_backward(config, weights, caches, sens))
     return out
 
 
@@ -298,11 +331,11 @@ class TrainConfig:
         object.__setattr__(self, "objective", str(self.objective).lower())
         if self.objective not in _OBJECTIVES:
             raise ValidationError(f"unknown objective {self.objective!r}")
-        if not self.eta > 0.0:
-            raise ValidationError(f"learning rate must be positive, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValidationError(f"learning rate must be finite and positive, got {self.eta}")
         if self.steps < 0:
             raise ValidationError(f"steps must be >= 0, got {self.steps}")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:  # NaN fails too
             raise ValidationError(f"lam must be >= 0, got {self.lam}")
 
 
@@ -375,13 +408,12 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
     log_dist = np.zeros((total + 1, depth))
     log_norm = np.zeros((total + 1, depth))
 
+    caches = [None] * len(model.params)
     for t in range(total + 1):
         outs = []
-        caches = []
-        for weights in model.params:
-            branch_out, cache = _branch_forward(config, weights, x, keep_cache=True)
+        for b, weights in enumerate(model.params):
+            branch_out, caches[b] = _branch_forward(config, weights, x, keep_cache=True, reuse=caches[b])
             outs.append(branch_out)
-            caches.append(cache)
         f_out = None
         for coeff, branch_out in zip(model.branch_coeffs, outs):
             contribution = coeff * branch_out
@@ -407,10 +439,8 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
         for coeff, weights, weights0, cache in zip(
             model.branch_coeffs, model.params, model.params0, caches
         ):
-            factors = _branch_backward_factors(config, weights, cache, coeff * residual)
-            for l in config.trainable_layers:
-                delta, inp = factors[l]
-                grad = delta.T @ inp
+            grads = _branch_backward(config, weights, cache, coeff * residual, summed=True)
+            for l, grad in zip(config.trainable_layers, grads):
                 if cfg.objective == OBJECTIVE_RDI and lam > 0.0:
                     grad = grad + reg_sq * (weights[l] - weights0[l])
                 weights[l] -= cfg.eta * grad

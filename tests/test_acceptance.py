@@ -251,6 +251,7 @@ def test_c07_analytic_spot_values():
     report(7, "analytic kernel spot values", "diag = 2.0 exact, off-diag = 1/pi")
 
 
+@pytest.mark.slow
 def test_c08_regularization_benefit_under_label_noise():
     """Ridge beats interpolation on flipped labels; error stays below p."""
     start = time.time()
@@ -345,6 +346,7 @@ def test_c11_ramp_loss_inequality():
     report(11, "ramp loss inequality", "0 violations on 4001-point grid")
 
 
+@pytest.mark.slow
 def test_c12_distance_to_init_relationships():
     """Weight movement: up with noise, down with ridge strength, flat in width."""
     start = time.time()

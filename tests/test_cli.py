@@ -243,6 +243,22 @@ class TestTrainCommand:
         )
         assert main(["train", "--config", cfg]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("changes, named", [
+        pytest.param({"lambda": float("nan")}, "lambda", id="lambda-nan"),
+        pytest.param({"eta": float("inf")}, "eta", id="eta-inf"),
+    ])
+    def test_non_finite_settings_rejected(self, tmp_path, capsys, changes, named):
+        # JSON's NaN and Infinity used to pass: a NaN lambda trained as vanilla and
+        # reported success, an infinite eta failed late as a divergence
+        out = tmp_path / "out"
+        payload = {"dataset": small_synth(n=20), "model": {"kind": "net", "widths": [16]},
+                   "method": "net-rdi", "steps": 2, "out": str(out)}
+        cfg = write_config(tmp_path, "cfg.json", dict(payload, **changes))
+        assert main(["train", "--config", cfg]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and named in err
+        assert not out.exists()
+
 
 class TestKrrCommand:
     def test_results_and_predictions(self, tmp_path):
@@ -1115,6 +1131,7 @@ class TestOneConfigCheck:
         pytest.param("train", {"method": "krr"}, "'krr'", id="train-krr"),
         pytest.param("bounds", {"lambda": 0.0}, "lambda", id="bounds-lambda-0"),
         pytest.param("sweep", {"lambda_grid": []}, "lambda_grid", id="empty-lambda-grid"),
+        pytest.param("sweep", {"lambda_grid": [0.5, float("nan")]}, "lambda", id="lambda-grid-nan"),
     ])
     def test_rejected_before_output(self, tmp_path, capsys, command, changes, named):
         out = tmp_path / "out"

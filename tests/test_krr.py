@@ -10,6 +10,7 @@ import scipy.linalg
 
 import ntkreg
 from ntkreg._kernelmatrix import KernelMatrix
+from ntkreg.bounds import BoundConfig
 from ntkreg.data import DataSet, Provenance, make_kernel_cache, save_kernel, synth_sphere
 from ntkreg.errors import SingularityError, ValidationError
 from ntkreg.kernel import AnalyticNTK, analytic_ntk, kernel_cross
@@ -20,6 +21,7 @@ from ntkreg.krr import (
     krr_fit,
     rkhs_norm,
 )
+from ntkreg.net import TrainConfig
 from ntkreg.noise import onehot_matrix
 
 
@@ -54,6 +56,23 @@ class TestFitSpotValues:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValidationError):
             krr_fit(kernel_from(np.eye(2)), np.zeros(2), -1.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, named", [
+    pytest.param(lambda: krr_fit(kernel_from(np.eye(2)), np.ones(2), NAN), "lam", id="krr-lambda-nan"),
+    pytest.param(lambda: TrainConfig("rdi", eta=0.1, steps=1, lam=NAN), "lam", id="train-lambda-nan"),
+    pytest.param(lambda: TrainConfig("rdi", eta=NAN, steps=1), "learning rate", id="train-eta-nan"),
+    pytest.param(lambda: TrainConfig("rdi", eta=float("inf"), steps=1), "learning rate", id="train-eta-inf"),
+    pytest.param(lambda: BoundConfig(1.0, sigma=NAN), "sigma", id="bounds-sigma-nan"),
+])
+def test_non_finite_settings_rejected(make, named):
+    # one rule, not x >= 0: a NaN lambda used to train as vanilla and fail krr_fit as a
+    # singular solve, and a NaN sigma passed
+    with pytest.raises(ValidationError, match=named):
+        make()
 
 
 class TestSolverAgainstDenseInverse:
