@@ -1,6 +1,7 @@
-"""Container for symmetric PSD Gram matrices, certified by the Cholesky
-factorization of K that also serves its solves, with the factorizations of
-its shifts K + shift I and a spectrum computed only when read.
+"""Container for symmetric PSD Gram matrices, certified either by the
+Cholesky factorization of K that also serves its solves or by K's spectrum,
+with the factorizations of its shifts K + shift I and a spectrum computed
+only when read.
 
 Lives in its own module (re-exported by ``kernel``) so that the kernel cache
 I/O in ``data`` can construct instances without a circular import. The
@@ -29,18 +30,24 @@ class KernelMatrix:
 
     Instances are built through :meth:`from_values`, which verifies symmetry
     (max |K_ij - K_ji| <= 1e-10 * max|K|) and positive semidefiniteness up to
-    tolerance (lambda_min >= -1e-8 * tr/n). The PSD certificate is the
-    shift-0 factor of :meth:`solver`, whose jitter ladder tops out at that
-    tolerance; only when the ladder fails does an ``eigvalsh`` decide. Fits,
-    bounds and the closed-form limit on one instance share the factorizations
-    that :meth:`solver` keeps. ``min_eig`` and ``op_norm`` come from one
+    tolerance (lambda_min >= -1e-8 * tr/n). ``certificate`` picks the PSD
+    certificate. ``"factor"``, the default, is the shift-0 factor of
+    :meth:`solver`, whose jitter ladder tops out at that tolerance; only when
+    the ladder fails does an ``eigvalsh`` decide. It suits a K that will be
+    solved with: fits, bounds and the closed-form limit on one instance share
+    the factorizations that :meth:`solver` keeps. ``"spectrum"`` tests the
+    same rule on the ``eigvalsh`` spectrum and builds no factor, so scipy is
+    not imported; it suits a K read only for its values and ``op_norm``, such
+    as the kernel of linearized gradient descent, and a later solve still
+    factors on demand. ``min_eig`` and ``op_norm`` come from one
     ``eigvalsh`` spectrum, computed on first read.
 
     The checks make no n x n temporary: exact symmetry is tested band by
     band, reading each pair once, and max|K_ij - K_ji| is formed only when
-    K is not exactly symmetric. The certificate factors one Fortran-order
-    copy of K: while it is built, K and that copy are the two n x n arrays
-    alive, and afterwards an instance holds K plus its factor.
+    K is not exactly symmetric. The factor certificate factors one
+    Fortran-order copy of K: while it is built, K and that copy are the two
+    n x n arrays alive, and afterwards an instance holds K plus its factor.
+    The spectrum certificate holds K and ``eigvalsh``'s workspace.
     """
 
     values: np.ndarray
@@ -48,7 +55,9 @@ class KernelMatrix:
     _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def from_values(cls, values) -> "KernelMatrix":
+    def from_values(cls, values, certificate: str = "factor") -> "KernelMatrix":
+        if certificate not in ("factor", "spectrum"):
+            raise ValidationError(f"unknown PSD certificate {certificate!r}")
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError(f"kernel matrix must be square, got shape {values.shape}")
@@ -68,13 +77,16 @@ class KernelMatrix:
                     f"exceeds {SYMMETRY_RTOL:.0e} * max|K| = {SYMMETRY_RTOL * scale:.3e}"
                 )
         matrix = cls(values=values, trace=trace)
-        try:
-            matrix.solver(0.0)
-        except SingularityError:  # no factor within the jitter ladder: the spectrum decides
-            if matrix.min_eig < -PSD_RTOL * max(trace, 0.0) / n:
-                raise ValidationError(
-                    f"kernel matrix is not PSD within tolerance: lambda_min = {matrix.min_eig:.3e}"
-                ) from None
+        if certificate == "factor":
+            try:
+                matrix.solver(0.0)
+                return matrix
+            except SingularityError:  # no factor within the jitter ladder: the spectrum decides
+                pass
+        if matrix.min_eig < -PSD_RTOL * max(trace, 0.0) / n:
+            raise ValidationError(
+                f"kernel matrix is not PSD within tolerance: lambda_min = {matrix.min_eig:.3e}"
+            )
         return matrix
 
     @cached_property

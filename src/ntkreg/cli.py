@@ -484,15 +484,17 @@ class _NetGroup:
 
     The net is drawn once. With ``eta`` null each cell steps at
     1/(||K|| + lam^2), and ||K|| is read once from the net's empirical
-    kernel, which its PSD certificate checks when it is built; only the norm
-    is kept. ``train_full`` trains a copy of the net, so cells cannot
+    kernel, certified PSD by the same spectrum that gives its norm; only the
+    norm is kept. ``train_full`` trains a copy of the net, so cells cannot
     disturb each other.
     """
 
     def __init__(self, config, train, test, cells):
         self.config, self.test = config, test
         self.mlp = _seeded_net(config, train, cells[0]["seed"])
-        self.k_norm = empirical_ntk(self.mlp, train).op_norm if config["eta"] is None else None
+        self.k_norm = None
+        if config["eta"] is None:
+            self.k_norm = empirical_ntk(self.mlp, train, certificate="spectrum").op_norm
 
     def train(self, noisy, lam: float):
         eta = self.config["eta"]

@@ -161,21 +161,26 @@ def _factor_gram(factors_a, factors_b=None) -> np.ndarray:
     return total
 
 
-def kernel_from_factors(factors) -> KernelMatrix:
-    """The Gram matrix of gradient factors, upper triangle mirrored for exact symmetry."""
-    return KernelMatrix.from_values(mirror_upper(_factor_gram(factors)))
+def kernel_from_factors(factors, certificate: str = "factor") -> KernelMatrix:
+    """The Gram matrix of gradient factors, upper triangle mirrored for exact symmetry.
+
+    ``certificate`` picks its PSD certificate, as in ``KernelMatrix.from_values``.
+    """
+    return KernelMatrix.from_values(mirror_upper(_factor_gram(factors)), certificate)
 
 
-def empirical_ntk(mlp: MLP, data: DataSet) -> KernelMatrix:
+def empirical_ntk(mlp: MLP, data: DataSet, certificate: str = "factor") -> KernelMatrix:
     """Gram matrix of parameter gradients at initialization (output 0).
 
     Only the first output's gradients are used. The outputs of a
     multi-output network share one tangent kernel only at infinite width;
     at finite width the full kernel has cross-output blocks, and its norm
     can exceed this one's, so a step size read from this kernel is
-    certified for single-output networks only.
+    certified for single-output networks only. ``certificate`` picks the
+    PSD certificate, as in ``KernelMatrix.from_values``.
     """
-    return kernel_from_factors(gradient_factors(mlp, data.inputs, output_index=0, at_init=True))
+    factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
+    return kernel_from_factors(factors, certificate)
 
 
 def empirical_ntk_cross(mlp: MLP, queries: np.ndarray, data: DataSet, factors=None) -> np.ndarray:

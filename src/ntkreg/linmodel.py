@@ -88,6 +88,9 @@ def linearize(mlp: MLP, data: DataSet, factors=None) -> LinearizedModel:
 
     K comes from ``kernel_from_factors`` (the reduction of ``empirical_ntk``)
     and is checked on a seeded probe v: K v against Z^T (Z v) formed layer by layer.
+    Gradient descent reads only K's values and ``op_norm``, so K is certified
+    PSD by its spectrum, which ``op_norm`` reads too, and no factor is built
+    until a solve (``closed_form_limit``) asks for one.
     ``factors`` are ``gradient_factors`` of ``data``'s inputs at init, when the
     caller has made that pass already.
     """
@@ -101,7 +104,7 @@ def linearize(mlp: MLP, data: DataSet, factors=None) -> LinearizedModel:
         )
     if factors is None:
         factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
-    k = kernel_from_factors(factors)
+    k = kernel_from_factors(factors, certificate="spectrum")
     # per layer, Z v is the block (delta * v)^T input and Z^T maps a block B to rowsum((delta B) * input)
     v = np.random.default_rng(0).standard_normal(k.n)
     ztzv = sum(np.sum((delta @ ((delta * v[:, None]).T @ inp)) * inp, axis=1) for delta, inp in factors)

@@ -406,7 +406,12 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
     log_err = np.zeros(total + 1)
     log_err_aux = np.zeros(total + 1)
     log_dist = np.zeros((total + 1, depth))
-    log_norm = np.zeros((total + 1, depth))
+    # A frozen layer's distance stays exactly 0 and its norm is read once; a
+    # step measures the trainable layers in distance_to_init's and
+    # layer_norms's order of operations.
+    trainable = list(config.trainable_layers)
+    log_norm = np.tile(layer_norms(model), (total + 1, 1))
+    log_norm[:, trainable] = 0.0
 
     caches = [None] * len(model.params)
     for t in range(total + 1):
@@ -422,7 +427,14 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
         effective = f_out + lam * aux if cfg.objective == OBJECTIVE_AUX else f_out
         residual = effective - targets
         objective = 0.5 * float(np.sum(residual * residual))
-        dist = distance_to_init(model)
+        dist, norm = log_dist[t], log_norm[t]
+        for branch, branch0 in zip(model.params, model.params0):
+            for l in trainable:
+                diff = branch[l] - branch0[l]
+                dist[l] += float(np.sum(diff * diff))
+                norm[l] += float(np.sum(branch[l] * branch[l]))
+        np.sqrt(dist, out=dist)
+        norm[trainable] = np.sqrt(norm[trainable])
         if cfg.objective == OBJECTIVE_RDI and lam > 0.0:
             objective += 0.5 * reg_sq * float(np.sum(dist * dist))
         _check_divergence(objective, t)
@@ -430,8 +442,6 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
         log_obj[t] = objective
         log_err[t] = prediction_error(f_out, data.noisy_labels, data.task)
         log_err_aux[t] = prediction_error(effective, data.noisy_labels, data.task)
-        log_dist[t] = dist
-        log_norm[t] = layer_norms(model)
 
         if t == total:
             break

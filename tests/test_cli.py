@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -972,11 +974,63 @@ class TestNetGroups:
         assert [row["status"] for row in rows] == ["ok"] * 12
         assert (len(built), len(splits)) == (kernels, 2)
 
+    def test_default_step_builds_no_factor(self, tmp_path, monkeypatch):
+        # the kernel is read only for its norm, which its spectrum certificate computes anyway
+        built = count_calls(monkeypatch, cli_module, "empirical_ntk")
+        factors = count_calls(monkeypatch, krr_module, "cho_factor")
+        rows = self.run_sweep(tmp_path, "net", seeds=[0])
+        assert [row["status"] for row in rows] == ["ok"] * 6
+        assert (len(built), len(factors)) == (1, 0)
+
     def test_parallel_workers_match_sequential(self, tmp_path):
         self.run_sweep(tmp_path, "seq")
         self.run_sweep(tmp_path, "par", "--workers", "2")
         for name in ("results.csv", "summary.csv", "distance_summary.csv"):
             assert open(tmp_path / "seq" / name, "rb").read() == open(tmp_path / "par" / name, "rb").read()
+
+
+class TestScipyOnlyToFactor:
+    """scipy is imported on the first factorization: commands that never solve with a kernel skip it."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "from ntkreg import cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "code = cli.main(argv) if argv else 0\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    NET = {"kind": "net", "widths": [32]}
+    RUNS = {
+        "import": (None, {}),
+        "equivalence": ("equivalence", {"model": dict(NET, freeze_first_last=False), "lambda_grid": [0.5, 1.0]}),
+        "train": ("train", {"method": "net-rdi", "eta": None}),
+        "linear-rdi": ("sweep", {"method": "linear-rdi"}),
+        "net-rdi": ("sweep", {"method": "net-rdi"}),
+        "krr": ("sweep", {"method": "krr", "model": {"kind": "analytic", "depth": 2}}),
+    }
+
+    def modules_after(self, tmp_path, name):
+        command, changes = self.RUNS[name]
+        argv = []
+        if command is not None:
+            payload = {"dataset": small_synth(n=20, d=6, test_n=10), "noise": {"kind": "binary-flip", "p": 0.2},
+                       "model": self.NET, "lambda": 0.5, "lambda_grid": [0.0, 0.5], "noise_grid": [0.0, 0.2],
+                       "seeds": [0], "steps": 5, "out": str(tmp_path / name), **changes}
+            argv = [command, "--config", write_config(tmp_path, f"{name}.json", payload)]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli_module.__file__)))
+        out = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argv)],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        code, modules = json.loads(out.stdout.strip().splitlines()[-1])
+        assert code == EXIT_OK
+        return modules
+
+    @pytest.mark.parametrize("name", ["import", "equivalence", "train", "linear-rdi", "net-rdi"])
+    def test_no_scipy_without_a_solve(self, tmp_path, name):
+        assert self.modules_after(tmp_path, name) == []
+
+    def test_krr_sweep_loads_scipy_linalg(self, tmp_path):
+        assert "scipy.linalg" in self.modules_after(tmp_path, "krr")
 
 
 class TestWorkerThreads:

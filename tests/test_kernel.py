@@ -513,3 +513,35 @@ class TestCholeskyCertificate:
         assert accepted.solver(0.0).jitter == pytest.approx(1e-8 * accepted.trace / accepted.n)
         with pytest.raises(ValidationError, match="lambda_min"):
             KernelMatrix.from_values(with_min_eig(200, -1.1))
+
+
+class TestSpectrumCertificate:
+    """PSD certified by K's eigvalsh spectrum under the factor's rule, with no factor built."""
+
+    def test_tolerance_boundary(self):
+        accepted = KernelMatrix.from_values(with_min_eig(200, -0.9), certificate="spectrum")
+        assert accepted.min_eig < 0.0
+        with pytest.raises(ValidationError, match="lambda_min"):
+            KernelMatrix.from_values(with_min_eig(200, -1.1), certificate="spectrum")
+
+    def test_keeps_no_factor_and_one_spectrum(self, monkeypatch):
+        values = analytic_ntk(2, synth_sphere(30, 5, "linear-sign", seed=2)).values
+        factored = counting(monkeypatch, krr_module, "cho_factor")
+        spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        K = KernelMatrix.from_values(values, certificate="spectrum")
+        readings = [(K.op_norm, K.min_eig) for _ in range(3)]
+        assert factored == [] and K._factors == {}
+        assert len(spectra) == 1
+        assert readings == [readings[0]] * 3
+
+    def test_solves_factor_on_demand(self):
+        values = analytic_ntk(2, synth_sphere(30, 5, "linear-sign", seed=2)).values
+        K = KernelMatrix.from_values(values, certificate="spectrum")
+        factored = KernelMatrix.from_values(values)
+        b = values[0]
+        assert K.solver(0.0).jitter == 0.0
+        assert np.array_equal(K.solver(0.0).solve_checked(b), factored.solver(0.0).solve_checked(b))
+
+    def test_unknown_certificate_rejected(self):
+        with pytest.raises(ValidationError, match="certificate"):
+            KernelMatrix.from_values(np.eye(3), certificate="trace")

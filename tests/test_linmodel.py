@@ -555,14 +555,28 @@ class TestFactoredFeatures:
         with pytest.raises(ValidationError, match="no MLP attached"):
             identity_lm().theta_at(np.ones(4))
 
+    def test_kernel_is_certified_by_its_spectrum(self, monkeypatch):
+        from ntkreg import krr as krr_module
+
+        calls = []
+        original = krr_module.cho_factor
+        monkeypatch.setattr(krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k))
+        lm, ds = make_lm(n=12, width=32)
+        assert calls == [] and lm.K._factors == {}
+        # the closed-form limit still factors, on demand, as a factor-certified K would
+        _, alpha = closed_form_limit(lm, ds.noisy_labels, 0.5)
+        assert len(calls) == 1
+        assert np.array_equal(alpha, krr_fit(KernelMatrix.from_values(lm.K.values), ds.noisy_labels, 0.5).alpha)
+
     def test_probe_rejects_a_perturbed_kernel(self, monkeypatch):
         from ntkreg import linmodel as linmodel_module
 
         original = linmodel_module.kernel_from_factors
 
-        def perturbed(factors):
-            values = original(factors).values
-            return KernelMatrix.from_values(values + 1e-6 * np.max(np.abs(values)) * np.eye(len(values)))
+        def perturbed(factors, certificate="factor"):
+            values = original(factors, certificate).values
+            return KernelMatrix.from_values(values + 1e-6 * np.max(np.abs(values)) * np.eye(len(values)),
+                                            certificate)
 
         monkeypatch.setattr(linmodel_module, "kernel_from_factors", perturbed)
         with pytest.raises(ValidationError, match="probe"):
