@@ -50,7 +50,7 @@ from .errors import (
     TrickViolationError,
     ValidationError,
 )
-from .kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk, empirical_ntk_cross
+from .kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
 from .krr import export_predictions, krr_fit
 from .linmodel import _descend, linearize, run_gd_equivalence
 from .net import (
@@ -59,7 +59,6 @@ from .net import (
     TrainConfig,
     distance_to_init,
     forward,
-    gradient_factors,
     init_mlp,
     train_full,
 )
@@ -115,6 +114,11 @@ _SPECS = {
         "net": {"widths": [512], "freeze_first_last": True, "difference_trick": True, "init_seed": 0},
     },
 }
+# Typed fields of every kind besides the list of integers ``widths``: integers (null where the default is
+# null), seeds among them >= 0, and flags.
+_INTEGERS = ("n", "d", "seed", "test_n", "classes", "class_a", "class_b", "limit", "depth", "init_seed")
+_SEEDS = ("seed", "init_seed")
+_FLAGS = ("freeze_first_last", "difference_trick")
 
 
 def _log(message: str) -> None:
@@ -123,7 +127,8 @@ def _log(message: str) -> None:
 
 
 def _spec(section: str, spec: dict, grid: bool = False) -> dict:
-    """``spec`` with its kind's defaults; an unknown kind or key, or a missing required key, fails."""
+    """``spec`` with its kind's defaults; an unknown kind or key, a missing required key or a field of the
+    wrong type fails."""
     kinds = _SPECS[section]
     fields = kinds.get(spec.get("kind"))
     if fields is None:
@@ -134,7 +139,17 @@ def _spec(section: str, spec: dict, grid: bool = False) -> dict:
     for key, default in fields.items():
         if key not in spec and (default == _REQUIRED or (default == _LEVEL and not grid)):
             raise ValidationError(f"{spec['kind']} {section} spec needs the key {key!r}")
-    return {**fields, **spec}
+    spec = {**fields, **spec}
+    for key, value in spec.items():
+        if key in _INTEGERS and not (_is_integer(value) or (value is None and fields[key] is None)):
+            raise ValidationError(f"{section} field {key!r} must be an integer, got {value!r}")
+        if key in _SEEDS and value < 0:
+            raise ValidationError(f"{section} field {key!r} is a seed and must be >= 0, got {value!r}")
+        if key in _FLAGS and not isinstance(value, bool):
+            raise ValidationError(f"{section} field {key!r} must be true or false, got {value!r}")
+        if key == "widths" and not (isinstance(value, list) and all(_is_integer(width) for width in value)):
+            raise ValidationError(f"{section} field 'widths' must be a list of integers, got {value!r}")
+    return spec
 
 
 def load_config(path=None, overrides=None, command=None) -> dict:
@@ -172,8 +187,8 @@ def _validate_config(config: dict, command: str) -> None:
             raise ValidationError(f"{key} must be a list, got {config[key]!r}")
     if not config["seeds"]:
         raise ValidationError("config needs at least one seed")
-    if not all(_is_integer(seed) for seed in config["seeds"]):
-        raise ValidationError(f"seeds must be integers, got {config['seeds']!r}")
+    if not all(_is_integer(seed) and seed >= 0 for seed in config["seeds"]):
+        raise ValidationError(f"seeds must be integers >= 0, got {config['seeds']!r}")
     if not all(_is_number(v) for v in (config["lambda"], *config["lambda_grid"], *config["noise_grid"])):
         raise ValidationError("lambda and the lambda_grid and noise_grid values must be numbers")
     if not (_is_integer(config["workers"]) and config["workers"] >= 1):
@@ -205,25 +220,30 @@ def _validate_config(config: dict, command: str) -> None:
     dataset = _spec("dataset", config["dataset"])
     test_dataset = _spec("dataset", config["test_dataset"]) if config["test_dataset"] else {}
     noise = _spec("noise", config["noise"], grid=command == "sweep")
+    model = _spec("model", config["model"])
     files = [spec[key] for spec in (dataset, test_dataset, noise)
              for key in ("images", "labels", "csv") if key in spec]
     for path in files:
         if not os.path.exists(path):
             raise ValidationError(f"referenced file does not exist: {path}")
-    # value ranges, from the objects that own their checks: a two-point draw, the model, each noise level
+    # value ranges, from the objects that own their checks: a two-point draw, the model's architecture
+    # (drawing the net would cost as much as the command's own draw), each noise level
     probe = _probe(dataset)
     if test_dataset:
         shapes = [(data.d, data.task, data.num_classes) for data in (_probe(test_dataset), probe)]
         if shapes[0] != shapes[1]:
             raise ValidationError("test_dataset must match the training set's input dimension, task and "
                                   "class count: (d, task, classes) = {} against {}".format(*shapes))
-    build_kernel_source(config, probe)
+    if model["kind"] == "net":
+        build_net_config(model, probe.d, probe.num_outputs)
+    else:
+        AnalyticNTK(model["depth"])
     for level in config["noise_grid"] if command == "sweep" else [None]:
         apply_noise(probe, build_noise_model(config["noise"], override_level=level), 0)
     tangent = method.startswith("linear-") or command == "equivalence"
-    if (tangent or method.startswith("net-")) and config["model"]["kind"] != "net":
-        raise ValidationError(f"{command} with {method} needs a net model, not {config['model']['kind']!r}")
-    if tangent and not _spec("model", config["model"])["difference_trick"]:
+    if (tangent or method.startswith("net-")) and model["kind"] != "net":
+        raise ValidationError(f"{command} with {method} needs a net model, not {model['kind']!r}")
+    if tangent and not model["difference_trick"]:
         raise ValidationError("linear-* methods and the equivalence check need difference_trick: true")
     if tangent and dataset["kind"] == "synth-multiclass":
         raise ValidationError("linear-* methods and the equivalence check need binary or regression data")
@@ -242,11 +262,11 @@ def _probe(spec: dict):
 def build_dataset(spec: dict):
     spec = _spec("dataset", spec)
     if spec["kind"] == "synth-sphere":
-        return synth_sphere(int(spec["n"]), int(spec["d"]), spec["target"], int(spec["seed"]))
+        return synth_sphere(spec["n"], spec["d"], spec["target"], spec["seed"])
     if spec["kind"] == "synth-multiclass":
-        return synth_multiclass(int(spec["n"]), int(spec["d"]), int(spec["classes"]), int(spec["seed"]))
-    return load_mnist_binary(spec["images"], spec["labels"], int(spec["class_a"]),
-                             int(spec["class_b"]), limit=spec["limit"])
+        return synth_multiclass(spec["n"], spec["d"], spec["classes"], spec["seed"])
+    return load_mnist_binary(spec["images"], spec["labels"], spec["class_a"], spec["class_b"],
+                             limit=spec["limit"])
 
 
 def build_train_test(config: dict):
@@ -260,8 +280,8 @@ def build_train_test(config: dict):
     if config["test_dataset"]:
         return build_dataset(spec), build_dataset(config["test_dataset"])
     if spec.get("test_n"):
-        full = build_dataset(dict(spec, n=int(spec["n"]) + int(spec["test_n"])))
-        return split_dataset(full, int(spec["n"]))
+        full = build_dataset(dict(spec, n=spec["n"] + spec["test_n"]))
+        return split_dataset(full, spec["n"])
     return build_dataset(spec), None
 
 
@@ -295,17 +315,17 @@ def build_net_config(spec: dict, input_dim: int, outputs: int) -> NetConfig:
     spec = _spec("model", spec)
     return NetConfig(
         input_dim=input_dim,
-        widths=tuple(int(w) for w in spec["widths"]),
+        widths=tuple(spec["widths"]),
         outputs=outputs,
-        freeze_first_last=bool(spec["freeze_first_last"]),
-        difference_trick=bool(spec["difference_trick"]),
+        freeze_first_last=spec["freeze_first_last"],
+        difference_trick=spec["difference_trick"],
     )
 
 
 def build_kernel_source(config: dict, data, seed=0):
     model = _spec("model", config["model"])
     if model["kind"] == "analytic":
-        return AnalyticNTK(int(model["depth"]))
+        return AnalyticNTK(model["depth"])
     return EmpiricalNTK(_seeded_net(config, data, seed))
 
 
@@ -313,7 +333,7 @@ def _seeded_net(config: dict, data, seed) -> MLP:
     """The net of ``config["model"]`` for ``data``, drawn at (init_seed, seed)."""
     model = _spec("model", config["model"])
     net_cfg = build_net_config(model, data.d, data.num_outputs)
-    return init_mlp(net_cfg, (int(model["init_seed"]), int(seed)))
+    return init_mlp(net_cfg, (model["init_seed"], seed))
 
 
 def _ensure_out(config: dict) -> str:
@@ -333,7 +353,7 @@ def _kernel_provenance(config: dict, source, seed: int) -> Provenance:
     if source.kind == "analytic":
         return Provenance(kind="analytic", depth=source.depth)
     net = source.mlp.config
-    init_seed = int(_spec("model", config["model"])["init_seed"])
+    init_seed = _spec("model", config["model"])["init_seed"]
     model = json.dumps({"net": dataclasses.asdict(net), "seeds": [init_seed, seed]}, sort_keys=True)
     return Provenance(kind="empirical", width=net.widths[0], depth=net.depth, seed=init_seed,
                       model=model)
@@ -378,7 +398,7 @@ def cmd_kernel(config: dict) -> int:
 def _single_run(config: dict):
     """The one cell of a single-run command, with its train and test sets."""
     cell = {"index": 0, "noise_idx": 0, "noise": None,
-            "lambda": float(config["lambda"]), "seed": int(config["seeds"][0])}
+            "lambda": float(config["lambda"]), "seed": config["seeds"][0]}
     train, test = build_train_test(config)
     return cell, train, test
 
@@ -449,25 +469,22 @@ class _KRRGroup:
 class _LinearGroup:
     """linear-* cells of one init seed, stepped as one block of runs.
 
-    One gradient pass serves K and the test cross kernel, which live only in
-    the constructor: it draws each noise level's labels once and steps every
-    cell as an RDI or AUX run of one ``linmodel._descend`` block. A cell keeps
-    its outputs and displacement, or the error that froze its run.
+    The constructor linearizes the seed's net, draws each noise level's labels
+    once and steps every cell as an RDI or AUX run of one ``linmodel._descend``
+    block; the test outputs of all the runs come from one ``predict``. A cell
+    keeps its outputs and displacement, or the error that froze its run.
     """
 
     def __init__(self, config, train, test, cells):
         self.config, self.test = config, test
-        mlp = _seeded_net(config, train, cells[0]["seed"])
-        factors = gradient_factors(mlp, train.inputs, output_index=0, at_init=True)
-        lm = linearize(mlp, train, factors)
-        cross = None if test is None else empirical_ntk_cross(mlp, test.inputs, train, factors)
+        lm = linearize(_seeded_net(config, train, cells[0]["seed"]), train)
         levels = {cell["noise_idx"]: cell for cell in cells}  # one cell per noise level draws its labels
         targets = {i: _noisy_train(config, cell, train)[1].fit_targets() for i, cell in levels.items()}
         kind = config["method"].removeprefix("linear-")  # KIND_RDI or KIND_AUX
         # eta None: each run's certified step
         runs = [(kind, targets[cell["noise_idx"]], cell["lambda"], config["eta"]) for cell in cells]
         block, _ = _descend(lm, runs, int(config["steps"]))
-        tests = [None] * len(cells) if cross is None else block.coeffs @ cross.T
+        tests = [None] * len(cells) if test is None else lm.predict(block.coeffs.T, test.inputs).T
         outcomes = zip(block.errors, block.product, tests, np.sqrt(np.maximum(block.quad, 0.0)))
         self.outcomes = {cell["index"]: outcome for cell, outcome in zip(cells, outcomes)}
 
@@ -610,7 +627,7 @@ def cmd_bounds(config: dict) -> int:
 def _sweep_cells(config: dict):
     grid = itertools.product(enumerate(config["noise_grid"]), config["lambda_grid"], config["seeds"])
     return [
-        {"index": index, "noise_idx": noise_idx, "noise": float(level), "lambda": float(lam), "seed": int(seed)}
+        {"index": index, "noise_idx": noise_idx, "noise": float(level), "lambda": float(lam), "seed": seed}
         for index, ((noise_idx, level), lam, seed) in enumerate(grid)
     ]
 

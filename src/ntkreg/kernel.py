@@ -183,13 +183,10 @@ def empirical_ntk(mlp: MLP, data: DataSet, certificate: str = "factor") -> Kerne
     return kernel_from_factors(factors, certificate)
 
 
-def empirical_ntk_cross(mlp: MLP, queries: np.ndarray, data: DataSet, factors=None) -> np.ndarray:
-    """k(queries, X) of the output-0 tangent kernel; ``factors`` are the training inputs' gradient
-    factors at init, when the caller holds them already."""
+def empirical_ntk_cross(mlp: MLP, queries: np.ndarray, data: DataSet) -> np.ndarray:
+    """k(queries, X) of the output-0 tangent kernel, from one gradient pass over each input set."""
     factors_q = gradient_factors(mlp, queries, output_index=0, at_init=True)
-    if factors is None:
-        factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
-    return _factor_gram(factors_q, factors)
+    return _factor_gram(factors_q, gradient_factors(mlp, data.inputs, output_index=0, at_init=True))
 
 
 class AnalyticNTK:

@@ -28,7 +28,7 @@ import numpy as np
 from ._kernelmatrix import KernelMatrix, k_norms
 from .data import DataSet
 from .errors import DivergenceError, TrickViolationError, ValidationError, _check_divergence
-from .kernel import kernel_cross, kernel_from_factors
+from .kernel import _factor_gram, kernel_from_factors
 from .krr import krr_fit
 from .net import MLP, forward, gradient_factors, gradients_matrix
 
@@ -41,17 +41,19 @@ KIND_AUX = "aux"
 
 @dataclass(eq=False)
 class LinearizedModel:
-    """The tangent model of an MLP at initialization, held as its kernel.
+    """The tangent model of an MLP at initialization, held as its kernel and Z's factors.
 
     ``K`` is the Gram matrix Z^T Z (assembled by the same layerwise
     reduction as ``empirical_ntk``), all that gradient descent and the ridge
-    limit read. ``mlp``/``data`` stay attached for ``theta0``, ``theta_at``
-    and held-out prediction.
+    limit read. ``factors``, the training inputs' ``gradient_factors`` at
+    init, are Z in factored form for ``theta_at`` and ``predict``, and
+    ``mlp``/``data`` stay attached for ``theta0`` and the queries' pass.
     """
 
     K: KernelMatrix
     mlp: MLP = None
     data: DataSet = None
+    factors: list = None
 
     @property
     def n(self) -> int:
@@ -70,29 +72,28 @@ class LinearizedModel:
         return 1.0 / (self.K.op_norm + lam * lam)
 
     def theta_at(self, coeffs: np.ndarray) -> np.ndarray:
-        """theta0 + Z a, formed layer by layer from one gradient pass: sum_i a_i delta_i input_i^T."""
+        """theta0 + Z a, formed layer by layer from the factors: sum_i a_i delta_i input_i^T."""
         theta0 = self.theta0  # first, so a model without a net fails with its message
-        factors = gradient_factors(self.mlp, self.data.inputs, output_index=0, at_init=True)
-        return theta0 + np.concatenate([((delta * coeffs[:, None]).T @ inp).ravel() for delta, inp in factors])
+        blocks = [((delta * coeffs[:, None]).T @ inp).ravel() for delta, inp in self.factors]
+        return theta0 + np.concatenate(blocks)
 
     def predict(self, coeffs: np.ndarray, queries) -> np.ndarray:
-        """Tangent-model prediction phi(x)^T Z a = k(x, X)^T a."""
+        """Tangent-model prediction phi(x)^T Z a = k(x, X)^T a, from one gradient pass over the queries."""
         if self.mlp is None or self.data is None:
             raise ValidationError("linearized model has no MLP attached; cannot predict")
-        cross = kernel_cross(self.mlp, queries, self.data)
-        return cross @ coeffs
+        cross = _factor_gram(gradient_factors(self.mlp, queries, output_index=0, at_init=True), self.factors)
+        return (cross[0] if np.ndim(queries) == 1 else cross) @ coeffs
 
 
-def linearize(mlp: MLP, data: DataSet, factors=None) -> LinearizedModel:
-    """The tangent kernel, from one gradient pass; requires an exactly-zero initial output.
+def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
+    """The tangent kernel and Z's factors, from one gradient pass; requires an exactly-zero initial output.
 
     K comes from ``kernel_from_factors`` (the reduction of ``empirical_ntk``)
     and is checked on a seeded probe v: K v against Z^T (Z v) formed layer by layer.
     Gradient descent reads only K's values and ``op_norm``, so K is certified
     PSD by its spectrum, which ``op_norm`` reads too, and no factor is built
-    until a solve (``closed_form_limit``) asks for one.
-    ``factors`` are ``gradient_factors`` of ``data``'s inputs at init, when the
-    caller has made that pass already.
+    until a solve (``closed_form_limit``) asks for one. The model keeps the
+    gradient factors, which ``theta_at`` and ``predict`` read.
     """
     if not mlp.config.difference_trick:
         raise ValidationError("linearize requires a difference-trick network")
@@ -102,8 +103,7 @@ def linearize(mlp: MLP, data: DataSet, factors=None) -> LinearizedModel:
         raise TrickViolationError(
             f"initial output magnitude {worst:.3e} exceeds {INIT_OUTPUT_TOL:.0e}"
         )
-    if factors is None:
-        factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
+    factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
     k = kernel_from_factors(factors, certificate="spectrum")
     # per layer, Z v is the block (delta * v)^T input and Z^T maps a block B to rowsum((delta B) * input)
     v = np.random.default_rng(0).standard_normal(k.n)
@@ -112,7 +112,7 @@ def linearize(mlp: MLP, data: DataSet, factors=None) -> LinearizedModel:
     mismatch = float(np.max(np.abs(k.values @ v - ztzv)))
     if mismatch > 1e-10 * scale:
         raise ValidationError(f"probe: K v deviates from Z^T (Z v) by {mismatch:.3e} > 1e-10 max|K| ||v||_1")
-    return LinearizedModel(K=k, mlp=mlp, data=data)
+    return LinearizedModel(K=k, mlp=mlp, data=data, factors=factors)
 
 
 @dataclass(eq=False)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -1186,6 +1187,26 @@ class TestOneConfigCheck:
         pytest.param("bounds", {"lambda": 0.0}, "lambda", id="bounds-lambda-0"),
         pytest.param("sweep", {"lambda_grid": []}, "lambda_grid", id="empty-lambda-grid"),
         pytest.param("sweep", {"lambda_grid": [0.5, float("nan")]}, "lambda", id="lambda-grid-nan"),
+        # integer and boolean fields are checked, not truncated or coerced, and seeds are >= 0
+        pytest.param("krr", {"seeds": [-1]}, "seeds", id="seeds-negative-krr"),
+        pytest.param("sweep", {"seeds": [-1]}, "seeds", id="seeds-negative-sweep"),
+        pytest.param("krr", {"dataset": small_synth(n=20, seed=-3)}, "'seed'", id="dataset-seed-negative"),
+        pytest.param("krr", {"dataset": small_synth(n=20) | {"seed": True}}, "'seed'", id="dataset-seed-true"),
+        pytest.param("kernel", {"model": {"kind": "net", "widths": [16], "init_seed": -1}}, "'init_seed'",
+                     id="init-seed-negative"),
+        pytest.param("kernel", {"model": {"kind": "net", "widths": [16], "init_seed": 1.5}}, "'init_seed'",
+                     id="init-seed-float"),
+        pytest.param("train", {"method": "net-rdi", "model": {"kind": "net", "widths": [16], "init_seed": True}},
+                     "'init_seed'", id="init-seed-true"),
+        pytest.param("kernel", {"model": {"kind": "net", "widths": 16}}, "'widths'", id="widths-not-a-list"),
+        pytest.param("kernel", {"model": {"kind": "net", "widths": [16.9]}}, "'widths'", id="width-float"),
+        pytest.param("krr", {"dataset": small_synth(n=20) | {"n": 20.7}}, "'n'", id="n-float"),
+        pytest.param("krr", {"dataset": small_synth(n=20, test_n=10) | {"test_n": 10.5}}, "'test_n'",
+                     id="test-n-float"),
+        pytest.param("krr", {"model": {"kind": "analytic", "depth": 2.9}}, "'depth'", id="depth-float"),
+        pytest.param("sweep", {"method": "net-rdi",
+                               "model": {"kind": "net", "widths": [16], "freeze_first_last": "no"}},
+                     "'freeze_first_last'", id="flag-string"),
     ])
     def test_rejected_before_output(self, tmp_path, capsys, command, changes, named):
         out = tmp_path / "out"
@@ -1235,6 +1256,35 @@ class TestOneConfigCheck:
         example = readme.split("Example config:")[1].split("```json")[1].split("```")[0]
         cfg = write_config(tmp_path, "example.json", json.loads(example))
         assert load_config(cfg, None, command="sweep")["noise_grid"] == [0.0, 0.2, 0.4]
+
+    def test_readme_spec_table_matches_specs(self):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        table = readme.split("| section | kind | required | optional (default) |")[1].split("\n\n")[0]
+
+        def names(cell):  # the field names, without the defaults and notes in parentheses
+            return sorted(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cell)))
+
+        documented = {}
+        for line in table.strip().splitlines()[1:]:  # below the --- row
+            section, kind, required, optional = (cell.strip() for cell in line.strip().strip("|").split("|"))
+            documented[section.strip("`"), kind.strip("`")] = (names(required), names(optional))
+        required = (cli_module._REQUIRED, cli_module._LEVEL)
+        coded = {
+            (section, kind): (sorted(k for k, v in fields.items() if v in required),
+                              sorted(k for k, v in fields.items() if v not in required))
+            for section, kinds in cli_module._SPECS.items() for kind, fields in kinds.items()
+        }
+        assert documented == coded
+
+    @pytest.mark.parametrize("command, method", [("equivalence", "linear-rdi"), ("train", "net-rdi")])
+    def test_net_drawn_once(self, tmp_path, monkeypatch, command, method):
+        # validation checks the model spec without drawing the net; the command draws it
+        calls = count_calls(monkeypatch, cli_module, "init_mlp")
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=20), "method": method, "steps": 2,
+                                                  "model": {"kind": "net", "widths": [16]}, "lambda_grid": [1.0],
+                                                  "out": str(tmp_path / "out")})
+        assert main([command, "--config", cfg]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_flags_apply_before_validation(self, tmp_path):
         # a config without seeds runs with --seed; the check used to run before the flags

@@ -75,6 +75,35 @@ class TestLinearize:
         scale = np.max(np.abs(lm.K.values))
         assert np.max(np.abs(gram - lm.K.values)) <= 1e-10 * scale
 
+    def test_gradient_passes(self, monkeypatch):
+        # linearize keeps the training factors: theta_at makes no pass, predict one over its queries
+        from ntkreg import kernel as kernel_module
+        from ntkreg import linmodel as linmodel_module
+        from ntkreg import net as net_module
+
+        original = net_module.gradient_factors
+        rows_seen = []
+
+        def counted(mlp, x, *args, **kwargs):
+            rows_seen.append(np.atleast_2d(x).shape[0])
+            return original(mlp, x, *args, **kwargs)
+
+        for owner in (net_module, kernel_module, linmodel_module):
+            monkeypatch.setattr(owner, "gradient_factors", counted)
+        lm, ds = make_lm(n=12, width=32)
+        assert rows_seen == [12]
+        a = np.random.default_rng(1).standard_normal(lm.n)
+        lm.theta_at(a)
+        assert rows_seen == [12]
+        queries = synth_sphere(7, ds.d, "linear-sign", seed=9).inputs
+        values = lm.predict(np.stack([a, -a], axis=1), queries)
+        assert rows_seen == [12, 7] and values.shape == (7, 2)
+        # a block of coefficient vectors is one matrix product, which rounds differently from one at a time
+        assert np.allclose(values[:, 0], lm.predict(a, queries), rtol=1e-13, atol=0.0)
+        assert np.array_equal(values[:, 0], -values[:, 1])
+        # a single query gives a scalar
+        assert np.ndim(lm.predict(a, queries[0])) == 0
+
     def test_prediction_at_reference_is_zero(self):
         lm, ds = make_lm()
         preds = lm.predict(np.zeros(lm.n), ds.inputs)
