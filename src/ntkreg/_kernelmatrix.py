@@ -1,7 +1,7 @@
 """Container for symmetric PSD Gram matrices, certified either by the
 Cholesky factorization of K that also serves its solves or by K's spectrum,
-with the factorizations of its shifts K + shift I and a spectrum computed
-only when read.
+with the factorizations of its shifts K + shift I, and a spectrum and an
+eigendecomposition computed only when read.
 
 Lives in its own module (re-exported by ``kernel``) so that the kernel cache
 I/O in ``data`` can construct instances without a circular import. The
@@ -38,16 +38,21 @@ class KernelMatrix:
     the factorizations that :meth:`solver` keeps. ``"spectrum"`` tests the
     same rule on the ``eigvalsh`` spectrum and builds no factor, so scipy is
     not imported; it suits a K read only for its values and ``op_norm``, such
-    as the kernel of linearized gradient descent, and a later solve still
-    factors on demand. ``min_eig`` and ``op_norm`` come from one
-    ``eigvalsh`` spectrum, computed on first read.
+    as the kernel of the default step or of ``ntkreg kernel``, and a later
+    solve still factors on demand. ``"eigh"`` tests the rule on the
+    eigenvalues of :attr:`eigh` instead, for a K whose eigenvectors will be
+    read, such as the kernel of linearized gradient descent. ``min_eig`` and
+    ``op_norm`` come from one spectrum, computed on first read: the
+    eigenvalues of :attr:`eigh` once it has been computed, an ``eigvalsh``
+    otherwise.
 
     The checks make no n x n temporary: exact symmetry is tested band by
     band, reading each pair once, and max|K_ij - K_ji| is formed only when
     K is not exactly symmetric. The factor certificate factors one
     Fortran-order copy of K: while it is built, K and that copy are the two
     n x n arrays alive, and afterwards an instance holds K plus its factor.
-    The spectrum certificate holds K and ``eigvalsh``'s workspace.
+    The spectrum certificate holds K and ``eigvalsh``'s workspace, and the
+    eigh certificate K and its n x n eigenvectors.
     """
 
     values: np.ndarray
@@ -56,7 +61,7 @@ class KernelMatrix:
 
     @classmethod
     def from_values(cls, values, certificate: str = "factor") -> "KernelMatrix":
-        if certificate not in ("factor", "spectrum"):
+        if certificate not in ("factor", "spectrum", "eigh"):
             raise ValidationError(f"unknown PSD certificate {certificate!r}")
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -77,7 +82,9 @@ class KernelMatrix:
                     f"exceeds {SYMMETRY_RTOL:.0e} * max|K| = {SYMMETRY_RTOL * scale:.3e}"
                 )
         matrix = cls(values=values, trace=trace)
-        if certificate == "factor":
+        if certificate == "eigh":
+            matrix.eigh  # the spectrum read below is its eigenvalues
+        elif certificate == "factor":
             try:
                 matrix.solver(0.0)
                 return matrix
@@ -90,7 +97,14 @@ class KernelMatrix:
         return matrix
 
     @cached_property
+    def eigh(self) -> tuple:
+        """(k, V): K's eigenvalues in ascending order and its orthonormal eigenvectors, K = V diag(k) V^T."""
+        return np.linalg.eigh(self.values)
+
+    @cached_property
     def _spectrum(self) -> np.ndarray:
+        if "eigh" in self.__dict__:  # computed already: its eigenvalues serve
+            return self.eigh[0]
         return np.linalg.eigvalsh(self.values)
 
     @property

@@ -368,7 +368,7 @@ def cmd_kernel(config: dict) -> int:
     matrix = None
     if os.path.exists(cache_path):
         try:
-            cache = load_kernel(cache_path, data)
+            cache = load_kernel(cache_path, data, certificate="spectrum")
             if cache.provenance == provenance:
                 matrix = cache.matrix
                 _log(f"cache hit: reusing {cache_path}")
@@ -380,7 +380,7 @@ def cmd_kernel(config: dict) -> int:
             _log(f"malformed cache at {cache_path}; rebuilding")
     if matrix is None:
         _log(f"building {source.kind} kernel for n={data.n}")
-        matrix = source.gram(data)
+        matrix = source.gram(data, certificate="spectrum")
         save_kernel(make_kernel_cache(matrix, provenance, data), cache_path)
         _log(f"wrote cache {cache_path}")
     print(f"trace = {matrix.trace!r}")

@@ -400,11 +400,13 @@ def save_kernel(cache: KernelCache, path) -> None:
         f.write(payload)
 
 
-def load_kernel(path, data: DataSet) -> KernelCache:
+def load_kernel(path, data: DataSet, certificate: str = "factor") -> KernelCache:
     """Read a cache file and verify its input digest against ``data``.
 
     The f64 payload round-trips bit-exactly. A digest mismatch raises
     StaleCacheError; any structural problem raises DataFormatError.
+    ``certificate`` picks the loaded matrix's PSD certificate, as in
+    ``KernelMatrix.from_values``.
     """
     buf = open(path, "rb").read()
     magic = _read_exact(buf, 0, 4, "cache magic")
@@ -429,5 +431,5 @@ def load_kernel(path, data: DataSet) -> KernelCache:
             f"kernel cache {path} was built from different inputs (digest mismatch)"
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64)
-    matrix = KernelMatrix.from_values(values)
+    matrix = KernelMatrix.from_values(values, certificate)
     return KernelCache(matrix=matrix, provenance=provenance, input_digest=digest)

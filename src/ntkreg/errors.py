@@ -3,10 +3,12 @@
 The CLI maps these onto distinct exit codes (see cli.py): validation
 failures, numerical failures, and I/O failures are kept separate so batch
 callers can react programmatically. ``_check_divergence`` is the one
-divergence rule that nonlinear training and the linearized runs apply.
+divergence rule that nonlinear training and the linearized runs apply,
+and ``_check_integer`` the one rule for integer arguments.
 """
 
 import math
+import numbers
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -47,6 +49,14 @@ def _check_divergence(objective: float, step: int) -> None:
         else:
             cause = "reduce the learning rate"
         raise DivergenceError(f"objective became {objective:.3e} at step {step}; {cause}")
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    """An integer argument (numpy integers too, bools not) of at least ``minimum``, or a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
 
 
 class TrickViolationError(ToolkitError):

@@ -130,13 +130,16 @@ def _kernel_bands(u: np.ndarray, depth: int, gram: bool) -> np.ndarray:
     return u
 
 
-def analytic_ntk(depth: int, data: DataSet) -> KernelMatrix:
-    """Infinite-width tangent kernel matrix for a depth-``depth`` ReLU network."""
+def analytic_ntk(depth: int, data: DataSet, certificate: str = "factor") -> KernelMatrix:
+    """Infinite-width tangent kernel matrix for a depth-``depth`` ReLU network.
+
+    ``certificate`` picks its PSD certificate, as in ``KernelMatrix.from_values``.
+    """
     if depth < 2:
         raise ValidationError(f"depth must be >= 2, got {depth}")
     _require_unit_rows(data.inputs, "inputs")
     x = data.inputs
-    return KernelMatrix.from_values(mirror_upper(_kernel_bands(x @ x.T, depth, gram=True)))
+    return KernelMatrix.from_values(mirror_upper(_kernel_bands(x @ x.T, depth, gram=True)), certificate)
 
 
 def analytic_ntk_cross(depth: int, queries: np.ndarray, data: DataSet) -> np.ndarray:
@@ -199,8 +202,8 @@ class AnalyticNTK:
             raise ValidationError(f"depth must be >= 2, got {depth}")
         self.depth = depth
 
-    def gram(self, data: DataSet) -> KernelMatrix:
-        return analytic_ntk(self.depth, data)
+    def gram(self, data: DataSet, certificate: str = "factor") -> KernelMatrix:
+        return analytic_ntk(self.depth, data, certificate)
 
     def cross(self, queries, data: DataSet) -> np.ndarray:
         return analytic_ntk_cross(self.depth, queries, data)
@@ -214,8 +217,8 @@ class EmpiricalNTK:
     def __init__(self, mlp: MLP):
         self.mlp = mlp
 
-    def gram(self, data: DataSet) -> KernelMatrix:
-        return empirical_ntk(self.mlp, data)
+    def gram(self, data: DataSet, certificate: str = "factor") -> KernelMatrix:
+        return empirical_ntk(self.mlp, data, certificate)
 
     def cross(self, queries, data: DataSet) -> np.ndarray:
         return empirical_ntk_cross(self.mlp, queries, data)

@@ -13,12 +13,15 @@ eta <= 1/(||K|| + lam^2).
 
 Z, the P x n matrix of feature columns, is notation and is never stored.
 Displacements always live in its span, so iterates are span coefficients
-a(t) with theta(t) = theta0 + Z a(t), and a step is O(n^2) whatever the
-parameter count. One stepper, ``_descend``, holds the update rules, the
-objectives and the divergence check, and steps a block of runs with one
-product with K per step. ``run_gd_rdi`` and ``run_gd_aux`` are its one-run
-case with iterates kept, a ``linear-*`` sweep keeps the final state of all
-the cells of a seed, and ``run_gd_equivalence`` pairs RDI and AUX runs.
+a(t) with theta(t) = theta0 + Z a(t). Both recursions are diagonal in K's
+eigenbasis, K = V diag(k) V^T: one stepper, ``_descend``, holds the update
+rules, the objectives and the divergence check, and steps a block of runs
+on their rotated coefficients V^T a, where K a is the elementwise k * V^T a.
+A step is O(n) per run whatever the parameter count, after one ``eigh`` of
+K (``KernelMatrix.eigh``, which also certifies K) and one rotation in and
+out of the basis. ``run_gd_rdi`` and ``run_gd_aux`` are its one-run case
+with iterates kept, a ``linear-*`` sweep keeps the final state of all the
+cells of a seed, and ``run_gd_equivalence`` pairs RDI and AUX runs.
 """
 
 from dataclasses import dataclass
@@ -27,10 +30,17 @@ import numpy as np
 
 from ._kernelmatrix import KernelMatrix, k_norms
 from .data import DataSet
-from .errors import DivergenceError, TrickViolationError, ValidationError, _check_divergence
+from .errors import (
+    DIVERGENCE_LIMIT,
+    DivergenceError,
+    TrickViolationError,
+    ValidationError,
+    _check_divergence,
+    _check_integer,
+)
 from .kernel import _factor_gram, kernel_from_factors
 from .krr import krr_fit
-from .net import MLP, forward, gradient_factors, gradients_matrix
+from .net import MLP, flatten_factors, forward, gradient_factors
 
 INIT_OUTPUT_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-10
@@ -90,10 +100,11 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
 
     K comes from ``kernel_from_factors`` (the reduction of ``empirical_ntk``)
     and is checked on a seeded probe v: K v against Z^T (Z v) formed layer by layer.
-    Gradient descent reads only K's values and ``op_norm``, so K is certified
-    PSD by its spectrum, which ``op_norm`` reads too, and no factor is built
-    until a solve (``closed_form_limit``) asks for one. The model keeps the
-    gradient factors, which ``theta_at`` and ``predict`` read.
+    Gradient descent reads K's eigendecomposition and ``op_norm``, so K is
+    certified PSD by the eigenvalues of its ``eigh``, which serve ``op_norm``
+    and every later descent too, and no factor is built until a solve
+    (``closed_form_limit``) asks for one. The model keeps the gradient
+    factors, which ``theta_at`` and ``predict`` read.
     """
     if not mlp.config.difference_trick:
         raise ValidationError("linearize requires a difference-trick network")
@@ -104,10 +115,11 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
             f"initial output magnitude {worst:.3e} exceeds {INIT_OUTPUT_TOL:.0e}"
         )
     factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
-    k = kernel_from_factors(factors, certificate="spectrum")
-    # per layer, Z v is the block (delta * v)^T input and Z^T maps a block B to rowsum((delta B) * input)
-    v = np.random.default_rng(0).standard_normal(k.n)
+    # per layer, Z v is the block (delta * v)^T input and Z^T maps a block B to rowsum((delta B) * input);
+    # formed before K, so that its temporaries are freed before K's build and eigh
+    v = np.random.default_rng(0).standard_normal(data.n)
     ztzv = sum(np.sum((delta @ ((delta * v[:, None]).T @ inp)) * inp, axis=1) for delta, inp in factors)
+    k = kernel_from_factors(factors, certificate="eigh")
     scale = max(float(np.max(np.abs(k.values))), np.finfo(np.float64).tiny) * float(np.sum(np.abs(v)))
     mismatch = float(np.max(np.abs(k.values @ v - ztzv)))
     if mismatch > 1e-10 * scale:
@@ -167,7 +179,9 @@ def _root(squares: np.ndarray) -> np.ndarray:
 class GDBlock:
     """Runs stepped as one block, row i for run i: a (``coeffs``), b (``aux``), K a and a^T K a.
 
-    ``etas[i]`` is run i's step and ``errors[i]`` the error that froze it, or
+    While ``_descend`` steps, the rows of a, b and K a hold their coordinates
+    in K's eigenbasis (V^T a for a); the block it returns holds them in the
+    original basis. ``etas[i]`` is run i's step and ``errors[i]`` the error that froze it, or
     None; a frozen run is reset to zero and moves no further.
     """
 
@@ -185,15 +199,18 @@ def _descend(lm: LinearizedModel, runs, steps: int, read=None):
 
     With r = K a + lam b - y (b stays 0 for RDI), RDI steps a <- a - eta (r + lam^2 a)
     on 1/2 (|r|^2 + lam^2 a^T K a), and AUX steps a <- a - eta r, b <- b - eta lam r
-    on 1/2 |r|^2, all read from one product of the block with K per step. An
-    invalid run is frozen with its ValidationError, and a run that breaks the
-    divergence rule with a DivergenceError naming its lambda. Traces are
-    None, or, given ``read``, read(block) at every step t = 0..steps stacked
-    into (steps+1, ...) arrays, and then the first error of a run is raised.
+    on 1/2 |r|^2. The block steps in K's eigenbasis, K = V diag(k) V^T: the
+    targets are rotated to V^T y once, K a is the elementwise k * V^T a, and
+    a, b and K a are rotated back once after the last step. Objectives and
+    a^T K a are the same in either basis. An invalid run is frozen with its
+    ValidationError, and a run that breaks the divergence rule with a
+    DivergenceError naming its lambda; a frozen run is zero in either basis.
+    Traces are None, or, given ``read``, read(block) at every step
+    t = 0..steps, on the block in the eigenbasis, stacked into (steps+1, ...)
+    arrays, and then the first error of a run is raised.
     """
-    if not steps >= 0:
-        raise ValidationError(f"steps must be >= 0, got {steps}")
-    count, k, shape = len(runs), lm.K.values, (len(runs), lm.n)
+    _check_integer("steps", steps, 0)
+    (spectrum, basis), count, shape = lm.K.eigh, len(runs), (len(runs), lm.n)
     reg, coupling, eta = np.zeros((3, count, 1))  # per run: lam^2 (RDI), lam (AUX) and eta
     block = GDBlock(np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(count), np.empty(count),
                     etas=eta[:, 0], errors=[None] * count)
@@ -206,21 +223,23 @@ def _descend(lm: LinearizedModel, runs, steps: int, read=None):
             block.errors[i] = exc
             continue
         reg[i], coupling[i] = (lam * lam, 0.0) if kind == KIND_RDI else (0.0, lam)
+    targets = targets @ basis  # row i is V^T y_i
     traces = None
     for t in range(steps + 1):
-        np.matmul(a, k, out=product)  # K is exactly symmetric, so row i is K a_i
+        np.multiply(a, spectrum, out=product)  # row i is V^T K a_i
         np.einsum("ij,ij->i", a, product, out=quad)
         residual = coupling * b + product - targets
         np.einsum("ij,ij->i", residual, residual, out=objectives)
         objectives += reg[:, 0] * quad
         objectives *= 0.5
-        for i, objective in enumerate(objectives.tolist()):
-            try:
-                _check_divergence(objective, t)
-            except DivergenceError as exc:  # freeze the run at zero
-                block.errors[i] = DivergenceError(f"lambda={runs[i][2]}: {exc}")
-                for rows in (a, b, residual, targets):
-                    rows[i] = 0.0
+        if not np.all(np.abs(objectives) <= DIVERGENCE_LIMIT):  # some run may break the rule: check each
+            for i, objective in enumerate(objectives.tolist()):
+                try:
+                    _check_divergence(objective, t)
+                except DivergenceError as exc:  # freeze the run at zero
+                    block.errors[i] = DivergenceError(f"lambda={runs[i][2]}: {exc}")
+                    for rows in (a, b, residual, targets):
+                        rows[i] = 0.0
         if read is not None:
             for error in filter(None, block.errors):
                 raise error
@@ -231,18 +250,21 @@ def _descend(lm: LinearizedModel, runs, steps: int, read=None):
         if t < steps:
             a -= eta * (reg * a + residual)
             b -= eta * coupling * residual
+    block.coeffs, block.aux, block.product = a @ basis.T, b @ basis.T, product @ basis.T
     return block, traces
 
 
 def _one_run(lm: LinearizedModel, kind: str, y, lam: float, eta, steps: int) -> LinTrajectory:
-    """``_descend`` on one run, with every a(t) kept, and b(t) too for AUX."""
+    """``_descend`` on one run, with every a(t) kept, and b(t) too for AUX, rotated back once."""
     def read(block):
         kept = (block.coeffs[0], block.objectives[0], block.quad[0])
         return kept + (block.aux[0],) if kind == KIND_AUX else kept
 
     block, (coeffs, objectives, quad, *aux) = _descend(lm, [(kind, y, lam, eta)], steps, read)
-    return LinTrajectory(kind=kind, lam=lam, eta=float(block.etas[0]), coeffs=coeffs, objectives=objectives,
-                         dist_from_init=_root(quad), aux=aux[0] if aux else None, lm=lm)
+    basis_t = lm.K.eigh[1].T
+    return LinTrajectory(kind=kind, lam=lam, eta=float(block.etas[0]), coeffs=coeffs @ basis_t,
+                         objectives=objectives, dist_from_init=_root(quad),
+                         aux=aux[0] @ basis_t if aux else None, lm=lm)
 
 
 def run_gd_rdi(lm: LinearizedModel, y, lam: float, eta=None, steps: int = 1000) -> LinTrajectory:
@@ -350,10 +372,11 @@ def run_gd_equivalence(lm: LinearizedModel, y, lambdas, eta=None, steps: int = 1
     One ``_descend`` block holds an RDI run a and an AUX run a' per lambda,
     stepped at ``eta`` (None: each lambda's default). Each step keeps only
     the objectives, sqrt(a^T K a) and the gap sqrt(d . (K a - K a')) with
-    d = a - a', all from the block's product with K, so memory is
-    O(L n + L steps). Block products round differently from ``K @ a``, so
-    results match the one-lambda runs and ``check_equivalence`` to
-    floating-point level. The first run to diverge fails the scan.
+    d = a - a', all read in K's eigenbasis, where they take the same values,
+    so memory is O(L n + L steps) beside K's eigenvectors. A block's
+    rotations round differently from one run's, so results match the
+    one-lambda runs and ``check_equivalence`` to floating-point level. The
+    first run to diverge fails the scan.
     """
     if not (count := len(lambdas)):
         raise ValidationError("the equivalence scan needs at least one lambda")
@@ -383,11 +406,11 @@ def closed_form_limit(lm: LinearizedModel, y, lam: float):
 
 
 def span_residual(lm: LinearizedModel, theta: np.ndarray) -> float:
-    """Relative norm of the part of theta - theta0 outside span(Z); forms the P x n matrix Z."""
+    """Relative norm of the part of theta - theta0 outside span(Z); forms the P x n matrix Z from the factors."""
     displacement = theta - lm.theta0
     norm = float(np.linalg.norm(displacement))
     if norm == 0.0:
         return 0.0
-    z = gradients_matrix(lm.mlp, lm.data.inputs).T
+    z = flatten_factors(lm.factors).T
     coeffs = np.linalg.lstsq(z, displacement, rcond=None)[0]
     return float(np.linalg.norm(displacement - z @ coeffs)) / norm

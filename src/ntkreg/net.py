@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataSet, _write_csv, prediction_error
-from .errors import ValidationError, _check_divergence
+from .errors import ValidationError, _check_divergence, _check_integer
 
 BRANCH_COEFF = math.sqrt(2.0) / 2.0
 
@@ -49,9 +49,11 @@ class NetConfig:
     """Architecture of a bias-free fully-connected ReLU network.
 
     ``widths`` lists the hidden layer sizes, so the network has
-    ``len(widths) + 1`` weight matrices. ``freeze_first_last`` freezes the
-    first and last weight matrices for depth >= 3; for two-layer networks it
-    freezes only the last one (freezing both would leave nothing trainable).
+    ``len(widths) + 1`` weight matrices. ``input_dim``, ``outputs`` and the
+    widths are integers (numpy integers too, bools not). ``freeze_first_last``
+    freezes the first and last weight matrices for depth >= 3; for two-layer
+    networks it freezes only the last one (freezing both would leave nothing
+    trainable).
     """
 
     input_dim: int
@@ -62,13 +64,17 @@ class NetConfig:
     difference_trick: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if self.input_dim < 1:
-            raise ValidationError(f"input_dim must be >= 1, got {self.input_dim}")
-        if len(self.widths) < 1 or any(w < 1 for w in self.widths):
-            raise ValidationError(f"need at least one hidden layer of width >= 1, got {self.widths}")
-        if self.outputs < 1:
-            raise ValidationError(f"outputs must be >= 1, got {self.outputs}")
+        _check_integer("input_dim", self.input_dim, 1)
+        _check_integer("outputs", self.outputs, 1)
+        widths = tuple(self.widths)
+        if len(widths) < 1:
+            raise ValidationError(f"need at least one hidden layer of width >= 1, got {widths}")
+        for width in widths:
+            _check_integer("a hidden width", width, 1)
+        # numpy integers become Python ints, so a config serializes as JSON
+        object.__setattr__(self, "input_dim", int(self.input_dim))
+        object.__setattr__(self, "outputs", int(self.outputs))
+        object.__setattr__(self, "widths", tuple(int(w) for w in widths))
         if not self.scale_c > 0.0:
             raise ValidationError(f"scale_c must be positive, got {self.scale_c}")
 
@@ -263,7 +269,11 @@ def gradient_factors(mlp: MLP, x, output_index: int = 0, at_init: bool = True):
 
 def gradients_matrix(mlp: MLP, x, output_index: int = 0, at_init: bool = True) -> np.ndarray:
     """(m, N) matrix of flattened per-example gradients over trainable params."""
-    factors = gradient_factors(mlp, x, output_index, at_init)
+    return flatten_factors(gradient_factors(mlp, x, output_index, at_init))
+
+
+def flatten_factors(factors) -> np.ndarray:
+    """The (m, N) gradient matrix of ``gradient_factors`` pairs: row i holds delta_i input_i^T per pair."""
     m = factors[0][0].shape[0]
     blocks = [
         np.einsum("mi,mj->mij", delta, inp).reshape(m, -1) for delta, inp in factors
@@ -333,8 +343,7 @@ class TrainConfig:
             raise ValidationError(f"unknown objective {self.objective!r}")
         if not 0.0 < self.eta < math.inf:
             raise ValidationError(f"learning rate must be finite and positive, got {self.eta}")
-        if self.steps < 0:
-            raise ValidationError(f"steps must be >= 0, got {self.steps}")
+        _check_integer("steps", self.steps, 0)
         if not self.lam >= 0.0:  # NaN fails too
             raise ValidationError(f"lam must be >= 0, got {self.lam}")
 

@@ -13,6 +13,7 @@ import pytest
 
 from ntkreg import cli as cli_module
 from ntkreg import krr as krr_module
+from ntkreg._kernelmatrix import KernelMatrix
 from ntkreg.bounds import bound_binary, empirical_clean_risk
 from ntkreg.cli import (
     EXIT_CHECK_FAILED,
@@ -78,6 +79,31 @@ class TestKernelCommand:
         assert main(["kernel", "--config", cfg]) == EXIT_OK
         second = capsys.readouterr().out
         assert "cache hit" in second
+
+    @pytest.mark.parametrize("model", [{"kind": "analytic", "depth": 2}, {"kind": "net", "widths": [16]}],
+                             ids=["analytic", "net"])
+    def test_certified_by_its_spectrum(self, tmp_path, capsys, monkeypatch, model):
+        # the build and the cache hit each read one eigvalsh, which certifies K and gives both numbers
+        factors = count_calls(monkeypatch, krr_module, "cho_factor")
+        spectra = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        bases = count_calls(monkeypatch, np.linalg, "eigh")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=20), "model": model, "out": str(out)})
+        assert main(["kernel", "--config", cfg]) == EXIT_OK
+        built = capsys.readouterr().out
+        assert (len(factors), len(spectra), len(bases)) == (0, 1, 0)
+        assert main(["kernel", "--config", cfg]) == EXIT_OK
+        hit = capsys.readouterr().out
+        assert "cache hit" in hit and (len(factors), len(spectra), len(bases)) == (0, 2, 0)
+        # the printed numbers are those of a factor-certified K, to the last digit
+        with open(out / "kernel.ntkk", "rb") as f:
+            payload = f.read()
+        n = struct.unpack("<Q", payload[6:14])[0]
+        reference = KernelMatrix.from_values(np.frombuffer(payload[-8 * n * n:], dtype="<f8").reshape(n, n))
+        lines = [f"trace = {reference.trace!r}", f"op_norm = {reference.op_norm!r}",
+                 f"min_eig = {reference.min_eig!r}"]
+        for text in (built, hit):
+            assert text.splitlines()[-3:] == lines
 
     def test_corrupt_cache_rebuilt(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -159,7 +185,7 @@ class TestEquivalenceCommand:
         from ntkreg import linmodel as linmodel_module
         from ntkreg import net as net_module
 
-        calls = [count_calls(monkeypatch, owner, "gradients_matrix") for owner in (net_module, linmodel_module)]
+        calls = [count_calls(monkeypatch, owner, "flatten_factors") for owner in (net_module, linmodel_module)]
         cfg = write_config(tmp_path, "cfg.json", {
             "dataset": small_synth(n=20), "noise": {"kind": "binary-flip", "p": 0.2},
             "model": {"kind": "net", "widths": [24, 24]}, "lambda_grid": [0.5], "steps": 20,
@@ -1008,6 +1034,7 @@ class TestScipyOnlyToFactor:
         "linear-rdi": ("sweep", {"method": "linear-rdi"}),
         "net-rdi": ("sweep", {"method": "net-rdi"}),
         "krr": ("sweep", {"method": "krr", "model": {"kind": "analytic", "depth": 2}}),
+        "kernel": ("kernel", {"model": {"kind": "analytic", "depth": 2}}),
     }
 
     def modules_after(self, tmp_path, name):
@@ -1026,12 +1053,35 @@ class TestScipyOnlyToFactor:
         assert code == EXIT_OK
         return modules
 
-    @pytest.mark.parametrize("name", ["import", "equivalence", "train", "linear-rdi", "net-rdi"])
+    @pytest.mark.parametrize("name", ["import", "equivalence", "train", "linear-rdi", "net-rdi", "kernel"])
     def test_no_scipy_without_a_solve(self, tmp_path, name):
         assert self.modules_after(tmp_path, name) == []
 
     def test_krr_sweep_loads_scipy_linalg(self, tmp_path):
         assert "scipy.linalg" in self.modules_after(tmp_path, "krr")
+
+
+class TestEigenbasisReaders:
+    """Only linearized gradient descent reads eigenvectors: one eigh per linearized kernel, none elsewhere."""
+
+    NET = {"kind": "net", "widths": [16], "freeze_first_last": False}
+
+    @pytest.mark.parametrize("command, changes, counts", [
+        pytest.param("equivalence", {"lambda_grid": [0.5, 1.0]}, (1, 0), id="equivalence"),
+        pytest.param("sweep", {"method": "linear-rdi", "seeds": [0, 1]}, (2, 0), id="linear-rdi-2-seeds"),
+        pytest.param("sweep", {"method": "linear-aux", "lambda_grid": [0.5], "eta": 0.01}, (1, 0),
+                     id="linear-aux-explicit-eta"),
+        pytest.param("train", {"method": "net-rdi", "eta": None}, (0, 1), id="train"),
+        pytest.param("sweep", {"method": "net-rdi"}, (0, 1), id="net-rdi"),
+    ])
+    def test_eigh_calls(self, tmp_path, monkeypatch, command, changes, counts):
+        bases = count_calls(monkeypatch, np.linalg, "eigh")
+        spectra = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        payload = {"dataset": small_synth(n=20, test_n=10), "noise": {"kind": "binary-flip", "p": 0.2},
+                   "model": self.NET, "lambda": 0.5, "lambda_grid": [0.0, 0.5], "noise_grid": [0.0, 0.2],
+                   "seeds": [0], "steps": 5, "out": str(tmp_path / "out"), **changes}
+        assert main([command, "--config", write_config(tmp_path, "cfg.json", payload)]) == EXIT_OK
+        assert (len(bases), len(spectra)) == counts
 
 
 class TestWorkerThreads:

@@ -7,6 +7,7 @@ import pytest
 from ntkreg._kernelmatrix import KernelMatrix
 from ntkreg.data import synth_sphere
 from ntkreg.errors import (
+    DIVERGENCE_LIMIT,
     DivergenceError,
     SingularityError,
     TrickViolationError,
@@ -170,13 +171,14 @@ class TestAuxDynamics:
         assert np.all(traj.aux == 0.0)
 
     def test_first_step_aux_update(self):
-        # hand gradient at t=0: residual is -y, so b(1) = eta * lam * y
+        # hand gradient at t=0: residual is -y, so b(1) = eta * lam * y, up to the
+        # rounding of the step's rotation into K's eigenbasis and back
         lm, ds = make_lm()
         y = ds.noisy_labels
         lam = 2.0
         eta = 0.01
         traj = run_gd_aux(lm, y, lam=lam, eta=eta, steps=1)
-        assert np.array_equal(traj.aux[1], eta * lam * y)
+        assert np.max(np.abs(traj.aux[1] - eta * lam * y)) <= 1e-14 * eta * lam
 
     def test_representation_identity(self):
         lm, ds = make_lm()
@@ -302,7 +304,8 @@ class TestEquivalenceScan:
         scan = run_gd_equivalence(lm, ds.noisy_labels, [0.5, 2.0], steps=0)
         assert scan.gaps.shape == (1, 2)
         assert np.all(scan.gaps == 0.0) and np.all(scan.rel_gaps == 0.0)
-        assert np.all(scan.objectives_rdi == 0.5 * ds.noisy_labels @ ds.noisy_labels)
+        # |y|^2, summed in K's eigenbasis
+        assert scan.objectives_rdi == pytest.approx(np.full((1, 2), 0.5 * ds.noisy_labels @ ds.noisy_labels), rel=1e-14)
 
     def test_relative_gap_rule(self):
         # the identity model at power-of-two lambdas: RDI and AUX round alike,
@@ -366,6 +369,7 @@ class TestBlock:
         runs = self.runs(ds)
         block, (coeffs, aux, objectives, quad) = _descend(
             lm, runs, self.STEPS, lambda b: (b.coeffs, b.aux, b.objectives, b.quad))
+        coeffs, aux = coeffs @ lm.K.eigh[1].T, aux @ lm.K.eigh[1].T  # read sees K's eigenbasis
         dist = np.sqrt(np.maximum(quad, 0.0))
         for i, (kind, y, lam, eta) in enumerate(runs):
             traj = self.one_run(lm, kind, y, lam, eta, self.STEPS)
@@ -417,11 +421,23 @@ class TestRunValidation:
         pytest.param(lambda lm, y: run_gd_rdi(lm, y, 1.0, eta=float("nan")), id="rdi-nan-eta"),
         pytest.param(lambda lm, y: run_gd_rdi(lm, y, 1.0, eta=float("inf")), id="rdi-inf-eta"),
         pytest.param(lambda lm, y: run_gd_aux(lm, y, float("inf"), eta=0.01), id="aux-inf-lambda"),
+        pytest.param(lambda lm, y: run_gd_rdi(lm, y, 1.0, steps=2.5), id="rdi-steps-float"),
+        pytest.param(lambda lm, y: run_gd_rdi(lm, y, 1.0, steps=True), id="rdi-steps-true"),
+        pytest.param(lambda lm, y: run_gd_aux(lm, y, 1.0, steps=np.float64(2.0)), id="aux-steps-numpy-float"),
+        pytest.param(lambda lm, y: run_gd_equivalence(lm, y, [0.5], steps=2.5), id="equivalence-steps-float"),
+        pytest.param(lambda lm, y: run_gd_equivalence(lm, y, [0.5], steps=False), id="equivalence-steps-false"),
+        pytest.param(lambda lm, y: _descend(lm, [(KIND_RDI, y, 1.0, None)], "3"), id="block-steps-string"),
     ])
     def test_rejected(self, call):
         lm, ds = make_lm()
         with pytest.raises(ValidationError):
             call(lm, ds.noisy_labels)
+
+    def test_numpy_integer_steps_accepted(self):
+        lm, ds = make_lm()
+        traj = run_gd_rdi(lm, ds.noisy_labels, 1.0, steps=np.int64(3))
+        assert traj.steps == 3
+        assert np.array_equal(traj.coeffs, run_gd_rdi(lm, ds.noisy_labels, 1.0, steps=3).coeffs)
 
 
 class TestClosedForm:
@@ -491,6 +507,28 @@ class TestClosedForm:
             theta = lm.theta_at(traj.coeffs[t])
             assert span_residual(lm, theta) <= 1e-10
 
+    def test_span_residual_makes_no_gradient_pass(self, monkeypatch):
+        from ntkreg import linmodel as linmodel_module
+        from ntkreg import net as net_module
+
+        lm, ds = make_lm(n=12, width=32)
+        passes = []
+        for owner in (net_module, linmodel_module):
+            original = owner.gradient_factors
+            monkeypatch.setattr(owner, "gradient_factors",
+                                lambda *a, _original=original, **k: passes.append(1) or _original(*a, **k))
+        theta = lm.theta_at(run_gd_rdi(lm, ds.noisy_labels, lam=1.0, steps=20).final_coeffs())
+        assert span_residual(lm, theta) <= 1e-10
+        assert passes == []
+        # off the span: a parameter direction orthogonal to every training gradient
+        z = gradients_matrix(lm.mlp, ds.inputs).T
+        passes.clear()
+        q, _ = np.linalg.qr(z)
+        off = np.random.default_rng(3).standard_normal(z.shape[0])
+        off -= q @ (q.T @ off)
+        assert span_residual(lm, lm.theta0 + off) == pytest.approx(1.0, rel=1e-10)
+        assert passes == []
+
 
 class TestClosedFormTargets:
     def test_target_matrix_rejected(self):
@@ -547,8 +585,8 @@ class TestFactoredFeatures:
 
         calls = []
         for owner in (net_module, linmodel_module):
-            original = owner.gradients_matrix
-            monkeypatch.setattr(owner, "gradients_matrix",
+            original = owner.flatten_factors
+            monkeypatch.setattr(owner, "flatten_factors",
                                 lambda *a, _original=original, **k: calls.append(1) or _original(*a, **k))
         lm, ds = make_lm(width=32)
         rdi = run_gd_rdi(lm, ds.noisy_labels, lam=1.0, steps=5)
@@ -610,3 +648,105 @@ class TestFactoredFeatures:
         monkeypatch.setattr(linmodel_module, "kernel_from_factors", perturbed)
         with pytest.raises(ValidationError, match="probe"):
             make_lm(width=32)
+
+
+def reference_descend(k, runs, steps):
+    """Each step's (a, b, K a, a^T K a, objective) per run, stepped in the original basis with K @ a.
+
+    A run given as None is invalid and stays zero; a run whose objective breaks
+    the divergence rule is zeroed there and moves no further.
+    """
+    history = []
+    for run in runs:
+        a, b, states = np.zeros(len(k)), np.zeros(len(k)), []
+        kind, y, lam, eta = run if run is not None else (KIND_RDI, np.zeros(len(k)), 0.0, 0.0)
+        y = np.array(y, dtype=np.float64)
+        for t in range(steps + 1):
+            ka = k @ a
+            residual = ka + (lam * b if kind == KIND_AUX else 0.0) - y
+            objective = 0.5 * (residual @ residual + (lam * lam * (a @ ka) if kind == KIND_RDI else 0.0))
+            quad = a @ ka
+            if not (np.isfinite(objective) and objective <= DIVERGENCE_LIMIT):
+                a, b, residual, y = (np.zeros(len(k)) for _ in range(4))
+            states.append((a.copy(), b.copy(), ka, quad, objective))
+            a = a - eta * ((lam * lam * a if kind == KIND_RDI else 0.0) + residual)
+            b = b - eta * (lam * residual if kind == KIND_AUX else 0.0)
+        history.append(states)
+    return history
+
+
+class TestEigenbasis:
+    """Gradient descent steps in K's eigenbasis: one eigh per kernel, the same iterates as K @ a."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+        return calls
+
+    def test_one_eigh_per_kernel(self, monkeypatch):
+        eigh, eigvalsh = self.count(monkeypatch, "eigh"), self.count(monkeypatch, "eigvalsh")
+        lm, ds = make_lm(n=12, width=32)
+        assert (len(eigh), len(eigvalsh)) == (1, 0)
+        k, v = lm.K.eigh
+        assert lm.K.op_norm == max(k[-1], -k[0]) and lm.K.min_eig == k[0]
+        _descend(lm, [(KIND_RDI, ds.noisy_labels, 0.5, None)], 10)
+        _descend(lm, [(KIND_AUX, ds.noisy_labels, 0.5, None)], 10)
+        run_gd_equivalence(lm, ds.noisy_labels, [0.5, 1.0], steps=10)
+        run_gd_aux(lm, ds.noisy_labels, 1.0, steps=10)
+        assert (len(eigh), len(eigvalsh)) == (1, 0)
+        # a kernel built elsewhere decomposes on its first descent, once
+        other = LinearizedModel(K=KernelMatrix.from_values(lm.K.values))
+        run_gd_rdi(other, ds.noisy_labels, 0.5, steps=5)
+        run_gd_rdi(other, ds.noisy_labels, 0.5, steps=5)
+        assert (len(eigh), len(eigvalsh)) == (2, 0)
+
+    STEPS = 40
+
+    @pytest.mark.parametrize("case", ["rdi", "aux", "validation-frozen", "diverging"])
+    def test_matches_reference_stepper(self, case):
+        lm, ds = make_lm()
+        y = ds.noisy_labels
+        other = np.random.default_rng(11).standard_normal(lm.n)
+        eta = lm.default_eta(0.5)
+        runs = {
+            "rdi": [(KIND_RDI, y, 0.5, None), (KIND_RDI, other, 0.0, 0.5 * eta), (KIND_RDI, -y, 2.0, None)],
+            "aux": [(KIND_AUX, y, 0.5, None), (KIND_AUX, other, 1.5, 0.5 * eta), (KIND_AUX, -y, 2.0, None)],
+            "validation-frozen": [(KIND_AUX, y, 0.0, None), (KIND_RDI, y, 0.5, None), (KIND_RDI, y[:-1], 1.0, None)],
+            "diverging": [(KIND_RDI, y, 0.5, None), (KIND_AUX, y, 0.5, 3.0 * eta), (KIND_RDI, other, 0.5, 3.0 * eta)],
+        }[case]
+        block, _ = _descend(lm, runs, 0)
+        valid = [None if error is not None else (kind, y_i, lam, float(block.etas[i]))
+                 for i, (error, (kind, y_i, lam, _)) in enumerate(zip(block.errors, runs))]
+        reference = reference_descend(lm.K.values, valid, self.STEPS)
+        for t in range(self.STEPS + 1):
+            block, _ = _descend(lm, runs, t)
+            got = (block.coeffs, block.aux, block.product, block.quad, block.objectives)
+            for i, states in enumerate(reference):
+                # each quantity within 1e-12 of its largest magnitude along the run; a frozen run's is 0
+                for j, value in enumerate(got):
+                    scale = max(np.max(np.abs(state[j])) for state in states)
+                    assert np.max(np.abs(value[i] - states[t][j])) <= 1e-12 * scale
+        kinds = [type(error).__name__ if error is not None else None for error in block.errors]
+        assert kinds == {"rdi": [None] * 3, "aux": [None] * 3,
+                         "validation-frozen": ["ValidationError", None, "ValidationError"],
+                         "diverging": [None, "DivergenceError", "DivergenceError"]}[case]
+        if case == "diverging":
+            assert all(np.all(block.coeffs[i] == 0.0) and np.all(block.aux[i] == 0.0) for i in (1, 2))
+
+    @pytest.mark.parametrize("kind, lam", [(KIND_RDI, 0.0), (KIND_RDI, 0.5), (KIND_RDI, 2.0),
+                                           (KIND_AUX, 0.5), (KIND_AUX, 2.0)])
+    def test_closed_form_iterates(self, kind, lam):
+        # a(t) = V diag((1 - max(1 - eta s, 0)^t) / s) V^T y with s = k + lam^2; AUX keeps b = lam a,
+        # so its span coefficients follow the same recursion
+        lm, ds = make_lm(n=30, width=64)
+        y, steps = ds.noisy_labels, 300
+        traj = (run_gd_rdi if kind == KIND_RDI else run_gd_aux)(lm, y, lam, steps=steps)
+        k, v = lm.K.eigh
+        s = k + lam * lam
+        t = np.arange(steps + 1)[:, None]
+        decay = np.maximum(1.0 - traj.eta * s, 0.0) ** t
+        gain = np.divide(1.0 - decay, s, out=traj.eta * t * np.ones_like(decay), where=s > 0.0)
+        expected = (gain * (v.T @ y)) @ v.T
+        assert np.max(np.abs(traj.coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))

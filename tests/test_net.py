@@ -56,6 +56,27 @@ class TestConfig:
         with pytest.raises(ValidationError):
             NetConfig(input_dim=3, widths=(4,), scale_c=0.0)
 
+    @pytest.mark.parametrize("make, match", [
+        pytest.param(lambda: NetConfig(input_dim=3, widths=(16.9, 4)), "hidden width", id="width-float"),
+        pytest.param(lambda: NetConfig(input_dim=3, widths=(16, True)), "hidden width", id="width-true"),
+        pytest.param(lambda: NetConfig(input_dim=3.5, widths=(4,)), "input_dim", id="input-dim-float"),
+        pytest.param(lambda: NetConfig(input_dim=True, widths=(4,)), "input_dim", id="input-dim-true"),
+        pytest.param(lambda: NetConfig(input_dim=3, widths=(4,), outputs=True), "outputs", id="outputs-true"),
+        pytest.param(lambda: NetConfig(input_dim=3, widths=(4,), outputs=2.0), "outputs", id="outputs-float"),
+        pytest.param(lambda: TrainConfig("rdi", eta=0.1, steps=2.5), "steps", id="steps-float"),
+        pytest.param(lambda: TrainConfig("rdi", eta=0.1, steps=True), "steps", id="steps-true"),
+        pytest.param(lambda: TrainConfig("rdi", eta=0.1, steps=np.float64(3.0)), "steps", id="steps-numpy-float"),
+    ])
+    def test_integer_fields_rejected(self, make, match):
+        with pytest.raises(ValidationError, match=f"{match} must be an integer"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        cfg = NetConfig(input_dim=np.int64(3), widths=np.array([4, 5]), outputs=np.int32(2))
+        assert cfg == NetConfig(input_dim=3, widths=(4, 5), outputs=2)
+        assert all(type(value) is int for value in cfg.dims)
+        assert TrainConfig("rdi", eta=0.1, steps=np.int64(3)).steps == 3
+
     def test_frozen_layers(self):
         two = NetConfig(input_dim=3, widths=(4,), freeze_first_last=True)
         assert two.frozen_layers == frozenset({1})  # two-layer nets keep the first trainable
