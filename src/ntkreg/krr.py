@@ -10,12 +10,20 @@ fits at one ridge and the bounds on the same K factor each shift once; the
 factor of K itself is the one the kernel matrix's PSD check built, for the
 kernels certified by their factor.
 
-scipy is imported on the first factorization, not with this module: its
-``scipy.linalg`` adds about 0.3 s and 28 MB to a process, which the commands
-that never solve with a kernel (``equivalence``, ``train`` and the
-``linear-*`` and ``net-*`` sweeps) do not pay.
+Factorizations and solves call LAPACK's ``dpotrf`` and ``dpotrs`` from
+scipy's ``_flapack`` extension, which the first factorization loads by file
+path in about 5 ms and 3 MB. Neither ``scipy`` nor ``scipy.linalg`` is imported: that
+package adds about 0.3 s and 28 MB to a process, nearly all of it in modules
+a Cholesky factorization never uses. Commands that never solve with a
+kernel (``equivalence``, ``train``, ``kernel`` and the ``linear-*`` and
+``net-*`` sweeps) load no LAPACK extension at all.
 """
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,18 +38,87 @@ BASE_JITTER_FACTOR = 1e-10
 JITTER_ESCALATIONS = 3
 
 
-def cho_factor(a, lower=False, overwrite_a=False, check_finite=True):
-    """``scipy.linalg.cho_factor``, with scipy imported on the first call."""
-    from scipy.linalg import cho_factor as factor
+_FLAPACK = "scipy.linalg._flapack"
 
-    return factor(a, lower=lower, overwrite_a=overwrite_a, check_finite=check_finite)
+
+def _flapack_file():
+    """Path of scipy's LAPACK extension module, or None if it is not a file there."""
+    spec = importlib.util.find_spec("scipy")
+    folders = spec.submodule_search_locations if spec is not None else None
+    for folder in folders or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+@functools.cache
+def _lapack():
+    """LAPACK's ``(dpotrf, dpotrs)``, as wrapped in scipy's ``_flapack`` extension.
+
+    The extension is loaded by file path and registered under its own name,
+    which runs neither ``scipy``'s nor ``scipy.linalg``'s ``__init__``; a
+    later ``import scipy.linalg`` finds it there. Without the file, the same
+    wrappers come from ``scipy.linalg.lapack``.
+    """
+    path = _flapack_file()
+    if path is None:
+        from scipy.linalg.lapack import dpotrf, dpotrs
+
+        return dpotrf, dpotrs
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    return module.dpotrf, module.dpotrs
+
+
+def cho_factor(a, lower=False, overwrite_a=False, check_finite=True):
+    """Cholesky factor ``(c, lower)`` of a float64 matrix, as ``scipy.linalg.cho_factor``.
+
+    Makes the same ``dpotrf`` call (``clean=0``: the other triangle of ``c``
+    holds what ``a`` held there), so the factor is the same to the bit. The
+    first call of either function loads scipy's ``_flapack`` extension, about
+    5 ms and 3 MB, and imports no ``scipy.linalg``. With ``overwrite_a``
+    a Fortran-order float64 ``a`` is factored in place. Raises
+    ``np.linalg.LinAlgError`` if ``a`` is not positive definite, and
+    ``ValueError`` for a non-square or, with ``check_finite``, non-finite ``a``.
+    """
+    as_array = np.asarray_chkfinite if check_finite else np.asarray
+    a1 = np.atleast_2d(as_array(a))
+    if a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a1.shape}")
+    potrf, _ = _lapack()
+    c, info = potrf(a1, lower=lower, overwrite_a=overwrite_a, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpotrf")
+    return c, lower
 
 
 def cho_solve(c_and_lower, b, check_finite=True):
-    """``scipy.linalg.cho_solve``, with scipy imported on the first call."""
-    from scipy.linalg import cho_solve as solve
+    """Solve A x = b from ``cho_factor``'s ``(c, lower)``, as ``scipy.linalg.cho_solve``.
 
-    return solve(c_and_lower, b, check_finite=check_finite)
+    ``b`` is an n-vector or an (n, k) matrix. Makes the same ``dpotrs`` call,
+    so ``x`` is the same to the bit; ``b`` is not written. Like
+    ``cho_factor``, it loads only scipy's ``_flapack`` extension. Raises
+    ``ValueError`` for mismatched shapes or, with ``check_finite``,
+    non-finite ``c`` or ``b``.
+    """
+    as_array = np.asarray_chkfinite if check_finite else np.asarray
+    c, b1 = as_array(c_and_lower[0]), as_array(b)
+    lower = c_and_lower[1]
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or b1.ndim not in (1, 2) or b1.shape[0] != c.shape[0]:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {b1.shape})")
+    _, potrs = _lapack()
+    x, info = potrs(c, b1, lower=lower)
+    if info != 0:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpotrs")
+    return x
 
 
 class PSDSolver:

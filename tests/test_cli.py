@@ -1017,7 +1017,12 @@ class TestNetGroups:
 
 
 class TestScipyOnlyToFactor:
-    """scipy is imported on the first factorization: commands that never solve with a kernel skip it."""
+    """Solving loads scipy's LAPACK extension alone; commands that never solve with a kernel load nothing of scipy.
+
+    The first factorization loads ``scipy.linalg._flapack`` by file path, so
+    neither ``scipy`` nor ``scipy.linalg`` is imported, even by a command that
+    factors.
+    """
 
     SCRIPT = (
         "import json, sys\n"
@@ -1033,7 +1038,9 @@ class TestScipyOnlyToFactor:
         "train": ("train", {"method": "net-rdi", "eta": None}),
         "linear-rdi": ("sweep", {"method": "linear-rdi"}),
         "net-rdi": ("sweep", {"method": "net-rdi"}),
-        "krr": ("sweep", {"method": "krr", "model": {"kind": "analytic", "depth": 2}}),
+        "krr-sweep": ("sweep", {"method": "krr", "model": {"kind": "analytic", "depth": 2}}),
+        "krr": ("krr", {"model": {"kind": "analytic", "depth": 2}}),
+        "bounds": ("bounds", {"model": {"kind": "analytic", "depth": 2}}),
         "kernel": ("kernel", {"model": {"kind": "analytic", "depth": 2}}),
     }
 
@@ -1057,8 +1064,9 @@ class TestScipyOnlyToFactor:
     def test_no_scipy_without_a_solve(self, tmp_path, name):
         assert self.modules_after(tmp_path, name) == []
 
-    def test_krr_sweep_loads_scipy_linalg(self, tmp_path):
-        assert "scipy.linalg" in self.modules_after(tmp_path, "krr")
+    @pytest.mark.parametrize("name", ["krr-sweep", "krr", "bounds"])
+    def test_solves_load_only_lapack(self, tmp_path, name):
+        assert self.modules_after(tmp_path, name) == ["scipy.linalg._flapack"]
 
 
 class TestEigenbasisReaders:

@@ -17,6 +17,8 @@ from ntkreg.kernel import AnalyticNTK, analytic_ntk, kernel_cross
 from ntkreg.krr import (
     KRRPredictor,
     PSDSolver,
+    cho_factor,
+    cho_solve,
     export_predictions,
     krr_fit,
     rkhs_norm,
@@ -186,6 +188,96 @@ class TestSolverAgainstDenseInverse:
         solver = PSDSolver(values, 0.0)
         with pytest.raises(SingularityError):
             solver.solve_checked(np.array([1.0, 1.0, 1.0]))
+
+
+def spd_matrix(n, seed=0):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+class TestLapackCalls:
+    """``cho_factor`` and ``cho_solve`` make scipy's LAPACK calls, loaded without ``scipy.linalg``."""
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_bit_equal_to_scipy(self, n, lower):
+        a = spd_matrix(n, seed=n)
+        c, flag = cho_factor(a, lower=lower)
+        expected, _ = scipy.linalg.cho_factor(a, lower=lower)
+        assert flag is lower
+        assert c.tobytes(order="A") == expected.tobytes(order="A") and c.flags.f_contiguous
+        b = np.random.default_rng(n + 1).standard_normal((n, 3))
+        for rhs in (b, b[:, 0]):
+            x = cho_solve((c, lower), rhs)
+            reference = scipy.linalg.cho_solve((expected, lower), rhs)
+            assert x.shape == rhs.shape and x.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("a", [-np.eye(3), np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, 1.0, 0.0])],
+                             ids=["negative", "indefinite", "singular"])
+    def test_not_positive_definite_raises_linalg_error(self, a):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            cho_factor(a, lower=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected_when_checked(self, bad):
+        a = spd_matrix(4)
+        a[1, 2] = bad
+        with pytest.raises(ValueError):
+            cho_factor(a)
+        c = cho_factor(spd_matrix(4))
+        with pytest.raises(ValueError):
+            cho_solve(c, np.array([1.0, bad, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError):
+            cho_factor(np.ones(shape))
+
+    def test_mismatched_right_hand_side_rejected(self):
+        with pytest.raises(ValueError, match="incompatible dimensions"):
+            cho_solve(cho_factor(spd_matrix(4)), np.ones(5))
+
+    def test_overwrite_a(self):
+        a = np.asfortranarray(spd_matrix(6))
+        before = a.copy()
+        c, _ = cho_factor(a, lower=True)
+        assert a.tobytes() == before.tobytes() and not np.shares_memory(a, c)
+        c_in_place, _ = cho_factor(a, lower=True, overwrite_a=True)
+        assert np.shares_memory(a, c_in_place) and c_in_place.tobytes() == c.tobytes()
+
+    def test_right_hand_side_not_written(self):
+        c = cho_factor(spd_matrix(5), lower=True)
+        b = np.asfortranarray(np.random.default_rng(2).standard_normal((5, 2)))
+        before = b.copy()
+        cho_solve(c, b)
+        assert b.tobytes() == before.tobytes()
+
+    def test_fallback_through_scipy_linalg_gives_the_same_bits(self, tmp_path):
+        # fresh interpreters, one finding the extension file and one whose
+        # lookup misses: only the fallback imports scipy.linalg
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from ntkreg import krr\n"
+            "if sys.argv[2] == 'miss':\n"
+            "    krr._flapack_file = lambda: None\n"
+            "a = np.load(sys.argv[1])\n"
+            "c = krr.cho_factor(a, lower=True)\n"
+            "np.save(sys.argv[3], np.stack([c[0], krr.cho_solve(c, a)]))\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        a = spd_matrix(50)
+        np.save(tmp_path / "a.npy", a)
+        c, _ = cho_factor(a, lower=True)
+        expected = np.stack([c, cho_solve((c, True), a)]).tobytes()
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ntkreg.__file__)))
+        for lookup, imports_scipy_linalg in (("file", "False"), ("miss", "True")):
+            out = tmp_path / f"{lookup}.npy"
+            run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "a.npy"), lookup, str(out)],
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.strip() == imports_scipy_linalg
+            assert np.load(out).tobytes() == expected
 
 
 class TestNonFiniteTargets:
