@@ -23,15 +23,9 @@ from .bounds import (
 )
 from .data import (
     DataSet,
-    KernelCache,
-    Provenance,
-    dataset_digest,
-    load_kernel,
     load_mnist_binary,
-    make_kernel_cache,
     predicted_classes,
     prediction_error,
-    save_kernel,
     split_dataset,
     synth_multiclass,
     synth_sphere,
@@ -41,7 +35,6 @@ from .errors import (
     DivergenceError,
     EmptyDatasetError,
     SingularityError,
-    StaleCacheError,
     ToolkitError,
     TrickViolationError,
     ValidationError,

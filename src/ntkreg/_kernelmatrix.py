@@ -3,10 +3,8 @@ Cholesky factorization of K that also serves its solves or by K's spectrum,
 with the factorizations of its shifts K + shift I, and a spectrum and an
 eigendecomposition computed only when read.
 
-Lives in its own module (re-exported by ``kernel``) so that the kernel cache
-I/O in ``data`` can construct instances without a circular import. The
-solver class comes from ``krr``, which imports this module, so
-:meth:`KernelMatrix.solver` imports it on first use.
+Re-exported by ``kernel``. The solver class comes from ``krr``, which
+imports this module, so :meth:`KernelMatrix.solver` imports it on first use.
 """
 
 from dataclasses import dataclass, field
@@ -67,6 +65,8 @@ class KernelMatrix:
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError(f"kernel matrix must be square, got shape {values.shape}")
         n = values.shape[0]
+        if n == 0:
+            raise ValidationError("kernel matrix is empty (0 x 0); it needs at least one point")
         # max and min propagate NaN and +-inf, so together they check
         # finiteness and give max|K| without an n x n temporary
         top, bottom = float(values.max()), float(values.min())

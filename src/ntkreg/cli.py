@@ -15,7 +15,6 @@ import argparse
 import concurrent.futures
 import contextlib
 import copy
-import dataclasses
 import itertools
 import json
 import os
@@ -27,15 +26,11 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .data import (
-    Provenance,
     _write_csv,
     _write_json,
-    load_kernel,
     load_mnist_binary,
-    make_kernel_cache,
     onehot_matrix,
     prediction_error,
-    save_kernel,
     split_dataset,
     synth_multiclass,
     synth_sphere,
@@ -45,7 +40,6 @@ from .errors import (
     DivergenceError,
     EmptyDatasetError,
     SingularityError,
-    StaleCacheError,
     ToolkitError,
     TrickViolationError,
     ValidationError,
@@ -161,6 +155,8 @@ def load_config(path=None, overrides=None, command=None) -> dict:
                 user = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ValidationError(f"config {path} must hold a JSON object, got {type(user).__name__}")
         unknown = set(user) - set(DEFAULT_CONFIG)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -347,42 +343,12 @@ def _ensure_out(config: dict) -> str:
 # kernel command
 
 
-def _kernel_provenance(config: dict, source, seed: int) -> Provenance:
-    """What makes ``source`` one kernel: the depth of an analytic kernel, or
-    the architecture and the (init_seed, seed) draw of an empirical kernel's net."""
-    if source.kind == "analytic":
-        return Provenance(kind="analytic", depth=source.depth)
-    net = source.mlp.config
-    init_seed = _spec("model", config["model"])["init_seed"]
-    model = json.dumps({"net": dataclasses.asdict(net), "seeds": [init_seed, seed]}, sort_keys=True)
-    return Provenance(kind="empirical", width=net.widths[0], depth=net.depth, seed=init_seed,
-                      model=model)
-
-
 def cmd_kernel(config: dict) -> int:
-    out = _ensure_out(config)
+    _ensure_out(config)
     cell, data, _ = _single_run(config)
     source = build_kernel_source(config, data, cell["seed"])
-    provenance = _kernel_provenance(config, source, cell["seed"])
-    cache_path = os.path.join(out, "kernel.ntkk")
-    matrix = None
-    if os.path.exists(cache_path):
-        try:
-            cache = load_kernel(cache_path, data, certificate="spectrum")
-            if cache.provenance == provenance:
-                matrix = cache.matrix
-                _log(f"cache hit: reusing {cache_path}")
-            else:
-                _log(f"cache at {cache_path} holds another model's kernel; rebuilding")
-        except StaleCacheError:
-            _log(f"stale cache at {cache_path}; rebuilding")
-        except DataFormatError:
-            _log(f"malformed cache at {cache_path}; rebuilding")
-    if matrix is None:
-        _log(f"building {source.kind} kernel for n={data.n}")
-        matrix = source.gram(data, certificate="spectrum")
-        save_kernel(make_kernel_cache(matrix, provenance, data), cache_path)
-        _log(f"wrote cache {cache_path}")
+    _log(f"building {source.kind} kernel for n={data.n}")
+    matrix = source.gram(data, certificate="spectrum")
     print(f"trace = {matrix.trace!r}")
     print(f"op_norm = {matrix.op_norm!r}")
     print(f"min_eig = {matrix.min_eig!r}")
@@ -798,7 +764,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ntkreg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("kernel", "build (or reuse) a kernel matrix cache and print its statistics"),
+        ("kernel", "build a kernel matrix and print its trace, norm and least eigenvalue"),
         ("equivalence", "check that the two regularized trajectories coincide step for step"),
         ("train", "train a finite-width network with the chosen objective"),
         ("krr", "fit kernel ridge regression and report errors"),
@@ -861,7 +827,7 @@ def main(argv=None) -> int:
     except (SingularityError, DivergenceError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DataFormatError, StaleCacheError, OSError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ToolkitError as exc:

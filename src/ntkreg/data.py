@@ -1,4 +1,4 @@
-"""Datasets, the task rule, MNIST IDX ingestion, and kernel-matrix caching.
+"""Datasets, the task rule, MNIST IDX ingestion, and CSV and JSON output.
 
 All stochastic constructors take an explicit 64-bit seed and use numpy's
 PCG64 generator, so every dataset is bit-reproducible. Input rows are
@@ -13,15 +13,13 @@ Every CSV and JSON payload the package writes goes through ``_write_csv``
 and ``_write_json``, so one cell format and one JSON layout serve them all.
 """
 
-import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernelmatrix import KernelMatrix
-from .errors import DataFormatError, EmptyDatasetError, StaleCacheError, ValidationError
+from .errors import DataFormatError, EmptyDatasetError, ValidationError
 
 ROW_NORM_TOL = 1e-12
 
@@ -32,10 +30,6 @@ _TASKS = (TASK_REGRESSION, TASK_BINARY, TASK_MULTICLASS)
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
-
-CACHE_MAGIC = b"NTKK"
-CACHE_VERSION = 2
-_PROVENANCE_KINDS = ("empirical", "analytic")
 
 
 @dataclass
@@ -343,93 +337,3 @@ def split_dataset(data: DataSet, n_train: int):
         noisy_labels=data.noisy_labels[n_train:],
     )
     return head, tail
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """How a cached kernel was produced; the whole record round-trips through the cache file.
-
-    ``width``, ``depth`` and ``seed`` summarize the model. ``model``
-    identifies it: two kernels of one ``kind`` are the same kernel only if
-    their ``depth`` and ``model`` agree (for an empirical kernel, canonical
-    JSON of the net's architecture and the seeds it was drawn at).
-    """
-
-    kind: str
-    width: int | None = None
-    depth: int | None = None
-    seed: int | None = None
-    model: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in _PROVENANCE_KINDS:
-            raise ValidationError(f"unknown provenance kind {self.kind!r}")
-
-
-@dataclass
-class KernelCache:
-    matrix: KernelMatrix
-    provenance: Provenance
-    input_digest: bytes
-
-
-def dataset_digest(data: DataSet) -> bytes:
-    """SHA-256 over the input matrix (shape header plus little-endian f64 payload)."""
-    h = hashlib.sha256()
-    h.update(struct.pack("<QQ", data.n, data.d))
-    h.update(np.ascontiguousarray(data.inputs, dtype="<f8").tobytes())
-    return h.digest()
-
-
-def make_kernel_cache(matrix: KernelMatrix, provenance: Provenance, data: DataSet) -> KernelCache:
-    return KernelCache(matrix=matrix, provenance=provenance, input_digest=dataset_digest(data))
-
-
-def save_kernel(cache: KernelCache, path) -> None:
-    """Write a cache file: magic, u16 version, u64 n, 32-byte input digest,
-    u32 length and the provenance as key-sorted UTF-8 JSON, then n*n
-    little-endian f64 values row-major. Integer header fields are
-    little-endian."""
-    n = cache.matrix.n
-    provenance = json.dumps(asdict(cache.provenance), sort_keys=True).encode()
-    payload = np.ascontiguousarray(cache.matrix.values, dtype="<f8").tobytes()
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC + struct.pack("<HQ", CACHE_VERSION, n))
-        f.write(cache.input_digest)
-        f.write(struct.pack("<I", len(provenance)) + provenance)
-        f.write(payload)
-
-
-def load_kernel(path, data: DataSet, certificate: str = "factor") -> KernelCache:
-    """Read a cache file and verify its input digest against ``data``.
-
-    The f64 payload round-trips bit-exactly. A digest mismatch raises
-    StaleCacheError; any structural problem raises DataFormatError.
-    ``certificate`` picks the loaded matrix's PSD certificate, as in
-    ``KernelMatrix.from_values``.
-    """
-    buf = open(path, "rb").read()
-    magic = _read_exact(buf, 0, 4, "cache magic")
-    if magic != CACHE_MAGIC:
-        raise DataFormatError(f"bad kernel cache magic {magic!r} in {path}")
-    version, n = struct.unpack("<HQ", _read_exact(buf, 4, 10, "cache header"))
-    if version != CACHE_VERSION:
-        raise DataFormatError(f"unsupported kernel cache version {version}")
-    digest = _read_exact(buf, 14, 32, "input digest")
-    (length,) = struct.unpack("<I", _read_exact(buf, 46, 4, "provenance length"))
-    record = _read_exact(buf, 50, length, "provenance")
-    start = 50 + length
-    payload = _read_exact(buf, start, n * n * 8, "kernel values")
-    if len(buf) != start + n * n * 8:
-        raise DataFormatError(f"kernel cache has {len(buf) - start - n * n * 8} trailing bytes")
-    try:
-        provenance = Provenance(**json.loads(record))
-    except (ValueError, TypeError) as exc:  # bad UTF-8 or JSON, unknown keys or kind
-        raise DataFormatError(f"malformed kernel provenance in {path}: {exc}") from exc
-    if digest != dataset_digest(data):
-        raise StaleCacheError(
-            f"kernel cache {path} was built from different inputs (digest mismatch)"
-        )
-    values = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64)
-    matrix = KernelMatrix.from_values(values, certificate)
-    return KernelCache(matrix=matrix, provenance=provenance, input_digest=digest)

@@ -26,11 +26,7 @@ class EmptyDatasetError(ToolkitError):
 
 
 class DataFormatError(ToolkitError):
-    """A binary file (IDX images/labels, kernel cache) is malformed or truncated."""
-
-
-class StaleCacheError(ToolkitError):
-    """A kernel cache was built from different inputs than the current dataset."""
+    """An IDX image or label file is malformed or truncated."""
 
 
 class SingularityError(ToolkitError):

@@ -1,10 +1,9 @@
-"""End-to-end command tests: outputs, caching, exit codes, reproducibility."""
+"""End-to-end command tests: outputs, exit codes, reproducibility."""
 
 import csv
 import json
 import os
 import re
-import struct
 import subprocess
 import sys
 
@@ -13,7 +12,6 @@ import pytest
 
 from ntkreg import cli as cli_module
 from ntkreg import krr as krr_module
-from ntkreg._kernelmatrix import KernelMatrix
 from ntkreg.bounds import bound_binary, empirical_clean_risk
 from ntkreg.cli import (
     EXIT_CHECK_FAILED,
@@ -27,7 +25,7 @@ from ntkreg.cli import (
     load_config,
     main,
 )
-from ntkreg.data import dataset_digest, onehot_matrix, prediction_error, synth_sphere
+from ntkreg.data import onehot_matrix, prediction_error
 from ntkreg.kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
 from ntkreg.krr import krr_fit
 from ntkreg.linmodel import linearize, run_gd_rdi
@@ -68,60 +66,39 @@ def small_synth(n=24, d=6, test_n=None, seed=3):
 
 class TestKernelCommand:
     def test_build_then_cache_hit(self, tmp_path, capsys):
+        # no kernel is stored: a rerun into the same directory builds again and prints the same lines
+        out = tmp_path / "out"
         cfg = write_config(
             tmp_path, "cfg.json",
             {"dataset": small_synth(n=20), "model": {"kind": "analytic", "depth": 2},
-             "out": str(tmp_path / "out")},
+             "out": str(out)},
         )
         assert main(["kernel", "--config", cfg]) == EXIT_OK
         first = capsys.readouterr().out
         assert "trace = 40.0" in first  # diag is exactly 2 for depth 2
         assert main(["kernel", "--config", cfg]) == EXIT_OK
         second = capsys.readouterr().out
-        assert "cache hit" in second
+        assert second.splitlines()[-3:] == first.splitlines()[-3:]
+        assert sorted(os.listdir(out)) == ["resolved_config.json"]
 
     @pytest.mark.parametrize("model", [{"kind": "analytic", "depth": 2}, {"kind": "net", "widths": [16]}],
                              ids=["analytic", "net"])
     def test_certified_by_its_spectrum(self, tmp_path, capsys, monkeypatch, model):
-        # the build and the cache hit each read one eigvalsh, which certifies K and gives both numbers
+        # one eigvalsh per run certifies K and gives both numbers
         factors = count_calls(monkeypatch, krr_module, "cho_factor")
         spectra = count_calls(monkeypatch, np.linalg, "eigvalsh")
         bases = count_calls(monkeypatch, np.linalg, "eigh")
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=20), "model": model, "out": str(out)})
-        assert main(["kernel", "--config", cfg]) == EXIT_OK
-        built = capsys.readouterr().out
-        assert (len(factors), len(spectra), len(bases)) == (0, 1, 0)
-        assert main(["kernel", "--config", cfg]) == EXIT_OK
-        hit = capsys.readouterr().out
-        assert "cache hit" in hit and (len(factors), len(spectra), len(bases)) == (0, 2, 0)
-        # the printed numbers are those of a factor-certified K, to the last digit
-        with open(out / "kernel.ntkk", "rb") as f:
-            payload = f.read()
-        n = struct.unpack("<Q", payload[6:14])[0]
-        reference = KernelMatrix.from_values(np.frombuffer(payload[-8 * n * n:], dtype="<f8").reshape(n, n))
-        lines = [f"trace = {reference.trace!r}", f"op_norm = {reference.op_norm!r}",
-                 f"min_eig = {reference.min_eig!r}"]
-        for text in (built, hit):
-            assert text.splitlines()[-3:] == lines
-
-    def test_corrupt_cache_rebuilt(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        cfg = write_config(
-            tmp_path, "cfg.json",
-            {"dataset": small_synth(n=12), "model": {"kind": "analytic", "depth": 2},
-             "out": str(out)},
-        )
-        assert main(["kernel", "--config", cfg]) == EXIT_OK
-        capsys.readouterr()
-        cache = out / "kernel.ntkk"
-        data = bytearray(open(cache, "rb").read())
-        data[20] ^= 0xFF  # flip a digest byte
-        with open(cache, "wb") as f:
-            f.write(bytes(data))
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"dataset": small_synth(n=20), "model": model, "out": str(tmp_path / "out")})
         assert main(["kernel", "--config", cfg]) == EXIT_OK
         text = capsys.readouterr().out
-        assert "stale cache" in text or "malformed cache" in text
+        assert (len(factors), len(spectra), len(bases)) == (0, 1, 0)
+        # the printed numbers are those of a factor-certified K, to the last digit
+        resolved = load_config(cfg, command="kernel")
+        cell, data, _ = cli_module._single_run(resolved)
+        reference = cli_module.build_kernel_source(resolved, data, cell["seed"]).gram(data)
+        assert text.splitlines()[-3:] == [f"trace = {reference.trace!r}", f"op_norm = {reference.op_norm!r}",
+                                          f"min_eig = {reference.min_eig!r}"]
 
     def test_resolved_config_written(self, tmp_path):
         out = tmp_path / "out"
@@ -640,6 +617,16 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, "bad.json", {"no_such_key": 1})
         assert main(["kernel", "--config", cfg]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("payload", [5, None, [["lambda", 2]], "x", []],
+                             ids=["number", "null", "pairs", "string", "empty-list"])
+    def test_config_must_be_an_object(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path, "bad.json", payload)
+        out = tmp_path / "o"
+        assert main(["kernel", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "must hold a JSON object" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["kernel", "--config", str(tmp_path / "nope.json")]) == EXIT_IO
 
@@ -1142,57 +1129,6 @@ class TestWorkerThreads:
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         assert len(seen) == 1 and seen[0][0] == "spawn" and seen[0][1] is not None
         assert "OPENBLAS_NUM_THREADS" not in os.environ
-
-
-class TestKernelCacheIdentity:
-    """A cache hit needs the same kernel, not only the same kernel kind."""
-
-    def run_kernel(self, capsys, out, *flags):
-        assert main(["kernel", "--out", str(out), *flags]) == EXIT_OK
-        return capsys.readouterr().out
-
-    @pytest.mark.parametrize("first, second", [
-        (["--depth", "2"], ["--depth", "3"]),
-        (["--width", "64"], ["--width", "128"]),
-    ])
-    def test_other_model_rebuilds(self, tmp_path, capsys, first, second):
-        self.run_kernel(capsys, tmp_path / "shared", *first)
-        reused = self.run_kernel(capsys, tmp_path / "shared", *second)
-        fresh = self.run_kernel(capsys, tmp_path / "fresh", *second)
-        assert "cache hit" not in reused
-        trace = [line for line in fresh.splitlines() if line.startswith("trace = ")]
-        assert trace and trace[0] in reused.splitlines()
-        assert "cache hit" in self.run_kernel(capsys, tmp_path / "shared", *second)
-
-    @pytest.mark.parametrize("change", [
-        {"widths": [16, 12]},
-        {"init_seed": 4},
-        {"freeze_first_last": False},
-        {"difference_trick": False},
-    ])
-    def test_net_identity_covers_every_setting(self, tmp_path, capsys, change):
-        base = {"kind": "net", "widths": [16, 16], "init_seed": 0}
-        out = str(tmp_path / "out")
-        for model in (base, dict(base, **change), dict(base, **change)):
-            cfg = write_config(tmp_path, "cfg.json",
-                               {"dataset": small_synth(n=12), "model": model, "out": out})
-            assert main(["kernel", "--config", cfg]) == EXIT_OK
-        logs = capsys.readouterr().out
-        assert logs.count("cache hit") == 1  # only the rerun of the changed model
-
-    def test_version_one_file_rebuilt(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        out.mkdir()
-        spec = small_synth(n=5)
-        data = synth_sphere(spec["n"], spec["d"], spec["target"], spec["seed"])
-        # the version-1 layout: magic, version, provenance tag, n, digest, values
-        with open(out / "kernel.ntkk", "wb") as f:
-            f.write(b"NTKK" + struct.pack("<HBQ", 1, 1, 5) + dataset_digest(data))
-            f.write(np.eye(5).astype("<f8").tobytes())
-        cfg = write_config(tmp_path, "cfg.json", {"dataset": spec, "out": str(out)})
-        assert main(["kernel", "--config", cfg]) == EXIT_OK
-        text = capsys.readouterr().out
-        assert "malformed cache" in text and "trace = 10.0" in text
 
 
 class TestNoiseKindValidation:

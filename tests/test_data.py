@@ -1,4 +1,4 @@
-"""Dataset constructors, IDX ingestion, and kernel cache round trips."""
+"""Dataset constructors, the task rule, IDX ingestion, and CSV and JSON output."""
 
 import hashlib
 import struct
@@ -6,20 +6,14 @@ import struct
 import numpy as np
 import pytest
 
-from ntkreg._kernelmatrix import KernelMatrix
 from ntkreg.data import (
     TASK_BINARY,
     TASK_MULTICLASS,
     TASK_REGRESSION,
     DataSet,
-    Provenance,
-    dataset_digest,
-    load_kernel,
     load_mnist_binary,
-    make_kernel_cache,
     predicted_classes,
     prediction_error,
-    save_kernel,
     split_dataset,
     _write_csv,
     _write_json,
@@ -29,7 +23,6 @@ from ntkreg.data import (
 from ntkreg.errors import (
     DataFormatError,
     EmptyDatasetError,
-    StaleCacheError,
     ValidationError,
 )
 
@@ -185,90 +178,14 @@ class TestDataSetInvariants:
             split_dataset(ds, 10)
 
 
-class TestKernelCache:
-    def make_cache(self, n=3, seed=0):
-        ds = synth_sphere(n, 4, "linear-sign", seed=seed)
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n))
-        values = a @ a.T + n * np.eye(n)
-        values = np.triu(values) + np.triu(values, 1).T
-        matrix = KernelMatrix.from_values(values)
-        return ds, make_kernel_cache(matrix, Provenance(kind="analytic", depth=2), ds)
-
-    def test_round_trip_bit_exact(self, tmp_path):
-        ds, cache = self.make_cache()
-        path = tmp_path / "k.ntkk"
-        save_kernel(cache, path)
-        loaded = load_kernel(path, ds)
-        assert np.array_equal(loaded.matrix.values, cache.matrix.values)
-        assert loaded.provenance.kind == "analytic"
-        assert loaded.input_digest == cache.input_digest
-
-    def test_digest_rejects_single_bit_change(self, tmp_path):
-        ds, cache = self.make_cache()
-        path = tmp_path / "k.ntkk"
-        save_kernel(cache, path)
-        perturbed_inputs = ds.inputs.copy()
-        perturbed_inputs[0, 0] = np.nextafter(perturbed_inputs[0, 0], 1.0)
-        perturbed = DataSet(
-            perturbed_inputs, ds.clean_labels, ds.noisy_labels, ds.task, normalized=False
-        )
-        with pytest.raises(StaleCacheError):
-            load_kernel(path, perturbed)
-
-    def test_truncated_file(self, tmp_path):
-        ds, cache = self.make_cache()
-        path = tmp_path / "k.ntkk"
-        save_kernel(cache, path)
-        data = open(path, "rb").read()
-        with open(path, "wb") as f:
-            f.write(data[:50])
-        with pytest.raises(DataFormatError):
-            load_kernel(path, ds)
-
-    def test_bad_magic(self, tmp_path):
-        ds, cache = self.make_cache()
-        path = tmp_path / "k.ntkk"
-        save_kernel(cache, path)
-        data = bytearray(open(path, "rb").read())
-        data[0] = ord("X")
-        with open(path, "wb") as f:
-            f.write(bytes(data))
-        with pytest.raises(DataFormatError):
-            load_kernel(path, ds)
-
-    def test_provenance_round_trips(self, tmp_path):
-        ds, cache = self.make_cache()
-        provenance = Provenance(kind="empirical", width=16, depth=3, seed=2,
-                                model='{"net": {"widths": [16, 12]}, "seeds": [2, 0]}')
-        save_kernel(make_kernel_cache(cache.matrix, provenance, ds), tmp_path / "k.ntkk")
-        assert load_kernel(tmp_path / "k.ntkk", ds).provenance == provenance
-
-    def test_malformed_provenance(self, tmp_path):
-        ds, cache = self.make_cache()
-        path = tmp_path / "k.ntkk"
-        save_kernel(cache, path)
-        data = bytearray(open(path, "rb").read())
-        data[50] = ord("[")  # the provenance record is no longer a JSON object
-        with open(path, "wb") as f:
-            f.write(bytes(data))
-        with pytest.raises(DataFormatError):
-            load_kernel(path, ds)
-
-    def test_digest_is_content_hash(self):
-        ds = synth_sphere(5, 3, "linear-sign", seed=1)
-        same = synth_sphere(5, 3, "linear-sign", seed=1)
-        other = synth_sphere(5, 3, "linear-sign", seed=2)
-        assert dataset_digest(ds) == dataset_digest(same)
-        assert dataset_digest(ds) != dataset_digest(other)
-
-
 class TestSynthMulticlass:
     def test_draws_are_bit_stable(self):
         # digests of the draw that the CLI's synth-multiclass datasets have
-        # always used: inputs first, then the direction w
+        # always used: inputs first, then the direction w; the inputs are
+        # hashed behind a (n, d) header
         ds = synth_multiclass(61, 7, 4, seed=11)
-        assert dataset_digest(ds).hex() == (
+        inputs = hashlib.sha256(struct.pack("<QQ", ds.n, ds.d) + ds.inputs.astype("<f8").tobytes())
+        assert inputs.hexdigest() == (
             "7fec36010fd1c21222600a9f7515613051bd9acab580eb29ba36c5c36bf93ed6"
         )
         labels = hashlib.sha256(ds.clean_labels.astype("<i8").tobytes()).hexdigest()

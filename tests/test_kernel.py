@@ -396,6 +396,11 @@ class TestKernelMatrixChecks:
         with pytest.raises(ValidationError, match="^kernel matrix contains non-finite entries$"):
             KernelMatrix.from_values(values)
 
+    @pytest.mark.parametrize("certificate", ["factor", "spectrum", "eigh"])
+    def test_rejects_empty(self, certificate):
+        with pytest.raises(ValidationError, match="kernel matrix is empty"):
+            KernelMatrix.from_values(np.empty((0, 0)), certificate)
+
     def test_rejects_negative_definite(self):
         with pytest.raises(ValidationError):
             KernelMatrix.from_values(-np.eye(3))
