@@ -34,10 +34,10 @@ class KernelMatrix:
     the ladder fails does an ``eigvalsh`` decide. It suits a K that will be
     solved with: fits, bounds and the closed-form limit on one instance share
     the factorizations that :meth:`solver` keeps. ``"spectrum"`` tests the
-    same rule on the ``eigvalsh`` spectrum and builds no factor, so no LAPACK
-    extension is loaded; it suits a K read only for its values and ``op_norm``, such
-    as the kernel of the default step or of ``ntkreg kernel``, and a later
-    solve still factors on demand. ``"eigh"`` tests the rule on the
+    same rule on the ``eigvalsh`` spectrum and builds no factor; it suits a
+    K read only for its values and ``op_norm``, such as the kernel of the
+    default step or of ``ntkreg kernel``, and a later solve still factors on
+    demand. ``"eigh"`` tests the rule on the
     eigenvalues of :attr:`eigh` instead, for a K whose eigenvectors will be
     read, such as the kernel of linearized gradient descent. ``min_eig`` and
     ``op_norm`` come from one spectrum, computed on first read: the

@@ -10,23 +10,24 @@ fits at one ridge and the bounds on the same K factor each shift once; the
 factor of K itself is the one the kernel matrix's PSD check built, for the
 kernels certified by their factor.
 
-Factorizations and solves call LAPACK's ``dpotrf`` and ``dpotrs`` from
-scipy's ``_flapack`` extension, which the first factorization loads by file
-path in about 5 ms and 3 MB. Neither ``scipy`` nor ``scipy.linalg`` is imported: that
-package adds about 0.3 s and 28 MB to a process, nearly all of it in modules
-a Cholesky factorization never uses. Commands that never solve with a
-kernel (``equivalence``, ``train``, ``kernel`` and the ``linear-*`` and
-``net-*`` sweeps) load no LAPACK extension at all.
+Factorizations and solves call LAPACK's ``dpotrf`` and ``dpotrs`` through
+``ctypes`` in the OpenBLAS library numpy has already loaded for its matrix
+products. So a process runs one BLAS with one thread pool, which numpy's
+products have warmed up, and imports nothing of scipy: scipy's LAPACK
+wrappers link a second OpenBLAS whose threads would contend with numpy's
+for the same cores, and the ``scipy.linalg`` package adds about 0.3 s and
+28 MB to a process. Only where numpy's wheel layout is missing do the
+calls go through ``scipy.linalg.lapack``.
 """
 
+import ctypes
 import functools
-import importlib.machinery
-import importlib.util
+import glob
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.ctypeslib import ndpointer
 
 from ._kernelmatrix import KernelMatrix, k_norms
 from .data import TASK_BINARY, TASK_MULTICLASS, DataSet, _write_csv, predicted_classes
@@ -38,61 +39,88 @@ BASE_JITTER_FACTOR = 1e-10
 JITTER_ESCALATIONS = 3
 
 
-_FLAPACK = "scipy.linalg._flapack"
+def _openblas_lapack():
+    """``dpotrf`` and ``dpotrs`` of the OpenBLAS library numpy has loaded, or None.
 
+    ``ctypes`` opens the library file of numpy's wheel, which returns the
+    handle numpy already holds: no second BLAS and no second thread pool.
+    Integers are 64-bit, and the last argument is the hidden Fortran length
+    of ``uplo``. None when the wheel layout or its symbols are missing.
+    """
+    folder = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = glob.glob(os.path.join(folder, "libscipy_openblas64_*"))  # ILP64, symbols suffixed 64_
+    if len(paths) != 1:
+        return None
+    try:
+        library = ctypes.CDLL(paths[0])
+        potrf, potrs = library.scipy_dpotrf_64_, library.scipy_dpotrs_64_
+    except (OSError, AttributeError):
+        return None
+    integer = ctypes.POINTER(ctypes.c_int64)
+    matrix = ndpointer(np.float64, flags="F_CONTIGUOUS")
+    potrf.argtypes = [ctypes.c_char_p, integer, matrix, integer, integer, ctypes.c_size_t]
+    potrs.argtypes = [ctypes.c_char_p, integer, integer, matrix, integer, matrix, integer, integer, ctypes.c_size_t]
+    potrf.restype = potrs.restype = None
 
-def _flapack_file():
-    """Path of scipy's LAPACK extension module, or None if it is not a file there."""
-    spec = importlib.util.find_spec("scipy")
-    folders = spec.submodule_search_locations if spec is not None else None
-    for folder in folders or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(folder, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
+    def dpotrf(c, lower):
+        n, info = c.shape[0], ctypes.c_int64()
+        potrf(b"L" if lower else b"U", ctypes.c_int64(n), c, ctypes.c_int64(max(n, 1)), info, 1)
+        return c, info.value
+
+    def dpotrs(c, x, lower):
+        n, info = c.shape[0], ctypes.c_int64()
+        nrhs, lead = ctypes.c_int64(x.shape[1] if x.ndim == 2 else 1), ctypes.c_int64(max(n, 1))
+        potrs(b"L" if lower else b"U", ctypes.c_int64(n), nrhs, c, lead, x, lead, info, 1)
+        return x, info.value
+
+    return dpotrf, dpotrs
 
 
 @functools.cache
 def _lapack():
-    """LAPACK's ``(dpotrf, dpotrs)``, as wrapped in scipy's ``_flapack`` extension.
+    """``(dpotrf, dpotrs)``, each writing in place on a Fortran-order float64 array.
 
-    The extension is loaded by file path and registered under its own name,
-    which runs neither ``scipy``'s nor ``scipy.linalg``'s ``__init__``; a
-    later ``import scipy.linalg`` finds it there. Without the file, the same
-    wrappers come from ``scipy.linalg.lapack``.
+    ``dpotrf(c, lower)`` returns ``(c, info)`` and ``dpotrs(c, x, lower)``
+    returns ``(x, info)``. They come from the OpenBLAS library numpy has
+    loaded; where numpy's wheel layout is missing (on a build whose numpy
+    and scipy share one BLAS, say) the same LAPACK calls come from
+    ``scipy.linalg.lapack``.
     """
-    path = _flapack_file()
-    if path is None:
-        from scipy.linalg.lapack import dpotrf, dpotrs
+    routines = _openblas_lapack()
+    if routines is not None:
+        return routines
+    from scipy.linalg.lapack import dpotrf, dpotrs
 
-        return dpotrf, dpotrs
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[_FLAPACK] = module
-        spec.loader.exec_module(module)
-    return module.dpotrf, module.dpotrs
+    return (lambda c, lower: dpotrf(c, lower=lower, overwrite_a=True, clean=0),
+            lambda c, x, lower: dpotrs(c, x, lower=lower, overwrite_b=True))
+
+
+def _real(a, name):
+    """``a`` unless it is complex: LAPACK's real routines would drop the imaginary part."""
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real, got dtype {a.dtype}")
+    return a
 
 
 def cho_factor(a, lower=False, overwrite_a=False, check_finite=True):
-    """Cholesky factor ``(c, lower)`` of a float64 matrix, as ``scipy.linalg.cho_factor``.
+    """Cholesky factor ``(c, lower)`` of a real matrix, as ``scipy.linalg.cho_factor``.
 
-    Makes the same ``dpotrf`` call (``clean=0``: the other triangle of ``c``
-    holds what ``a`` held there), so the factor is the same to the bit. The
-    first call of either function loads scipy's ``_flapack`` extension, about
-    5 ms and 3 MB, and imports no ``scipy.linalg``. With ``overwrite_a``
-    a Fortran-order float64 ``a`` is factored in place. Raises
-    ``np.linalg.LinAlgError`` if ``a`` is not positive definite, and
-    ``ValueError`` for a non-square or, with ``check_finite``, non-finite ``a``.
+    Calls ``dpotrf`` of the OpenBLAS library numpy has loaded, the one its
+    own matrix products and ``np.linalg.cholesky`` use, so the factor is
+    that of ``np.linalg.cholesky`` to the bit; the other triangle of the
+    Fortran-order float64 ``c`` holds what ``a`` held there. With
+    ``overwrite_a`` a Fortran-order float64 ``a`` is factored in place.
+    Raises ``np.linalg.LinAlgError`` if ``a`` is not positive definite, and
+    ``ValueError`` for a complex or non-square or, with ``check_finite``,
+    non-finite ``a``.
     """
     as_array = np.asarray_chkfinite if check_finite else np.asarray
-    a1 = np.atleast_2d(as_array(a))
+    a1 = np.atleast_2d(_real(as_array(a), "a"))
     if a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a1.shape}")
+    c = (np.asarray if overwrite_a else np.array)(a1, dtype=np.float64, order="F")
     potrf, _ = _lapack()
-    c, info = potrf(a1, lower=lower, overwrite_a=overwrite_a, clean=0)
+    c, info = potrf(c, lower)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
@@ -103,19 +131,19 @@ def cho_factor(a, lower=False, overwrite_a=False, check_finite=True):
 def cho_solve(c_and_lower, b, check_finite=True):
     """Solve A x = b from ``cho_factor``'s ``(c, lower)``, as ``scipy.linalg.cho_solve``.
 
-    ``b`` is an n-vector or an (n, k) matrix. Makes the same ``dpotrs`` call,
-    so ``x`` is the same to the bit; ``b`` is not written. Like
-    ``cho_factor``, it loads only scipy's ``_flapack`` extension. Raises
-    ``ValueError`` for mismatched shapes or, with ``check_finite``,
-    non-finite ``c`` or ``b``.
+    ``b`` is an n-vector or an (n, k) matrix. Calls ``dpotrs`` of numpy's
+    OpenBLAS on a fresh Fortran-order float64 copy of ``b``, which becomes
+    ``x``; ``b`` is not written. Raises ``ValueError`` for complex input,
+    mismatched shapes or, with ``check_finite``, non-finite ``c`` or ``b``.
     """
     as_array = np.asarray_chkfinite if check_finite else np.asarray
-    c, b1 = as_array(c_and_lower[0]), as_array(b)
+    c, b1 = _real(as_array(c_and_lower[0]), "c"), _real(as_array(b), "b")
     lower = c_and_lower[1]
     if c.ndim != 2 or c.shape[0] != c.shape[1] or b1.ndim not in (1, 2) or b1.shape[0] != c.shape[0]:
         raise ValueError(f"incompatible dimensions ({c.shape} and {b1.shape})")
     _, potrs = _lapack()
-    x, info = potrs(c, b1, lower=lower)
+    c = np.asarray(c, dtype=np.float64, order="F")
+    x, info = potrs(c, np.array(b1, dtype=np.float64, order="F"), lower)
     if info != 0:
         raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpotrs")
     return x
@@ -145,6 +173,8 @@ class PSDSolver:
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {values.shape}")
         n = values.shape[0]
+        if n == 0:
+            raise ValidationError("matrix to factor is empty (0 x 0); it needs at least one row")
         self.values, self.shift = values, shift
         base_jitter = BASE_JITTER_FACTOR * max(float(np.trace(values)), 0.0) / n
         jitters = [0.0] + [base_jitter * 10.0**k for k in range(JITTER_ESCALATIONS)]

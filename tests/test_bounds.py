@@ -490,7 +490,9 @@ class TestReportAssembly:
     def test_binary_lemma_values_match_public_functions(self, mode):
         report = self.reports(mode)["binary"]()
         scaled_y, sigma_eff = rescale_binary(self.y, 0.2)
-        assert report.lemma1_value == lemma1_bound(self.K, scaled_y, sigma_eff, 1.5, 0.1)
+        # the report scales y^T K^-1 y by (1 - 2p)^2 and lemma1_bound solves on the
+        # scaled labels: one value rounded two ways, so equal up to the last bit
+        assert report.lemma1_value == pytest.approx(lemma1_bound(self.K, scaled_y, sigma_eff, 1.5, 0.1), rel=1e-14)
         assert report.lemma2_value == lemma2_bound(self.K, scaled_y, sigma_eff, 1.5, 0.1)
 
     @pytest.mark.parametrize("shift_form", [lemma1_bound, lemma2_bound, quad_form_inv])

@@ -1004,19 +1004,25 @@ class TestNetGroups:
 
 
 class TestScipyOnlyToFactor:
-    """Solving loads scipy's LAPACK extension alone; commands that never solve with a kernel load nothing of scipy.
+    """No command loads anything of scipy, and a command that solves maps one BLAS library.
 
-    The first factorization loads ``scipy.linalg._flapack`` by file path, so
-    neither ``scipy`` nor ``scipy.linalg`` is imported, even by a command that
-    factors.
+    Factorizations and solves call LAPACK in the OpenBLAS library numpy has
+    loaded, so neither scipy nor its own OpenBLAS, with a second thread pool,
+    enters the process.
     """
 
     SCRIPT = (
-        "import json, sys\n"
+        "import json, os, sys\n"
         "from ntkreg import cli\n"
         "argv = json.loads(sys.argv[1])\n"
         "code = cli.main(argv) if argv else 0\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        "maps = '/proc/self/maps'\n"
+        "blas = None\n"
+        "if os.path.exists(maps):\n"
+        "    with open(maps) as lines:\n"
+        "        paths = {line.split()[-1] for line in lines}\n"
+        "    blas = sorted(p for p in paths if 'openblas' in os.path.basename(p).lower())\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), blas]))\n"
     )
     NET = {"kind": "net", "widths": [32]}
     RUNS = {
@@ -1043,17 +1049,24 @@ class TestScipyOnlyToFactor:
         out = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argv)],
                              capture_output=True, text=True, env=env)
         assert out.returncode == 0, out.stderr
-        code, modules = json.loads(out.stdout.strip().splitlines()[-1])
+        code, modules, blas = json.loads(out.stdout.strip().splitlines()[-1])
         assert code == EXIT_OK
-        return modules
+        return modules, blas
 
     @pytest.mark.parametrize("name", ["import", "equivalence", "train", "linear-rdi", "net-rdi", "kernel"])
     def test_no_scipy_without_a_solve(self, tmp_path, name):
-        assert self.modules_after(tmp_path, name) == []
+        assert self.modules_after(tmp_path, name)[0] == []
 
     @pytest.mark.parametrize("name", ["krr-sweep", "krr", "bounds"])
     def test_solves_load_only_lapack(self, tmp_path, name):
-        assert self.modules_after(tmp_path, name) == ["scipy.linalg._flapack"]
+        assert self.modules_after(tmp_path, name)[0] == []
+
+    @pytest.mark.parametrize("name", ["krr-sweep", "krr", "bounds"])
+    def test_solves_map_one_blas_library(self, tmp_path, name):
+        blas = self.modules_after(tmp_path, name)[1]
+        if blas is None:
+            pytest.skip("no /proc/self/maps to read the mapped libraries from")
+        assert len(blas) == 1, blas
 
 
 class TestEigenbasisReaders:

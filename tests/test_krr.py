@@ -1,5 +1,6 @@
 """Ridge solver against closed-form oracles, prediction, RKHS norms."""
 
+import json
 import os
 import subprocess
 import sys
@@ -181,6 +182,12 @@ class TestSolverAgainstDenseInverse:
         with pytest.raises(SingularityError, match="solve residual"):
             PSDSolver(skewed, 0.3).solve_checked(b)
 
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_empty_matrix_rejected(self, shift):
+        # its jitter scale tr(K)/n used to divide by zero
+        with pytest.raises(ValidationError, match="empty"):
+            PSDSolver(np.empty((0, 0)), shift)
+
     def test_jitter_does_not_mask_inconsistent_system(self):
         # same matrix, right-hand side with a null-space component: the
         # residual check must fail loudly instead of returning garbage
@@ -196,7 +203,7 @@ def spd_matrix(n, seed=0):
 
 
 class TestLapackCalls:
-    """``cho_factor`` and ``cho_solve`` make scipy's LAPACK calls, loaded without ``scipy.linalg``."""
+    """``cho_factor`` and ``cho_solve`` make ``scipy.linalg``'s LAPACK calls in numpy's own OpenBLAS, importing no scipy."""
 
     @pytest.mark.parametrize("n", [1, 7, 300])
     @pytest.mark.parametrize("lower", [True, False])
@@ -211,6 +218,16 @@ class TestLapackCalls:
             x = cho_solve((c, lower), rhs)
             reference = scipy.linalg.cho_solve((expected, lower), rhs)
             assert x.shape == rhs.shape and x.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 50, 300, 1000])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_bit_equal_to_numpy_cholesky(self, n, lower):
+        # one BLAS runtime: numpy's own Cholesky makes the same dpotrf call
+        a = spd_matrix(n, seed=n)
+        c, _ = cho_factor(a, lower=lower)
+        triangle = np.tril if lower else np.triu
+        expected = np.linalg.cholesky(a, upper=not lower)
+        assert triangle(c).tobytes() == np.asfortranarray(expected).tobytes()
 
     @pytest.mark.parametrize("a", [-np.eye(3), np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, 1.0, 0.0])],
                              ids=["negative", "indefinite", "singular"])
@@ -227,6 +244,23 @@ class TestLapackCalls:
         c = cho_factor(spd_matrix(4))
         with pytest.raises(ValueError):
             cho_solve(c, np.array([1.0, bad, 0.0, 0.0]))
+
+    def test_complex_input_rejected(self):
+        # a real dpotrf would drop the imaginary part with only a ComplexWarning
+        with pytest.raises(ValueError, match="must be real"):
+            cho_factor(np.eye(2) * (1 + 0j))
+        c = cho_factor(spd_matrix(2))
+        with pytest.raises(ValueError, match="must be real"):
+            cho_solve(c, np.array([1.0, 1j]))
+        with pytest.raises(ValueError, match="must be real"):
+            cho_solve((c[0] + 0j, c[1]), np.ones(2))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_real_input_converted_to_float64(self, dtype):
+        c = cho_factor(4 * np.eye(3, dtype=dtype), lower=True)
+        assert c[0].dtype == np.float64 and c[0].flags.f_contiguous and np.array_equal(c[0], 2 * np.eye(3))
+        x = cho_solve(c, np.arange(3, dtype=dtype))
+        assert x.dtype == np.float64 and np.array_equal(x, np.arange(3) / 4)
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 2, 2)])
     def test_non_square_rejected(self, shape):
@@ -253,31 +287,36 @@ class TestLapackCalls:
         assert b.tobytes() == before.tobytes()
 
     def test_fallback_through_scipy_linalg_gives_the_same_bits(self, tmp_path):
-        # fresh interpreters, one finding the extension file and one whose
-        # lookup misses: only the fallback imports scipy.linalg
+        # fresh interpreters, one finding numpy's OpenBLAS and one whose lookup
+        # misses: only the miss imports scipy, and it gives scipy.linalg's bits
         script = (
-            "import sys\n"
+            "import json, sys\n"
             "import numpy as np\n"
             "from ntkreg import krr\n"
             "if sys.argv[2] == 'miss':\n"
-            "    krr._flapack_file = lambda: None\n"
+            "    krr._openblas_lapack = lambda: None\n"
             "a = np.load(sys.argv[1])\n"
             "c = krr.cho_factor(a, lower=True)\n"
             "np.save(sys.argv[3], np.stack([c[0], krr.cho_solve(c, a)]))\n"
-            "print('scipy.linalg' in sys.modules)\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )
         a = spd_matrix(50)
         np.save(tmp_path / "a.npy", a)
         c, _ = cho_factor(a, lower=True)
-        expected = np.stack([c, cho_solve((c, True), a)]).tobytes()
+        primary = np.stack([c, cho_solve((c, True), a)])
+        reference, _ = scipy.linalg.cho_factor(a, lower=True)
+        reference = np.stack([reference, scipy.linalg.cho_solve((reference, True), a)])
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ntkreg.__file__)))
-        for lookup, imports_scipy_linalg in (("file", "False"), ("miss", "True")):
+        results = {}
+        for lookup in ("numpy", "miss"):
             out = tmp_path / f"{lookup}.npy"
             run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "a.npy"), lookup, str(out)],
                                  capture_output=True, text=True, env=env)
             assert run.returncode == 0, run.stderr
-            assert run.stdout.strip() == imports_scipy_linalg
-            assert np.load(out).tobytes() == expected
+            results[lookup] = (json.loads(run.stdout), np.load(out))
+        assert results["numpy"][0] == [] and results["numpy"][1].tobytes() == primary.tobytes()
+        assert "scipy.linalg" in results["miss"][0] and results["miss"][1].tobytes() == reference.tobytes()
+        assert np.max(np.abs(results["miss"][1] - primary)) <= 1e-13 * np.max(np.abs(primary))
 
 
 class TestNonFiniteTargets:
@@ -331,9 +370,9 @@ class TestShiftedSolvers:
             with pytest.raises(SingularityError):
                 K.solver(0.0).solve_checked(np.array([1.0, 0.0, 0.0]))
 
-    def test_solver_after_loading_a_cache_in_a_fresh_interpreter(self, tmp_path):
-        # the solver class is imported inside KernelMatrix.solver; a process
-        # that builds a KernelMatrix from stored values must still reach it
+    def test_fresh_process_solve_gives_the_in_process_bits(self, tmp_path):
+        # a fresh interpreter that builds a KernelMatrix from stored values and
+        # makes its first factorization there solves to the same bits as this process
         ds = synth_sphere(10, 4, "linear-sign", seed=3)
         K = analytic_ntk(2, ds)
         path = tmp_path / "k.npy"
