@@ -31,12 +31,12 @@ Logarithms that can go negative for very large lam are floored at zero.
 
 A report solves each quadratic form it reads once: y^T K^-1 y and
 y^T (K + lam^2 I)^-1 y give its main term, both lemma values and B'. The
-multiclass report reads only y^T K^-1 y per class, and the unit-constants
-binary report takes the rescaled labels' y^T K^-1 y as (1-2p)^2 times the
-clean one. Every quadratic form takes its factor from ``K.solver``; K's own
-factor is the one its PSD check built, K + lam^2 I is factored at most once
-per kernel matrix, and a bound after a fit on the same K reuses the fit's
-factor.
+multiclass report reads only y^T K^-1 y per class, all from one block
+solve, and the unit-constants binary report takes the rescaled labels'
+y^T K^-1 y as (1-2p)^2 times the clean one. Every quadratic form takes its
+factor from ``K.solver``; K's own factor is the one its PSD check built,
+K + lam^2 I is factored at most once per kernel matrix, and a bound after
+a fit on the same K reuses the fit's factor.
 """
 
 import math
@@ -69,8 +69,8 @@ class BoundConfig:
     constant_mode: str = MODE_EXPLICIT
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValidationError(f"bounds need lambda > 0, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:  # NaN fails too
+            raise ValidationError(f"bounds need a finite lambda > 0, got {self.lam}")
         if not self.sigma >= 0.0:  # NaN fails too
             raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
         if not 0.0 < self.delta < 1.0:
@@ -326,7 +326,8 @@ def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
         raise ValidationError(f"kernel is {K.n}x{K.n} but n = {n}")
     delta_per_class = delta / num_classes
     Q = P @ Y
-    q_forms = [quad_form_inv(K, Q[h]) for h in range(num_classes)]
+    X = K.solver(0.0).solve_checked(Q.T)  # column h is K^-1 Q[h]: one solve for every class
+    q_forms = [max(float(Q[h] @ X[:, h]), 0.0) for h in range(num_classes)]
     if constant_mode == MODE_EXPLICIT:
         c_mains, mains, sigma_terms, delta_terms = zip(
             *(_explicit_terms(q, K.trace, 1.0, lam, delta_per_class, n) for q in q_forms)

@@ -17,6 +17,7 @@ import contextlib
 import copy
 import itertools
 import json
+import operator
 import os
 import sys
 import time
@@ -189,8 +190,8 @@ def _validate_config(config: dict, command: str) -> None:
         raise ValidationError("lambda and the lambda_grid and noise_grid values must be numbers")
     if not (_is_integer(config["workers"]) and config["workers"] >= 1):
         raise ValidationError(f"workers must be an integer >= 1, got {config['workers']!r}")
-    if not all(lam >= 0.0 for lam in (config["lambda"], *config["lambda_grid"])):  # NaN fails too
-        raise ValidationError("lambda and the lambda grid values must be >= 0")
+    if not all(0.0 <= lam < np.inf for lam in (config["lambda"], *config["lambda_grid"])):  # NaN fails too
+        raise ValidationError("lambda and the lambda grid values must be finite and >= 0")
     sigma, delta = config["sigma"], config["delta"]
     if not (_is_number(sigma) and _is_number(delta)):
         raise ValidationError(f"sigma and delta must be numbers, got {sigma!r} and {delta!r}")
@@ -358,7 +359,7 @@ def cmd_kernel(config: dict) -> int:
 # ---------------------------------------------------------------------------
 # one run path per method: a cell is a noise level (None keeps the spec's),
 # its noise-grid index, a lambda and a seed; a group holds the work that its
-# cells share, and both the single-run commands and the sweep run through it
+# cells share, the labels drawn for each (noise level, seed) among them
 
 
 def _single_run(config: dict):
@@ -373,6 +374,20 @@ def _noisy_train(config: dict, cell: dict, train):
     """The noise model of ``cell`` and ``train`` with labels drawn at (seed, noise_idx)."""
     noise = build_noise_model(config["noise"], override_level=cell["noise"])
     return noise, apply_noise(train, noise, (cell["seed"], cell["noise_idx"]))
+
+
+def _draw_key(cell: dict) -> tuple:
+    """The (noise level, seed) whose labels ``cell`` fits."""
+    return cell["noise_idx"], cell["seed"]
+
+
+def _draws(config: dict, cells: list, train) -> dict:
+    """``_noisy_train`` of each (noise level, seed) among ``cells``, drawn once, by ``_draw_key``."""
+    draws = {}
+    for cell in cells:
+        if _draw_key(cell) not in draws:
+            draws[_draw_key(cell)] = _noisy_train(config, cell, train)
+    return draws
 
 
 def _noise_bound(config, data, gram, noise, lam):
@@ -394,72 +409,110 @@ def _noise_bound(config, data, gram, noise, lam):
 
 
 class _KRRGroup:
-    """krr cells that share one kernel K and the test cross matrix C.
+    """krr cells that share one kernel K and the test cross matrix C, solved ridge by ridge.
 
-    K owns its factorizations (``KernelMatrix.solver``). Visiting the cells
-    ridge by ridge factors each shift lam^2 once, and the shift-0 factor,
-    built by K's PSD check, also serves the bounds' y^T K^-1 y. A cell then
-    costs O(n^2) per output: a solve, K @ alpha, C @ alpha and the bound
-    arithmetic. Cells fit ``DataSet.fit_targets``, one-hot for multiclass.
+    K owns its factorizations (``KernelMatrix.solver``): each lam^2 is
+    factored once, and K's shift-0 factor, its PSD certificate, serves the
+    bounds' y^T K^-1 y. A ridge solves the fit targets (one-hot rows for
+    multiclass) of its cells' (noise level, seed) draws as one block A and
+    reads their outputs from one K @ A and one C @ A. A bound report does not
+    depend on the seed, so each (noise level, lam > 0) computes one for all
+    its seeds. A failed factor fails its ridge's cells; a draw whose column
+    fails its residual check fails its own cells, and the rest of the ridge
+    is solved again without it.
     """
 
-    def __init__(self, config, train, test, cells):
-        self.config, self.train, self.test = config, train, test
-        self.source = build_kernel_source(config, train, cells[0]["seed"])
+    def __init__(self, config, train, test, cells, draws):
+        self.config, self.train, self.test, self.draws = config, train, test, draws
+        source = build_kernel_source(config, train, cells[0]["seed"])
         # The cross kernel is built in place in C, so either order peaks at
         # C, K and K's shift-0 factor (its PSD certificate).
-        self.cross = None if test is None else self.source.cross(test.inputs, train)
-        self.gram = self.source.gram(train)
+        self.cross = None if test is None else source.cross(test.inputs, train)
+        self.gram = source.gram(train)
+        self.outcomes = {}  # cell index -> its row, or the error that failed it
+        by_lambda = operator.itemgetter("lambda")
+        for lam, ridge in itertools.groupby(sorted(cells, key=by_lambda), key=by_lambda):
+            ridge = list(ridge)
+            keys = list(dict.fromkeys(map(_draw_key, ridge)))
+            try:
+                outputs = self._fit(lam, keys)
+            except ToolkitError as exc:  # K + lam^2 I has no factor
+                outputs = dict.fromkeys(keys, exc)
+            bounds = {}  # noise_idx -> the bound total its seeds share
+            for cell in ridge:
+                try:
+                    self.outcomes[cell["index"]] = self._row(cell, outputs[_draw_key(cell)], bounds)
+                except ToolkitError as exc:
+                    self.outcomes[cell["index"]] = exc
 
-    def fit(self, noisy, lam: float):
-        return krr_fit(self.gram, noisy.fit_targets(), lam, self.source, noisy)
+    def _fit(self, lam: float, keys: list) -> dict:
+        """The (train, test) outputs at ``lam`` of each draw in ``keys``, or the error that failed it."""
+        outputs = {}
+        while len(outputs) < len(keys):
+            kept = [key for key in keys if key not in outputs]
+            targets = [np.atleast_2d(self.draws[key][1].fit_targets()) for key in kept]
+            owners = np.repeat(np.arange(len(kept)), [len(rows) for rows in targets])  # per target row
+            try:
+                alpha = krr_fit(self.gram, np.concatenate(targets), lam).alpha
+            except SingularityError as exc:
+                if exc.columns is None:  # the factor failed
+                    raise
+                outputs.update((kept[i], exc) for i in set(owners[list(exc.columns)].tolist()))
+                continue
+            # In-sample outputs from the Gram matrix: evaluating k(X, X) again
+            # would repeat the kernel build and, at large n, set the peak memory.
+            train_outputs = self.gram.values @ alpha.T
+            test_outputs = None if self.cross is None else self.cross @ alpha.T
+            for i, key in enumerate(kept):
+                columns = owners == i
+                outputs[key] = (train_outputs[:, columns],
+                                None if test_outputs is None else test_outputs[:, columns])
+        return outputs
 
-    def train_outputs(self, fit):
-        # From the Gram matrix: evaluating k(X, X) again would repeat the
-        # kernel build and, at large n, set the command's peak memory.
-        return self.gram.values @ fit.alpha.T
+    def _row(self, cell, outputs, bounds: dict) -> dict:
+        """The row of ``cell`` from its draw's outputs, with the bound total its noise level keeps in ``bounds``."""
+        if isinstance(outputs, ToolkitError):
+            raise outputs
+        (noise, noisy), lam, level = self.draws[_draw_key(cell)], cell["lambda"], cell["noise_idx"]
+        if noise is not None and lam > 0.0 and level not in bounds:
+            bounds[level] = _noise_bound(self.config, self.train, self.gram, noise, lam).total
+        return _cell_row(self.config, cell, noisy, self.test, *outputs, bound_total=bounds.get(level))
 
-    def row(self, cell, noise, noisy) -> dict:
-        lam = cell["lambda"]
-        fit = self.fit(noisy, lam)
-        report = None
-        if noise is not None and lam > 0.0:
-            report = _noise_bound(self.config, self.train, self.gram, noise, lam)
-        return _cell_row(
-            self.config, cell, noisy, self.test, self.train_outputs(fit),
-            None if self.cross is None else self.cross @ fit.alpha.T,
-            bound_total=None if report is None else report.total,
-        )
+    def row(self, cell) -> dict:
+        outcome = self.outcomes[cell["index"]]
+        if isinstance(outcome, ToolkitError):
+            raise outcome
+        return outcome
 
 
 class _LinearGroup:
     """linear-* cells of one init seed, stepped as one block of runs.
 
-    The constructor linearizes the seed's net, draws each noise level's labels
-    once and steps every cell as an RDI or AUX run of one ``linmodel._descend``
-    block; the test outputs of all the runs come from one ``predict``. A cell
-    keeps its outputs and displacement, or the error that froze its run.
+    The constructor linearizes the seed's net and steps every cell, on its
+    (noise level, seed)'s drawn labels, as an RDI or AUX run of one
+    ``linmodel._descend`` block; the test outputs of all the runs come from
+    one ``predict``. A cell keeps its outputs and displacement, or the error
+    that froze its run.
     """
 
-    def __init__(self, config, train, test, cells):
-        self.config, self.test = config, test
+    def __init__(self, config, train, test, cells, draws):
+        self.config, self.test, self.draws = config, test, draws
         lm = linearize(_seeded_net(config, train, cells[0]["seed"]), train)
-        levels = {cell["noise_idx"]: cell for cell in cells}  # one cell per noise level draws its labels
-        targets = {i: _noisy_train(config, cell, train)[1].fit_targets() for i, cell in levels.items()}
+        targets = {key: noisy.fit_targets() for key, (_, noisy) in draws.items()}
         kind = config["method"].removeprefix("linear-")  # KIND_RDI or KIND_AUX
         # eta None: each run's certified step
-        runs = [(kind, targets[cell["noise_idx"]], cell["lambda"], config["eta"]) for cell in cells]
+        runs = [(kind, targets[_draw_key(cell)], cell["lambda"], config["eta"]) for cell in cells]
         block, _ = _descend(lm, runs, int(config["steps"]))
         tests = [None] * len(cells) if test is None else lm.predict(block.coeffs.T, test.inputs).T
         outcomes = zip(block.errors, block.product, tests, np.sqrt(np.maximum(block.quad, 0.0)))
         self.outcomes = {cell["index"]: outcome for cell, outcome in zip(cells, outcomes)}
 
-    def row(self, cell, noise, noisy) -> dict:
+    def row(self, cell) -> dict:
         error, train_outputs, test_outputs, distance = self.outcomes[cell["index"]]
         if error is not None:
             raise error
-        return _cell_row(self.config, cell, noisy, self.test, train_outputs, test_outputs,
-                         distance=float(distance))
+        return _cell_row(self.config, cell, self.draws[_draw_key(cell)][1], self.test, train_outputs,
+                         test_outputs, distance=float(distance))
 
 
 class _NetGroup:
@@ -472,23 +525,25 @@ class _NetGroup:
     disturb each other.
     """
 
-    def __init__(self, config, train, test, cells):
-        self.config, self.test = config, test
+    def __init__(self, config, train, test, cells, draws):
+        self.config, self.test, self.draws = config, test, draws
         self.mlp = _seeded_net(config, train, cells[0]["seed"])
         self.k_norm = None
         if config["eta"] is None:
             self.k_norm = empirical_ntk(self.mlp, train, certificate="spectrum").op_norm
 
-    def train(self, noisy, lam: float):
-        eta = self.config["eta"]
+    def train(self, cell):
+        """``train_full`` of the net on ``cell``'s drawn labels at its lambda."""
+        lam, eta = cell["lambda"], self.config["eta"]
         if eta is None:  # 1/(||K|| + lam^2), the largest certified step for one output
             eta = 1.0 / (self.k_norm + lam * lam)
         objective = self.config["method"].removeprefix("net-")
-        return train_full(self.mlp, noisy, TrainConfig(objective, eta=float(eta),
-                                                       steps=int(self.config["steps"]), lam=lam))
+        return train_full(self.mlp, self.draws[_draw_key(cell)][1],
+                          TrainConfig(objective, eta=float(eta), steps=int(self.config["steps"]), lam=lam))
 
-    def row(self, cell, noise, noisy) -> dict:
-        trained, _, _ = self.train(noisy, cell["lambda"])
+    def row(self, cell) -> dict:
+        trained, _, _ = self.train(cell)
+        noisy = self.draws[_draw_key(cell)][1]
         return _cell_row(
             self.config, cell, noisy, self.test, forward(trained, noisy.inputs),
             None if self.test is None else forward(trained, self.test.inputs),
@@ -537,8 +592,7 @@ def cmd_equivalence(config: dict) -> int:
 def cmd_train(config: dict) -> int:
     out = _ensure_out(config)
     cell, train, test = _single_run(config)
-    _, noisy = _noisy_train(config, cell, train)
-    trained, _, log = _NetGroup(config, train, test, [cell]).train(noisy, cell["lambda"])
+    trained, _, log = _NetGroup(config, train, test, [cell], _draws(config, [cell], train)).train(cell)
     log.to_csv(os.path.join(out, "trajectory.csv"))
     _log(f"final objective {log.objective[-1]:.6g}, train error {log.train_error[-1]:.4f}")
     _log(f"distance to init per layer: {[round(float(v), 6) for v in distance_to_init(trained)]}")
@@ -556,14 +610,15 @@ def cmd_krr(config: dict) -> int:
     out = _ensure_out(config)
     cell, train, test = _single_run(config)
     _, noisy = _noisy_train(config, cell, train)
-    # without a test set, the group evaluates no cross kernel: predictions.csv
-    # and the test error share the one evaluation of export_predictions
-    group = _KRRGroup(config, train, None, [cell])
-    fit = group.fit(noisy, cell["lambda"])
+    source = build_kernel_source(config, train, cell["seed"])
+    gram = source.gram(train)
+    fit = krr_fit(gram, noisy.fit_targets(), cell["lambda"], source, noisy)
+    # predictions.csv and the test error share export_predictions' one cross
+    # kernel, and the in-sample outputs come from the Gram matrix
     test_outputs = None
     if test is not None:
         test_outputs = export_predictions(fit, test.inputs, os.path.join(out, "predictions.csv"))
-    row = _cell_row(config, cell, noisy, test, group.train_outputs(fit), test_outputs)
+    row = _cell_row(config, cell, noisy, test, gram.values @ fit.alpha.T, test_outputs)
     header = ["lambda", "train_error_noisy", "test_error_clean"]
     _write_csv(os.path.join(out, "results.csv"), header, [tuple(row[h] for h in header)])
     _log(f"lambda={row['lambda']}: train error (noisy) {row['train_error_noisy']:.4f}, "
@@ -579,8 +634,8 @@ def cmd_bounds(config: dict) -> int:
     out = _ensure_out(config)
     cell, train, _ = _single_run(config)
     noise = build_noise_model(config["noise"], override_level=cell["noise"])
-    group = _KRRGroup(config, train, None, [cell])
-    report = _noise_bound(config, train, group.gram, noise, cell["lambda"])
+    gram = build_kernel_source(config, train, cell["seed"]).gram(train)
+    report = _noise_bound(config, train, gram, noise, cell["lambda"])
     report.to_json(os.path.join(out, "bound_report.json"))
     _log(f"bound total = {report.total:.6g} (mode {config['constant_mode']})")
     return EXIT_OK
@@ -663,24 +718,21 @@ def _cell_row(config, cell, train, test, train_predictions, test_predictions,
 def _group_worker(payload) -> dict:
     """Rows of one group by cell index.
 
-    A failure in the group's shared work fails all its cells; a failure in
-    one cell fails that cell only. Cells run ridge by ridge, and each
-    (noise level, seed) draws its noisy labels once.
+    Each (noise level, seed) draws its noisy labels once, for the group to
+    share. A failure in the group's shared work, those draws included, fails
+    all its cells; a failure in one cell fails that cell only.
     """
     config, cells = payload
     try:
         train, test = build_train_test(config)
-        group = _GROUPS[config["method"].split("-")[0]](config, train, test, cells)
+        group_class = _GROUPS[config["method"].split("-")[0]]
+        group = group_class(config, train, test, cells, _draws(config, cells, train))
     except ToolkitError as exc:
         return {cell["index"]: _error_row(config, cell, exc) for cell in cells}
-    noisy = {}
     rows = {}
-    for cell in sorted(cells, key=lambda c: c["lambda"]):
+    for cell in cells:
         try:
-            key = (cell["noise_idx"], cell["seed"])
-            if key not in noisy:
-                noisy[key] = _noisy_train(config, cell, train)
-            rows[cell["index"]] = group.row(cell, *noisy[key])
+            rows[cell["index"]] = group.row(cell)
         except ToolkitError as exc:
             rows[cell["index"]] = _error_row(config, cell, exc)
     return rows

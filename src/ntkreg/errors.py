@@ -30,7 +30,16 @@ class DataFormatError(ToolkitError):
 
 
 class SingularityError(ToolkitError):
-    """A positive-definite solve failed even after jitter escalation."""
+    """A positive-definite solve failed even after jitter escalation.
+
+    ``columns`` lists, for a block of right-hand sides whose residual check
+    failed, the indices of the failed columns; it is None for a failed
+    factorization and for a single right-hand side.
+    """
+
+    def __init__(self, message: str, columns: tuple = None):
+        super().__init__(message)
+        self.columns = columns
 
 
 class DivergenceError(ToolkitError):

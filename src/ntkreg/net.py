@@ -344,8 +344,8 @@ class TrainConfig:
         if not 0.0 < self.eta < math.inf:
             raise ValidationError(f"learning rate must be finite and positive, got {self.eta}")
         _check_integer("steps", self.steps, 0)
-        if not self.lam >= 0.0:  # NaN fails too
-            raise ValidationError(f"lam must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:  # NaN fails too
+            raise ValidationError(f"lam must be finite and >= 0, got {self.lam}")
 
 
 @dataclass

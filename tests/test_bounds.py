@@ -279,6 +279,19 @@ class TestMulticlassBound:
         for j in range(self.n):
             assert np.array_equal(Q[:, j], P[:, self.labels[j] - 1])
 
+    def test_class_forms_from_one_block_solve(self, monkeypatch):
+        # one solve of K against every class's row of Q = P Y, where each class was its own solve
+        P = np.array([[0.7, 0.1, 0.2], [0.2, 0.8, 0.1], [0.1, 0.1, 0.7]])
+        solves = []
+        original = krr_module.cho_solve
+        monkeypatch.setattr(krr_module, "cho_solve", lambda c, b, **kw: solves.append(1) or original(c, b, **kw))
+        report = bound_multiclass(self.K, self.Y, P, 0.8, 0.1)
+        assert len(solves) == 1
+        Q = P @ self.Y
+        for h in range(3):
+            expected = quad_form_inv(self.K, Q[h])
+            assert abs(report.q_quadratic_forms[h] - expected) <= 1e-12 * expected
+
     def test_gap_surfaces_in_report(self):
         P = np.array([[0.8, 0.3], [0.2, 0.7]])
         labels = np.array([1, 2, 1, 2])
@@ -443,8 +456,9 @@ class TestReportAssembly:
         pairs = []
         original = krr_module.PSDSolver.solve_checked
 
-        def counted(solver, b):
-            pairs.append((solver.shift, np.asarray(b).tobytes()))
+        def counted(solver, b):  # one pair per right-hand side, a block's columns each
+            b = np.asarray(b)
+            pairs.extend((solver.shift, column.tobytes()) for column in b.reshape(len(b), -1).T)
             return original(solver, b)
 
         monkeypatch.setattr(krr_module.PSDSolver, "solve_checked", counted)

@@ -547,6 +547,55 @@ class TestSweepCommand:
                     i += 1
         assert i == len(rows) == 27
 
+    def grid_sweep(self, tmp_path, out_name):
+        """The sweep of ``test_plan_matches_independent_cells``: 3 seeds x noise [0, 0.2, 0.4] x lambda [0, 0.5, 2]."""
+        cfg = self.sweep_config(tmp_path, out_name)
+        with open(cfg) as f:
+            payload = json.load(f)
+        payload.update(lambda_grid=[0.0, 0.5, 2.0], noise_grid=[0.0, 0.2, 0.4], seeds=[0, 1, 2])
+        with open(cfg, "w") as f:
+            json.dump(payload, f)
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        return read_rows(tmp_path / out_name / "results.csv")
+
+    def test_one_block_solve_per_ridge(self, tmp_path, monkeypatch):
+        # each ridge fits its 9 (noise level, seed) label draws as one block, and each
+        # (noise level > 0, lambda > 0) computes one bound report for its three seeds
+        fits = count_calls(monkeypatch, cli_module, "krr_fit")
+        reports = count_calls(monkeypatch, cli_module.bounds_mod, "bound_binary")
+        solves = []
+        original = krr_module.cho_solve
+        monkeypatch.setattr(krr_module, "cho_solve",
+                            lambda c, b, **kw: solves.append(np.shape(b)) or original(c, b, **kw))
+        rows = self.grid_sweep(tmp_path, "swblock")
+        assert [row["status"] for row in rows] == ["ok"] * 27
+        assert len(fits) == 3
+        assert [shape for shape in solves if len(shape) == 2] == [(60, 9)] * 3
+        assert len(reports) == 4
+
+    def test_failed_column_fails_only_its_cell(self, tmp_path, monkeypatch):
+        clean = self.grid_sweep(tmp_path, "swclean")
+        blocks = []
+        original = krr_module.cho_solve
+
+        def spoiled(c, b, **kwargs):
+            x = original(c, b, **kwargs)
+            if np.ndim(b) == 2:
+                blocks.append(np.shape(b))
+                if len(blocks) == 2:  # the ridge lambda 0.5, whose column 4 fits noise 0.2 at seed 1
+                    x[:, 4] += 1.0
+            return x
+
+        monkeypatch.setattr(krr_module, "cho_solve", spoiled)
+        rows = self.grid_sweep(tmp_path, "swspoiled")
+        # the rest of the ridge is solved again without the failed column
+        assert blocks == [(60, 9), (60, 9), (60, 8), (60, 9)]
+        for row, before in zip(rows, clean, strict=True):
+            if (row["noise"], row["lambda"], row["seed"]) == ("0.2", "0.5", "1"):
+                assert row["status"] == "error:SingularityError"
+            else:
+                assert row == before
+
     def test_analytic_sweep_builds_one_kernel(self, tmp_path, monkeypatch):
         grams = count_calls(monkeypatch, AnalyticNTK, "gram")
         crosses = count_calls(monkeypatch, AnalyticNTK, "cross")
@@ -953,6 +1002,16 @@ class TestLinearGroups:
         b = open(tmp_path / "par" / "results.csv", "rb").read()
         assert a == b
 
+    def test_labels_drawn_once_per_noise_level_and_seed(self, tmp_path, monkeypatch):
+        # the config check's two probes, then one draw per (noise level > 0, seed), which the
+        # group's runs and its rows share
+        from ntkreg import noise as noise_module
+
+        calls = count_calls(monkeypatch, noise_module, "corrupt")
+        rows, _ = self.run_sweep(tmp_path, "lin", noise_grid=[0.0, 0.2, 0.4])
+        assert [row["status"] for row in rows] == ["ok"] * 12
+        assert len(calls) == 6
+
     def test_aux_lambda_zero_fails_only_its_cells(self, tmp_path):
         rows, _ = self.run_sweep(tmp_path, "aux", method="linear-aux", lambda_grid=[0.0, 0.5])
         expected = ["error:ValidationError" if float(row["lambda"]) == 0.0 else "ok" for row in rows]
@@ -1221,6 +1280,22 @@ class TestOneConfigCheck:
         cfg = write_config(tmp_path, "cfg.json", dict(payload, **changes))
         assert main([command, "--config", cfg]) == EXIT_VALIDATION
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("sweep", "lambda_grid", "[0.5, 1e400]"),
+        ("krr", "lambda", "1e400"),
+        ("bounds", "lambda", "1e400"),
+    ])
+    def test_infinite_lambda_rejected_before_output(self, tmp_path, capsys, command, key, value):
+        # JSON reads 1e400 as inf: the sweep exited 0 with every cell failed, and krr and bounds
+        # exited 3 with a NaN residual after writing their output
+        out = tmp_path / "out"
+        payload = {"dataset": small_synth(n=20), "noise": {"kind": "binary-flip", "p": 0.2}, "out": str(out)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload)[:-1] + f', "{key}": {value}}}')
+        assert main([command, "--config", str(cfg)]) == EXIT_VALIDATION
+        assert "lambda" in capsys.readouterr().err
         assert not out.exists()
 
     BINARY = {"kind": "synth-sphere", "n": 40, "d": 10, "target": "linear-sign", "seed": 1}

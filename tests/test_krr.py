@@ -62,6 +62,7 @@ class TestFitSpotValues:
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("make, named", [
@@ -70,10 +71,13 @@ NAN = float("nan")
     pytest.param(lambda: TrainConfig("rdi", eta=NAN, steps=1), "learning rate", id="train-eta-nan"),
     pytest.param(lambda: TrainConfig("rdi", eta=float("inf"), steps=1), "learning rate", id="train-eta-inf"),
     pytest.param(lambda: BoundConfig(1.0, sigma=NAN), "sigma", id="bounds-sigma-nan"),
+    pytest.param(lambda: krr_fit(kernel_from(np.eye(2)), np.ones(2), INF), "lam", id="krr-lambda-inf"),
+    pytest.param(lambda: TrainConfig("rdi", eta=0.1, steps=1, lam=INF), "lam", id="train-lambda-inf"),
+    pytest.param(lambda: BoundConfig(INF), "lambda", id="bounds-lambda-inf"),
 ])
 def test_non_finite_settings_rejected(make, named):
-    # one rule, not x >= 0: a NaN lambda used to train as vanilla and fail krr_fit as a
-    # singular solve, and a NaN sigma passed
+    # one rule, 0 <= lambda < inf, not x >= 0: a NaN lambda used to train as vanilla and fail
+    # krr_fit as a singular solve, an infinite one did the same, and a NaN sigma passed
     with pytest.raises(ValidationError, match=named):
         make()
 
@@ -538,6 +542,55 @@ class TestExport:
         assert np.array_equal(values, p.predict(ds.inputs))
         lines = open(tmp_path / "preds.csv").read().strip().split("\n")[1:]
         assert [float(line.split(",")[1]) for line in lines] == list(values)
+
+
+class TestBlockSolve:
+    """``solve_checked`` on an (n, k) block: one ``dpotrs``, one product with K, a check per column."""
+
+    @pytest.mark.parametrize("n, k", [(200, 3), (500, 27)])
+    def test_columns_match_single_solves(self, n, k):
+        # a narrow block gives each column the bits of its single solve; OpenBLAS
+        # may split a wide block's triangular solves differently (at n=500 and
+        # 27 columns on 2 cores they moved by 1.3e-15 of the largest entry)
+        K = analytic_ntk(2, synth_sphere(n, 10, "linear-sign", seed=1))
+        B = np.random.default_rng(11).standard_normal((n, k))
+        for shift in (0.0, 0.25):
+            solver = K.solver(shift)
+            block = solver.solve_checked(B)
+            singles = np.stack([solver.solve_checked(B[:, j]) for j in range(k)], axis=1)
+            if k == 3:
+                assert np.array_equal(block, singles)
+            else:
+                assert np.max(np.abs(block - singles)) <= 1e-13 * np.max(np.abs(singles))
+
+    def test_fit_is_one_lapack_call(self, monkeypatch):
+        from ntkreg import krr as krr_module
+
+        K = random_psd_kernel(np.random.default_rng(12), 9)
+        calls = []
+        original = krr_module.cho_solve
+        monkeypatch.setattr(krr_module, "cho_solve", lambda c, b, **kw: calls.append(np.shape(b)) or original(c, b, **kw))
+        krr_fit(K, np.random.default_rng(13).standard_normal((5, 9)), 0.7)
+        assert calls == [(9, 5)]
+
+    def test_each_column_checked_on_its_own(self):
+        # [1, 1, 1] has a null-space component of diag(1, 1, 0); its neighbours lie in the range
+        solver = PSDSolver(np.diag([1.0, 1.0, 0.0]), 0.0)
+        B = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 2.0, 0.0]]).T
+        with pytest.raises(SingularityError, match="solve residual") as failed:
+            solver.solve_checked(B)
+        assert failed.value.columns == (1,)
+        x = solver.solve_checked(B[:, [0, 2]])
+        assert np.allclose(x, [[1.0, 0.0], [1.0, 2.0], [0.0, 0.0]], rtol=0, atol=1e-8)
+        with pytest.raises(SingularityError) as failed:
+            solver.solve_checked(B[:, 1])
+        assert failed.value.columns is None
+
+    def test_fit_names_its_failed_rows(self):
+        K = kernel_from(np.diag([1.0, 1.0, 0.0]))
+        with pytest.raises(SingularityError) as failed:
+            krr_fit(K, np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]), 0.0)
+        assert failed.value.columns == (1, 2)
 
 
 class TestTargetMatrix:
