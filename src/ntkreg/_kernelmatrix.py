@@ -1,7 +1,7 @@
 """Container for symmetric PSD Gram matrices, certified either by the
 Cholesky factorization of K that also serves its solves or by K's spectrum,
-with the factorizations of its shifts K + shift I, and a spectrum and an
-eigendecomposition computed only when read.
+with the factor of its latest shift K + shift I and the quadratic forms it
+solved, and a spectrum and an eigendecomposition computed only when read.
 
 Re-exported by ``kernel``. The solver class comes from ``krr``, which
 imports this module, so :meth:`KernelMatrix.solver` imports it on first use.
@@ -26,36 +26,29 @@ MIRROR_BLOCK_ROWS = 64
 class KernelMatrix:
     """An n-by-n Gram matrix together with its trace and, on demand, its spectrum.
 
-    Instances are built through :meth:`from_values`, which verifies symmetry
-    (max |K_ij - K_ji| <= 1e-10 * max|K|) and positive semidefiniteness up to
-    tolerance (lambda_min >= -1e-8 * tr/n). ``certificate`` picks the PSD
-    certificate. ``"factor"``, the default, is the shift-0 factor of
-    :meth:`solver`, whose jitter ladder tops out at that tolerance; only when
-    the ladder fails does an ``eigvalsh`` decide. It suits a K that will be
-    solved with: fits, bounds and the closed-form limit on one instance share
-    the factorizations that :meth:`solver` keeps. ``"spectrum"`` tests the
-    same rule on the ``eigvalsh`` spectrum and builds no factor; it suits a
-    K read only for its values and ``op_norm``, such as the kernel of the
-    default step or of ``ntkreg kernel``, and a later solve still factors on
-    demand. ``"eigh"`` tests the rule on the
-    eigenvalues of :attr:`eigh` instead, for a K whose eigenvectors will be
-    read, such as the kernel of linearized gradient descent. ``min_eig`` and
-    ``op_norm`` come from one spectrum, computed on first read: the
-    eigenvalues of :attr:`eigh` once it has been computed, an ``eigvalsh``
-    otherwise.
+    :meth:`from_values` verifies symmetry (max |K_ij - K_ji| <= 1e-10 max|K|)
+    and positive semidefiniteness up to tolerance (lambda_min >= -1e-8 tr/n)
+    by one of three certificates. ``"factor"``, the default, is the shift-0
+    factor of :meth:`solver`, whose jitter ladder tops out at that tolerance
+    (an ``eigvalsh`` decides only when the ladder fails); it suits a K that
+    fits, bounds and the closed-form limit will solve with. ``"spectrum"``
+    tests the ``eigvalsh`` spectrum and builds no factor, for a K read only
+    for its values and ``op_norm`` (the default step's, ``ntkreg kernel``'s).
+    ``"eigh"`` tests the eigenvalues of :attr:`eigh`, for a K whose
+    eigenvectors will be read (linearized gradient descent's). ``min_eig``
+    and ``op_norm`` come from one spectrum, computed on first read:
+    :attr:`eigh`'s eigenvalues once computed, an ``eigvalsh`` otherwise.
 
     The checks make no n x n temporary: exact symmetry is tested band by
-    band, reading each pair once, and max|K_ij - K_ji| is formed only when
-    K is not exactly symmetric. The factor certificate factors one
-    Fortran-order copy of K: while it is built, K and that copy are the two
-    n x n arrays alive, and afterwards an instance holds K plus its factor.
-    The spectrum certificate holds K and ``eigvalsh``'s workspace, and the
-    eigh certificate K and its n x n eigenvectors.
+    band, and max|K_ij - K_ji| is formed only when K is not exactly
+    symmetric. An instance holds K plus at most one factor, or K and
+    ``eigvalsh``'s workspace, or K and its n x n eigenvectors.
     """
 
     values: np.ndarray
     trace: float
     _factors: dict = field(default_factory=dict, init=False, repr=False)
+    _forms: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_values(cls, values, certificate: str = "factor") -> "KernelMatrix":
@@ -122,18 +115,28 @@ class KernelMatrix:
     def solver(self, shift: float):
         """The ``krr.PSDSolver`` of K + shift I, built on first use.
 
-        Keeps the shift-0 solver, which serves y^T K^-1 y, and the most
-        recently used other shift, so callers that visit the ridges one after
-        another factor each shift once while at most two factors are alive.
+        Keeps the latest shift's only, releasing the old factor first.
         """
         if shift not in self._factors:
             from .krr import PSDSolver
 
-            if shift != 0.0:
-                for old in [s for s in self._factors if s != 0.0]:
-                    del self._factors[old]
+            self._factors.clear()
             self._factors[shift] = PSDSolver(self.values, shift)
         return self._factors[shift]
+
+    def inverse_form(self, rows, shift: float = 0.0) -> np.ndarray:
+        """rows (K + shift I)^-1 rows^T for (k, n) rows, read-only k x k: solved once per (shift, rows), then kept."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        key = (shift, rows.shape, rows.tobytes())
+        if key not in self._forms:
+            solver = self.solver(shift)
+            if rows.shape[0] == 1:
+                form = np.array([[rows[0] @ solver.solve_checked(rows[0])]])
+            else:
+                form = rows @ solver.solve_checked(rows.T)
+            form.setflags(write=False)
+            self._forms[key] = form
+        return self._forms[key]
 
 
 def k_norms(values: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -29,14 +29,10 @@ Two constant modes:
 
 Logarithms that can go negative for very large lam are floored at zero.
 
-A report solves each quadratic form it reads once: y^T K^-1 y and
-y^T (K + lam^2 I)^-1 y give its main term, both lemma values and B'. The
-multiclass report reads only y^T K^-1 y per class, all from one block
-solve, and the unit-constants binary report takes the rescaled labels'
-y^T K^-1 y as (1-2p)^2 times the clean one. Every quadratic form takes its
-factor from ``K.solver``; K's own factor is the one its PSD check built,
-K + lam^2 I is factored at most once per kernel matrix, and a bound after
-a fit on the same K reuses the fit's factor.
+Reports read the clean labels' y^T K^-1 y and y^T (K + lam^2 I)^-1 y from
+``K.inverse_form``, which solves each once per kernel matrix; the binary
+report scales them by (1-2p)^2, and the multiclass one reads
+q_h = (P G P^T)_hh from G = Y K^-1 Y^T.
 """
 
 import math
@@ -131,7 +127,7 @@ def _quad_form(K: KernelMatrix, v, shift: float) -> float:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (K.n,):
         raise ValidationError(f"vector must have shape ({K.n},), got {v.shape}")
-    return max(float(v @ K.solver(shift).solve_checked(v)), 0.0)
+    return max(float(K.inverse_form(v, shift)[0, 0]), 0.0)
 
 
 def quad_form_inv(K: KernelMatrix, v) -> float:
@@ -204,11 +200,9 @@ def _explicit_terms(q: float, trace: float, sigma: float, lam: float, delta: flo
     return c_main, main, sigma_term, delta_term
 
 
-def _additive_report(K: KernelMatrix, y: np.ndarray, sigma: float, lam: float,
+def _additive_report(K: KernelMatrix, q: float, q_shift: float, sigma: float, lam: float,
                      delta: float, n: int, mode: str) -> BoundReport:
-    """The additive-noise bound on targets y, solving y^T K^-1 y and y^T (K + lam^2 I)^-1 y once each."""
-    q = _quad_form(K, y, 0.0)
-    q_shift = _quad_form(K, y, lam * lam)
+    """The additive-noise bound on targets y from q = y^T K^-1 y and q_shift = y^T (K + lam^2 I)^-1 y."""
     lemma2 = _lemma2(q_shift, sigma, lam, delta, n)
     if mode == MODE_EXPLICIT:
         c_main, main, sigma_term, delta_term = _explicit_terms(q, K.trace, sigma, lam, delta, n)
@@ -247,7 +241,8 @@ def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None) -> Bound
     """
     y = np.asarray(y, dtype=np.float64)
     n = _sample_count(n, y.size)
-    return _additive_report(K, y, cfg.sigma, cfg.lam, cfg.delta, n, cfg.constant_mode)
+    q, q_shift = _quad_form(K, y, 0.0), _quad_form(K, y, cfg.lam * cfg.lam)
+    return _additive_report(K, q, q_shift, cfg.sigma, cfg.lam, cfg.delta, n, cfg.constant_mode)
 
 
 def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
@@ -266,34 +261,33 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
         raise ValidationError(f"flip probability must satisfy 0 <= p < 1/2, got {p}")
     BoundConfig(lam=lam, delta=delta, constant_mode=constant_mode)
     n = _sample_count(n, y.size)
-    scaled_y, sigma_eff = rescale_binary(y, p)
-    inv_margin = 1.0 / (1.0 - 2.0 * p)
+    _, sigma_eff = rescale_binary(y, p)
+    q, q_shift = _quad_form(K, y, 0.0), _quad_form(K, y, lam * lam)
+    margin = 1.0 - 2.0 * p
+    scale, inv_margin = margin * margin, 1.0 / margin  # the rescaled labels' forms are scale * y's
     extras = {"p": p, "sigma_eff": sigma_eff}
     if constant_mode == MODE_EXPLICIT:
-        scaled = _additive_report(K, scaled_y, sigma_eff, lam, delta, n, constant_mode)
+        scaled = _additive_report(K, scale * q, scale * q_shift, sigma_eff, lam, delta, n, constant_mode)
         return replace(
             scaled,
             main_term=scaled.main_term * inv_margin,  # the (1-2p) inside sqrt(q) cancels here
             sigma_over_lambda_term=scaled.sigma_over_lambda_term * inv_margin,
             delta_term=scaled.delta_term * inv_margin,
-            y_kinv_y=scaled.y_kinv_y * inv_margin * inv_margin,
+            y_kinv_y=q,
             extras=extras,
         )
-    q_clean = quad_form_inv(K, y)
-    margin = 1.0 - 2.0 * p
-    q_scaled = margin * margin * q_clean  # y^T K^-1 y of the scaled labels, without a solve
     return BoundReport(
         mode=constant_mode,
-        main_term=0.5 * (lam + 1.0) * math.sqrt(q_clean / n),
+        main_term=0.5 * (lam + 1.0) * math.sqrt(q / n),
         sigma_over_lambda_term=inv_margin * math.sqrt(p) / lam,
         delta_term=inv_margin * (
             math.sqrt(p * math.log(1.0 / delta) / n)
             + math.sqrt(_log_floor(n / (delta * lam)) / n)
         ),
         main_constant=1.0,
-        y_kinv_y=q_clean,
-        lemma1_value=_lemma1(q_scaled, K.trace, sigma_eff, lam, delta),
-        lemma2_value=_lemma2(_quad_form(K, scaled_y, lam * lam), sigma_eff, lam, delta, n),
+        y_kinv_y=q,
+        lemma1_value=_lemma1(scale * q, K.trace, sigma_eff, lam, delta),
+        lemma2_value=_lemma2(scale * q_shift, sigma_eff, lam, delta, n),
         extras=extras,
     )
 
@@ -325,9 +319,8 @@ def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
     if K.n != n:
         raise ValidationError(f"kernel is {K.n}x{K.n} but n = {n}")
     delta_per_class = delta / num_classes
-    Q = P @ Y
-    X = K.solver(0.0).solve_checked(Q.T)  # column h is K^-1 Q[h]: one solve for every class
-    q_forms = [max(float(Q[h] @ X[:, h]), 0.0) for h in range(num_classes)]
+    G = K.inverse_form(Y, 0.0)  # Y K^-1 Y^T, one block solve for every class
+    q_forms = [max(float(q), 0.0) for q in np.sum((P @ G) * P, axis=1)]  # (P G P^T)_hh = Q_h^T K^-1 Q_h
     if constant_mode == MODE_EXPLICIT:
         c_mains, mains, sigma_terms, delta_terms = zip(
             *(_explicit_terms(q, K.trace, 1.0, lam, delta_per_class, n) for q in q_forms)

@@ -390,6 +390,13 @@ def _draws(config: dict, cells: list, train) -> dict:
     return draws
 
 
+def _bound_labels(data, noise):
+    """The clean labels that the bound of ``noise`` reads, one-hot under class transitions."""
+    if isinstance(noise, noise_mod.ClassTransition):
+        return onehot_matrix(data.clean_labels, data.num_classes)
+    return data.clean_labels
+
+
 def _noise_bound(config, data, gram, noise, lam):
     """The bound report of ``noise`` on ``data``.
 
@@ -398,37 +405,40 @@ def _noise_bound(config, data, gram, noise, lam):
     """
     delta, mode = float(config["delta"]), config["constant_mode"]
     args = (lam, delta, data.n)
+    labels = _bound_labels(data, noise)
     if isinstance(noise, noise_mod.BinaryFlip):
-        return bounds_mod.bound_binary(gram, data.clean_labels, noise.p, *args, mode)
+        return bounds_mod.bound_binary(gram, labels, noise.p, *args, mode)
     if isinstance(noise, noise_mod.ClassTransition):
-        Y = onehot_matrix(data.clean_labels, data.num_classes)
-        return bounds_mod.bound_multiclass(gram, Y, noise.matrix, *args, mode)
+        return bounds_mod.bound_multiclass(gram, labels, noise.matrix, *args, mode)
     sigma = float(config["sigma"]) if noise is None else noise.sigma
     cfg = bounds_mod.BoundConfig(lam, sigma, delta, mode)
-    return bounds_mod.bound_additive(gram, data.clean_labels, cfg, data.n)
+    return bounds_mod.bound_additive(gram, labels, cfg, data.n)
 
 
 class _KRRGroup:
     """krr cells that share one kernel K and the test cross matrix C, solved ridge by ridge.
 
-    K owns its factorizations (``KernelMatrix.solver``): each lam^2 is
-    factored once, and K's shift-0 factor, its PSD certificate, serves the
-    bounds' y^T K^-1 y. A ridge solves the fit targets (one-hot rows for
-    multiclass) of its cells' (noise level, seed) draws as one block A and
+    K keeps one factor: its PSD certificate's, which gives the bounds'
+    y^T K^-1 y, then each lam^2's. A ridge solves the fit targets (one-hot
+    rows for multiclass) of its (noise level, seed) draws as one block A and
     reads their outputs from one K @ A and one C @ A. A bound report does not
     depend on the seed, so each (noise level, lam > 0) computes one for all
     its seeds. A failed factor fails its ridge's cells; a draw whose column
-    fails its residual check fails its own cells, and the rest of the ridge
-    is solved again without it.
+    fails its residual check fails its cells, and the rest of the ridge is
+    solved again without it.
     """
 
     def __init__(self, config, train, test, cells, draws):
         self.config, self.train, self.test, self.draws = config, train, test, draws
         source = build_kernel_source(config, train, cells[0]["seed"])
-        # The cross kernel is built in place in C, so either order peaks at
-        # C, K and K's shift-0 factor (its PSD certificate).
+        # C is built in place, so either order peaks at C, K and one factor.
         self.cross = None if test is None else source.cross(test.inputs, train)
         self.gram = source.gram(train)
+        bounded = [draws[_draw_key(cell)][0] for cell in cells if cell["lambda"] > 0.0]
+        bounded = [noise for noise in bounded if noise is not None]
+        if bounded:  # y^T K^-1 y from the certificate; on failure each bound fails as it reads it
+            with contextlib.suppress(ToolkitError):
+                self.gram.inverse_form(_bound_labels(train, bounded[0]), 0.0)
         self.outcomes = {}  # cell index -> its row, or the error that failed it
         by_lambda = operator.itemgetter("lambda")
         for lam, ridge in itertools.groupby(sorted(cells, key=by_lambda), key=by_lambda):

@@ -5,10 +5,10 @@ alpha = (K + lam^2 I)^-1 y, so callers never have to remember which power
 of lam the solver adds. Solves go through a Cholesky factorization with an
 escalating-jitter fallback; every fit is verified against its residual and
 fails loudly instead of returning a silently wrong coefficient vector. The
-factorizations belong to the kernel matrix (``KernelMatrix.solver``), so
-fits at one ridge and the bounds on the same K factor each shift once; the
-factor of K itself is the one the kernel matrix's PSD check built, for the
-kernels certified by their factor.
+factorization belongs to the kernel matrix (``KernelMatrix.solver``), so
+fits at one ridge and the bounds on the same K factor it once; the factor
+of K itself is the one the kernel matrix's PSD check built, for the kernels
+certified by their factor.
 
 Factorizations and solves call LAPACK's ``dpotrf`` and ``dpotrs`` through
 ``ctypes`` in the OpenBLAS library numpy has already loaded for its matrix
@@ -157,13 +157,13 @@ class PSDSolver:
     The top rung, 1e-8 tr(K)/n, is ``KernelMatrix``'s PSD tolerance, so a
     factor at shift 0 certifies K as PSD. Solutions are checked against the
     unjittered system, so a jitter large enough to distort the solve is
-    also a loud failure. Each rung factors one fresh Fortran-order copy of
-    K in place, so the caller's K is never written. The copy is K^T, written
-    contiguously: for the symmetric K that ``KernelMatrix`` certifies this
-    is K itself, and for a K that is symmetric only within tolerance the
-    factor is that of the symmetric matrix on K's upper triangle. The solver
-    holds one n x n array, its factor; the residual check forms
-    K x + shift x from the caller's K. Neither the factorization nor the
+    also a loud failure. Every rung refills and factors one Fortran-order
+    copy of K in place, which becomes the solver's one n x n array, its
+    factor; the caller's K is never written. The copy is K^T, written
+    contiguously: K itself for the symmetric K that ``KernelMatrix``
+    certifies, and for a K symmetric only within tolerance the factor is
+    that of the symmetric matrix on K's upper triangle. The residual check
+    forms K x + shift x from the caller's K. Neither the factorization nor the
     solves re-scan for non-finite values: ``KernelMatrix`` has excluded them
     from K, and a non-finite right-hand side fails the residual check.
     """
@@ -181,13 +181,13 @@ class PSDSolver:
         self.factor = None
         self.jitter = 0.0
         diagonal = np.diag_indices(n)
+        a = np.empty((n, n), order="F")
         for jitter in jitters:
-            # A failed potrf clobbers its array, so every rung factors a fresh
-            # copy, in Fortran order so that LAPACK works on it where it lies;
+            # A failed potrf clobbers the copy, so every rung refills it. It is
+            # in Fortran order so that LAPACK works on it where it lies;
             # filling it as a.T, a C-order view, keeps the copy contiguous.
             # Adding 0.0 turns -0.0 into +0.0, so that the factored matrix is
             # exactly (K + shift I) + jitter I, signed zeros included.
-            a = np.empty((n, n), order="F")
             np.add(values, 0.0, out=a.T)
             a[diagonal] += shift
             a[diagonal] += jitter

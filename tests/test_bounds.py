@@ -119,8 +119,8 @@ class TestAdditiveBound:
         K = analytic_ntk(2, ds)
         cfg = BoundConfig(lam=1.5, sigma=0.1, delta=0.1, constant_mode=mode)
         fresh = bound_additive(kernel_from(K.values), ds.clean_labels, cfg, ds.n)
+        quad_form_inv(K, ds.clean_labels)  # read from the certificate's factor, as a sweep reads it
         krr_fit(K, ds.clean_labels, 1.5)
-        quad_form_inv(K, ds.clean_labels)
         calls = []
         original = krr_module.cho_factor
         monkeypatch.setattr(
@@ -219,11 +219,11 @@ class TestBinaryBound:
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
     def test_shared_solvers_reuse_factors(self, mode, monkeypatch):
-        # a fit at the same ridge leaves the bound nothing new to factor, and
-        # the shared factors give the same report bit for bit
+        # with y^T K^-1 y read first, a fit at the same ridge leaves the bound
+        # nothing new to factor, and the shared factors give the same report bit for bit
         fresh = bound_binary(kernel_from(self.K.values), self.y, 0.2, 2.0, 0.1, constant_mode=mode)
-        krr_fit(self.K, self.y, 2.0)
         quad_form_inv(self.K, self.y)
+        krr_fit(self.K, self.y, 2.0)
         calls = []
         original = krr_module.cho_factor
         monkeypatch.setattr(
@@ -235,8 +235,9 @@ class TestBinaryBound:
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
     def test_bound_after_fit_factors_only_shift_zero(self, mode, monkeypatch):
-        # the fit's factor of K + lam^2 I belongs to K, and K's own factor is
-        # the one its PSD check built, so the bound factors nothing
+        # y^T K^-1 y read from K's own factor, the one its PSD check built,
+        # and the fit's factor of K + lam^2 I belong to K, so the bound factors nothing
+        fresh = bound_binary(kernel_from(self.K.values), self.y, 0.2, 2.0, 0.1, constant_mode=mode)
         calls = []
         original = krr_module.cho_factor
         monkeypatch.setattr(
@@ -244,12 +245,13 @@ class TestBinaryBound:
         )
         certificate = self.K.solver(0.0)
         assert calls == []  # built when setup_method constructed K
+        assert certificate.jitter == 0.0
+        quad_form_inv(self.K, self.y)
         krr_fit(self.K, self.y, 2.0)
         calls.clear()
-        bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode)
+        shared = bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode)
         assert len(calls) == 0
-        assert self.K.solver(0.0) is certificate
-        assert certificate.jitter == 0.0
+        assert shared.as_dict() == fresh.as_dict()
 
 
 class TestMulticlassBound:

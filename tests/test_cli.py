@@ -26,6 +26,7 @@ from ntkreg.cli import (
     main,
 )
 from ntkreg.data import onehot_matrix, prediction_error
+from ntkreg.errors import SingularityError
 from ntkreg.kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
 from ntkreg.krr import krr_fit
 from ntkreg.linmodel import linearize, run_gd_rdi
@@ -563,6 +564,7 @@ class TestSweepCommand:
         # (noise level > 0, lambda > 0) computes one bound report for its three seeds
         fits = count_calls(monkeypatch, cli_module, "krr_fit")
         reports = count_calls(monkeypatch, cli_module.bounds_mod, "bound_binary")
+        factors = count_calls(monkeypatch, krr_module, "cho_factor")
         solves = []
         original = krr_module.cho_solve
         monkeypatch.setattr(krr_module, "cho_solve",
@@ -572,6 +574,33 @@ class TestSweepCommand:
         assert len(fits) == 3
         assert [shape for shape in solves if len(shape) == 2] == [(60, 9)] * 3
         assert len(reports) == 4
+        # the certificate and one factor per lambda^2 > 0; the clean labels'
+        # y^T K^-1 y, read once before the first ridge, and their shifted form
+        # once per lambda > 0 are the only vector solves
+        assert len(factors) == 1 + 2
+        assert [shape for shape in solves if len(shape) == 1] == [(60,)] * (1 + 2)
+
+    def test_failed_clean_form_fails_only_the_bounds(self, tmp_path, monkeypatch):
+        # the group's early y^T K^-1 y is the only vector solve at shift 0: when it
+        # fails, each bound that reads it fails with that error, and the rest is unchanged
+        clean = self.grid_sweep(tmp_path, "swclean")
+        original = krr_module.PSDSolver.solve_checked
+        messages = []
+
+        def spoiled(solver, b):
+            if solver.shift == 0.0 and np.ndim(b) == 1:
+                raise SingularityError("spoiled clean-label solve")
+            return original(solver, b)
+
+        monkeypatch.setattr(krr_module.PSDSolver, "solve_checked", spoiled)
+        monkeypatch.setattr(cli_module, "_log", messages.append)
+        rows = self.grid_sweep(tmp_path, "swspoiled")
+        failed = [row for row, before in zip(rows, clean, strict=True) if row != before]
+        assert failed == [row for row in rows if row["noise"] != "0.0" and row["lambda"] != "0.0"]
+        assert len(failed) == 12
+        assert all(row["status"] == "error:SingularityError" for row in failed)
+        errors = [message for message in messages if "failed:" in message]
+        assert len(errors) == 12 and all(message.endswith("failed: spoiled clean-label solve") for message in errors)
 
     def test_failed_column_fails_only_its_cell(self, tmp_path, monkeypatch):
         clean = self.grid_sweep(tmp_path, "swclean")

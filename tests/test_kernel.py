@@ -1,5 +1,6 @@
 """Analytic recursion spot values, empirical Gram correctness, concentration."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntkreg import _kernelmatrix as kernelmatrix_module
+from ntkreg import cli
 from ntkreg import kernel as kernel_module
 from ntkreg import krr as krr_module
 from ntkreg._kernelmatrix import MIRROR_BLOCK_ROWS, KernelMatrix, mirror_upper
+from ntkreg.bounds import bound_binary
 from ntkreg.data import DataSet, synth_sphere
 from ntkreg.errors import ValidationError
 from ntkreg.kernel import (
@@ -25,6 +28,7 @@ from ntkreg.kernel import (
     empirical_ntk,
     kernel_cross,
 )
+from ntkreg.krr import krr_fit
 from ntkreg.net import NetConfig, gradient, init_mlp
 
 # Hand evaluations of the recursion for depth 2:
@@ -203,6 +207,8 @@ class TestBuildMemory:
 
     Besides those, the recursion allocates at most four blocks of scratch
     (three of floats and the clamp's bool masks) and the unit-norm checks O(n d).
+    A solve after the build replaces the certificate's factor with its own,
+    so K and one factor stay the two n x n arrays.
     """
 
     def test_gram_peak_within_two_and_a_half_matrices(self):
@@ -211,6 +217,32 @@ class TestBuildMemory:
         peak, K = traced_peak(lambda: analytic_ntk(3, ds))
         assert K.solver(0.0).jitter == 0.0  # the certificate's factor is part of the peak
         assert peak <= 2.5 * n * n * 8
+
+    @pytest.mark.parametrize("read", [
+        lambda K, y: krr_fit(K, y, 1.0),
+        lambda K, y: bound_binary(K, y, 0.2, lam=1.0, delta=0.1),
+    ], ids=["krr_fit", "bound_binary"])
+    def test_solve_after_build_peaks_at_two_matrices(self, read):
+        n = 600
+        ds = synth_sphere(n, 10, "linear-sign", seed=17)
+        peak, _ = traced_peak(lambda: read(analytic_ntk(3, ds), ds.clean_labels))
+        assert peak <= 2.1 * n * n * 8
+
+    def test_krr_command_peaks_at_two_matrices_and_the_cross_kernel(self, tmp_path):
+        # K and the fit's factor, then the test cross kernel with its four blocks of scratch
+        n, m = 600, 200
+        block = min(m, RECURSION_BLOCK_ENTRIES // n) * n
+        config = tmp_path / "krr.json"
+        config.write_text(json.dumps({
+            "dataset": {"kind": "synth-sphere", "n": n, "d": 10, "target": "linear-sign", "seed": 17, "test_n": m},
+            "noise": {"kind": "binary-flip", "p": 0.2},
+            "model": {"kind": "analytic", "depth": 3},
+            "lambda": 1.0,
+            "out": str(tmp_path / "krr"),
+        }))
+        peak, code = traced_peak(lambda: cli.main(["krr", "--config", str(config)]))
+        assert code == cli.EXIT_OK
+        assert peak <= (2.1 * n * n + m * n + 4 * block) * 8
 
     def test_gram_values_peak_is_one_matrix_and_four_blocks(self):
         # the values before the certificate: the recursion overwrites the

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import ntkreg
+from ntkreg import krr as krr_module
 from ntkreg._kernelmatrix import KernelMatrix
 from ntkreg.bounds import BoundConfig
 from ntkreg.data import DataSet, synth_sphere
@@ -134,6 +136,24 @@ class TestSolverAgainstDenseInverse:
         assert solver.jitter == 1e-10 * sum(diagonal) / 3
         expected = scipy.linalg.cholesky(values + solver.jitter * np.eye(3), lower=True)
         assert np.tril(solver.factor[0]).tobytes() == expected.tobytes()
+
+    def test_jitter_ladder_refills_one_buffer(self):
+        # a rank-5 Gram matrix fails the shift-0 rung and factors at the first
+        # jitter; the retry refills the failed rung's array instead of allocating
+        # a second one, and factors the same bits as a fresh copy
+        n = 600
+        g = np.random.default_rng(0).standard_normal((n, 5))
+        values = g @ g.T
+        tracemalloc.start()
+        try:
+            solver = PSDSolver(values, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solver.jitter == 1e-10 * np.trace(values) / n
+        assert peak <= 1.05 * n * n * 8
+        expected, _ = scipy.linalg.cho_factor(values.T + solver.jitter * np.eye(n), lower=True)
+        assert solver.factor[0].tobytes() == np.asfortranarray(expected).tobytes()
 
     @pytest.mark.parametrize("values", [np.diag([4.0, 9.0, 0.0]), -np.eye(3)],
                              ids=["rescued", "every-rung-fails"])
@@ -351,14 +371,37 @@ class TestShiftedSolvers:
             assert np.array_equal(K.solver(shift).solve_checked(y), PSDSolver(K.values, shift).solve_checked(y))
         assert float(y @ K.solver(1.0).solve_checked(y)) == float(y @ PSDSolver(K.values, 1.0).solve_checked(y))
 
-    def test_keeps_shift_zero_and_latest_shift(self):
+    def test_keeps_one_factor_at_a_time(self):
+        # one factor at a time: each new shift releases the last one's
         K = random_psd_kernel(np.random.default_rng(8), 6)
         zero = K.solver(0.0)
         first = K.solver(1.0)
         assert K.solver(1.0) is first
+        assert list(K._factors.values()) == [first]
         K.solver(4.0)
-        assert K.solver(0.0) is zero
+        assert K.solver(0.0) is not zero  # evicted by shift 1, refactored
         assert K.solver(1.0) is not first  # evicted by shift 4, refactored
+        assert len(K._factors) == 1
+
+    def test_inverse_form_is_solved_once_per_shift_and_rows(self, monkeypatch):
+        K = random_psd_kernel(np.random.default_rng(10), 8)
+        rows = np.random.default_rng(11).standard_normal((3, 8))
+        form = K.inverse_form(rows, 0.5)
+        dense = rows @ np.linalg.solve(K.values + 0.5 * np.eye(8), rows.T)
+        assert np.max(np.abs(form - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert not form.flags.writeable
+        # one row is solved as a vector, as the bounds' quadratic forms always were
+        single = K.inverse_form(rows[1], 0.5)
+        assert single.shape == (1, 1)
+        assert single[0, 0] == rows[1] @ PSDSolver(K.values, 0.5).solve_checked(rows[1])
+        K.solver(0.0)  # releases the factor of shift 0.5
+        calls = []
+        for name in ("cho_factor", "cho_solve"):
+            original = getattr(krr_module, name)
+            monkeypatch.setattr(krr_module, name, lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
+        assert K.inverse_form(rows, 0.5) is form
+        assert K.inverse_form(rows[1], 0.5) is single
+        assert calls == []
 
     def test_fits_share_factorization(self):
         K = random_psd_kernel(np.random.default_rng(9), 8)
