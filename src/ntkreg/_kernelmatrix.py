@@ -1,7 +1,8 @@
 """Container for symmetric PSD Gram matrices, certified either by the
 Cholesky factorization of K that also serves its solves or by K's spectrum,
-with the factor of its latest shift K + shift I and the quadratic forms it
-solved, and a spectrum and an eigendecomposition computed only when read.
+with the packed factor of its latest shift K + shift I (n(n+1)/2 floats, so
+K plus one packed factor) and the quadratic forms it solved, and a spectrum
+and an eigendecomposition computed only when read.
 
 Re-exported by ``kernel``. The solver class comes from ``krr``, which
 imports this module, so :meth:`KernelMatrix.solver` imports it on first use.
@@ -41,8 +42,9 @@ class KernelMatrix:
 
     The checks make no n x n temporary: exact symmetry is tested band by
     band, and max|K_ij - K_ji| is formed only when K is not exactly
-    symmetric. An instance holds K plus at most one factor, or K and
-    ``eigvalsh``'s workspace, or K and its n x n eigenvectors.
+    symmetric. An instance holds K plus at most one packed factor of
+    n(n+1)/2 floats, or K and ``eigvalsh``'s workspace, or K and its n x n
+    eigenvectors.
     """
 
     values: np.ndarray
@@ -125,17 +127,26 @@ class KernelMatrix:
         return self._factors[shift]
 
     def inverse_form(self, rows, shift: float = 0.0) -> np.ndarray:
-        """rows (K + shift I)^-1 rows^T for (k, n) rows, read-only k x k: solved once per (shift, rows), then kept."""
+        """rows (K + shift I)^-1 rows^T for (k, n) rows, read-only k x k: solved once per (shift, rows), then kept.
+
+        A failed solve is kept too and raised again on every later read,
+        which so never solves again or refactors a replaced shift.
+        """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         key = (shift, rows.shape, rows.tobytes())
         if key not in self._forms:
-            solver = self.solver(shift)
-            if rows.shape[0] == 1:
-                form = np.array([[rows[0] @ solver.solve_checked(rows[0])]])
-            else:
-                form = rows @ solver.solve_checked(rows.T)
-            form.setflags(write=False)
+            try:
+                solver = self.solver(shift)
+                if rows.shape[0] == 1:
+                    form = np.array([[rows[0] @ solver.solve_checked(rows[0])]])
+                else:
+                    form = rows @ solver.solve_checked(rows.T)
+                form.setflags(write=False)
+            except SingularityError as exc:
+                form = exc
             self._forms[key] = form
+        if isinstance(self._forms[key], SingularityError):
+            raise self._forms[key]
         return self._forms[key]
 
 

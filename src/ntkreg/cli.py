@@ -431,7 +431,7 @@ class _KRRGroup:
     def __init__(self, config, train, test, cells, draws):
         self.config, self.train, self.test, self.draws = config, train, test, draws
         source = build_kernel_source(config, train, cells[0]["seed"])
-        # C is built in place, so either order peaks at C, K and one factor.
+        # C is built in place, so either order peaks at C, K and one packed factor.
         self.cross = None if test is None else source.cross(test.inputs, train)
         self.gram = source.gram(train)
         bounded = [draws[_draw_key(cell)][0] for cell in cells if cell["lambda"] > 0.0]
@@ -623,12 +623,15 @@ def cmd_krr(config: dict) -> int:
     source = build_kernel_source(config, train, cell["seed"])
     gram = source.gram(train)
     fit = krr_fit(gram, noisy.fit_targets(), cell["lambda"], source, noisy)
-    # predictions.csv and the test error share export_predictions' one cross
-    # kernel, and the in-sample outputs come from the Gram matrix
+    # The in-sample outputs come from the Gram matrix. K and its factor are
+    # then released, so the test cross kernel never stands beside them;
+    # predictions.csv and the test error share export_predictions' one.
+    train_outputs = gram.values @ fit.alpha.T
+    del gram
     test_outputs = None
     if test is not None:
         test_outputs = export_predictions(fit, test.inputs, os.path.join(out, "predictions.csv"))
-    row = _cell_row(config, cell, noisy, test, gram.values @ fit.alpha.T, test_outputs)
+    row = _cell_row(config, cell, noisy, test, train_outputs, test_outputs)
     header = ["lambda", "train_error_noisy", "test_error_clean"]
     _write_csv(os.path.join(out, "results.csv"), header, [tuple(row[h] for h in header)])
     _log(f"lambda={row['lambda']}: train error (noisy) {row['train_error_noisy']:.4f}, "

@@ -30,8 +30,8 @@ and T is written back over the band. A Gram matrix runs the recursion on
 each band from its diagonal column on and ``mirror_upper`` copies K's upper
 triangle down once. Besides its result, a build allocates at most four
 blocks of scratch: a Gram build holds one n x n array until K's PSD check
-copies K for its Cholesky factor, and afterwards K and one factor at a time;
-a cross kernel holds one m x n array.
+packs K's triangle for its Cholesky factor (n(n+1)/2 floats), and afterwards
+K plus one packed factor at a time; a cross kernel holds one m x n array.
 """
 
 import numpy as np

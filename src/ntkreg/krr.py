@@ -8,11 +8,13 @@ fails loudly instead of returning a silently wrong coefficient vector. The
 factorization belongs to the kernel matrix (``KernelMatrix.solver``), so
 fits at one ridge and the bounds on the same K factor it once; the factor
 of K itself is the one the kernel matrix's PSD check built, for the kernels
-certified by their factor.
+certified by their factor. A factor is packed in n(n+1)/2 floats, LAPACK's
+rectangular full packed (RFP) format (Gustavson et al. 2010, ACM TOMS
+37(2)), so a kernel matrix holds K plus one packed factor.
 
-Factorizations and solves call LAPACK's ``dpotrf`` and ``dpotrs`` through
-``ctypes`` in the OpenBLAS library numpy has already loaded for its matrix
-products. So a process runs one BLAS with one thread pool, which numpy's
+Packing, factorizations and solves call LAPACK's ``dtrttf``, ``dpftrf`` and
+``dpftrs`` through ``ctypes`` in the OpenBLAS library numpy has already
+loaded. So a process runs one BLAS with one thread pool, which numpy's
 products have warmed up, and imports nothing of scipy: scipy's LAPACK
 wrappers link a second OpenBLAS whose threads would contend with numpy's
 for the same cores, and the ``scipy.linalg`` package adds about 0.3 s and
@@ -40,12 +42,12 @@ JITTER_ESCALATIONS = 3
 
 
 def _openblas_lapack():
-    """``dpotrf`` and ``dpotrs`` of the OpenBLAS library numpy has loaded, or None.
+    """``_lapack``'s routines from the OpenBLAS library numpy has loaded, or None.
 
     ``ctypes`` opens the library file of numpy's wheel, which returns the
     handle numpy already holds: no second BLAS and no second thread pool.
-    Integers are 64-bit, and the last argument is the hidden Fortran length
-    of ``uplo``. None when the wheel layout or its symbols are missing.
+    Integers are 64-bit; the last two arguments are the hidden Fortran
+    lengths of ``transr`` and ``uplo``.
     """
     folder = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     paths = glob.glob(os.path.join(folder, "libscipy_openblas64_*"))  # ILP64, symbols suffixed 64_
@@ -53,46 +55,73 @@ def _openblas_lapack():
         return None
     try:
         library = ctypes.CDLL(paths[0])
-        potrf, potrs = library.scipy_dpotrf_64_, library.scipy_dpotrs_64_
+        trttf, pftrf, pftrs = library.scipy_dtrttf_64_, library.scipy_dpftrf_64_, library.scipy_dpftrs_64_
     except (OSError, AttributeError):
         return None
-    integer = ctypes.POINTER(ctypes.c_int64)
+    char, integer, length = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_size_t
     matrix = ndpointer(np.float64, flags="F_CONTIGUOUS")
-    potrf.argtypes = [ctypes.c_char_p, integer, matrix, integer, integer, ctypes.c_size_t]
-    potrs.argtypes = [ctypes.c_char_p, integer, integer, matrix, integer, matrix, integer, integer, ctypes.c_size_t]
-    potrf.restype = potrs.restype = None
+    packed = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    trttf.argtypes = [char, char, integer, matrix, integer, packed, integer, length, length]
+    pftrf.argtypes = [char, char, integer, packed, integer, length, length]
+    pftrs.argtypes = [char, char, integer, integer, packed, matrix, integer, integer, length, length]
+    trttf.restype = pftrf.restype = pftrs.restype = None
+    i64 = ctypes.c_int64
 
-    def dpotrf(c, lower):
-        n, info = c.shape[0], ctypes.c_int64()
-        potrf(b"L" if lower else b"U", ctypes.c_int64(n), c, ctypes.c_int64(max(n, 1)), info, 1)
-        return c, info.value
+    def dtrttf(a, out, uplo):
+        info = i64()
+        trttf(b"N", uplo, i64(a.shape[0]), a, i64(max(a.shape[0], 1)), out, info, 1, 1)
+        return info.value
 
-    def dpotrs(c, x, lower):
-        n, info = c.shape[0], ctypes.c_int64()
-        nrhs, lead = ctypes.c_int64(x.shape[1] if x.ndim == 2 else 1), ctypes.c_int64(max(n, 1))
-        potrs(b"L" if lower else b"U", ctypes.c_int64(n), nrhs, c, lead, x, lead, info, 1)
-        return x, info.value
+    def dpftrf(c, n, uplo):
+        info = i64()
+        pftrf(b"N", uplo, i64(n), c, info, 1, 1)
+        return info.value
 
-    return dpotrf, dpotrs
+    def dpftrs(c, x, uplo):
+        info = i64()
+        pftrs(b"N", uplo, i64(x.shape[0]), i64(x.shape[1] if x.ndim == 2 else 1), c, x,
+              i64(max(x.shape[0], 1)), info, 1, 1)
+        return info.value
+
+    return dtrttf, dpftrf, dpftrs
 
 
 @functools.cache
 def _lapack():
-    """``(dpotrf, dpotrs)``, each writing in place on a Fortran-order float64 array.
+    """``(dtrttf, dpftrf, dpftrs)``, RFP with TRANSR='N', each returning LAPACK's ``info``.
 
-    ``dpotrf(c, lower)`` returns ``(c, info)`` and ``dpotrs(c, x, lower)``
-    returns ``(x, info)``. They come from the OpenBLAS library numpy has
-    loaded; where numpy's wheel layout is missing (on a build whose numpy
-    and scipy share one BLAS, say) the same LAPACK calls come from
-    ``scipy.linalg.lapack``.
+    ``dtrttf(a, out, uplo)`` packs the ``uplo`` (b"L" or b"U") triangle of a
+    Fortran-order ``a`` into ``out``, ``dpftrf(c, n, uplo)`` factors the
+    packed ``c`` in place and ``dpftrs(c, x, uplo)`` overwrites the
+    Fortran-order ``x`` with the solution. Where numpy's wheel layout is
+    missing they come from ``scipy.linalg.lapack``.
     """
     routines = _openblas_lapack()
     if routines is not None:
         return routines
-    from scipy.linalg.lapack import dpotrf, dpotrs
+    from scipy.linalg.lapack import dpftrf, dpftrs, dtrttf
 
-    return (lambda c, lower: dpotrf(c, lower=lower, overwrite_a=True, clean=0),
-            lambda c, x, lower: dpotrs(c, x, lower=lower, overwrite_b=True))
+    def trttf(a, out, uplo):
+        out[:], info = dtrttf(a, uplo=uplo)
+        return info
+
+    return (trttf, lambda c, n, uplo: dpftrf(n, c, uplo=uplo, overwrite_a=True)[1],
+            lambda c, x, uplo: dpftrs(x.shape[0], c, x if x.ndim == 2 else x[:, None], uplo=uplo,
+                                      overwrite_b=True)[1])
+
+
+def _packed_diagonal(n: int, lower: bool) -> np.ndarray:
+    """Positions of the diagonal entries 0, ..., n-1 in an RFP array of order n, TRANSR='N'.
+
+    The diagonal runs in two strided halves: the array is (n + 1) x n/2 in
+    Fortran order for even n and n x (n + 1)/2 for odd n.
+    """
+    i, half = np.arange(n), n // 2
+    if n % 2 == 0:
+        stride, first, offsets = n + 2, half, ((1, 0) if lower else (half + 1, half))
+    else:
+        stride, first, offsets = n + 1, (n - half if lower else half), ((0, n) if lower else (n - half, half))
+    return np.where(i < first, i * stride + offsets[0], (i - first) * stride + offsets[1])
 
 
 def _real(a, name):
@@ -102,50 +131,62 @@ def _real(a, name):
     return a
 
 
-def cho_factor(a, lower=False, overwrite_a=False, check_finite=True):
-    """Cholesky factor ``(c, lower)`` of a real matrix, as ``scipy.linalg.cho_factor``.
+def cho_factor(a, lower=False, check_finite=True, shifts=(), out=None):
+    """Packed Cholesky factor ``(c, lower)`` of a real symmetric matrix, for ``cho_solve``.
 
-    Calls ``dpotrf`` of the OpenBLAS library numpy has loaded, the one its
-    own matrix products and ``np.linalg.cholesky`` use, so the factor is
-    that of ``np.linalg.cholesky`` to the bit; the other triangle of the
-    Fortran-order float64 ``c`` holds what ``a`` held there. With
-    ``overwrite_a`` a Fortran-order float64 ``a`` is factored in place.
-    Raises ``np.linalg.LinAlgError`` if ``a`` is not positive definite, and
-    ``ValueError`` for a complex or non-square or, with ``check_finite``,
-    non-finite ``a``.
+    For a symmetric ``a``, ``c`` holds the bits of ``scipy.linalg.lapack``'s
+    ``dpftrf(n, dtrttf(a, uplo)[0], uplo)[0]``: n(n+1)/2 floats. LAPACK
+    reads ``a``'s memory in Fortran order, so of a C-order ``a`` it packs the
+    ``lower`` triangle of ``a.T``, with no copy. The packed copy gets 0.0
+    added (-0.0 becomes +0.0) and each of ``shifts`` added to its diagonal in
+    turn: ``shifts=(s, t)`` factors exactly (a + s I) + t I. ``a`` is never
+    written; ``out``, a float64 n(n+1)/2-vector, receives the factor if
+    given. Raises ``np.linalg.LinAlgError`` if that matrix is not positive
+    definite, and ``ValueError`` for a complex or non-square or, with
+    ``check_finite``, non-finite ``a``.
     """
     as_array = np.asarray_chkfinite if check_finite else np.asarray
     a1 = np.atleast_2d(_real(as_array(a), "a"))
     if a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a1.shape}")
-    c = (np.asarray if overwrite_a else np.array)(a1, dtype=np.float64, order="F")
-    potrf, _ = _lapack()
-    c, info = potrf(c, lower)
+    a1, n = np.asarray(a1, dtype=np.float64), a1.shape[0]
+    if out is None:
+        out = np.empty(n * (n + 1) // 2)
+    elif out.dtype != np.float64 or out.shape != (n * (n + 1) // 2,) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous float64 vector of {n * (n + 1) // 2} entries")
+    trttf, pftrf, _ = _lapack()
+    uplo = b"L" if lower else b"U"
+    trttf(a1.T if a1.flags.c_contiguous else np.asfortranarray(a1), out, uplo)
+    out += 0.0
+    if shifts:
+        diagonal = _packed_diagonal(n, lower)
+        for shift in shifts:
+            out[diagonal] += shift
+    info = pftrf(out, n, uplo)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
-        raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpotrf")
-    return c, lower
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpftrf")
+    return out, lower
 
 
 def cho_solve(c_and_lower, b, check_finite=True):
-    """Solve A x = b from ``cho_factor``'s ``(c, lower)``, as ``scipy.linalg.cho_solve``.
+    """Solve A x = b from ``cho_factor``'s ``(c, lower)``, as ``dpftrs`` does.
 
-    ``b`` is an n-vector or an (n, k) matrix. Calls ``dpotrs`` of numpy's
-    OpenBLAS on a fresh Fortran-order float64 copy of ``b``, which becomes
-    ``x``; ``b`` is not written. Raises ``ValueError`` for complex input,
-    mismatched shapes or, with ``check_finite``, non-finite ``c`` or ``b``.
+    ``b`` is an n-vector or an (n, k) matrix; a fresh Fortran-order float64
+    copy of it becomes ``x``, so ``b`` is not written. Raises ``ValueError``
+    for complex input, mismatched shapes or, with ``check_finite``,
+    non-finite ``c`` or ``b``.
     """
     as_array = np.asarray_chkfinite if check_finite else np.asarray
     c, b1 = _real(as_array(c_and_lower[0]), "c"), _real(as_array(b), "b")
-    lower = c_and_lower[1]
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or b1.ndim not in (1, 2) or b1.shape[0] != c.shape[0]:
+    n = b1.shape[0] if b1.ndim else 0
+    if c.ndim != 1 or b1.ndim not in (1, 2) or c.shape[0] != n * (n + 1) // 2:
         raise ValueError(f"incompatible dimensions ({c.shape} and {b1.shape})")
-    _, potrs = _lapack()
-    c = np.asarray(c, dtype=np.float64, order="F")
-    x, info = potrs(c, np.array(b1, dtype=np.float64, order="F"), lower)
+    x = np.array(b1, dtype=np.float64, order="F")
+    info = _lapack()[2](np.ascontiguousarray(c, dtype=np.float64), x, b"L" if c_and_lower[1] else b"U")
     if info != 0:
-        raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpotrs")
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpftrs")
     return x
 
 
@@ -157,10 +198,11 @@ class PSDSolver:
     The top rung, 1e-8 tr(K)/n, is ``KernelMatrix``'s PSD tolerance, so a
     factor at shift 0 certifies K as PSD. Solutions are checked against the
     unjittered system, so a jitter large enough to distort the solve is
-    also a loud failure. Every rung refills and factors one Fortran-order
-    copy of K in place, which becomes the solver's one n x n array, its
-    factor; the caller's K is never written. The copy is K^T, written
-    contiguously: K itself for the symmetric K that ``KernelMatrix``
+    also a loud failure. The factor is the solver's one array: n(n+1)/2
+    floats in LAPACK's rectangular full packed format, which every rung
+    refills from K's memory and factors in place; the caller's K is never
+    written. K's C-order memory, read in Fortran order, is K^T, so the
+    packed triangle is K itself for the symmetric K that ``KernelMatrix``
     certifies, and for a K symmetric only within tolerance the factor is
     that of the symmetric matrix on K's upper triangle. The residual check
     forms K x + shift x from the caller's K. Neither the factorization nor the
@@ -180,19 +222,11 @@ class PSDSolver:
         jitters = [0.0] + [base_jitter * 10.0**k for k in range(JITTER_ESCALATIONS)]
         self.factor = None
         self.jitter = 0.0
-        diagonal = np.diag_indices(n)
-        a = np.empty((n, n), order="F")
+        packed = np.empty(n * (n + 1) // 2)
         for jitter in jitters:
-            # A failed potrf clobbers the copy, so every rung refills it. It is
-            # in Fortran order so that LAPACK works on it where it lies;
-            # filling it as a.T, a C-order view, keeps the copy contiguous.
-            # Adding 0.0 turns -0.0 into +0.0, so that the factored matrix is
-            # exactly (K + shift I) + jitter I, signed zeros included.
-            np.add(values, 0.0, out=a.T)
-            a[diagonal] += shift
-            a[diagonal] += jitter
+            # a failed dpftrf clobbers the buffer, so every rung refills it from K
             try:
-                self.factor = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+                self.factor = cho_factor(values, lower=True, check_finite=False, shifts=(shift, jitter), out=packed)
                 self.jitter = jitter
                 break
             except np.linalg.LinAlgError:
@@ -209,13 +243,13 @@ class PSDSolver:
     def solve_checked(self, b: np.ndarray) -> np.ndarray:
         """x with (K + shift I) x = b, for an n-vector b or an (n, k) block of right-hand sides.
 
-        A block is one ``dpotrs`` call and one product with K for its
+        A block is one ``dpftrs`` call and one product with K for its
         residuals. Each column's residual is checked against its own
         ||b_j||; if any exceeds ``RESIDUAL_RTOL`` times it, SingularityError
         reports the worst relative residual, and for a block its ``columns``
         name the failed columns. A narrow block's columns equal single
         solves bitwise; OpenBLAS may split a wide block's triangular solves
-        differently, which moves its columns by rounding (1.3e-15 of the
+        differently, which moves its columns by rounding (2.7e-15 of the
         largest entry at n=500 and 27 columns on 2 cores).
         """
         x = self.solve(b)

@@ -582,7 +582,8 @@ class TestSweepCommand:
 
     def test_failed_clean_form_fails_only_the_bounds(self, tmp_path, monkeypatch):
         # the group's early y^T K^-1 y is the only vector solve at shift 0: when it
-        # fails, each bound that reads it fails with that error, and the rest is unchanged
+        # fails, each bound that reads it fails with that error, and the rest is unchanged;
+        # the failure is kept, so no bound solves or refactors shift 0 again
         clean = self.grid_sweep(tmp_path, "swclean")
         original = krr_module.PSDSolver.solve_checked
         messages = []
@@ -594,7 +595,9 @@ class TestSweepCommand:
 
         monkeypatch.setattr(krr_module.PSDSolver, "solve_checked", spoiled)
         monkeypatch.setattr(cli_module, "_log", messages.append)
+        factors = count_calls(monkeypatch, krr_module, "cho_factor")
         rows = self.grid_sweep(tmp_path, "swspoiled")
+        assert len(factors) == 1 + 2  # the certificate and one factor per lambda^2 > 0
         failed = [row for row, before in zip(rows, clean, strict=True) if row != before]
         assert failed == [row for row in rows if row["noise"] != "0.0" and row["lambda"] != "0.0"]
         assert len(failed) == 12

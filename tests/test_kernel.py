@@ -208,7 +208,7 @@ class TestBuildMemory:
     Besides those, the recursion allocates at most four blocks of scratch
     (three of floats and the clamp's bool masks) and the unit-norm checks O(n d).
     A solve after the build replaces the certificate's factor with its own,
-    so K and one factor stay the two n x n arrays.
+    so K and one packed factor of n(n+1)/2 floats stay the largest arrays.
     """
 
     def test_gram_peak_within_two_and_a_half_matrices(self):
@@ -243,6 +243,22 @@ class TestBuildMemory:
         peak, code = traced_peak(lambda: cli.main(["krr", "--config", str(config)]))
         assert code == cli.EXIT_OK
         assert peak <= (2.1 * n * n + m * n + 4 * block) * 8
+
+    def test_krr_command_peaks_below_k_and_a_full_factor(self, tmp_path):
+        # K plus its packed factor (1.5 n^2 floats) set the peak; K is released
+        # before the test cross kernel is built, so C never stands beside them
+        n, m = 600, 200
+        config = tmp_path / "krr.json"
+        config.write_text(json.dumps({
+            "dataset": {"kind": "synth-sphere", "n": n, "d": 10, "target": "linear-sign", "seed": 17, "test_n": m},
+            "noise": {"kind": "binary-flip", "p": 0.2},
+            "model": {"kind": "analytic", "depth": 3},
+            "lambda": 1.0,
+            "out": str(tmp_path / "krr"),
+        }))
+        peak, code = traced_peak(lambda: cli.main(["krr", "--config", str(config)]))
+        assert code == cli.EXIT_OK
+        assert peak < 2 * n * n * 8
 
     def test_gram_values_peak_is_one_matrix_and_four_blocks(self):
         # the values before the certificate: the recursion overwrites the
@@ -492,11 +508,7 @@ class TestBandedSymmetryCheck:
 
 
 def counting(monkeypatch, module, name):
-    """Record a copy of the first argument of every call to ``module.name``.
-
-    A copy, because ``PSDSolver`` lets ``cho_factor`` overwrite its argument
-    with the factor.
-    """
+    """Record a copy of the first argument of every call to ``module.name``."""
     calls = []
     original = getattr(module, name)
     monkeypatch.setattr(

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 import ntkreg
 from ntkreg import krr as krr_module
@@ -28,6 +29,16 @@ from ntkreg.krr import (
 )
 from ntkreg.net import TrainConfig
 from ntkreg.noise import onehot_matrix
+
+
+def packed_factor(matrix, lower=True):
+    """scipy's Cholesky factor of ``matrix`` in rectangular full packed format: dpftrf(dtrttf(matrix))."""
+    uplo = "L" if lower else "U"
+    packed, info = scipy.linalg.lapack.dtrttf(matrix, uplo=uplo)
+    assert info == 0
+    factor, info = scipy.linalg.lapack.dpftrf(matrix.shape[0], packed, uplo=uplo)
+    assert info == 0
+    return factor
 
 
 def kernel_from(values):
@@ -129,21 +140,25 @@ class TestSolverAgainstDenseInverse:
 
     @pytest.mark.parametrize("diagonal", [[1.0, 1.0, 0.0], [4.0, 9.0, 0.0]])
     def test_jitter_rung_factors_a_fresh_copy(self, diagonal):
-        # the failed shift-0 rung overwrites its array (for [4, 9, 0] the
-        # leading entries become 2 and 3); the next rung must factor K + jitter I
+        # the failed shift-0 rung overwrites the packed buffer (for [4, 9, 0]
+        # its leading entries become 2 and 3); the next rung must factor K + jitter I
         values = np.diag(diagonal)
         solver = PSDSolver(values, 0.0)
         assert solver.jitter == 1e-10 * sum(diagonal) / 3
-        expected = scipy.linalg.cholesky(values + solver.jitter * np.eye(3), lower=True)
-        assert np.tril(solver.factor[0]).tobytes() == expected.tobytes()
+        expected = packed_factor(values + solver.jitter * np.eye(3))
+        assert solver.factor[0].tobytes() == expected.tobytes()
 
-    def test_jitter_ladder_refills_one_buffer(self):
+    def test_jitter_ladder_refills_one_buffer(self, monkeypatch):
         # a rank-5 Gram matrix fails the shift-0 rung and factors at the first
-        # jitter; the retry refills the failed rung's array instead of allocating
-        # a second one, and factors the same bits as a fresh copy
+        # jitter; the retry refills the failed rung's packed buffer of n(n+1)/2
+        # floats instead of allocating a second one, and factors the same bits
+        # as a fresh packing
         n = 600
         g = np.random.default_rng(0).standard_normal((n, 5))
         values = g @ g.T
+        buffers = []
+        original = krr_module.cho_factor
+        monkeypatch.setattr(krr_module, "cho_factor", lambda *a, **k: buffers.append(k["out"]) or original(*a, **k))
         tracemalloc.start()
         try:
             solver = PSDSolver(values, 0.0)
@@ -151,9 +166,10 @@ class TestSolverAgainstDenseInverse:
         finally:
             tracemalloc.stop()
         assert solver.jitter == 1e-10 * np.trace(values) / n
-        assert peak <= 1.05 * n * n * 8
-        expected, _ = scipy.linalg.cho_factor(values.T + solver.jitter * np.eye(n), lower=True)
-        assert solver.factor[0].tobytes() == np.asfortranarray(expected).tobytes()
+        assert len(buffers) == 2 and buffers[0] is buffers[1] is solver.factor[0]
+        assert peak <= 0.55 * n * n * 8
+        expected = packed_factor(values.T + solver.jitter * np.eye(n))
+        assert solver.factor[0].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("values", [np.diag([4.0, 9.0, 0.0]), -np.eye(3)],
                              ids=["rescued", "every-rung-fails"])
@@ -167,7 +183,7 @@ class TestSolverAgainstDenseInverse:
         assert values.tobytes() == before
 
     def test_factor_matches_shifted_sum_bitwise(self):
-        # the factor of one Fortran-order copy equals the factor of
+        # the factor of the packed copy equals the factor of
         # (K + shift I) + jitter I, signed zeros off the diagonal included
         a = np.random.default_rng(4).standard_normal((40, 40))
         values = a @ a.T / 40
@@ -178,14 +194,14 @@ class TestSolverAgainstDenseInverse:
         for shift in (0.0, 0.3):
             solver = PSDSolver(values, shift)
             shifted = (values + shift * np.eye(40)) + solver.jitter * np.eye(40)
-            expected, _ = scipy.linalg.cho_factor(shifted, lower=True)
-            assert solver.factor[0].tobytes() == np.asfortranarray(expected).tobytes()
-            assert solver.factor[0].flags.f_contiguous
+            assert solver.factor[0].tobytes() == packed_factor(shifted).tobytes()
+            assert solver.factor[0].shape == (40 * 41 // 2,)
 
     def test_near_symmetric_matrix_factors_its_upper_triangle(self):
-        # K symmetric only within tolerance: the contiguous copy is K^T, so
-        # the lower-triangle factor is that of the symmetric matrix on K's
-        # upper triangle, and the residual is still checked against K itself
+        # K symmetric only within tolerance: K's memory read in Fortran order
+        # is K^T, so the packed lower-triangle factor is that of the symmetric
+        # matrix on K's upper triangle, and the residual is still checked
+        # against K itself
         rng = np.random.default_rng(5)
         a = rng.standard_normal((30, 30))
         upper = a @ a.T / 30 + np.eye(30)
@@ -195,8 +211,7 @@ class TestSolverAgainstDenseInverse:
         assert not np.array_equal(values, values.T)
         K = KernelMatrix.from_values(values)  # within the symmetry tolerance
         solver = K.solver(0.3)
-        expected, _ = scipy.linalg.cho_factor(upper + 0.3 * np.eye(30), lower=True)
-        assert np.tril(solver.factor[0]).tobytes() == np.tril(expected).tobytes()
+        assert solver.factor[0].tobytes() == packed_factor(upper + 0.3 * np.eye(30)).tobytes()
         b = rng.standard_normal(30)
         x = solver.solve_checked(b)
         assert np.linalg.norm(values @ x + 0.3 * x - b) <= 1e-8 * np.linalg.norm(b)
@@ -227,31 +242,56 @@ def spd_matrix(n, seed=0):
 
 
 class TestLapackCalls:
-    """``cho_factor`` and ``cho_solve`` make ``scipy.linalg``'s LAPACK calls in numpy's own OpenBLAS, importing no scipy."""
+    """``cho_factor`` and ``cho_solve`` make scipy's packed (RFP) LAPACK calls in numpy's own OpenBLAS, importing no scipy."""
 
     @pytest.mark.parametrize("n", [1, 7, 300])
     @pytest.mark.parametrize("lower", [True, False])
     def test_bit_equal_to_scipy(self, n, lower):
         a = spd_matrix(n, seed=n)
         c, flag = cho_factor(a, lower=lower)
-        expected, _ = scipy.linalg.cho_factor(a, lower=lower)
+        expected = packed_factor(a, lower)
         assert flag is lower
-        assert c.tobytes(order="A") == expected.tobytes(order="A") and c.flags.f_contiguous
+        assert c.shape == (n * (n + 1) // 2,) and c.tobytes() == expected.tobytes()
         b = np.random.default_rng(n + 1).standard_normal((n, 3))
         for rhs in (b, b[:, 0]):
             x = cho_solve((c, lower), rhs)
-            reference = scipy.linalg.cho_solve((expected, lower), rhs)
-            assert x.shape == rhs.shape and x.tobytes() == reference.tobytes()
+            reference, info = scipy.linalg.lapack.dpftrs(n, expected, rhs.reshape(n, -1), uplo="L" if lower else "U")
+            assert info == 0
+            assert x.shape == rhs.shape and x.tobytes() == reference.reshape(rhs.shape).tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 50, 300, 1000])
     @pytest.mark.parametrize("lower", [True, False])
     def test_bit_equal_to_numpy_cholesky(self, n, lower):
-        # one BLAS runtime: numpy's own Cholesky makes the same dpotrf call
+        # one BLAS runtime: dpftrf first factors the leading n/2 x n/2 block
+        # with the dpotrf call numpy's own Cholesky makes, to the bit; the
+        # rest of the factor goes through its own dtrsm and dsyrk, so it
+        # matches numpy's full Cholesky only up to rounding
         a = spd_matrix(n, seed=n)
         c, _ = cho_factor(a, lower=lower)
-        triangle = np.tril if lower else np.triu
-        expected = np.linalg.cholesky(a, upper=not lower)
-        assert triangle(c).tobytes() == np.asfortranarray(expected).tobytes()
+        factor, info = scipy.linalg.lapack.dtfttr(n, c, uplo="L" if lower else "U")
+        assert info == 0
+        factor = np.tril(factor) if lower else np.triu(factor).T
+        k = n // 2
+        assert factor[:k, :k].tobytes() == np.linalg.cholesky(a[:k, :k]).tobytes()
+        expected = np.linalg.cholesky(a)
+        if n == 1:
+            assert factor.tobytes() == expected.tobytes()
+        assert np.max(np.abs(factor - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 600])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_packed_diagonal_positions(self, n, lower):
+        # where dtrttf puts the diagonal, which is where a shift is added
+        packed, _ = scipy.linalg.lapack.dtrttf(np.diag(np.arange(1.0, n + 1)), uplo="L" if lower else "U")
+        positions = krr_module._packed_diagonal(n, lower)
+        assert np.array_equal(packed[positions], np.arange(1.0, n + 1))
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_shifts_are_added_in_turn(self, lower):
+        a = spd_matrix(9)
+        a[0, 5] = a[5, 0] = -0.0
+        c, _ = cho_factor(a, lower=lower, shifts=(0.1, 1e-9))
+        assert c.tobytes() == packed_factor((a + 0.1 * np.eye(9)) + 1e-9 * np.eye(9), lower).tobytes()
 
     @pytest.mark.parametrize("a", [-np.eye(3), np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, 1.0, 0.0])],
                              ids=["negative", "indefinite", "singular"])
@@ -282,7 +322,7 @@ class TestLapackCalls:
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
     def test_real_input_converted_to_float64(self, dtype):
         c = cho_factor(4 * np.eye(3, dtype=dtype), lower=True)
-        assert c[0].dtype == np.float64 and c[0].flags.f_contiguous and np.array_equal(c[0], 2 * np.eye(3))
+        assert c[0].dtype == np.float64 and c[0].tobytes() == scipy.linalg.lapack.dtrttf(2 * np.eye(3), uplo="L")[0].tobytes()
         x = cho_solve(c, np.arange(3, dtype=dtype))
         assert x.dtype == np.float64 and np.array_equal(x, np.arange(3) / 4)
 
@@ -295,13 +335,18 @@ class TestLapackCalls:
         with pytest.raises(ValueError, match="incompatible dimensions"):
             cho_solve(cho_factor(spd_matrix(4)), np.ones(5))
 
-    def test_overwrite_a(self):
-        a = np.asfortranarray(spd_matrix(6))
-        before = a.copy()
-        c, _ = cho_factor(a, lower=True)
-        assert a.tobytes() == before.tobytes() and not np.shares_memory(a, c)
-        c_in_place, _ = cho_factor(a, lower=True, overwrite_a=True)
-        assert np.shares_memory(a, c_in_place) and c_in_place.tobytes() == c.tobytes()
+    def test_out_buffer_takes_the_factor(self):
+        # a is never written, in either memory order; out receives the factor
+        for a in (spd_matrix(6), np.asfortranarray(spd_matrix(6))):
+            before = a.copy()
+            c, _ = cho_factor(a, lower=True)
+            assert a.tobytes() == before.tobytes() and not np.shares_memory(a, c)
+            out = np.full(21, np.nan)
+            c_out, _ = cho_factor(a, lower=True, out=out)
+            assert c_out is out and out.tobytes() == c.tobytes() and a.tobytes() == before.tobytes()
+        for wrong in (np.empty(20), np.empty(21, dtype=np.float32), np.empty(42)[::2]):
+            with pytest.raises(ValueError, match="out must be"):
+                cho_factor(a, lower=True, out=wrong)
 
     def test_right_hand_side_not_written(self):
         c = cho_factor(spd_matrix(5), lower=True)
@@ -321,15 +366,15 @@ class TestLapackCalls:
             "    krr._openblas_lapack = lambda: None\n"
             "a = np.load(sys.argv[1])\n"
             "c = krr.cho_factor(a, lower=True)\n"
-            "np.save(sys.argv[3], np.stack([c[0], krr.cho_solve(c, a)]))\n"
+            "np.save(sys.argv[3], np.concatenate([c[0], krr.cho_solve(c, a).ravel()]))\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )
         a = spd_matrix(50)
         np.save(tmp_path / "a.npy", a)
         c, _ = cho_factor(a, lower=True)
-        primary = np.stack([c, cho_solve((c, True), a)])
-        reference, _ = scipy.linalg.cho_factor(a, lower=True)
-        reference = np.stack([reference, scipy.linalg.cho_solve((reference, True), a)])
+        primary = np.concatenate([c, cho_solve((c, True), a).ravel()])
+        reference = packed_factor(a)
+        reference = np.concatenate([reference, scipy.linalg.lapack.dpftrs(50, reference, a, uplo="L")[0].ravel()])
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ntkreg.__file__)))
         results = {}
         for lookup in ("numpy", "miss"):
@@ -594,7 +639,7 @@ class TestBlockSolve:
     def test_columns_match_single_solves(self, n, k):
         # a narrow block gives each column the bits of its single solve; OpenBLAS
         # may split a wide block's triangular solves differently (at n=500 and
-        # 27 columns on 2 cores they moved by 1.3e-15 of the largest entry)
+        # 27 columns on 2 cores they moved by 2.7e-15 of the largest entry)
         K = analytic_ntk(2, synth_sphere(n, 10, "linear-sign", seed=1))
         B = np.random.default_rng(11).standard_normal((n, k))
         for shift in (0.0, 0.25):
