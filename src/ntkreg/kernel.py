@@ -32,6 +32,8 @@ triangle down once. Besides its result, a build allocates at most four
 blocks of scratch: a Gram build holds one n x n array until K's PSD check
 packs K's triangle for its Cholesky factor (n(n+1)/2 floats), and afterwards
 K plus one packed factor at a time; a cross kernel holds one m x n array.
+The empirical cross kernel also holds the training inputs' gradient factors,
+and takes the queries' gradient pass in ``forward``'s row blocks.
 """
 
 import numpy as np
@@ -39,13 +41,10 @@ import numpy as np
 from ._kernelmatrix import KernelMatrix, mirror_upper
 from .data import DataSet
 from .errors import ValidationError
-from .net import MLP, gradient_factors
+from .net import BLOCK_ENTRIES, MLP, _as_batch, _row_blocks, gradient_factors
 
 COS_CLAMP_TOL = 1e-12
 UNIT_NORM_TOL = 1e-8
-# The arc-cosine recursion runs on bands of rows holding about this many
-# entries, small enough for a band and its scratch blocks to stay in cache.
-RECURSION_BLOCK_ENTRIES = 65536
 
 
 def arccos_kernel0(u):
@@ -74,7 +73,7 @@ def _clean_cosines(u: np.ndarray, out: np.ndarray) -> None:
 
 def _require_unit_rows(x: np.ndarray, what: str) -> None:
     norms = np.linalg.norm(x, axis=1)
-    worst = float(np.max(np.abs(norms - 1.0)))
+    worst = float(np.max(np.abs(norms - 1.0), initial=0.0))
     if worst > UNIT_NORM_TOL:
         raise ValidationError(
             f"{what} must have unit-norm rows for the analytic kernel "
@@ -116,7 +115,8 @@ def _kernel_bands(u: np.ndarray, depth: int, gram: bool) -> np.ndarray:
     ``mirror_upper``. Returns ``u``.
     """
     m, n = u.shape
-    rows = max(1, min(m, RECURSION_BLOCK_ENTRIES // max(n, 1)))
+    # bands small enough for a band and its scratch blocks to stay in cache
+    rows = max(1, min(m, BLOCK_ENTRIES // max(n, 1)))
     s, a, r = (np.empty(rows * n) for _ in range(3))
     for start in range(0, m, rows):
         t = u[start:start + rows, start if gram else 0:]
@@ -186,10 +186,23 @@ def empirical_ntk(mlp: MLP, data: DataSet, certificate: str = "factor") -> Kerne
     return kernel_from_factors(factors, certificate)
 
 
+def _cross_blocks(mlp: MLP, batch: np.ndarray, factors):
+    """(rows, k(batch[rows], X)) per row block of the queries: one gradient pass each, X's ``factors`` given."""
+    # X's factors stand on the left of each product and the block is yielded
+    # transposed: that way round, blocks of more than a few rows gave the same
+    # bits whatever their size (OpenBLAS 0.3.31); one-row blocks differ by rounding.
+    for rows in _row_blocks(mlp.config, batch.shape[0]):
+        yield rows, _factor_gram(factors, gradient_factors(mlp, batch[rows], output_index=0, at_init=True)).T
+
+
 def empirical_ntk_cross(mlp: MLP, queries: np.ndarray, data: DataSet) -> np.ndarray:
-    """k(queries, X) of the output-0 tangent kernel, from one gradient pass over each input set."""
-    factors_q = gradient_factors(mlp, queries, output_index=0, at_init=True)
-    return _factor_gram(factors_q, gradient_factors(mlp, data.inputs, output_index=0, at_init=True))
+    """k(queries, X) of the output-0 tangent kernel: one gradient pass over X, then the queries in row blocks."""
+    batch, _ = _as_batch(mlp.config, queries)
+    factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
+    out = np.empty((batch.shape[0], data.n))
+    for rows, block in _cross_blocks(mlp, batch, factors):
+        out[rows] = block
+    return out
 
 
 class AnalyticNTK:

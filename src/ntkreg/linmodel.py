@@ -38,9 +38,9 @@ from .errors import (
     _check_divergence,
     _check_integer,
 )
-from .kernel import _factor_gram, kernel_from_factors
+from .kernel import _cross_blocks, kernel_from_factors
 from .krr import krr_fit
-from .net import MLP, flatten_factors, forward, gradient_factors
+from .net import MLP, _as_batch, flatten_factors, forward, gradient_factors
 
 INIT_OUTPUT_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-10
@@ -88,11 +88,15 @@ class LinearizedModel:
         return theta0 + np.concatenate(blocks)
 
     def predict(self, coeffs: np.ndarray, queries) -> np.ndarray:
-        """Tangent-model prediction phi(x)^T Z a = k(x, X)^T a, from one gradient pass over the queries."""
+        """Tangent-model prediction phi(x)^T Z a = k(x, X)^T a; each row block of k(x, X) meets ``coeffs`` as it is formed."""
         if self.mlp is None or self.data is None:
             raise ValidationError("linearized model has no MLP attached; cannot predict")
-        cross = _factor_gram(gradient_factors(self.mlp, queries, output_index=0, at_init=True), self.factors)
-        return (cross[0] if np.ndim(queries) == 1 else cross) @ coeffs
+        batch, single = _as_batch(self.mlp.config, queries)
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        out = np.empty((batch.shape[0], *coeffs.shape[1:]))
+        for rows, block in _cross_blocks(self.mlp, batch, self.factors):
+            out[rows] = block @ coeffs
+        return out[0] if single else out
 
 
 def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:

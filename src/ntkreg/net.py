@@ -30,6 +30,7 @@ only, each weight matrix raveled row-major.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,14 @@ OBJECTIVE_VANILLA = "vanilla"
 OBJECTIVE_RDI = "rdi"
 OBJECTIVE_AUX = "aux"
 _OBJECTIVES = (OBJECTIVE_VANILLA, OBJECTIVE_RDI, OBJECTIVE_AUX)
+
+# Query-side passes (``forward``, and the cross kernels and tangent
+# predictions of ``ntkreg.kernel`` and ``ntkreg.linmodel``) take a batch in
+# row blocks of at most max(1, BLOCK_ENTRIES // max(widths)) rows, so a layer
+# holds about BLOCK_ENTRIES activations whatever the number of queries; the
+# arc-cosine recursion runs on bands of about as many entries. Training and
+# the training Gram builds sum over all rows and run full-batch.
+BLOCK_ENTRIES = 65536
 
 
 @dataclass(frozen=True)
@@ -78,15 +87,17 @@ class NetConfig:
         if not self.scale_c > 0.0:
             raise ValidationError(f"scale_c must be positive, got {self.scale_c}")
 
-    @property
+    # Derived fields are computed on first read and kept in the instance
+    # dict; equality and hashing read the fields only.
+    @cached_property
     def depth(self) -> int:
         return len(self.widths) + 1
 
-    @property
+    @cached_property
     def dims(self) -> tuple:
         return (self.input_dim, *self.widths, self.outputs)
 
-    @property
+    @cached_property
     def frozen_layers(self) -> frozenset:
         if not self.freeze_first_last:
             return frozenset()
@@ -94,12 +105,13 @@ class NetConfig:
             return frozenset({self.depth - 1})
         return frozenset({0, self.depth - 1})
 
-    @property
+    @cached_property
     def trainable_layers(self) -> tuple:
         return tuple(l for l in range(self.depth) if l not in self.frozen_layers)
 
-    def layer_scale(self, layer: int) -> float:
-        return 1.0 if layer == 0 else math.sqrt(self.scale_c / self.dims[layer])
+    @cached_property
+    def layer_scales(self) -> tuple:
+        return tuple(1.0 if l == 0 else math.sqrt(self.scale_c / self.dims[l]) for l in range(self.depth))
 
 
 @dataclass(eq=False)
@@ -166,7 +178,7 @@ def _branch_forward(config: NetConfig, weights, x, keep_cache=False, reuse=None)
     for l, w in enumerate(weights):
         last = l == config.depth - 1
         z = np.matmul(h, w.T, out=None if reuse is None or last else reuse[l + 1][0])
-        scale = config.layer_scale(l)
+        scale = config.layer_scales[l]
         if scale != 1.0:
             z *= scale
         if keep_cache:
@@ -190,14 +202,23 @@ def _as_batch(config: NetConfig, x):
     return x, single
 
 
+def _row_blocks(config: NetConfig, m: int) -> list:
+    """Slices of at most max(1, BLOCK_ENTRIES // max(widths)) rows covering m rows in order."""
+    rows = max(1, BLOCK_ENTRIES // max(config.widths))
+    return [slice(start, start + rows) for start in range(0, m, rows)]
+
+
 def forward(mlp: MLP, x) -> np.ndarray:
-    """Network output; accepts a single d-vector or an (m, d) batch."""
+    """Network output; accepts a single d-vector or an (m, d) batch, evaluated in row blocks."""
     batch, single = _as_batch(mlp.config, x)
-    out = None
-    for coeff, weights in zip(mlp.branch_coeffs, mlp.params):
-        branch_out, _ = _branch_forward(mlp.config, weights, batch)
-        contribution = coeff * branch_out
-        out = contribution if out is None else out + contribution
+    out = np.empty((batch.shape[0], mlp.config.outputs))
+    for rows in _row_blocks(mlp.config, batch.shape[0]):
+        total = None
+        for coeff, weights in zip(mlp.branch_coeffs, mlp.params):
+            branch_out, _ = _branch_forward(mlp.config, weights, batch[rows])
+            contribution = coeff * branch_out
+            total = contribution if total is None else total + contribution
+        out[rows] = total
     return out[0] if single else out
 
 
@@ -226,7 +247,7 @@ def _branch_backward(config: NetConfig, weights, caches, delta, summed=False):
     out = {}
     for l in range(config.depth - 1, lowest - 1, -1):
         inp, _ = caches[l]
-        scale = config.layer_scale(l)
+        scale = config.layer_scales[l]
         if scale != 1.0:
             delta *= scale
         if l in trainable:
@@ -235,7 +256,7 @@ def _branch_backward(config: NetConfig, weights, caches, delta, summed=False):
             break
         if summed and l - 1 == lowest and delta.shape[1] == 1:
             low_inp, mask = caches[lowest]
-            scaled = delta * config.layer_scale(lowest)  # (m, 1)
+            scaled = delta * config.layer_scales[lowest]  # (m, 1)
             out[lowest] = weights[l].T * ((scaled * low_inp).T @ mask.astype(np.float64)).T
             break
         # one column: delta_i * W_j, the values of the inner-dimension-1
@@ -408,6 +429,7 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
     aux = np.zeros((n, n_out))
     lam = cfg.lam
     reg_sq = lam * lam
+    rdi = cfg.objective == OBJECTIVE_RDI and lam > 0.0
 
     depth = config.depth
     total = cfg.steps
@@ -437,31 +459,34 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
         residual = effective - targets
         objective = 0.5 * float(np.sum(residual * residual))
         dist, norm = log_dist[t], log_norm[t]
+        displacements = []  # under RDI, W - W0 per (branch, trainable layer), reused by the update
         for branch, branch0 in zip(model.params, model.params0):
             for l in trainable:
                 diff = branch[l] - branch0[l]
                 dist[l] += float(np.sum(diff * diff))
                 norm[l] += float(np.sum(branch[l] * branch[l]))
+                if rdi:
+                    displacements.append(diff)
         np.sqrt(dist, out=dist)
         norm[trainable] = np.sqrt(norm[trainable])
-        if cfg.objective == OBJECTIVE_RDI and lam > 0.0:
+        if rdi:
             objective += 0.5 * reg_sq * float(np.sum(dist * dist))
         _check_divergence(objective, t)
 
         log_obj[t] = objective
         log_err[t] = prediction_error(f_out, data.noisy_labels, data.task)
-        log_err_aux[t] = prediction_error(effective, data.noisy_labels, data.task)
+        log_err_aux[t] = log_err[t] if effective is f_out else prediction_error(
+            effective, data.noisy_labels, data.task)
 
         if t == total:
             break
 
-        for coeff, weights, weights0, cache in zip(
-            model.branch_coeffs, model.params, model.params0, caches
-        ):
+        displacement = iter(displacements)
+        for coeff, weights, cache in zip(model.branch_coeffs, model.params, caches):
             grads = _branch_backward(config, weights, cache, coeff * residual, summed=True)
-            for l, grad in zip(config.trainable_layers, grads):
-                if cfg.objective == OBJECTIVE_RDI and lam > 0.0:
-                    grad = grad + reg_sq * (weights[l] - weights0[l])
+            for l, grad in zip(trainable, grads):
+                if rdi:
+                    grad = grad + reg_sq * next(displacement)
                 weights[l] -= cfg.eta * grad
         if cfg.objective == OBJECTIVE_AUX and lam > 0.0:
             aux -= cfg.eta * lam * residual

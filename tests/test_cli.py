@@ -172,22 +172,16 @@ class TestEquivalenceCommand:
         assert main(["equivalence", "--config", cfg]) == EXIT_OK
         assert calls == [[], []]
 
-    def test_traced_memory_holds_no_trajectories(self, tmp_path):
+    def test_traced_memory_holds_no_trajectories(self, tmp_path, traced_peak):
         # n=300, 2000 steps, six lambdas: one (steps+1) x n history alone is 4.8 MB
-        import tracemalloc
-
         out = tmp_path / "eq"
         cfg = write_config(tmp_path, "cfg.json", {
             "dataset": small_synth(n=300, d=10), "noise": {"kind": "binary-flip", "p": 0.2},
             "model": {"kind": "net", "widths": [16]}, "lambda_grid": [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
             "steps": 2000, "out": str(out),
         })
-        tracemalloc.start()
-        try:
-            assert main(["equivalence", "--config", cfg]) == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["equivalence", "--config", cfg])
+        assert code == EXIT_OK
         assert peak < 8e6
         assert len(open(out / "trajectory.csv").read().splitlines()) == 1 + 6 * 2001
 

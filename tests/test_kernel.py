@@ -1,7 +1,6 @@
 """Analytic recursion spot values, empirical Gram correctness, concentration."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from ntkreg.data import DataSet, synth_sphere
 from ntkreg.errors import ValidationError
 from ntkreg.kernel import (
     COS_CLAMP_TOL,
-    RECURSION_BLOCK_ENTRIES,
     AnalyticNTK,
     EmpiricalNTK,
     analytic_ntk,
@@ -26,10 +24,11 @@ from ntkreg.kernel import (
     arccos_kernel0,
     arccos_kernel1,
     empirical_ntk,
+    empirical_ntk_cross,
     kernel_cross,
 )
 from ntkreg.krr import krr_fit
-from ntkreg.net import NetConfig, gradient, init_mlp
+from ntkreg.net import BLOCK_ENTRIES, NetConfig, gradient, init_mlp
 
 # Hand evaluations of the recursion for depth 2:
 #   pair at cosine u: T = u k0(u) + k1(u)
@@ -151,7 +150,7 @@ class TestFusedRecursion:
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_gram_matches_reference_bitwise(self, depth):
-        assert self.N % (RECURSION_BLOCK_ENTRIES // self.N) != 0
+        assert self.N % (BLOCK_ENTRIES // self.N) != 0
         ds = synth_sphere(self.N, 10, "linear-sign", seed=11)
         K = analytic_ntk(depth, ds).values
         assert K.tobytes() == reference_gram(depth, ds.inputs).tobytes()
@@ -168,7 +167,7 @@ class TestFusedRecursion:
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_small_blocks_match_reference_bitwise(self, depth, monkeypatch):
         # blocks of 3 rows, the last one of 2, on both the Gram and a cross kernel
-        monkeypatch.setattr(kernel_module, "RECURSION_BLOCK_ENTRIES", 3 * 41)
+        monkeypatch.setattr(kernel_module, "BLOCK_ENTRIES", 3 * 41)
         ds = synth_sphere(41, 6, "linear-sign", seed=14)
         queries = synth_sphere(17, 6, "linear-sign", seed=15).inputs
         K = analytic_ntk(depth, ds).values
@@ -192,16 +191,6 @@ class TestFusedRecursion:
         assert cross[0, 1] == cross[0, 3] == float(depth) and cross[0, 2] == antipodal
 
 
-def traced_peak(build):
-    """Peak bytes that numpy allocates while ``build()`` runs."""
-    tracemalloc.start()
-    try:
-        result = build()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
 class TestBuildMemory:
     """A Gram build holds at most two n x n arrays at once; a cross kernel one m x n.
 
@@ -211,10 +200,10 @@ class TestBuildMemory:
     so K and one packed factor of n(n+1)/2 floats stay the largest arrays.
     """
 
-    def test_gram_peak_within_two_and_a_half_matrices(self):
+    def test_gram_peak_within_two_and_a_half_matrices(self, traced_peak):
         n = 600
         ds = synth_sphere(n, 10, "linear-sign", seed=17)
-        peak, K = traced_peak(lambda: analytic_ntk(3, ds))
+        K, peak = traced_peak(lambda: analytic_ntk(3, ds))
         assert K.solver(0.0).jitter == 0.0  # the certificate's factor is part of the peak
         assert peak <= 2.5 * n * n * 8
 
@@ -222,16 +211,16 @@ class TestBuildMemory:
         lambda K, y: krr_fit(K, y, 1.0),
         lambda K, y: bound_binary(K, y, 0.2, lam=1.0, delta=0.1),
     ], ids=["krr_fit", "bound_binary"])
-    def test_solve_after_build_peaks_at_two_matrices(self, read):
+    def test_solve_after_build_peaks_at_two_matrices(self, read, traced_peak):
         n = 600
         ds = synth_sphere(n, 10, "linear-sign", seed=17)
-        peak, _ = traced_peak(lambda: read(analytic_ntk(3, ds), ds.clean_labels))
+        _, peak = traced_peak(lambda: read(analytic_ntk(3, ds), ds.clean_labels))
         assert peak <= 2.1 * n * n * 8
 
-    def test_krr_command_peaks_at_two_matrices_and_the_cross_kernel(self, tmp_path):
+    def test_krr_command_peaks_at_two_matrices_and_the_cross_kernel(self, tmp_path, traced_peak):
         # K and the fit's factor, then the test cross kernel with its four blocks of scratch
         n, m = 600, 200
-        block = min(m, RECURSION_BLOCK_ENTRIES // n) * n
+        block = min(m, BLOCK_ENTRIES // n) * n
         config = tmp_path / "krr.json"
         config.write_text(json.dumps({
             "dataset": {"kind": "synth-sphere", "n": n, "d": 10, "target": "linear-sign", "seed": 17, "test_n": m},
@@ -240,11 +229,11 @@ class TestBuildMemory:
             "lambda": 1.0,
             "out": str(tmp_path / "krr"),
         }))
-        peak, code = traced_peak(lambda: cli.main(["krr", "--config", str(config)]))
+        code, peak = traced_peak(lambda: cli.main(["krr", "--config", str(config)]))
         assert code == cli.EXIT_OK
         assert peak <= (2.1 * n * n + m * n + 4 * block) * 8
 
-    def test_krr_command_peaks_below_k_and_a_full_factor(self, tmp_path):
+    def test_krr_command_peaks_below_k_and_a_full_factor(self, tmp_path, traced_peak):
         # K plus its packed factor (1.5 n^2 floats) set the peak; K is released
         # before the test cross kernel is built, so C never stands beside them
         n, m = 600, 200
@@ -256,29 +245,29 @@ class TestBuildMemory:
             "lambda": 1.0,
             "out": str(tmp_path / "krr"),
         }))
-        peak, code = traced_peak(lambda: cli.main(["krr", "--config", str(config)]))
+        code, peak = traced_peak(lambda: cli.main(["krr", "--config", str(config)]))
         assert code == cli.EXIT_OK
         assert peak < 2 * n * n * 8
 
-    def test_gram_values_peak_is_one_matrix_and_four_blocks(self):
+    def test_gram_values_peak_is_one_matrix_and_four_blocks(self, traced_peak):
         # the values before the certificate: the recursion overwrites the
         # cosines in place and mirror_upper copies K's upper triangle in place
         n, d = 600, 10
         x = synth_sphere(n, d, "linear-sign", seed=17).inputs
-        block = min(n, RECURSION_BLOCK_ENTRIES // n) * n
-        peak, values = traced_peak(
+        block = min(n, BLOCK_ENTRIES // n) * n
+        values, peak = traced_peak(
             lambda: mirror_upper(kernel_module._kernel_bands(x @ x.T, 3, gram=True))
         )
         assert values.tobytes() == reference_gram(3, x).tobytes()
         assert peak <= (n * n + 4 * block + n * d) * 8
 
     @pytest.mark.parametrize("m, n", [(5, 600), (300, 600), (600, 800)])
-    def test_cross_peak_is_one_matrix_and_four_blocks(self, m, n):
+    def test_cross_peak_is_one_matrix_and_four_blocks(self, m, n, traced_peak):
         d = 10
         ds = synth_sphere(n, d, "linear-sign", seed=18)
         queries = synth_sphere(m, d, "linear-sign", seed=19).inputs
-        block = min(m, RECURSION_BLOCK_ENTRIES // n) * n
-        peak, _ = traced_peak(lambda: analytic_ntk_cross(3, queries, ds))
+        block = min(m, BLOCK_ENTRIES // n) * n
+        _, peak = traced_peak(lambda: analytic_ntk_cross(3, queries, ds))
         assert peak <= (m * n + 4 * block + n * d) * 8
 
 
@@ -390,6 +379,33 @@ class TestKernelCross:
         assert out.shape == (3, 6)
         # an integer source means the analytic kernel at that depth
         assert np.array_equal(kernel_cross(2, queries, ds), out)
+
+    @pytest.mark.parametrize("source", ["analytic", "empirical"])
+    def test_empty_query_set_gives_zero_rows(self, source):
+        ds = synth_sphere(6, 5, "linear-sign", seed=9)
+        mlp = init_mlp(NetConfig(input_dim=5, widths=(16,)), 1)
+        kernel = AnalyticNTK(2) if source == "analytic" else EmpiricalNTK(mlp)
+        none = np.empty((0, 5))
+        assert kernel.cross(none, ds).shape == (0, 6)
+        assert kernel_cross(kernel, none, ds).shape == (0, 6)
+        assert krr_fit(kernel.gram(ds), ds.clean_labels, 1.0, kernel, ds).predict(none).shape == (0,)
+        cross = analytic_ntk_cross if source == "analytic" else empirical_ntk_cross
+        assert cross(2 if source == "analytic" else mlp, none, ds).shape == (0, 6)
+
+    def test_empirical_cross_peak_does_not_grow_with_queries(self, traced_peak):
+        # X's factors (2 x 300 x 2048 floats, 9.8 MB) and their gradient pass
+        # are needed whatever m is; beyond them and the (m, n) result, 2000
+        # queries must cost no more than 200 do, while one pass over them
+        # would hold 2 x 2000 x 2048 floats of factors (65.5 MB)
+        mlp = init_mlp(NetConfig(input_dim=10, widths=(2048,)), 0)
+        ds = synth_sphere(300, 10, "linear-sign", seed=2)
+        queries = synth_sphere(2000, 10, "linear-sign", seed=1).inputs
+        beyond = []
+        for m in (200, 2000):
+            cross, peak = traced_peak(empirical_ntk_cross, mlp, queries[:m], ds)
+            assert cross.shape == (m, 300)
+            beyond.append(peak - cross.nbytes)
+        assert beyond[1] <= beyond[0] + 1e6
 
 
 class TestConstructionInvariants:

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,7 +147,7 @@ class TestSolverAgainstDenseInverse:
         expected = packed_factor(values + solver.jitter * np.eye(3))
         assert solver.factor[0].tobytes() == expected.tobytes()
 
-    def test_jitter_ladder_refills_one_buffer(self, monkeypatch):
+    def test_jitter_ladder_refills_one_buffer(self, monkeypatch, traced_peak):
         # a rank-5 Gram matrix fails the shift-0 rung and factors at the first
         # jitter; the retry refills the failed rung's packed buffer of n(n+1)/2
         # floats instead of allocating a second one, and factors the same bits
@@ -159,12 +158,7 @@ class TestSolverAgainstDenseInverse:
         buffers = []
         original = krr_module.cho_factor
         monkeypatch.setattr(krr_module, "cho_factor", lambda *a, **k: buffers.append(k["out"]) or original(*a, **k))
-        tracemalloc.start()
-        try:
-            solver = PSDSolver(values, 0.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        solver, peak = traced_peak(PSDSolver, values, 0.0)
         assert solver.jitter == 1e-10 * np.trace(values) / n
         assert len(buffers) == 2 and buffers[0] is buffers[1] is solver.factor[0]
         assert peak <= 0.55 * n * n * 8

@@ -579,6 +579,22 @@ class TestKNorms:
 class TestFactoredFeatures:
     """The tangent model is its kernel: Z is never formed, parameters come from the layer factors."""
 
+    def test_predict_peak_is_a_few_blocks(self, traced_peak):
+        # one gradient pass over 2000 queries would hold 2 x 2000 x 2048 floats
+        # of factors (65.5 MB) and k(x, X) another 2000 x 300 (4.8 MB)
+        mlp = init_mlp(NetConfig(input_dim=10, widths=(2048,)), 0)
+        lm = linearize(mlp, synth_sphere(300, 10, "linear-sign", seed=2))
+        queries = synth_sphere(2000, 10, "linear-sign", seed=1).inputs
+        out, peak = traced_peak(lm.predict, np.ones((300, 3)), queries)
+        assert out.shape == (2000, 3)
+        assert peak < 8e6
+
+    def test_predict_on_no_queries(self):
+        lm, _ = make_lm(width=32)
+        none = np.empty((0, lm.mlp.config.input_dim))
+        assert lm.predict(np.ones(lm.n), none).shape == (0,)
+        assert lm.predict(np.ones((lm.n, 4)), none).shape == (0, 4)
+
     def test_linearize_never_forms_feature_matrix(self, monkeypatch):
         from ntkreg import linmodel as linmodel_module
         from ntkreg import net as net_module

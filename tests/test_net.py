@@ -1,11 +1,16 @@
 """Network forward/gradient correctness and full nonlinear training."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from ntkreg import net as net_module
 from ntkreg.data import prediction_error, synth_multiclass, synth_sphere
 from ntkreg.errors import DIVERGENCE_LIMIT, DivergenceError, ValidationError, _check_divergence
-from ntkreg.kernel import empirical_ntk
+from ntkreg.kernel import empirical_ntk, empirical_ntk_cross
+from ntkreg.linmodel import linearize
 from ntkreg.net import (
     NetConfig,
     TrainConfig,
@@ -76,6 +81,20 @@ class TestConfig:
         assert cfg == NetConfig(input_dim=3, widths=(4, 5), outputs=2)
         assert all(type(value) is int for value in cfg.dims)
         assert TrainConfig("rdi", eta=0.1, steps=np.int64(3)).steps == 3
+
+    def test_derived_fields_computed_once(self):
+        cfg = NetConfig(input_dim=3, widths=(4, 5), scale_c=3.0)
+        derived = (cfg.dims, cfg.frozen_layers, cfg.trainable_layers, cfg.layer_scales)
+        assert all(a is b for a, b in zip(derived, (cfg.dims, cfg.frozen_layers, cfg.trainable_layers,
+                                                   cfg.layer_scales)))
+        assert cfg.layer_scales == (1.0, np.sqrt(3.0 / 4), np.sqrt(3.0 / 5))
+        # equality, hashing, the field dict and pickling read the fields only
+        fresh = NetConfig(input_dim=3, widths=(4, 5), scale_c=3.0)
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        assert dataclasses.asdict(cfg) == dataclasses.asdict(fresh)
+        assert list(dataclasses.asdict(cfg)) == [f.name for f in dataclasses.fields(NetConfig)]
+        clone = pickle.loads(pickle.dumps(cfg))
+        assert clone == cfg and clone.trainable_layers == (1,) and clone.depth == 3
 
     def test_frozen_layers(self):
         two = NetConfig(input_dim=3, widths=(4,), freeze_first_last=True)
@@ -312,7 +331,7 @@ def reference_branch_forward(config, weights, x):
     caches = []
     h = x
     for l, w in enumerate(weights):
-        scale = config.layer_scale(l)
+        scale = config.layer_scales[l]
         inp = h if scale == 1.0 else h * scale
         z = inp @ w.T
         last = l == config.depth - 1
@@ -330,7 +349,7 @@ def reference_branch_factors(config, weights, caches, out_sens):
         factors[l] = (delta, inp)
         if l > 0:
             back = delta @ weights[l]
-            scale = config.layer_scale(l)
+            scale = config.layer_scales[l]
             if scale != 1.0:
                 back = back * scale
             delta = np.where(caches[l - 1][1], back, 0.0)
@@ -494,10 +513,13 @@ class CountingArray(np.ndarray):
     """Records the operand shapes of every matrix product it takes part in."""
 
     products = []
+    differences = []  # shapes of the out-of-place differences of two counted arrays
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         if ufunc is np.matmul:
             CountingArray.products.append(tuple(np.shape(a) for a in inputs))
+        if ufunc is np.subtract and out is None and all(isinstance(a, CountingArray) for a in inputs):
+            CountingArray.differences.append(np.shape(inputs[0]))
         plain = [a.view(np.ndarray) if isinstance(a, CountingArray) else a for a in inputs]
         if out is not None:
             # an in-place update keeps the counted array in its place
@@ -568,7 +590,7 @@ class TestNoAliasing:
     ]
 
     def test_unscaled_net_scales_nothing(self):
-        assert [self.UNSCALED.layer_scale(l) for l in range(3)] == [1.0, 1.0, 1.0]
+        assert self.UNSCALED.layer_scales == (1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("config", NETS, ids=["w16", "w8x6-2out", "w2x2-unscaled"])
     def test_inputs_and_weights_untouched(self, config):
@@ -632,3 +654,92 @@ def test_one_divergence_rule(objective):
     _check_divergence(DIVERGENCE_LIMIT, 7)
     with pytest.raises(DivergenceError, match="at step 7; reduce the learning rate"):
         _check_divergence(objective, 7)
+
+
+def moved_net(config, seed=2):
+    """A net whose first branch has left its initialization, so the output is not zero."""
+    mlp = init_mlp(config, seed)
+    rng = np.random.default_rng(seed)
+    for w in mlp.params[0]:
+        w += 0.05 * rng.standard_normal(w.shape)
+    return mlp
+
+
+# The default budget evaluates BLOCK_ENTRIES // 2048 = 32 rows of these nets at a time.
+BLOCKED_NETS = {
+    "w2048": NetConfig(input_dim=6, widths=(2048,)),
+    "w2048-3out": NetConfig(input_dim=6, widths=(2048,), outputs=3),
+    "w64x2048-ends-frozen": NetConfig(input_dim=6, widths=(64, 2048), freeze_first_last=True),
+}
+ROWS = net_module.BLOCK_ENTRIES // 2048
+
+
+class TestRowBlocks:
+    """Query passes evaluate at most max(1, BLOCK_ENTRIES // max(widths)) rows at a time.
+
+    A block's products run in BLAS kernels picked by its shape (a one-row
+    block in gemv, a few rows in gemm's edge kernels), so the budget moves
+    outputs by rounding only: by at most 1.6e-14 of the largest output
+    (forward, whose output cancels two branches) and 1.2e-15 (cross kernel
+    and tangent predictions) where this was measured.
+    """
+
+    @pytest.mark.parametrize("budget_rows", [1, 7])
+    @pytest.mark.parametrize("m", [1, ROWS - 1, ROWS, ROWS + 1, None], ids=lambda m: f"m{m or '-vector'}")
+    @pytest.mark.parametrize("name", list(BLOCKED_NETS))
+    def test_budget_moves_outputs_by_rounding_only(self, monkeypatch, name, m, budget_rows):
+        config = BLOCKED_NETS[name]
+        moved, mlp = moved_net(config), init_mlp(config, 3)
+        train = synth_sphere(20, 6, "linear-sign", seed=4)
+        lm = linearize(mlp, train)
+        coeffs = np.random.default_rng(5).standard_normal((20, 2))
+        queries = synth_sphere(m or 1, 6, "linear-sign", seed=6).inputs
+        if m is None:
+            queries = queries[0]
+
+        def passes():
+            return [forward(moved, queries), empirical_ntk_cross(mlp, queries, train),
+                    lm.predict(coeffs, queries), lm.predict(coeffs[:, 0], queries)]
+
+        expected = passes()
+        monkeypatch.setattr(net_module, "BLOCK_ENTRIES", budget_rows * max(config.widths))
+        for got, ref in zip(passes(), expected):
+            assert got.dtype == ref.dtype
+            assert close_rel(got, ref)
+        if m is None:
+            assert [np.shape(out) for out in expected] == [(config.outputs,), (1, 20), (2,), ()]
+
+    def test_empty_batch_keeps_its_shape(self):
+        mlp = moved_net(BLOCKED_NETS["w2048-3out"])
+        assert forward(mlp, np.empty((0, 6))).shape == (0, 3)
+
+    def test_forward_peak_is_one_block(self, traced_peak):
+        # 4096 queries at width 2048 are 64 MB of activations per layer in one pass
+        mlp = init_mlp(NetConfig(input_dim=10, widths=(2048,)), 0)
+        queries = synth_sphere(4096, 10, "linear-sign", seed=1).inputs
+        out, peak = traced_peak(forward, mlp, queries)
+        assert out.shape == (4096, 1)
+        assert peak < 4e6
+
+
+class TestTrainStepWork:
+    """A step scores the plain output once unless AUX shifts it, and forms each W - W0 once."""
+
+    @pytest.mark.parametrize("objective, lam, scored", [("vanilla", 0.0, 4), ("rdi", 1.0, 4), ("aux", 1.0, 8)])
+    def test_train_error_scored_once_without_aux(self, monkeypatch, objective, lam, scored):
+        calls = []
+        monkeypatch.setattr(net_module, "prediction_error", lambda *a: calls.append(a) or prediction_error(*a))
+        data = corrupt(synth_sphere(20, 6, "linear-sign", seed=3), BinaryFlip(0.2), seed=5)
+        _, _, log = train_full(init_mlp(NetConfig(input_dim=6, widths=(32,)), 7), data,
+                               TrainConfig(objective, eta=0.01, steps=3, lam=lam))
+        assert len(calls) == scored
+        if objective != "aux":
+            assert same_bits(log.train_error_with_aux, log.train_error)
+
+    def test_rdi_forms_each_displacement_once(self):
+        mlp = TestWalkStopsAtLowestTrainableLayer().counted_net()
+        CountingArray.differences.clear()
+        data = corrupt(synth_sphere(30, 6, "linear-sign", seed=3), BinaryFlip(0.2), seed=5)
+        train_full(mlp, data, TrainConfig("rdi", eta=0.01, steps=2, lam=1.0))
+        # steps 0, 1 and 2 measure the distance of layer 1 of two branches; the two updates reuse it
+        assert CountingArray.differences == [(32, 64)] * 6
