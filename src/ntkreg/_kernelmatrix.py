@@ -16,7 +16,8 @@ import numpy as np
 from .errors import SingularityError, ValidationError
 
 # Tolerances for the structural checks every kernel matrix must pass.
-# PSD_RTOL is also the top rung of ``krr.PSDSolver``'s jitter ladder.
+# PSD_RTOL is also the top rung of ``krr.PSDSolver``'s jitter ladder, whose
+# rungs are 1e-10, 1e-9 and 1e-8 times tr/n.
 SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-8
 # ``mirror_upper`` and the symmetry check work on bands of this many rows.
@@ -56,7 +57,7 @@ class KernelMatrix:
     def from_values(cls, values, certificate: str = "factor") -> "KernelMatrix":
         if certificate not in ("factor", "spectrum", "eigh"):
             raise ValidationError(f"unknown PSD certificate {certificate!r}")
-        values = np.asarray(values, dtype=np.float64)
+        values = _as_real(values, "kernel matrix")
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError(f"kernel matrix must be square, got shape {values.shape}")
         n = values.shape[0]
@@ -132,7 +133,7 @@ class KernelMatrix:
         A failed solve is kept too and raised again on every later read,
         which so never solves again or refactors a replaced shift.
         """
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        rows = np.atleast_2d(_as_real(rows, "rows"))
         key = (shift, rows.shape, rows.tobytes())
         if key not in self._forms:
             try:
@@ -148,6 +149,14 @@ class KernelMatrix:
         if isinstance(self._forms[key], SingularityError):
             raise self._forms[key]
         return self._forms[key]
+
+
+def _as_real(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array; ValidationError if complex, whose imaginary part the cast would drop."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValidationError(f"{name} must be real, got dtype {values.dtype}")
+    return np.asarray(values, dtype=np.float64)
 
 
 def k_norms(values: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -12,14 +12,13 @@ certified by their factor. A factor is packed in n(n+1)/2 floats, LAPACK's
 rectangular full packed (RFP) format (Gustavson et al. 2010, ACM TOMS
 37(2)), so a kernel matrix holds K plus one packed factor.
 
-Packing, factorizations and solves call LAPACK's ``dtrttf``, ``dpftrf`` and
-``dpftrs`` through ``ctypes`` in the OpenBLAS library numpy has already
-loaded. So a process runs one BLAS with one thread pool, which numpy's
-products have warmed up, and imports nothing of scipy: scipy's LAPACK
-wrappers link a second OpenBLAS whose threads would contend with numpy's
-for the same cores, and the ``scipy.linalg`` package adds about 0.3 s and
-28 MB to a process. Only where numpy's wheel layout is missing do the
-calls go through ``scipy.linalg.lapack``.
+Every factor is the lower triangle's, packed by LAPACK's ``dtrttf``,
+factored by ``dpftrf`` and solved with by ``dpftrs`` through ``ctypes`` in
+the OpenBLAS library numpy has already loaded: one BLAS thread pool and no
+scipy import, except through ``scipy.linalg.lapack`` where numpy's wheel
+layout is missing. Input is checked once, at the public edges
+(``KernelMatrix``, ``PSDSolver``, ``krr_fit``); ``cho_factor`` and
+``cho_solve`` check only the shapes that LAPACK's writes rely on.
 """
 
 import ctypes
@@ -31,14 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from ._kernelmatrix import KernelMatrix, k_norms
+from ._kernelmatrix import PSD_RTOL, KernelMatrix, _as_real, k_norms
 from .data import TASK_BINARY, TASK_MULTICLASS, DataSet, _write_csv, predicted_classes
 from .errors import SingularityError, ValidationError
 from .kernel import as_kernel_source, kernel_cross
 
 RESIDUAL_RTOL = 1e-8
-BASE_JITTER_FACTOR = 1e-10
-JITTER_ESCALATIONS = 3
 
 
 def _openblas_lapack():
@@ -67,19 +64,19 @@ def _openblas_lapack():
     trttf.restype = pftrf.restype = pftrs.restype = None
     i64 = ctypes.c_int64
 
-    def dtrttf(a, out, uplo):
+    def dtrttf(a, out):
         info = i64()
-        trttf(b"N", uplo, i64(a.shape[0]), a, i64(max(a.shape[0], 1)), out, info, 1, 1)
+        trttf(b"N", b"L", i64(a.shape[0]), a, i64(max(a.shape[0], 1)), out, info, 1, 1)
         return info.value
 
-    def dpftrf(c, n, uplo):
+    def dpftrf(c, n):
         info = i64()
-        pftrf(b"N", uplo, i64(n), c, info, 1, 1)
+        pftrf(b"N", b"L", i64(n), c, info, 1, 1)
         return info.value
 
-    def dpftrs(c, x, uplo):
+    def dpftrs(c, x):
         info = i64()
-        pftrs(b"N", uplo, i64(x.shape[0]), i64(x.shape[1] if x.ndim == 2 else 1), c, x,
+        pftrs(b"N", b"L", i64(x.shape[0]), i64(x.shape[1] if x.ndim == 2 else 1), c, x,
               i64(max(x.shape[0], 1)), info, 1, 1)
         return info.value
 
@@ -88,103 +85,90 @@ def _openblas_lapack():
 
 @functools.cache
 def _lapack():
-    """``(dtrttf, dpftrf, dpftrs)``, RFP with TRANSR='N', each returning LAPACK's ``info``.
+    """Lower-triangle ``(dtrttf, dpftrf, dpftrs)``, RFP with TRANSR='N', each returning LAPACK's ``info``.
 
-    ``dtrttf(a, out, uplo)`` packs the ``uplo`` (b"L" or b"U") triangle of a
-    Fortran-order ``a`` into ``out``, ``dpftrf(c, n, uplo)`` factors the
-    packed ``c`` in place and ``dpftrs(c, x, uplo)`` overwrites the
-    Fortran-order ``x`` with the solution. Where numpy's wheel layout is
-    missing they come from ``scipy.linalg.lapack``.
+    ``dtrttf(a, out)`` packs the lower triangle of a Fortran-order ``a``
+    into ``out``, ``dpftrf(c, n)`` factors the packed ``c`` in place and
+    ``dpftrs(c, x)`` overwrites the Fortran-order ``x`` with the solution.
+    Where numpy's wheel layout is missing they come from
+    ``scipy.linalg.lapack``.
     """
     routines = _openblas_lapack()
     if routines is not None:
         return routines
     from scipy.linalg.lapack import dpftrf, dpftrs, dtrttf
 
-    def trttf(a, out, uplo):
-        out[:], info = dtrttf(a, uplo=uplo)
+    def trttf(a, out):
+        out[:], info = dtrttf(a, uplo="L")
         return info
 
-    return (trttf, lambda c, n, uplo: dpftrf(n, c, uplo=uplo, overwrite_a=True)[1],
-            lambda c, x, uplo: dpftrs(x.shape[0], c, x if x.ndim == 2 else x[:, None], uplo=uplo,
-                                      overwrite_b=True)[1])
+    return (trttf, lambda c, n: dpftrf(n, c, uplo="L", overwrite_a=True)[1],
+            lambda c, x: dpftrs(x.shape[0], c, x if x.ndim == 2 else x[:, None], uplo="L",
+                                overwrite_b=True)[1])
 
 
-def _packed_diagonal(n: int, lower: bool) -> np.ndarray:
-    """Positions of the diagonal entries 0, ..., n-1 in an RFP array of order n, TRANSR='N'.
+def _packed_diagonal(n: int) -> np.ndarray:
+    """Positions of the diagonal entries 0, ..., n-1 in a lower RFP array of order n, TRANSR='N'.
 
     The diagonal runs in two strided halves: the array is (n + 1) x n/2 in
     Fortran order for even n and n x (n + 1)/2 for odd n.
     """
     i, half = np.arange(n), n // 2
-    if n % 2 == 0:
-        stride, first, offsets = n + 2, half, ((1, 0) if lower else (half + 1, half))
-    else:
-        stride, first, offsets = n + 1, (n - half if lower else half), ((0, n) if lower else (n - half, half))
+    stride, first, offsets = (n + 2, half, (1, 0)) if n % 2 == 0 else (n + 1, n - half, (0, n))
     return np.where(i < first, i * stride + offsets[0], (i - first) * stride + offsets[1])
 
 
-def _real(a, name):
-    """``a`` unless it is complex: LAPACK's real routines would drop the imaginary part."""
-    if np.iscomplexobj(a):
-        raise ValueError(f"{name} must be real, got dtype {a.dtype}")
-    return a
+def cho_factor(a, shifts=(), out=None):
+    """Packed lower Cholesky factor of a symmetric matrix, for ``cho_solve``.
 
-
-def cho_factor(a, lower=False, check_finite=True, shifts=(), out=None):
-    """Packed Cholesky factor ``(c, lower)`` of a real symmetric matrix, for ``cho_solve``.
-
-    For a symmetric ``a``, ``c`` holds the bits of ``scipy.linalg.lapack``'s
-    ``dpftrf(n, dtrttf(a, uplo)[0], uplo)[0]``: n(n+1)/2 floats. LAPACK
-    reads ``a``'s memory in Fortran order, so of a C-order ``a`` it packs the
-    ``lower`` triangle of ``a.T``, with no copy. The packed copy gets 0.0
-    added (-0.0 becomes +0.0) and each of ``shifts`` added to its diagonal in
-    turn: ``shifts=(s, t)`` factors exactly (a + s I) + t I. ``a`` is never
-    written; ``out``, a float64 n(n+1)/2-vector, receives the factor if
-    given. Raises ``np.linalg.LinAlgError`` if that matrix is not positive
-    definite, and ``ValueError`` for a complex or non-square or, with
-    ``check_finite``, non-finite ``a``.
+    For a symmetric ``a``, the factor holds the bits of
+    ``scipy.linalg.lapack``'s ``dpftrf(n, dtrttf(a, uplo="L")[0], uplo="L")[0]``:
+    n(n+1)/2 floats. LAPACK reads ``a``'s memory in Fortran order, so of a
+    C-order ``a`` it packs the lower triangle of ``a.T``, with no copy. The
+    packed copy gets 0.0 added (-0.0 becomes +0.0) and each of ``shifts``
+    added to its diagonal in turn: ``shifts=(s, t)`` factors exactly
+    (a + s I) + t I. ``a`` is never written; ``out``, a contiguous float64
+    n(n+1)/2-vector, receives the factor if given. Raises
+    ``np.linalg.LinAlgError`` if that matrix is not positive definite and
+    ``ValueError`` for a non-square ``a`` or a wrong ``out``; whether ``a``
+    is real and finite is the caller's to check.
     """
-    as_array = np.asarray_chkfinite if check_finite else np.asarray
-    a1 = np.atleast_2d(_real(as_array(a), "a"))
-    if a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a1.shape}")
-    a1, n = np.asarray(a1, dtype=np.float64), a1.shape[0]
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
     if out is None:
         out = np.empty(n * (n + 1) // 2)
     elif out.dtype != np.float64 or out.shape != (n * (n + 1) // 2,) or not out.flags.c_contiguous:
         raise ValueError(f"out must be a contiguous float64 vector of {n * (n + 1) // 2} entries")
     trttf, pftrf, _ = _lapack()
-    uplo = b"L" if lower else b"U"
-    trttf(a1.T if a1.flags.c_contiguous else np.asfortranarray(a1), out, uplo)
+    trttf(a.T if a.flags.c_contiguous else np.asfortranarray(a), out)
     out += 0.0
     if shifts:
-        diagonal = _packed_diagonal(n, lower)
+        diagonal = _packed_diagonal(n)
         for shift in shifts:
             out[diagonal] += shift
-    info = pftrf(out, n, uplo)
+    info = pftrf(out, n)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
         raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpftrf")
-    return out, lower
+    return out
 
 
-def cho_solve(c_and_lower, b, check_finite=True):
-    """Solve A x = b from ``cho_factor``'s ``(c, lower)``, as ``dpftrs`` does.
+def cho_solve(c, b):
+    """Solve A x = b from ``cho_factor``'s packed factor ``c`` of A, as ``dpftrs`` does.
 
     ``b`` is an n-vector or an (n, k) matrix; a fresh Fortran-order float64
     copy of it becomes ``x``, so ``b`` is not written. Raises ``ValueError``
-    for complex input, mismatched shapes or, with ``check_finite``,
-    non-finite ``c`` or ``b``.
+    for mismatched shapes.
     """
-    as_array = np.asarray_chkfinite if check_finite else np.asarray
-    c, b1 = _real(as_array(c_and_lower[0]), "c"), _real(as_array(b), "b")
-    n = b1.shape[0] if b1.ndim else 0
-    if c.ndim != 1 or b1.ndim not in (1, 2) or c.shape[0] != n * (n + 1) // 2:
-        raise ValueError(f"incompatible dimensions ({c.shape} and {b1.shape})")
-    x = np.array(b1, dtype=np.float64, order="F")
-    info = _lapack()[2](np.ascontiguousarray(c, dtype=np.float64), x, b"L" if c_and_lower[1] else b"U")
+    c, b = np.ascontiguousarray(c, dtype=np.float64), np.asarray(b)
+    n = b.shape[0] if b.ndim else 0
+    if c.ndim != 1 or b.ndim not in (1, 2) or c.shape[0] != n * (n + 1) // 2:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {b.shape})")
+    x = np.array(b, dtype=np.float64, order="F")
+    info = _lapack()[2](c, x)
     if info != 0:
         raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpftrs")
     return x
@@ -195,52 +179,48 @@ class PSDSolver:
 
     On factorization failure, adds jitter 1e-10 tr(K)/n to the diagonal and
     escalates tenfold up to three times before raising SingularityError.
-    The top rung, 1e-8 tr(K)/n, is ``KernelMatrix``'s PSD tolerance, so a
-    factor at shift 0 certifies K as PSD. Solutions are checked against the
-    unjittered system, so a jitter large enough to distort the solve is
-    also a loud failure. The factor is the solver's one array: n(n+1)/2
-    floats in LAPACK's rectangular full packed format, which every rung
-    refills from K's memory and factors in place; the caller's K is never
-    written. K's C-order memory, read in Fortran order, is K^T, so the
-    packed triangle is K itself for the symmetric K that ``KernelMatrix``
-    certifies, and for a K symmetric only within tolerance the factor is
-    that of the symmetric matrix on K's upper triangle. The residual check
-    forms K x + shift x from the caller's K. Neither the factorization nor the
-    solves re-scan for non-finite values: ``KernelMatrix`` has excluded them
-    from K, and a non-finite right-hand side fails the residual check.
+    The top rung, 1e-8 tr(K)/n, is ``KernelMatrix``'s PSD tolerance
+    ``PSD_RTOL``, so a factor at shift 0 certifies K as PSD. Solutions are
+    checked against the unjittered system, so a jitter large enough to
+    distort the solve is also a loud failure. ``factor`` is the solver's one
+    array: the packed lower factor of ``cho_factor``, n(n+1)/2 floats, which
+    every rung refills from K's memory and factors in place; the caller's K
+    is never written. K's C-order memory, read in Fortran order, is K^T, so
+    the packed triangle is K itself for the symmetric K that
+    ``KernelMatrix`` certifies, and for a K symmetric only within tolerance
+    the factor is that of the symmetric matrix on K's upper triangle. The
+    residual check forms K x + shift x from the caller's K. K and each
+    right-hand side are checked to be real here, but not re-scanned for
+    non-finite values: ``KernelMatrix`` has excluded them from K, and a
+    non-finite right-hand side fails the residual check.
     """
 
     def __init__(self, values: np.ndarray, shift: float):
-        values = np.asarray(values, dtype=np.float64)
+        values = _as_real(values, "matrix to factor")
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {values.shape}")
         n = values.shape[0]
         if n == 0:
             raise ValidationError("matrix to factor is empty (0 x 0); it needs at least one row")
         self.values, self.shift = values, shift
-        base_jitter = BASE_JITTER_FACTOR * max(float(np.trace(values)), 0.0) / n
-        jitters = [0.0] + [base_jitter * 10.0**k for k in range(JITTER_ESCALATIONS)]
-        self.factor = None
-        self.jitter = 0.0
+        base_jitter = PSD_RTOL / 100.0 * max(float(np.trace(values)), 0.0) / n
+        jitters = [0.0, base_jitter, base_jitter * 10.0, base_jitter * 100.0]
         packed = np.empty(n * (n + 1) // 2)
         for jitter in jitters:
             # a failed dpftrf clobbers the buffer, so every rung refills it from K
             try:
-                self.factor = cho_factor(values, lower=True, check_finite=False, shifts=(shift, jitter), out=packed)
-                self.jitter = jitter
-                break
+                self.factor = cho_factor(values, shifts=(shift, jitter), out=packed)
             except np.linalg.LinAlgError:
                 continue
-        if self.factor is None:
+            self.jitter = jitter
+            break
+        else:
             raise SingularityError(
                 f"Cholesky failed for shift {shift:.3e} even with jitter up to "
                 f"{jitters[-1]:.3e}"
             )
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return cho_solve(self.factor, b, check_finite=False)
-
-    def solve_checked(self, b: np.ndarray) -> np.ndarray:
+    def solve_checked(self, b) -> np.ndarray:
         """x with (K + shift I) x = b, for an n-vector b or an (n, k) block of right-hand sides.
 
         A block is one ``dpftrs`` call and one product with K for its
@@ -249,10 +229,10 @@ class PSDSolver:
         reports the worst relative residual, and for a block its ``columns``
         name the failed columns. A narrow block's columns equal single
         solves bitwise; OpenBLAS may split a wide block's triangular solves
-        differently, which moves its columns by rounding (2.7e-15 of the
-        largest entry at n=500 and 27 columns on 2 cores).
+        differently, which moves its columns by rounding.
         """
-        x = self.solve(b)
+        b = _as_real(b, "right-hand side")
+        x = cho_solve(self.factor, b)
         residuals = np.linalg.norm(self.values @ x + self.shift * x - b, axis=0)
         scales = np.maximum(np.linalg.norm(b, axis=0), np.finfo(np.float64).tiny)
         ratios = np.atleast_1d(residuals / scales)
@@ -314,7 +294,7 @@ def krr_fit(K: KernelMatrix, y, lam: float, kernel_source=None, train_data=None)
     """
     if not 0.0 <= lam < np.inf:  # NaN fails too
         raise ValidationError(f"lam must be finite and >= 0, got {lam}")
-    y = np.asarray(y, dtype=np.float64)
+    y = _as_real(y, "targets")
     if y.ndim not in (1, 2) or y.shape[-1] != K.n:
         raise ValidationError(f"targets must be ({K.n},) or (num_outputs, {K.n}), got {y.shape}")
     if not np.all(np.isfinite(y)):

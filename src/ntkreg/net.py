@@ -285,6 +285,7 @@ def gradient_factors(mlp: MLP, x, output_index: int = 0, at_init: bool = True):
         sens = np.zeros((batch.shape[0], config.outputs))
         sens[:, output_index] = coeff
         out.extend(_branch_backward(config, weights, caches, sens))
+        del caches  # released before the next branch's forward pass
     return out
 
 

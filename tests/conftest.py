@@ -22,3 +22,25 @@ def traced_peak():
             tracemalloc.stop()
 
     return run
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count(owner, name, record=None)`` wraps ``owner.name`` and returns the list its calls append to.
+
+    Each call appends ``record(*args, **kwargs)``, or 1 without ``record``,
+    and then runs the original.
+    """
+
+    def count(owner, name, record=None):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1 if record is None else record(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return count

@@ -114,18 +114,14 @@ class TestAdditiveBound:
         assert report.rademacher_value is not None
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
-    def test_shared_solvers_reuse_factors(self, mode, monkeypatch):
+    def test_shared_solvers_reuse_factors(self, mode, count_calls):
         ds = synth_sphere(60, 8, "smooth-poly", seed=2)
         K = analytic_ntk(2, ds)
         cfg = BoundConfig(lam=1.5, sigma=0.1, delta=0.1, constant_mode=mode)
         fresh = bound_additive(kernel_from(K.values), ds.clean_labels, cfg, ds.n)
         quad_form_inv(K, ds.clean_labels)  # read from the certificate's factor, as a sweep reads it
         krr_fit(K, ds.clean_labels, 1.5)
-        calls = []
-        original = krr_module.cho_factor
-        monkeypatch.setattr(
-            krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k)
-        )
+        calls = count_calls(krr_module, "cho_factor")
         shared = bound_additive(K, ds.clean_labels, cfg, ds.n)
         assert calls == []
         assert shared.as_dict() == fresh.as_dict()
@@ -206,43 +202,31 @@ class TestBinaryBound:
         assert abs(r1.main_term - r2.main_term) <= 1e-9 * r1.main_term
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
-    def test_factors_each_shift_once(self, mode, monkeypatch):
+    def test_factors_each_shift_once(self, mode, count_calls):
         # K's factor comes with K (its PSD check), so only K + lam^2 I is
         # factored, once, not once per quadratic form
-        calls = []
-        original = krr_module.cho_factor
-        monkeypatch.setattr(
-            krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k)
-        )
+        calls = count_calls(krr_module, "cho_factor")
         bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
-    def test_shared_solvers_reuse_factors(self, mode, monkeypatch):
+    def test_shared_solvers_reuse_factors(self, mode, count_calls):
         # with y^T K^-1 y read first, a fit at the same ridge leaves the bound
         # nothing new to factor, and the shared factors give the same report bit for bit
         fresh = bound_binary(kernel_from(self.K.values), self.y, 0.2, 2.0, 0.1, constant_mode=mode)
         quad_form_inv(self.K, self.y)
         krr_fit(self.K, self.y, 2.0)
-        calls = []
-        original = krr_module.cho_factor
-        monkeypatch.setattr(
-            krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k)
-        )
+        calls = count_calls(krr_module, "cho_factor")
         shared = bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode)
         assert calls == []
         assert shared.as_dict() == fresh.as_dict()
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
-    def test_bound_after_fit_factors_only_shift_zero(self, mode, monkeypatch):
+    def test_bound_after_fit_factors_only_shift_zero(self, mode, count_calls):
         # y^T K^-1 y read from K's own factor, the one its PSD check built,
         # and the fit's factor of K + lam^2 I belong to K, so the bound factors nothing
         fresh = bound_binary(kernel_from(self.K.values), self.y, 0.2, 2.0, 0.1, constant_mode=mode)
-        calls = []
-        original = krr_module.cho_factor
-        monkeypatch.setattr(
-            krr_module, "cho_factor", lambda *a, **k: calls.append(a[0]) or original(*a, **k)
-        )
+        calls = count_calls(krr_module, "cho_factor")
         certificate = self.K.solver(0.0)
         assert calls == []  # built when setup_method constructed K
         assert certificate.jitter == 0.0
@@ -281,12 +265,10 @@ class TestMulticlassBound:
         for j in range(self.n):
             assert np.array_equal(Q[:, j], P[:, self.labels[j] - 1])
 
-    def test_class_forms_from_one_block_solve(self, monkeypatch):
+    def test_class_forms_from_one_block_solve(self, count_calls):
         # one solve of K against every class's row of Q = P Y, where each class was its own solve
         P = np.array([[0.7, 0.1, 0.2], [0.2, 0.8, 0.1], [0.1, 0.1, 0.7]])
-        solves = []
-        original = krr_module.cho_solve
-        monkeypatch.setattr(krr_module, "cho_solve", lambda c, b, **kw: solves.append(1) or original(c, b, **kw))
+        solves = count_calls(krr_module, "cho_solve")
         report = bound_multiclass(self.K, self.Y, P, 0.8, 0.1)
         assert len(solves) == 1
         Q = P @ self.Y
@@ -403,23 +385,19 @@ class TestEmpiricalRisk:
 
 
 class TestMulticlassSharedSolvers:
-    def test_reuses_the_fit_factors(self, monkeypatch):
+    def test_reuses_the_fit_factors(self, count_calls):
         ds = synth_sphere(30, 5, "linear-sign", seed=4)
         K = analytic_ntk(2, ds)
         labels = np.arange(30) % 3 + 1
         Y = onehot_matrix(labels, 3)
         P = np.array([[0.7, 0.1, 0.2], [0.2, 0.8, 0.1], [0.1, 0.1, 0.7]])
+        factors = count_calls(krr_module, "cho_factor")
         for mode in ("explicit-appendix", "unit-constants"):
             fresh = bound_multiclass(kernel_from(K.values), Y, P, 0.8, 0.1, constant_mode=mode)
             krr_fit(K, Y, 0.8)
             K.solver(0.0)
-            factors = []
-            original = krr_module.cho_factor
-            monkeypatch.setattr(
-                krr_module, "cho_factor", lambda *a, **k: factors.append(1) or original(*a, **k)
-            )
+            factors.clear()
             shared = bound_multiclass(K, Y, P, 0.8, 0.1, constant_mode=mode)
-            monkeypatch.setattr(krr_module, "cho_factor", original)
             assert factors == []
             assert shared.as_dict() == fresh.as_dict()
 

@@ -40,19 +40,6 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
-def count_calls(monkeypatch, owner, name):
-    """Wrap ``owner.name`` so that every call appends to the returned list."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 def read_rows(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
@@ -84,11 +71,11 @@ class TestKernelCommand:
 
     @pytest.mark.parametrize("model", [{"kind": "analytic", "depth": 2}, {"kind": "net", "widths": [16]}],
                              ids=["analytic", "net"])
-    def test_certified_by_its_spectrum(self, tmp_path, capsys, monkeypatch, model):
+    def test_certified_by_its_spectrum(self, tmp_path, capsys, model, count_calls):
         # one eigvalsh per run certifies K and gives both numbers
-        factors = count_calls(monkeypatch, krr_module, "cho_factor")
-        spectra = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        bases = count_calls(monkeypatch, np.linalg, "eigh")
+        factors = count_calls(krr_module, "cho_factor")
+        spectra = count_calls(np.linalg, "eigvalsh")
+        bases = count_calls(np.linalg, "eigh")
         cfg = write_config(tmp_path, "cfg.json",
                            {"dataset": small_synth(n=20), "model": model, "out": str(tmp_path / "out")})
         assert main(["kernel", "--config", cfg]) == EXIT_OK
@@ -158,12 +145,12 @@ class TestEquivalenceCommand:
         )
         assert main(["equivalence", "--config", cfg]) == EXIT_VALIDATION
 
-    def test_never_forms_tangent_features(self, tmp_path, monkeypatch):
+    def test_never_forms_tangent_features(self, tmp_path, count_calls):
         # the check reads only the kernel; the n x P feature matrix is never built
         from ntkreg import linmodel as linmodel_module
         from ntkreg import net as net_module
 
-        calls = [count_calls(monkeypatch, owner, "flatten_factors") for owner in (net_module, linmodel_module)]
+        calls = [count_calls(owner, "flatten_factors") for owner in (net_module, linmodel_module)]
         cfg = write_config(tmp_path, "cfg.json", {
             "dataset": small_synth(n=20), "noise": {"kind": "binary-flip", "p": 0.2},
             "model": {"kind": "net", "widths": [24, 24]}, "lambda_grid": [0.5], "steps": 20,
@@ -280,10 +267,10 @@ class TestKrrCommand:
         assert float(row[1]) == 0.0  # interpolation at lambda = 0, no noise
         assert os.path.exists(out / "predictions.csv")
 
-    def test_one_cross_kernel_evaluation(self, tmp_path, monkeypatch):
+    def test_one_cross_kernel_evaluation(self, tmp_path, count_calls):
         # train predictions come from the Gram matrix; the test cross kernel
         # serves both the test error and predictions.csv
-        cross = count_calls(monkeypatch, AnalyticNTK, "cross")
+        cross = count_calls(AnalyticNTK, "cross")
         cfg = write_config(
             tmp_path, "cfg.json",
             {
@@ -553,16 +540,13 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         return read_rows(tmp_path / out_name / "results.csv")
 
-    def test_one_block_solve_per_ridge(self, tmp_path, monkeypatch):
+    def test_one_block_solve_per_ridge(self, tmp_path, count_calls):
         # each ridge fits its 9 (noise level, seed) label draws as one block, and each
         # (noise level > 0, lambda > 0) computes one bound report for its three seeds
-        fits = count_calls(monkeypatch, cli_module, "krr_fit")
-        reports = count_calls(monkeypatch, cli_module.bounds_mod, "bound_binary")
-        factors = count_calls(monkeypatch, krr_module, "cho_factor")
-        solves = []
-        original = krr_module.cho_solve
-        monkeypatch.setattr(krr_module, "cho_solve",
-                            lambda c, b, **kw: solves.append(np.shape(b)) or original(c, b, **kw))
+        fits = count_calls(cli_module, "krr_fit")
+        reports = count_calls(cli_module.bounds_mod, "bound_binary")
+        factors = count_calls(krr_module, "cho_factor")
+        solves = count_calls(krr_module, "cho_solve", record=lambda c, b: np.shape(b))
         rows = self.grid_sweep(tmp_path, "swblock")
         assert [row["status"] for row in rows] == ["ok"] * 27
         assert len(fits) == 3
@@ -574,7 +558,7 @@ class TestSweepCommand:
         assert len(factors) == 1 + 2
         assert [shape for shape in solves if len(shape) == 1] == [(60,)] * (1 + 2)
 
-    def test_failed_clean_form_fails_only_the_bounds(self, tmp_path, monkeypatch):
+    def test_failed_clean_form_fails_only_the_bounds(self, tmp_path, monkeypatch, count_calls):
         # the group's early y^T K^-1 y is the only vector solve at shift 0: when it
         # fails, each bound that reads it fails with that error, and the rest is unchanged;
         # the failure is kept, so no bound solves or refactors shift 0 again
@@ -589,7 +573,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(krr_module.PSDSolver, "solve_checked", spoiled)
         monkeypatch.setattr(cli_module, "_log", messages.append)
-        factors = count_calls(monkeypatch, krr_module, "cho_factor")
+        factors = count_calls(krr_module, "cho_factor")
         rows = self.grid_sweep(tmp_path, "swspoiled")
         assert len(factors) == 1 + 2  # the certificate and one factor per lambda^2 > 0
         failed = [row for row, before in zip(rows, clean, strict=True) if row != before]
@@ -604,8 +588,8 @@ class TestSweepCommand:
         blocks = []
         original = krr_module.cho_solve
 
-        def spoiled(c, b, **kwargs):
-            x = original(c, b, **kwargs)
+        def spoiled(c, b):
+            x = original(c, b)
             if np.ndim(b) == 2:
                 blocks.append(np.shape(b))
                 if len(blocks) == 2:  # the ridge lambda 0.5, whose column 4 fits noise 0.2 at seed 1
@@ -622,19 +606,19 @@ class TestSweepCommand:
             else:
                 assert row == before
 
-    def test_analytic_sweep_builds_one_kernel(self, tmp_path, monkeypatch):
-        grams = count_calls(monkeypatch, AnalyticNTK, "gram")
-        crosses = count_calls(monkeypatch, AnalyticNTK, "cross")
-        factors = count_calls(monkeypatch, krr_module, "cho_factor")
+    def test_analytic_sweep_builds_one_kernel(self, tmp_path, count_calls):
+        grams = count_calls(AnalyticNTK, "gram")
+        crosses = count_calls(AnalyticNTK, "cross")
+        factors = count_calls(krr_module, "cho_factor")
         cfg = self.sweep_config(tmp_path, "swcount")
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         assert (len(grams), len(crosses)) == (1, 1)
         assert len(factors) == 2  # one per distinct lambda^2 in the grid [0, 1]
 
-    def test_net_sweep_builds_one_kernel_per_seed(self, tmp_path, monkeypatch):
+    def test_net_sweep_builds_one_kernel_per_seed(self, tmp_path, count_calls):
         # the empirical kernel depends on the init seed, so each seed is a group
-        grams = count_calls(monkeypatch, EmpiricalNTK, "gram")
-        crosses = count_calls(monkeypatch, EmpiricalNTK, "cross")
+        grams = count_calls(EmpiricalNTK, "gram")
+        crosses = count_calls(EmpiricalNTK, "cross")
         cfg = self.net_krr_config(tmp_path, "swnetk")
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         assert (len(grams), len(crosses)) == (2, 2)
@@ -949,8 +933,8 @@ class TestLinearGroups:
         assert main(["sweep", "--config", cfg, *flags]) == EXIT_OK
         return read_rows(tmp_path / name / "results.csv"), load_config(cfg)
 
-    def test_linearize_once_per_seed(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, cli_module, "linearize")
+    def test_linearize_once_per_seed(self, tmp_path, count_calls):
+        calls = count_calls(cli_module, "linearize")
         rows, _ = self.run_sweep(tmp_path, "lin")
         assert [row["status"] for row in rows] == ["ok"] * 8
         assert len(calls) == 2
@@ -1001,9 +985,9 @@ class TestLinearGroups:
                     i += 1
         assert i == len(rows) == 8
 
-    def test_one_block_per_seed(self, tmp_path, monkeypatch):
+    def test_one_block_per_seed(self, tmp_path, count_calls):
         # every cell of a seed steps in one block of runs
-        calls = count_calls(monkeypatch, cli_module, "_descend")
+        calls = count_calls(cli_module, "_descend")
         rows, _ = self.run_sweep(tmp_path, "lin")
         assert [row["status"] for row in rows] == ["ok"] * 8
         assert len(calls) == 2
@@ -1028,12 +1012,12 @@ class TestLinearGroups:
         b = open(tmp_path / "par" / "results.csv", "rb").read()
         assert a == b
 
-    def test_labels_drawn_once_per_noise_level_and_seed(self, tmp_path, monkeypatch):
+    def test_labels_drawn_once_per_noise_level_and_seed(self, tmp_path, count_calls):
         # the config check's two probes, then one draw per (noise level > 0, seed), which the
         # group's runs and its rows share
         from ntkreg import noise as noise_module
 
-        calls = count_calls(monkeypatch, noise_module, "corrupt")
+        calls = count_calls(noise_module, "corrupt")
         rows, _ = self.run_sweep(tmp_path, "lin", noise_grid=[0.0, 0.2, 0.4])
         assert [row["status"] for row in rows] == ["ok"] * 12
         assert len(calls) == 6
@@ -1065,18 +1049,18 @@ class TestNetGroups:
         return read_rows(tmp_path / name / "results.csv")
 
     @pytest.mark.parametrize("eta, kernels", [(None, 2), (0.05, 0)])
-    def test_one_split_and_kernel_per_seed(self, tmp_path, monkeypatch, eta, kernels):
+    def test_one_split_and_kernel_per_seed(self, tmp_path, eta, kernels, count_calls):
         # an explicit eta needs no kernel norm
-        built = count_calls(monkeypatch, cli_module, "empirical_ntk")
-        splits = count_calls(monkeypatch, cli_module, "build_train_test")
+        built = count_calls(cli_module, "empirical_ntk")
+        splits = count_calls(cli_module, "build_train_test")
         rows = self.run_sweep(tmp_path, "net", eta=eta)
         assert [row["status"] for row in rows] == ["ok"] * 12
         assert (len(built), len(splits)) == (kernels, 2)
 
-    def test_default_step_builds_no_factor(self, tmp_path, monkeypatch):
+    def test_default_step_builds_no_factor(self, tmp_path, count_calls):
         # the kernel is read only for its norm, which its spectrum certificate computes anyway
-        built = count_calls(monkeypatch, cli_module, "empirical_ntk")
-        factors = count_calls(monkeypatch, krr_module, "cho_factor")
+        built = count_calls(cli_module, "empirical_ntk")
+        factors = count_calls(krr_module, "cho_factor")
         rows = self.run_sweep(tmp_path, "net", seeds=[0])
         assert [row["status"] for row in rows] == ["ok"] * 6
         assert (len(built), len(factors)) == (1, 0)
@@ -1167,9 +1151,9 @@ class TestEigenbasisReaders:
         pytest.param("train", {"method": "net-rdi", "eta": None}, (0, 1), id="train"),
         pytest.param("sweep", {"method": "net-rdi"}, (0, 1), id="net-rdi"),
     ])
-    def test_eigh_calls(self, tmp_path, monkeypatch, command, changes, counts):
-        bases = count_calls(monkeypatch, np.linalg, "eigh")
-        spectra = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    def test_eigh_calls(self, tmp_path, command, changes, counts, count_calls):
+        bases = count_calls(np.linalg, "eigh")
+        spectra = count_calls(np.linalg, "eigvalsh")
         payload = {"dataset": small_synth(n=20, test_n=10), "noise": {"kind": "binary-flip", "p": 0.2},
                    "model": self.NET, "lambda": 0.5, "lambda_grid": [0.0, 0.5], "noise_grid": [0.0, 0.2],
                    "seeds": [0], "steps": 5, "out": str(tmp_path / "out"), **changes}
@@ -1385,9 +1369,9 @@ class TestOneConfigCheck:
         assert documented == coded
 
     @pytest.mark.parametrize("command, method", [("equivalence", "linear-rdi"), ("train", "net-rdi")])
-    def test_net_drawn_once(self, tmp_path, monkeypatch, command, method):
+    def test_net_drawn_once(self, tmp_path, command, method, count_calls):
         # validation checks the model spec without drawing the net; the command draws it
-        calls = count_calls(monkeypatch, cli_module, "init_mlp")
+        calls = count_calls(cli_module, "init_mlp")
         cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=20), "method": method, "steps": 2,
                                                   "model": {"kind": "net", "widths": [16]}, "lambda_grid": [1.0],
                                                   "out": str(tmp_path / "out")})
@@ -1418,8 +1402,8 @@ class TestOneConfigCheck:
         assert "'depth'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_validated_once_per_run(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, cli_module, "_validate_config")
+    def test_validated_once_per_run(self, tmp_path, count_calls):
+        calls = count_calls(cli_module, "_validate_config")
         assert main(["kernel", "--out", str(tmp_path / "out"), "--seed", "1"]) == EXIT_OK
         assert len(calls) == 1
 

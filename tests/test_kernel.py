@@ -523,16 +523,6 @@ class TestBandedSymmetryCheck:
         assert KernelMatrix.from_values(values).values is values
 
 
-def counting(monkeypatch, module, name):
-    """Record a copy of the first argument of every call to ``module.name``."""
-    calls = []
-    original = getattr(module, name)
-    monkeypatch.setattr(
-        module, name, lambda *a, **k: calls.append(np.array(a[0])) or original(*a, **k)
-    )
-    return calls
-
-
 def with_min_eig(n, ratio):
     """A symmetric n x n matrix whose lambda_min is ``ratio`` * 1e-8 * tr/n."""
     rng = np.random.default_rng(7)
@@ -547,19 +537,19 @@ def with_min_eig(n, ratio):
 class TestCholeskyCertificate:
     """PSD is certified by K's shift-0 factor; the spectrum is computed only when read."""
 
-    def test_psd_matrix_factors_once_without_spectrum(self, monkeypatch):
+    def test_psd_matrix_factors_once_without_spectrum(self, count_calls):
         values = analytic_ntk(2, synth_sphere(30, 5, "linear-sign", seed=2)).values
-        factored = counting(monkeypatch, krr_module, "cho_factor")
-        spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        factored = count_calls(krr_module, "cho_factor", record=lambda a, **_: np.array(a))
+        spectra = count_calls(np.linalg, "eigvalsh")
         K = KernelMatrix.from_values(values)
         assert len(factored) == 1 and np.array_equal(factored[0], values)  # K itself, no jitter
         assert spectra == []
         assert K.solver(0.0).jitter == 0.0
         assert len(factored) == 1  # the solves at shift 0 reuse it
 
-    def test_spectrum_computed_once_on_read(self, monkeypatch):
+    def test_spectrum_computed_once_on_read(self, count_calls):
         K = KernelMatrix.from_values(np.diag([1.0, 2.0, 3.0]))
-        spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        spectra = count_calls(np.linalg, "eigvalsh")
         readings = [(K.op_norm, K.min_eig) for _ in range(2)]
         assert len(spectra) == 1
         assert readings == [(3.0, 1.0), (3.0, 1.0)]
@@ -589,10 +579,10 @@ class TestSpectrumCertificate:
         with pytest.raises(ValidationError, match="lambda_min"):
             KernelMatrix.from_values(with_min_eig(200, -1.1), certificate="spectrum")
 
-    def test_keeps_no_factor_and_one_spectrum(self, monkeypatch):
+    def test_keeps_no_factor_and_one_spectrum(self, count_calls):
         values = analytic_ntk(2, synth_sphere(30, 5, "linear-sign", seed=2)).values
-        factored = counting(monkeypatch, krr_module, "cho_factor")
-        spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        factored = count_calls(krr_module, "cho_factor")
+        spectra = count_calls(np.linalg, "eigvalsh")
         K = KernelMatrix.from_values(values, certificate="spectrum")
         readings = [(K.op_norm, K.min_eig) for _ in range(3)]
         assert factored == [] and K._factors == {}

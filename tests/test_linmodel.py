@@ -472,14 +472,12 @@ class TestClosedForm:
         theirs = predictor.predict(queries)
         assert np.max(np.abs(mine - theirs)) <= 1e-10 * max(np.max(np.abs(theirs)), 1e-12)
 
-    def test_limit_after_fit_reuses_the_factor(self, monkeypatch):
+    def test_limit_after_fit_reuses_the_factor(self, count_calls):
         from ntkreg import krr as krr_module
 
         lm, ds = make_lm(n=12, width=32)
         fit = krr_fit(lm.K, ds.noisy_labels, 0.5)
-        calls = []
-        original = krr_module.cho_factor
-        monkeypatch.setattr(krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k))
+        calls = count_calls(krr_module, "cho_factor")
         _, alpha = closed_form_limit(lm, ds.noisy_labels, 0.5)
         assert calls == []
         assert np.array_equal(alpha, fit.alpha)
@@ -638,12 +636,10 @@ class TestFactoredFeatures:
         with pytest.raises(ValidationError, match="no MLP attached"):
             identity_lm().theta_at(np.ones(4))
 
-    def test_kernel_is_certified_by_its_spectrum(self, monkeypatch):
+    def test_kernel_is_certified_by_its_spectrum(self, count_calls):
         from ntkreg import krr as krr_module
 
-        calls = []
-        original = krr_module.cho_factor
-        monkeypatch.setattr(krr_module, "cho_factor", lambda *a, **k: calls.append(1) or original(*a, **k))
+        calls = count_calls(krr_module, "cho_factor")
         lm, ds = make_lm(n=12, width=32)
         assert calls == [] and lm.K._factors == {}
         # the closed-form limit still factors, on demand, as a factor-certified K would
@@ -694,15 +690,8 @@ def reference_descend(k, runs, steps):
 class TestEigenbasis:
     """Gradient descent steps in K's eigenbasis: one eigh per kernel, the same iterates as K @ a."""
 
-    @staticmethod
-    def count(monkeypatch, name):
-        calls = []
-        original = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(1) or original(*a, **k))
-        return calls
-
-    def test_one_eigh_per_kernel(self, monkeypatch):
-        eigh, eigvalsh = self.count(monkeypatch, "eigh"), self.count(monkeypatch, "eigvalsh")
+    def test_one_eigh_per_kernel(self, count_calls):
+        eigh, eigvalsh = count_calls(np.linalg, "eigh"), count_calls(np.linalg, "eigvalsh")
         lm, ds = make_lm(n=12, width=32)
         assert (len(eigh), len(eigvalsh)) == (1, 0)
         k, v = lm.K.eigh

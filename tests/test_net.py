@@ -713,6 +713,17 @@ class TestRowBlocks:
         mlp = moved_net(BLOCKED_NETS["w2048-3out"])
         assert forward(mlp, np.empty((0, 6))).shape == (0, 3)
 
+    def test_gradient_factors_release_each_branch_cache(self, traced_peak):
+        # in (m, width) float arrays: the two branches' returned deltas are 2,
+        # and the second branch's forward and backward pass adds 1.15; the
+        # first branch's forward cache, kept through that pass, made it 3.25
+        n, width = 300, 2048
+        mlp = init_mlp(NetConfig(input_dim=10, widths=(width,)), 0)
+        x = synth_sphere(n, 10, "linear-sign", seed=1).inputs
+        factors, peak = traced_peak(gradient_factors, mlp, x)
+        assert len(factors) == 2
+        assert peak < 3.2 * n * width * 8
+
     def test_forward_peak_is_one_block(self, traced_peak):
         # 4096 queries at width 2048 are 64 MB of activations per layer in one pass
         mlp = init_mlp(NetConfig(input_dim=10, widths=(2048,)), 0)
@@ -726,9 +737,8 @@ class TestTrainStepWork:
     """A step scores the plain output once unless AUX shifts it, and forms each W - W0 once."""
 
     @pytest.mark.parametrize("objective, lam, scored", [("vanilla", 0.0, 4), ("rdi", 1.0, 4), ("aux", 1.0, 8)])
-    def test_train_error_scored_once_without_aux(self, monkeypatch, objective, lam, scored):
-        calls = []
-        monkeypatch.setattr(net_module, "prediction_error", lambda *a: calls.append(a) or prediction_error(*a))
+    def test_train_error_scored_once_without_aux(self, objective, lam, scored, count_calls):
+        calls = count_calls(net_module, "prediction_error")
         data = corrupt(synth_sphere(20, 6, "linear-sign", seed=3), BinaryFlip(0.2), seed=5)
         _, _, log = train_full(init_mlp(NetConfig(input_dim=6, widths=(32,)), 7), data,
                                TrainConfig(objective, eta=0.01, steps=3, lam=lam))
