@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ._kernelmatrix import KernelMatrix
+from ._kernelmatrix import KernelMatrix, _as_real
 from .data import TASK_BINARY, TASK_REGRESSION, DataSet, _write_json, prediction_error
 from .errors import ValidationError
 from .krr import KRRPredictor
@@ -124,7 +124,7 @@ class BoundReport:
 
 def _quad_form(K: KernelMatrix, v, shift: float) -> float:
     """v^T (K + shift I)^-1 v for a length-n vector v, clamped at zero against fp noise."""
-    v = np.asarray(v, dtype=np.float64)
+    v = _as_real(v, "vector")
     if v.shape != (K.n,):
         raise ValidationError(f"vector must have shape ({K.n},), got {v.shape}")
     return max(float(K.inverse_form(v, shift)[0, 0]), 0.0)
@@ -167,7 +167,7 @@ def lemma2_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float, n: 
     Value: sqrt(y^T (K + lam^2 I)^-1 y) + (sigma/lam)(sqrt(n) + sqrt(2 log(1/delta))).
     """
     BoundConfig(lam=lam, sigma=sigma, delta=delta)
-    y = np.asarray(y, dtype=np.float64)
+    y = _as_real(y, "labels")
     n = _sample_count(n, y.size)
     return _lemma2(_quad_form(K, y, lam * lam), sigma, lam, delta, n)
 
@@ -239,7 +239,7 @@ def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None) -> Bound
     prediction and zero on correct answers; the quadratic form uses the
     clean labels y, not the noisy ones the predictor was fitted on.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _as_real(y, "labels")
     n = _sample_count(n, y.size)
     q, q_shift = _quad_form(K, y, 0.0), _quad_form(K, y, cfg.lam * cfg.lam)
     return _additive_report(K, q, q_shift, cfg.sigma, cfg.lam, cfg.delta, n, cfg.constant_mode)
@@ -254,7 +254,7 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
     divides by (1-2p), which cancels in the main term and multiplies the
     noise and confidence terms by 1/(1-2p).
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _as_real(y, "labels")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValidationError("binary bound expects labels in {+1, -1}")
     if not 0.0 <= p < 0.5:
@@ -304,8 +304,8 @@ def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
     dominance gap of P give the final error bound; all three report terms
     include the 1/gap factor.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    P = np.asarray(P, dtype=np.float64)
+    Y = _as_real(Y, "one-hot matrix")
+    P = _as_real(P, "transition matrix")
     gap = validate_transition(P)
     num_classes = P.shape[0]
     if Y.ndim != 2 or Y.shape[0] != num_classes:
@@ -358,8 +358,8 @@ def ramp_loss(u, y, p: float):
     """
     if not 0.0 <= p < 0.5:
         raise ValidationError(f"flip probability must satisfy 0 <= p < 1/2, got {p}")
-    u = np.asarray(u, dtype=np.float64)
-    y_arr = np.asarray(y, dtype=np.float64)
+    u = _as_real(u, "predictions")
+    y_arr = _as_real(y, "labels")
     if not np.all(np.isin(y_arr, (-1.0, 1.0))):
         raise ValidationError("ramp loss expects labels in {+1, -1}")
     width = 1.0 - 2.0 * p

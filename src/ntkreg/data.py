@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernelmatrix import _as_real
 from .errors import DataFormatError, EmptyDatasetError, ValidationError
 
 ROW_NORM_TOL = 1e-12
@@ -50,7 +51,7 @@ class DataSet:
     normalized: bool = True
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.inputs = _as_real(self.inputs, "inputs")
         if self.inputs.ndim != 2:
             raise ValidationError(f"inputs must be a 2-D matrix, got ndim={self.inputs.ndim}")
         n, d = self.inputs.shape
@@ -67,9 +68,9 @@ class DataSet:
                 raise ValidationError(
                     f"normalized dataset has a row with |norm - 1| = {worst:.3e} > {ROW_NORM_TOL:.0e}"
                 )
-        self.clean_labels = self._check_labels(np.asarray(self.clean_labels), "clean_labels")
+        self.clean_labels = self._check_labels(_as_real(self.clean_labels, "clean_labels"), "clean_labels")
         self.noisy_labels = self._check_labels(
-            np.asarray(self.noisy_labels), "noisy_labels", noisy=True
+            _as_real(self.noisy_labels, "noisy_labels"), "noisy_labels", noisy=True
         )
 
     def _check_labels(self, labels, name, noisy=False):

@@ -33,7 +33,10 @@ blocks of scratch: a Gram build holds one n x n array until K's PSD check
 packs K's triangle for its Cholesky factor (n(n+1)/2 floats), and afterwards
 K plus one packed factor at a time; a cross kernel holds one m x n array.
 The empirical cross kernel also holds the training inputs' gradient factors,
-and takes the queries' gradient pass in ``forward``'s row blocks.
+and takes the queries' gradient pass in ``forward``'s row blocks. The
+empirical kernels read the distinct pairs of ``GradientFactors``: for a
+difference-trick net at initialization, one branch's factors and one set of
+factor products, whose sum is added to itself.
 """
 
 import numpy as np
@@ -41,7 +44,7 @@ import numpy as np
 from ._kernelmatrix import KernelMatrix, mirror_upper
 from .data import DataSet
 from .errors import ValidationError
-from .net import BLOCK_ENTRIES, MLP, _as_batch, _row_blocks, gradient_factors
+from .net import BLOCK_ENTRIES, MLP, _as_batch, _distinct_pairs, _row_blocks, gradient_factors
 
 COS_CLAMP_TOL = 1e-12
 UNIT_NORM_TOL = 1e-8
@@ -154,13 +157,23 @@ def analytic_ntk_cross(depth: int, queries: np.ndarray, data: DataSet) -> np.nda
 
 
 def _factor_gram(factors_a, factors_b=None) -> np.ndarray:
-    """Sum over layers of (Da Db^T) * (Ia Ib^T); equals Za Zb^T exactly in algebra."""
-    if factors_b is None:
-        factors_b = factors_a
+    """Sum over layers of (Da Db^T) * (Ia Ib^T); equals Za Zb^T exactly in algebra.
+
+    Pairs that count twice on both sides (``GradientFactors.copies``) are
+    multiplied once and the sum is added to itself: branch 2's products equal
+    branch 1's bit for bit, and x + x = 2x is exact, so with one trainable
+    layer the result is the bits of the sum over every pair.
+    """
+    pairs_a, copies = _distinct_pairs(factors_a)
+    pairs_b, copies_b = (pairs_a, copies) if factors_b is None else _distinct_pairs(factors_b)
+    if copies != copies_b:  # one side lists every pair: read both in full
+        pairs_a, pairs_b, copies = list(factors_a), list(factors_b), 1
     total = None
-    for (da, ia), (db, ib) in zip(factors_a, factors_b):
+    for (da, ia), (db, ib) in zip(pairs_a, pairs_b):
         block = (da @ db.T) * (ia @ ib.T)
         total = block if total is None else total + block
+    if copies == 2:
+        total += total
     return total
 
 

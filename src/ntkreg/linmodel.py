@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernelmatrix import KernelMatrix, k_norms
+from ._kernelmatrix import KernelMatrix, _as_real, k_norms
 from .data import DataSet
 from .errors import (
     DIVERGENCE_LIMIT,
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kernel import _cross_blocks, kernel_from_factors
 from .krr import krr_fit
-from .net import MLP, _as_batch, flatten_factors, forward, gradient_factors
+from .net import MLP, _as_batch, _distinct_pairs, flatten_factors, forward, gradient_factors
 
 INIT_OUTPUT_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-10
@@ -57,7 +57,9 @@ class LinearizedModel:
     reduction as ``empirical_ntk``), all that gradient descent and the ridge
     limit read. ``factors``, the training inputs' ``gradient_factors`` at
     init, are Z in factored form for ``theta_at`` and ``predict``, and
-    ``mlp``/``data`` stay attached for ``theta0`` and the queries' pass.
+    ``mlp``/``data`` stay attached for ``theta0`` and the queries' pass. For
+    a difference-trick net they hold branch 1's pairs only, counted twice:
+    ``theta_at`` forms branch 2's blocks by negating branch 1's.
     """
 
     K: KernelMatrix
@@ -84,7 +86,10 @@ class LinearizedModel:
     def theta_at(self, coeffs: np.ndarray) -> np.ndarray:
         """theta0 + Z a, formed layer by layer from the factors: sum_i a_i delta_i input_i^T."""
         theta0 = self.theta0  # first, so a model without a net fails with its message
-        blocks = [((delta * coeffs[:, None]).T @ inp).ravel() for delta, inp in self.factors]
+        pairs, copies = _distinct_pairs(self.factors)
+        blocks = [((delta * coeffs[:, None]).T @ inp).ravel() for delta, inp in pairs]
+        if copies == 2:  # branch 2's deltas are branch 1's negated, and so are its blocks
+            blocks += [-block for block in blocks]
         return theta0 + np.concatenate(blocks)
 
     def predict(self, coeffs: np.ndarray, queries) -> np.ndarray:
@@ -92,7 +97,7 @@ class LinearizedModel:
         if self.mlp is None or self.data is None:
             raise ValidationError("linearized model has no MLP attached; cannot predict")
         batch, single = _as_batch(self.mlp.config, queries)
-        coeffs = np.asarray(coeffs, dtype=np.float64)
+        coeffs = _as_real(coeffs, "coefficients")
         out = np.empty((batch.shape[0], *coeffs.shape[1:]))
         for rows, block in _cross_blocks(self.mlp, batch, self.factors):
             out[rows] = block @ coeffs
@@ -100,7 +105,7 @@ class LinearizedModel:
 
 
 def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
-    """The tangent kernel and Z's factors, from one gradient pass; requires an exactly-zero initial output.
+    """The tangent kernel and Z's factors, from one gradient pass; requires an exactly-zero output at init.
 
     K comes from ``kernel_from_factors`` (the reduction of ``empirical_ntk``)
     and is checked on a seeded probe v: K v against Z^T (Z v) formed layer by layer.
@@ -108,11 +113,14 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
     certified PSD by the eigenvalues of its ``eigh``, which serve ``op_norm``
     and every later descent too, and no factor is built until a solve
     (``closed_form_limit``) asks for one. The model keeps the gradient
-    factors, which ``theta_at`` and ``predict`` read.
+    factors, which ``theta_at`` and ``predict`` read. The zero output is
+    checked at ``params0``, the point linearized, whatever the current
+    weights.
     """
     if not mlp.config.difference_trick:
         raise ValidationError("linearize requires a difference-trick network")
-    init_out = np.atleast_2d(forward(mlp, data.inputs))
+    at_init = MLP(config=mlp.config, params=mlp.params0, params0=mlp.params0)  # shares, not copies, the weights
+    init_out = np.atleast_2d(forward(at_init, data.inputs))
     worst = float(np.max(np.abs(init_out)))
     if worst > INIT_OUTPUT_TOL:
         raise TrickViolationError(
@@ -122,7 +130,8 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
     # per layer, Z v is the block (delta * v)^T input and Z^T maps a block B to rowsum((delta B) * input);
     # formed before K, so that its temporaries are freed before K's build and eigh
     v = np.random.default_rng(0).standard_normal(data.n)
-    ztzv = sum(np.sum((delta @ ((delta * v[:, None]).T @ inp)) * inp, axis=1) for delta, inp in factors)
+    pairs, copies = _distinct_pairs(factors)
+    ztzv = copies * sum(np.sum((delta @ ((delta * v[:, None]).T @ inp)) * inp, axis=1) for delta, inp in pairs)
     k = kernel_from_factors(factors, certificate="eigh")
     scale = max(float(np.max(np.abs(k.values))), np.finfo(np.float64).tiny) * float(np.sum(np.abs(v)))
     mismatch = float(np.max(np.abs(k.values @ v - ztzv)))
@@ -161,7 +170,7 @@ class LinTrajectory:
 
 def _check_run(lm: LinearizedModel, kind: str, y, lam: float, eta):
     """A run's targets, checked as the tangent model's (n,) vector, and its step (None: the default)."""
-    y = np.asarray(y, dtype=np.float64)
+    y = _as_real(y, "targets")
     if y.shape != (lm.n,):  # the tangent model has one output
         raise ValidationError(f"targets must have shape ({lm.n},), got {y.shape}")
     if not 0.0 <= lam < np.inf:  # NaN fails too

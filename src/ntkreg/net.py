@@ -21,7 +21,9 @@ unscaled input, and a factor pair carries the scale on its delta.
 With ``difference_trick`` enabled the model is the scaled difference of two
 identically initialized copies, f = sqrt(2)/2 (g(theta_1, x) - g(theta_2, x)),
 which makes the initial output exactly zero while leaving the gradient Gram
-matrix unchanged.
+matrix unchanged. While the two branches hold equal weights, branch 2's
+gradient factors are branch 1's with the deltas negated, so
+``gradient_factors`` makes one branch's pass and counts its pairs twice.
 
 Parameter flattening order (fixed; it defines the feature map): branch 1
 before branch 2, layers in forward order within a branch, trainable layers
@@ -29,6 +31,7 @@ only, each weight matrix raveled row-major.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -267,26 +270,68 @@ def _branch_backward(config: NetConfig, weights, caches, delta, summed=False):
     return [out[l] for l in trainable]
 
 
-def gradient_factors(mlp: MLP, x, output_index: int = 0, at_init: bool = True):
+@dataclass(frozen=True, eq=False)
+class GradientFactors(Sequence):
+    """The (delta, input) factor pairs of ``gradient_factors``, kept once per distinct branch pass.
+
+    ``pairs`` are the pairs of the branches that were passed, in flattening
+    order, and each counts ``copies`` times. A difference-trick net whose two
+    branches hold equal weights is passed along branch 1 only (``copies`` 2):
+    branch 2's output coefficient is branch 1's negated and every other value
+    of its pass is equal, so its deltas are branch 1's negated, bit for bit,
+    and its inputs are branch 1's. Read as a sequence, the object lists every
+    pair in flattening order. Branch 2's pairs are formed on each read, a
+    negated delta and a copy of the input, so no two pairs read share memory.
+    The Gram products of ``ntkreg.kernel`` read ``pairs`` and ``copies``
+    through ``_distinct_pairs`` and form none of them.
+    """
+
+    pairs: list
+    copies: int
+
+    def __len__(self) -> int:
+        return len(self.pairs) * self.copies
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if isinstance(picked, range):
+            return [self[i] for i in picked]
+        copy, k = divmod(picked, len(self.pairs))
+        delta, inp = self.pairs[k]
+        return (delta, inp) if copy == 0 else (-delta, inp.copy())
+
+
+def _distinct_pairs(factors):
+    """(pairs, copies): a ``GradientFactors``'s distinct pairs and count; any other sequence of pairs counts once."""
+    if isinstance(factors, GradientFactors):
+        return factors.pairs, factors.copies
+    return factors, 1
+
+
+def gradient_factors(mlp: MLP, x, output_index: int = 0, at_init: bool = True) -> GradientFactors:
     """Factor pairs of the per-example parameter gradient, flattening order.
 
-    Returns a list over (branch, trainable layer) of (delta, input) arrays
-    with per-example rows. ``at_init`` selects the initialization snapshot
-    (the reference point for tangent features) instead of current weights.
+    Returns a ``GradientFactors``, a sequence over (branch, trainable layer)
+    of (delta, input) arrays with per-example rows. ``at_init`` selects the
+    initialization snapshot (the reference point for tangent features)
+    instead of current weights. When a difference-trick net's two branches
+    hold equal weights there (``np.array_equal``, layer by layer), one
+    branch's forward and backward pass serves both.
     """
     batch, _ = _as_batch(mlp.config, x)
     config = mlp.config
     if not 0 <= output_index < config.outputs:
         raise ValidationError(f"output_index {output_index} out of range 0..{config.outputs - 1}")
     params = mlp.params0 if at_init else mlp.params
-    out = []
-    for coeff, weights in zip(mlp.branch_coeffs, params):
+    copies = 2 if len(params) == 2 and all(map(np.array_equal, *params)) else 1
+    pairs = []
+    for coeff, weights in zip(mlp.branch_coeffs, params[:1] if copies == 2 else params):
         _, caches = _branch_forward(config, weights, batch, keep_cache=True)
         sens = np.zeros((batch.shape[0], config.outputs))
         sens[:, output_index] = coeff
-        out.extend(_branch_backward(config, weights, caches, sens))
+        pairs.extend(_branch_backward(config, weights, caches, sens))
         del caches  # released before the next branch's forward pass
-    return out
+    return GradientFactors(pairs, copies)
 
 
 def gradients_matrix(mlp: MLP, x, output_index: int = 0, at_init: bool = True) -> np.ndarray:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernelmatrix import _as_real
 from .data import TASK_BINARY, TASK_MULTICLASS, TASK_REGRESSION, DataSet
 from .data import onehot, onehot_matrix  # noqa: F401  (public names of this module too)
 from .errors import ValidationError
@@ -60,7 +61,7 @@ class ClassTransition:
     """
 
     def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = _as_real(matrix, "transition matrix")
         self.gap = validate_transition(matrix)
         self.matrix = matrix
 
@@ -71,7 +72,7 @@ class ClassTransition:
 
 def validate_transition(P) -> float:
     """Check a transition matrix and return gap = min_{c != c'} (P_cc - P_c'c)."""
-    P = np.asarray(P, dtype=np.float64)
+    P = _as_real(P, "transition matrix")
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValidationError(f"transition matrix must be square, got shape {P.shape}")
     if P.shape[0] < 2:
@@ -104,7 +105,7 @@ def rescale_binary(y, p: float):
     """
     if not 0.0 <= p < 0.5:
         raise ValidationError(f"flip probability must satisfy 0 <= p < 1/2, got {p}")
-    y = np.asarray(y, dtype=np.float64)
+    y = _as_real(y, "labels")
     sigma_eff = min(1.0, 2.0 * np.sqrt(p))
     return (1.0 - 2.0 * p) * y, sigma_eff
 

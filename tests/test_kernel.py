@@ -393,7 +393,7 @@ class TestKernelCross:
         assert cross(2 if source == "analytic" else mlp, none, ds).shape == (0, 6)
 
     def test_empirical_cross_peak_does_not_grow_with_queries(self, traced_peak):
-        # X's factors (2 x 300 x 2048 floats, 9.8 MB) and their gradient pass
+        # X's factors (one branch's, 300 x 2048 floats, 4.9 MB) and their gradient pass
         # are needed whatever m is; beyond them and the (m, n) result, 2000
         # queries must cost no more than 200 do, while one pass over them
         # would hold 2 x 2000 x 2048 floats of factors (65.5 MB)

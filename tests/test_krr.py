@@ -13,7 +13,15 @@ import scipy.linalg.lapack
 import ntkreg
 from ntkreg import krr as krr_module
 from ntkreg._kernelmatrix import KernelMatrix
-from ntkreg.bounds import BoundConfig
+from ntkreg.bounds import (
+    BoundConfig,
+    bound_additive,
+    bound_binary,
+    bound_multiclass,
+    lemma2_bound,
+    quad_form_inv,
+    ramp_loss,
+)
 from ntkreg.data import DataSet, synth_sphere
 from ntkreg.errors import SingularityError, ValidationError
 from ntkreg.kernel import AnalyticNTK, analytic_ntk, kernel_cross
@@ -26,8 +34,9 @@ from ntkreg.krr import (
     krr_fit,
     rkhs_norm,
 )
-from ntkreg.net import TrainConfig
-from ntkreg.noise import onehot_matrix
+from ntkreg.linmodel import LinearizedModel, linearize, run_gd_rdi
+from ntkreg.net import NetConfig, TrainConfig, init_mlp
+from ntkreg.noise import ClassTransition, onehot_matrix, rescale_binary, validate_transition
 
 
 def packed_factor(matrix):
@@ -392,6 +401,41 @@ class TestComplexInput:
     def test_checked_solve_right_hand_side(self):
         with pytest.raises(ValidationError, match="right-hand side must be real"):
             PSDSolver(np.eye(2), 0.5).solve_checked(np.array([1.0, 1j]))
+
+    # each case passes a complex array whose real part the call would accept
+    BEYOND_THE_SOLVER = {
+        "quad_form_inv": lambda: quad_form_inv(kernel_from(np.eye(3)), np.array([1, 1j, 0])),
+        "lemma2_bound": lambda: lemma2_bound(kernel_from(np.eye(2)), np.array([1.0, 1j]), 0.5, 1.0, 0.1),
+        "bound_additive": lambda: bound_additive(kernel_from(np.eye(2)), np.array([0.5, 0.5j]),
+                                                 BoundConfig(lam=1.0, sigma=0.5, delta=0.1)),
+        "bound_binary": lambda: bound_binary(kernel_from(np.eye(2)), np.array([1, -1], dtype=complex),
+                                             0.1, 1.0, 0.1),
+        "bound_multiclass": lambda: bound_multiclass(kernel_from(np.eye(2)), np.eye(2, dtype=complex),
+                                                     np.eye(2), 1.0, 0.1),
+        "bound_multiclass-transition": lambda: bound_multiclass(kernel_from(np.eye(2)), np.eye(2),
+                                                                np.eye(2, dtype=complex), 1.0, 0.1),
+        "ramp_loss": lambda: ramp_loss(np.array([0.5, 0.5j]), np.array([1.0, -1.0]), 0.1),
+        "ramp_loss-labels": lambda: ramp_loss(np.array([0.5, 0.5]), np.array([1, -1], dtype=complex), 0.1),
+        "run_gd_rdi": lambda: run_gd_rdi(LinearizedModel(K=kernel_from(np.eye(2))), np.array([1.0, 1j]), 1.0,
+                                         steps=1),
+        "predict": lambda: tangent_model().predict(np.full(4, 1j), np.eye(3)[:1]),
+        "DataSet-inputs": lambda: DataSet(np.eye(2, dtype=complex), np.ones(2), np.ones(2), "binary"),
+        "DataSet-labels": lambda: DataSet(np.eye(2), np.array([1, -1], dtype=complex), np.ones(2), "binary"),
+        "ClassTransition": lambda: ClassTransition(np.eye(2, dtype=complex)),
+        "validate_transition": lambda: validate_transition(np.eye(2) + 0j),
+        "rescale_binary": lambda: rescale_binary(np.array([1, -1], dtype=complex), 0.1),
+    }
+
+    @pytest.mark.parametrize("call", list(BEYOND_THE_SOLVER))
+    def test_beyond_the_solver(self, call):
+        with pytest.raises(ValidationError, match="must be real"):
+            self.BEYOND_THE_SOLVER[call]()
+
+
+def tangent_model():
+    """A linearized width-8 net on four unit inputs in three dimensions."""
+    data = DataSet(np.vstack([np.eye(3), -np.eye(3)[:1]]), np.ones(4), np.ones(4), "binary")
+    return linearize(init_mlp(NetConfig(input_dim=3, widths=(8,)), 0), data)
 
 
 class TestShiftedSolvers:

@@ -16,6 +16,7 @@ from ntkreg.errors import (
 from ntkreg.kernel import empirical_ntk
 from ntkreg.krr import krr_fit, rkhs_norm
 from ntkreg.linmodel import (
+    INIT_OUTPUT_TOL,
     KIND_AUX,
     KIND_RDI,
     LinearizedModel,
@@ -28,7 +29,7 @@ from ntkreg.linmodel import (
     run_gd_rdi,
     span_residual,
 )
-from ntkreg.net import NetConfig, gradients_matrix, init_mlp
+from ntkreg.net import NetConfig, TrainConfig, forward, gradients_matrix, init_mlp, train_full
 from ntkreg.noise import BinaryFlip, corrupt
 
 
@@ -63,6 +64,14 @@ class TestLinearize:
         mlp.params[0][0] += 0.1
         with pytest.raises(TrickViolationError):
             linearize(mlp, ds)
+
+    def test_trained_net_is_linearized_at_its_snapshot(self):
+        # the zero output is checked at params0, the point linearized, not at the trained weights
+        ds = corrupt(synth_sphere(20, 6, "linear-sign", seed=0), BinaryFlip(0.2), seed=1)
+        fresh = init_mlp(NetConfig(input_dim=6, widths=(32,)), 0)
+        trained, _, _ = train_full(fresh, ds, TrainConfig("rdi", eta=0.01, steps=5, lam=1.0))
+        assert np.max(np.abs(forward(trained, ds.inputs))) > INIT_OUTPUT_TOL
+        assert np.array_equal(linearize(trained, ds).K.values, linearize(fresh, ds).K.values)
 
     def test_gram_matches_empirical_kernel_bitwise(self):
         lm, ds = make_lm()

@@ -9,8 +9,9 @@ import pytest
 from ntkreg import net as net_module
 from ntkreg.data import prediction_error, synth_multiclass, synth_sphere
 from ntkreg.errors import DIVERGENCE_LIMIT, DivergenceError, ValidationError, _check_divergence
-from ntkreg.kernel import empirical_ntk, empirical_ntk_cross
-from ntkreg.linmodel import linearize
+from ntkreg._kernelmatrix import mirror_upper
+from ntkreg.kernel import _factor_gram, empirical_ntk, empirical_ntk_cross
+from ntkreg.linmodel import LinearizedModel, linearize
 from ntkreg.net import (
     NetConfig,
     TrainConfig,
@@ -23,7 +24,7 @@ from ntkreg.net import (
     layer_norms,
     train_full,
 )
-from ntkreg.net import _branch_forward
+from ntkreg.net import _branch_backward, _branch_forward
 from ntkreg.noise import BinaryFlip, corrupt
 
 
@@ -714,9 +715,10 @@ class TestRowBlocks:
         assert forward(mlp, np.empty((0, 6))).shape == (0, 3)
 
     def test_gradient_factors_release_each_branch_cache(self, traced_peak):
-        # in (m, width) float arrays: the two branches' returned deltas are 2,
-        # and the second branch's forward and backward pass adds 1.15; the
-        # first branch's forward cache, kept through that pass, made it 3.25
+        # in (m, width) float arrays: with a second branch pass, the two
+        # branches' returned deltas are 2 and that pass adds 1.15; the first
+        # branch's forward cache, kept through it, made it 3.25. Equal
+        # branches now take one pass: its cache and delta, 2.15
         n, width = 300, 2048
         mlp = init_mlp(NetConfig(input_dim=10, widths=(width,)), 0)
         x = synth_sphere(n, 10, "linear-sign", seed=1).inputs
@@ -753,3 +755,100 @@ class TestTrainStepWork:
         train_full(mlp, data, TrainConfig("rdi", eta=0.01, steps=2, lam=1.0))
         # steps 0, 1 and 2 measure the distance of layer 1 of two branches; the two updates reuse it
         assert CountingArray.differences == [(32, 64)] * 6
+
+
+def two_pass_factors(mlp, x, output_index=0):
+    """The pairs at init from a forward and backward pass of every branch, in flattening order."""
+    pairs = []
+    for coeff, weights in zip(mlp.branch_coeffs, mlp.params0):
+        _, caches = _branch_forward(mlp.config, weights, x, keep_cache=True)
+        sens = np.zeros((x.shape[0], mlp.config.outputs))
+        sens[:, output_index] = coeff
+        pairs.extend(_branch_backward(mlp.config, weights, caches, sens))
+    return pairs
+
+
+# name -> (config, whether it has one trainable layer); with one, the
+# one-pass sums are the two-pass sums' bits, since x + x = 2x is exact
+ONE_PASS_NETS = {
+    "w2048": (NetConfig(input_dim=6, widths=(2048,)), True),
+    "w64x2048": (NetConfig(input_dim=6, widths=(64, 2048)), True),
+    "w16x8-3out": (NetConfig(input_dim=6, widths=(16, 8), outputs=3), True),
+    "w64x128x32": (NetConfig(input_dim=6, widths=(64, 128, 32)), False),
+    "w2048-unfrozen": (NetConfig(input_dim=6, widths=(2048,), freeze_first_last=False), False),
+    "w64x128x32-unfrozen": (NetConfig(input_dim=6, widths=(64, 128, 32), freeze_first_last=False), False),
+}
+
+
+class TestOneBranchPass:
+    """While a difference-trick net's branches hold equal weights, one branch's pass serves both."""
+
+    def test_one_pass_per_call_while_branches_are_equal(self, count_calls):
+        forwards = count_calls(net_module, "_branch_forward")
+        backwards = count_calls(net_module, "_branch_backward")
+        data = corrupt(synth_sphere(20, 6, "linear-sign", seed=3), BinaryFlip(0.2), seed=5)
+        mlp = init_mlp(NetConfig(input_dim=6, widths=(32,)), 7)
+
+        def passes(net, **kwargs):
+            forwards.clear()
+            backwards.clear()
+            assert len(gradient_factors(net, data.inputs, **kwargs)) == len(net.params)
+            return len(forwards), len(backwards)
+
+        assert passes(mlp) == passes(mlp, at_init=False) == (1, 1)
+        trained, _, _ = train_full(mlp, data, TrainConfig("rdi", eta=0.01, steps=5, lam=1.0))
+        assert passes(trained) == (1, 1)
+        assert passes(trained, at_init=False) == (2, 2)
+        # the frozen output layer is read by the pass, so it counts in the comparison
+        mlp.params0[1][1] += 0.1
+        assert passes(mlp) == (2, 2)
+        assert passes(init_mlp(NetConfig(input_dim=6, widths=(32,), difference_trick=False), 7)) == (1, 1)
+
+    @pytest.mark.parametrize("name", list(ONE_PASS_NETS))
+    def test_factors_are_the_two_passes_bitwise(self, name):
+        config, _ = ONE_PASS_NETS[name]
+        mlp = init_mlp(config, 3)
+        x = synth_sphere(25, 6, "linear-sign", seed=1).inputs
+        factors = gradient_factors(mlp, x, output_index=config.outputs - 1)
+        reference = two_pass_factors(mlp, x, output_index=config.outputs - 1)
+        assert factors.copies == 2 and 2 * len(factors.pairs) == len(factors) == len(reference)
+        for (delta, inp), (ref_delta, ref_inp) in zip(factors, reference):
+            assert same_bits(delta, ref_delta) and same_bits(inp, ref_inp)
+        # indexing from the end and slicing read the same pairs
+        assert same_bits(factors[-1][0], reference[-1][0])
+        assert len(factors[1:]) == len(reference) - 1 and same_bits(factors[1:][-1][0], reference[-1][0])
+
+    @pytest.mark.parametrize("name", list(ONE_PASS_NETS))
+    def test_kernels_match_two_passes(self, name):
+        config, one_layer = ONE_PASS_NETS[name]
+        same = same_bits if one_layer else close_rel
+        mlp = init_mlp(config, 3)
+        train = synth_sphere(40, 6, "linear-sign", seed=1)
+        queries = synth_sphere(20, 6, "linear-sign", seed=2).inputs  # one row block of every net here
+        coeffs = np.random.default_rng(4).standard_normal((40, 2))
+        pairs, query_pairs = two_pass_factors(mlp, train.inputs), two_pass_factors(mlp, queries)
+        gram, cross = mirror_upper(_factor_gram(pairs)), _factor_gram(pairs, query_pairs).T
+        lm = linearize(mlp, train)
+        assert same(empirical_ntk(mlp, train).values, gram) and same(lm.K.values, gram)
+        assert same(empirical_ntk_cross(mlp, queries, train), cross)
+        assert same(lm.predict(coeffs, queries), cross @ coeffs)
+        # factors listed pair by pair meet the queries' counted ones in full, as before
+        listed = LinearizedModel(K=lm.K, mlp=mlp, data=train, factors=list(lm.factors))
+        assert same_bits(listed.predict(coeffs, queries), cross @ coeffs)
+        # theta_at makes one product per pair and sums none, so it is bitwise at every depth
+        blocks = [((delta * coeffs[:, :1]).T @ inp).ravel() for delta, inp in pairs]
+        assert same_bits(lm.theta_at(coeffs[:, 0]), lm.theta0 + np.concatenate(blocks))
+
+    @pytest.mark.parametrize("build", ["empirical_ntk", "empirical_ntk_cross", "linearize"])
+    def test_peak_is_one_branch_pass(self, traced_peak, build):
+        # one branch's pass over X peaks at about 2.15 x 300 x 2048 floats
+        # (10.6 MB): its forward cache and the delta it returns; a second
+        # branch's pass beside the first one's factors made it 15.5 MB
+        mlp = init_mlp(NetConfig(input_dim=10, widths=(2048,)), 0)
+        train = synth_sphere(300, 10, "linear-sign", seed=2)
+        queries = synth_sphere(200, 10, "linear-sign", seed=1).inputs
+        calls = {"empirical_ntk": (empirical_ntk, mlp, train),
+                 "empirical_ntk_cross": (empirical_ntk_cross, mlp, queries, train),
+                 "linearize": (linearize, mlp, train)}
+        _, peak = traced_peak(*calls[build])
+        assert peak <= 12e6
