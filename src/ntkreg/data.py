@@ -79,10 +79,12 @@ class DataSet:
         if self.task == TASK_MULTICLASS:
             if self.num_classes < 2:
                 raise ValidationError("multiclass datasets need num_classes >= 2")
-            labels = labels.astype(np.int64)
+            # checked before the cast, which would truncate 1.7 to 1 and turn NaN into a warning
+            if not np.all(np.isfinite(labels) & (labels == np.trunc(labels))):
+                raise ValidationError(f"{name} must be integer class ids, got a non-integral or non-finite value")
             if labels.min() < 1 or labels.max() > self.num_classes:
                 raise ValidationError(f"{name} must be class ids in 1..{self.num_classes}")
-            return labels
+            return labels.astype(np.int64)
         labels = labels.astype(np.float64)
         if not np.all(np.isfinite(labels)):
             raise ValidationError(f"{name} contain non-finite values")

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kernel import _cross_blocks, kernel_from_factors
 from .krr import krr_fit
-from .net import MLP, _as_batch, _distinct_pairs, flatten_factors, forward, gradient_factors
+from .net import MLP, _as_batch, _combine_branches, _distinct_pairs, flatten_factors, gradient_factors
 
 INIT_OUTPUT_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-10
@@ -115,18 +115,19 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
     (``closed_form_limit``) asks for one. The model keeps the gradient
     factors, which ``theta_at`` and ``predict`` read. The zero output is
     checked at ``params0``, the point linearized, whatever the current
-    weights.
+    weights, from the branch outputs of that one gradient pass.
     """
     if not mlp.config.difference_trick:
         raise ValidationError("linearize requires a difference-trick network")
-    at_init = MLP(config=mlp.config, params=mlp.params0, params0=mlp.params0)  # shares, not copies, the weights
-    init_out = np.atleast_2d(forward(at_init, data.inputs))
+    factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
+    # the pass's own branch outputs, combined as ``forward`` combines them: with
+    # equal branches c o - c o, which is exactly 0 unless o is non-finite
+    init_out = _combine_branches(mlp.branch_coeffs, factors.outputs)
     worst = float(np.max(np.abs(init_out)))
     if worst > INIT_OUTPUT_TOL:
         raise TrickViolationError(
             f"initial output magnitude {worst:.3e} exceeds {INIT_OUTPUT_TOL:.0e}"
         )
-    factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
     # per layer, Z v is the block (delta * v)^T input and Z^T maps a block B to rowsum((delta B) * input);
     # formed before K, so that its temporaries are freed before K's build and eigh
     v = np.random.default_rng(0).standard_normal(data.n)

@@ -159,15 +159,20 @@ def init_mlp(config: NetConfig, seed: int) -> MLP:
     return MLP(config=config, params=params, params0=params0)
 
 
-def _branch_forward(config: NetConfig, weights, x, keep_cache=False, reuse=None):
+def _branch_forward(config: NetConfig, weights, x, keep_cache=False, reuse=None, frozen_inputs=None):
     """Forward one branch; with ``keep_cache``, also (input, relu mask) per layer.
 
-    Each layer allocates one (m, width) array, its matmul result, and works
-    in place on it: the layer scale multiplies it, then ReLU overwrites it.
-    A layer's cached input is the previous layer's ReLU output, unscaled
-    (the caller's x for layer 0), and it is not written while the cache is
-    in use. The mask ``z > 0`` is built only when the cache is kept, and only
-    where the backward walk reads it: from the lowest trainable layer up.
+    Each layer writes its matmul result into one (m, width) array and works
+    in place on it: the layer scale multiplies it, then ReLU overwrites it,
+    and it is the next layer's input, unscaled. The cache keeps what
+    ``_branch_backward`` reads: the input of each trainable layer (layer 0's
+    is the caller's x), not written while the cache is in use, and the mask
+    ``z > 0``, built only from the lowest trainable layer up. The activation
+    entering a frozen layer above the first is read by no walk: it goes into
+    ``frozen_inputs[l]``, an (m, dims[l]) float buffer the caller holds and
+    may share between branches and steps, which the cache names in that
+    layer's place, or without one into an array freed when the pass ends,
+    with None in the cache.
 
     ``reuse`` is the cache of an earlier pass on an input of x's shape, no
     longer read: its activations and masks are overwritten instead of
@@ -175,12 +180,17 @@ def _branch_forward(config: NetConfig, weights, x, keep_cache=False, reuse=None)
     step and does not hand that memory back to the system and fault it in
     again every step.
     """
+    frozen_inputs = frozen_inputs or {}
     caches = []
     h = x
     lowest = config.trainable_layers[0]
     for l, w in enumerate(weights):
         last = l == config.depth - 1
-        z = np.matmul(h, w.T, out=None if reuse is None or last else reuse[l + 1][0])
+        if l + 1 in frozen_inputs:
+            into = frozen_inputs[l + 1]
+        else:
+            into = None if reuse is None or last else reuse[l + 1][0]
+        z = np.matmul(h, w.T, out=into)
         scale = config.layer_scales[l]
         if scale != 1.0:
             z *= scale
@@ -188,7 +198,8 @@ def _branch_forward(config: NetConfig, weights, x, keep_cache=False, reuse=None)
             mask = None
             if not last and l >= lowest:
                 mask = np.greater(z, 0.0, out=None if reuse is None else reuse[l][1])
-            caches.append((h, mask))
+            frozen = l > 0 and l in config.frozen_layers
+            caches.append((frozen_inputs.get(l) if frozen else h, mask))
         h = z if last else np.maximum(z, 0.0, out=z)
     return h, caches
 
@@ -216,13 +227,19 @@ def forward(mlp: MLP, x) -> np.ndarray:
     batch, single = _as_batch(mlp.config, x)
     out = np.empty((batch.shape[0], mlp.config.outputs))
     for rows in _row_blocks(mlp.config, batch.shape[0]):
-        total = None
-        for coeff, weights in zip(mlp.branch_coeffs, mlp.params):
-            branch_out, _ = _branch_forward(mlp.config, weights, batch[rows])
-            contribution = coeff * branch_out
-            total = contribution if total is None else total + contribution
-        out[rows] = total
+        out[rows] = _combine_branches(
+            mlp.branch_coeffs, (_branch_forward(mlp.config, weights, batch[rows])[0] for weights in mlp.params)
+        )
     return out[0] if single else out
+
+
+def _combine_branches(coeffs, branch_outs):
+    """The network output from its branches' outputs: sum of coeff * output, in branch order."""
+    total = None
+    for coeff, branch_out in zip(coeffs, branch_outs):
+        contribution = coeff * branch_out
+        total = contribution if total is None else total + contribution
+    return total
 
 
 def _branch_backward(config: NetConfig, weights, caches, delta, summed=False):
@@ -242,8 +259,11 @@ def _branch_backward(config: NetConfig, weights, caches, delta, summed=False):
     whose sign follows the product they replace. A summed walk whose delta
     has one column (one output) forms the gradient of layer l - 1, when that
     is the lowest trainable layer, without that array or its outer product
-    and mask multiply: W_l^T * (mask^T (s_{l-1} delta * input_{l-1})), with
-    the mask converted to floats for the one matmul.
+    and mask multiply: W_l^T * (mask^T (s_{l-1} delta * input_{l-1})). The
+    one matmul reads the mask as floats, copied into the cached input of
+    layer l, which the walk reads no further (its gradient, if layer l is
+    trainable, is formed by then): for a frozen layer l that is the caller's
+    ``frozen_inputs`` buffer, so a summed walk needs one there.
     """
     trainable = config.trainable_layers
     lowest = trainable[0]
@@ -260,7 +280,8 @@ def _branch_backward(config: NetConfig, weights, caches, delta, summed=False):
         if summed and l - 1 == lowest and delta.shape[1] == 1:
             low_inp, mask = caches[lowest]
             scaled = delta * config.layer_scales[lowest]  # (m, 1)
-            out[lowest] = weights[l].T * ((scaled * low_inp).T @ mask.astype(np.float64)).T
+            np.copyto(inp, mask)  # inp is read no further: it takes the float mask
+            out[lowest] = weights[l].T * ((scaled * low_inp).T @ inp).T
             break
         # one column: delta_i * W_j, the values of the inner-dimension-1
         # matmul at a fraction of its cost
@@ -283,11 +304,15 @@ class GradientFactors(Sequence):
     pair in flattening order. Branch 2's pairs are formed on each read, a
     negated delta and a copy of the input, so no two pairs read share memory.
     The Gram products of ``ntkreg.kernel`` read ``pairs`` and ``copies``
-    through ``_distinct_pairs`` and form none of them.
+    through ``_distinct_pairs`` and form none of them. ``outputs`` holds
+    each branch's (m, outputs) output from the same forward passes (branch
+    1's array for both when one pass served both), which ``linearize``
+    combines to check the zero output without a pass of its own.
     """
 
     pairs: list
     copies: int
+    outputs: tuple
 
     def __len__(self) -> int:
         return len(self.pairs) * self.copies
@@ -324,14 +349,16 @@ def gradient_factors(mlp: MLP, x, output_index: int = 0, at_init: bool = True) -
         raise ValidationError(f"output_index {output_index} out of range 0..{config.outputs - 1}")
     params = mlp.params0 if at_init else mlp.params
     copies = 2 if len(params) == 2 and all(map(np.array_equal, *params)) else 1
-    pairs = []
+    pairs, outputs = [], []
     for coeff, weights in zip(mlp.branch_coeffs, params[:1] if copies == 2 else params):
-        _, caches = _branch_forward(config, weights, batch, keep_cache=True)
+        # the activation entering a frozen layer is freed as the forward pass ends
+        branch_out, caches = _branch_forward(config, weights, batch, keep_cache=True)
+        outputs.append(branch_out)
         sens = np.zeros((batch.shape[0], config.outputs))
         sens[:, output_index] = coeff
         pairs.extend(_branch_backward(config, weights, caches, sens))
         del caches  # released before the next branch's forward pass
-    return GradientFactors(pairs, copies)
+    return GradientFactors(pairs, copies, tuple(outputs * copies))
 
 
 def gradients_matrix(mlp: MLP, x, output_index: int = 0, at_init: bool = True) -> np.ndarray:
@@ -490,16 +517,18 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
     log_norm = np.tile(layer_norms(model), (total + 1, 1))
     log_norm[:, trainable] = 0.0
 
+    # each branch keeps its trainable layers' inputs and its masks; the
+    # activation entering a frozen layer, which no walk reads, has one buffer
+    # for both branches and every step, and the summed walk's float mask uses it
+    frozen_inputs = {l: np.empty((n, config.dims[l])) for l in config.frozen_layers if l > 0}
     caches = [None] * len(model.params)
     for t in range(total + 1):
         outs = []
         for b, weights in enumerate(model.params):
-            branch_out, caches[b] = _branch_forward(config, weights, x, keep_cache=True, reuse=caches[b])
+            branch_out, caches[b] = _branch_forward(config, weights, x, keep_cache=True, reuse=caches[b],
+                                                    frozen_inputs=frozen_inputs)
             outs.append(branch_out)
-        f_out = None
-        for coeff, branch_out in zip(model.branch_coeffs, outs):
-            contribution = coeff * branch_out
-            f_out = contribution if f_out is None else f_out + contribution
+        f_out = _combine_branches(model.branch_coeffs, outs)
 
         effective = f_out + lam * aux if cfg.objective == OBJECTIVE_AUX else f_out
         residual = effective - targets

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,23 @@ class TestDataSetInvariants:
         DataSet(x, np.array([1, 2, 3, 3]), np.array([1, 2, 3, 3]), "multiclass", num_classes=3)
         with pytest.raises(ValidationError):
             DataSet(x, np.array([0, 2, 3, 3]), np.array([1, 2, 3, 3]), "multiclass", num_classes=3)
+
+    @pytest.mark.parametrize("bad", [[1.7, 2.2, 3.9], [1.0, 2.5, 3.0], [1.0, np.nan, 3.0],
+                                     [1.0, np.inf, 3.0], [-np.inf, 2.0, 3.0]],
+                             ids=["fractions", "one-fraction", "nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("name", ["clean_labels", "noisy_labels"])
+    def test_multiclass_labels_must_be_integral(self, name, bad):
+        # a cast would truncate 1.7 to class 1, and warn on NaN before any check
+        labels = {"clean_labels": [1, 2, 3], "noisy_labels": [1, 2, 3], name: bad}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"{name} must be integer class ids"):
+                DataSet(np.eye(3), labels["clean_labels"], labels["noisy_labels"], "multiclass", num_classes=3)
+
+    def test_integral_float_class_ids_accepted(self):
+        ds = DataSet(np.eye(3), [1.0, 2.0, 3.0], np.array([3.0, 2.0, 1.0]), "multiclass", num_classes=3)
+        assert ds.clean_labels.dtype == ds.noisy_labels.dtype == np.int64
+        assert ds.clean_labels.tolist() == [1, 2, 3] and ds.noisy_labels.tolist() == [3, 2, 1]
 
     def test_split(self):
         ds = synth_sphere(10, 4, "linear-sign", seed=0)

@@ -73,6 +73,20 @@ class TestLinearize:
         assert np.max(np.abs(forward(trained, ds.inputs))) > INIT_OUTPUT_TOL
         assert np.array_equal(linearize(trained, ds).K.values, linearize(fresh, ds).K.values)
 
+    def test_zero_output_read_from_the_gradient_pass(self, count_calls):
+        # the check combines the branch outputs of the pass that forms the
+        # factors: no forward of its own, one branch pass for equal branches
+        from ntkreg import linmodel as linmodel_module
+        from ntkreg import net as net_module
+
+        forwards = [count_calls(owner, "forward") for owner in (net_module, linmodel_module)
+                    if hasattr(owner, "forward")]
+        branch_passes = count_calls(net_module, "_branch_forward")
+        lm, _ = make_lm(n=12, width=32)
+        assert [len(calls) for calls in forwards] == [0] * len(forwards)
+        assert len(branch_passes) == 1
+        assert len(lm.factors.outputs) == 2 and lm.factors.outputs[0] is lm.factors.outputs[1]
+
     def test_gram_matches_empirical_kernel_bitwise(self):
         lm, ds = make_lm()
         K = empirical_ntk(lm.mlp, ds)

@@ -757,6 +757,60 @@ class TestTrainStepWork:
         assert CountingArray.differences == [(32, 64)] * 6
 
 
+MIB = 2 ** 20
+
+
+class TestKeptActivations:
+    """A pass keeps what its backward walk reads: trainable layers' inputs and the masks.
+
+    The activation entering a frozen layer goes to one buffer that
+    ``train_full`` holds for both branches and every step, and that its
+    summed one-output walk also fills with the float mask; ``gradient_factors``
+    frees it as the forward pass ends. Peaks of 2 RDI steps at n = 1000.
+    """
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return corrupt(synth_sphere(1000, 10, "linear-sign", seed=1), BinaryFlip(0.2), seed=2)
+
+    # per n x width, train_full held each branch's float input of the frozen
+    # output layer, its bool mask and a float copy of that mask (26 bytes,
+    # 104.7 MiB at width 4096); it holds the shared buffer and two masks (10
+    # bytes, 42.7 MiB). On (256, 256) the buffer also replaces the float mask
+    # (16.9 -> 13.0 MiB).
+    @pytest.mark.parametrize("widths, bound_mib", [((4096,), 48.0), ((256, 256), 14.5)], ids=["w4096", "w256x256"])
+    def test_train_full_peak(self, traced_peak, data, widths, bound_mib):
+        mlp = init_mlp(NetConfig(input_dim=10, widths=widths, freeze_first_last=True), 0)
+        (_, _, log), peak = traced_peak(train_full, mlp, data, TrainConfig("rdi", eta=1e-3, steps=2, lam=1.0))
+        assert log.objective[-1] < log.objective[0]
+        assert peak <= bound_mib * MIB
+
+    def test_gradient_factors_peak(self, traced_peak, data):
+        # the mask and the delta at layer 0 (9 bytes per n x width, 35.2 MiB);
+        # the frozen layer's input, kept through the walk, made it 66.5 MiB
+        mlp = init_mlp(NetConfig(input_dim=10, widths=(4096,)), 0)
+        factors, peak = traced_peak(gradient_factors, mlp, data.inputs)
+        assert len(factors) == 2
+        assert peak <= 38.0 * MIB
+
+    @pytest.mark.parametrize("widths", [(16,), (8, 6)], ids=["w16", "w8x6"])
+    def test_frozen_input_goes_to_the_callers_buffer(self, widths):
+        config = NetConfig(input_dim=5, widths=widths, freeze_first_last=True)
+        weights = init_mlp(config, 2).params[0]
+        x = np.random.default_rng(0).standard_normal((9, 5))
+        top = config.depth - 1
+        buffer = np.empty((9, config.dims[top]))
+        out, plain = _branch_forward(config, weights, x, keep_cache=True)
+        out_buffered, buffered = _branch_forward(config, weights, x, keep_cache=True, frozen_inputs={top: buffer})
+        assert same_bits(out, out_buffered)
+        # no walk reads a frozen layer's input: the cache names the buffer or nothing
+        assert plain[top][0] is None and buffered[top][0] is buffer
+        # the buffer holds that input: the layers below it, run on their own
+        assert same_bits(buffer, _branch_forward(config, weights[:top], x)[0])
+        for l in config.trainable_layers:
+            assert same_bits(plain[l][0], buffered[l][0]) and same_bits(plain[l][1], buffered[l][1])
+
+
 def two_pass_factors(mlp, x, output_index=0):
     """The pairs at init from a forward and backward pass of every branch, in flattening order."""
     pairs = []
