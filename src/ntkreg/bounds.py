@@ -161,22 +161,14 @@ def lemma1_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float) -> 
     return _lemma1(quad_form_inv(K, y), K.trace, sigma, lam, delta)
 
 
-def lemma2_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float, n: int = None) -> float:
+def lemma2_bound(K: KernelMatrix, y, sigma: float, lam: float, delta: float) -> float:
     """High-probability bound B' on the predictor's RKHS norm.
 
     Value: sqrt(y^T (K + lam^2 I)^-1 y) + (sigma/lam)(sqrt(n) + sqrt(2 log(1/delta))).
     """
     BoundConfig(lam=lam, sigma=sigma, delta=delta)
     y = _as_real(y, "labels")
-    n = _sample_count(n, y.size)
-    return _lemma2(_quad_form(K, y, lam * lam), sigma, lam, delta, n)
-
-
-def _sample_count(n, labelled: int) -> int:
-    """``n``, checked against the number of labelled examples, or that number when None."""
-    if n is not None and n != labelled:
-        raise ValidationError(f"n = {n} does not match the {labelled} labelled examples")
-    return labelled
+    return _lemma2(_quad_form(K, y, lam * lam), sigma, lam, delta, y.size)
 
 
 def _log_floor(value: float) -> float:
@@ -232,7 +224,7 @@ def _additive_report(K: KernelMatrix, q: float, q_shift: float, sigma: float, la
     )
 
 
-def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None) -> BoundReport:
+def bound_additive(K: KernelMatrix, y, cfg: BoundConfig) -> BoundReport:
     """Population-loss bound for additive subgaussian label noise.
 
     Holds for any loss mapping to [0, 1] that is 1-Lipschitz in the
@@ -240,13 +232,12 @@ def bound_additive(K: KernelMatrix, y, cfg: BoundConfig, n: int = None) -> Bound
     clean labels y, not the noisy ones the predictor was fitted on.
     """
     y = _as_real(y, "labels")
-    n = _sample_count(n, y.size)
     q, q_shift = _quad_form(K, y, 0.0), _quad_form(K, y, cfg.lam * cfg.lam)
-    return _additive_report(K, q, q_shift, cfg.sigma, cfg.lam, cfg.delta, n, cfg.constant_mode)
+    return _additive_report(K, q, q_shift, cfg.sigma, cfg.lam, cfg.delta, y.size, cfg.constant_mode)
 
 
 def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
-                 n: int = None, constant_mode: str = MODE_EXPLICIT) -> BoundReport:
+                 constant_mode: str = MODE_EXPLICIT) -> BoundReport:
     """Clean-distribution classification-error bound under flip probability p.
 
     The labels are rescaled to +-(1-2p) so the flip noise becomes zero-mean
@@ -260,7 +251,7 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
     if not 0.0 <= p < 0.5:
         raise ValidationError(f"flip probability must satisfy 0 <= p < 1/2, got {p}")
     BoundConfig(lam=lam, delta=delta, constant_mode=constant_mode)
-    n = _sample_count(n, y.size)
+    n = y.size
     _, sigma_eff = rescale_binary(y, p)
     q, q_shift = _quad_form(K, y, 0.0), _quad_form(K, y, lam * lam)
     margin = 1.0 - 2.0 * p
@@ -293,7 +284,7 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
 
 
 def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
-                     n: int = None, constant_mode: str = MODE_EXPLICIT) -> BoundReport:
+                     constant_mode: str = MODE_EXPLICIT) -> BoundReport:
     """Clean-distribution top-1 error bound under a class-transition channel.
 
     ``Y`` is the (num_classes, n) one-hot matrix of clean labels. The bound
@@ -315,7 +306,7 @@ def bound_multiclass(K: KernelMatrix, Y, P, lam: float, delta: float,
     if not np.all(np.isin(Y, (0.0, 1.0))) or not np.all(Y.sum(axis=0) == 1.0):
         raise ValidationError("Y must contain one-hot columns")
     BoundConfig(lam=lam, delta=delta, constant_mode=constant_mode)
-    n = _sample_count(n, Y.shape[1])
+    n = Y.shape[1]
     if K.n != n:
         raise ValidationError(f"kernel is {K.n}x{K.n} but n = {n}")
     delta_per_class = delta / num_classes

@@ -110,9 +110,12 @@ _SPECS = {
     },
 }
 # Typed fields of every kind besides the list of integers ``widths``: integers (null where the default is
-# null), seeds among them >= 0, and flags.
+# null), seeds among them >= 0 and counts >= 1, numbers, paths and flags.
 _INTEGERS = ("n", "d", "seed", "test_n", "classes", "class_a", "class_b", "limit", "depth", "init_seed")
 _SEEDS = ("seed", "init_seed")
+_COUNTS = ("test_n", "limit")
+_NUMBERS = ("p", "sigma")
+_PATHS = ("images", "labels", "csv")
 _FLAGS = ("freeze_first_last", "difference_trick")
 
 
@@ -122,8 +125,10 @@ def _log(message: str) -> None:
 
 
 def _spec(section: str, spec: dict, grid: bool = False) -> dict:
-    """``spec`` with its kind's defaults; an unknown kind or key, a missing required key or a field of the
-    wrong type fails."""
+    """``spec`` with its kind's defaults; a spec that is not an object, an unknown kind or key, a missing
+    required key or a field of the wrong type fails."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"the {section} spec must be a JSON object, got {spec!r}")
     kinds = _SPECS[section]
     fields = kinds.get(spec.get("kind"))
     if fields is None:
@@ -134,12 +139,18 @@ def _spec(section: str, spec: dict, grid: bool = False) -> dict:
     for key, default in fields.items():
         if key not in spec and (default == _REQUIRED or (default == _LEVEL and not grid)):
             raise ValidationError(f"{spec['kind']} {section} spec needs the key {key!r}")
-    spec = {**fields, **spec}
+    given, spec = spec, {**fields, **spec}
     for key, value in spec.items():
         if key in _INTEGERS and not (_is_integer(value) or (value is None and fields[key] is None)):
             raise ValidationError(f"{section} field {key!r} must be an integer, got {value!r}")
         if key in _SEEDS and value < 0:
             raise ValidationError(f"{section} field {key!r} is a seed and must be >= 0, got {value!r}")
+        if key in _COUNTS and value is not None and value < 1:
+            raise ValidationError(f"{section} field {key!r} must be >= 1 or null, got {value!r}")
+        if key in _NUMBERS and key in given and not _is_number(value):  # absent in a sweep: a placeholder
+            raise ValidationError(f"{section} field {key!r} must be a number, got {value!r}")
+        if key in _PATHS and not isinstance(value, str):
+            raise ValidationError(f"{section} field {key!r} must be a path string, got {value!r}")
         if key in _FLAGS and not isinstance(value, bool):
             raise ValidationError(f"{section} field {key!r} must be true or false, got {value!r}")
         if key == "widths" and not (isinstance(value, list) and all(_is_integer(width) for width in value)):
@@ -190,6 +201,8 @@ def _validate_config(config: dict, command: str) -> None:
         raise ValidationError("lambda and the lambda_grid and noise_grid values must be numbers")
     if not (_is_integer(config["workers"]) and config["workers"] >= 1):
         raise ValidationError(f"workers must be an integer >= 1, got {config['workers']!r}")
+    if not isinstance(config["out"], str):
+        raise ValidationError(f"out must be a path string, got {config['out']!r}")
     if not all(0.0 <= lam < np.inf for lam in (config["lambda"], *config["lambda_grid"])):  # NaN fails too
         raise ValidationError("lambda and the lambda grid values must be finite and >= 0")
     sigma, delta = config["sigma"], config["delta"]
@@ -404,15 +417,14 @@ def _noise_bound(config, data, gram, noise, lam):
     the additive bound, and so do clean labels (None), at the config's sigma.
     """
     delta, mode = float(config["delta"]), config["constant_mode"]
-    args = (lam, delta, data.n)
     labels = _bound_labels(data, noise)
     if isinstance(noise, noise_mod.BinaryFlip):
-        return bounds_mod.bound_binary(gram, labels, noise.p, *args, mode)
+        return bounds_mod.bound_binary(gram, labels, noise.p, lam, delta, mode)
     if isinstance(noise, noise_mod.ClassTransition):
-        return bounds_mod.bound_multiclass(gram, labels, noise.matrix, *args, mode)
+        return bounds_mod.bound_multiclass(gram, labels, noise.matrix, lam, delta, mode)
     sigma = float(config["sigma"]) if noise is None else noise.sigma
     cfg = bounds_mod.BoundConfig(lam, sigma, delta, mode)
-    return bounds_mod.bound_additive(gram, labels, cfg, data.n)
+    return bounds_mod.bound_additive(gram, labels, cfg)
 
 
 class _KRRGroup:
@@ -862,11 +874,12 @@ def _apply_flag_overrides(config: dict, args) -> dict:
             config[key] = getattr(args, key)
     if args.noise is not None:
         config["noise"] = {"kind": "binary-flip", "p": args.noise} if args.noise > 0 else {"kind": "none"}
+    model = config["model"] if isinstance(config["model"], dict) else None  # None: validation refuses it
     if args.width is not None:
-        net = config["model"] if config["model"].get("kind") == "net" else {"kind": "net"}
-        config["model"] = dict(net, widths=[args.width])
-    if args.depth is not None:
-        config["model"] = dict(config["model"], depth=args.depth)
+        net = model if model and model.get("kind") == "net" else {"kind": "net"}
+        model = config["model"] = dict(net, widths=[args.width])
+    if args.depth is not None and model is not None:
+        config["model"] = dict(model, depth=args.depth)
     return config
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernelmatrix import _as_real
-from .errors import DataFormatError, EmptyDatasetError, ValidationError
+from .errors import DataFormatError, EmptyDatasetError, ValidationError, _check_integer
 
 ROW_NORM_TOL = 1e-12
 
@@ -244,10 +244,13 @@ def load_mnist_binary(image_path, label_path, class_a: int, class_b: int, limit=
     """Two-digit MNIST subset with labels mapped to +1 (class_a) / -1 (class_b).
 
     Pixels are scaled to [0, 1] and rows are then l2-normalized. Selection is
-    deterministic: the first ``limit`` matching examples in file order.
+    deterministic: the first ``limit`` (None, or an integer >= 1) matching
+    examples in file order.
     """
     if class_a == class_b:
         raise ValidationError("class_a and class_b must differ")
+    if limit is not None:
+        _check_integer("limit", limit, 1)
     images = _read_idx_images(image_path)
     labels = _read_idx_labels(label_path)
     if images.shape[0] != labels.shape[0]:

@@ -34,7 +34,7 @@ packs K's triangle for its Cholesky factor (n(n+1)/2 floats), and afterwards
 K plus one packed factor at a time; a cross kernel holds one m x n array.
 The empirical cross kernel also holds the training inputs' gradient factors,
 and takes the queries' gradient pass in ``forward``'s row blocks. The
-empirical kernels read the distinct pairs of ``GradientFactors``: for a
+empirical kernels read a ``GradientFactors``'s pairs and copies: for a
 difference-trick net at initialization, one branch's factors and one set of
 factor products, whose sum is added to itself.
 """
@@ -44,7 +44,7 @@ import numpy as np
 from ._kernelmatrix import KernelMatrix, mirror_upper
 from .data import DataSet
 from .errors import ValidationError
-from .net import BLOCK_ENTRIES, MLP, _as_batch, _distinct_pairs, _row_blocks, gradient_factors
+from .net import BLOCK_ENTRIES, MLP, GradientFactors, _as_batch, _row_blocks, gradient_factors
 
 COS_CLAMP_TOL = 1e-12
 UNIT_NORM_TOL = 1e-8
@@ -156,28 +156,29 @@ def analytic_ntk_cross(depth: int, queries: np.ndarray, data: DataSet) -> np.nda
     return _kernel_bands(queries @ data.inputs.T, depth, gram=False)
 
 
-def _factor_gram(factors_a, factors_b=None) -> np.ndarray:
+def _factor_gram(factors_a: GradientFactors, factors_b: GradientFactors = None) -> np.ndarray:
     """Sum over layers of (Da Db^T) * (Ia Ib^T); equals Za Zb^T exactly in algebra.
 
-    Pairs that count twice on both sides (``GradientFactors.copies``) are
-    multiplied once and the sum is added to itself: branch 2's products equal
-    branch 1's bit for bit, and x + x = 2x is exact, so with one trainable
-    layer the result is the bits of the sum over every pair.
+    Pairs that count twice (``GradientFactors.copies``) are multiplied once
+    and the sum is added to itself: branch 2's products equal branch 1's bit
+    for bit, and x + x = 2x is exact, so with one trainable layer the result
+    is the bits of the sum over every pair. Two factor sets that count their
+    pairs differently come from different weights and raise ValidationError.
     """
-    pairs_a, copies = _distinct_pairs(factors_a)
-    pairs_b, copies_b = (pairs_a, copies) if factors_b is None else _distinct_pairs(factors_b)
-    if copies != copies_b:  # one side lists every pair: read both in full
-        pairs_a, pairs_b, copies = list(factors_a), list(factors_b), 1
+    factors_b = factors_a if factors_b is None else factors_b
+    if factors_a.copies != factors_b.copies:
+        raise ValidationError(f"factor sets count their pairs {factors_a.copies} and {factors_b.copies} times: "
+                              "they come from different weights")
     total = None
-    for (da, ia), (db, ib) in zip(pairs_a, pairs_b):
+    for (da, ia), (db, ib) in zip(factors_a.pairs, factors_b.pairs):
         block = (da @ db.T) * (ia @ ib.T)
         total = block if total is None else total + block
-    if copies == 2:
+    if factors_a.copies == 2:
         total += total
     return total
 
 
-def kernel_from_factors(factors, certificate: str = "factor") -> KernelMatrix:
+def kernel_from_factors(factors: GradientFactors, certificate: str = "factor") -> KernelMatrix:
     """The Gram matrix of gradient factors, upper triangle mirrored for exact symmetry.
 
     ``certificate`` picks its PSD certificate, as in ``KernelMatrix.from_values``.
@@ -199,7 +200,7 @@ def empirical_ntk(mlp: MLP, data: DataSet, certificate: str = "factor") -> Kerne
     return kernel_from_factors(factors, certificate)
 
 
-def _cross_blocks(mlp: MLP, batch: np.ndarray, factors):
+def _cross_blocks(mlp: MLP, batch: np.ndarray, factors: GradientFactors):
     """(rows, k(batch[rows], X)) per row block of the queries: one gradient pass each, X's ``factors`` given."""
     # X's factors stand on the left of each product and the block is yielded
     # transposed: that way round, blocks of more than a few rows gave the same

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kernel import _cross_blocks, kernel_from_factors
 from .krr import krr_fit
-from .net import MLP, _as_batch, _combine_branches, _distinct_pairs, flatten_factors, gradient_factors
+from .net import MLP, GradientFactors, _as_batch, _combine_branches, flatten_factors, gradient_factors
 
 INIT_OUTPUT_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-10
@@ -57,15 +57,14 @@ class LinearizedModel:
     reduction as ``empirical_ntk``), all that gradient descent and the ridge
     limit read. ``factors``, the training inputs' ``gradient_factors`` at
     init, are Z in factored form for ``theta_at`` and ``predict``, and
-    ``mlp``/``data`` stay attached for ``theta0`` and the queries' pass. For
-    a difference-trick net they hold branch 1's pairs only, counted twice:
+    ``mlp`` stays attached for ``theta0`` and the queries' pass. For a
+    difference-trick net they hold branch 1's pairs only, counted twice:
     ``theta_at`` forms branch 2's blocks by negating branch 1's.
     """
 
     K: KernelMatrix
     mlp: MLP = None
-    data: DataSet = None
-    factors: list = None
+    factors: GradientFactors = None
 
     @property
     def n(self) -> int:
@@ -74,7 +73,7 @@ class LinearizedModel:
     @property
     def theta0(self) -> np.ndarray:
         """The flattened trainable initialization, in the order ``ntkreg.net`` documents."""
-        if self.mlp is None or self.data is None:
+        if self.mlp is None:
             raise ValidationError("linearized model has no MLP attached; it has no parameters")
         layers = self.mlp.config.trainable_layers
         return np.concatenate([branch[l].ravel() for branch in self.mlp.params0 for l in layers])
@@ -86,15 +85,14 @@ class LinearizedModel:
     def theta_at(self, coeffs: np.ndarray) -> np.ndarray:
         """theta0 + Z a, formed layer by layer from the factors: sum_i a_i delta_i input_i^T."""
         theta0 = self.theta0  # first, so a model without a net fails with its message
-        pairs, copies = _distinct_pairs(self.factors)
-        blocks = [((delta * coeffs[:, None]).T @ inp).ravel() for delta, inp in pairs]
-        if copies == 2:  # branch 2's deltas are branch 1's negated, and so are its blocks
+        blocks = [((delta * coeffs[:, None]).T @ inp).ravel() for delta, inp in self.factors.pairs]
+        if self.factors.copies == 2:  # branch 2's deltas are branch 1's negated, and so are its blocks
             blocks += [-block for block in blocks]
         return theta0 + np.concatenate(blocks)
 
     def predict(self, coeffs: np.ndarray, queries) -> np.ndarray:
         """Tangent-model prediction phi(x)^T Z a = k(x, X)^T a; each row block of k(x, X) meets ``coeffs`` as it is formed."""
-        if self.mlp is None or self.data is None:
+        if self.mlp is None:
             raise ValidationError("linearized model has no MLP attached; cannot predict")
         batch, single = _as_batch(self.mlp.config, queries)
         coeffs = _as_real(coeffs, "coefficients")
@@ -131,14 +129,14 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
     # per layer, Z v is the block (delta * v)^T input and Z^T maps a block B to rowsum((delta B) * input);
     # formed before K, so that its temporaries are freed before K's build and eigh
     v = np.random.default_rng(0).standard_normal(data.n)
-    pairs, copies = _distinct_pairs(factors)
-    ztzv = copies * sum(np.sum((delta @ ((delta * v[:, None]).T @ inp)) * inp, axis=1) for delta, inp in pairs)
+    ztzv = factors.copies * sum(np.sum((delta @ ((delta * v[:, None]).T @ inp)) * inp, axis=1)
+                               for delta, inp in factors.pairs)
     k = kernel_from_factors(factors, certificate="eigh")
     scale = max(float(np.max(np.abs(k.values))), np.finfo(np.float64).tiny) * float(np.sum(np.abs(v)))
     mismatch = float(np.max(np.abs(k.values @ v - ztzv)))
     if mismatch > 1e-10 * scale:
         raise ValidationError(f"probe: K v deviates from Z^T (Z v) by {mismatch:.3e} > 1e-10 max|K| ||v||_1")
-    return LinearizedModel(K=k, mlp=mlp, data=data, factors=factors)
+    return LinearizedModel(K=k, mlp=mlp, factors=factors)
 
 
 @dataclass(eq=False)

@@ -30,8 +30,8 @@ before branch 2, layers in forward order within a branch, trainable layers
 only, each weight matrix raveled row-major.
 """
 
+import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -292,54 +292,33 @@ def _branch_backward(config: NetConfig, weights, caches, delta, summed=False):
 
 
 @dataclass(frozen=True, eq=False)
-class GradientFactors(Sequence):
+class GradientFactors:
     """The (delta, input) factor pairs of ``gradient_factors``, kept once per distinct branch pass.
 
     ``pairs`` are the pairs of the branches that were passed, in flattening
     order, and each counts ``copies`` times. A difference-trick net whose two
     branches hold equal weights is passed along branch 1 only (``copies`` 2):
     branch 2's output coefficient is branch 1's negated and every other value
-    of its pass is equal, so its deltas are branch 1's negated, bit for bit,
-    and its inputs are branch 1's. Read as a sequence, the object lists every
-    pair in flattening order. Branch 2's pairs are formed on each read, a
-    negated delta and a copy of the input, so no two pairs read share memory.
-    The Gram products of ``ntkreg.kernel`` read ``pairs`` and ``copies``
-    through ``_distinct_pairs`` and form none of them. ``outputs`` holds
-    each branch's (m, outputs) output from the same forward passes (branch
-    1's array for both when one pass served both), which ``linearize``
-    combines to check the zero output without a pass of its own.
+    of its pass is equal, so its pairs are branch 1's with the deltas negated,
+    bit for bit. Consumers read ``pairs`` and ``copies``; of them only
+    ``flatten_factors`` forms branch 2's deltas. ``outputs`` holds each
+    branch's (m, outputs) output from the same forward passes (branch 1's
+    array for both when one pass served both), which ``linearize`` combines
+    to check the zero output without a pass of its own.
     """
 
     pairs: list
     copies: int
     outputs: tuple
 
-    def __len__(self) -> int:
-        return len(self.pairs) * self.copies
-
-    def __getitem__(self, index):
-        picked = range(len(self))[index]
-        if isinstance(picked, range):
-            return [self[i] for i in picked]
-        copy, k = divmod(picked, len(self.pairs))
-        delta, inp = self.pairs[k]
-        return (delta, inp) if copy == 0 else (-delta, inp.copy())
-
-
-def _distinct_pairs(factors):
-    """(pairs, copies): a ``GradientFactors``'s distinct pairs and count; any other sequence of pairs counts once."""
-    if isinstance(factors, GradientFactors):
-        return factors.pairs, factors.copies
-    return factors, 1
-
 
 def gradient_factors(mlp: MLP, x, output_index: int = 0, at_init: bool = True) -> GradientFactors:
     """Factor pairs of the per-example parameter gradient, flattening order.
 
-    Returns a ``GradientFactors``, a sequence over (branch, trainable layer)
-    of (delta, input) arrays with per-example rows. ``at_init`` selects the
-    initialization snapshot (the reference point for tangent features)
-    instead of current weights. When a difference-trick net's two branches
+    Returns a ``GradientFactors`` of (delta, input) arrays with per-example
+    rows, one pair per passed branch and trainable layer. ``at_init``
+    selects the initialization snapshot (the reference point for tangent
+    features) instead of current weights. When a difference-trick net's two branches
     hold equal weights there (``np.array_equal``, layer by layer), one
     branch's forward and backward pass serves both.
     """
@@ -366,12 +345,12 @@ def gradients_matrix(mlp: MLP, x, output_index: int = 0, at_init: bool = True) -
     return flatten_factors(gradient_factors(mlp, x, output_index, at_init))
 
 
-def flatten_factors(factors) -> np.ndarray:
-    """The (m, N) gradient matrix of ``gradient_factors`` pairs: row i holds delta_i input_i^T per pair."""
-    m = factors[0][0].shape[0]
-    blocks = [
-        np.einsum("mi,mj->mij", delta, inp).reshape(m, -1) for delta, inp in factors
-    ]
+def flatten_factors(factors: GradientFactors) -> np.ndarray:
+    """The (m, N) gradient matrix of ``gradient_factors``: row i holds delta_i input_i^T per pair and copy."""
+    pairs = factors.pairs
+    if factors.copies == 2:  # branch 2's deltas are branch 1's negated
+        pairs = itertools.chain(pairs, ((-delta, inp) for delta, inp in pairs))
+    blocks = [np.einsum("mi,mj->mij", delta, inp).reshape(len(delta), -1) for delta, inp in pairs]
     return np.concatenate(blocks, axis=1)
 
 

@@ -305,7 +305,7 @@ def test_c09_lemma_monte_carlo_validity(monte_carlo_trials):
         clean_loss = float(np.sqrt(np.sum((in_sample - train.clean_labels) ** 2)))
         hits1 += clean_loss <= lemma1_bound(K, train.clean_labels, sigma, lam, delta)
         hits2 += rkhs_norm(predictor, K) <= lemma2_bound(
-            K, train.clean_labels, sigma, lam, delta, n
+            K, train.clean_labels, sigma, lam, delta
         )
     assert hits1 >= 180, f"training-loss lemma held in only {hits1}/200 trials"
     assert hits2 >= 180, f"norm lemma held in only {hits2}/200 trials"
@@ -320,7 +320,7 @@ def test_c10_bound_validity_monte_carlo(monte_carlo_trials):
     hits = 0
     for K, train, test, _, predictor in trials:
         risk = empirical_clean_risk(predictor, test, "clipped-absolute")
-        rep = bound_additive(K, train.clean_labels, cfg, n)
+        rep = bound_additive(K, train.clean_labels, cfg)
         for value in (rep.total, rep.main_term, rep.sigma_over_lambda_term,
                       rep.delta_term, rep.lemma1_value, rep.lemma2_value,
                       rep.rademacher_value, rep.y_kinv_y):

@@ -86,7 +86,7 @@ class TestLemmaFormulas:
 
     def test_lemma2_formula_evaluation(self):
         # y = 0, sigma = 1, lam = 2, delta = 1/e, n = 4: (1/2)(2 + sqrt(2))
-        value = lemma2_bound(kernel_from(np.eye(4)), np.zeros(4), 1.0, 2.0, np.exp(-1.0), 4)
+        value = lemma2_bound(kernel_from(np.eye(4)), np.zeros(4), 1.0, 2.0, np.exp(-1.0))
         assert abs(value - 0.5 * (2.0 + np.sqrt(2.0))) <= 1e-14
 
     def test_lemma2_dominates_fitted_norm_noiseless(self):
@@ -102,7 +102,7 @@ class TestAdditiveBound:
         ds = synth_sphere(n, 8, "smooth-poly", seed=2)
         K = analytic_ntk(2, ds)
         cfg = BoundConfig(lam=n**0.25, sigma=sigma, delta=0.1, constant_mode=mode)
-        return bound_additive(K, ds.clean_labels, cfg, n)
+        return bound_additive(K, ds.clean_labels, cfg)
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
     def test_components_nonnegative_and_sum(self, mode):
@@ -118,11 +118,11 @@ class TestAdditiveBound:
         ds = synth_sphere(60, 8, "smooth-poly", seed=2)
         K = analytic_ntk(2, ds)
         cfg = BoundConfig(lam=1.5, sigma=0.1, delta=0.1, constant_mode=mode)
-        fresh = bound_additive(kernel_from(K.values), ds.clean_labels, cfg, ds.n)
+        fresh = bound_additive(kernel_from(K.values), ds.clean_labels, cfg)
         quad_form_inv(K, ds.clean_labels)  # read from the certificate's factor, as a sweep reads it
         krr_fit(K, ds.clean_labels, 1.5)
         calls = count_calls(krr_module, "cho_factor")
-        shared = bound_additive(K, ds.clean_labels, cfg, ds.n)
+        shared = bound_additive(K, ds.clean_labels, cfg)
         assert calls == []
         assert shared.as_dict() == fresh.as_dict()
 
@@ -140,7 +140,7 @@ class TestAdditiveBound:
             ds = synth_sphere(n, 8, "smooth-poly", seed=3)
             K = analytic_ntk(2, ds)
             cfg = BoundConfig(lam=n**0.25, sigma=0.1, delta=0.1)
-            totals.append(bound_additive(K, ds.clean_labels, cfg, n).total)
+            totals.append(bound_additive(K, ds.clean_labels, cfg).total)
         assert totals[0] > totals[1] > totals[2]
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
@@ -150,7 +150,7 @@ class TestAdditiveBound:
         totals = [
             bound_additive(
                 K, ds.clean_labels,
-                BoundConfig(lam=2.0, sigma=0.1, delta=d, constant_mode=mode), 60,
+                BoundConfig(lam=2.0, sigma=0.1, delta=d, constant_mode=mode),
             ).total
             for d in (0.01, 0.1, 0.5)
         ]

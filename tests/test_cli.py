@@ -522,7 +522,7 @@ class TestSweepCommand:
                     assert float(row["train_error_noisy"]) == np.mean(np.sign(in_sample) != train.noisy_labels)
                     assert float(row["test_error_clean"]) == np.mean(np.sign(test_values) != test.clean_labels)
                     if noise > 0.0 and lam > 0.0:
-                        expected = bound_binary(gram, train.clean_labels, noise, lam, 0.1, train.n).total
+                        expected = bound_binary(gram, train.clean_labels, noise, lam, 0.1).total
                         assert float(row["bound_total"]) == expected
                     else:
                         assert row["bound_total"] == ""
@@ -1231,6 +1231,7 @@ class TestNoiseKindValidation:
 
 
 REGRESSION = {"kind": "synth-sphere", "n": 20, "d": 6, "target": "smooth-poly", "seed": 5}
+TINY_MNIST = {"kind": "mnist-binary", "images": "images.idx", "labels": "labels.idx", "class_a": 5, "class_b": 8}
 TASK_DATA = {"binary": small_synth(n=20), "regression": REGRESSION, "multiclass": SMALL_MULTICLASS}
 TASK_NOISE = {"binary": {"kind": "binary-flip", "p": 0.2}, "regression": {"kind": "additive", "sigma": 0.1}}
 
@@ -1291,6 +1292,45 @@ class TestOneConfigCheck:
         assert main([command, "--config", cfg]) == EXIT_VALIDATION
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("changes, named", [
+        pytest.param({"dataset": "synth"}, "dataset", id="dataset-string"),
+        pytest.param({"noise": None}, "noise", id="noise-null"),
+        pytest.param({"model": [1]}, "model", id="model-list"),
+        pytest.param({"test_dataset": "x"}, "dataset", id="test-dataset-string"),
+        pytest.param({"noise": {"kind": "binary-flip", "p": "abc"}}, "'p'", id="p-abc"),
+        pytest.param({"noise": {"kind": "binary-flip", "p": [0.2]}}, "'p'", id="p-list"),
+        pytest.param({"noise": {"kind": "binary-flip", "p": "0.2"}}, "'p'", id="p-numeric-string"),
+        pytest.param({"noise": {"kind": "binary-flip", "p": True}}, "'p'", id="p-true"),
+        pytest.param({"dataset": REGRESSION, "noise": {"kind": "additive", "sigma": "0.1"}}, "'sigma'",
+                     id="sigma-string"),
+        pytest.param({"out": 5}, "out", id="out-number"),
+        pytest.param({"dataset": TINY_MNIST | {"images": 3}}, "'images'", id="images-number"),
+        pytest.param({"dataset": TINY_MNIST | {"labels": ["labels.idx"]}}, "'labels'", id="labels-list"),
+        pytest.param({"noise": {"kind": "class-transition", "csv": None}}, "'csv'", id="csv-null"),
+        pytest.param({"dataset": small_synth(n=20) | {"test_n": 0}}, "'test_n'", id="test-n-0"),
+        pytest.param({"dataset": small_synth(n=20) | {"test_n": -5}}, "'test_n'", id="test-n-negative"),
+        pytest.param({"dataset": TINY_MNIST | {"limit": 0}}, "'limit'", id="limit-0"),
+        pytest.param({"dataset": TINY_MNIST | {"limit": -1}}, "'limit'", id="limit-negative"),
+    ])
+    def test_malformed_config_is_a_validation_error(self, tmp_path, monkeypatch, capsys, changes, named):
+        # every case crashed with a traceback, ran, or failed under a message naming another field
+        from test_data import write_idx_pair
+
+        monkeypatch.chdir(tmp_path)  # TINY_MNIST names its IDX pair relative to the working directory
+        write_idx_pair(tmp_path, [5, 8, 5, 8, 5], np.random.default_rng(0), rows=2, cols=2)
+        cfg = write_config(tmp_path, "cfg.json", dict({"out": "out"}, **changes))
+        assert main(["krr", "--config", cfg]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_depth_flag_over_a_malformed_model_is_a_validation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {"model": [1], "out": str(tmp_path / "out")})
+        assert main(["krr", "--config", cfg, "--depth", "3"]) == EXIT_VALIDATION
+        assert "the model spec must be a JSON object" in capsys.readouterr().err
+        # --width replaces the model with a net of that width, as it replaces an analytic one
+        assert main(["kernel", "--config", cfg, "--width", "8"]) == EXIT_OK
 
     @pytest.mark.parametrize("command, key, value", [
         ("sweep", "lambda_grid", "[0.5, 1e400]"),

@@ -63,6 +63,14 @@ class TestMnistLoader:
         with pytest.raises(ValidationError):
             load_mnist_binary(images, lab, 5, 5)
 
+    @pytest.mark.parametrize("limit", [0, -1, 2.0, True])
+    def test_limit_is_an_integer_of_at_least_one(self, tmp_path, limit):
+        # a limit of -1 kept all but the last of the five matching examples
+        images, lab, _ = write_idx_pair(tmp_path, [5, 8, 5, 8, 5], np.random.default_rng(1), rows=2, cols=2)
+        assert load_mnist_binary(images, lab, 5, 8, limit=5).n == 5
+        with pytest.raises(ValidationError, match="limit"):
+            load_mnist_binary(images, lab, 5, 8, limit=limit)
+
     def test_byte_level_reread_oracle(self, tmp_path):
         # Re-parse the files with plain struct/frombuffer and replay the
         # selection rule; the loader must agree example by example.

@@ -11,11 +11,13 @@ from ntkreg.data import prediction_error, synth_multiclass, synth_sphere
 from ntkreg.errors import DIVERGENCE_LIMIT, DivergenceError, ValidationError, _check_divergence
 from ntkreg._kernelmatrix import mirror_upper
 from ntkreg.kernel import _factor_gram, empirical_ntk, empirical_ntk_cross
-from ntkreg.linmodel import LinearizedModel, linearize
+from ntkreg.linmodel import linearize
 from ntkreg.net import (
+    GradientFactors,
     NetConfig,
     TrainConfig,
     distance_to_init,
+    flatten_factors,
     forward,
     gradient,
     gradient_factors,
@@ -410,6 +412,13 @@ def reference_train(mlp, data, cfg):
     return model, b, {name: np.array(values) for name, values in columns.items()}
 
 
+def every_pair(factors):
+    """A ``GradientFactors``'s pairs in flattening order, every copy listed: branch 2's deltas negated."""
+    if factors.copies == 2:
+        return factors.pairs + [(-delta, inp) for delta, inp in factors.pairs]
+    return factors.pairs
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -461,7 +470,7 @@ class TestReferenceStep:
                 assert close_rel(getattr(log, name), ref_column), name
         # the scale sits on the delta here and on the input in the reference,
         # so the factor pairs are compared as per-example products
-        factors = gradient_factors(mlp, data.inputs)
+        factors = every_pair(gradient_factors(mlp, data.inputs))
         ref_factors = reference_gradient_factors(mlp, data.inputs)
         assert len(factors) == len(ref_factors)
         for (delta, inp), (ref_delta, ref_inp) in zip(factors, ref_factors):
@@ -547,7 +556,7 @@ class TestWalkStopsAtLowestTrainableLayer:
         mlp = self.counted_net()
         x = synth_sphere(30, 6, "linear-sign", seed=3).inputs
         factors = gradient_factors(mlp, x)
-        assert [inp.shape for _, inp in factors] == [(30, 64)] * 2
+        assert [inp.shape for _, inp in every_pair(factors)] == [(30, 64)] * 2
         # the forward pass reads each weight transposed; carrying a delta from
         # layer 1 into layer 0 would be a (30, 32) @ (32, 64) product with W_1
         assert ((30, 64), (64, 32)) in CountingArray.products
@@ -636,7 +645,7 @@ class TestNoAliasing:
         layers = config.trainable_layers
         computed = []
         for factors in (first, second):
-            for (delta, inp), l in zip(factors, layers * len(mlp.params)):
+            for (delta, inp), l in zip(factors.pairs, layers * len(mlp.params)):
                 computed.append(delta)
                 if l == 0:
                     # layer 0 is unscaled: its input factor is the input batch, read only
@@ -723,7 +732,7 @@ class TestRowBlocks:
         mlp = init_mlp(NetConfig(input_dim=10, widths=(width,)), 0)
         x = synth_sphere(n, 10, "linear-sign", seed=1).inputs
         factors, peak = traced_peak(gradient_factors, mlp, x)
-        assert len(factors) == 2
+        assert len(factors.pairs) * factors.copies == 2
         assert peak < 3.2 * n * width * 8
 
     def test_forward_peak_is_one_block(self, traced_peak):
@@ -790,7 +799,7 @@ class TestKeptActivations:
         # the frozen layer's input, kept through the walk, made it 66.5 MiB
         mlp = init_mlp(NetConfig(input_dim=10, widths=(4096,)), 0)
         factors, peak = traced_peak(gradient_factors, mlp, data.inputs)
-        assert len(factors) == 2
+        assert len(factors.pairs) * factors.copies == 2
         assert peak <= 38.0 * MIB
 
     @pytest.mark.parametrize("widths", [(16,), (8, 6)], ids=["w16", "w8x6"])
@@ -846,7 +855,8 @@ class TestOneBranchPass:
         def passes(net, **kwargs):
             forwards.clear()
             backwards.clear()
-            assert len(gradient_factors(net, data.inputs, **kwargs)) == len(net.params)
+            factors = gradient_factors(net, data.inputs, **kwargs)
+            assert len(factors.pairs) * factors.copies == len(net.params)
             return len(forwards), len(backwards)
 
         assert passes(mlp) == passes(mlp, at_init=False) == (1, 1)
@@ -865,12 +875,28 @@ class TestOneBranchPass:
         x = synth_sphere(25, 6, "linear-sign", seed=1).inputs
         factors = gradient_factors(mlp, x, output_index=config.outputs - 1)
         reference = two_pass_factors(mlp, x, output_index=config.outputs - 1)
-        assert factors.copies == 2 and 2 * len(factors.pairs) == len(factors) == len(reference)
-        for (delta, inp), (ref_delta, ref_inp) in zip(factors, reference):
+        assert factors.copies == 2 and 2 * len(factors.pairs) == len(reference)
+        for (delta, inp), (ref_delta, ref_inp) in zip(every_pair(factors), reference):
             assert same_bits(delta, ref_delta) and same_bits(inp, ref_inp)
-        # indexing from the end and slicing read the same pairs
-        assert same_bits(factors[-1][0], reference[-1][0])
-        assert len(factors[1:]) == len(reference) - 1 and same_bits(factors[1:][-1][0], reference[-1][0])
+
+    @pytest.mark.parametrize("name", list(ONE_PASS_NETS))
+    def test_flattened_factors_are_the_two_passes_bitwise(self, name):
+        # branch 2's blocks are einsums of negated deltas, so their zeros carry the two passes' signs
+        config, _ = ONE_PASS_NETS[name]
+        mlp = init_mlp(config, 3)
+        x = synth_sphere(25, 6, "linear-sign", seed=1).inputs
+        output = config.outputs - 1
+        reference = np.concatenate([np.einsum("mi,mj->mij", delta, inp).reshape(25, -1)
+                                    for delta, inp in two_pass_factors(mlp, x, output_index=output)], axis=1)
+        assert same_bits(flatten_factors(gradient_factors(mlp, x, output_index=output)), reference)
+        assert same_bits(gradients_matrix(mlp, x, output_index=output), reference)
+
+    def test_predict_refuses_factors_of_another_initialization(self):
+        train = synth_sphere(20, 6, "linear-sign", seed=1)
+        lm = linearize(init_mlp(NetConfig(input_dim=6, widths=(32,)), 3), train)
+        lm.mlp.params0[1][0] += 0.1  # the branches differ now: the queries' pass counts its pairs once
+        with pytest.raises(ValidationError, match="different weights"):
+            lm.predict(np.ones(20), train.inputs)
 
     @pytest.mark.parametrize("name", list(ONE_PASS_NETS))
     def test_kernels_match_two_passes(self, name):
@@ -880,17 +906,14 @@ class TestOneBranchPass:
         train = synth_sphere(40, 6, "linear-sign", seed=1)
         queries = synth_sphere(20, 6, "linear-sign", seed=2).inputs  # one row block of every net here
         coeffs = np.random.default_rng(4).standard_normal((40, 2))
-        pairs, query_pairs = two_pass_factors(mlp, train.inputs), two_pass_factors(mlp, queries)
+        pairs, query_pairs = (GradientFactors(two_pass_factors(mlp, x), 1, ()) for x in (train.inputs, queries))
         gram, cross = mirror_upper(_factor_gram(pairs)), _factor_gram(pairs, query_pairs).T
         lm = linearize(mlp, train)
         assert same(empirical_ntk(mlp, train).values, gram) and same(lm.K.values, gram)
         assert same(empirical_ntk_cross(mlp, queries, train), cross)
         assert same(lm.predict(coeffs, queries), cross @ coeffs)
-        # factors listed pair by pair meet the queries' counted ones in full, as before
-        listed = LinearizedModel(K=lm.K, mlp=mlp, data=train, factors=list(lm.factors))
-        assert same_bits(listed.predict(coeffs, queries), cross @ coeffs)
         # theta_at makes one product per pair and sums none, so it is bitwise at every depth
-        blocks = [((delta * coeffs[:, :1]).T @ inp).ravel() for delta, inp in pairs]
+        blocks = [((delta * coeffs[:, :1]).T @ inp).ravel() for delta, inp in pairs.pairs]
         assert same_bits(lm.theta_at(coeffs[:, 0]), lm.theta0 + np.concatenate(blocks))
 
     @pytest.mark.parametrize("build", ["empirical_ntk", "empirical_ntk_cross", "linearize"])
