@@ -12,7 +12,6 @@ tolerance, 1 anything unexpected.
 """
 
 import argparse
-import concurrent.futures
 import contextlib
 import copy
 import itertools
@@ -27,6 +26,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .data import (
+    _format_cell,
     _write_csv,
     _write_json,
     load_mnist_binary,
@@ -244,6 +244,11 @@ def _validate_config(config: dict, command: str) -> None:
         if shapes[0] != shapes[1]:
             raise ValidationError("test_dataset must match the training set's input dimension, task and "
                                   "class count: (d, task, classes) = {} against {}".format(*shapes))
+        if test_dataset["kind"].startswith("synth-"):
+            raise ValidationError(f"a {test_dataset['kind']} test_dataset draws its own target direction, so its "
+                                  "labels follow another rule; give the training dataset a test_n instead")
+        if dataset.get("test_n") is not None:
+            raise ValidationError("the training dataset's test_n and a test_dataset both give a test set; keep one")
     if model["kind"] == "net":
         build_net_config(model, probe.d, probe.num_outputs)
     else:
@@ -284,7 +289,8 @@ def build_train_test(config: dict):
 
     A ``test_n`` field on a synthetic dataset draws one larger sample and
     splits it, so train and test share the target direction; an explicit
-    ``test_dataset`` spec (for example the MNIST test files) takes priority.
+    ``test_dataset`` spec, the MNIST test files, is the other way, never
+    together with ``test_n``.
     """
     spec = _spec("dataset", config["dataset"])
     if config["test_dataset"]:
@@ -580,6 +586,9 @@ _GROUPS = {"krr": _KRRGroup, "linear": _LinearGroup, "net": _NetGroup}
 # equivalence command
 
 
+_TRAJECTORY_ROWS = 256
+
+
 def cmd_equivalence(config: dict) -> int:
     out = _ensure_out(config)
     cell, train, _ = _single_run(config)
@@ -595,14 +604,17 @@ def cmd_equivalence(config: dict) -> int:
         summary[str(lam)] = {"eta": scan.etas[j], "max_abs": report.max_abs,
                              "max_rel": report.max_rel, "passed": report.passed}
         _log(f"lambda={lam}: max relative gap {report.max_rel:.3e} ({'pass' if report.passed else 'FAIL'})")
-    # rows are made lambda by lambda as they are written
+    # lambda by lambda, one line per step in ``_write_csv``'s format: the values are plain floats, made
+    # a block of rows at a time so that they do not raise the command's peak memory
     columns = (scan.objectives_rdi, scan.objectives_aux, scan.dist_from_init, scan.gaps, scan.rel_gaps)
-    rows = itertools.chain.from_iterable(
-        zip(itertools.repeat(lam), range(scan.steps + 1), *(column[:, j].tolist() for column in columns))
-        for j, lam in enumerate(lambdas)
-    )
-    header = ["lambda", "t", "objective_rdi", "objective_aux", "dist_from_init", "gap", "rel_gap"]
-    _write_csv(os.path.join(out, "trajectory.csv"), header, rows)
+    with open(os.path.join(out, "trajectory.csv"), "w", newline="") as f:
+        f.write("lambda,t,objective_rdi,objective_aux,dist_from_init,gap,rel_gap\n")
+        for j, lam in enumerate(lambdas):
+            cell = _format_cell(lam)
+            for first in range(0, scan.steps + 1, _TRAJECTORY_ROWS):
+                rows = zip(*(column[first:first + _TRAJECTORY_ROWS, j].tolist() for column in columns))
+                f.writelines(f"{cell},{t},{rdi!r},{aux!r},{dist!r},{gap!r},{rel!r}\n"
+                             for t, (rdi, aux, dist, gap, rel) in enumerate(rows, first))
     _write_json(os.path.join(out, "equivalence.json"), {"tolerance": tol, "runs": summary})
     return EXIT_OK if all(run["passed"] for run in summary.values()) else EXIT_CHECK_FAILED
 
@@ -796,7 +808,10 @@ def cmd_sweep(config: dict) -> int:
     payloads = [(config, group) for group in groups]
     results = [None] * len(cells)
     if workers > 1:
-        import multiprocessing  # here, not at the top: it adds about 10 ms to every command's start-up
+        # here, not at the top: concurrent.futures (with logging) and multiprocessing
+        # would add about 6 and 10 ms to every command's start-up
+        import concurrent.futures
+        import multiprocessing
 
         spawn = multiprocessing.get_context("spawn")
         with (_worker_blas_threads(workers),

@@ -19,11 +19,16 @@ rules, the objectives and the divergence check, and steps a block of runs
 on their rotated coefficients V^T a, where K a is the elementwise k * V^T a.
 A step is O(n) per run whatever the parameter count, after one ``eigh`` of
 K (``KernelMatrix.eigh``, which also certifies K) and one rotation in and
-out of the basis. ``run_gd_rdi`` and ``run_gd_aux`` are its one-run case
-with iterates kept, a ``linear-*`` sweep keeps the final state of all the
-cells of a seed, and ``run_gd_equivalence`` pairs RDI and AUX runs.
+out of the basis. The RDI and AUX runs step as sub-blocks that make only
+their own kind's update, and the trace, the objectives and the divergence
+rule are read once per chunk of at most ``_CHUNK`` (8) steps, which costs
+O(8 runs n) memory beside the block. ``run_gd_rdi`` and ``run_gd_aux`` are
+its one-run case with iterates kept, a ``linear-*`` sweep keeps the final
+state of all the cells of a seed, and ``run_gd_equivalence`` pairs RDI and
+AUX runs.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +52,8 @@ EQUIVALENCE_TOL = 1e-10
 
 KIND_RDI = "rdi"
 KIND_AUX = "aux"
+
+_CHUNK = 8  # steps ``_descend`` takes between two reads of its trace
 
 
 @dataclass(eq=False)
@@ -191,10 +198,13 @@ def _root(squares: np.ndarray) -> np.ndarray:
 class GDBlock:
     """Runs stepped as one block, row i for run i: a (``coeffs``), b (``aux``), K a and a^T K a.
 
-    While ``_descend`` steps, the rows of a, b and K a hold their coordinates
-    in K's eigenbasis (V^T a for a); the block it returns holds them in the
-    original basis. ``etas[i]`` is run i's step and ``errors[i]`` the error that froze it, or
-    None; a frozen run is reset to zero and moves no further.
+    ``_descend`` returns the final block, its rows in the original basis.
+    Its ``read`` sees a chunk of at most ``_CHUNK`` consecutive steps
+    instead: each array gains a leading step axis, (m, runs, n) for a, b and
+    K a and (m, runs) for a^T K a and the objectives, and a, b and K a hold
+    their coordinates in K's eigenbasis (V^T a for a). ``etas[i]`` is run
+    i's step and ``errors[i]`` the error that froze it, or None; a frozen
+    run is reset to zero and moves no further.
     """
 
     coeffs: np.ndarray
@@ -206,71 +216,127 @@ class GDBlock:
     errors: list
 
 
+def _rdi_steps(a, b, product, residual, last, targets, spectrum, reg, eta):
+    """RDI rows through a chunk: K a and r = K a - y at each step, then a <- a - eta (lam^2 a + r).
+
+    ``a`` holds one more step than ``product``: a[s + 1] is the update of
+    a[s]. Step ``last`` of the chunk is the descent's last and takes no
+    update (with more chunks to come, it lies past this one). RDI's b stays
+    0 and is not touched. The rates are (rows, n) arrays.
+    """
+    for s, (a_s, a_next, ka, r) in enumerate(zip(a, a[1:], product, residual)):
+        np.multiply(a_s, spectrum, out=ka)
+        np.subtract(ka, targets, out=r)
+        if s == last:
+            break
+        move = np.multiply(reg, a_s, out=a_next)
+        move += r
+        move *= eta
+        np.subtract(a_s, move, out=a_next)
+
+
+def _aux_steps(a, b, product, residual, last, targets, spectrum, coupling, eta, eta_coupling):
+    """AUX rows through a chunk as ``_rdi_steps``: r = K a + lam b - y, then a <- a - eta r, b <- b - eta lam r."""
+    for s, (a_s, a_next, b_s, b_next, ka, r) in enumerate(zip(a, a[1:], b, b[1:], product, residual)):
+        np.multiply(a_s, spectrum, out=ka)
+        np.multiply(coupling, b_s, out=r)
+        r += ka
+        r -= targets
+        if s == last:
+            break
+        np.subtract(a_s, np.multiply(eta, r, out=a_next), out=a_next)
+        np.subtract(b_s, np.multiply(eta_coupling, r, out=b_next), out=b_next)
+
+
 def _descend(lm: LinearizedModel, runs, steps: int, read=None):
     """Gradient descent on a block of (kind, y, lam, eta) runs; returns the final block and traces.
 
     With r = K a + lam b - y (b stays 0 for RDI), RDI steps a <- a - eta (r + lam^2 a)
     on 1/2 (|r|^2 + lam^2 a^T K a), and AUX steps a <- a - eta r, b <- b - eta lam r
-    on 1/2 |r|^2. The block steps in K's eigenbasis, K = V diag(k) V^T: the
-    targets are rotated to V^T y once, K a is the elementwise k * V^T a, and
-    a, b and K a are rotated back once after the last step. Objectives and
-    a^T K a are the same in either basis. An invalid run is frozen with its
-    ValidationError, and a run that breaks the divergence rule with a
-    DivergenceError naming its lambda; a frozen run is zero in either basis.
-    Traces are None, or, given ``read``, read(block) at every step
-    t = 0..steps, on the block in the eigenbasis, stacked into (steps+1, ...)
-    arrays, and then the first error of a run is raised.
+    on 1/2 |r|^2. Consecutive runs of one kind form a sub-block that makes
+    only its own kind's update. The block steps in K's eigenbasis,
+    K = V diag(k) V^T: the targets are rotated to V^T y once, K a is the
+    elementwise k * V^T a, and a, b and K a are rotated back once after the
+    last step. Objectives and a^T K a are the same in either basis.
+
+    Each step's a, b, K a and r go into a chunk of at most ``_CHUNK`` steps,
+    O(_CHUNK runs n) memory beside the block; a^T K a, the objectives and
+    the divergence rule are then computed for the whole chunk at once. An
+    invalid run is frozen with its ValidationError, and a run that breaks the
+    divergence rule with a DivergenceError naming its lambda and its first
+    breaking step, from which on it is zero in either basis; what its chunk
+    stepped past that step is discarded. Traces are None, or, given
+    ``read``, read(chunk) for the chunks covering t = 0..steps, on the chunk
+    in the eigenbasis, concatenated into (steps+1, ...) arrays; the error at
+    the earliest step (the first run's, among runs that fail there) is
+    raised instead.
     """
     _check_integer("steps", steps, 0)
     (spectrum, basis), count, shape = lm.K.eigh, len(runs), (len(runs), lm.n)
     reg, coupling, eta = np.zeros((3, count, 1))  # per run: lam^2 (RDI), lam (AUX) and eta
-    block = GDBlock(np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(count), np.empty(count),
-                    etas=eta[:, 0], errors=[None] * count)
-    a, b, product, quad, objectives = block.coeffs, block.aux, block.product, block.quad, block.objectives
-    targets = np.zeros(shape)
+    targets, errors, failed = np.zeros(shape), [None] * count, {}  # failed: run -> step of its error
     for i, (kind, y, lam, run_eta) in enumerate(runs):
         try:
             targets[i], eta[i] = _check_run(lm, kind, y, lam, run_eta)
         except ValidationError as exc:
-            block.errors[i] = exc
+            errors[i], failed[i] = exc, 0
             continue
         reg[i], coupling[i] = (lam * lam, 0.0) if kind == KIND_RDI else (0.0, lam)
     targets = targets @ basis  # row i is V^T y_i
+    # the sub-blocks, each with its rows and its rates spread over n columns
+    full = [np.broadcast_to(rate, shape).copy() for rate in (spectrum, reg, coupling, eta, eta * coupling)]
+    sub_blocks, start = [], 0
+    for rdi, group in itertools.groupby(kind == KIND_RDI for kind, *_ in runs):
+        rows = slice(start, start + len(list(group)))
+        start = rows.stop
+        k, lam_sq, lam, rate, lam_rate = (values[rows] for values in full)
+        sub_blocks.append((rows, _rdi_steps, (targets[rows], k, lam_sq, rate)) if rdi else
+                          (rows, _aux_steps, (targets[rows], k, lam, rate, lam_rate)))
+    size = min(_CHUNK, steps + 1)
+    a, b = np.zeros((2, size + 1) + shape)  # row s + 1 is the update of row s; row size carries on
+    product, residual = np.empty((2, size) + shape)
+    quad, objectives = np.empty((2, size, count))
     traces = None
-    for t in range(steps + 1):
-        np.multiply(a, spectrum, out=product)  # row i is V^T K a_i
-        np.einsum("ij,ij->i", a, product, out=quad)
-        residual = coupling * b + product - targets
-        np.einsum("ij,ij->i", residual, residual, out=objectives)
-        objectives += reg[:, 0] * quad
-        objectives *= 0.5
-        if not np.all(np.abs(objectives) <= DIVERGENCE_LIMIT):  # some run may break the rule: check each
-            for i, objective in enumerate(objectives.tolist()):
-                try:
-                    _check_divergence(objective, t)
-                except DivergenceError as exc:  # freeze the run at zero
-                    block.errors[i] = DivergenceError(f"lambda={runs[i][2]}: {exc}")
-                    for rows in (a, b, residual, targets):
-                        rows[i] = 0.0
-        if read is not None:
-            for error in filter(None, block.errors):
-                raise error
-            values = read(block)
-            traces = traces or [np.empty((steps + 1,) + np.shape(value)) for value in values]
-            for trace, value in zip(traces, values):
-                trace[t] = value
-        if t < steps:
-            a -= eta * (reg * a + residual)
-            b -= eta * coupling * residual
-    block.coeffs, block.aux, block.product = a @ basis.T, b @ basis.T, product @ basis.T
+    with np.errstate(over="ignore", invalid="ignore"):  # a breaking run's steps past its break are discarded
+        for first in range(0, steps + 1, size):
+            m = min(size, steps + 1 - first)
+            for rows, stepper, constants in sub_blocks:
+                stepper(a[:, rows], b[:, rows], product[:m, rows], residual[:m, rows], steps - first, *constants)
+            chunk = GDBlock(a[:m], b[:m], product[:m], quad[:m], objectives[:m], eta[:, 0], errors)
+            np.einsum("sij,sij->si", chunk.coeffs, chunk.product, out=chunk.quad)
+            np.einsum("sij,sij->si", residual[:m], residual[:m], out=chunk.objectives)
+            chunk.objectives += reg[:, 0] * chunk.quad
+            chunk.objectives *= 0.5
+            over = ~(np.abs(chunk.objectives) <= DIVERGENCE_LIMIT)
+            for i in np.flatnonzero(over.any(axis=0)).tolist():  # some run may break the rule: check each
+                for s in np.flatnonzero(over[:, i]).tolist():
+                    try:
+                        _check_divergence(float(chunk.objectives[s, i]), first + s)
+                    except DivergenceError as exc:  # freeze the run at zero from step s on
+                        errors[i], failed[i] = DivergenceError(f"lambda={runs[i][2]}: {exc}"), first + s
+                        a[s:, i] = b[s:, i] = targets[i] = 0.0
+                        product[s + 1:, i] = quad[s + 1:, i] = objectives[s + 1:, i] = 0.0
+                        break
+            if read is not None:
+                if failed:
+                    raise errors[min(failed, key=lambda i: (failed[i], i))]
+                values = read(chunk)
+                traces = traces or [np.empty((steps + 1,) + np.shape(value)[1:]) for value in values]
+                for trace, value in zip(traces, values):
+                    trace[first:first + m] = value
+            if first + m <= steps:  # the next chunk starts from this one's last update
+                a[0], b[0] = a[m], b[m]
+    last = m - 1
+    block = GDBlock(a[last] @ basis.T, b[last] @ basis.T, product[last] @ basis.T, quad[last], objectives[last],
+                    eta[:, 0], errors)
     return block, traces
 
 
 def _one_run(lm: LinearizedModel, kind: str, y, lam: float, eta, steps: int) -> LinTrajectory:
     """``_descend`` on one run, with every a(t) kept, and b(t) too for AUX, rotated back once."""
-    def read(block):
-        kept = (block.coeffs[0], block.objectives[0], block.quad[0])
-        return kept + (block.aux[0],) if kind == KIND_AUX else kept
+    def read(chunk):
+        kept = (chunk.coeffs[:, 0], chunk.objectives[:, 0], chunk.quad[:, 0])
+        return kept + (chunk.aux[:, 0],) if kind == KIND_AUX else kept
 
     block, (coeffs, objectives, quad, *aux) = _descend(lm, [(kind, y, lam, eta)], steps, read)
     basis_t = lm.K.eigh[1].T
@@ -385,7 +451,8 @@ def run_gd_equivalence(lm: LinearizedModel, y, lambdas, eta=None, steps: int = 1
     stepped at ``eta`` (None: each lambda's default). Each step keeps only
     the objectives, sqrt(a^T K a) and the gap sqrt(d . (K a - K a')) with
     d = a - a', all read in K's eigenbasis, where they take the same values,
-    so memory is O(L n + L steps) beside K's eigenvectors. A block's
+    a chunk of steps at a time, so memory is O(L n + L steps) beside K's
+    eigenvectors. A block's
     rotations round differently from one run's, so results match the
     one-lambda runs and ``check_equivalence`` to floating-point level. The
     first run to diverge fails the scan.
@@ -393,10 +460,10 @@ def run_gd_equivalence(lm: LinearizedModel, y, lambdas, eta=None, steps: int = 1
     if not (count := len(lambdas)):
         raise ValidationError("the equivalence scan needs at least one lambda")
 
-    def read(block):
-        a, ka = block.coeffs, block.product
-        return block.objectives, block.quad[:count], np.einsum("ij,ij->i", a[:count] - a[count:],
-                                                               ka[:count] - ka[count:])
+    def read(chunk):
+        a, ka = chunk.coeffs, chunk.product
+        return chunk.objectives, chunk.quad[:, :count], np.einsum("sij,sij->si", a[:, :count] - a[:, count:],
+                                                                  ka[:, :count] - ka[:, count:])
 
     runs = [(kind, y, lam, eta) for kind in (KIND_RDI, KIND_AUX) for lam in lambdas]
     block, (objectives, quad, gaps) = _descend(lm, runs, steps, read)

@@ -254,16 +254,19 @@ def _branch_backward(config: NetConfig, weights, caches, delta, summed=False):
     ``summed`` the gradient summed over examples. No layer below the lowest
     trainable one is visited.
 
-    Back-propagating into layer l - 1 allocates one (m, width) array, the
-    next delta, and masks and scales it in place; masked entries are zeros
-    whose sign follows the product they replace. A summed walk whose delta
-    has one column (one output) forms the gradient of layer l - 1, when that
-    is the lowest trainable layer, without that array or its outer product
-    and mask multiply: W_l^T * (mask^T (s_{l-1} delta * input_{l-1})). The
-    one matmul reads the mask as floats, copied into the cached input of
-    layer l, which the walk reads no further (its gradient, if layer l is
-    trainable, is formed by then): for a frozen layer l that is the caller's
-    ``frozen_inputs`` buffer, so a summed walk needs one there.
+    Back-propagating into layer l - 1 forms one (m, width) array, the next
+    delta, and masks and scales it in place; masked entries are zeros whose
+    sign follows the product they replace. A summed walk forms that array
+    in the cached input of layer l, which the walk reads no further (its
+    gradient, if layer l is trainable, is formed by then): for a frozen
+    layer l the caller's ``frozen_inputs`` buffer, or a new array without
+    one. A
+    summed walk whose delta has one column (one output) forms the gradient
+    of layer l - 1, when that is the lowest trainable layer, without that
+    array or its outer product and mask multiply:
+    W_l^T * (mask^T (s_{l-1} delta * input_{l-1})). The one matmul reads the
+    mask as floats, copied into that same cached input, so there a summed
+    walk needs the ``frozen_inputs`` buffer of a frozen layer l.
     """
     trainable = config.trainable_layers
     lowest = trainable[0]
@@ -284,8 +287,13 @@ def _branch_backward(config: NetConfig, weights, caches, delta, summed=False):
             out[lowest] = weights[l].T * ((scaled * low_inp).T @ inp).T
             break
         # one column: delta_i * W_j, the values of the inner-dimension-1
-        # matmul at a fraction of its cost
-        back = delta * weights[l] if delta.shape[1] == 1 else delta @ weights[l]
+        # matmul at a fraction of its cost; a summed walk has read inp for
+        # the last time and writes the back signal into it
+        into = inp if summed else None
+        if delta.shape[1] == 1:
+            back = np.multiply(delta, weights[l], out=into)
+        else:
+            back = np.matmul(delta, weights[l], out=into)
         back *= caches[l - 1][1]
         delta = back
     return [out[l] for l in trainable]

@@ -1,5 +1,6 @@
 """End-to-end command tests: outputs, exit codes, reproducibility."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -1203,7 +1204,7 @@ class TestWorkerThreads:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli_module.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = write_config(tmp_path, "cfg.json", {
             "dataset": small_synth(n=20), "model": {"kind": "net", "widths": [16]}, "method": "linear-rdi",
             "lambda_grid": [0.5], "seeds": [0, 1], "steps": 5, "workers": 2, "out": str(tmp_path / "sw"),
@@ -1368,6 +1369,31 @@ class TestOneConfigCheck:
         assert main([command, "--config", cfg]) == EXIT_VALIDATION
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["krr", "sweep"])
+    @pytest.mark.parametrize("case", ["synthetic", "with-test-n"])
+    def test_synthetic_or_second_test_set_refused(self, tmp_path, capsys, command, case):
+        # a synthetic test set drew its own target direction: krr fit its training labels exactly and
+        # reported test error 0.75, and the training set's test_n was silently ignored beside it
+        from test_data import write_idx_pair
+
+        images, labels, _ = write_idx_pair(tmp_path, [5, 8, 5, 8, 5], np.random.default_rng(0), rows=2, cols=2)
+        mnist = {"kind": "mnist-binary", "images": str(images), "labels": str(labels), "class_a": 5, "class_b": 8}
+        dataset, test_dataset, named = {
+            "synthetic": (dict(self.BINARY, d=4), dict(self.BINARY, d=4, n=20, seed=2, test_n=7),
+                          "synth-sphere test_dataset draws its own target direction"),
+            "with-test-n": (dict(self.BINARY, d=4, test_n=7), mnist, "test_n and a test_dataset"),
+        }[case]
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": dataset, "test_dataset": test_dataset,
+                                                  "lambda_grid": [0.5], "out": str(out)})
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        # the MNIST test files beside a training set without test_n pass
+        dataset.pop("test_n", None)
+        cfg = write_config(tmp_path, "ok.json", {"dataset": dataset, "test_dataset": mnist, "out": str(out)})
+        assert load_config(cfg, None, command)["test_dataset"] == mnist
 
     @pytest.mark.parametrize("method, model, task", [
         *[("krr", model, task) for model in ("analytic", "net") for task in TASK_DATA],

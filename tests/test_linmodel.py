@@ -20,6 +20,7 @@ from ntkreg.linmodel import (
     KIND_AUX,
     KIND_RDI,
     LinearizedModel,
+    _CHUNK,
     _descend,
     check_equivalence,
     closed_form_limit,
@@ -778,3 +779,123 @@ class TestEigenbasis:
         gain = np.divide(1.0 - decay, s, out=traj.eta * t * np.ones_like(decay), where=s > 0.0)
         expected = (gain * (v.T @ y)) @ v.T
         assert np.max(np.abs(traj.coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def same_bits(a, b):
+    """Equal arrays, NaNs and signed zeros included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def per_step_scan(lm, y, lambdas, steps):
+    """run_gd_equivalence's four traces from a plain loop that steps and reads one step at a time.
+
+    Rows 0..L-1 are the RDI runs and rows L..2L-1 the AUX runs, stepped in
+    K's eigenbasis with the stepper's operations in its order.
+    """
+    k, v = lm.K.eigh
+    count = len(lambdas)
+    lam = np.array(lambdas, dtype=np.float64)[:, None]
+    eta = np.array([lm.default_eta(value) for value in lambdas])[:, None]
+    targets = np.tile(np.asarray(y, dtype=np.float64), (2 * count, 1)) @ v
+    y_rdi, y_aux = targets[:count], targets[count:]
+    a_rdi, a_aux, b_aux = np.zeros((3, count, lm.n))
+    traces = [], [], [], []
+    for t in range(steps + 1):
+        ka_rdi, ka_aux = a_rdi * k, a_aux * k
+        r_rdi = ka_rdi - y_rdi
+        r_aux = lam * b_aux
+        r_aux += ka_aux
+        r_aux -= y_aux
+        quad = np.einsum("ij,ij->i", a_rdi, ka_rdi)
+        for trace, value in zip(traces, (
+                0.5 * (np.einsum("ij,ij->i", r_rdi, r_rdi) + (lam * lam)[:, 0] * quad),
+                0.5 * (np.einsum("ij,ij->i", r_aux, r_aux) + 0.0 * np.einsum("ij,ij->i", a_aux, ka_aux)),
+                quad, np.einsum("ij,ij->i", a_rdi - a_aux, ka_rdi - ka_aux))):
+            trace.append(value)
+        a_rdi = a_rdi - eta * (lam * lam * a_rdi + r_rdi)
+        a_aux, b_aux = a_aux - eta * r_aux, b_aux - eta * lam * r_aux
+    objectives_rdi, objectives_aux, quad, gaps = (np.array(trace) for trace in traces)
+    return objectives_rdi, objectives_aux, np.sqrt(np.maximum(quad, 0.0)), np.sqrt(np.maximum(gaps, 0.0))
+
+
+class TestChunks:
+    """``_descend`` steps chunks of ``_CHUNK`` steps and reads each chunk's trace and divergence at once."""
+
+    EDGE_STEPS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]
+
+    @pytest.mark.parametrize("steps", EDGE_STEPS + [5 * _CHUNK + 3])
+    def test_scan_matches_a_per_step_loop_bitwise(self, steps):
+        lm, ds = make_lm()
+        lambdas = [0.25, 0.5, 1.0, 3.0]
+        scan = run_gd_equivalence(lm, ds.noisy_labels, lambdas, steps=steps)
+        expected = per_step_scan(lm, ds.noisy_labels, lambdas, steps)
+        got = (scan.objectives_rdi, scan.objectives_aux, scan.dist_from_init, scan.gaps)
+        for name, value, reference in zip(("objectives_rdi", "objectives_aux", "dist", "gaps"), got, expected):
+            assert same_bits(value, reference), name
+
+    @pytest.mark.parametrize("steps", EDGE_STEPS)
+    def test_edge_step_counts_match_the_reference(self, steps):
+        lm, ds = make_lm()
+        runs = TestBlock.runs(ds)
+        block, (coeffs, aux, product, quad, objectives) = _descend(
+            lm, runs, steps, lambda c: (c.coeffs, c.aux, c.product, c.quad, c.objectives))
+        basis = lm.K.eigh[1]
+        traces = (coeffs @ basis.T, aux @ basis.T, product @ basis.T, quad, objectives)
+        valid = [(kind, y, lam, float(eta)) for (kind, y, lam, _), eta in zip(runs, block.etas)]
+        reference = reference_descend(lm.K.values, valid, steps)
+        assert block.errors == [None] * len(runs)
+        for i, states in enumerate(reference):
+            for j, (final, trace) in enumerate(zip((block.coeffs, block.aux, block.product, block.quad,
+                                                    block.objectives), traces)):
+                scale = max(np.max(np.abs(state[j])) for state in states)
+                assert trace.shape[0] == steps + 1
+                assert np.max(np.abs(final[i] - states[steps][j])) <= 1e-12 * scale
+                for t in range(steps + 1):
+                    assert np.max(np.abs(trace[t, i] - states[t][j])) <= 1e-12 * scale
+
+    # With K = I, lam = 0 and eta = 3, RDI's a(t) = (1 - (-2)^t) y, so the objective is 2 * 4^t |y|^2 / 4:
+    # it first exceeds 1e12 at t = 20 for y = 1 (step 4 of its chunk) and at t = 23 for y = 0.1 (a chunk's
+    # last step). eta = 1e150 breaks at t = 1 with 2e300, and the steps its chunk takes past that overflow.
+    BREAKS = {0: 20, 2: 23, 4: 1}
+
+    @staticmethod
+    def breaking_runs(n):
+        ones = np.ones(n)
+        return [(KIND_RDI, ones, 0.0, 3.0), (KIND_AUX, ones, 0.5, 0.1), (KIND_RDI, 0.1 * ones, 0.0, 3.0),
+                (KIND_RDI, ones, 0.5, 0.1), (KIND_RDI, ones, 0.0, 1e150)]
+
+    @pytest.mark.parametrize("steps", [1, 19, 20, 21, 22, 23, 24, 30])
+    def test_divergence_inside_a_chunk_matches_the_reference(self, steps):
+        assert _CHUNK == 8  # the break steps above sit inside a chunk and on its last step
+        lm = identity_lm(4)
+        runs = self.breaking_runs(lm.n)
+        block, _ = _descend(lm, runs, steps)
+        reference = reference_descend(lm.K.values, runs, steps)
+        for i, states in enumerate(reference):
+            if i in self.BREAKS and self.BREAKS[i] <= steps:
+                assert isinstance(block.errors[i], DivergenceError)
+                assert str(block.errors[i]).startswith(f"lambda=0.0: objective became ")
+                assert f" at step {self.BREAKS[i]}; reduce the learning rate" in str(block.errors[i])
+                assert np.all(block.coeffs[i] == 0.0) and np.all(block.aux[i] == 0.0)
+            else:
+                assert block.errors[i] is None
+            for j, final in enumerate((block.coeffs, block.aux, block.product, block.quad, block.objectives)):
+                scale = max(np.max(np.abs(state[j])) for state in states[:steps + 1])
+                assert np.max(np.abs(final[i] - states[steps][j])) <= 1e-12 * scale
+
+    def test_read_raises_the_earliest_break(self):
+        lm = identity_lm(4)
+        runs = self.breaking_runs(lm.n)
+        read = lambda chunk: (chunk.objectives,)
+        # run 2 breaks at step 23, after run 0 at step 20: the earlier step wins over the run order
+        with pytest.raises(DivergenceError, match="at step 20;"):
+            _descend(lm, [runs[2], runs[1], runs[0]], 30, read)
+        with pytest.raises(DivergenceError, match="at step 23;"):
+            _descend(lm, runs[1:4], 30, read)
+        # two runs that break at one step: the first run's error
+        twin = (KIND_RDI, np.ones(4), 1e-9, 3.0)
+        with pytest.raises(DivergenceError, match="lambda=1e-09: "):
+            _descend(lm, [runs[1], twin, runs[0]], 30, read)
+        # the traces of a run that does not break cover every step
+        _, (objectives,) = _descend(lm, runs[1:2], 30, read)
+        assert objectives.shape == (31, 1)

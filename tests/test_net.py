@@ -794,6 +794,33 @@ class TestKeptActivations:
         assert log.objective[-1] < log.objective[0]
         assert peak <= bound_mib * MIB
 
+    def test_multi_output_train_full_peak(self, traced_peak):
+        # the summed walk allocated its (n, width) back signal delta @ W_1 every step and branch
+        # (73.6 MiB); it now goes into the frozen output layer's input buffer, as with one output
+        data = synth_multiclass(1000, 10, 3, seed=1)
+        mlp = init_mlp(NetConfig(input_dim=10, widths=(4096,), outputs=3, freeze_first_last=True), 0)
+        (_, _, log), peak = traced_peak(train_full, mlp, data, TrainConfig("rdi", eta=1e-3, steps=2, lam=1.0))
+        assert log.objective[-1] < log.objective[0]
+        assert peak <= 48.0 * MIB
+
+    @pytest.mark.parametrize("widths", [(16,), (8, 6)], ids=["w16", "w8x6"])
+    def test_summed_walk_writes_its_back_signal_into_the_buffer(self, widths):
+        config = NetConfig(input_dim=5, widths=widths, outputs=3, freeze_first_last=True)
+        weights = init_mlp(config, 2).params[0]
+        rng = np.random.default_rng(0)
+        x, delta = rng.standard_normal((9, 5)), rng.standard_normal((9, 3))
+        top, low = config.depth - 1, config.depth - 2
+        buffer = np.empty((9, config.dims[top]))
+        _, caches = _branch_forward(config, weights, x, keep_cache=True, frozen_inputs={top: buffer})
+        low_input = caches[low][0].copy()
+        # the allocating walk's arithmetic: delta @ W_top, masked, scaled, then the summed outer product
+        back = (delta * config.layer_scales[top]) @ weights[top]
+        back *= caches[low][1]
+        back *= config.layer_scales[low]
+        (grad,) = _branch_backward(config, weights, caches, delta.copy(), summed=True)
+        assert same_bits(grad, (low_input.T @ back).T)
+        assert same_bits(buffer, back)
+
     def test_gradient_factors_peak(self, traced_peak, data):
         # the mask and the delta at layer 0 (9 bytes per n x width, 35.2 MiB);
         # the frozen layer's input, kept through the walk, made it 66.5 MiB
