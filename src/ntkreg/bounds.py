@@ -42,7 +42,7 @@ import numpy as np
 
 from ._kernelmatrix import KernelMatrix, _as_real
 from .data import TASK_BINARY, TASK_REGRESSION, DataSet, _write_json, prediction_error
-from .errors import ValidationError
+from .errors import ValidationError, _check_lambda
 from .krr import KRRPredictor
 from .noise import rescale_binary, validate_transition
 
@@ -65,10 +65,11 @@ class BoundConfig:
     constant_mode: str = MODE_EXPLICIT
 
     def __post_init__(self):
-        if not 0.0 < self.lam < math.inf:  # NaN fails too
-            raise ValidationError(f"bounds need a finite lambda > 0, got {self.lam}")
-        if not self.sigma >= 0.0:  # NaN fails too
-            raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
+        _check_lambda("lambda", self.lam)
+        if not self.lam > 0.0:
+            raise ValidationError(f"bounds need a lambda > 0, got {self.lam}")
+        if not 0.0 <= self.sigma < math.inf:  # NaN fails too
+            raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta must lie in (0, 1), got {self.delta}")
         if self.constant_mode not in _MODES:

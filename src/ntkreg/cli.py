@@ -44,9 +44,10 @@ from .errors import (
     ToolkitError,
     TrickViolationError,
     ValidationError,
+    _check_lambda,
 )
 from .kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
-from .krr import export_predictions, krr_fit
+from .krr import _write_predictions, krr_fit
 from .linmodel import _descend, linearize, run_gd_equivalence
 from .net import (
     MLP,
@@ -113,7 +114,7 @@ _SPECS = {
 # null), seeds among them >= 0 and counts >= 1, numbers, paths and flags.
 _INTEGERS = ("n", "d", "seed", "test_n", "classes", "class_a", "class_b", "limit", "depth", "init_seed")
 _SEEDS = ("seed", "init_seed")
-_COUNTS = ("test_n", "limit")
+_COUNTS = ("n", "test_n", "limit")
 _NUMBERS = ("p", "sigma")
 _PATHS = ("images", "labels", "csv")
 _FLAGS = ("freeze_first_last", "difference_trick")
@@ -146,7 +147,8 @@ def _spec(section: str, spec: dict, grid: bool = False) -> dict:
         if key in _SEEDS and value < 0:
             raise ValidationError(f"{section} field {key!r} is a seed and must be >= 0, got {value!r}")
         if key in _COUNTS and value is not None and value < 1:
-            raise ValidationError(f"{section} field {key!r} must be >= 1 or null, got {value!r}")
+            accepted = ">= 1" if fields[key] == _REQUIRED else ">= 1 or null"
+            raise ValidationError(f"{section} field {key!r} must be {accepted}, got {value!r}")
         if key in _NUMBERS and key in given and not _is_number(value):  # absent in a sweep: a placeholder
             raise ValidationError(f"{section} field {key!r} must be a number, got {value!r}")
         if key in _PATHS and not isinstance(value, str):
@@ -203,8 +205,10 @@ def _validate_config(config: dict, command: str) -> None:
         raise ValidationError(f"workers must be an integer >= 1, got {config['workers']!r}")
     if not isinstance(config["out"], str):
         raise ValidationError(f"out must be a path string, got {config['out']!r}")
-    if not all(0.0 <= lam < np.inf for lam in (config["lambda"], *config["lambda_grid"])):  # NaN fails too
-        raise ValidationError("lambda and the lambda grid values must be finite and >= 0")
+    for lam in (config["lambda"], *config["lambda_grid"]):
+        _check_lambda("lambda and each lambda_grid value", lam)
+    if not all(0.0 <= level < np.inf for level in config["noise_grid"]):  # NaN fails too
+        raise ValidationError(f"noise_grid levels must be finite and >= 0, got {config['noise_grid']!r}")
     sigma, delta = config["sigma"], config["delta"]
     if not (_is_number(sigma) and _is_number(delta)):
         raise ValidationError(f"sigma and delta must be numbers, got {sigma!r} and {delta!r}")
@@ -433,78 +437,72 @@ def _noise_bound(config, data, gram, noise, lam):
     return bounds_mod.bound_additive(gram, labels, cfg)
 
 
+def _bounded(cell: dict) -> bool:
+    """Whether ``cell`` gets a bound total: its noise level (None in a single run) and its lambda are > 0."""
+    return (cell["noise"] or 0.0) > 0.0 and cell["lambda"] > 0.0
+
+
 class _KRRGroup:
     """krr cells that share one kernel K and the test cross matrix C, solved ridge by ridge.
 
     K keeps one factor: its PSD certificate's, which gives the bounds'
-    y^T K^-1 y, then each lam^2's. A ridge solves the fit targets (one-hot
-    rows for multiclass) of its (noise level, seed) draws as one block A and
-    reads their outputs from one K @ A and one C @ A. A bound report does not
-    depend on the seed, so each (noise level, lam > 0) computes one for all
-    its seeds. A failed factor fails its ridge's cells; a draw whose column
-    fails its residual check fails its cells, and the rest of the ridge is
-    solved again without it.
+    y^T K^-1 y if some cell is ``_bounded``, then each lam^2's. A ridge
+    solves the fit targets (one-hot rows for multiclass) of its (noise
+    level, seed) draws as one block A, reads their train outputs from one
+    K @ A and computes one bound report per noise level for all its seeds.
+    Then K and its factor are released, and C is built once, if there is a
+    test set and some ridge fitted, so C never stands beside them; each
+    ridge's test outputs come from one C @ A. A failed factor fails its
+    ridge's cells; a draw whose column fails its residual check fails its
+    cells, and the rest of the ridge is solved again without it.
     """
 
     def __init__(self, config, train, test, cells, draws):
-        self.config, self.train, self.test, self.draws = config, train, test, draws
         source = build_kernel_source(config, train, cells[0]["seed"])
-        # C is built in place, so either order peaks at C, K and one packed factor.
-        self.cross = None if test is None else source.cross(test.inputs, train)
-        self.gram = source.gram(train)
-        bounded = [draws[_draw_key(cell)][0] for cell in cells if cell["lambda"] > 0.0]
-        bounded = [noise for noise in bounded if noise is not None]
+        gram = source.gram(train)
+        bounded = [draws[_draw_key(cell)][0] for cell in cells if _bounded(cell)]
         if bounded:  # y^T K^-1 y from the certificate; on failure each bound fails as it reads it
             with contextlib.suppress(ToolkitError):
-                self.gram.inverse_form(_bound_labels(train, bounded[0]), 0.0)
-        self.outcomes = {}  # cell index -> its row, or the error that failed it
+                gram.inverse_form(_bound_labels(train, bounded[0]), 0.0)
+        # by cell index: its row or the error that failed it, and its test outputs
+        self.outcomes, self.test_outputs = {}, {}
         by_lambda = operator.itemgetter("lambda")
-        for lam, ridge in itertools.groupby(sorted(cells, key=by_lambda), key=by_lambda):
-            ridge = list(ridge)
-            keys = list(dict.fromkeys(map(_draw_key, ridge)))
-            try:
-                outputs = self._fit(lam, keys)
-            except ToolkitError as exc:  # K + lam^2 I has no factor
-                outputs = dict.fromkeys(keys, exc)
-            bounds = {}  # noise_idx -> the bound total its seeds share
-            for cell in ridge:
+        ridges = {lam: list(ridge) for lam, ridge in itertools.groupby(sorted(cells, key=by_lambda), key=by_lambda)}
+        fits, totals = {}, {}  # lam -> (A, K @ A, each fitted draw's columns); (lam, noise_idx) -> bound total
+        for lam, ridge in ridges.items():
+            keys, failed = list(dict.fromkeys(map(_draw_key, ridge))), {}  # failed: draw key -> its error
+            while len(failed) < len(keys) and lam not in fits:
+                kept = [key for key in keys if key not in failed]
+                targets = [np.atleast_2d(draws[key][1].fit_targets()) for key in kept]
+                owners = np.repeat(np.arange(len(kept)), [len(rows) for rows in targets])  # per target row
                 try:
-                    self.outcomes[cell["index"]] = self._row(cell, outputs[_draw_key(cell)], bounds)
-                except ToolkitError as exc:
-                    self.outcomes[cell["index"]] = exc
-
-    def _fit(self, lam: float, keys: list) -> dict:
-        """The (train, test) outputs at ``lam`` of each draw in ``keys``, or the error that failed it."""
-        outputs = {}
-        while len(outputs) < len(keys):
-            kept = [key for key in keys if key not in outputs]
-            targets = [np.atleast_2d(self.draws[key][1].fit_targets()) for key in kept]
-            owners = np.repeat(np.arange(len(kept)), [len(rows) for rows in targets])  # per target row
-            try:
-                alpha = krr_fit(self.gram, np.concatenate(targets), lam).alpha
-            except SingularityError as exc:
-                if exc.columns is None:  # the factor failed
-                    raise
-                outputs.update((kept[i], exc) for i in set(owners[list(exc.columns)].tolist()))
-                continue
-            # In-sample outputs from the Gram matrix: evaluating k(X, X) again
-            # would repeat the kernel build and, at large n, set the peak memory.
-            train_outputs = self.gram.values @ alpha.T
-            test_outputs = None if self.cross is None else self.cross @ alpha.T
-            for i, key in enumerate(kept):
-                columns = owners == i
-                outputs[key] = (train_outputs[:, columns],
-                                None if test_outputs is None else test_outputs[:, columns])
-        return outputs
-
-    def _row(self, cell, outputs, bounds: dict) -> dict:
-        """The row of ``cell`` from its draw's outputs, with the bound total its noise level keeps in ``bounds``."""
-        if isinstance(outputs, ToolkitError):
-            raise outputs
-        (noise, noisy), lam, level = self.draws[_draw_key(cell)], cell["lambda"], cell["noise_idx"]
-        if noise is not None and lam > 0.0 and level not in bounds:
-            bounds[level] = _noise_bound(self.config, self.train, self.gram, noise, lam).total
-        return _cell_row(self.config, cell, noisy, self.test, *outputs, bound_total=bounds.get(level))
+                    alpha = krr_fit(gram, np.concatenate(targets), lam).alpha
+                except SingularityError as exc:  # a failed factor names no columns and fails them all
+                    rows = owners if exc.columns is None else owners[list(exc.columns)]
+                    failed.update((kept[i], exc.with_traceback(None)) for i in set(rows.tolist()))
+                    continue
+                # In-sample outputs from the Gram matrix: evaluating k(X, X) again
+                # would repeat the kernel build and, at large n, set the peak memory.
+                fits[lam] = alpha, gram.values @ alpha.T, {key: owners == i for i, key in enumerate(kept)}
+            for cell in ridge:
+                if _draw_key(cell) in failed:
+                    self.outcomes[cell["index"]] = failed[_draw_key(cell)]
+                elif _bounded(cell) and (lam, cell["noise_idx"]) not in totals:
+                    try:
+                        bound = _noise_bound(config, train, gram, draws[_draw_key(cell)][0], lam)
+                        totals[lam, cell["noise_idx"]] = bound.total
+                    except ToolkitError as exc:
+                        self.outcomes[cell["index"]] = exc.with_traceback(None)
+        del gram  # K and its factor go: a kept error has no traceback, whose frames would hold them
+        cross = source.cross(test.inputs, train) if test is not None and fits else None
+        for lam, (alpha, train_outputs, columns) in fits.items():
+            test_outputs = None if cross is None else cross @ alpha.T
+            for cell in (cell for cell in ridges[lam] if cell["index"] not in self.outcomes):
+                own = columns[_draw_key(cell)]
+                self.test_outputs[cell["index"]] = None if test_outputs is None else test_outputs[:, own]
+                self.outcomes[cell["index"]] = _cell_row(
+                    config, cell, draws[_draw_key(cell)][1], test, train_outputs[:, own],
+                    self.test_outputs[cell["index"]], bound_total=totals.get((lam, cell["noise_idx"])))
 
     def row(self, cell) -> dict:
         outcome = self.outcomes[cell["index"]]
@@ -643,19 +641,10 @@ def cmd_train(config: dict) -> int:
 def cmd_krr(config: dict) -> int:
     out = _ensure_out(config)
     cell, train, test = _single_run(config)
-    _, noisy = _noisy_train(config, cell, train)
-    source = build_kernel_source(config, train, cell["seed"])
-    gram = source.gram(train)
-    fit = krr_fit(gram, noisy.fit_targets(), cell["lambda"], source, noisy)
-    # The in-sample outputs come from the Gram matrix. K and its factor are
-    # then released, so the test cross kernel never stands beside them;
-    # predictions.csv and the test error share export_predictions' one.
-    train_outputs = gram.values @ fit.alpha.T
-    del gram
-    test_outputs = None
+    group = _KRRGroup(config, train, test, [cell], _draws(config, [cell], train))
+    row = group.row(cell)
     if test is not None:
-        test_outputs = export_predictions(fit, test.inputs, os.path.join(out, "predictions.csv"))
-    row = _cell_row(config, cell, noisy, test, train_outputs, test_outputs)
+        _write_predictions(os.path.join(out, "predictions.csv"), group.test_outputs[cell["index"]], train.task)
     header = ["lambda", "train_error_noisy", "test_error_clean"]
     _write_csv(os.path.join(out, "results.csv"), header, [tuple(row[h] for h in header)])
     _log(f"lambda={row['lambda']}: train error (noisy) {row['train_error_noisy']:.4f}, "

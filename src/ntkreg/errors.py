@@ -4,13 +4,16 @@ The CLI maps these onto distinct exit codes (see cli.py): validation
 failures, numerical failures, and I/O failures are kept separate so batch
 callers can react programmatically. ``_check_divergence`` is the one
 divergence rule that nonlinear training and the linearized runs apply,
-and ``_check_integer`` the one rule for integer arguments.
+``_check_integer`` the one rule for integer arguments and ``_check_lambda``
+the one rule for a regularization strength.
 """
 
 import math
 import numbers
+import sys
 
 DIVERGENCE_LIMIT = 1e12
+_LAMBDA_LIMIT = math.sqrt(sys.float_info.max)  # the largest lambda whose square is finite, about 1.34e154
 
 
 class ToolkitError(Exception):
@@ -62,6 +65,12 @@ def _check_integer(name: str, value, minimum: int) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_lambda(name: str, value) -> None:
+    """A regularization strength lam >= 0 whose square lam^2 is finite, or a ValidationError (NaN fails too)."""
+    if not 0.0 <= value <= _LAMBDA_LIMIT:
+        raise ValidationError(f"{name} must be >= 0 with a finite square (at most {_LAMBDA_LIMIT:.4g}), got {value}")
 
 
 class TrickViolationError(ToolkitError):

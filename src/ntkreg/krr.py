@@ -32,7 +32,7 @@ from numpy.ctypeslib import ndpointer
 
 from ._kernelmatrix import PSD_RTOL, KernelMatrix, _as_real, k_norms
 from .data import TASK_BINARY, TASK_MULTICLASS, DataSet, _write_csv, predicted_classes
-from .errors import SingularityError, ValidationError
+from .errors import SingularityError, ValidationError, _check_lambda
 from .kernel import as_kernel_source, kernel_cross
 
 RESIDUAL_RTOL = 1e-8
@@ -292,8 +292,7 @@ def krr_fit(K: KernelMatrix, y, lam: float, kernel_source=None, train_data=None)
     Fits on the same ``K`` share the factorization of each shift through
     ``K.solver``.
     """
-    if not 0.0 <= lam < np.inf:  # NaN fails too
-        raise ValidationError(f"lam must be finite and >= 0, got {lam}")
+    _check_lambda("lam", lam)
     y = _as_real(y, "targets")
     if y.ndim not in (1, 2) or y.shape[-1] != K.n:
         raise ValidationError(f"targets must be ({K.n},) or (num_outputs, {K.n}), got {y.shape}")
@@ -323,13 +322,17 @@ def export_predictions(predictor: KRRPredictor, queries, path) -> np.ndarray:
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     values = np.atleast_1d(predictor.predict(queries))
-    task = predictor.train_data.task if predictor.train_data is not None else None
-    classes = predicted_classes(values, task) if task in (TASK_BINARY, TASK_MULTICLASS) else None
-    columns = values.reshape(queries.shape[0], -1)
+    _write_predictions(path, values, predictor.train_data.task if predictor.train_data is not None else None)
+    return values
+
+
+def _write_predictions(path, outputs: np.ndarray, task) -> None:
+    """``export_predictions``' CSV of (m,) or (m, k) ``outputs``, with classes for a binary or multiclass ``task``."""
+    classes = predicted_classes(outputs, task) if task in (TASK_BINARY, TASK_MULTICLASS) else None
+    columns = outputs.reshape(outputs.shape[0], -1)
     header = ["query_id"] + [f"output_{h + 1}" for h in range(columns.shape[1])]
-    rows = [[i, *outputs] for i, outputs in enumerate(columns)]
+    rows = [[i, *row] for i, row in enumerate(columns)]
     if classes is not None:
         header.append("predicted_class")
         rows = [row + [label.item()] for row, label in zip(rows, classes)]  # 2, or 1.0 by sign
     _write_csv(path, header, rows)
-    return values

@@ -42,6 +42,7 @@ from .errors import (
     ValidationError,
     _check_divergence,
     _check_integer,
+    _check_lambda,
 )
 from .kernel import _cross_blocks, kernel_from_factors
 from .krr import krr_fit
@@ -179,8 +180,7 @@ def _check_run(lm: LinearizedModel, kind: str, y, lam: float, eta):
     y = _as_real(y, "targets")
     if y.shape != (lm.n,):  # the tangent model has one output
         raise ValidationError(f"targets must have shape ({lm.n},), got {y.shape}")
-    if not 0.0 <= lam < np.inf:  # NaN fails too
-        raise ValidationError(f"lam must be finite and >= 0, got {lam}")
+    _check_lambda("lam", lam)
     if kind == KIND_AUX and not lam > 0.0:
         raise ValidationError(f"the auxiliary objective needs lam > 0, got {lam}")
     eta = lm.default_eta(lam) if eta is None else eta

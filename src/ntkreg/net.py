@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import DataSet, _write_csv, prediction_error
-from .errors import ValidationError, _check_divergence, _check_integer
+from .errors import ValidationError, _check_divergence, _check_integer, _check_lambda
 
 BRANCH_COEFF = math.sqrt(2.0) / 2.0
 
@@ -425,8 +425,7 @@ class TrainConfig:
         if not 0.0 < self.eta < math.inf:
             raise ValidationError(f"learning rate must be finite and positive, got {self.eta}")
         _check_integer("steps", self.steps, 0)
-        if not 0.0 <= self.lam < math.inf:  # NaN fails too
-            raise ValidationError(f"lam must be finite and >= 0, got {self.lam}")
+        _check_lambda("lam", self.lam)
 
 
 @dataclass

@@ -1233,6 +1233,7 @@ class TestNoiseKindValidation:
 
 REGRESSION = {"kind": "synth-sphere", "n": 20, "d": 6, "target": "smooth-poly", "seed": 5}
 TINY_MNIST = {"kind": "mnist-binary", "images": "images.idx", "labels": "labels.idx", "class_a": 5, "class_b": 8}
+LOCAL_TRANSITION = {"kind": "class-transition", "csv": "transition.csv"}  # as ``transition_noise`` writes it
 TASK_DATA = {"binary": small_synth(n=20), "regression": REGRESSION, "multiclass": SMALL_MULTICLASS}
 TASK_NOISE = {"binary": {"kind": "binary-flip", "p": 0.2}, "regression": {"kind": "additive", "sigma": 0.1}}
 
@@ -1285,8 +1286,21 @@ class TestOneConfigCheck:
         pytest.param("sweep", {"method": "net-rdi",
                                "model": {"kind": "net", "widths": [16], "freeze_first_last": "no"}},
                      "'freeze_first_last'", id="flag-string"),
+        # a transition ignores its level, so these swept the transition and wrote rows at level -1 and nan
+        pytest.param("sweep", {"dataset": SMALL_MULTICLASS, "noise": LOCAL_TRANSITION, "noise_grid": [-1.0]},
+                     "noise_grid", id="transition-level-negative"),
+        pytest.param("sweep", {"dataset": SMALL_MULTICLASS, "noise": LOCAL_TRANSITION, "noise_grid": [float("nan")]},
+                     "noise_grid", id="transition-level-nan"),
+        # each of these failed only after resolved_config.json was written
+        pytest.param("krr", {"dataset": small_synth(n=20) | {"n": 0}}, "'n'", id="n-0"),
+        pytest.param("train", {"method": "net-rdi", "model": {"kind": "net", "widths": [16]}, "lambda": 1e200},
+                     "lambda", id="train-lambda-square-overflows"),
+        pytest.param("krr", {"lambda": 1e200}, "lambda", id="krr-lambda-square-overflows"),
+        pytest.param("bounds", {"sigma": float("inf")}, "sigma", id="bounds-sigma-inf"),
     ])
-    def test_rejected_before_output(self, tmp_path, capsys, command, changes, named):
+    def test_rejected_before_output(self, tmp_path, monkeypatch, capsys, command, changes, named):
+        monkeypatch.chdir(tmp_path)
+        transition_noise(tmp_path)  # transition.csv, for the class-transition cases
         out = tmp_path / "out"
         payload = {"dataset": small_synth(n=20), "steps": 2, "out": str(out)}
         cfg = write_config(tmp_path, "cfg.json", dict(payload, **changes))

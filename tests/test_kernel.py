@@ -249,6 +249,39 @@ class TestBuildMemory:
         assert code == cli.EXIT_OK
         assert peak < 2 * n * n * 8
 
+    @pytest.mark.parametrize("failed_column", [None, 1], ids=["all-ok", "failed-column"])
+    def test_krr_sweep_peaks_below_k_and_a_full_factor(self, tmp_path, monkeypatch, traced_peak, failed_column):
+        # a sweep group releases K and its factor before it builds the test cross kernel, as the
+        # krr command does, also with as many test points as training points and bounded cells,
+        # and after a cell failed: its kept error holds no frame that holds K
+        n = 600
+        if failed_column is not None:
+            solve = krr_module.cho_solve
+
+            def spoiled(c, b):
+                x = solve(c, b)
+                if np.shape(b) == (n, 4):  # each ridge's first block, of all four draws
+                    x[:, failed_column] += 1.0
+                return x
+
+            monkeypatch.setattr(krr_module, "cho_solve", spoiled)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "dataset": {"kind": "synth-sphere", "n": n, "d": 10, "target": "linear-sign", "seed": 17, "test_n": n},
+            "noise": {"kind": "binary-flip", "p": 0.2},
+            "model": {"kind": "analytic", "depth": 3},
+            "method": "krr",
+            "lambda_grid": [0.0, 1.0],
+            "noise_grid": [0.0, 0.2],
+            "seeds": [0, 1],
+            "out": str(tmp_path / "sweep"),
+        }))
+        code, peak = traced_peak(lambda: cli.main(["sweep", "--config", str(config)]))
+        assert code == cli.EXIT_OK
+        statuses = [row.split(",")[-1] for row in (tmp_path / "sweep" / "results.csv").read_text().split()[1:]]
+        assert statuses.count("ok") == (8 if failed_column is None else 6)
+        assert peak < 2 * n * n * 8
+
     def test_gram_values_peak_is_one_matrix_and_four_blocks(self, traced_peak):
         # the values before the certificate: the recursion overwrites the
         # cosines in place and mirror_upper copies K's upper triangle in place

@@ -94,10 +94,15 @@ INF = float("inf")
     pytest.param(lambda: krr_fit(kernel_from(np.eye(2)), np.ones(2), INF), "lam", id="krr-lambda-inf"),
     pytest.param(lambda: TrainConfig("rdi", eta=0.1, steps=1, lam=INF), "lam", id="train-lambda-inf"),
     pytest.param(lambda: BoundConfig(INF), "lambda", id="bounds-lambda-inf"),
+    pytest.param(lambda: krr_fit(kernel_from(np.eye(2)), np.ones(2), 1e200), "lam", id="krr-lambda-square-overflows"),
+    pytest.param(lambda: TrainConfig("rdi", eta=0.1, steps=1, lam=1e200), "lam", id="train-lambda-square-overflows"),
+    pytest.param(lambda: BoundConfig(1e200), "lambda", id="bounds-lambda-square-overflows"),
+    pytest.param(lambda: BoundConfig(1.0, sigma=INF), "sigma", id="bounds-sigma-inf"),
 ])
 def test_non_finite_settings_rejected(make, named):
-    # one rule, 0 <= lambda < inf, not x >= 0: a NaN lambda used to train as vanilla and fail
-    # krr_fit as a singular solve, an infinite one did the same, and a NaN sigma passed
+    # one rule, lambda >= 0 with a finite lambda^2, not x >= 0: a NaN lambda used to train as vanilla
+    # and fail krr_fit as a singular solve, an infinite one or one whose square overflows did the
+    # same, and a NaN or infinite sigma passed
     with pytest.raises(ValidationError, match=named):
         make()
 
