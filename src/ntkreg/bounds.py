@@ -42,7 +42,7 @@ import numpy as np
 
 from ._kernelmatrix import KernelMatrix, _as_real
 from .data import TASK_BINARY, TASK_REGRESSION, DataSet, _write_json, prediction_error
-from .errors import ValidationError, _check_lambda
+from .errors import ValidationError, _check_flip, _check_lambda
 from .krr import KRRPredictor
 from .noise import rescale_binary, validate_transition
 
@@ -249,8 +249,7 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
     y = _as_real(y, "labels")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValidationError("binary bound expects labels in {+1, -1}")
-    if not 0.0 <= p < 0.5:
-        raise ValidationError(f"flip probability must satisfy 0 <= p < 1/2, got {p}")
+    _check_flip(p)
     BoundConfig(lam=lam, delta=delta, constant_mode=constant_mode)
     n = y.size
     _, sigma_eff = rescale_binary(y, p)
@@ -348,8 +347,7 @@ def ramp_loss(u, y, p: float):
     ramp(u, y, p) >= (1-2p) [sgn(u) != y] with sgn(0) counting as a
     mismatch for both labels.
     """
-    if not 0.0 <= p < 0.5:
-        raise ValidationError(f"flip probability must satisfy 0 <= p < 1/2, got {p}")
+    _check_flip(p)
     u = _as_real(u, "predictions")
     y_arr = _as_real(y, "labels")
     if not np.all(np.isin(y_arr, (-1.0, 1.0))):

@@ -11,6 +11,10 @@ a model of each task outputs and fits, ``prediction_error`` and
 
 Every CSV and JSON payload the package writes goes through ``_write_csv``
 and ``_write_json``, so one cell format and one JSON layout serve them all.
+The one exception is the ``equivalence`` command's ``trajectory.csv``, which
+``cli.cmd_equivalence`` writes with f-strings a block of rows at a time, in
+``_write_csv``'s cell format, because its many rows made the writer a
+large share of the command's time.
 """
 
 import json
@@ -61,6 +65,8 @@ class DataSet:
             raise ValidationError("inputs contain non-finite values")
         if self.task not in _TASKS:
             raise ValidationError(f"unknown task {self.task!r}")
+        if self.task == TASK_MULTICLASS:
+            _check_integer("num_classes", self.num_classes, 2)
         if self.normalized:
             norms = np.linalg.norm(self.inputs, axis=1)
             worst = float(np.max(np.abs(norms - 1.0)))
@@ -77,8 +83,6 @@ class DataSet:
         if labels.shape != (self.n,):
             raise ValidationError(f"{name} must have shape ({self.n},), got {labels.shape}")
         if self.task == TASK_MULTICLASS:
-            if self.num_classes < 2:
-                raise ValidationError("multiclass datasets need num_classes >= 2")
             # checked before the cast, which would truncate 1.7 to 1 and turn NaN into a warning
             if not np.all(np.isfinite(labels) & (labels == np.trunc(labels))):
                 raise ValidationError(f"{name} must be integer class ids, got a non-integral or non-finite value")
@@ -285,10 +289,8 @@ def synth_sphere(n: int, d: int, target: str, seed: int) -> DataSet:
     linear-sign: y = sgn(w.x) in {+1, -1} (binary task; sgn(0) maps to +1).
     smooth-poly: y = clip((w.x) + (w.x)^2 - 1/d, -1, 1) (regression task).
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if d < 2:
-        raise ValidationError(f"need d >= 2, got {d}")
+    _check_integer("n", n, 1)
+    _check_integer("d", d, 2)
     rng = np.random.default_rng(seed)
     x = _l2_normalize_rows(rng.standard_normal((n, d)))
     w = rng.standard_normal(d)
@@ -312,6 +314,9 @@ def synth_multiclass(n: int, d: int, classes: int, seed: int) -> DataSet:
     Classes are balanced by construction: the rank of w.x is cut into
     ``classes`` equal bins, labelled 1..classes.
     """
+    _check_integer("n", n, 1)
+    _check_integer("d", d, 1)
+    _check_integer("classes", classes, 2)
     rng = np.random.default_rng(seed)
     x = _l2_normalize_rows(rng.standard_normal((n, d)))
     w = rng.standard_normal(d)
@@ -328,7 +333,8 @@ def split_dataset(data: DataSet, n_train: int):
     train/test pairs must come from a single draw; generate n_train + n_test
     points and split rather than sampling two differently seeded datasets.
     """
-    if not 1 <= n_train < data.n:
+    _check_integer("n_train", n_train, 1)
+    if not n_train < data.n:
         raise ValidationError(f"n_train must lie in 1..{data.n - 1}, got {n_train}")
     head = replace(
         data,

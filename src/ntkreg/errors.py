@@ -4,8 +4,9 @@ The CLI maps these onto distinct exit codes (see cli.py): validation
 failures, numerical failures, and I/O failures are kept separate so batch
 callers can react programmatically. ``_check_divergence`` is the one
 divergence rule that nonlinear training and the linearized runs apply,
-``_check_integer`` the one rule for integer arguments and ``_check_lambda``
-the one rule for a regularization strength.
+``_check_integer`` the one rule for integer arguments, ``_check_lambda``
+the one rule for a regularization strength and ``_check_flip`` the one rule
+for a flip probability.
 """
 
 import math
@@ -71,6 +72,12 @@ def _check_lambda(name: str, value) -> None:
     """A regularization strength lam >= 0 whose square lam^2 is finite, or a ValidationError (NaN fails too)."""
     if not 0.0 <= value <= _LAMBDA_LIMIT:
         raise ValidationError(f"{name} must be >= 0 with a finite square (at most {_LAMBDA_LIMIT:.4g}), got {value}")
+
+
+def _check_flip(p) -> None:
+    """A binary flip probability 0 <= p < 1/2, or a ValidationError (NaN fails too)."""
+    if not 0.0 <= p < 0.5:
+        raise ValidationError(f"flip probability must satisfy 0 <= p < 1/2, got {p}")
 
 
 class TrickViolationError(ToolkitError):

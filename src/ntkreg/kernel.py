@@ -43,7 +43,7 @@ import numpy as np
 
 from ._kernelmatrix import KernelMatrix, mirror_upper
 from .data import DataSet
-from .errors import ValidationError
+from .errors import ValidationError, _check_integer
 from .net import BLOCK_ENTRIES, MLP, GradientFactors, _as_batch, _row_blocks, gradient_factors
 
 COS_CLAMP_TOL = 1e-12
@@ -138,16 +138,14 @@ def analytic_ntk(depth: int, data: DataSet, certificate: str = "factor") -> Kern
 
     ``certificate`` picks its PSD certificate, as in ``KernelMatrix.from_values``.
     """
-    if depth < 2:
-        raise ValidationError(f"depth must be >= 2, got {depth}")
+    _check_integer("depth", depth, 2)
     _require_unit_rows(data.inputs, "inputs")
     x = data.inputs
     return KernelMatrix.from_values(mirror_upper(_kernel_bands(x @ x.T, depth, gram=True)), certificate)
 
 
 def analytic_ntk_cross(depth: int, queries: np.ndarray, data: DataSet) -> np.ndarray:
-    if depth < 2:
-        raise ValidationError(f"depth must be >= 2, got {depth}")
+    _check_integer("depth", depth, 2)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != data.d:
         raise ValidationError(f"query dimension {queries.shape[1]} != data dimension {data.d}")
@@ -225,8 +223,7 @@ class AnalyticNTK:
     kind = "analytic"
 
     def __init__(self, depth: int):
-        if depth < 2:
-            raise ValidationError(f"depth must be >= 2, got {depth}")
+        _check_integer("depth", depth, 2)
         self.depth = depth
 
     def gram(self, data: DataSet, certificate: str = "factor") -> KernelMatrix:

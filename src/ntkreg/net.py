@@ -16,7 +16,11 @@ to 0, so a NaN weight or input makes the output NaN.
 The backward pass walks a branch from its output down to its lowest
 trainable layer and no further. It applies s_l to the delta entering layer
 l, so the gradient w.r.t. W_l is the product of the scaled delta and the
-unscaled input, and a factor pair carries the scale on its delta.
+unscaled input, and a factor pair carries the scale on its delta. The
+walk reads a cache the forward pass fills: the caller's list of one
+(input, relu mask) slot per layer. A pass writes into the arrays its slots
+hold, so a training loop that hands every step the same slots allocates
+no activation after its first step.
 
 With ``difference_trick`` enabled the model is the scaled difference of two
 identically initialized copies, f = sqrt(2)/2 (g(theta_1, x) - g(theta_2, x)),
@@ -159,49 +163,39 @@ def init_mlp(config: NetConfig, seed: int) -> MLP:
     return MLP(config=config, params=params, params0=params0)
 
 
-def _branch_forward(config: NetConfig, weights, x, keep_cache=False, reuse=None, frozen_inputs=None):
-    """Forward one branch; with ``keep_cache``, also (input, relu mask) per layer.
+def _branch_forward(config: NetConfig, weights, x, cache=None):
+    """Forward one branch and return its output, filling ``cache`` in place.
 
     Each layer writes its matmul result into one (m, width) array and works
     in place on it: the layer scale multiplies it, then ReLU overwrites it,
-    and it is the next layer's input, unscaled. The cache keeps what
-    ``_branch_backward`` reads: the input of each trainable layer (layer 0's
-    is the caller's x), not written while the cache is in use, and the mask
-    ``z > 0``, built only from the lowest trainable layer up. The activation
-    entering a frozen layer above the first is read by no walk: it goes into
-    ``frozen_inputs[l]``, an (m, dims[l]) float buffer the caller holds and
-    may share between branches and steps, which the cache names in that
-    layer's place, or without one into an array freed when the pass ends,
-    with None in the cache.
+    and it is the next layer's input, unscaled.
 
-    ``reuse`` is the cache of an earlier pass on an input of x's shape, no
-    longer read: its activations and masks are overwritten instead of
-    allocated, so a training loop makes no (m, width) array after its first
-    step and does not hand that memory back to the system and fault it in
-    again every step.
+    ``cache`` is the caller's list of one (input, relu mask) slot per layer.
+    Layer l's matmul writes into slot l + 1's input array when that slot
+    holds one and allocates otherwise; the mask ``z > 0``, built only from
+    the lowest trainable layer up, goes into its slot's mask array the same
+    way. Slot l keeps layer l's input (layer 0's is the caller's x), which
+    ``_branch_backward`` reads. A frozen layer above the first is read by no
+    walk: its slot keeps the buffer it held, which may be shared between
+    branches, or None, and then the activation is freed when the pass ends.
+    A training loop hands every step the same slots, so it makes no
+    (m, width) array after its first step.
     """
-    frozen_inputs = frozen_inputs or {}
-    caches = []
     h = x
     lowest = config.trainable_layers[0]
     for l, w in enumerate(weights):
         last = l == config.depth - 1
-        if l + 1 in frozen_inputs:
-            into = frozen_inputs[l + 1]
-        else:
-            into = None if reuse is None or last else reuse[l + 1][0]
-        z = np.matmul(h, w.T, out=into)
+        z = np.matmul(h, w.T, out=None if cache is None or last else cache[l + 1][0])
         scale = config.layer_scales[l]
         if scale != 1.0:
             z *= scale
-        if keep_cache:
-            mask = None
+        if cache is not None:
+            inp, mask = cache[l]
             if not last and l >= lowest:
-                mask = np.greater(z, 0.0, out=None if reuse is None else reuse[l][1])
-            frozen = l > 0 and l in config.frozen_layers
-            caches.append((frozen_inputs.get(l) if frozen else h, mask))
+                mask = np.greater(z, 0.0, out=mask)
+            cache[l] = (inp if l > 0 and l in config.frozen_layers else h, mask)
         h = z if last else np.maximum(z, 0.0, out=z)
-    return h, caches
+    return h
 
 
 def _as_batch(config: NetConfig, x):
@@ -228,7 +222,7 @@ def forward(mlp: MLP, x) -> np.ndarray:
     out = np.empty((batch.shape[0], mlp.config.outputs))
     for rows in _row_blocks(mlp.config, batch.shape[0]):
         out[rows] = _combine_branches(
-            mlp.branch_coeffs, (_branch_forward(mlp.config, weights, batch[rows])[0] for weights in mlp.params)
+            mlp.branch_coeffs, (_branch_forward(mlp.config, weights, batch[rows]) for weights in mlp.params)
         )
     return out[0] if single else out
 
@@ -245,8 +239,8 @@ def _combine_branches(coeffs, branch_outs):
 def _branch_backward(config: NetConfig, weights, caches, delta, summed=False):
     """One walk from a branch's output down to its lowest trainable layer.
 
-    ``caches`` is the (input, relu mask) list of ``_branch_forward`` with
-    ``keep_cache``; ``delta`` is the (m, outputs) sensitivity of the loss or
+    ``caches`` is the (input, relu mask) slot list a ``_branch_forward``
+    pass filled; ``delta`` is the (m, outputs) sensitivity of the loss or
     of the selected output to the branch output, and is scaled in place.
     Entering layer l, the walk multiplies delta by s_l, so the per-example
     gradient w.r.t. W_l is the outer product delta[i] x input[i]. Returns,
@@ -257,16 +251,14 @@ def _branch_backward(config: NetConfig, weights, caches, delta, summed=False):
     Back-propagating into layer l - 1 forms one (m, width) array, the next
     delta, and masks and scales it in place; masked entries are zeros whose
     sign follows the product they replace. A summed walk forms that array
-    in the cached input of layer l, which the walk reads no further (its
-    gradient, if layer l is trainable, is formed by then): for a frozen
-    layer l the caller's ``frozen_inputs`` buffer, or a new array without
-    one. A
-    summed walk whose delta has one column (one output) forms the gradient
-    of layer l - 1, when that is the lowest trainable layer, without that
-    array or its outer product and mask multiply:
-    W_l^T * (mask^T (s_{l-1} delta * input_{l-1})). The one matmul reads the
-    mask as floats, copied into that same cached input, so there a summed
-    walk needs the ``frozen_inputs`` buffer of a frozen layer l.
+    in slot l's input, which the walk reads no further (its gradient, if
+    layer l is trainable, is formed by then), or in a new array when the
+    slot of a frozen layer l holds None. A summed walk whose delta has one
+    column (one output) forms the gradient of layer l - 1, when that is the
+    lowest trainable layer, without that array or its outer product and
+    mask multiply: W_l^T * (mask^T (s_{l-1} delta * input_{l-1})). The one
+    matmul reads the mask as floats, copied into slot l's input, so there a
+    summed walk needs a buffer in the slot of a frozen layer l.
     """
     trainable = config.trainable_layers
     lowest = trainable[0]
@@ -338,13 +330,13 @@ def gradient_factors(mlp: MLP, x, output_index: int = 0, at_init: bool = True) -
     copies = 2 if len(params) == 2 and all(map(np.array_equal, *params)) else 1
     pairs, outputs = [], []
     for coeff, weights in zip(mlp.branch_coeffs, params[:1] if copies == 2 else params):
-        # the activation entering a frozen layer is freed as the forward pass ends
-        branch_out, caches = _branch_forward(config, weights, batch, keep_cache=True)
-        outputs.append(branch_out)
+        # the activation entering a frozen layer is freed as the forward pass
+        # ends, and the cache is released before the next branch's pass
+        cache = [(None, None)] * config.depth
+        outputs.append(_branch_forward(config, weights, batch, cache))
         sens = np.zeros((batch.shape[0], config.outputs))
         sens[:, output_index] = coeff
-        pairs.extend(_branch_backward(config, weights, caches, sens))
-        del caches  # released before the next branch's forward pass
+        pairs.extend(_branch_backward(config, weights, cache, sens))
     return GradientFactors(pairs, copies, tuple(outputs * copies))
 
 
@@ -503,18 +495,16 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
     log_norm = np.tile(layer_norms(model), (total + 1, 1))
     log_norm[:, trainable] = 0.0
 
-    # each branch keeps its trainable layers' inputs and its masks; the
-    # activation entering a frozen layer, which no walk reads, has one buffer
-    # for both branches and every step, and the summed walk's float mask uses it
-    frozen_inputs = {l: np.empty((n, config.dims[l])) for l in config.frozen_layers if l > 0}
-    caches = [None] * len(model.params)
+    # each branch's slots keep its trainable layers' inputs and its masks from
+    # step to step; the activation entering a frozen layer, which no walk
+    # reads, has one buffer for both branches, and the summed walk's float
+    # mask uses it
+    frozen = {l: np.empty((n, config.dims[l])) for l in config.frozen_layers if l > 0}
+    caches = [[(frozen.get(l), None) for l in range(depth)] for _ in model.params]
     for t in range(total + 1):
-        outs = []
-        for b, weights in enumerate(model.params):
-            branch_out, caches[b] = _branch_forward(config, weights, x, keep_cache=True, reuse=caches[b],
-                                                    frozen_inputs=frozen_inputs)
-            outs.append(branch_out)
-        f_out = _combine_branches(model.branch_coeffs, outs)
+        f_out = _combine_branches(
+            model.branch_coeffs, [_branch_forward(config, w, x, c) for w, c in zip(model.params, caches)]
+        )
 
         effective = f_out + lam * aux if cfg.objective == OBJECTIVE_AUX else f_out
         residual = effective - targets

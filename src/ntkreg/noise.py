@@ -14,7 +14,7 @@ import numpy as np
 from ._kernelmatrix import _as_real
 from .data import TASK_BINARY, TASK_MULTICLASS, TASK_REGRESSION, DataSet
 from .data import onehot, onehot_matrix  # noqa: F401  (public names of this module too)
-from .errors import ValidationError
+from .errors import ValidationError, _check_flip
 
 COLUMN_SUM_TOL = 1e-12
 
@@ -48,8 +48,7 @@ class BinaryFlip:
     p: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p < 0.5:
-            raise ValidationError(f"flip probability must satisfy 0 <= p < 1/2, got {self.p}")
+        _check_flip(self.p)
 
 
 class ClassTransition:
@@ -103,8 +102,7 @@ def rescale_binary(y, p: float):
     variance 4p(1-p) <= 4p; the cap at 1 is the range bound |noise| <= 2.
     This constant is a documented convention, not a derived identity.
     """
-    if not 0.0 <= p < 0.5:
-        raise ValidationError(f"flip probability must satisfy 0 <= p < 1/2, got {p}")
+    _check_flip(p)
     y = _as_real(y, "labels")
     sigma_eff = min(1.0, 2.0 * np.sqrt(p))
     return (1.0 - 2.0 * p) * y, sigma_eff

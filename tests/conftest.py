@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy.random  # noqa: F401  (numpy imports it on the first draw; traced, that import counts in a peak)
 import pytest
 
 
@@ -10,7 +11,9 @@ def traced_peak():
     """``run(fn, *args, **kwargs)`` calls ``fn`` under tracemalloc and returns (its result, peak bytes).
 
     numpy reports its array buffers to tracemalloc, so the peak counts every
-    array the call allocates and nothing allocated before it.
+    array the call allocates and nothing allocated before it. ``numpy.random``
+    is imported with this module, so a call's first draw does not count the
+    one-time import.
     """
 
     def run(fn, *args, **kwargs):

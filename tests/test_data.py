@@ -204,6 +204,26 @@ class TestDataSetInvariants:
             split_dataset(ds, 10)
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: synth_multiclass(6, 3, 2.0, 0), "classes"),
+        (lambda: synth_multiclass(6.0, 3, 2, 0), "n"),
+        (lambda: synth_sphere(2.5, 3, "linear-sign", 0), "n"),
+        (lambda: synth_sphere(5, 3.0, "linear-sign", 0), "d"),
+        (lambda: split_dataset(synth_sphere(5, 3, "linear-sign", 0), 2.5), "n_train"),
+        (lambda: split_dataset(synth_sphere(5, 3, "linear-sign", 0), True), "n_train"),
+        (lambda: DataSet(np.eye(3), [1, 2, 2], [1, 2, 2], "multiclass", num_classes=2.0), "num_classes"),
+    ],
+    ids=["multiclass-classes", "multiclass-n", "sphere-n", "sphere-d", "split-float", "split-bool", "dataset-classes"],
+)
+def test_counts_are_integers(make, name):
+    # a float class count made a DataSet whose fit_targets raised TypeError,
+    # float sizes raised TypeError from numpy, and a bool n_train was taken as 1
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+        make()
+
+
 class TestSynthMulticlass:
     def test_draws_are_bit_stable(self):
         # digests of the draw that the CLI's synth-multiclass datasets have

@@ -70,6 +70,20 @@ class TestAnalyticKernel:
         off = K.values[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off - DEPTH2_ORTHOGONAL)) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda ds: analytic_ntk(2.5, ds), lambda ds: analytic_ntk_cross(2.0, ds.inputs, ds),
+         lambda ds: AnalyticNTK(3.0).gram(ds)],
+        ids=["gram-2.5", "cross-2.0", "source-3.0"],
+    )
+    def test_depth_is_an_integer(self, call):
+        # a float depth passed the depth check and raised TypeError from range in the recursion
+        ds = synth_sphere(5, 3, "linear-sign", seed=0)
+        with pytest.raises(ValidationError, match="^depth must be an integer"):
+            call(ds)
+        with pytest.raises(ValidationError, match="^depth must be >= 2, got 1$"):
+            analytic_ntk(1, ds)
+
     def test_trace_proportional_to_n(self):
         for n in (5, 20, 80):
             ds = synth_sphere(n, 6, "linear-sign", seed=1)

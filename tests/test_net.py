@@ -621,13 +621,15 @@ class TestNoAliasing:
 
     @pytest.mark.parametrize("config", NETS, ids=["w16", "w8x6-2out", "w2x2-unscaled"])
     def test_forward_reuses_an_earlier_cache(self, config):
-        # a training loop passes its previous step's cache; the pass overwrites
-        # those arrays and computes what a fresh pass computes
+        # a training loop hands every step the same slots; a pass overwrites
+        # the arrays an earlier pass left there and computes what a fresh pass computes
         weights = init_mlp(config, 2).params[0]
         x = np.random.default_rng(0).standard_normal((9, 5))
-        out, fresh = _branch_forward(config, weights, x, keep_cache=True)
-        _, stale = _branch_forward(config, weights, -x, keep_cache=True)
-        out_again, reused = _branch_forward(config, weights, x, keep_cache=True, reuse=stale)
+        fresh, reused = [(None, None)] * config.depth, [(None, None)] * config.depth
+        out = _branch_forward(config, weights, x, fresh)
+        _branch_forward(config, weights, -x, reused)
+        stale = list(reused)
+        out_again = _branch_forward(config, weights, x, reused)
         assert same_bits(out, out_again)
         assert reused[0][0] is x
         for (h, mask), (h_again, mask_again), (h_stale, mask_stale) in zip(fresh, reused, stale):
@@ -811,7 +813,8 @@ class TestKeptActivations:
         x, delta = rng.standard_normal((9, 5)), rng.standard_normal((9, 3))
         top, low = config.depth - 1, config.depth - 2
         buffer = np.empty((9, config.dims[top]))
-        _, caches = _branch_forward(config, weights, x, keep_cache=True, frozen_inputs={top: buffer})
+        caches = [(buffer if l == top else None, None) for l in range(config.depth)]
+        _branch_forward(config, weights, x, caches)
         low_input = caches[low][0].copy()
         # the allocating walk's arithmetic: delta @ W_top, masked, scaled, then the summed outer product
         back = (delta * config.layer_scales[top]) @ weights[top]
@@ -836,13 +839,15 @@ class TestKeptActivations:
         x = np.random.default_rng(0).standard_normal((9, 5))
         top = config.depth - 1
         buffer = np.empty((9, config.dims[top]))
-        out, plain = _branch_forward(config, weights, x, keep_cache=True)
-        out_buffered, buffered = _branch_forward(config, weights, x, keep_cache=True, frozen_inputs={top: buffer})
+        plain = [(None, None)] * config.depth
+        buffered = [(buffer if l == top else None, None) for l in range(config.depth)]
+        out = _branch_forward(config, weights, x, plain)
+        out_buffered = _branch_forward(config, weights, x, buffered)
         assert same_bits(out, out_buffered)
-        # no walk reads a frozen layer's input: the cache names the buffer or nothing
+        # no walk reads a frozen layer's input: its slot keeps the buffer or nothing
         assert plain[top][0] is None and buffered[top][0] is buffer
         # the buffer holds that input: the layers below it, run on their own
-        assert same_bits(buffer, _branch_forward(config, weights[:top], x)[0])
+        assert same_bits(buffer, _branch_forward(config, weights[:top], x))
         for l in config.trainable_layers:
             assert same_bits(plain[l][0], buffered[l][0]) and same_bits(plain[l][1], buffered[l][1])
 
@@ -851,7 +856,8 @@ def two_pass_factors(mlp, x, output_index=0):
     """The pairs at init from a forward and backward pass of every branch, in flattening order."""
     pairs = []
     for coeff, weights in zip(mlp.branch_coeffs, mlp.params0):
-        _, caches = _branch_forward(mlp.config, weights, x, keep_cache=True)
+        caches = [(None, None)] * mlp.config.depth
+        _branch_forward(mlp.config, weights, x, caches)
         sens = np.zeros((x.shape[0], mlp.config.outputs))
         sens[:, output_index] = coeff
         pairs.extend(_branch_backward(mlp.config, weights, caches, sens))
