@@ -214,7 +214,7 @@ def _validate_config(config: dict, command: str) -> None:
         raise ValidationError(f"sigma and delta must be numbers, got {sigma!r} and {delta!r}")
     lam = config["lambda"] if command == "bounds" else 1.0  # only bounds reads the one lambda
     bounds_mod.BoundConfig(lam, sigma, delta, config["constant_mode"])  # their ranges, checked by their owner
-    if command == "equivalence" and not max(config["lambda"], *config["lambda_grid"]) > 0.0:
+    if command == "equivalence" and not max([config["lambda"], *config["lambda_grid"]]) > 0.0:
         raise ValidationError("equivalence needs a lambda > 0 in lambda_grid or lambda")
     tol = config["tolerance"]
     if command == "equivalence" and not (_is_number(tol) and tol >= 0.0):
@@ -350,10 +350,18 @@ def build_kernel_source(config: dict, data, seed=0):
 
 
 def _seeded_net(config: dict, data, seed) -> MLP:
-    """The net of ``config["model"]`` for ``data``, drawn at (init_seed, seed)."""
+    """The net of ``config["model"]`` for ``data``, drawn at (init_seed, seed).
+
+    No command writes a net's weights, so it keeps one copy of the draw,
+    its branch-1 snapshot: each array is read-only and held by every
+    branch's ``params`` and ``params0``.
+    """
     model = _spec("model", config["model"])
-    net_cfg = build_net_config(model, data.d, data.num_outputs)
-    return init_mlp(net_cfg, (model["init_seed"], seed))
+    drawn = init_mlp(build_net_config(model, data.d, data.num_outputs), (model["init_seed"], seed))
+    weights = drawn.params0[0]
+    for w in weights:
+        w.flags.writeable = False
+    return MLP(drawn.config, [list(weights) for _ in drawn.params], [list(weights) for _ in drawn.params0])
 
 
 def _ensure_out(config: dict) -> str:
@@ -547,8 +555,8 @@ class _NetGroup:
     The net is drawn once. With ``eta`` null each cell steps at
     1/(||K|| + lam^2), and ||K|| is read once from the net's empirical
     kernel, certified PSD by the same spectrum that gives its norm; only the
-    norm is kept. ``train_full`` trains a copy of the net, so cells cannot
-    disturb each other.
+    norm is kept. ``train_full`` trains copies of the net's trainable
+    layers, so cells cannot disturb each other.
     """
 
     def __init__(self, config, train, test, cells, draws):

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .kernel import _cross_blocks, kernel_from_factors
 from .krr import krr_fit
-from .net import MLP, GradientFactors, _as_batch, _combine_branches, flatten_factors, gradient_factors
+from .net import BLOCK_ENTRIES, MLP, GradientFactors, _as_batch, _combine_branches, flatten_factors, gradient_factors
 
 INIT_OUTPUT_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-10
@@ -110,18 +110,39 @@ class LinearizedModel:
         return out[0] if single else out
 
 
+def _probe(factors: GradientFactors, v: np.ndarray) -> np.ndarray:
+    """Z^T (Z v), formed one column block of each layer's Z v at a time.
+
+    Per layer, Z v is the (width_out, width_in) block delta^T (v * input),
+    and Z^T maps a block B to rowsum((delta B) * input). A block of the
+    input's columns holds at most BLOCK_ENTRIES entries of Z v and of each
+    (n, columns) temporary, so the probe forms neither a parameter-sized
+    block nor delta * v.
+    """
+    total = np.zeros(len(v))
+    for delta, inp in factors.pairs:
+        width = max(1, BLOCK_ENTRIES // max(delta.shape[1], len(v)))
+        for start in range(0, inp.shape[1], width):
+            block = inp[:, start:start + width]
+            total += np.sum((delta @ (delta.T @ (v[:, None] * block))) * block, axis=1)
+    return factors.copies * total
+
+
 def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
     """The tangent kernel and Z's factors, from one gradient pass; requires an exactly-zero output at init.
 
     K comes from ``kernel_from_factors`` (the reduction of ``empirical_ntk``)
-    and is checked on a seeded probe v: K v against Z^T (Z v) formed layer by layer.
+    and is checked on a seeded probe v: K v against Z^T (Z v) formed layer by
+    layer, one column block of at most ``BLOCK_ENTRIES`` entries at a time.
     Gradient descent reads K's eigendecomposition and ``op_norm``, so K is
     certified PSD by the eigenvalues of its ``eigh``, which serve ``op_norm``
     and every later descent too, and no factor is built until a solve
     (``closed_form_limit``) asks for one. The model keeps the gradient
     factors, which ``theta_at`` and ``predict`` read. The zero output is
     checked at ``params0``, the point linearized, whatever the current
-    weights, from the branch outputs of that one gradient pass.
+    weights, from the branch outputs of that one gradient pass. The model
+    holds ``mlp`` itself and never writes its arrays, so a CLI net's one
+    read-only copy of each matrix serves it.
     """
     if not mlp.config.difference_trick:
         raise ValidationError("linearize requires a difference-trick network")
@@ -134,11 +155,9 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
         raise TrickViolationError(
             f"initial output magnitude {worst:.3e} exceeds {INIT_OUTPUT_TOL:.0e}"
         )
-    # per layer, Z v is the block (delta * v)^T input and Z^T maps a block B to rowsum((delta B) * input);
     # formed before K, so that its temporaries are freed before K's build and eigh
     v = np.random.default_rng(0).standard_normal(data.n)
-    ztzv = factors.copies * sum(np.sum((delta @ ((delta * v[:, None]).T @ inp)) * inp, axis=1)
-                               for delta, inp in factors.pairs)
+    ztzv = _probe(factors, v)
     k = kernel_from_factors(factors, certificate="eigh")
     scale = max(float(np.max(np.abs(k.values))), np.finfo(np.float64).tiny) * float(np.sum(np.abs(v)))
     mismatch = float(np.max(np.abs(k.values @ v - ztzv)))

@@ -123,7 +123,15 @@ class NetConfig:
 
 @dataclass(eq=False)
 class MLP:
-    """Weight matrices per branch plus a snapshot of their initialization."""
+    """Weight matrices per branch plus a snapshot of their initialization.
+
+    ``params`` and ``params0`` hold one list of per-layer arrays per branch,
+    and the lists may share arrays. A net the CLI draws holds one read-only
+    array per layer, shared by both branches and the snapshot, so an
+    in-place write into it raises. ``train_full`` copies only the trainable
+    layers, which it writes, and its model shares the input's frozen layers
+    and snapshot.
+    """
 
     config: NetConfig
     params: list
@@ -143,6 +151,7 @@ class MLP:
         return per_branch * len(self.params)
 
     def copy(self) -> "MLP":
+        """A net with an independent, writable copy of every array."""
         return MLP(
             config=self.config,
             params=[[w.copy() for w in branch] for branch in self.params],
@@ -150,8 +159,14 @@ class MLP:
         )
 
 
-def init_mlp(config: NetConfig, seed: int) -> MLP:
-    """I.i.d. standard-normal weights; both branches share the draw exactly."""
+def init_mlp(config: NetConfig, seed) -> MLP:
+    """I.i.d. standard-normal weights; both branches share the draw exactly.
+
+    ``seed`` is any ``numpy.random.default_rng`` seed (an int, or a tuple
+    of ints as the CLI passes). Each branch's weights and snapshot are
+    independent, writable arrays: two branches of a difference-trick net
+    make four copies of every matrix.
+    """
     rng = np.random.default_rng(seed)
     dims = config.dims
     base = [rng.standard_normal((dims[l + 1], dims[l])) for l in range(config.depth)]
@@ -319,15 +334,15 @@ def gradient_factors(mlp: MLP, x, output_index: int = 0, at_init: bool = True) -
     rows, one pair per passed branch and trainable layer. ``at_init``
     selects the initialization snapshot (the reference point for tangent
     features) instead of current weights. When a difference-trick net's two branches
-    hold equal weights there (``np.array_equal``, layer by layer), one
-    branch's forward and backward pass serves both.
+    hold equal weights there (the same array or ``np.array_equal``, layer
+    by layer), one branch's forward and backward pass serves both.
     """
     batch, _ = _as_batch(mlp.config, x)
     config = mlp.config
     if not 0 <= output_index < config.outputs:
         raise ValidationError(f"output_index {output_index} out of range 0..{config.outputs - 1}")
     params = mlp.params0 if at_init else mlp.params
-    copies = 2 if len(params) == 2 and all(map(np.array_equal, *params)) else 1
+    copies = 2 if len(params) == 2 and all(a is b or np.array_equal(a, b) for a, b in zip(*params)) else 1
     pairs, outputs = [], []
     for coeff, weights in zip(mlp.branch_coeffs, params[:1] if copies == 2 else params):
         # the activation entering a frozen layer is freed as the forward pass
@@ -468,6 +483,10 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
     """Full-batch gradient descent on the nonlinear objective.
 
     Returns (trained MLP, AuxState, TrainLog); the input model is untouched.
+    The trained model's trainable layers are writable copies, one per
+    branch, and the only arrays a step writes; its frozen layers and its
+    snapshot are the input's arrays, which it shares and never writes, so
+    a read-only input (a CLI net) trains as a writable one does.
     Aborts with DivergenceError if the objective exceeds 1e12 or turns
     non-finite, naming the offending step. A NaN in the weights or inputs
     reaches the output, so it fails at step 0.
@@ -476,7 +495,9 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
     targets = _targets_for(data, config.outputs)
     n, n_out = targets.shape
     x = data.inputs
-    model = mlp.copy()
+    trainable = list(config.trainable_layers)
+    model = MLP(config, [[w.copy() if l in trainable else w for l, w in enumerate(branch)] for branch in mlp.params],
+                [list(branch) for branch in mlp.params0])
     aux = np.zeros((n, n_out))
     lam = cfg.lam
     reg_sq = lam * lam
@@ -491,7 +512,6 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
     # A frozen layer's distance stays exactly 0 and its norm is read once; a
     # step measures the trainable layers in distance_to_init's and
     # layer_norms's order of operations.
-    trainable = list(config.trainable_layers)
     log_norm = np.tile(layer_norms(model), (total + 1, 1))
     log_norm[:, trainable] = 0.0
 

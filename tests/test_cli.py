@@ -26,7 +26,7 @@ from ntkreg.cli import (
     load_config,
     main,
 )
-from ntkreg.data import onehot_matrix, prediction_error
+from ntkreg.data import onehot_matrix, prediction_error, synth_sphere
 from ntkreg.errors import SingularityError
 from ntkreg.kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
 from ntkreg.krr import krr_fit
@@ -181,6 +181,21 @@ class TestEquivalenceCommand:
         })
         assert main(["equivalence", "--config", cfg]) == EXIT_OK
         assert list(json.loads(open(out / "equivalence.json").read())["runs"]) == ["0.5"]
+
+    def empty_grid_config(self, tmp_path, lam):
+        return write_config(tmp_path, "cfg.json", {
+            "dataset": small_synth(n=20), "model": {"kind": "net", "widths": [16]},
+            "lambda_grid": [], "lambda": lam, "steps": 5, "out": str(tmp_path / "eq"),
+        })
+
+    def test_empty_grid_uses_lambda(self, tmp_path):
+        # the check took max() of lambda alone, a float, and the command died with a TypeError
+        assert main(["equivalence", "--config", self.empty_grid_config(tmp_path, 1.0)]) == EXIT_OK
+        assert list(json.loads(open(tmp_path / "eq" / "equivalence.json").read())["runs"]) == ["1.0"]
+
+    def test_empty_grid_needs_a_positive_lambda(self, tmp_path, capsys):
+        assert main(["equivalence", "--config", self.empty_grid_config(tmp_path, 0.0)]) == EXIT_VALIDATION
+        assert "equivalence needs a lambda > 0 in lambda_grid or lambda" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -1071,6 +1086,55 @@ class TestNetGroups:
         self.run_sweep(tmp_path, "par", "--workers", "2")
         for name in ("results.csv", "summary.csv", "distance_summary.csv"):
             assert open(tmp_path / "seq" / name, "rb").read() == open(tmp_path / "par" / name, "rb").read()
+
+
+class TestOneCopyOfTheNet:
+    """A CLI net holds one read-only array per layer, shared by both branches and the snapshot."""
+
+    BASE = {
+        "dataset": small_synth(n=20, test_n=10),
+        "noise": {"kind": "binary-flip", "p": 0.2},
+        "model": {"kind": "net", "widths": [16, 8]},
+        "lambda": 1.0,
+        "lambda_grid": [0.0, 1.0],
+        "noise_grid": [0.2],
+        "steps": 3,
+    }
+
+    def test_one_read_only_array_per_layer(self):
+        mlp = cli_module._seeded_net(self.BASE, synth_sphere(20, 6, "linear-sign", seed=3), 5)
+        weights = mlp.params0[0]
+        assert len(mlp.params) == len(mlp.params0) == 2 and len(weights) == mlp.config.depth
+        for branch in (*mlp.params, *mlp.params0):
+            assert len(branch) == len(weights) and all(w is shared for w, shared in zip(branch, weights))
+        drawn = init_mlp(mlp.config, (0, 5)).params[0]
+        for w, w_drawn in zip(weights, drawn):
+            assert np.array_equal(w, w_drawn) and not w.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                np.add(w, 1.0, out=w)
+
+    def test_commands_leave_their_nets_read_only_and_unchanged(self, tmp_path, monkeypatch):
+        # a command that wrote into the shared arrays would move both branches and the snapshot at once
+        nets = []
+        seeded_net = cli_module._seeded_net
+
+        def kept(*args):
+            mlp = seeded_net(*args)
+            nets.append((mlp, [w.copy() for w in mlp.params0[0]]))
+            return mlp
+
+        monkeypatch.setattr(cli_module, "_seeded_net", kept)
+        runs = [("kernel", {}), ("train", {"method": "net-rdi"}), ("equivalence", {}),
+                ("sweep", {"method": "linear-rdi", "seeds": [0, 1]}), ("sweep", {"method": "net-aux", "seeds": [0, 1]})]
+        for i, (command, changes) in enumerate(runs):
+            cfg = write_config(tmp_path, f"{i}.json", dict(self.BASE, out=str(tmp_path / str(i)), **changes))
+            assert main([command, "--config", cfg]) == EXIT_OK
+        assert len(nets) == 7
+        for mlp, before in nets:
+            arrays = {id(w): w for branch in (*mlp.params, *mlp.params0) for w in branch}
+            assert len(arrays) == mlp.config.depth == 3
+            for w, w_before in zip(mlp.params0[0], before):
+                assert not w.flags.writeable and w.tobytes() == w_before.tobytes()
 
 
 class TestScipyOnlyToFactor:

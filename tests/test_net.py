@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from ntkreg import cli
 from ntkreg import net as net_module
 from ntkreg.data import prediction_error, synth_multiclass, synth_sphere
 from ntkreg.errors import DIVERGENCE_LIMIT, DivergenceError, ValidationError, _check_divergence
@@ -850,6 +851,72 @@ class TestKeptActivations:
         assert same_bits(buffer, _branch_forward(config, weights[:top], x))
         for l in config.trainable_layers:
             assert same_bits(plain[l][0], buffered[l][0]) and same_bits(plain[l][1], buffered[l][1])
+
+
+def cli_net(widths, data, seed=0):
+    """The net the CLI draws for ``data``: one read-only array per layer, shared by branches and snapshot."""
+    return cli._seeded_net({"model": {"kind": "net", "widths": list(widths)}}, data, seed)
+
+
+class TestOneCopyOfEachMatrix:
+    """A CLI net's one copy of each matrix serves every pass; training copies only its trainable layers.
+
+    Peaks at n = 40 on widths (1024, 1024), where the trainable matrix is 8 MiB.
+    """
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return corrupt(synth_sphere(40, 10, "linear-sign", seed=1), BinaryFlip(0.2), seed=2)
+
+    def test_train_full_copies_only_the_trainable_layers(self, data):
+        mlp = cli_net((16, 8), data)
+        trained, _, _ = train_full(mlp, data, TrainConfig("rdi", eta=0.01, steps=3, lam=1.0))
+        for branch, source in zip(trained.params, mlp.params):
+            for l, (w, w_in) in enumerate(zip(branch, source)):
+                if l in mlp.config.trainable_layers:
+                    assert w.flags.writeable and not np.shares_memory(w, w_in)
+                else:
+                    assert w is w_in
+        assert not np.shares_memory(trained.params[0][1], trained.params[1][1])
+        for branch, source in zip(trained.params0, mlp.params0):
+            assert all(w is w_in for w, w_in in zip(branch, source))
+
+    @pytest.mark.parametrize("objective", ["vanilla", "rdi", "aux"])
+    def test_cli_net_trains_as_a_drawn_net(self, data, objective):
+        mlp = cli_net((16, 8), data, seed=4)
+        before = [w.copy() for w in mlp.params0[0]]
+        cfg = TrainConfig(objective, eta=0.01, steps=5, lam=1.0)
+        trained, aux, log = train_full(mlp, data, cfg)
+        ref, ref_aux, ref_log = train_full(init_mlp(mlp.config, (0, 4)), data, cfg)
+        for w, w_before in zip(mlp.params0[0], before):
+            assert not w.flags.writeable and same_bits(w, w_before)
+        for params, ref_params in ((trained.params, ref.params), (trained.params0, ref.params0)):
+            for branch, ref_branch in zip(params, ref_params):
+                assert all(same_bits(w, w_ref) for w, w_ref in zip(branch, ref_branch))
+        assert same_bits(aux.b, ref_aux.b)
+        for field in dataclasses.fields(log):
+            assert same_bits(getattr(log, field.name), getattr(ref_log, field.name))
+
+    def test_gradient_factors_peak(self, traced_peak, data):
+        # comparing the branches with np.array_equal made a 1 MiB bool array
+        # per pass (1.00 MiB); the same array needs no comparison (0.79 MiB)
+        factors, peak = traced_peak(gradient_factors, cli_net((1024, 1024), data), data.inputs)
+        assert factors.copies == 2
+        assert peak < 0.9 * MIB
+
+    def test_linearize_peak(self, traced_peak, data):
+        # the probe formed Z v one parameter-sized block per layer (8.94
+        # MiB); a column block of at most BLOCK_ENTRIES entries makes 1.15 MiB
+        lm, peak = traced_peak(linearize, cli_net((1024, 1024), data), data)
+        assert lm.n == 40
+        assert peak < 2 * MIB
+
+    def test_train_full_peak(self, traced_peak, data):
+        # copying all four sets of weights made 89.4 MiB; two copies of the trainable one, 73.0 MiB
+        cfg = TrainConfig("rdi", eta=1e-3, steps=2, lam=1.0)
+        (_, _, log), peak = traced_peak(train_full, cli_net((1024, 1024), data), data, cfg)
+        assert log.objective[-1] < log.objective[0]
+        assert peak < 80 * MIB
 
 
 def two_pass_factors(mlp, x, output_index=0):
