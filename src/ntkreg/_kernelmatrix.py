@@ -2,7 +2,8 @@
 Cholesky factorization of K that also serves its solves or by K's spectrum,
 with the packed factor of its latest shift K + shift I (n(n+1)/2 floats, so
 K plus one packed factor) and the quadratic forms it solved, and a spectrum
-and an eigendecomposition computed only when read.
+and an eigendecomposition computed only when read, whose spectral filters
+solve without a factor; one residual rule checks every solve.
 
 Re-exported by ``kernel``. The solver class comes from ``krr``, which
 imports this module, so :meth:`KernelMatrix.solver` imports it on first use.
@@ -20,6 +21,7 @@ from .errors import SingularityError, ValidationError
 # rungs are 1e-10, 1e-9 and 1e-8 times tr/n.
 SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-8
+RESIDUAL_RTOL = 1e-8  # a solve's residual, relative to its right-hand side's norm
 # ``mirror_upper`` and the symmetry check work on bands of this many rows.
 MIRROR_BLOCK_ROWS = 64
 
@@ -33,11 +35,11 @@ class KernelMatrix:
     by one of three certificates. ``"factor"``, the default, is the shift-0
     factor of :meth:`solver`, whose jitter ladder tops out at that tolerance
     (an ``eigvalsh`` decides only when the ladder fails); it suits a K that
-    fits, bounds and the closed-form limit will solve with. ``"spectrum"``
-    tests the ``eigvalsh`` spectrum and builds no factor, for a K read only
-    for its values and ``op_norm`` (the default step's, ``ntkreg kernel``'s).
-    ``"eigh"`` tests the eigenvalues of :attr:`eigh`, for a K whose
-    eigenvectors will be read (linearized gradient descent's). ``min_eig``
+    fits and bounds will solve with. ``"spectrum"`` tests the ``eigvalsh``
+    spectrum and builds no factor, for a K read only for its values and
+    ``op_norm`` (the default step's, ``ntkreg kernel``'s). ``"eigh"`` tests
+    the eigenvalues of :attr:`eigh`, for the linearized model's K, whose
+    descents and ridge limit are filters of them (:meth:`_filter`). ``min_eig``
     and ``op_norm`` come from one spectrum, computed on first read:
     :attr:`eigh`'s eigenvalues once computed, an ``eigvalsh`` otherwise.
 
@@ -96,6 +98,11 @@ class KernelMatrix:
     def eigh(self) -> tuple:
         """(k, V): K's eigenvalues in ascending order and its orthonormal eigenvectors, K = V diag(k) V^T."""
         return np.linalg.eigh(self.values)
+
+    def _filter(self, targets, gains) -> np.ndarray:
+        """V diag(g) V^T y for each row y of ``targets``, n or (r, n), with ``gains`` g per eigenvalue, n or (r, n)."""
+        basis = self.eigh[1]
+        return ((targets @ basis) * gains) @ basis.T
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -157,6 +164,22 @@ def _as_real(values, name: str) -> np.ndarray:
     if np.iscomplexobj(values):
         raise ValidationError(f"{name} must be real, got dtype {values.dtype}")
     return np.asarray(values, dtype=np.float64)
+
+
+def check_residual(values: np.ndarray, shift: float, x: np.ndarray, b: np.ndarray) -> None:
+    """SingularityError unless ||(K + shift I) x_j - b_j|| <= ``RESIDUAL_RTOL`` ||b_j|| in every column j.
+
+    K is ``values``; ``x`` and ``b`` are n-vectors or (n, k) blocks. The error
+    reports the worst relative residual, and for a block the failed ``columns``.
+    """
+    residuals = np.linalg.norm(values @ x + shift * x - b, axis=0)
+    scales = np.maximum(np.linalg.norm(b, axis=0), np.finfo(np.float64).tiny)
+    ratios = np.atleast_1d(residuals / scales)
+    failed = ~(ratios <= RESIDUAL_RTOL)  # a NaN residual fails too
+    if np.any(failed):
+        columns = tuple(np.flatnonzero(failed).tolist()) if x.ndim == 2 else None
+        raise SingularityError(f"solve residual {np.max(ratios[failed]):.3e} exceeds {RESIDUAL_RTOL:.0e}; the "
+                               "shifted kernel matrix is numerically singular", columns)
 
 
 def k_norms(values: np.ndarray, rows: np.ndarray) -> np.ndarray:

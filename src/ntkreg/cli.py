@@ -201,6 +201,9 @@ def _validate_config(config: dict, command: str) -> None:
         raise ValidationError(f"seeds must be integers >= 0, got {config['seeds']!r}")
     if not all(_is_number(v) for v in (config["lambda"], *config["lambda_grid"], *config["noise_grid"])):
         raise ValidationError("lambda and the lambda_grid and noise_grid values must be numbers")
+    for key in ("seeds", "lambda_grid", "noise_grid"):
+        if len(set(config[key])) < len(config[key]):  # 1 and 1.0 are one value
+            raise ValidationError(f"{key} repeats a value: {config[key]!r}")
     if not (_is_integer(config["workers"]) and config["workers"] >= 1):
         raise ValidationError(f"workers must be an integer >= 1, got {config['workers']!r}")
     if not isinstance(config["out"], str):

@@ -30,12 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from ._kernelmatrix import PSD_RTOL, KernelMatrix, _as_real, k_norms
+from ._kernelmatrix import PSD_RTOL, KernelMatrix, _as_real, check_residual, k_norms
 from .data import TASK_BINARY, TASK_MULTICLASS, DataSet, _write_csv, predicted_classes
 from .errors import SingularityError, ValidationError, _check_lambda
 from .kernel import as_kernel_source, kernel_cross
-
-RESIDUAL_RTOL = 1e-8
 
 
 def _openblas_lapack():
@@ -181,8 +179,8 @@ class PSDSolver:
     escalates tenfold up to three times before raising SingularityError.
     The top rung, 1e-8 tr(K)/n, is ``KernelMatrix``'s PSD tolerance
     ``PSD_RTOL``, so a factor at shift 0 certifies K as PSD. Solutions are
-    checked against the unjittered system, so a jitter large enough to
-    distort the solve is also a loud failure. ``factor`` is the solver's one
+    checked against the unjittered system by ``check_residual``, so a jitter
+    that distorts the solve fails loudly too. ``factor`` is the solver's one
     array: the packed lower factor of ``cho_factor``, n(n+1)/2 floats, which
     every rung refills from K's memory and factors in place; the caller's K
     is never written. K's C-order memory, read in Fortran order, is K^T, so
@@ -224,25 +222,14 @@ class PSDSolver:
         """x with (K + shift I) x = b, for an n-vector b or an (n, k) block of right-hand sides.
 
         A block is one ``dpftrs`` call and one product with K for its
-        residuals. Each column's residual is checked against its own
-        ||b_j||; if any exceeds ``RESIDUAL_RTOL`` times it, SingularityError
-        reports the worst relative residual, and for a block its ``columns``
-        name the failed columns. A narrow block's columns equal single
-        solves bitwise; OpenBLAS may split a wide block's triangular solves
-        differently, which moves its columns by rounding.
+        residuals, which ``check_residual`` checks column by column. A
+        narrow block's columns equal single solves bitwise; OpenBLAS may
+        split a wide block's triangular solves differently, which moves its
+        columns by rounding.
         """
         b = _as_real(b, "right-hand side")
         x = cho_solve(self.factor, b)
-        residuals = np.linalg.norm(self.values @ x + self.shift * x - b, axis=0)
-        scales = np.maximum(np.linalg.norm(b, axis=0), np.finfo(np.float64).tiny)
-        ratios = np.atleast_1d(residuals / scales)
-        failed = ~(ratios <= RESIDUAL_RTOL)  # a NaN residual fails too
-        if np.any(failed):
-            raise SingularityError(
-                f"solve residual {np.max(ratios[failed]):.3e} exceeds {RESIDUAL_RTOL:.0e}; "
-                "the shifted kernel matrix is numerically singular",
-                columns=tuple(np.flatnonzero(failed).tolist()) if x.ndim == 2 else None,
-            )
+        check_residual(self.values, self.shift, x, b)
         return x
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernelmatrix import KernelMatrix, _as_real, k_norms
+from ._kernelmatrix import KernelMatrix, _as_real, check_residual, k_norms
 from .data import DataSet
 from .errors import (
     DIVERGENCE_LIMIT,
@@ -45,7 +45,6 @@ from .errors import (
     _check_lambda,
 )
 from .kernel import _cross_blocks, kernel_from_factors
-from .krr import krr_fit
 from .net import BLOCK_ENTRIES, MLP, GradientFactors, _as_batch, _combine_branches, flatten_factors, gradient_factors
 
 INIT_OUTPUT_TOL = 1e-8
@@ -135,14 +134,13 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
     and is checked on a seeded probe v: K v against Z^T (Z v) formed layer by
     layer, one column block of at most ``BLOCK_ENTRIES`` entries at a time.
     Gradient descent reads K's eigendecomposition and ``op_norm``, so K is
-    certified PSD by the eigenvalues of its ``eigh``, which serve ``op_norm``
-    and every later descent too, and no factor is built until a solve
-    (``closed_form_limit``) asks for one. The model keeps the gradient
-    factors, which ``theta_at`` and ``predict`` read. The zero output is
-    checked at ``params0``, the point linearized, whatever the current
-    weights, from the branch outputs of that one gradient pass. The model
-    holds ``mlp`` itself and never writes its arrays, so a CLI net's one
-    read-only copy of each matrix serves it.
+    certified PSD by the eigenvalues of its ``eigh``, which serve ``op_norm``,
+    every later descent and ``closed_form_limit`` too: K is never factored.
+    The model keeps the gradient factors, which ``theta_at`` and ``predict``
+    read. The zero output is checked at ``params0``, the point linearized,
+    whatever the current weights, from the branch outputs of that one
+    gradient pass. The model holds ``mlp`` itself and never writes its
+    arrays, so a CLI net's one read-only copy of each matrix serves it.
     """
     if not mlp.config.difference_trick:
         raise ValidationError("linearize requires a difference-trick network")
@@ -495,11 +493,16 @@ def closed_form_limit(lm: LinearizedModel, y, lam: float):
     """Limit solution theta* = theta0 + Z (K + lam^2 I)^-1 y.
 
     Returns (theta_star, alpha) where alpha are the ridge coefficients; the
-    limiting predictor is x |-> k(x, X)^T alpha. Requires lam > 0, or an
-    invertible kernel matrix when lam = 0.
+    limiting predictor is x |-> k(x, X)^T alpha. alpha is the filter
+    1/(k + lam^2) of K's cached ``eigh`` (0 where k + lam^2 <= 0), checked
+    by ``check_residual`` as a fit is: lam = 0 needs an invertible K.
     """
     y, _ = _check_run(lm, KIND_RDI, y, lam, 1.0)
-    alpha = krr_fit(lm.K, y, lam).alpha
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("targets contain non-finite values")
+    shifted = lm.K.eigh[0] + lam * lam
+    alpha = lm.K._filter(y, np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0))
+    check_residual(lm.K.values, lam * lam, alpha, y)
     return lm.theta_at(alpha), alpha
 
 

@@ -1361,6 +1361,15 @@ class TestOneConfigCheck:
                      "lambda", id="train-lambda-square-overflows"),
         pytest.param("krr", {"lambda": 1e200}, "lambda", id="krr-lambda-square-overflows"),
         pytest.param("bounds", {"sigma": float("inf")}, "sigma", id="bounds-sigma-inf"),
+        # equivalence wrote both runs of a repeated lambda to trajectory.csv and one to equivalence.json,
+        # and a sweep wrote each repeated cell's results.csv row twice
+        pytest.param("equivalence", {"model": {"kind": "net", "widths": [16]}, "lambda_grid": [1.0, 1.0]},
+                     "lambda_grid repeats a value", id="equivalence-repeated-lambda"),
+        pytest.param("equivalence", {"model": {"kind": "net", "widths": [16]}, "lambda_grid": [0.5, 1, 1.0]},
+                     "lambda_grid repeats a value", id="equivalence-int-and-float-lambda"),
+        pytest.param("sweep", {"seeds": [0, 0]}, "seeds repeats a value", id="sweep-repeated-seed"),
+        pytest.param("sweep", {"noise_grid": [0.2, 0.0, 0.2]}, "noise_grid repeats a value",
+                     id="sweep-repeated-noise-level"),
     ])
     def test_rejected_before_output(self, tmp_path, monkeypatch, capsys, command, changes, named):
         monkeypatch.chdir(tmp_path)

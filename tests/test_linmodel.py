@@ -496,15 +496,15 @@ class TestClosedForm:
         theirs = predictor.predict(queries)
         assert np.max(np.abs(mine - theirs)) <= 1e-10 * max(np.max(np.abs(theirs)), 1e-12)
 
-    def test_limit_after_fit_reuses_the_factor(self, count_calls):
+    def test_limit_after_fit_builds_no_factor(self, count_calls):
         from ntkreg import krr as krr_module
 
         lm, ds = make_lm(n=12, width=32)
-        fit = krr_fit(lm.K, ds.noisy_labels, 0.5)
+        fit = krr_fit(KernelMatrix.from_values(lm.K.values), ds.noisy_labels, 0.5)
         calls = count_calls(krr_module, "cho_factor")
         _, alpha = closed_form_limit(lm, ds.noisy_labels, 0.5)
-        assert calls == []
-        assert np.array_equal(alpha, fit.alpha)
+        assert calls == [] and lm.K._factors == {}
+        assert np.max(np.abs(alpha - fit.alpha)) <= 1e-12 * np.max(np.abs(fit.alpha))
 
     def test_lambda_zero_gives_interpolating_solution(self):
         # with an invertible Gram matrix the limit is plain kernel regression
@@ -521,6 +521,10 @@ class TestClosedForm:
         lm = LinearizedModel(K=KernelMatrix.from_values(np.ones((3, 3))))
         with pytest.raises(SingularityError):
             closed_form_limit(lm, np.array([1.0, 0.0, 0.0]), lam=0.0)
+        # an exact zero eigenvalue gets gain 0, not 1/0, and fails the residual check
+        lm = LinearizedModel(K=KernelMatrix.from_values(np.diag([1.0, 0.0])))
+        with pytest.raises(SingularityError):
+            closed_form_limit(lm, np.array([1.0, 1.0]), lam=0.0)
 
     def test_displacement_stays_in_span(self):
         lm, ds = make_lm(n=10, width=48)
@@ -558,6 +562,14 @@ class TestClosedFormTargets:
         lm, ds = make_lm(n=8, width=16)
         with pytest.raises(ValidationError):
             closed_form_limit(lm, np.stack([ds.noisy_labels, ds.noisy_labels]), lam=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_rejected(self, bad):
+        lm, ds = make_lm(n=8, width=16)
+        y = ds.noisy_labels.copy()
+        y[3] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            closed_form_limit(lm, y, lam=1.0)
 
 
 def per_vector_norm(K, v):
@@ -666,10 +678,14 @@ class TestFactoredFeatures:
         calls = count_calls(krr_module, "cho_factor")
         lm, ds = make_lm(n=12, width=32)
         assert calls == [] and lm.K._factors == {}
-        # the closed-form limit still factors, on demand, as a factor-certified K would
-        _, alpha = closed_form_limit(lm, ds.noisy_labels, 0.5)
-        assert len(calls) == 1
-        assert np.array_equal(alpha, krr_fit(KernelMatrix.from_values(lm.K.values), ds.noisy_labels, 0.5).alpha)
+        # the closed-form limit reads the same eigh and never factors; it agrees with the Cholesky
+        # route of a factor-certified copy of K, which is invertible here, at every ridge
+        for lam in (0.0, 0.5, 1.0, 4.0):
+            _, alpha = closed_form_limit(lm, ds.noisy_labels, lam)
+            assert calls == [] and lm.K._factors == {}
+            expected = krr_fit(KernelMatrix.from_values(lm.K.values), ds.noisy_labels, lam).alpha
+            calls.clear()
+            assert np.max(np.abs(alpha - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_probe_rejects_a_perturbed_kernel(self, monkeypatch):
         from ntkreg import linmodel as linmodel_module
@@ -715,7 +731,10 @@ class TestEigenbasis:
     """Gradient descent steps in K's eigenbasis: one eigh per kernel, the same iterates as K @ a."""
 
     def test_one_eigh_per_kernel(self, count_calls):
+        from ntkreg import krr as krr_module
+
         eigh, eigvalsh = count_calls(np.linalg, "eigh"), count_calls(np.linalg, "eigvalsh")
+        factors = count_calls(krr_module, "cho_factor")
         lm, ds = make_lm(n=12, width=32)
         assert (len(eigh), len(eigvalsh)) == (1, 0)
         k, v = lm.K.eigh
@@ -724,7 +743,9 @@ class TestEigenbasis:
         _descend(lm, [(KIND_AUX, ds.noisy_labels, 0.5, None)], 10)
         run_gd_equivalence(lm, ds.noisy_labels, [0.5, 1.0], steps=10)
         run_gd_aux(lm, ds.noisy_labels, 1.0, steps=10)
-        assert (len(eigh), len(eigvalsh)) == (1, 0)
+        closed_form_limit(lm, ds.noisy_labels, 0.0)
+        closed_form_limit(lm, ds.noisy_labels, 0.5)
+        assert (len(eigh), len(eigvalsh), len(factors)) == (1, 0, 0) and lm.K._factors == {}
         # a kernel built elsewhere decomposes on its first descent, once
         other = LinearizedModel(K=KernelMatrix.from_values(lm.K.values))
         run_gd_rdi(other, ds.noisy_labels, 0.5, steps=5)
@@ -779,6 +800,9 @@ class TestEigenbasis:
         gain = np.divide(1.0 - decay, s, out=traj.eta * t * np.ones_like(decay), where=s > 0.0)
         expected = (gain * (v.T @ y)) @ v.T
         assert np.max(np.abs(traj.coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))
+        # the same filters through the kernel matrix's spectral reader
+        read = lm.K._filter(np.broadcast_to(y, gain.shape), gain)
+        assert np.max(np.abs(traj.coeffs - read)) <= 1e-12 * np.max(np.abs(read))
 
 
 def same_bits(a, b):
@@ -899,3 +923,11 @@ class TestChunks:
         # the traces of a run that does not break cover every step
         _, (objectives,) = _descend(lm, runs[1:2], 30, read)
         assert objectives.shape == (31, 1)
+
+
+def test_linmodel_imports_nothing_from_krr():
+    # the ridge limit reads K's eigh, so the linearized model needs no name of the factor route
+    from ntkreg import linmodel as linmodel_module
+
+    assert [name for name, value in vars(linmodel_module).items()
+            if getattr(value, "__module__", None) == "ntkreg.krr"] == []
