@@ -53,7 +53,6 @@ from .net import (
     MLP,
     NetConfig,
     TrainConfig,
-    distance_to_init,
     forward,
     init_mlp,
     train_full,
@@ -355,16 +354,11 @@ def build_kernel_source(config: dict, data, seed=0):
 def _seeded_net(config: dict, data, seed) -> MLP:
     """The net of ``config["model"]`` for ``data``, drawn at (init_seed, seed).
 
-    No command writes a net's weights, so it keeps one copy of the draw,
-    its branch-1 snapshot: each array is read-only and held by every
-    branch's ``params`` and ``params0``.
+    No command writes a net's weights, and ``init_mlp`` returns one
+    read-only array per layer, held by every branch and the snapshot.
     """
     model = _spec("model", config["model"])
-    drawn = init_mlp(build_net_config(model, data.d, data.num_outputs), (model["init_seed"], seed))
-    weights = drawn.params0[0]
-    for w in weights:
-        w.flags.writeable = False
-    return MLP(drawn.config, [list(weights) for _ in drawn.params], [list(weights) for _ in drawn.params0])
+    return init_mlp(build_net_config(model, data.d, data.num_outputs), (model["init_seed"], seed))
 
 
 def _ensure_out(config: dict) -> str:
@@ -579,12 +573,12 @@ class _NetGroup:
                           TrainConfig(objective, eta=float(eta), steps=int(self.config["steps"]), lam=lam))
 
     def row(self, cell) -> dict:
-        trained, _, _ = self.train(cell)
+        trained, _, log = self.train(cell)
         noisy = self.draws[_draw_key(cell)][1]
         return _cell_row(
             self.config, cell, noisy, self.test, forward(trained, noisy.inputs),
             None if self.test is None else forward(trained, self.test.inputs),
-            distance=float(np.linalg.norm(distance_to_init(trained))),
+            distance=float(np.linalg.norm(log.dist_to_init[-1])),
         )
 
 
@@ -638,7 +632,7 @@ def cmd_train(config: dict) -> int:
     trained, _, log = _NetGroup(config, train, test, [cell], _draws(config, [cell], train)).train(cell)
     log.to_csv(os.path.join(out, "trajectory.csv"))
     _log(f"final objective {log.objective[-1]:.6g}, train error {log.train_error[-1]:.4f}")
-    _log(f"distance to init per layer: {[round(float(v), 6) for v in distance_to_init(trained)]}")
+    _log(f"distance to init per layer: {[round(float(v), 6) for v in log.dist_to_init[-1]]}")
     if test is not None:
         err = prediction_error(forward(trained, test.inputs), test.clean_labels, test.task)
         _log(f"clean test error {err:.4f}")

@@ -227,7 +227,8 @@ def _read_exact(buf: bytes, offset: int, count: int, what: str) -> bytes:
 
 
 def _read_idx_images(path) -> np.ndarray:
-    buf = open(path, "rb").read()
+    with open(path, "rb") as f:
+        buf = f.read()
     magic, count, rows, cols = struct.unpack(">IIII", _read_exact(buf, 0, 16, "image header"))
     if magic != IDX_IMAGE_MAGIC:
         raise DataFormatError(f"bad IDX image magic 0x{magic:08x} in {path}")
@@ -236,7 +237,8 @@ def _read_idx_images(path) -> np.ndarray:
 
 
 def _read_idx_labels(path) -> np.ndarray:
-    buf = open(path, "rb").read()
+    with open(path, "rb") as f:
+        buf = f.read()
     magic, count = struct.unpack(">II", _read_exact(buf, 0, 8, "label header"))
     if magic != IDX_LABEL_MAGIC:
         raise DataFormatError(f"bad IDX label magic 0x{magic:08x} in {path}")

@@ -140,7 +140,8 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
     read. The zero output is checked at ``params0``, the point linearized,
     whatever the current weights, from the branch outputs of that one
     gradient pass. The model holds ``mlp`` itself and never writes its
-    arrays, so a CLI net's one read-only copy of each matrix serves it.
+    arrays, so the one read-only copy of each matrix that ``init_mlp``
+    draws serves it.
     """
     if not mlp.config.difference_trick:
         raise ValidationError("linearize requires a difference-trick network")
@@ -153,10 +154,11 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
         raise TrickViolationError(
             f"initial output magnitude {worst:.3e} exceeds {INIT_OUTPUT_TOL:.0e}"
         )
-    # formed before K, so that its temporaries are freed before K's build and eigh
+    # K's build and eigh, the call's largest temporaries, come first, so that the
+    # probe's column blocks reuse the heap they free instead of growing it under them
+    k = kernel_from_factors(factors, certificate="eigh")
     v = np.random.default_rng(0).standard_normal(data.n)
     ztzv = _probe(factors, v)
-    k = kernel_from_factors(factors, certificate="eigh")
     scale = max(float(np.max(np.abs(k.values))), np.finfo(np.float64).tiny) * float(np.sum(np.abs(v)))
     mismatch = float(np.max(np.abs(k.values @ v - ztzv)))
     if mismatch > 1e-10 * scale:
@@ -193,10 +195,12 @@ class LinTrajectory:
 
 
 def _check_run(lm: LinearizedModel, kind: str, y, lam: float, eta):
-    """A run's targets, checked as the tangent model's (n,) vector, and its step (None: the default)."""
+    """A run's targets, checked as the tangent model's finite (n,) vector, and its step (None: the default)."""
     y = _as_real(y, "targets")
     if y.shape != (lm.n,):  # the tangent model has one output
         raise ValidationError(f"targets must have shape ({lm.n},), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("targets contain non-finite values")
     _check_lambda("lam", lam)
     if kind == KIND_AUX and not lam > 0.0:
         raise ValidationError(f"the auxiliary objective needs lam > 0, got {lam}")
@@ -498,8 +502,6 @@ def closed_form_limit(lm: LinearizedModel, y, lam: float):
     by ``check_residual`` as a fit is: lam = 0 needs an invertible K.
     """
     y, _ = _check_run(lm, KIND_RDI, y, lam, 1.0)
-    if not np.all(np.isfinite(y)):
-        raise ValidationError("targets contain non-finite values")
     shifted = lm.K.eigh[0] + lam * lam
     alpha = lm.K._filter(y, np.divide(1.0, shifted, out=np.zeros_like(shifted), where=shifted > 0.0))
     check_residual(lm.K.values, lam * lam, alpha, y)

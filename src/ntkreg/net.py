@@ -126,11 +126,11 @@ class MLP:
     """Weight matrices per branch plus a snapshot of their initialization.
 
     ``params`` and ``params0`` hold one list of per-layer arrays per branch,
-    and the lists may share arrays. A net the CLI draws holds one read-only
-    array per layer, shared by both branches and the snapshot, so an
-    in-place write into it raises. ``train_full`` copies only the trainable
-    layers, which it writes, and its model shares the input's frozen layers
-    and snapshot.
+    and the lists may share arrays. A net ``init_mlp`` draws holds one
+    read-only array per layer, shared by every branch and the snapshot, so
+    an in-place write into it raises; ``copy`` gives a writable net.
+    ``train_full`` copies only the trainable layers, which it writes, and
+    its model shares the input's frozen layers and snapshot.
     """
 
     config: NetConfig
@@ -163,19 +163,16 @@ def init_mlp(config: NetConfig, seed) -> MLP:
     """I.i.d. standard-normal weights; both branches share the draw exactly.
 
     ``seed`` is any ``numpy.random.default_rng`` seed (an int, or a tuple
-    of ints as the CLI passes). Each branch's weights and snapshot are
-    independent, writable arrays: two branches of a difference-trick net
-    make four copies of every matrix.
+    of ints as the CLI passes). Each weight matrix is drawn once into one
+    read-only array, held by every branch's ``params`` and ``params0``.
     """
     rng = np.random.default_rng(seed)
     dims = config.dims
-    base = [rng.standard_normal((dims[l + 1], dims[l])) for l in range(config.depth)]
-    if config.difference_trick:
-        params = [base, [w.copy() for w in base]]
-    else:
-        params = [base]
-    params0 = [[w.copy() for w in branch] for branch in params]
-    return MLP(config=config, params=params, params0=params0)
+    weights = [rng.standard_normal((dims[l + 1], dims[l])) for l in range(config.depth)]
+    for w in weights:
+        w.flags.writeable = False
+    branches = 2 if config.difference_trick else 1
+    return MLP(config, [list(weights) for _ in range(branches)], [list(weights) for _ in range(branches)])
 
 
 def _branch_forward(config: NetConfig, weights, x, cache=None):
@@ -486,7 +483,8 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
     The trained model's trainable layers are writable copies, one per
     branch, and the only arrays a step writes; its frozen layers and its
     snapshot are the input's arrays, which it shares and never writes, so
-    a read-only input (a CLI net) trains as a writable one does.
+    a read-only input (any net ``init_mlp`` draws) trains as a writable one
+    does.
     Aborts with DivergenceError if the objective exceeds 1e12 or turns
     non-finite, naming the offending step. A NaN in the weights or inputs
     reaches the output, so it fails at step 0.

@@ -154,7 +154,7 @@ def test_c04_gradient_correctness():
     ]
     worst = 0.0
     for cfg, seed, xseed, out_idx in configs:
-        mlp = init_mlp(cfg, seed)
+        mlp = init_mlp(cfg, seed).copy()
         assert mlp.n_trainable_params <= 1000
         x = unit_rows(1, cfg.input_dim, xseed)[0]
         g = gradient(mlp, x, output_index=out_idx)

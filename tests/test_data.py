@@ -1,5 +1,6 @@
 """Dataset constructors, the task rule, IDX ingestion, and CSV and JSON output."""
 
+import gc
 import hashlib
 import struct
 import warnings
@@ -123,6 +124,19 @@ class TestMnistLoader:
         b = load_mnist_binary(images, lab, 5, 8)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.clean_labels, b.clean_labels)
+
+    @pytest.mark.parametrize("image_magic", [0x803, 0x123], ids=["good-header", "bad-magic"])
+    def test_files_are_closed(self, tmp_path, image_magic):
+        # an unclosed file warns when it is collected; a bad header must not leave one either
+        images, lab, _ = write_idx_pair(tmp_path, [5, 8, 5], np.random.default_rng(7), image_magic=image_magic)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                load_mnist_binary(images, lab, 5, 8)
+            except DataFormatError:
+                assert image_magic != 0x803
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestSynthSphere:

@@ -369,7 +369,7 @@ class TestEmpiricalKernel:
     def test_taken_at_init_not_current_params(self):
         ds = synth_sphere(5, 4, "linear-sign", seed=4)
         cfg = NetConfig(input_dim=4, widths=(16,), freeze_first_last=False, difference_trick=False)
-        mlp = init_mlp(cfg, 4)
+        mlp = init_mlp(cfg, 4).copy()
         before = empirical_ntk(mlp, ds).values
         mlp.params[0][0] += 0.5  # move current params away from the snapshot
         after = empirical_ntk(mlp, ds).values

@@ -1,6 +1,8 @@
 """Linearized dynamics: the two regularizers coincide step for step and
 converge to the ridge solution."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ class TestLinearize:
         ds = synth_sphere(5, 4, "linear-sign", seed=0)
         cfg = NetConfig(input_dim=4, widths=(16,), freeze_first_last=False,
                         difference_trick=True)
-        mlp = init_mlp(cfg, 0)
+        mlp = init_mlp(cfg, 0).copy()
         mlp.params0[0][0] += 0.1  # desynchronize the branch snapshots
         mlp.params[0][0] += 0.1
         with pytest.raises(TrickViolationError):
@@ -456,6 +458,23 @@ class TestRunValidation:
         lm, ds = make_lm()
         with pytest.raises(ValidationError):
             call(lm, ds.noisy_labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda lm, y: run_gd_rdi(lm, y, 1.0, steps=3), id="rdi"),
+        pytest.param(lambda lm, y: run_gd_aux(lm, y, 1.0, steps=3), id="aux"),
+        pytest.param(lambda lm, y: run_gd_equivalence(lm, y, [0.5], steps=3), id="equivalence"),
+        pytest.param(lambda lm, y: closed_form_limit(lm, y, 1.0), id="closed-form"),
+    ])
+    def test_non_finite_targets_rejected(self, call, bad):
+        # the targets are named before any step: a NaN one is not blamed on the weights, an inf one is not rotated
+        lm, ds = make_lm()
+        y = ds.noisy_labels.copy()
+        y[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="targets contain non-finite values"):
+                call(lm, y)
 
     def test_numpy_integer_steps_accepted(self):
         lm, ds = make_lm()

@@ -162,6 +162,33 @@ class TestInitAndForward:
         assert 1.0 / 3.0 <= pooled_var <= 3.0
 
 
+@pytest.mark.parametrize("trick", [True, False], ids=["trick", "no-trick"])
+class TestOneDraw:
+    """``init_mlp`` draws each matrix once into one read-only array that every branch and the snapshot hold."""
+
+    def test_one_array_per_layer(self, trick):
+        mlp = init_mlp(NetConfig(input_dim=5, widths=(16, 8), difference_trick=trick), 3)
+        weights = mlp.params[0]
+        assert len(mlp.params) == len(mlp.params0) == (2 if trick else 1) and len(weights) == 3
+        for branch in (*mlp.params, *mlp.params0):
+            assert len(branch) == 3 and all(w is shared for w, shared in zip(branch, weights))
+
+    def test_in_place_write_raises(self, trick):
+        mlp = init_mlp(NetConfig(input_dim=5, widths=(16, 8), difference_trick=trick), 3)
+        for w in mlp.params[0]:
+            assert not w.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                w += 1.0
+        assert all(w.flags.writeable for branch in mlp.copy().params for w in branch)
+
+    def test_peak_is_one_copy(self, traced_peak, trick):
+        # a copy per branch and per snapshot made four copies of the draw with the trick, two without
+        config = NetConfig(input_dim=10, widths=(1024, 1024), difference_trick=trick)
+        mlp, peak = traced_peak(init_mlp, config, 0)
+        one_copy = sum(w.nbytes for w in mlp.params[0])
+        assert peak <= 1.1 * one_copy
+
+
 class TestGradient:
     @pytest.mark.parametrize(
         "cfg,seed,xseed,out_idx",
@@ -172,7 +199,7 @@ class TestGradient:
         ],
     )
     def test_matches_finite_differences(self, cfg, seed, xseed, out_idx):
-        mlp = init_mlp(cfg, seed=seed)
+        mlp = init_mlp(cfg, seed=seed).copy()
         x = unit_vector(cfg.input_dim, xseed)
         g = gradient(mlp, x, output_index=out_idx)
         fd = finite_difference_gradient(mlp, x, out_idx)
@@ -320,6 +347,20 @@ class TestDistanceToInit:
             trained, _, _ = train_full(mlp, noisy, TrainConfig("rdi", eta=eta, steps=500, lam=lam))
             totals.append(float(np.linalg.norm(distance_to_init(trained))))
         assert totals[0] <= totals[1] <= totals[2]
+
+    @pytest.mark.parametrize("objective, lam", [("vanilla", 0.0), ("rdi", 1.0), ("aux", 1.0)])
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_log_ends_at_the_trained_distance(self, objective, lam, outputs):
+        # the CLI reads a trained net's distance from the log's last row instead of walking the weights again
+        data = synth_sphere(20, 6, "linear-sign", seed=3) if outputs == 1 else synth_multiclass(20, 6, 3, seed=3)
+        for widths in ((8,), (16, 8), (32, 16, 8)):
+            for trick in (True, False):
+                for freeze in (True, False):
+                    config = NetConfig(input_dim=6, widths=widths, outputs=outputs,
+                                       freeze_first_last=freeze, difference_trick=trick)
+                    trained, _, log = train_full(init_mlp(config, 1), data,
+                                                 TrainConfig(objective, eta=0.05, steps=4, lam=lam))
+                    assert same_bits(log.dist_to_init[-1], distance_to_init(trained))
 
     def test_layer_norms_positive(self):
         _, mlp = small_problem()
@@ -574,7 +615,7 @@ class TestWalkStopsAtLowestTrainableLayer:
 
 
 def nan_weight_problem():
-    mlp = init_mlp(NetConfig(input_dim=5, widths=(16,)), 0)
+    mlp = init_mlp(NetConfig(input_dim=5, widths=(16,)), 0).copy()
     for branch in mlp.params:
         branch[0][3, 1] = np.nan
     return mlp, synth_sphere(20, 5, "linear-sign", seed=0)
@@ -671,7 +712,7 @@ def test_one_divergence_rule(objective):
 
 def moved_net(config, seed=2):
     """A net whose first branch has left its initialization, so the output is not zero."""
-    mlp = init_mlp(config, seed)
+    mlp = init_mlp(config, seed).copy()
     rng = np.random.default_rng(seed)
     for w in mlp.params[0]:
         w += 0.05 * rng.standard_normal(w.shape)
@@ -887,7 +928,7 @@ class TestOneCopyOfEachMatrix:
         before = [w.copy() for w in mlp.params0[0]]
         cfg = TrainConfig(objective, eta=0.01, steps=5, lam=1.0)
         trained, aux, log = train_full(mlp, data, cfg)
-        ref, ref_aux, ref_log = train_full(init_mlp(mlp.config, (0, 4)), data, cfg)
+        ref, ref_aux, ref_log = train_full(init_mlp(mlp.config, (0, 4)).copy(), data, cfg)
         for w, w_before in zip(mlp.params0[0], before):
             assert not w.flags.writeable and same_bits(w, w_before)
         for params, ref_params in ((trained.params, ref.params), (trained.params0, ref.params0)):
@@ -950,7 +991,7 @@ class TestOneBranchPass:
         forwards = count_calls(net_module, "_branch_forward")
         backwards = count_calls(net_module, "_branch_backward")
         data = corrupt(synth_sphere(20, 6, "linear-sign", seed=3), BinaryFlip(0.2), seed=5)
-        mlp = init_mlp(NetConfig(input_dim=6, widths=(32,)), 7)
+        mlp = init_mlp(NetConfig(input_dim=6, widths=(32,)), 7).copy()
 
         def passes(net, **kwargs):
             forwards.clear()
@@ -993,7 +1034,7 @@ class TestOneBranchPass:
 
     def test_predict_refuses_factors_of_another_initialization(self):
         train = synth_sphere(20, 6, "linear-sign", seed=1)
-        lm = linearize(init_mlp(NetConfig(input_dim=6, widths=(32,)), 3), train)
+        lm = linearize(init_mlp(NetConfig(input_dim=6, widths=(32,)), 3).copy(), train)
         lm.mlp.params0[1][0] += 0.1  # the branches differ now: the queries' pass counts its pairs once
         with pytest.raises(ValidationError, match="different weights"):
             lm.predict(np.ones(20), train.inputs)
