@@ -176,14 +176,6 @@ def _factor_gram(factors_a: GradientFactors, factors_b: GradientFactors = None) 
     return total
 
 
-def kernel_from_factors(factors: GradientFactors, certificate: str = "factor") -> KernelMatrix:
-    """The Gram matrix of gradient factors, upper triangle mirrored for exact symmetry.
-
-    ``certificate`` picks its PSD certificate, as in ``KernelMatrix.from_values``.
-    """
-    return KernelMatrix.from_values(mirror_upper(_factor_gram(factors)), certificate)
-
-
 def empirical_ntk(mlp: MLP, data: DataSet, certificate: str = "factor") -> KernelMatrix:
     """Gram matrix of parameter gradients at initialization (output 0).
 
@@ -192,10 +184,13 @@ def empirical_ntk(mlp: MLP, data: DataSet, certificate: str = "factor") -> Kerne
     at finite width the full kernel has cross-output blocks, and its norm
     can exceed this one's, so a step size read from this kernel is
     certified for single-output networks only. ``certificate`` picks the
-    PSD certificate, as in ``KernelMatrix.from_values``.
+    PSD certificate, as in ``KernelMatrix.from_values``. The gradient
+    factors are a temporary of the layerwise reduction, with no name of
+    their own, so they are freed before the certificate runs; K's values
+    get their upper triangle mirrored for exact symmetry.
     """
-    factors = gradient_factors(mlp, data.inputs, output_index=0, at_init=True)
-    return kernel_from_factors(factors, certificate)
+    values = mirror_upper(_factor_gram(gradient_factors(mlp, data.inputs, output_index=0, at_init=True)))
+    return KernelMatrix.from_values(values, certificate)
 
 
 def _cross_blocks(mlp: MLP, batch: np.ndarray, factors: GradientFactors):

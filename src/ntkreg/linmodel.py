@@ -30,10 +30,11 @@ AUX runs.
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._kernelmatrix import KernelMatrix, _as_real, check_residual, k_norms
+from ._kernelmatrix import KernelMatrix, _as_real, check_residual, k_norms, mirror_upper
 from .data import DataSet
 from .errors import (
     DIVERGENCE_LIMIT,
@@ -44,11 +45,12 @@ from .errors import (
     _check_integer,
     _check_lambda,
 )
-from .kernel import _cross_blocks, kernel_from_factors
+from .kernel import _cross_blocks, _factor_gram
 from .net import BLOCK_ENTRIES, MLP, GradientFactors, _as_batch, _combine_branches, flatten_factors, gradient_factors
 
 INIT_OUTPUT_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-10
+_PROBE_RTOL = 1e-10  # K v against Z^T (Z v), relative to max|K| ||v||_1
 
 KIND_RDI = "rdi"
 KIND_AUX = "aux"
@@ -58,20 +60,23 @@ _CHUNK = 8  # steps ``_descend`` takes between two reads of its trace
 
 @dataclass(eq=False)
 class LinearizedModel:
-    """The tangent model of an MLP at initialization, held as its kernel and Z's factors.
+    """The tangent model of an MLP at initialization, held as its kernel and its training inputs.
 
     ``K`` is the Gram matrix Z^T Z (assembled by the same layerwise
     reduction as ``empirical_ntk``), all that gradient descent and the ridge
-    limit read. ``factors``, the training inputs' ``gradient_factors`` at
-    init, are Z in factored form for ``theta_at`` and ``predict``, and
-    ``mlp`` stays attached for ``theta0`` and the queries' pass. For a
-    difference-trick net they hold branch 1's pairs only, counted twice:
-    ``theta_at`` forms branch 2's blocks by negating branch 1's.
+    limit read. ``mlp`` stays attached for ``theta0`` and the queries' pass,
+    and ``inputs``, the n x d training inputs, for ``factors``: Z in
+    factored form, the inputs' ``gradient_factors`` at ``params0``, built by
+    one pass on first read (by ``theta_at``, ``predict`` or
+    ``span_residual``) and checked against K on ``linearize``'s probe, so a
+    snapshot written after ``linearize`` is refused. For a difference-trick
+    net they hold branch 1's pairs only, counted twice: ``theta_at`` forms
+    branch 2's blocks by negating branch 1's.
     """
 
     K: KernelMatrix
     mlp: MLP = None
-    factors: GradientFactors = None
+    inputs: np.ndarray = None
 
     @property
     def n(self) -> int:
@@ -88,6 +93,18 @@ class LinearizedModel:
     def default_eta(self, lam: float) -> float:
         """Largest certified step size, 1/(||K|| + lam^2)."""
         return 1.0 / (self.K.op_norm + lam * lam)
+
+    @cached_property
+    def factors(self) -> GradientFactors:
+        """The training inputs' ``gradient_factors`` at ``params0``, bit for bit ``linearize``'s."""
+        if self.mlp is None or self.inputs is None:
+            raise ValidationError("linearized model has no MLP and training inputs attached; it has no factors")
+        factors = gradient_factors(self.mlp, self.inputs, output_index=0, at_init=True)
+        v = _probe_vector(self.n)
+        if _probe_mismatch(self.K.values, v, _probe(factors, v)) > _PROBE_RTOL:
+            raise ValidationError("probe: K v deviates from Z^T (Z v): the factors come from different weights "
+                                  "than K, the net's snapshot changed after linearize")
+        return factors
 
     def theta_at(self, coeffs: np.ndarray) -> np.ndarray:
         """theta0 + Z a, formed layer by layer from the factors: sum_i a_i delta_i input_i^T."""
@@ -127,21 +144,33 @@ def _probe(factors: GradientFactors, v: np.ndarray) -> np.ndarray:
     return factors.copies * total
 
 
-def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
-    """The tangent kernel and Z's factors, from one gradient pass; requires an exactly-zero output at init.
+def _probe_vector(n: int) -> np.ndarray:
+    """The seeded probe v that ``linearize`` and ``LinearizedModel.factors`` check K on."""
+    return np.random.default_rng(0).standard_normal(n)
 
-    K comes from ``kernel_from_factors`` (the reduction of ``empirical_ntk``)
-    and is checked on a seeded probe v: K v against Z^T (Z v) formed layer by
-    layer, one column block of at most ``BLOCK_ENTRIES`` entries at a time.
-    Gradient descent reads K's eigendecomposition and ``op_norm``, so K is
-    certified PSD by the eigenvalues of its ``eigh``, which serve ``op_norm``,
-    every later descent and ``closed_form_limit`` too: K is never factored.
-    The model keeps the gradient factors, which ``theta_at`` and ``predict``
-    read. The zero output is checked at ``params0``, the point linearized,
-    whatever the current weights, from the branch outputs of that one
-    gradient pass. The model holds ``mlp`` itself and never writes its
-    arrays, so the one read-only copy of each matrix that ``init_mlp``
-    draws serves it.
+
+def _probe_mismatch(values: np.ndarray, v: np.ndarray, ztzv: np.ndarray) -> float:
+    """max |K v - Z^T (Z v)| relative to max|K| ||v||_1; max|K| is read without an n x n temporary."""
+    scale = max(float(values.max()), -float(values.min()), np.finfo(np.float64).tiny) * float(np.sum(np.abs(v)))
+    return float(np.max(np.abs(values @ v - ztzv))) / scale
+
+
+def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
+    """The tangent kernel from one gradient pass; requires an exactly-zero output at init.
+
+    The pass's factors serve three reads and are then let go: the zero
+    output, checked at ``params0``, the point linearized, whatever the
+    current weights, from the branch outputs of that pass; the seeded probe
+    v, Z^T (Z v) formed layer by layer, one column block of at most
+    ``BLOCK_ENTRIES`` entries at a time; and K's values, the reduction of
+    ``empirical_ntk``. Only then is K checked against the probe and
+    certified PSD by the eigenvalues of its ``eigh``, so no factor array is
+    alive beside that decomposition. The ``eigh`` serves ``op_norm``, every
+    later descent and ``closed_form_limit`` too: K is never factored. The
+    model keeps the training inputs, from which ``LinearizedModel.factors``
+    rebuilds the same factors when ``theta_at`` or ``predict`` first reads
+    them. It holds ``mlp`` itself and never writes its arrays, so the one
+    read-only copy of each matrix that ``init_mlp`` draws serves it.
     """
     if not mlp.config.difference_trick:
         raise ValidationError("linearize requires a difference-trick network")
@@ -154,16 +183,15 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
         raise TrickViolationError(
             f"initial output magnitude {worst:.3e} exceeds {INIT_OUTPUT_TOL:.0e}"
         )
-    # K's build and eigh, the call's largest temporaries, come first, so that the
-    # probe's column blocks reuse the heap they free instead of growing it under them
-    k = kernel_from_factors(factors, certificate="eigh")
-    v = np.random.default_rng(0).standard_normal(data.n)
+    v = _probe_vector(data.n)
     ztzv = _probe(factors, v)
-    scale = max(float(np.max(np.abs(k.values))), np.finfo(np.float64).tiny) * float(np.sum(np.abs(v)))
-    mismatch = float(np.max(np.abs(k.values @ v - ztzv)))
-    if mismatch > 1e-10 * scale:
-        raise ValidationError(f"probe: K v deviates from Z^T (Z v) by {mismatch:.3e} > 1e-10 max|K| ||v||_1")
-    return LinearizedModel(K=k, mlp=mlp, factors=factors)
+    values = mirror_upper(_factor_gram(factors))
+    del factors  # the last reference: the factors are freed before K's eigh
+    mismatch = _probe_mismatch(values, v, ztzv)
+    if mismatch > _PROBE_RTOL:
+        raise ValidationError(f"probe: K v deviates from Z^T (Z v) by {mismatch:.3e} max|K| ||v||_1 > "
+                              f"{_PROBE_RTOL:.0e} max|K| ||v||_1")
+    return LinearizedModel(K=KernelMatrix.from_values(values, certificate="eigh"), mlp=mlp, inputs=data.inputs)
 
 
 @dataclass(eq=False)

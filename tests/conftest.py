@@ -1,7 +1,9 @@
 """Shared fixtures."""
 
 import tracemalloc
+import weakref
 
+import numpy as np
 import numpy.random  # noqa: F401  (numpy imports it on the first draw; traced, that import counts in a peak)
 import pytest
 
@@ -47,3 +49,35 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def factor_refs(monkeypatch):
+    """``watch(owner, keep=())`` wraps ``owner.gradient_factors`` and returns the weak references it fills.
+
+    Each call adds a reference to every array of the ``GradientFactors`` it
+    returns (pairs and outputs) and to every array such an array is a view
+    of, except the arrays in ``keep``: a pair holds the caller's inputs
+    themselves as the first layer's input when that layer trains. A dead
+    reference means a freed buffer, whoever reads the process's memory;
+    ``tracemalloc`` sees numpy's allocations but not LAPACK's workspace.
+    """
+
+    def watch(owner, keep=()):
+        refs = []
+        original = owner.gradient_factors
+
+        def recorded(*args, **kwargs):
+            factors = original(*args, **kwargs)
+            arrays = [array for pair in factors.pairs for array in pair] + list(factors.outputs)
+            while arrays:
+                array = arrays.pop()
+                if isinstance(array, np.ndarray) and not any(array is kept for kept in keep):
+                    refs.append(weakref.ref(array))
+                    arrays.append(array.base)
+            return factors
+
+        monkeypatch.setattr(owner, "gradient_factors", recorded)
+        return refs
+
+    return watch

@@ -407,8 +407,8 @@ def test_c13_reproducibility(tmp_path):
         assert cli_main(["sweep", "--config", str(cfg_path)]) == 0
         payload_pairs.append(
             (
-                open(tmp_path / f"sweep_out_{run}" / "results.csv", "rb").read(),
-                open(tmp_path / f"sweep_out_{run}" / "summary.csv", "rb").read(),
+                (tmp_path / f"sweep_out_{run}" / "results.csv").read_bytes(),
+                (tmp_path / f"sweep_out_{run}" / "summary.csv").read_bytes(),
             )
         )
     assert payload_pairs[0] == payload_pairs[1]
@@ -426,6 +426,6 @@ def test_c13_reproducibility(tmp_path):
         with open(cfg_path, "w") as f:
             json.dump(dict(eq_cfg, out=str(tmp_path / f"eq_out_{run}")), f)
         assert cli_main(["equivalence", "--config", str(cfg_path)]) == 0
-        traj.append(open(tmp_path / f"eq_out_{run}" / "trajectory.csv", "rb").read())
+        traj.append((tmp_path / f"eq_out_{run}" / "trajectory.csv").read_bytes())
     assert traj[0] == traj[1]
     report(13, "reproducibility", "sweep and equivalence CSVs byte-identical")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ class TestAdditiveBound:
         report = self.make_report("explicit-appendix")
         path = tmp_path / "report.json"
         report.to_json(path)
-        payload = json.loads(open(path).read())
+        payload = json.loads(Path(path).read_text())
         for key in ("total", "main_term", "sigma_over_lambda_term", "delta_term",
                     "lemma1_value", "lemma2_value", "rademacher_value", "y_kinv_y"):
             assert key in payload and payload[key] is not None

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ class TestKernelCommand:
             {"dataset": small_synth(n=10), "out": str(out)},
         )
         assert main(["kernel", "--config", cfg]) == EXIT_OK
-        resolved = json.loads(open(out / "resolved_config.json").read())
+        resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["dataset"]["n"] == 10
 
 
@@ -115,9 +116,9 @@ class TestEquivalenceCommand:
             },
         )
         assert main(["equivalence", "--config", cfg]) == EXIT_OK
-        summary = json.loads(open(out / "equivalence.json").read())
+        summary = json.loads((out / "equivalence.json").read_text())
         assert all(run["passed"] for run in summary["runs"].values())
-        lines = open(out / "trajectory.csv").read().strip().split("\n")
+        lines = (out / "trajectory.csv").read_text().strip().split("\n")
         assert lines[0] == "lambda,t,objective_rdi,objective_aux,dist_from_init,gap,rel_gap"
         assert len(lines) == 1 + 2 * 151
 
@@ -160,6 +161,19 @@ class TestEquivalenceCommand:
         assert main(["equivalence", "--config", cfg]) == EXIT_OK
         assert calls == [[], []]
 
+    def test_one_gradient_pass(self, tmp_path, count_calls):
+        # linearize's pass forms K and is let go; the check never reads the model's factors
+        from ntkreg import linmodel as linmodel_module
+        from ntkreg import net as net_module
+
+        passes = [count_calls(owner, "gradient_factors") for owner in (net_module, linmodel_module)]
+        cfg = write_config(tmp_path, "cfg.json", {
+            "dataset": small_synth(n=20), "model": {"kind": "net", "widths": [24, 24]},
+            "lambda_grid": [0.5], "steps": 20, "out": str(tmp_path / "eq"),
+        })
+        assert main(["equivalence", "--config", cfg]) == EXIT_OK
+        assert passes == [[], [1]]
+
     def test_traced_memory_holds_no_trajectories(self, tmp_path, traced_peak):
         # n=300, 2000 steps, six lambdas: one (steps+1) x n history alone is 4.8 MB
         out = tmp_path / "eq"
@@ -171,7 +185,7 @@ class TestEquivalenceCommand:
         code, peak = traced_peak(main, ["equivalence", "--config", cfg])
         assert code == EXIT_OK
         assert peak < 8e6
-        assert len(open(out / "trajectory.csv").read().splitlines()) == 1 + 6 * 2001
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 6 * 2001
 
     def test_grid_without_positive_lambda_uses_lambda(self, tmp_path):
         out = tmp_path / "eq"
@@ -180,7 +194,7 @@ class TestEquivalenceCommand:
             "lambda_grid": [0.0], "lambda": 0.5, "steps": 5, "out": str(out),
         })
         assert main(["equivalence", "--config", cfg]) == EXIT_OK
-        assert list(json.loads(open(out / "equivalence.json").read())["runs"]) == ["0.5"]
+        assert list(json.loads((out / "equivalence.json").read_text())["runs"]) == ["0.5"]
 
     def empty_grid_config(self, tmp_path, lam):
         return write_config(tmp_path, "cfg.json", {
@@ -191,7 +205,7 @@ class TestEquivalenceCommand:
     def test_empty_grid_uses_lambda(self, tmp_path):
         # the check took max() of lambda alone, a float, and the command died with a TypeError
         assert main(["equivalence", "--config", self.empty_grid_config(tmp_path, 1.0)]) == EXIT_OK
-        assert list(json.loads(open(tmp_path / "eq" / "equivalence.json").read())["runs"]) == ["1.0"]
+        assert list(json.loads((tmp_path / "eq" / "equivalence.json").read_text())["runs"]) == ["1.0"]
 
     def test_empty_grid_needs_a_positive_lambda(self, tmp_path, capsys):
         assert main(["equivalence", "--config", self.empty_grid_config(tmp_path, 0.0)]) == EXIT_VALIDATION
@@ -214,7 +228,7 @@ class TestTrainCommand:
             },
         )
         assert main(["train", "--config", cfg]) == EXIT_OK
-        lines = open(out / "trajectory.csv").read().strip().split("\n")
+        lines = (out / "trajectory.csv").read_text().strip().split("\n")
         assert len(lines) == 52
         assert lines[0].startswith("step,objective,train_error")
 
@@ -277,7 +291,7 @@ class TestKrrCommand:
             },
         )
         assert main(["krr", "--config", cfg]) == EXIT_OK
-        lines = open(out / "results.csv").read().strip().split("\n")
+        lines = (out / "results.csv").read_text().strip().split("\n")
         assert lines[0] == "lambda,train_error_noisy,test_error_clean"
         row = lines[1].split(",")
         assert float(row[1]) == 0.0  # interpolation at lambda = 0, no noise
@@ -321,7 +335,7 @@ class TestBoundsCommand:
                 },
             )
             assert main(["bounds", "--config", cfg]) == EXIT_OK
-            totals.append(json.loads(open(out / "bound_report.json").read())["total"])
+            totals.append(json.loads((out / "bound_report.json").read_text())["total"])
         assert totals[0] < totals[1] < totals[2]
 
     def test_multiclass_identity_gap(self, tmp_path):
@@ -338,7 +352,7 @@ class TestBoundsCommand:
         }
         cfg = write_config(tmp_path, "cfg.json", cfg_payload)
         assert main(["bounds", "--config", cfg]) == EXIT_OK
-        payload = json.loads(open(out / "bound_report.json").read())
+        payload = json.loads((out / "bound_report.json").read_text())
         assert payload["gap"] == 1.0
         assert len(payload["q_quadratic_forms"]) == 3
 
@@ -371,7 +385,7 @@ class TestBoundsCommand:
             },
         )
         assert main(["bounds", "--config", cfg]) == EXIT_OK
-        payload = json.loads(open(out / "bound_report.json").read())
+        payload = json.loads((out / "bound_report.json").read_text())
         for key in ("total", "main_term", "sigma_over_lambda_term", "delta_term"):
             assert np.isfinite(payload[key])
 
@@ -397,7 +411,7 @@ class TestSweepCommand:
         cfg = self.sweep_config(tmp_path, "sw")
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         out = tmp_path / "sw"
-        lines = open(out / "results.csv").read().strip().split("\n")
+        lines = (out / "results.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 2 * 2
         header = lines[0].split(",")
         assert header[:4] == ["noise", "lambda", "seed", "method"]
@@ -406,7 +420,7 @@ class TestSweepCommand:
         # noise 0, lambda 0: interpolation drives noisy-train error to ~0
         first = rows[0]
         assert float(first[4]) == 0.0
-        summary = open(out / "summary.csv").read().strip().split("\n")
+        summary = (out / "summary.csv").read_text().strip().split("\n")
         assert summary[0] == "noise,best_lambda,best_test_error,lambda0_test_error"
         assert len(summary) == 3
 
@@ -415,8 +429,8 @@ class TestSweepCommand:
         cfg_b = self.sweep_config(tmp_path, "swb")
         assert main(["sweep", "--config", cfg_a]) == EXIT_OK
         assert main(["sweep", "--config", cfg_b]) == EXIT_OK
-        a = open(tmp_path / "swa" / "results.csv", "rb").read()
-        b = open(tmp_path / "swb" / "results.csv", "rb").read()
+        a = (tmp_path / "swa" / "results.csv").read_bytes()
+        b = (tmp_path / "swb" / "results.csv").read_bytes()
         assert a == b
 
     def test_net_method_test_errors_sane(self, tmp_path):
@@ -433,7 +447,7 @@ class TestSweepCommand:
         }
         cfg = write_config(tmp_path, "swnet.json", payload)
         assert main(["sweep", "--config", cfg]) == EXIT_OK
-        lines = open(tmp_path / "swnet" / "results.csv").read().strip().split("\n")
+        lines = (tmp_path / "swnet" / "results.csv").read_text().strip().split("\n")
         header = lines[0].split(",")
         idx = header.index("test_error_clean")
         for line in lines[1:]:
@@ -444,8 +458,8 @@ class TestSweepCommand:
         cfg_par = self.sweep_config(tmp_path, "swpar")
         assert main(["sweep", "--config", cfg_seq]) == EXIT_OK
         assert main(["sweep", "--config", cfg_par, "--workers", "2"]) == EXIT_OK
-        a = open(tmp_path / "swseq" / "results.csv", "rb").read()
-        b = open(tmp_path / "swpar" / "results.csv", "rb").read()
+        a = (tmp_path / "swseq" / "results.csv").read_bytes()
+        b = (tmp_path / "swpar" / "results.csv").read_bytes()
         assert a == b
 
     def net_krr_config(self, tmp_path, out_name):
@@ -468,8 +482,8 @@ class TestSweepCommand:
         cfg_par = self.net_krr_config(tmp_path, "par")
         assert main(["sweep", "--config", cfg_seq]) == EXIT_OK
         assert main(["sweep", "--config", cfg_par, "--workers", "2"]) == EXIT_OK
-        a = open(tmp_path / "seq" / "results.csv", "rb").read()
-        b = open(tmp_path / "par" / "results.csv", "rb").read()
+        a = (tmp_path / "seq" / "results.csv").read_bytes()
+        b = (tmp_path / "par" / "results.csv").read_bytes()
         assert a == b
 
     def test_bound_total_cells_are_plain_floats(self, tmp_path):
@@ -645,7 +659,7 @@ class TestSweepCommand:
         cfg = self.sweep_config(tmp_path, "swl", method="linear-rdi")
         assert main(["sweep", "--config", cfg]) == EXIT_OK
         out = tmp_path / "swl"
-        lines = open(out / "results.csv").read().strip().split("\n")
+        lines = (out / "results.csv").read_text().strip().split("\n")
         header = lines[0].split(",")
         idx = header.index("distance_to_init")
         values = [line.split(",")[idx] for line in lines[1:]]
@@ -683,7 +697,7 @@ class TestMnistPipeline:
             },
         )
         assert main(["krr", "--config", cfg]) == EXIT_OK
-        lines = open(out / "results.csv").read().strip().split("\n")
+        lines = (out / "results.csv").read_text().strip().split("\n")
         assert len(lines) == 2
 
 
@@ -828,7 +842,7 @@ class TestMulticlassCommands:
                 {"dataset": SMALL_MULTICLASS, "noise": noise, "lambda": lam, "out": str(bounds_out)},
             )
             assert main(["bounds", "--config", bounds_cfg]) == EXIT_OK
-            report = json.loads(open(bounds_out / "bound_report.json").read())
+            report = json.loads((bounds_out / "bound_report.json").read_text())
             assert float(row["bound_total"]) == report["total"]
 
     @pytest.mark.parametrize("method", ["linear-rdi", "linear-aux"])
@@ -916,7 +930,7 @@ class TestSharedRunPaths:
             {"dataset": dataset, "noise": noise, "lambda": 1.0, "out": str(tmp_path / "bounds")},
         )
         assert main(["bounds", "--config", bounds_cfg]) == EXIT_OK
-        report = json.loads(open(tmp_path / "bounds" / "bound_report.json").read())
+        report = json.loads((tmp_path / "bounds" / "bound_report.json").read_text())
         assert float(rows[3]["bound_total"]) == report["total"]
 
     def test_equivalence_rejects_multiclass(self, tmp_path):
@@ -955,9 +969,10 @@ class TestLinearGroups:
         assert [row["status"] for row in rows] == ["ok"] * 8
         assert len(calls) == 2
 
-    def test_one_gradient_pass_per_seed(self, tmp_path, monkeypatch):
-        # the training factors serve K and the test cross kernel: one pass over
-        # the 30 training inputs per seed, one over the 20 test inputs
+    def test_gradient_passes_per_seed(self, tmp_path, monkeypatch):
+        # per seed, one pass over the 30 training inputs forms K; after the descent,
+        # the test predict builds the training factors once more and makes one pass
+        # over the 20 test inputs
         from ntkreg import kernel as kernel_module
         from ntkreg import linmodel as linmodel_module
         from ntkreg import net as net_module
@@ -974,7 +989,7 @@ class TestLinearGroups:
                 monkeypatch.setattr(owner, "gradient_factors", counted)
         rows, _ = self.run_sweep(tmp_path, "lin")
         assert [row["status"] for row in rows] == ["ok"] * 8
-        assert sorted(rows_seen) == [20, 20, 30, 30]
+        assert rows_seen == [30, 30, 20] * 2
 
     def test_rows_match_independent_cells(self, tmp_path):
         rows, config = self.run_sweep(tmp_path, "lin")
@@ -1024,8 +1039,8 @@ class TestLinearGroups:
     def test_parallel_workers_match_sequential(self, tmp_path):
         self.run_sweep(tmp_path, "seq")
         self.run_sweep(tmp_path, "par", "--workers", "2")
-        a = open(tmp_path / "seq" / "results.csv", "rb").read()
-        b = open(tmp_path / "par" / "results.csv", "rb").read()
+        a = (tmp_path / "seq" / "results.csv").read_bytes()
+        b = (tmp_path / "par" / "results.csv").read_bytes()
         assert a == b
 
     def test_labels_drawn_once_per_noise_level_and_seed(self, tmp_path, count_calls):
@@ -1085,7 +1100,7 @@ class TestNetGroups:
         self.run_sweep(tmp_path, "seq")
         self.run_sweep(tmp_path, "par", "--workers", "2")
         for name in ("results.csv", "summary.csv", "distance_summary.csv"):
-            assert open(tmp_path / "seq" / name, "rb").read() == open(tmp_path / "par" / name, "rb").read()
+            assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
 
 class TestOneCopyOfTheNet:
@@ -1497,13 +1512,13 @@ class TestOneConfigCheck:
             assert load_config(cfg, None, command)["method"] == method
 
     def test_readme_example_config_validates(self, tmp_path):
-        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        readme = (Path(__file__).parent / ".." / "README.md").read_text()
         example = readme.split("Example config:")[1].split("```json")[1].split("```")[0]
         cfg = write_config(tmp_path, "example.json", json.loads(example))
         assert load_config(cfg, None, command="sweep")["noise_grid"] == [0.0, 0.2, 0.4]
 
     def test_readme_spec_table_matches_specs(self):
-        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        readme = (Path(__file__).parent / ".." / "README.md").read_text()
         table = readme.split("| section | kind | required | optional (default) |")[1].split("\n\n")[0]
 
         def names(cell):  # the field names, without the defaults and notes in parentheses
@@ -1536,7 +1551,7 @@ class TestOneConfigCheck:
         cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=10), "seeds": [],
                                                   "out": str(tmp_path / "out")})
         assert main(["kernel", "--config", cfg, "--seed", "3"]) == EXIT_OK
-        assert json.loads(open(tmp_path / "out" / "resolved_config.json").read())["seeds"] == [3]
+        assert json.loads((tmp_path / "out" / "resolved_config.json").read_text())["seeds"] == [3]
 
     @pytest.mark.parametrize("model, resolved", [
         ({"kind": "analytic", "depth": 3}, {"kind": "net", "widths": [16]}),
@@ -1546,7 +1561,7 @@ class TestOneConfigCheck:
         cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=10), "model": model,
                                                   "out": str(tmp_path / "out")})
         assert main(["kernel", "--config", cfg, "--width", "16"]) == EXIT_OK
-        assert json.loads(open(tmp_path / "out" / "resolved_config.json").read())["model"] == resolved
+        assert json.loads((tmp_path / "out" / "resolved_config.json").read_text())["model"] == resolved
 
     def test_depth_flag_on_net_model_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=10), "model": {"kind": "net"},
@@ -1563,7 +1578,7 @@ class TestOneConfigCheck:
     def test_kernel_draws_net_at_run_seed(self, tmp_path, capsys):
         # the kernel command drew a net model at run seed 0 whatever --seed said
         assert main(["kernel", "--width", "16", "--seed", "3", "--out", str(tmp_path / "k")]) == EXIT_OK
-        config = json.loads(open(tmp_path / "k" / "resolved_config.json").read())
+        config = json.loads((tmp_path / "k" / "resolved_config.json").read_text())
         train, _ = build_train_test(config)
         traces = [empirical_ntk(cli_module._seeded_net(config, train, seed), train).trace for seed in (0, 3)]
         assert traces[0] != traces[1]
@@ -1653,7 +1668,7 @@ class TestOneConfigCheck:
         cfg = write_config(tmp_path, "ok.json", {"dataset": dict(SMALL_MULTICLASS, n=20), "out": str(out),
                                                  "noise": transition_noise(tmp_path)})
         assert main(["bounds", "--config", cfg]) == EXIT_OK
-        assert json.loads(open(out / "bound_report.json").read())["gap"] is not None
+        assert json.loads((out / "bound_report.json").read_text())["gap"] is not None
 
     @pytest.mark.parametrize("command, changes, named", [
         pytest.param("krr", {"lambda": "1"}, "numbers", id="lambda-string"),

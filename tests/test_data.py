@@ -4,6 +4,7 @@ import gc
 import hashlib
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ class TestMnistLoader:
         images, lab, pixels = write_idx_pair(tmp_path, raw_labels, rng)
         ds = load_mnist_binary(images, lab, 5, 8, limit=10)
 
-        buf = open(lab, "rb").read()
+        buf = Path(lab).read_bytes()
         magic, count = struct.unpack(">II", buf[:8])
         oracle_labels = np.frombuffer(buf[8 : 8 + count], dtype=np.uint8)
         keep = np.flatnonzero((oracle_labels == 5) | (oracle_labels == 8))[:10]
@@ -88,7 +89,7 @@ class TestMnistLoader:
         expected_sign = np.where(oracle_labels[keep] == 5, 1.0, -1.0)
         assert np.array_equal(ds.clean_labels, expected_sign)
 
-        ibuf = open(images, "rb").read()
+        ibuf = Path(images).read_bytes()
         _, icount, r, c = struct.unpack(">IIII", ibuf[:16])
         oracle_pixels = np.frombuffer(ibuf[16:], dtype=np.uint8).reshape(icount, r * c)
         for row, raw_idx in enumerate(keep):
@@ -105,7 +106,7 @@ class TestMnistLoader:
     def test_truncated_pixels(self, tmp_path):
         rng = np.random.default_rng(4)
         images, lab, _ = write_idx_pair(tmp_path, [5, 8, 5], rng)
-        data = open(images, "rb").read()
+        data = Path(images).read_bytes()
         with open(images, "wb") as f:
             f.write(data[:-100])
         with pytest.raises(DataFormatError):
@@ -338,10 +339,10 @@ class TestPayloadWriters:
                 (float("nan"), np.float64("nan"), float("inf"), -np.float64("inf")),
                 (np.float64(0.1), np.float64(-0.0), True, 12345678901234567890)]
         _write_csv(path, ["a", "b", "c", "d"], rows)
-        assert open(path).read() == ("a,b,c,d\n1,0.1,,2.0\n3,-0.0,x,1e-300\nnan,nan,inf,-inf\n"
-                                     "0.1,-0.0,True,12345678901234567890\n")
+        assert Path(path).read_text() == ("a,b,c,d\n1,0.1,,2.0\n3,-0.0,x,1e-300\nnan,nan,inf,-inf\n"
+                                          "0.1,-0.0,True,12345678901234567890\n")
 
     def test_json_layout(self, tmp_path):
         path = tmp_path / "t.json"
         _write_json(path, {"b": 1, "a": [0.5]})
-        assert open(path).read() == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
+        assert Path(path).read_text() == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'

@@ -338,6 +338,19 @@ class TestEmpiricalKernel:
         assert K.values.shape == (1, 1)
         assert K.values[0, 0] >= 0.0
 
+    @pytest.mark.parametrize("certificate, owner, name", [("factor", krr_module, "cho_factor"),
+                                                          ("spectrum", np.linalg, "eigvalsh"),
+                                                          ("eigh", np.linalg, "eigh")])
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_factors_are_freed_before_the_certificate(self, factor_refs, count_calls, certificate, owner, name,
+                                                       freeze):
+        ds = synth_sphere(20, 5, "linear-sign", seed=4)
+        refs = factor_refs(kernel_module, keep=(ds.inputs,))
+        alive = count_calls(owner, name, record=lambda *args, **kwargs: sum(ref() is not None for ref in refs))
+        K = empirical_ntk(init_mlp(NetConfig(input_dim=5, widths=(48,), freeze_first_last=freeze), 4), ds,
+                          certificate)
+        assert refs and alive == [0] and K.n == 20
+
     def test_duplicated_rows_exact(self):
         ds = synth_sphere(6, 5, "linear-sign", seed=1)
         x = ds.inputs.copy()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -653,7 +654,7 @@ class TestExport:
         p = krr_fit(K, ds.noisy_labels, 0.5, kernel_source=AnalyticNTK(2), train_data=ds)
         path = tmp_path / "preds.csv"
         export_predictions(p, ds.inputs[:3], path)
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         assert lines[0] == "query_id,output_1,predicted_class"
         assert len(lines) == 4
 
@@ -663,7 +664,7 @@ class TestExport:
                     train_data=ds)
         values = export_predictions(p, ds.inputs, tmp_path / "preds.csv")
         assert np.array_equal(values, p.predict(ds.inputs))
-        lines = open(tmp_path / "preds.csv").read().strip().split("\n")[1:]
+        lines = (tmp_path / "preds.csv").read_text().strip().split("\n")[1:]
         assert [float(line.split(",")[1]) for line in lines] == list(values)
 
 

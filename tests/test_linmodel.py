@@ -32,7 +32,7 @@ from ntkreg.linmodel import (
     run_gd_rdi,
     span_residual,
 )
-from ntkreg.net import NetConfig, TrainConfig, forward, gradients_matrix, init_mlp, train_full
+from ntkreg.net import NetConfig, TrainConfig, forward, gradient_factors, gradients_matrix, init_mlp, train_full
 from ntkreg.noise import BinaryFlip, corrupt
 
 
@@ -103,7 +103,8 @@ class TestLinearize:
         assert np.max(np.abs(gram - lm.K.values)) <= 1e-10 * scale
 
     def test_gradient_passes(self, monkeypatch):
-        # linearize keeps the training factors: theta_at makes no pass, predict one over its queries
+        # linearize makes one pass and keeps no factors; the first read of the model's factors makes
+        # one more over the training inputs, later reads none, and predict one over its queries
         from ntkreg import kernel as kernel_module
         from ntkreg import linmodel as linmodel_module
         from ntkreg import net as net_module
@@ -121,10 +122,11 @@ class TestLinearize:
         assert rows_seen == [12]
         a = np.random.default_rng(1).standard_normal(lm.n)
         lm.theta_at(a)
-        assert rows_seen == [12]
+        lm.theta_at(-a)
+        assert rows_seen == [12, 12]
         queries = synth_sphere(7, ds.d, "linear-sign", seed=9).inputs
         values = lm.predict(np.stack([a, -a], axis=1), queries)
-        assert rows_seen == [12, 7] and values.shape == (7, 2)
+        assert rows_seen == [12, 12, 7] and values.shape == (7, 2)
         # a block of coefficient vectors is one matrix product, which rounds differently from one at a time
         assert np.allclose(values[:, 0], lm.predict(a, queries), rtol=1e-13, atol=0.0)
         assert np.array_equal(values[:, 0], -values[:, 1])
@@ -563,6 +565,8 @@ class TestClosedForm:
             monkeypatch.setattr(owner, "gradient_factors",
                                 lambda *a, _original=original, **k: passes.append(1) or _original(*a, **k))
         theta = lm.theta_at(run_gd_rdi(lm, ds.noisy_labels, lam=1.0, steps=20).final_coeffs())
+        assert passes == [1]  # theta_at's first read of the factors builds them
+        passes.clear()
         assert span_residual(lm, theta) <= 1e-10
         assert passes == []
         # off the span: a parameter direction orthogonal to every training gradient
@@ -709,16 +713,64 @@ class TestFactoredFeatures:
     def test_probe_rejects_a_perturbed_kernel(self, monkeypatch):
         from ntkreg import linmodel as linmodel_module
 
-        original = linmodel_module.kernel_from_factors
+        original = linmodel_module._factor_gram
 
-        def perturbed(factors, certificate="factor"):
-            values = original(factors, certificate).values
-            return KernelMatrix.from_values(values + 1e-6 * np.max(np.abs(values)) * np.eye(len(values)),
-                                            certificate)
+        def perturbed(factors):
+            values = original(factors)
+            return values + 1e-6 * np.max(np.abs(values)) * np.eye(len(values))
 
-        monkeypatch.setattr(linmodel_module, "kernel_from_factors", perturbed)
+        monkeypatch.setattr(linmodel_module, "_factor_gram", perturbed)
         with pytest.raises(ValidationError, match="probe"):
             make_lm(width=32)
+
+
+# name -> config: one trainable layer, or two (the first layer trains and reads the inputs themselves)
+FACTOR_NETS = {
+    "one-layer": NetConfig(input_dim=6, widths=(64,)),
+    "two-layers": NetConfig(input_dim=6, widths=(32,), freeze_first_last=False),
+    "one-layer-no-trick": NetConfig(input_dim=6, widths=(64,), difference_trick=False),
+    "two-layers-no-trick": NetConfig(input_dim=6, widths=(32,), freeze_first_last=False, difference_trick=False),
+}
+
+
+class TestFactorLifetime:
+    """``linearize`` lets go of its factors before K's eigh; the model rebuilds the same ones on first read."""
+
+    @pytest.mark.parametrize("name", ["one-layer", "two-layers"])
+    def test_factors_are_freed_before_the_eigh(self, factor_refs, count_calls, name):
+        from ntkreg import linmodel as linmodel_module
+
+        ds = synth_sphere(20, 6, "linear-sign", seed=0)
+        refs = factor_refs(linmodel_module, keep=(ds.inputs,))
+        alive_at_eigh = count_calls(np.linalg, "eigh", record=lambda *args, **kwargs: sum(
+            ref() is not None for ref in refs))
+        lm = linearize(init_mlp(FACTOR_NETS[name], 0), ds)
+        assert refs and alive_at_eigh == [0]
+        assert lm.inputs is ds.inputs and "factors" not in vars(lm)
+
+    @pytest.mark.parametrize("name", list(FACTOR_NETS))
+    def test_factors_are_a_fresh_pass_bitwise(self, name):
+        config = FACTOR_NETS[name]
+        ds = synth_sphere(20, 6, "linear-sign", seed=0)
+        mlp = init_mlp(config, 0)
+        if config.difference_trick:
+            lm = linearize(mlp, ds)
+        else:  # linearize needs the trick's zero output; the model and its factors do not
+            lm = LinearizedModel(K=empirical_ntk(mlp, ds, certificate="eigh"), mlp=mlp, inputs=ds.inputs)
+        fresh = gradient_factors(lm.mlp, ds.inputs, at_init=True)
+        factors = lm.factors
+        assert factors.copies == fresh.copies == (2 if config.difference_trick else 1)
+        assert len(factors.pairs) == len(fresh.pairs) == len(config.trainable_layers)
+        got = [array for pair in factors.pairs for array in pair] + list(factors.outputs)
+        want = [array for pair in fresh.pairs for array in pair] + list(fresh.outputs)
+        for array, expected in zip(got, want, strict=True):
+            assert array.shape == expected.shape and array.tobytes() == expected.tobytes()
+        assert lm.factors is factors  # built once
+
+    def test_model_without_inputs_has_no_factors(self):
+        lm, _ = make_lm(n=8, width=16)
+        with pytest.raises(ValidationError, match="no factors"):
+            LinearizedModel(K=lm.K, mlp=lm.mlp).factors
 
 
 def reference_descend(k, runs, steps):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ class TestTrainFull:
         _, _, log = train_full(mlp, ds, TrainConfig("rdi", eta=0.02, steps=5, lam=0.5))
         path = tmp_path / "traj.csv"
         log.to_csv(path)
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         assert lines[0] == (
             "step,objective,train_error,train_error_with_aux,dist_l1,dist_l2,norm_l1,norm_l2"
         )
