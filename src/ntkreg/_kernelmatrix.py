@@ -1,12 +1,12 @@
-"""Container for symmetric PSD Gram matrices, certified either by the
-Cholesky factorization of K that also serves its solves or by K's spectrum,
-with the packed factor of its latest shift K + shift I (n(n+1)/2 floats, so
-K plus one packed factor) and the quadratic forms it solved, and a spectrum
-and an eigendecomposition computed only when read, whose spectral filters
-solve without a factor; one residual rule checks every solve.
+"""Container for symmetric Gram matrices, certified PSD by the first decomposition
+read (a Cholesky factor, which also serves solves, a spectrum or an eigh), with
+the packed factor of its latest shift K + shift I (n(n+1)/2 floats, so K plus
+one packed factor) and the quadratic forms it solved, and a spectrum and an
+eigendecomposition computed only when read, whose spectral filters solve
+without a factor; one residual rule checks every solve.
 
 Re-exported by ``kernel``. The solver class comes from ``krr``, which
-imports this module, so :meth:`KernelMatrix.solver` imports it on first use.
+imports this module, so :meth:`KernelMatrix.solver` imports it when called.
 """
 
 from dataclasses import dataclass, field
@@ -30,17 +30,15 @@ MIRROR_BLOCK_ROWS = 64
 class KernelMatrix:
     """An n-by-n Gram matrix together with its trace and, on demand, its spectrum.
 
-    :meth:`from_values` verifies symmetry (max |K_ij - K_ji| <= 1e-10 max|K|)
-    and positive semidefiniteness up to tolerance (lambda_min >= -1e-8 tr/n)
-    by one of three certificates. ``"factor"``, the default, is the shift-0
-    factor of :meth:`solver`, whose jitter ladder tops out at that tolerance
-    (an ``eigvalsh`` decides only when the ladder fails); it suits a K that
-    fits and bounds will solve with. ``"spectrum"`` tests the ``eigvalsh``
-    spectrum and builds no factor, for a K read only for its values and
-    ``op_norm`` (the default step's, ``ntkreg kernel``'s). ``"eigh"`` tests
-    the eigenvalues of :attr:`eigh`, for the linearized model's K, whose
-    descents and ridge limit are filters of them (:meth:`_filter`). ``min_eig``
-    and ``op_norm`` come from one spectrum, computed on first read:
+    :meth:`from_values` verifies symmetry (max |K_ij - K_ji| <= 1e-10 max|K|).
+    Positive semidefiniteness up to tolerance (lambda_min >= -1e-8 tr/n) is
+    certified once, by whichever decomposition is read first: :attr:`eigh`
+    tests its eigenvalues; ``op_norm`` and ``min_eig`` test the ``eigvalsh``
+    spectrum they read; :meth:`solver` and :meth:`inverse_form` build the
+    shift-0 factor, whose jitter ladder tops out at that tolerance (the
+    spectrum decides only when the ladder fails). A K that fails raises
+    ValidationError on that read and on every later one. ``min_eig`` and
+    ``op_norm`` come from one spectrum, computed on first read:
     :attr:`eigh`'s eigenvalues once computed, an ``eigvalsh`` otherwise.
 
     The checks make no n x n temporary: exact symmetry is tested band by
@@ -54,16 +52,14 @@ class KernelMatrix:
     trace: float
     _factors: dict = field(default_factory=dict, init=False, repr=False)
     _forms: dict = field(default_factory=dict, init=False, repr=False)
+    _verdict: list = field(default_factory=list, init=False, repr=False)  # [] unread, [""] certified, [message] failed
 
     @classmethod
-    def from_values(cls, values, certificate: str = "factor") -> "KernelMatrix":
-        if certificate not in ("factor", "spectrum", "eigh"):
-            raise ValidationError(f"unknown PSD certificate {certificate!r}")
+    def from_values(cls, values) -> "KernelMatrix":
         values = _as_real(values, "kernel matrix")
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValidationError(f"kernel matrix must be square, got shape {values.shape}")
-        n = values.shape[0]
-        if n == 0:
+        if values.shape[0] == 0:
             raise ValidationError("kernel matrix is empty (0 x 0); it needs at least one point")
         # max and min propagate NaN and +-inf, so together they check
         # finiteness and give max|K| without an n x n temporary
@@ -79,25 +75,23 @@ class KernelMatrix:
                     f"kernel matrix is not symmetric: max|K - K^T| = {asym:.3e} "
                     f"exceeds {SYMMETRY_RTOL:.0e} * max|K| = {SYMMETRY_RTOL * scale:.3e}"
                 )
-        matrix = cls(values=values, trace=trace)
-        if certificate == "eigh":
-            matrix.eigh  # the spectrum read below is its eigenvalues
-        elif certificate == "factor":
-            try:
-                matrix.solver(0.0)
-                return matrix
-            except SingularityError:  # no factor within the jitter ladder: the spectrum decides
-                pass
-        if matrix.min_eig < -PSD_RTOL * max(trace, 0.0) / n:
-            raise ValidationError(
-                f"kernel matrix is not PSD within tolerance: lambda_min = {matrix.min_eig:.3e}"
-            )
-        return matrix
+        return cls(values=values, trace=trace)
+
+    def _certify(self, spectrum=None):
+        """Judge K by ``spectrum``, its ascending eigenvalues, unless a read has; raise if K failed."""
+        if spectrum is not None and not self._verdict:
+            failed = spectrum[0] < -PSD_RTOL * max(self.trace, 0.0) / self.n
+            self._verdict.append(f"kernel matrix is not PSD within tolerance: lambda_min = {spectrum[0]:.3e}"
+                                 if failed else "")
+        if any(self._verdict):
+            raise ValidationError(self._verdict[0])
+        return spectrum
 
     @cached_property
     def eigh(self) -> tuple:
         """(k, V): K's eigenvalues in ascending order and its orthonormal eigenvectors, K = V diag(k) V^T."""
-        return np.linalg.eigh(self.values)
+        k, V = np.linalg.eigh(self.values)
+        return self._certify(k), V
 
     def _filter(self, targets, gains) -> np.ndarray:
         """V diag(g) V^T y for each row y of ``targets``, n or (r, n), with ``gains`` g per eigenvalue, n or (r, n)."""
@@ -108,7 +102,7 @@ class KernelMatrix:
     def _spectrum(self) -> np.ndarray:
         if "eigh" in self.__dict__:  # computed already: its eigenvalues serve
             return self.eigh[0]
-        return np.linalg.eigvalsh(self.values)
+        return self._certify(np.linalg.eigvalsh(self.values))
 
     @property
     def min_eig(self) -> float:
@@ -125,11 +119,19 @@ class KernelMatrix:
     def solver(self, shift: float):
         """The ``krr.PSDSolver`` of K + shift I, built on first use.
 
-        Keeps the latest shift's only, releasing the old factor first.
+        Keeps the latest shift's only, releasing the old factor first. A first
+        read certifies K by its shift-0 factor, or its spectrum if that fails.
         """
-        if shift not in self._factors:
-            from .krr import PSDSolver
+        from .krr import PSDSolver
 
+        if not self._verdict:  # no factor is kept yet
+            try:
+                self._factors[0.0] = PSDSolver(self.values, 0.0)
+                self._verdict.append("")
+            except SingularityError:  # no factor within the jitter ladder: the spectrum decides
+                self._spectrum
+        self._certify()
+        if shift not in self._factors:
             self._factors.clear()
             self._factors[shift] = PSDSolver(self.values, shift)
         return self._factors[shift]

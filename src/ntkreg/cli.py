@@ -377,10 +377,8 @@ def cmd_kernel(config: dict) -> int:
     cell, data, _ = _single_run(config)
     source = build_kernel_source(config, data, cell["seed"])
     _log(f"building {source.kind} kernel for n={data.n}")
-    matrix = source.gram(data, certificate="spectrum")
-    print(f"trace = {matrix.trace!r}")
-    print(f"op_norm = {matrix.op_norm!r}")
-    print(f"min_eig = {matrix.min_eig!r}")
+    matrix = source.gram(data)
+    print(f"trace = {matrix.trace!r}\nop_norm = {matrix.op_norm!r}\nmin_eig = {matrix.min_eig!r}")
     return EXIT_OK
 
 
@@ -450,11 +448,11 @@ def _bounded(cell: dict) -> bool:
 class _KRRGroup:
     """krr cells that share one kernel K and the test cross matrix C, solved ridge by ridge.
 
-    K keeps one factor: its PSD certificate's, which gives the bounds'
-    y^T K^-1 y if some cell is ``_bounded``, then each lam^2's. A ridge
-    solves the fit targets (one-hot rows for multiclass) of its (noise
-    level, seed) draws as one block A, reads their train outputs from one
-    K @ A and computes one bound report per noise level for all its seeds.
+    K keeps one factor: first the shift-0 one that certifies K, which gives
+    the bounds' y^T K^-1 y if some cell is ``_bounded``, then each lam^2's.
+    A ridge solves the fit targets (one-hot rows for multiclass) of its
+    (noise level, seed) draws as one block A, reads their train outputs from
+    one K @ A and computes one bound report per noise level for all its seeds.
     Then K and its factor are released, and C is built once, if there is a
     test set and some ridge fitted, so C never stands beside them; each
     ridge's test outputs come from one C @ A. A failed factor fails its
@@ -466,7 +464,7 @@ class _KRRGroup:
         source = build_kernel_source(config, train, cells[0]["seed"])
         gram = source.gram(train)
         bounded = [draws[_draw_key(cell)][0] for cell in cells if _bounded(cell)]
-        if bounded:  # y^T K^-1 y from the certificate; on failure each bound fails as it reads it
+        if bounded:  # y^T K^-1 y from the certifying factor; on failure each bound fails as it reads it
             with contextlib.suppress(ToolkitError):
                 gram.inverse_form(_bound_labels(train, bounded[0]), 0.0)
         # by cell index: its row or the error that failed it, and its test outputs
@@ -559,9 +557,7 @@ class _NetGroup:
     def __init__(self, config, train, test, cells, draws):
         self.config, self.test, self.draws = config, test, draws
         self.mlp = _seeded_net(config, train, cells[0]["seed"])
-        self.k_norm = None
-        if config["eta"] is None:
-            self.k_norm = empirical_ntk(self.mlp, train, certificate="spectrum").op_norm
+        self.k_norm = empirical_ntk(self.mlp, train).op_norm if config["eta"] is None else None
 
     def train(self, cell):
         """``train_full`` of the net on ``cell``'s drawn labels at its lambda."""
@@ -882,7 +878,7 @@ def _apply_flag_overrides(config: dict, args) -> dict:
         if getattr(args, key) is not None:
             config[key] = getattr(args, key)
     if args.noise is not None:
-        config["noise"] = {"kind": "binary-flip", "p": args.noise} if args.noise > 0 else {"kind": "none"}
+        config["noise"] = {"kind": "none"} if args.noise == 0 else {"kind": "binary-flip", "p": args.noise}
     model = config["model"] if isinstance(config["model"], dict) else None  # None: validation refuses it
     if args.width is not None:
         net = model if model and model.get("kind") == "net" else {"kind": "net"}

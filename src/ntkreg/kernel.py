@@ -29,7 +29,7 @@ of ``arccos_kernel0/1`` in their order, so the values are bitwise theirs,
 and T is written back over the band. A Gram matrix runs the recursion on
 each band from its diagonal column on and ``mirror_upper`` copies K's upper
 triangle down once. Besides its result, a build allocates at most four
-blocks of scratch: a Gram build holds one n x n array until K's PSD check
+blocks of scratch: a Gram build holds one n x n array until its first solve
 packs K's triangle for its Cholesky factor (n(n+1)/2 floats), and afterwards
 K plus one packed factor at a time; a cross kernel holds one m x n array.
 The empirical cross kernel also holds the training inputs' gradient factors,
@@ -133,15 +133,12 @@ def _kernel_bands(u: np.ndarray, depth: int, gram: bool) -> np.ndarray:
     return u
 
 
-def analytic_ntk(depth: int, data: DataSet, certificate: str = "factor") -> KernelMatrix:
-    """Infinite-width tangent kernel matrix for a depth-``depth`` ReLU network.
-
-    ``certificate`` picks its PSD certificate, as in ``KernelMatrix.from_values``.
-    """
+def analytic_ntk(depth: int, data: DataSet) -> KernelMatrix:
+    """Infinite-width tangent kernel matrix for a depth-``depth`` ReLU network, certified PSD by its first read."""
     _check_integer("depth", depth, 2)
     _require_unit_rows(data.inputs, "inputs")
     x = data.inputs
-    return KernelMatrix.from_values(mirror_upper(_kernel_bands(x @ x.T, depth, gram=True)), certificate)
+    return KernelMatrix.from_values(mirror_upper(_kernel_bands(x @ x.T, depth, gram=True)))
 
 
 def analytic_ntk_cross(depth: int, queries: np.ndarray, data: DataSet) -> np.ndarray:
@@ -176,21 +173,21 @@ def _factor_gram(factors_a: GradientFactors, factors_b: GradientFactors = None) 
     return total
 
 
-def empirical_ntk(mlp: MLP, data: DataSet, certificate: str = "factor") -> KernelMatrix:
+def empirical_ntk(mlp: MLP, data: DataSet) -> KernelMatrix:
     """Gram matrix of parameter gradients at initialization (output 0).
 
     Only the first output's gradients are used. The outputs of a
     multi-output network share one tangent kernel only at infinite width;
     at finite width the full kernel has cross-output blocks, and its norm
     can exceed this one's, so a step size read from this kernel is
-    certified for single-output networks only. ``certificate`` picks the
-    PSD certificate, as in ``KernelMatrix.from_values``. The gradient
-    factors are a temporary of the layerwise reduction, with no name of
-    their own, so they are freed before the certificate runs; K's values
-    get their upper triangle mirrored for exact symmetry.
+    certified for single-output networks only. The gradient factors are a
+    temporary of the layerwise reduction, with no name of their own, so
+    they are freed before K is returned and its first decomposition read
+    certifies it PSD; K's values get their upper triangle mirrored for
+    exact symmetry.
     """
     values = mirror_upper(_factor_gram(gradient_factors(mlp, data.inputs, output_index=0, at_init=True)))
-    return KernelMatrix.from_values(values, certificate)
+    return KernelMatrix.from_values(values)
 
 
 def _cross_blocks(mlp: MLP, batch: np.ndarray, factors: GradientFactors):
@@ -221,8 +218,8 @@ class AnalyticNTK:
         _check_integer("depth", depth, 2)
         self.depth = depth
 
-    def gram(self, data: DataSet, certificate: str = "factor") -> KernelMatrix:
-        return analytic_ntk(self.depth, data, certificate)
+    def gram(self, data: DataSet) -> KernelMatrix:
+        return analytic_ntk(self.depth, data)
 
     def cross(self, queries, data: DataSet) -> np.ndarray:
         return analytic_ntk_cross(self.depth, queries, data)
@@ -236,8 +233,8 @@ class EmpiricalNTK:
     def __init__(self, mlp: MLP):
         self.mlp = mlp
 
-    def gram(self, data: DataSet, certificate: str = "factor") -> KernelMatrix:
-        return empirical_ntk(self.mlp, data, certificate)
+    def gram(self, data: DataSet) -> KernelMatrix:
+        return empirical_ntk(self.mlp, data)
 
     def cross(self, queries, data: DataSet) -> np.ndarray:
         return empirical_ntk_cross(self.mlp, queries, data)

@@ -6,11 +6,11 @@ of lam the solver adds. Solves go through a Cholesky factorization with an
 escalating-jitter fallback; every fit is verified against its residual and
 fails loudly instead of returning a silently wrong coefficient vector. The
 factorization belongs to the kernel matrix (``KernelMatrix.solver``), so
-fits at one ridge and the bounds on the same K factor it once; the factor
-of K itself is the one the kernel matrix's PSD check built, for the kernels
-certified by their factor. A factor is packed in n(n+1)/2 floats, LAPACK's
-rectangular full packed (RFP) format (Gustavson et al. 2010, ACM TOMS
-37(2)), so a kernel matrix holds K plus one packed factor.
+fits at one ridge and the bounds on the same K factor it once, and the
+shift-0 factor that K's first solve builds certifies K PSD. A factor is
+packed in n(n+1)/2 floats, LAPACK's rectangular full packed (RFP) format
+(Gustavson et al. 2010, ACM TOMS 37(2)), so a kernel matrix holds K plus
+one packed factor.
 
 Every factor is the lower triangle's, packed by LAPACK's ``dtrttf``,
 factored by ``dpftrf`` and solved with by ``dpftrs`` through ``ctypes`` in

@@ -163,8 +163,8 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
     current weights, from the branch outputs of that pass; the seeded probe
     v, Z^T (Z v) formed layer by layer, one column block of at most
     ``BLOCK_ENTRIES`` entries at a time; and K's values, the reduction of
-    ``empirical_ntk``. Only then is K checked against the probe and
-    certified PSD by the eigenvalues of its ``eigh``, so no factor array is
+    ``empirical_ntk``. Only then is K checked against the probe and its
+    ``eigh`` read, whose eigenvalues certify K, so no factor array is
     alive beside that decomposition. The ``eigh`` serves ``op_norm``, every
     later descent and ``closed_form_limit`` too: K is never factored. The
     model keeps the training inputs, from which ``LinearizedModel.factors``
@@ -191,7 +191,9 @@ def linearize(mlp: MLP, data: DataSet) -> LinearizedModel:
     if mismatch > _PROBE_RTOL:
         raise ValidationError(f"probe: K v deviates from Z^T (Z v) by {mismatch:.3e} max|K| ||v||_1 > "
                               f"{_PROBE_RTOL:.0e} max|K| ||v||_1")
-    return LinearizedModel(K=KernelMatrix.from_values(values, certificate="eigh"), mlp=mlp, inputs=data.inputs)
+    K = KernelMatrix.from_values(values)
+    K.eigh  # the first decomposition read: its eigenvalues certify K
+    return LinearizedModel(K=K, mlp=mlp, inputs=data.inputs)
 
 
 @dataclass(eq=False)

@@ -528,7 +528,7 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
         residual = effective - targets
         objective = 0.5 * float(np.sum(residual * residual))
         dist, norm = log_dist[t], log_norm[t]
-        displacements = []  # under RDI, W - W0 per (branch, trainable layer), reused by the update
+        displacements = []  # under RDI, W - W0 per (branch, trainable layer), overwritten by the update
         for branch, branch0 in zip(model.params, model.params0):
             for l in trainable:
                 diff = branch[l] - branch0[l]
@@ -554,9 +554,12 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
         for coeff, weights, cache in zip(model.branch_coeffs, model.params, caches):
             grads = _branch_backward(config, weights, cache, coeff * residual, summed=True)
             for l, grad in zip(trainable, grads):
-                if rdi:
-                    grad = grad + reg_sq * next(displacement)
-                weights[l] -= cfg.eta * grad
+                if rdi:  # g + lam^2 (W - W0), formed in the displacement array
+                    step = next(displacement)
+                    step *= reg_sq
+                    grad = np.add(step, grad, out=step)
+                grad *= cfg.eta
+                weights[l] -= grad
         if cfg.objective == OBJECTIVE_AUX and lam > 0.0:
             aux -= cfg.eta * lam * residual
 

@@ -120,7 +120,7 @@ class TestAdditiveBound:
         K = analytic_ntk(2, ds)
         cfg = BoundConfig(lam=1.5, sigma=0.1, delta=0.1, constant_mode=mode)
         fresh = bound_additive(kernel_from(K.values), ds.clean_labels, cfg)
-        quad_form_inv(K, ds.clean_labels)  # read from the certificate's factor, as a sweep reads it
+        quad_form_inv(K, ds.clean_labels)  # read from the first read's factor, as a sweep reads it
         krr_fit(K, ds.clean_labels, 1.5)
         calls = count_calls(krr_module, "cho_factor")
         shared = bound_additive(K, ds.clean_labels, cfg)
@@ -204,8 +204,9 @@ class TestBinaryBound:
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
     def test_factors_each_shift_once(self, mode, count_calls):
-        # K's factor comes with K (its PSD check), so only K + lam^2 I is
-        # factored, once, not once per quadratic form
+        # K's factor is its first read's, which certifies it, so only
+        # K + lam^2 I is factored, once, not once per quadratic form
+        self.K.solver(0.0)
         calls = count_calls(krr_module, "cho_factor")
         bound_binary(self.K, self.y, 0.2, 2.0, 0.1, constant_mode=mode)
         assert len(calls) == 1
@@ -224,12 +225,13 @@ class TestBinaryBound:
 
     @pytest.mark.parametrize("mode", ["explicit-appendix", "unit-constants"])
     def test_bound_after_fit_factors_only_shift_zero(self, mode, count_calls):
-        # y^T K^-1 y read from K's own factor, the one its PSD check built,
+        # y^T K^-1 y read from K's own factor, the one its first read built,
         # and the fit's factor of K + lam^2 I belong to K, so the bound factors nothing
         fresh = bound_binary(kernel_from(self.K.values), self.y, 0.2, 2.0, 0.1, constant_mode=mode)
+        self.K.solver(0.0)  # the first read, which certifies K
         calls = count_calls(krr_module, "cho_factor")
         certificate = self.K.solver(0.0)
-        assert calls == []  # built when setup_method constructed K
+        assert calls == []  # built by the first read
         assert certificate.jitter == 0.0
         quad_form_inv(self.K, self.y)
         krr_fit(self.K, self.y, 2.0)

@@ -29,7 +29,7 @@ from ntkreg.cli import (
 )
 from ntkreg.data import onehot_matrix, prediction_error, synth_sphere
 from ntkreg.errors import SingularityError
-from ntkreg.kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
+from ntkreg.kernel import AnalyticNTK, EmpiricalNTK, KernelMatrix, empirical_ntk
 from ntkreg.krr import krr_fit
 from ntkreg.linmodel import linearize, run_gd_rdi
 from ntkreg.net import TrainConfig, forward, init_mlp, train_full
@@ -83,12 +83,20 @@ class TestKernelCommand:
         assert main(["kernel", "--config", cfg]) == EXIT_OK
         text = capsys.readouterr().out
         assert (len(factors), len(spectra), len(bases)) == (0, 1, 0)
-        # the printed numbers are those of a factor-certified K, to the last digit
+        # the printed numbers are those of the kernel source's K, to the last digit
         resolved = load_config(cfg, command="kernel")
         cell, data, _ = cli_module._single_run(resolved)
         reference = cli_module.build_kernel_source(resolved, data, cell["seed"]).gram(data)
         assert text.splitlines()[-3:] == [f"trace = {reference.trace!r}", f"op_norm = {reference.op_norm!r}",
                                           f"min_eig = {reference.min_eig!r}"]
+
+    def test_refused_kernel_prints_nothing(self, tmp_path, capsys, monkeypatch):
+        # the spectrum that certifies K is read before the first number is printed
+        monkeypatch.setattr(AnalyticNTK, "gram", lambda self, data: KernelMatrix.from_values(-np.eye(data.n)))
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=20), "out": str(tmp_path / "out")})
+        assert main(["kernel", "--config", cfg]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "lambda_min" in captured.err and " = " not in captured.out
 
     def test_resolved_config_written(self, tmp_path):
         out = tmp_path / "out"
@@ -1308,6 +1316,23 @@ class TestNoiseKindValidation:
         err = capsys.readouterr().err
         assert "'gaussian'" in err and "class-transition" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("level", ["-0.3", "nan", "0.5"])
+    def test_noise_flag_out_of_range_rejected_before_output(self, tmp_path, capsys, level):
+        # only 0 means no noise: every other level is a flip probability, checked before any output
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=20), "out": str(out)})
+        assert main(["krr", "--config", cfg, "--noise", level]) == EXIT_VALIDATION
+        assert "flip probability" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("level, noise", [("0", {"kind": "none"}), ("0.2", {"kind": "binary-flip", "p": 0.2})])
+    def test_noise_flag_sets_the_noise(self, tmp_path, level, noise):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=20), "out": str(out)})
+        assert main(["krr", "--config", cfg, "--noise", level]) == EXIT_OK
+        assert json.loads((out / "resolved_config.json").read_text())["noise"] == noise
+        assert (out / "results.csv").exists()
 
 
 REGRESSION = {"kind": "synth-sphere", "n": 20, "d": 6, "target": "smooth-poly", "seed": 5}

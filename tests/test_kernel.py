@@ -1,12 +1,16 @@
 """Analytic recursion spot values, empirical Gram correctness, concentration."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ntkreg
 from ntkreg import _kernelmatrix as kernelmatrix_module
 from ntkreg import cli
 from ntkreg import kernel as kernel_module
@@ -28,6 +32,7 @@ from ntkreg.kernel import (
     kernel_cross,
 )
 from ntkreg.krr import krr_fit
+from ntkreg.linmodel import LinearizedModel, closed_form_limit
 from ntkreg.net import BLOCK_ENTRIES, NetConfig, gradient, init_mlp
 
 # Hand evaluations of the recursion for depth 2:
@@ -35,6 +40,12 @@ from ntkreg.net import BLOCK_ENTRIES, NetConfig, gradient, init_mlp
 #   u = 1: 1 * 1 + 1 = 2;  u = 0: 0 * 1/2 + 1/pi = 1/pi
 DEPTH2_DIAG = 2.0
 DEPTH2_ORTHOGONAL = 1.0 / np.pi
+
+
+def first_read(K, kind):
+    """K after its first decomposition read, of ``kind``, which certifies it: a factor, a spectrum or an eigh."""
+    {"factor": lambda: K.solver(0.0), "spectrum": lambda: K.op_norm, "eigh": lambda: K.eigh}[kind]()
+    return K
 
 
 def basis_dataset(n, d):
@@ -210,15 +221,15 @@ class TestBuildMemory:
 
     Besides those, the recursion allocates at most four blocks of scratch
     (three of floats and the clamp's bool masks) and the unit-norm checks O(n d).
-    A solve after the build replaces the certificate's factor with its own,
+    A solve at another shift replaces the first read's factor with its own,
     so K and one packed factor of n(n+1)/2 floats stay the largest arrays.
     """
 
     def test_gram_peak_within_two_and_a_half_matrices(self, traced_peak):
         n = 600
         ds = synth_sphere(n, 10, "linear-sign", seed=17)
-        K, peak = traced_peak(lambda: analytic_ntk(3, ds))
-        assert K.solver(0.0).jitter == 0.0  # the certificate's factor is part of the peak
+        K, peak = traced_peak(lambda: first_read(analytic_ntk(3, ds), "factor"))
+        assert K.solver(0.0).jitter == 0.0  # the first read's factor, which certifies K, is part of the peak
         assert peak <= 2.5 * n * n * 8
 
     @pytest.mark.parametrize("read", [
@@ -347,8 +358,8 @@ class TestEmpiricalKernel:
         ds = synth_sphere(20, 5, "linear-sign", seed=4)
         refs = factor_refs(kernel_module, keep=(ds.inputs,))
         alive = count_calls(owner, name, record=lambda *args, **kwargs: sum(ref() is not None for ref in refs))
-        K = empirical_ntk(init_mlp(NetConfig(input_dim=5, widths=(48,), freeze_first_last=freeze), 4), ds,
-                          certificate)
+        mlp = init_mlp(NetConfig(input_dim=5, widths=(48,), freeze_first_last=freeze), 4)
+        K = first_read(empirical_ntk(mlp, ds), certificate)
         assert refs and alive == [0] and K.n == 20
 
     def test_duplicated_rows_exact(self):
@@ -523,11 +534,11 @@ class TestKernelMatrixChecks:
     @pytest.mark.parametrize("certificate", ["factor", "spectrum", "eigh"])
     def test_rejects_empty(self, certificate):
         with pytest.raises(ValidationError, match="kernel matrix is empty"):
-            KernelMatrix.from_values(np.empty((0, 0)), certificate)
+            first_read(KernelMatrix.from_values(np.empty((0, 0))), certificate)
 
     def test_rejects_negative_definite(self):
         with pytest.raises(ValidationError):
-            KernelMatrix.from_values(-np.eye(3))
+            first_read(KernelMatrix.from_values(-np.eye(3)), "factor")
 
     def test_op_norm_matches_eigendecomposition(self):
         rng = np.random.default_rng(0)
@@ -601,7 +612,7 @@ class TestCholeskyCertificate:
         values = analytic_ntk(2, synth_sphere(30, 5, "linear-sign", seed=2)).values
         factored = count_calls(krr_module, "cho_factor", record=lambda a, **_: np.array(a))
         spectra = count_calls(np.linalg, "eigvalsh")
-        K = KernelMatrix.from_values(values)
+        K = first_read(KernelMatrix.from_values(values), "factor")
         assert len(factored) == 1 and np.array_equal(factored[0], values)  # K itself, no jitter
         assert spectra == []
         assert K.solver(0.0).jitter == 0.0
@@ -620,30 +631,31 @@ class TestCholeskyCertificate:
         cfg = NetConfig(input_dim=5, widths=(1,), freeze_first_last=False)
         K = empirical_ntk(init_mlp(cfg, (0, 1)), synth_sphere(2, 5, "linear-sign", seed=1))
         assert np.all(K.values == 0.0)
+        assert K.solver(1.0).jitter == 0.0  # the first read: no shift-0 factor, so the spectrum certifies K
         assert K.min_eig == 0.0 and K.op_norm == 0.0
 
     def test_tolerance_boundary(self):
-        accepted = KernelMatrix.from_values(with_min_eig(200, -0.9))
+        accepted = first_read(KernelMatrix.from_values(with_min_eig(200, -0.9)), "factor")
         assert accepted.min_eig < 0.0
         assert accepted.solver(0.0).jitter == pytest.approx(1e-8 * accepted.trace / accepted.n)
         with pytest.raises(ValidationError, match="lambda_min"):
-            KernelMatrix.from_values(with_min_eig(200, -1.1))
+            first_read(KernelMatrix.from_values(with_min_eig(200, -1.1)), "factor")
 
 
 class TestSpectrumCertificate:
     """PSD certified by K's eigvalsh spectrum under the factor's rule, with no factor built."""
 
     def test_tolerance_boundary(self):
-        accepted = KernelMatrix.from_values(with_min_eig(200, -0.9), certificate="spectrum")
+        accepted = first_read(KernelMatrix.from_values(with_min_eig(200, -0.9)), "spectrum")
         assert accepted.min_eig < 0.0
         with pytest.raises(ValidationError, match="lambda_min"):
-            KernelMatrix.from_values(with_min_eig(200, -1.1), certificate="spectrum")
+            first_read(KernelMatrix.from_values(with_min_eig(200, -1.1)), "spectrum")
 
     def test_keeps_no_factor_and_one_spectrum(self, count_calls):
         values = analytic_ntk(2, synth_sphere(30, 5, "linear-sign", seed=2)).values
         factored = count_calls(krr_module, "cho_factor")
         spectra = count_calls(np.linalg, "eigvalsh")
-        K = KernelMatrix.from_values(values, certificate="spectrum")
+        K = first_read(KernelMatrix.from_values(values), "spectrum")
         readings = [(K.op_norm, K.min_eig) for _ in range(3)]
         assert factored == [] and K._factors == {}
         assert len(spectra) == 1
@@ -651,12 +663,76 @@ class TestSpectrumCertificate:
 
     def test_solves_factor_on_demand(self):
         values = analytic_ntk(2, synth_sphere(30, 5, "linear-sign", seed=2)).values
-        K = KernelMatrix.from_values(values, certificate="spectrum")
+        K = first_read(KernelMatrix.from_values(values), "spectrum")
         factored = KernelMatrix.from_values(values)
         b = values[0]
         assert K.solver(0.0).jitter == 0.0
         assert np.array_equal(K.solver(0.0).solve_checked(b), factored.solver(0.0).solve_checked(b))
 
-    def test_unknown_certificate_rejected(self):
-        with pytest.raises(ValidationError, match="certificate"):
-            KernelMatrix.from_values(np.eye(3), certificate="trace")
+
+# Each first read of a linearized model's K, and the decompositions it makes
+# on a PSD K: the shift of each Cholesky factor, and one entry per eigvalsh or eigh.
+FIRST_READS = [
+    ("solver-0", lambda lm: lm.K.solver(0.0), {"cho_factor": [0.0]}),
+    # the shift-0 factor certifies K before the 0.25 one replaces it
+    ("solver-0.25", lambda lm: lm.K.solver(0.25), {"cho_factor": [0.0, 0.25]}),
+    ("inverse_form", lambda lm: lm.K.inverse_form(np.ones(lm.n)), {"cho_factor": [0.0]}),
+    ("op_norm", lambda lm: lm.K.op_norm, {"eigvalsh": [1]}),
+    ("min_eig", lambda lm: lm.K.min_eig, {"eigvalsh": [1]}),
+    ("eigh", lambda lm: lm.K.eigh, {"eigh": [1]}),
+    ("closed_form_limit", lambda lm: closed_form_limit(lm, np.ones(lm.n), 0.5), {"eigh": [1]}),
+]
+
+
+def count_decompositions(count_calls):
+    """The shift of each Cholesky factor made from now on, and a 1 per eigvalsh and per eigh."""
+    return {"cho_factor": count_calls(krr_module, "cho_factor", record=lambda a, shifts=(), out=None: shifts[0]),
+            "eigvalsh": count_calls(np.linalg, "eigvalsh"), "eigh": count_calls(np.linalg, "eigh")}
+
+
+class TestFirstReadCertifies:
+    """The first decomposition read certifies K, by its own decomposition; a K that fails raises on every read."""
+
+    @pytest.mark.parametrize("read, made", [pytest.param(read, made, id=name) for name, read, made in FIRST_READS])
+    def test_psd_kernel_makes_its_own_decomposition_only(self, count_calls, read, made):
+        ds = synth_sphere(20, 5, "linear-sign", seed=4)
+        mlp = init_mlp(NetConfig(input_dim=5, widths=(48,)), 4)
+        lm = LinearizedModel(K=empirical_ntk(mlp, ds), mlp=mlp, inputs=ds.inputs)
+        calls = count_decompositions(count_calls)
+        read(lm)
+        assert calls == {"cho_factor": [], "eigvalsh": [], "eigh": [], **made}
+
+    @pytest.mark.parametrize("read", [pytest.param(read, id=name) for name, read, _ in FIRST_READS])
+    def test_failed_kernel_raises_on_every_read(self, count_calls, read):
+        lm = LinearizedModel(K=KernelMatrix.from_values(with_min_eig(200, -1.1)))
+        calls = count_decompositions(count_calls)
+        with pytest.raises(ValidationError, match="lambda_min"):
+            read(lm)
+        factored = list(calls["cho_factor"])
+        for later in [read] + [other for _, other, _ in FIRST_READS]:
+            with pytest.raises(ValidationError, match="lambda_min"):
+                later(lm)
+        assert calls["cho_factor"] == factored  # a failed K is never factored again
+
+
+def public_callables():
+    """(dotted name, callable) for each public function of every ntkreg module and each public method of its classes."""
+    for info in pkgutil.iter_modules(ntkreg.__path__):
+        module = importlib.import_module(f"ntkreg.{info.name}")
+        for name, member in vars(module).items():
+            if name.startswith("_") or not getattr(member, "__module__", "").startswith("ntkreg"):
+                continue
+            if inspect.isclass(member):
+                for attr in vars(member):
+                    if (attr == "__init__" or not attr.startswith("_")) and callable(getattr(member, attr)):
+                        yield f"{module.__name__}.{name}.{attr}", getattr(member, attr)
+            elif callable(member):
+                yield f"{module.__name__}.{name}", member
+
+
+def test_no_public_callable_takes_a_certificate():
+    # the first decomposition read certifies a kernel matrix, so no caller chooses how
+    found = dict(public_callables())
+    assert {"ntkreg.kernel.KernelMatrix.from_values", "ntkreg.kernel.analytic_ntk", "ntkreg.kernel.empirical_ntk",
+            "ntkreg.kernel.AnalyticNTK.gram", "ntkreg.kernel.EmpiricalNTK.gram"} <= found.keys()
+    assert [name for name, fn in found.items() if "certificate" in inspect.signature(fn).parameters] == []

@@ -756,7 +756,7 @@ class TestFactorLifetime:
         if config.difference_trick:
             lm = linearize(mlp, ds)
         else:  # linearize needs the trick's zero output; the model and its factors do not
-            lm = LinearizedModel(K=empirical_ntk(mlp, ds, certificate="eigh"), mlp=mlp, inputs=ds.inputs)
+            lm = LinearizedModel(K=empirical_ntk(mlp, ds), mlp=mlp, inputs=ds.inputs)
         fresh = gradient_factors(lm.mlp, ds.inputs, at_init=True)
         factors = lm.factors
         assert factors.copies == fresh.copies == (2 if config.difference_trick else 1)

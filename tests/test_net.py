@@ -954,11 +954,12 @@ class TestOneCopyOfEachMatrix:
         assert peak < 2 * MIB
 
     def test_train_full_peak(self, traced_peak, data):
-        # copying all four sets of weights made 89.4 MiB; two copies of the trainable one, 73.0 MiB
+        # copying all four sets of weights made 89.4 MiB; two copies of the trainable one, 73.0 MiB;
+        # forming the RDI step eta (g + lam^2 (W - W0)) in the displacement array, not beside it, 65.1 MiB
         cfg = TrainConfig("rdi", eta=1e-3, steps=2, lam=1.0)
         (_, _, log), peak = traced_peak(train_full, cli_net((1024, 1024), data), data, cfg)
         assert log.objective[-1] < log.objective[0]
-        assert peak < 80 * MIB
+        assert peak < 69 * MIB
 
 
 def two_pass_factors(mlp, x, output_index=0):
