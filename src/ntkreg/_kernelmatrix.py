@@ -37,9 +37,10 @@ class KernelMatrix:
     spectrum they read; :meth:`solver` and :meth:`inverse_form` build the
     shift-0 factor, whose jitter ladder tops out at that tolerance (the
     spectrum decides only when the ladder fails). A K that fails raises
-    ValidationError on that read and on every later one. ``min_eig`` and
-    ``op_norm`` come from one spectrum, computed on first read:
-    :attr:`eigh`'s eigenvalues once computed, an ``eigvalsh`` otherwise.
+    ValidationError on that read and on every later one, which decomposes
+    nothing. ``min_eig`` and ``op_norm`` come from one spectrum, computed on
+    first read: :attr:`eigh`'s eigenvalues once computed, an ``eigvalsh``
+    otherwise.
 
     The checks make no n x n temporary: exact symmetry is tested band by
     band, and max|K_ij - K_ji| is formed only when K is not exactly
@@ -90,6 +91,7 @@ class KernelMatrix:
     @cached_property
     def eigh(self) -> tuple:
         """(k, V): K's eigenvalues in ascending order and its orthonormal eigenvectors, K = V diag(k) V^T."""
+        self._certify()  # a failed K raises before it is decomposed again: a raising read caches nothing
         k, V = np.linalg.eigh(self.values)
         return self._certify(k), V
 
@@ -102,6 +104,7 @@ class KernelMatrix:
     def _spectrum(self) -> np.ndarray:
         if "eigh" in self.__dict__:  # computed already: its eigenvalues serve
             return self.eigh[0]
+        self._certify()
         return self._certify(np.linalg.eigvalsh(self.values))
 
     @property

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import DataSet, _write_csv, prediction_error
-from .errors import ValidationError, _check_divergence, _check_integer, _check_lambda
+from .errors import DIVERGENCE_LIMIT, ValidationError, _check_divergence, _check_integer, _check_lambda
 
 BRANCH_COEFF = math.sqrt(2.0) / 2.0
 
@@ -488,6 +488,12 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
     Aborts with DivergenceError if the objective exceeds 1e12 or turns
     non-finite, naming the offending step. A NaN in the weights or inputs
     reaches the output, so it fails at step 0.
+
+    A step walks each branch back, then passes once over its trainable
+    layers: each forms W - W0, adds its squares and W's to the step's log
+    rows (as ``distance_to_init`` and ``layer_norms`` add them), forms the
+    RDI step in that array and updates W, so one layer's W - W0 is alive at
+    a time. The last step, and one whose data term diverged, only measure.
     """
     config = mlp.config
     targets = _targets_for(data, config.outputs)
@@ -503,15 +509,10 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
 
     depth = config.depth
     total = cfg.steps
-    log_obj = np.zeros(total + 1)
-    log_err = np.zeros(total + 1)
-    log_err_aux = np.zeros(total + 1)
-    log_dist = np.zeros((total + 1, depth))
-    # A frozen layer's distance stays exactly 0 and its norm is read once; a
-    # step measures the trainable layers in distance_to_init's and
-    # layer_norms's order of operations.
-    log_norm = np.tile(layer_norms(model), (total + 1, 1))
-    log_norm[:, trainable] = 0.0
+    log = TrainLog(steps=np.arange(total + 1), objective=np.zeros(total + 1), train_error=np.zeros(total + 1),
+                   train_error_with_aux=np.zeros(total + 1), dist_to_init=np.zeros((total + 1, depth)),
+                   weight_norms=np.tile(layer_norms(model), (total + 1, 1)))
+    log.weight_norms[:, trainable] = 0.0  # a frozen layer's norm is read once, its distance stays 0
 
     # each branch's slots keep its trainable layers' inputs and its masks from
     # step to step; the activation entering a frozen layer, which no walk
@@ -526,53 +527,35 @@ def train_full(mlp: MLP, data: DataSet, cfg: TrainConfig):
 
         effective = f_out + lam * aux if cfg.objective == OBJECTIVE_AUX else f_out
         residual = effective - targets
-        objective = 0.5 * float(np.sum(residual * residual))
-        dist, norm = log_dist[t], log_norm[t]
-        displacements = []  # under RDI, W - W0 per (branch, trainable layer), overwritten by the update
-        for branch, branch0 in zip(model.params, model.params0):
-            for l in trainable:
+        with np.errstate(over="ignore"):  # an overflowing square reads as inf, which the divergence rule fails
+            objective = 0.5 * float(np.sum(residual * residual))
+        walk = t < total and objective <= DIVERGENCE_LIMIT  # False for NaN
+        dist, norm = log.dist_to_init[t], log.weight_norms[t]
+        for coeff, branch, branch0, cache in zip(model.branch_coeffs, model.params, model.params0, caches):
+            grads = (_branch_backward(config, branch, cache, coeff * residual, summed=True) if walk
+                     else [None] * len(trainable))
+            for l, grad in zip(trainable, grads):
                 diff = branch[l] - branch0[l]
                 dist[l] += float(np.sum(diff * diff))
                 norm[l] += float(np.sum(branch[l] * branch[l]))
-                if rdi:
-                    displacements.append(diff)
+                if walk:
+                    if rdi:  # g + lam^2 (W - W0), formed in the displacement array
+                        diff *= reg_sq
+                        grad = np.add(diff, grad, out=diff)
+                    grad *= cfg.eta
+                    branch[l] -= grad
+                del diff, grad  # freed before the next layer's W - W0 is formed
         np.sqrt(dist, out=dist)
         norm[trainable] = np.sqrt(norm[trainable])
         if rdi:
             objective += 0.5 * reg_sq * float(np.sum(dist * dist))
         _check_divergence(objective, t)
 
-        log_obj[t] = objective
-        log_err[t] = prediction_error(f_out, data.noisy_labels, data.task)
-        log_err_aux[t] = log_err[t] if effective is f_out else prediction_error(
+        log.objective[t] = objective
+        log.train_error[t] = prediction_error(f_out, data.noisy_labels, data.task)
+        log.train_error_with_aux[t] = log.train_error[t] if effective is f_out else prediction_error(
             effective, data.noisy_labels, data.task)
-
-        if t == total:
-            break
-
-        displacement = iter(displacements)
-        for coeff, weights, cache in zip(model.branch_coeffs, model.params, caches):
-            grads = _branch_backward(config, weights, cache, coeff * residual, summed=True)
-            for l, grad in zip(trainable, grads):
-                if rdi:  # g + lam^2 (W - W0), formed in the displacement array
-                    step = next(displacement)
-                    step *= reg_sq
-                    grad = np.add(step, grad, out=step)
-                grad *= cfg.eta
-                weights[l] -= grad
-        if cfg.objective == OBJECTIVE_AUX and lam > 0.0:
+        if walk and cfg.objective == OBJECTIVE_AUX and lam > 0.0:
             aux -= cfg.eta * lam * residual
 
-    if n_out == 1:
-        aux_state = AuxState(b=aux[:, 0].copy())
-    else:
-        aux_state = AuxState(b=aux.T.copy())
-    log = TrainLog(
-        steps=np.arange(total + 1),
-        objective=log_obj,
-        train_error=log_err,
-        train_error_with_aux=log_err_aux,
-        dist_to_init=log_dist,
-        weight_norms=log_norm,
-    )
-    return model, aux_state, log
+    return model, AuxState(b=aux[:, 0].copy() if n_out == 1 else aux.T.copy()), log
