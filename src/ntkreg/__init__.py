@@ -46,7 +46,6 @@ from .kernel import (
     arccos_kernel0,
     arccos_kernel1,
     empirical_ntk,
-    kernel_cross,
 )
 from .krr import (
     KRRPredictor,

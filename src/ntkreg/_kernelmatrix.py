@@ -149,11 +149,7 @@ class KernelMatrix:
         key = (shift, rows.shape, rows.tobytes())
         if key not in self._forms:
             try:
-                solver = self.solver(shift)
-                if rows.shape[0] == 1:
-                    form = np.array([[rows[0] @ solver.solve_checked(rows[0])]])
-                else:
-                    form = rows @ solver.solve_checked(rows.T)
+                form = rows @ self.solver(shift).solve_checked(rows.T)
                 form.setflags(write=False)
             except SingularityError as exc:
                 form = exc

@@ -233,7 +233,7 @@ def bound_additive(K: KernelMatrix, y, cfg: BoundConfig) -> BoundReport:
     clean labels y, not the noisy ones the predictor was fitted on.
     """
     y = _as_real(y, "labels")
-    q, q_shift = _quad_form(K, y, 0.0), _quad_form(K, y, cfg.lam * cfg.lam)
+    q, q_shift = quad_form_inv(K, y), _quad_form(K, y, cfg.lam * cfg.lam)
     return _additive_report(K, q, q_shift, cfg.sigma, cfg.lam, cfg.delta, y.size, cfg.constant_mode)
 
 
@@ -253,7 +253,7 @@ def bound_binary(K: KernelMatrix, y, p: float, lam: float, delta: float,
     BoundConfig(lam=lam, delta=delta, constant_mode=constant_mode)
     n = y.size
     _, sigma_eff = rescale_binary(y, p)
-    q, q_shift = _quad_form(K, y, 0.0), _quad_form(K, y, lam * lam)
+    q, q_shift = quad_form_inv(K, y), _quad_form(K, y, lam * lam)
     margin = 1.0 - 2.0 * p
     scale, inv_margin = margin * margin, 1.0 / margin  # the rescaled labels' forms are scale * y's
     extras = {"p": p, "sigma_eff": sigma_eff}

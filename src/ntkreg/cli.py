@@ -47,7 +47,7 @@ from .errors import (
     _check_lambda,
 )
 from .kernel import AnalyticNTK, EmpiricalNTK, empirical_ntk
-from .krr import _write_predictions, krr_fit
+from .krr import KRRPredictor, _write_predictions, krr_fit
 from .linmodel import _descend, linearize, run_gd_equivalence
 from .net import (
     MLP,
@@ -446,18 +446,19 @@ def _bounded(cell: dict) -> bool:
 
 
 class _KRRGroup:
-    """krr cells that share one kernel K and the test cross matrix C, solved ridge by ridge.
+    """krr cells that share one kernel K, fitted ridge by ridge into one block of coefficients A.
 
     K keeps one factor: first the shift-0 one that certifies K, which gives
     the bounds' y^T K^-1 y if some cell is ``_bounded``, then each lam^2's.
     A ridge solves the fit targets (one-hot rows for multiclass) of its
-    (noise level, seed) draws as one block A, reads their train outputs from
-    one K @ A and computes one bound report per noise level for all its seeds.
-    Then K and its factor are released, and C is built once, if there is a
-    test set and some ridge fitted, so C never stands beside them; each
-    ridge's test outputs come from one C @ A. A failed factor fails its
-    ridge's cells; a draw whose column fails its residual check fails its
-    cells, and the rest of the ridge is solved again without it.
+    (noise level, seed) draws as one block, whose rows join A, and computes
+    one bound report per noise level for all its seeds. After the last
+    ridge every train output comes from one K @ A^T. Then K and its factor
+    are released, and every test output comes from one
+    ``KRRPredictor(A, source, train).predict``, so the cross kernel never
+    stands beside them. A failed factor fails its ridge's cells; a draw
+    whose column fails its residual check fails its cells, and the rest of
+    the ridge is solved again without it.
     """
 
     def __init__(self, config, train, test, cells, draws):
@@ -470,23 +471,26 @@ class _KRRGroup:
         # by cell index: its row or the error that failed it, and its test outputs
         self.outcomes, self.test_outputs = {}, {}
         by_lambda = operator.itemgetter("lambda")
-        ridges = {lam: list(ridge) for lam, ridge in itertools.groupby(sorted(cells, key=by_lambda), key=by_lambda)}
-        fits, totals = {}, {}  # lam -> (A, K @ A, each fitted draw's columns); (lam, noise_idx) -> bound total
-        for lam, ridge in ridges.items():
-            keys, failed = list(dict.fromkeys(map(_draw_key, ridge))), {}  # failed: draw key -> its error
-            while len(failed) < len(keys) and lam not in fits:
+        # A's blocks and its row count; (lam, draw key) -> its rows of A; (lam, noise_idx) -> bound total
+        blocks, stacked, rows, totals = [], 0, {}, {}
+        for lam, ridge in itertools.groupby(sorted(cells, key=by_lambda), key=by_lambda):
+            ridge, failed = list(ridge), {}  # failed: draw key -> its error
+            keys = list(dict.fromkeys(map(_draw_key, ridge)))
+            while len(failed) < len(keys):
                 kept = [key for key in keys if key not in failed]
                 targets = [np.atleast_2d(draws[key][1].fit_targets()) for key in kept]
-                owners = np.repeat(np.arange(len(kept)), [len(rows) for rows in targets])  # per target row
+                owners = np.repeat(np.arange(len(kept)), [len(block) for block in targets])  # per target row
                 try:
                     alpha = krr_fit(gram, np.concatenate(targets), lam).alpha
                 except SingularityError as exc:  # a failed factor names no columns and fails them all
-                    rows = owners if exc.columns is None else owners[list(exc.columns)]
-                    failed.update((kept[i], exc.with_traceback(None)) for i in set(rows.tolist()))
+                    failing = owners if exc.columns is None else owners[list(exc.columns)]
+                    failed.update((kept[i], exc.with_traceback(None)) for i in set(failing.tolist()))
                     continue
-                # In-sample outputs from the Gram matrix: evaluating k(X, X) again
-                # would repeat the kernel build and, at large n, set the peak memory.
-                fits[lam] = alpha, gram.values @ alpha.T, {key: owners == i for i, key in enumerate(kept)}
+                for key, block in zip(kept, targets):
+                    rows[lam, key] = slice(stacked, stacked + len(block))
+                    stacked += len(block)
+                blocks.append(alpha)
+                break
             for cell in ridge:
                 if _draw_key(cell) in failed:
                     self.outcomes[cell["index"]] = failed[_draw_key(cell)]
@@ -496,16 +500,20 @@ class _KRRGroup:
                         totals[lam, cell["noise_idx"]] = bound.total
                     except ToolkitError as exc:
                         self.outcomes[cell["index"]] = exc.with_traceback(None)
+        if not blocks:
+            return
+        coeffs = np.concatenate(blocks)
+        # In-sample outputs from the Gram matrix: evaluating k(X, X) again
+        # would repeat the kernel build and, at large n, set the peak memory.
+        train_outputs = gram.values @ coeffs.T
         del gram  # K and its factor go: a kept error has no traceback, whose frames would hold them
-        cross = source.cross(test.inputs, train) if test is not None and fits else None
-        for lam, (alpha, train_outputs, columns) in fits.items():
-            test_outputs = None if cross is None else cross @ alpha.T
-            for cell in (cell for cell in ridges[lam] if cell["index"] not in self.outcomes):
-                own = columns[_draw_key(cell)]
-                self.test_outputs[cell["index"]] = None if test_outputs is None else test_outputs[:, own]
-                self.outcomes[cell["index"]] = _cell_row(
-                    config, cell, draws[_draw_key(cell)][1], test, train_outputs[:, own],
-                    self.test_outputs[cell["index"]], bound_total=totals.get((lam, cell["noise_idx"])))
+        test_outputs = None if test is None else KRRPredictor(coeffs, source, train).predict(test.inputs)
+        for cell in (cell for cell in cells if cell["index"] not in self.outcomes):
+            own = rows[cell["lambda"], _draw_key(cell)]
+            self.test_outputs[cell["index"]] = None if test_outputs is None else test_outputs[:, own]
+            self.outcomes[cell["index"]] = _cell_row(
+                config, cell, draws[_draw_key(cell)][1], test, train_outputs[:, own],
+                self.test_outputs[cell["index"]], bound_total=totals.get((cell["lambda"], cell["noise_idx"])))
 
     def row(self, cell) -> dict:
         outcome = self.outcomes[cell["index"]]

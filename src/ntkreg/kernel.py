@@ -239,21 +239,3 @@ class EmpiricalNTK:
     def cross(self, queries, data: DataSet) -> np.ndarray:
         return empirical_ntk_cross(self.mlp, queries, data)
 
-
-def as_kernel_source(source):
-    """Accept an MLP, an integer depth, or an existing kernel source."""
-    if isinstance(source, (AnalyticNTK, EmpiricalNTK)):
-        return source
-    if isinstance(source, MLP):
-        return EmpiricalNTK(source)
-    if isinstance(source, (int, np.integer)):
-        return AnalyticNTK(int(source))
-    raise ValidationError(f"cannot interpret {type(source).__name__} as a kernel source")
-
-
-def kernel_cross(source, x, data: DataSet) -> np.ndarray:
-    """Vector k(x, X) (or matrix for a batch of queries) under ``source``."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    values = as_kernel_source(source).cross(x, data)
-    return values[0] if single else values

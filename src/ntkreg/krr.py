@@ -33,7 +33,6 @@ from numpy.ctypeslib import ndpointer
 from ._kernelmatrix import PSD_RTOL, KernelMatrix, _as_real, check_residual, k_norms
 from .data import TASK_BINARY, TASK_MULTICLASS, DataSet, _write_csv, predicted_classes
 from .errors import SingularityError, ValidationError, _check_lambda
-from .kernel import as_kernel_source, kernel_cross
 
 
 def _openblas_lapack():
@@ -238,27 +237,23 @@ class KRRPredictor:
     """Ridge coefficients bound to a kernel source and the training inputs.
 
     ``alpha`` is an n-vector for single-output fits or a (num_outputs, n)
-    matrix for multi-output fits. Prediction requires ``kernel_source`` and
+    matrix for multi-output fits, one row per output; a KRR sweep group
+    binds the rows of all its fits at once. Prediction requires
+    ``kernel_source``, an ``AnalyticNTK`` or ``EmpiricalNTK``, and
     ``train_data``; purely algebraic fits may leave them unset.
     """
 
     alpha: np.ndarray
-    lam: float
     kernel_source: object = None
     train_data: DataSet = None
 
-    @property
-    def multi_output(self) -> bool:
-        return self.alpha.ndim == 2
-
-    def _cross(self, x) -> np.ndarray:
+    def predict(self, x) -> np.ndarray:
+        """k(x, X)^T alpha per output, from one cross kernel; a single query x gives one row."""
         if self.kernel_source is None or self.train_data is None:
             raise ValidationError("predictor has no kernel source bound; cannot predict")
-        return kernel_cross(self.kernel_source, x, self.train_data)
-
-    def predict(self, x) -> np.ndarray:
-        """k(x, X)^T alpha per output; scalar rows for single-output fits."""
-        return self._cross(x) @ self.alpha.T
+        x = np.asarray(x, dtype=np.float64)
+        cross = self.kernel_source.cross(x, self.train_data)
+        return (cross[0] if x.ndim == 1 else cross) @ self.alpha.T
 
     def classify(self, x) -> np.ndarray:
         """Class labels: argmax over more than one output row, else sign (0 maps to +1).
@@ -277,7 +272,8 @@ def krr_fit(K: KernelMatrix, y, lam: float, kernel_source=None, train_data=None)
     right-hand sides against one factorization, and each is residual-checked
     on its own; a SingularityError's ``columns`` name the rows that failed.
     Fits on the same ``K`` share the factorization of each shift through
-    ``K.solver``.
+    ``K.solver``. ``kernel_source`` and ``train_data`` are bound as given,
+    for ``KRRPredictor.predict``.
     """
     _check_lambda("lam", lam)
     y = _as_real(y, "targets")
@@ -286,8 +282,7 @@ def krr_fit(K: KernelMatrix, y, lam: float, kernel_source=None, train_data=None)
     if not np.all(np.isfinite(y)):
         raise ValidationError("targets contain non-finite values")
     alpha = K.solver(lam * lam).solve_checked(y.T).T
-    source = as_kernel_source(kernel_source) if kernel_source is not None else None
-    return KRRPredictor(alpha=alpha, lam=lam, kernel_source=source, train_data=train_data)
+    return KRRPredictor(alpha=alpha, kernel_source=kernel_source, train_data=train_data)
 
 
 def rkhs_norm(predictor: KRRPredictor, K: KernelMatrix):

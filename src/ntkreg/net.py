@@ -4,7 +4,7 @@ The forward pass is
 
     f(x) = W_L @ s_L relu(W_{L-1} @ s_{L-1} relu( ... relu(W_1 @ x)))
 
-with s_l = sqrt(scale_c / fan_in_l) applied from the second layer on (the
+with s_l = sqrt(SCALE_C / fan_in_l) applied from the second layer on (the
 first layer consumes unit-norm inputs directly, so its pre-activations
 already have unit variance under i.i.d. N(0, 1) weights). The forward pass
 applies s_l to the product h W_l^T, which at the output is one column per
@@ -45,6 +45,8 @@ from .data import DataSet, _write_csv, prediction_error
 from .errors import DIVERGENCE_LIMIT, ValidationError, _check_divergence, _check_integer, _check_lambda
 
 BRANCH_COEFF = math.sqrt(2.0) / 2.0
+# He scaling: the analytic kernel's recursion and the certified default step assume 2.
+SCALE_C = 2.0
 
 OBJECTIVE_VANILLA = "vanilla"
 OBJECTIVE_RDI = "rdi"
@@ -75,7 +77,6 @@ class NetConfig:
     input_dim: int
     widths: tuple
     outputs: int = 1
-    scale_c: float = 2.0
     freeze_first_last: bool = True
     difference_trick: bool = True
 
@@ -91,8 +92,6 @@ class NetConfig:
         object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "outputs", int(self.outputs))
         object.__setattr__(self, "widths", tuple(int(w) for w in widths))
-        if not self.scale_c > 0.0:
-            raise ValidationError(f"scale_c must be positive, got {self.scale_c}")
 
     # Derived fields are computed on first read and kept in the instance
     # dict; equality and hashing read the fields only.
@@ -118,7 +117,7 @@ class NetConfig:
 
     @cached_property
     def layer_scales(self) -> tuple:
-        return tuple(1.0 if l == 0 else math.sqrt(self.scale_c / self.dims[l]) for l in range(self.depth))
+        return tuple(1.0 if l == 0 else math.sqrt(SCALE_C / self.dims[l]) for l in range(self.depth))
 
 
 @dataclass(eq=False)

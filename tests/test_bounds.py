@@ -347,8 +347,7 @@ class TestEmpiricalRisk:
 
     def test_constant_zero_predictor_counts_all_errors(self):
         ds = synth_sphere(20, 5, "linear-sign", seed=7)
-        p = KRRPredictor(alpha=np.zeros(20), lam=1.0, kernel_source=AnalyticNTK(2),
-                         train_data=ds)
+        p = KRRPredictor(alpha=np.zeros(20), kernel_source=AnalyticNTK(2), train_data=ds)
         assert empirical_clean_risk(p, ds, "zero-one") == 1.0
 
     def test_clipped_vs_ramp_relation(self):

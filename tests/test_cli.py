@@ -30,7 +30,7 @@ from ntkreg.cli import (
 from ntkreg.data import onehot_matrix, prediction_error, synth_sphere
 from ntkreg.errors import SingularityError
 from ntkreg.kernel import AnalyticNTK, EmpiricalNTK, KernelMatrix, empirical_ntk
-from ntkreg.krr import krr_fit
+from ntkreg.krr import KRRPredictor, krr_fit
 from ntkreg.linmodel import linearize, run_gd_rdi
 from ntkreg.net import TrainConfig, forward, init_mlp, train_full
 
@@ -326,6 +326,21 @@ class TestKrrCommand:
         for row in predictions:
             assert float(row["predicted_class"]) == (1.0 if float(row["output_1"]) >= 0.0 else -1.0)
 
+    @pytest.mark.parametrize("model", [{"kind": "analytic", "depth": 2}, {"kind": "net", "widths": [16]}],
+                             ids=["analytic", "net"])
+    def test_one_prediction_through_the_predictor(self, tmp_path, count_calls, model):
+        # the test outputs come from KRRPredictor.predict, whose cross kernel is the command's only one
+        predicts = count_calls(KRRPredictor, "predict", record=lambda predictor, x: predictor.alpha.shape)
+        crosses = count_calls(AnalyticNTK if model["kind"] == "analytic" else EmpiricalNTK, "cross")
+        cfg = write_config(
+            tmp_path, "cfg.json",
+            {"dataset": small_synth(n=40, test_n=30), "noise": {"kind": "binary-flip", "p": 0.2},
+             "model": model, "lambda": 0.5, "out": str(tmp_path / "krr")},
+        )
+        assert main(["krr", "--config", cfg]) == EXIT_OK
+        assert predicts == [(1, 40)]
+        assert len(crosses) == 1
+
 
 class TestBoundsCommand:
     def test_binary_sweep_increasing(self, tmp_path):
@@ -588,16 +603,16 @@ class TestSweepCommand:
         rows = self.grid_sweep(tmp_path, "swblock")
         assert [row["status"] for row in rows] == ["ok"] * 27
         assert len(fits) == 3
-        assert [shape for shape in solves if len(shape) == 2] == [(60, 9)] * 3
+        assert [shape for shape in solves if shape != (60, 1)] == [(60, 9)] * 3
         assert len(reports) == 4
         # the certificate and one factor per lambda^2 > 0; the clean labels'
         # y^T K^-1 y, read once before the first ridge, and their shifted form
-        # once per lambda > 0 are the only vector solves
+        # once per lambda > 0 are the only one-column solves
         assert len(factors) == 1 + 2
-        assert [shape for shape in solves if len(shape) == 1] == [(60,)] * (1 + 2)
+        assert solves.count((60, 1)) == 1 + 2
 
     def test_failed_clean_form_fails_only_the_bounds(self, tmp_path, monkeypatch, count_calls):
-        # the group's early y^T K^-1 y is the only vector solve at shift 0: when it
+        # the group's early y^T K^-1 y is the only one-column solve at shift 0: when it
         # fails, each bound that reads it fails with that error, and the rest is unchanged;
         # the failure is kept, so no bound solves or refactors shift 0 again
         clean = self.grid_sweep(tmp_path, "swclean")
@@ -605,7 +620,7 @@ class TestSweepCommand:
         messages = []
 
         def spoiled(solver, b):
-            if solver.shift == 0.0 and np.ndim(b) == 1:
+            if solver.shift == 0.0 and np.shape(b) == (60, 1):
                 raise SingularityError("spoiled clean-label solve")
             return original(solver, b)
 
@@ -628,7 +643,7 @@ class TestSweepCommand:
 
         def spoiled(c, b):
             x = original(c, b)
-            if np.ndim(b) == 2:
+            if np.shape(b) != (60, 1):  # a ridge's block, not a quadratic form's one column
                 blocks.append(np.shape(b))
                 if len(blocks) == 2:  # the ridge lambda 0.5, whose column 4 fits noise 0.2 at seed 1
                     x[:, 4] += 1.0
@@ -662,6 +677,37 @@ class TestSweepCommand:
         assert (len(grams), len(crosses)) == (2, 2)
         rows = read_rows(tmp_path / "swnetk" / "results.csv")
         assert all(row["status"] == "ok" for row in rows)
+
+    def test_one_prediction_per_group(self, tmp_path, count_calls):
+        # each seed's group predicts its test outputs once, through one KRRPredictor
+        # holding the coefficient rows of all its ridges and draws, from one cross kernel
+        predicts = count_calls(KRRPredictor, "predict", record=lambda predictor, x: predictor.alpha.shape)
+        crosses = count_calls(EmpiricalNTK, "cross")
+        cfg = self.net_krr_config(tmp_path, "swpredict")
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        assert predicts == [(4, 30), (4, 30)]  # 2 lambdas x 2 noise levels of one seed, n = 30
+        assert len(crosses) == 2
+
+    def test_regression_rows_match_per_ridge_fits(self, tmp_path):
+        # the group's one block of coefficients predicts what each cell's own fit predicts
+        cfg = write_config(tmp_path, "reg.json", {
+            "dataset": {"kind": "synth-sphere", "n": 40, "test_n": 30, "d": 6, "target": "smooth-poly", "seed": 5},
+            "noise": {"kind": "additive", "sigma": 0.1}, "lambda_grid": [0.0, 0.5, 2.0],
+            "noise_grid": [0.0, 0.1, 0.3], "seeds": [0, 1], "out": str(tmp_path / "reg")})
+        assert main(["sweep", "--config", cfg]) == EXIT_OK
+        config = load_config(cfg)
+        rows = read_rows(tmp_path / "reg" / "results.csv")
+        assert len(rows) == 18 and all(row["status"] == "ok" for row in rows)
+        train, test = build_train_test(config)
+        source = AnalyticNTK(2)
+        gram = source.gram(train)
+        for row in rows:
+            level = float(row["noise"])
+            noise = build_noise_model(config["noise"], override_level=level)
+            noisy = apply_noise(train, noise, (int(row["seed"]), config["noise_grid"].index(level)))
+            predictor = krr_fit(gram, noisy.fit_targets(), float(row["lambda"]), source, train)
+            expected = prediction_error(predictor.predict(test.inputs), test.clean_labels, test.task)
+            assert abs(float(row["test_error_clean"]) - expected) <= 1e-12 * expected
 
     def test_linear_method_distance_recorded(self, tmp_path):
         cfg = self.sweep_config(tmp_path, "swl", method="linear-rdi")

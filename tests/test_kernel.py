@@ -29,7 +29,6 @@ from ntkreg.kernel import (
     arccos_kernel1,
     empirical_ntk,
     empirical_ntk_cross,
-    kernel_cross,
 )
 from ntkreg.krr import krr_fit
 from ntkreg.linmodel import LinearizedModel, closed_form_limit
@@ -417,13 +416,13 @@ class TestKernelCross:
         ds = synth_sphere(8, 5, "linear-sign", seed=6)
         K = analytic_ntk(2, ds).values
         for j in (0, 3, 7):
-            row = kernel_cross(AnalyticNTK(2), ds.inputs[j], ds)
+            row = AnalyticNTK(2).cross(ds.inputs[j], ds)[0]
             assert np.allclose(row, K[:, j], rtol=0, atol=1e-10)
         cfg = NetConfig(input_dim=5, widths=(32,), freeze_first_last=True, difference_trick=True)
         mlp = init_mlp(cfg, 5)
         Ke = empirical_ntk(mlp, ds).values
         for j in (0, 4):
-            row = kernel_cross(mlp, ds.inputs[j], ds)
+            row = EmpiricalNTK(mlp).cross(ds.inputs[j], ds)[0]
             assert np.allclose(row, Ke[:, j], rtol=1e-10, atol=1e-12)
 
     def test_orthogonal_query_depth2(self):
@@ -437,7 +436,7 @@ class TestKernelCross:
         mlp = init_mlp(cfg, 8)
         q = np.random.default_rng(3).standard_normal(4)
         q /= np.linalg.norm(q)
-        row = kernel_cross(EmpiricalNTK(mlp), q, ds)
+        row = EmpiricalNTK(mlp).cross(q, ds)[0]
         gq = gradient(mlp, q, at_init=True)
         for i in range(5):
             gi = gradient(mlp, ds.inputs[i], at_init=True)
@@ -446,10 +445,8 @@ class TestKernelCross:
     def test_batch_queries(self):
         ds = synth_sphere(6, 5, "linear-sign", seed=9)
         queries = synth_sphere(3, 5, "linear-sign", seed=10).inputs
-        out = kernel_cross(AnalyticNTK(2), queries, ds)
+        out = AnalyticNTK(2).cross(queries, ds)
         assert out.shape == (3, 6)
-        # an integer source means the analytic kernel at that depth
-        assert np.array_equal(kernel_cross(2, queries, ds), out)
 
     @pytest.mark.parametrize("source", ["analytic", "empirical"])
     def test_empty_query_set_gives_zero_rows(self, source):
@@ -458,7 +455,6 @@ class TestKernelCross:
         kernel = AnalyticNTK(2) if source == "analytic" else EmpiricalNTK(mlp)
         none = np.empty((0, 5))
         assert kernel.cross(none, ds).shape == (0, 6)
-        assert kernel_cross(kernel, none, ds).shape == (0, 6)
         assert krr_fit(kernel.gram(ds), ds.clean_labels, 1.0, kernel, ds).predict(none).shape == (0,)
         cross = analytic_ntk_cross if source == "analytic" else empirical_ntk_cross
         assert cross(2 if source == "analytic" else mlp, none, ds).shape == (0, 6)

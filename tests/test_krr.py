@@ -25,7 +25,7 @@ from ntkreg.bounds import (
 )
 from ntkreg.data import DataSet, synth_sphere
 from ntkreg.errors import SingularityError, ValidationError
-from ntkreg.kernel import AnalyticNTK, analytic_ntk, kernel_cross
+from ntkreg.kernel import AnalyticNTK, analytic_ntk
 from ntkreg.krr import (
     KRRPredictor,
     PSDSolver,
@@ -529,16 +529,14 @@ class TestPrediction:
         preds = p.predict(ds.inputs)
         assert np.max(np.abs(preds - ds.noisy_labels)) <= 1e-7
         # the prediction is k(x, X)^T alpha, from the cross kernel directly
-        assert np.array_equal(kernel_cross(AnalyticNTK(2), ds.inputs, ds) @ p.alpha, preds)
+        assert np.array_equal(AnalyticNTK(2).cross(ds.inputs, ds) @ p.alpha, preds)
 
     def test_large_lambda_shrinks_to_zero(self):
         ds, p, _ = self.make_fitted(1e6)  # lam^2 = 1e12
         preds = np.atleast_1d(p.predict(ds.inputs))
         # |f(x)| <= ||k(x, X)|| ||y|| / lam^2, computed from the operands
-        from ntkreg.kernel import kernel_cross
-
         for i in range(ds.n):
-            bound = np.linalg.norm(kernel_cross(AnalyticNTK(2), ds.inputs[i], ds)) * \
+            bound = np.linalg.norm(AnalyticNTK(2).cross(ds.inputs[i], ds)[0]) * \
                 np.linalg.norm(ds.noisy_labels) / 1e12
             assert abs(preds[i]) <= bound * (1.0 + 1e-12)
 
@@ -548,7 +546,7 @@ class TestPrediction:
             p.predict(np.ones(3))
 
     def test_classify_binary_zero_maps_up(self):
-        p = KRRPredictor(alpha=np.zeros(2), lam=0.0, kernel_source=AnalyticNTK(2),
+        p = KRRPredictor(alpha=np.zeros(2), kernel_source=AnalyticNTK(2),
                          train_data=synth_sphere(2, 4, "linear-sign", seed=0))
         labels = p.classify(np.eye(4)[:1])
         assert labels[0] == 1.0
@@ -608,19 +606,18 @@ class TestMultiOutput:
 
     def test_argmax_tie_breaks_low(self):
         ds = synth_sphere(3, 4, "linear-sign", seed=0)
-        p = KRRPredictor(alpha=np.zeros((3, 3)), lam=1.0, kernel_source=AnalyticNTK(2),
-                         train_data=ds)
+        p = KRRPredictor(alpha=np.zeros((3, 3)), kernel_source=AnalyticNTK(2), train_data=ds)
         # all outputs identical -> tie -> class 1
         assert np.all(p.classify(ds.inputs) == 1)
 
 
 class TestRkhsNorm:
     def test_zero_alpha(self):
-        p = KRRPredictor(alpha=np.zeros(4), lam=1.0)
+        p = KRRPredictor(alpha=np.zeros(4))
         assert rkhs_norm(p, kernel_from(np.eye(4))) == 0.0
 
     def test_euclidean_case(self):
-        p = KRRPredictor(alpha=np.array([3.0, 4.0]), lam=1.0)
+        p = KRRPredictor(alpha=np.array([3.0, 4.0]))
         assert rkhs_norm(p, kernel_from(np.eye(2))) == 5.0
 
     def test_matrix_algebra_oracle(self):
@@ -735,7 +732,7 @@ class TestTargetMatrix:
     def test_one_row_matrix_keeps_its_shape(self):
         K = kernel_from(np.eye(4))
         fit = krr_fit(K, np.ones((1, 4)), 1.0)
-        assert fit.alpha.shape == (1, 4) and fit.multi_output
+        assert fit.alpha.shape == (1, 4)
 
     @pytest.mark.parametrize("shape", [(5, 1), (2, 2, 5), (3, 4)])
     def test_bad_shapes_rejected(self, shape):

@@ -15,7 +15,7 @@ from ntkreg.errors import (
     TrickViolationError,
     ValidationError,
 )
-from ntkreg.kernel import empirical_ntk
+from ntkreg.kernel import EmpiricalNTK, empirical_ntk
 from ntkreg.krr import krr_fit, rkhs_norm
 from ntkreg.linmodel import (
     INIT_OUTPUT_TOL,
@@ -511,7 +511,7 @@ class TestClosedForm:
         y = ds.noisy_labels
         lam = 0.5
         _, alpha = closed_form_limit(lm, y, lam)
-        predictor = krr_fit(lm.K, y, lam, kernel_source=lm.mlp, train_data=ds)
+        predictor = krr_fit(lm.K, y, lam, kernel_source=EmpiricalNTK(lm.mlp), train_data=ds)
         queries = synth_sphere(10, ds.d, "linear-sign", seed=77).inputs
         mine = lm.predict(alpha, queries)
         theirs = predictor.predict(queries)

@@ -63,8 +63,6 @@ class TestConfig:
             NetConfig(input_dim=0, widths=(4,))
         with pytest.raises(ValidationError):
             NetConfig(input_dim=3, widths=())
-        with pytest.raises(ValidationError):
-            NetConfig(input_dim=3, widths=(4,), scale_c=0.0)
 
     @pytest.mark.parametrize("make, match", [
         pytest.param(lambda: NetConfig(input_dim=3, widths=(16.9, 4)), "hidden width", id="width-float"),
@@ -88,13 +86,13 @@ class TestConfig:
         assert TrainConfig("rdi", eta=0.1, steps=np.int64(3)).steps == 3
 
     def test_derived_fields_computed_once(self):
-        cfg = NetConfig(input_dim=3, widths=(4, 5), scale_c=3.0)
+        cfg = NetConfig(input_dim=3, widths=(4, 5))
         derived = (cfg.dims, cfg.frozen_layers, cfg.trainable_layers, cfg.layer_scales)
         assert all(a is b for a, b in zip(derived, (cfg.dims, cfg.frozen_layers, cfg.trainable_layers,
                                                    cfg.layer_scales)))
-        assert cfg.layer_scales == (1.0, np.sqrt(3.0 / 4), np.sqrt(3.0 / 5))
+        assert cfg.layer_scales == (1.0, np.sqrt(2.0 / 4), np.sqrt(2.0 / 5))
         # equality, hashing, the field dict and pickling read the fields only
-        fresh = NetConfig(input_dim=3, widths=(4, 5), scale_c=3.0)
+        fresh = NetConfig(input_dim=3, widths=(4, 5))
         assert cfg == fresh and hash(cfg) == hash(fresh)
         assert dataclasses.asdict(cfg) == dataclasses.asdict(fresh)
         assert list(dataclasses.asdict(cfg)) == [f.name for f in dataclasses.fields(NetConfig)]
@@ -644,7 +642,7 @@ def test_overflowing_residual_fails_by_the_divergence_rule():
 
 
 class TestNoAliasing:
-    UNSCALED = NetConfig(input_dim=5, widths=(2, 2), scale_c=2.0, freeze_first_last=False)
+    UNSCALED = NetConfig(input_dim=5, widths=(2, 2), freeze_first_last=False)
     NETS = [
         NetConfig(input_dim=5, widths=(16,), freeze_first_last=False),
         NetConfig(input_dim=5, widths=(8, 6), freeze_first_last=True, outputs=2),
