@@ -26,6 +26,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .data import (
+    TASK_MULTICLASS,
     _format_cell,
     _write_csv,
     _write_json,
@@ -234,7 +235,7 @@ def _validate_config(config: dict, command: str) -> None:
     if command == "train" and not method.startswith("net-"):
         raise ValidationError(f"the train command needs a net-* method, not {method!r}")
     dataset = _spec("dataset", config["dataset"])
-    test_dataset = _spec("dataset", config["test_dataset"]) if config["test_dataset"] else {}
+    test_dataset = _spec("dataset", config["test_dataset"]) if config["test_dataset"] is not None else {}
     noise = _spec("noise", config["noise"], grid=command == "sweep")
     model = _spec("model", config["model"])
     files = [spec[key] for spec in (dataset, test_dataset, noise)
@@ -266,9 +267,9 @@ def _validate_config(config: dict, command: str) -> None:
         raise ValidationError(f"{command} with {method} needs a net model, not {model['kind']!r}")
     if tangent and not model["difference_trick"]:
         raise ValidationError("linear-* methods and the equivalence check need difference_trick: true")
-    if tangent and dataset["kind"] == "synth-multiclass":
+    if tangent and probe.task == TASK_MULTICLASS:
         raise ValidationError("linear-* methods and the equivalence check need binary or regression data")
-    if command == "bounds" and dataset["kind"] == "synth-multiclass" and noise["kind"] != "class-transition":
+    if command == "bounds" and probe.task == TASK_MULTICLASS and noise["kind"] != "class-transition":
         raise ValidationError("bounds on multiclass data need class-transition noise")
     if noise["kind"] == "class-transition" and len({lv for lv in config["noise_grid"] if lv > 0.0}) > 1:
         raise ValidationError("a class-transition noise_grid has at most one positive "
@@ -299,7 +300,7 @@ def build_train_test(config: dict):
     together with ``test_n``.
     """
     spec = _spec("dataset", config["dataset"])
-    if config["test_dataset"]:
+    if config["test_dataset"] is not None:
         return build_dataset(spec), build_dataset(config["test_dataset"])
     if spec.get("test_n"):
         full = build_dataset(dict(spec, n=spec["n"] + spec["test_n"]))
@@ -384,8 +385,12 @@ def cmd_kernel(config: dict) -> int:
 
 # ---------------------------------------------------------------------------
 # one run path per method: a cell is a noise level (None keeps the spec's),
-# its noise-grid index, a lambda and a seed; a group holds the work that its
-# cells share, the labels drawn for each (noise level, seed) among them
+# its noise-grid index, a lambda and a seed. A method's group function runs
+# the cells that share work, on the labels drawn for each (noise level, seed)
+# among them, and returns each cell's outcome by cell index: the ToolkitError
+# that failed it, or its measurements "train_outputs" and "test_outputs"
+# (None without a test set), plus "distance" or "bound_total" where the
+# method has them. ``_outcome_row`` turns an outcome into a results.csv row.
 
 
 def _single_run(config: dict):
@@ -445,8 +450,8 @@ def _bounded(cell: dict) -> bool:
     return (cell["noise"] or 0.0) > 0.0 and cell["lambda"] > 0.0
 
 
-class _KRRGroup:
-    """krr cells that share one kernel K, fitted ridge by ridge into one block of coefficients A.
+def _krr_group(config, train, test, cells, draws) -> dict:
+    """Outcomes of krr cells that share one kernel K, fitted ridge by ridge into one block of coefficients A.
 
     K keeps one factor: first the shift-0 one that certifies K, which gives
     the bounds' y^T K^-1 y if some cell is ``_bounded``, then each lam^2's.
@@ -460,133 +465,124 @@ class _KRRGroup:
     whose column fails its residual check fails its cells, and the rest of
     the ridge is solved again without it.
     """
-
-    def __init__(self, config, train, test, cells, draws):
-        source = build_kernel_source(config, train, cells[0]["seed"])
-        gram = source.gram(train)
-        bounded = [draws[_draw_key(cell)][0] for cell in cells if _bounded(cell)]
-        if bounded:  # y^T K^-1 y from the certifying factor; on failure each bound fails as it reads it
-            with contextlib.suppress(ToolkitError):
-                gram.inverse_form(_bound_labels(train, bounded[0]), 0.0)
-        # by cell index: its row or the error that failed it, and its test outputs
-        self.outcomes, self.test_outputs = {}, {}
-        by_lambda = operator.itemgetter("lambda")
-        # A's blocks and its row count; (lam, draw key) -> its rows of A; (lam, noise_idx) -> bound total
-        blocks, stacked, rows, totals = [], 0, {}, {}
-        for lam, ridge in itertools.groupby(sorted(cells, key=by_lambda), key=by_lambda):
-            ridge, failed = list(ridge), {}  # failed: draw key -> its error
-            keys = list(dict.fromkeys(map(_draw_key, ridge)))
-            while len(failed) < len(keys):
-                kept = [key for key in keys if key not in failed]
-                targets = [np.atleast_2d(draws[key][1].fit_targets()) for key in kept]
-                owners = np.repeat(np.arange(len(kept)), [len(block) for block in targets])  # per target row
+    source = build_kernel_source(config, train, cells[0]["seed"])
+    gram = source.gram(train)
+    bounded = [draws[_draw_key(cell)][0] for cell in cells if _bounded(cell)]
+    if bounded:  # y^T K^-1 y from the certifying factor; on failure each bound fails as it reads it
+        with contextlib.suppress(ToolkitError):
+            gram.inverse_form(_bound_labels(train, bounded[0]), 0.0)
+    outcomes = {}
+    by_lambda = operator.itemgetter("lambda")
+    # A's blocks and its row count; (lam, draw key) -> its rows of A; (lam, noise_idx) -> bound total
+    blocks, stacked, rows, totals = [], 0, {}, {}
+    for lam, ridge in itertools.groupby(sorted(cells, key=by_lambda), key=by_lambda):
+        ridge, failed = list(ridge), {}  # failed: draw key -> its error
+        keys = list(dict.fromkeys(map(_draw_key, ridge)))
+        while len(failed) < len(keys):
+            kept = [key for key in keys if key not in failed]
+            targets = [np.atleast_2d(draws[key][1].fit_targets()) for key in kept]
+            owners = np.repeat(np.arange(len(kept)), [len(block) for block in targets])  # per target row
+            try:
+                alpha = krr_fit(gram, np.concatenate(targets), lam).alpha
+            except SingularityError as exc:  # a failed factor names no columns and fails them all
+                failing = owners if exc.columns is None else owners[list(exc.columns)]
+                failed.update((kept[i], exc.with_traceback(None)) for i in set(failing.tolist()))
+                continue
+            for key, block in zip(kept, targets):
+                rows[lam, key] = slice(stacked, stacked + len(block))
+                stacked += len(block)
+            blocks.append(alpha)
+            break
+        for cell in ridge:
+            if _draw_key(cell) in failed:
+                outcomes[cell["index"]] = failed[_draw_key(cell)]
+            elif _bounded(cell) and (lam, cell["noise_idx"]) not in totals:
                 try:
-                    alpha = krr_fit(gram, np.concatenate(targets), lam).alpha
-                except SingularityError as exc:  # a failed factor names no columns and fails them all
-                    failing = owners if exc.columns is None else owners[list(exc.columns)]
-                    failed.update((kept[i], exc.with_traceback(None)) for i in set(failing.tolist()))
-                    continue
-                for key, block in zip(kept, targets):
-                    rows[lam, key] = slice(stacked, stacked + len(block))
-                    stacked += len(block)
-                blocks.append(alpha)
-                break
-            for cell in ridge:
-                if _draw_key(cell) in failed:
-                    self.outcomes[cell["index"]] = failed[_draw_key(cell)]
-                elif _bounded(cell) and (lam, cell["noise_idx"]) not in totals:
-                    try:
-                        bound = _noise_bound(config, train, gram, draws[_draw_key(cell)][0], lam)
-                        totals[lam, cell["noise_idx"]] = bound.total
-                    except ToolkitError as exc:
-                        self.outcomes[cell["index"]] = exc.with_traceback(None)
-        if not blocks:
-            return
-        coeffs = np.concatenate(blocks)
-        # In-sample outputs from the Gram matrix: evaluating k(X, X) again
-        # would repeat the kernel build and, at large n, set the peak memory.
-        train_outputs = gram.values @ coeffs.T
-        del gram  # K and its factor go: a kept error has no traceback, whose frames would hold them
-        test_outputs = None if test is None else KRRPredictor(coeffs, source, train).predict(test.inputs)
-        for cell in (cell for cell in cells if cell["index"] not in self.outcomes):
+                    bound = _noise_bound(config, train, gram, draws[_draw_key(cell)][0], lam)
+                    totals[lam, cell["noise_idx"]] = bound.total
+                except ToolkitError as exc:
+                    outcomes[cell["index"]] = exc.with_traceback(None)
+    if not blocks:
+        return outcomes
+    coeffs = np.concatenate(blocks)
+    # In-sample outputs from the Gram matrix: evaluating k(X, X) again
+    # would repeat the kernel build and, at large n, set the peak memory.
+    train_outputs = gram.values @ coeffs.T
+    del gram  # K and its factor go: a kept error has no traceback, whose frames would hold them
+    test_outputs = None if test is None else KRRPredictor(coeffs, source, train).predict(test.inputs)
+    for cell in cells:
+        if cell["index"] not in outcomes:
             own = rows[cell["lambda"], _draw_key(cell)]
-            self.test_outputs[cell["index"]] = None if test_outputs is None else test_outputs[:, own]
-            self.outcomes[cell["index"]] = _cell_row(
-                config, cell, draws[_draw_key(cell)][1], test, train_outputs[:, own],
-                self.test_outputs[cell["index"]], bound_total=totals.get((cell["lambda"], cell["noise_idx"])))
-
-    def row(self, cell) -> dict:
-        outcome = self.outcomes[cell["index"]]
-        if isinstance(outcome, ToolkitError):
-            raise outcome
-        return outcome
+            outcomes[cell["index"]] = {"train_outputs": train_outputs[:, own],
+                                       "test_outputs": None if test_outputs is None else test_outputs[:, own],
+                                       "bound_total": totals.get((cell["lambda"], cell["noise_idx"]))}
+    return outcomes
 
 
-class _LinearGroup:
-    """linear-* cells of one init seed, stepped as one block of runs.
+def _linear_group(config, train, test, cells, draws) -> dict:
+    """Outcomes of linear-* cells of one init seed, stepped as one block of runs.
 
-    The constructor linearizes the seed's net and steps every cell, on its
-    (noise level, seed)'s drawn labels, as an RDI or AUX run of one
-    ``linmodel._descend`` block; the test outputs of all the runs come from
-    one ``predict``. A cell keeps its outputs and displacement, or the error
-    that froze its run.
+    The seed's net is linearized, and every cell steps, on its (noise level,
+    seed)'s drawn labels, as an RDI or AUX run of one ``linmodel._descend``
+    block; the test outputs of all the runs come from one ``predict``. A
+    cell's outcome is the error that froze its run, or its outputs and
+    displacement.
     """
-
-    def __init__(self, config, train, test, cells, draws):
-        self.config, self.test, self.draws = config, test, draws
-        lm = linearize(_seeded_net(config, train, cells[0]["seed"]), train)
-        targets = {key: noisy.fit_targets() for key, (_, noisy) in draws.items()}
-        kind = config["method"].removeprefix("linear-")  # KIND_RDI or KIND_AUX
-        # eta None: each run's certified step
-        runs = [(kind, targets[_draw_key(cell)], cell["lambda"], config["eta"]) for cell in cells]
-        block, _ = _descend(lm, runs, int(config["steps"]))
-        tests = [None] * len(cells) if test is None else lm.predict(block.coeffs.T, test.inputs).T
-        outcomes = zip(block.errors, block.product, tests, np.sqrt(np.maximum(block.quad, 0.0)))
-        self.outcomes = {cell["index"]: outcome for cell, outcome in zip(cells, outcomes)}
-
-    def row(self, cell) -> dict:
-        error, train_outputs, test_outputs, distance = self.outcomes[cell["index"]]
-        if error is not None:
-            raise error
-        return _cell_row(self.config, cell, self.draws[_draw_key(cell)][1], self.test, train_outputs,
-                         test_outputs, distance=float(distance))
+    lm = linearize(_seeded_net(config, train, cells[0]["seed"]), train)
+    targets = {key: noisy.fit_targets() for key, (_, noisy) in draws.items()}
+    kind = config["method"].removeprefix("linear-")  # KIND_RDI or KIND_AUX
+    # eta None: each run's certified step
+    runs = [(kind, targets[_draw_key(cell)], cell["lambda"], config["eta"]) for cell in cells]
+    block, _ = _descend(lm, runs, int(config["steps"]))
+    tests = [None] * len(cells) if test is None else lm.predict(block.coeffs.T, test.inputs).T
+    ends = zip(cells, block.errors, block.product, tests, np.sqrt(np.maximum(block.quad, 0.0)))
+    return {cell["index"]: error if error is not None else
+            {"train_outputs": train_outputs, "test_outputs": test_outputs, "distance": float(distance)}
+            for cell, error, train_outputs, test_outputs, distance in ends}
 
 
-class _NetGroup:
-    """net-* cells of one init seed: the seeded net and its tangent kernel's norm.
+def _net_trainer(config, train, seed):
+    """``train_full`` of the net of ``config`` drawn at ``seed``, as a function of drawn labels and a lambda.
 
-    The net is drawn once. With ``eta`` null each cell steps at
-    1/(||K|| + lam^2), and ||K|| is read once from the net's empirical
-    kernel, certified PSD by the same spectrum that gives its norm; only the
-    norm is kept. ``train_full`` trains copies of the net's trainable
-    layers, so cells cannot disturb each other.
+    The net is drawn once. With ``eta`` null each run steps at
+    1/(||K|| + lam^2), the largest certified step for one output, and ||K||
+    is read once from the net's empirical kernel, certified PSD by the same
+    spectrum that gives its norm; only the norm is kept. ``train_full``
+    trains copies of the net's trainable layers, so runs cannot disturb
+    each other.
     """
+    mlp = _seeded_net(config, train, seed)
+    k_norm = empirical_ntk(mlp, train).op_norm if config["eta"] is None else None
+    objective = config["method"].removeprefix("net-")
 
-    def __init__(self, config, train, test, cells, draws):
-        self.config, self.test, self.draws = config, test, draws
-        self.mlp = _seeded_net(config, train, cells[0]["seed"])
-        self.k_norm = empirical_ntk(self.mlp, train).op_norm if config["eta"] is None else None
+    def run(noisy, lam):
+        eta = config["eta"] if k_norm is None else 1.0 / (k_norm + lam * lam)
+        return train_full(mlp, noisy, TrainConfig(objective, eta=float(eta), steps=int(config["steps"]), lam=lam))
 
-    def train(self, cell):
-        """``train_full`` of the net on ``cell``'s drawn labels at its lambda."""
-        lam, eta = cell["lambda"], self.config["eta"]
-        if eta is None:  # 1/(||K|| + lam^2), the largest certified step for one output
-            eta = 1.0 / (self.k_norm + lam * lam)
-        objective = self.config["method"].removeprefix("net-")
-        return train_full(self.mlp, self.draws[_draw_key(cell)][1],
-                          TrainConfig(objective, eta=float(eta), steps=int(self.config["steps"]), lam=lam))
-
-    def row(self, cell) -> dict:
-        trained, _, log = self.train(cell)
-        noisy = self.draws[_draw_key(cell)][1]
-        return _cell_row(
-            self.config, cell, noisy, self.test, forward(trained, noisy.inputs),
-            None if self.test is None else forward(trained, self.test.inputs),
-            distance=float(np.linalg.norm(log.dist_to_init[-1])),
-        )
+    return run
 
 
-_GROUPS = {"krr": _KRRGroup, "linear": _LinearGroup, "net": _NetGroup}
+def _net_group(config, train, test, cells, draws) -> dict:
+    """Outcomes of net-* cells of one init seed, each trained in turn by one ``_net_trainer``.
+
+    A cell whose training fails fails alone; the others still train.
+    """
+    run = _net_trainer(config, train, cells[0]["seed"])
+    outcomes = {}
+    for cell in cells:
+        noisy = draws[_draw_key(cell)][1]
+        try:
+            trained, _, log = run(noisy, cell["lambda"])
+        except ToolkitError as exc:  # kept without its traceback, whose frames would hold the run's layers
+            outcomes[cell["index"]] = exc.with_traceback(None)
+            continue
+        outcomes[cell["index"]] = {"train_outputs": forward(trained, noisy.inputs),
+                                   "test_outputs": None if test is None else forward(trained, test.inputs),
+                                   "distance": float(np.linalg.norm(log.dist_to_init[-1]))}
+    return outcomes
+
+
+_GROUPS = {"krr": _krr_group, "linear": _linear_group, "net": _net_group}
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +629,8 @@ def cmd_equivalence(config: dict) -> int:
 def cmd_train(config: dict) -> int:
     out = _ensure_out(config)
     cell, train, test = _single_run(config)
-    trained, _, log = _NetGroup(config, train, test, [cell], _draws(config, [cell], train)).train(cell)
+    _, noisy = _noisy_train(config, cell, train)
+    trained, _, log = _net_trainer(config, train, cell["seed"])(noisy, cell["lambda"])
     log.to_csv(os.path.join(out, "trajectory.csv"))
     _log(f"final objective {log.objective[-1]:.6g}, train error {log.train_error[-1]:.4f}")
     _log(f"distance to init per layer: {[round(float(v), 6) for v in log.dist_to_init[-1]]}")
@@ -650,10 +647,13 @@ def cmd_train(config: dict) -> int:
 def cmd_krr(config: dict) -> int:
     out = _ensure_out(config)
     cell, train, test = _single_run(config)
-    group = _KRRGroup(config, train, test, [cell], _draws(config, [cell], train))
-    row = group.row(cell)
+    draws = _draws(config, [cell], train)
+    outcome = _krr_group(config, train, test, [cell], draws)[cell["index"]]
+    if isinstance(outcome, ToolkitError):
+        raise outcome
+    row = _outcome_row(config, cell, outcome, draws, test)
     if test is not None:
-        _write_predictions(os.path.join(out, "predictions.csv"), group.test_outputs[cell["index"]], train.task)
+        _write_predictions(os.path.join(out, "predictions.csv"), outcome["test_outputs"], train.task)
     header = ["lambda", "train_error_noisy", "test_error_clean"]
     _write_csv(os.path.join(out, "results.csv"), header, [tuple(row[h] for h in header)])
     _log(f"lambda={row['lambda']}: train error (noisy) {row['train_error_noisy']:.4f}, "
@@ -723,31 +723,22 @@ _RESULT_HEADER = [
 ]
 
 
-def _row(config, cell, status, **values) -> dict:
-    """One results.csv row; values not given stay empty."""
+def _outcome_row(config, cell, outcome, draws=None, test=None) -> dict:
+    """The results.csv row of ``cell``'s outcome, empty where it has no value.
+
+    An error gives a logged error row; measurements give an ok row, scored
+    on the cell's noisy labels in ``draws`` and on ``test``'s clean labels.
+    """
     row = dict.fromkeys(_RESULT_HEADER)
-    row.update({"noise": cell["noise"], "lambda": cell["lambda"], "seed": cell["seed"],
-                "method": config["method"], "status": status}, **values)
-    return row
-
-
-def _error_row(config, cell, exc) -> dict:
-    _log(f"cell noise={cell['noise']} lambda={cell['lambda']} seed={cell['seed']} failed: {exc}")
-    return _row(config, cell, f"error:{type(exc).__name__}")
-
-
-def _cell_row(config, cell, train, test, train_predictions, test_predictions,
-              distance=None, bound_total=None) -> dict:
-    return _row(
-        config, cell, "ok",
-        train_error_noisy=prediction_error(train_predictions, train.noisy_labels, train.task),
-        test_error_clean=(
-            None if test is None
-            else prediction_error(test_predictions, test.clean_labels, test.task)
-        ),
-        distance_to_init=distance,
-        bound_total=bound_total,
-    )
+    row.update({"noise": cell["noise"], "lambda": cell["lambda"], "seed": cell["seed"], "method": config["method"]})
+    if isinstance(outcome, ToolkitError):
+        _log(f"cell noise={cell['noise']} lambda={cell['lambda']} seed={cell['seed']} failed: {outcome}")
+        return dict(row, status=f"error:{type(outcome).__name__}")
+    train = draws[_draw_key(cell)][1]
+    noisy_error = prediction_error(outcome["train_outputs"], train.noisy_labels, train.task)
+    clean_error = None if test is None else prediction_error(outcome["test_outputs"], test.clean_labels, test.task)
+    return dict(row, status="ok", train_error_noisy=noisy_error, test_error_clean=clean_error,
+                distance_to_init=outcome.get("distance"), bound_total=outcome.get("bound_total"))
 
 
 def _group_worker(payload) -> dict:
@@ -755,22 +746,17 @@ def _group_worker(payload) -> dict:
 
     Each (noise level, seed) draws its noisy labels once, for the group to
     share. A failure in the group's shared work, those draws included, fails
-    all its cells; a failure in one cell fails that cell only.
+    all its cells; the group function keeps a failure in one cell to that
+    cell.
     """
     config, cells = payload
     try:
         train, test = build_train_test(config)
-        group_class = _GROUPS[config["method"].split("-")[0]]
-        group = group_class(config, train, test, cells, _draws(config, cells, train))
+        draws = _draws(config, cells, train)
+        outcomes = _GROUPS[config["method"].split("-")[0]](config, train, test, cells, draws)
     except ToolkitError as exc:
-        return {cell["index"]: _error_row(config, cell, exc) for cell in cells}
-    rows = {}
-    for cell in cells:
-        try:
-            rows[cell["index"]] = group.row(cell)
-        except ToolkitError as exc:
-            rows[cell["index"]] = _error_row(config, cell, exc)
-    return rows
+        return {cell["index"]: _outcome_row(config, cell, exc) for cell in cells}
+    return {cell["index"]: _outcome_row(config, cell, outcomes[cell["index"]], draws, test) for cell in cells}
 
 
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -1,5 +1,6 @@
 """End-to-end command tests: outputs, exit codes, reproducibility."""
 
+import argparse
 import concurrent.futures
 import csv
 import json
@@ -27,7 +28,7 @@ from ntkreg.cli import (
     load_config,
     main,
 )
-from ntkreg.data import onehot_matrix, prediction_error, synth_sphere
+from ntkreg.data import onehot_matrix, prediction_error, synth_multiclass, synth_sphere
 from ntkreg.errors import SingularityError
 from ntkreg.kernel import AnalyticNTK, EmpiricalNTK, KernelMatrix, empirical_ntk
 from ntkreg.krr import KRRPredictor, krr_fit
@@ -1156,6 +1157,19 @@ class TestNetGroups:
         for name in ("results.csv", "summary.csv", "distance_summary.csv"):
             assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
+    def test_diverging_lambda_fails_only_its_cells(self, tmp_path, capsys):
+        # eta 0.1 trains at lambda 0.25, while at lambda 8 each step multiplies W - W0 by about
+        # 1 - 0.1 * 64 = -5.4, and the objective passes the divergence limit within 30 steps
+        rows = self.run_sweep(tmp_path, "div", lambda_grid=[0.25, 8.0], eta=0.1, steps=30)
+        log = capsys.readouterr().out
+        for row in rows:
+            if float(row["lambda"]) == 8.0:
+                assert row["status"] == "error:DivergenceError"
+                assert f"cell noise={float(row['noise'])} lambda=8.0 seed={row['seed']} failed: " in log
+            else:
+                assert row["status"] == "ok" and float(row["distance_to_init"]) > 0.0
+        assert log.count("failed: ") == 4 and "sweep finished: 4 ok, 4 failed cells" in log
+
 
 class TestOneCopyOfTheNet:
     """A CLI net holds one read-only array per layer, shared by both branches and the snapshot."""
@@ -1607,6 +1621,16 @@ class TestOneConfigCheck:
         }
         assert documented == coded
 
+    def test_readme_common_flags_match_the_parser(self):
+        readme = (Path(__file__).parent / ".." / "README.md").read_text()
+        documented = re.findall(r"`(--[a-z-]+)`", readme.split("Common flags:")[1].split(".")[0])
+        commands = next(action for action in cli_module._build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        for command, parser in commands.choices.items():
+            coded = [option for action in parser._actions for option in action.option_strings
+                     if option.startswith("--") and option != "--help"]
+            assert coded == documented, command
+
     @pytest.mark.parametrize("command, method", [("equivalence", "linear-rdi"), ("train", "net-rdi")])
     def test_net_drawn_once(self, tmp_path, command, method, count_calls):
         # validation checks the model spec without drawing the net; the command draws it
@@ -1740,6 +1764,33 @@ class TestOneConfigCheck:
                                                  "noise": transition_noise(tmp_path)})
         assert main(["bounds", "--config", cfg]) == EXIT_OK
         assert json.loads((out / "bound_report.json").read_text())["gap"] is not None
+
+    @pytest.mark.parametrize("command, method, named", [
+        ("equivalence", "linear-rdi", "binary or regression"),
+        ("sweep", "linear-rdi", "binary or regression"),
+        ("bounds", "krr", "class-transition"),
+    ])
+    def test_multiclass_rules_read_the_task(self, tmp_path, monkeypatch, capsys, command, method, named):
+        # the rules tested the kind name synth-multiclass, so multiclass data of any other kind passed them
+        monkeypatch.setattr(cli_module, "build_dataset",
+                            lambda spec: synth_multiclass(spec["n"], spec["d"], 3, spec["seed"]))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=20), "noise": {"kind": "none"},
+                                                  "method": method, "model": {"kind": "net", "widths": [16]},
+                                                  "lambda_grid": [0.5], "steps": 2, "out": str(out)})
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("test_dataset", [False, {}, 0, []], ids=["false", "empty-object", "zero", "empty-list"])
+    def test_falsy_test_dataset_is_refused(self, tmp_path, capsys, test_dataset):
+        # only null means no test set: each of these ran krr with an empty test_error_clean
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "cfg.json", {"dataset": small_synth(n=20), "test_dataset": test_dataset,
+                                                  "out": str(out)})
+        assert main(["krr", "--config", cfg]) == EXIT_VALIDATION
+        assert "dataset" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, changes, named", [
         pytest.param("krr", {"lambda": "1"}, "numbers", id="lambda-string"),
